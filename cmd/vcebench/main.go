@@ -260,7 +260,7 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 	rep, err := scenario.RunContext(ctx, sp, scenario.Options{
 		Workers:         *workers,
 		ContinueOnError: *keepOn,
-		ProgressV2:      progress,
+		Progress:        progress,
 		Shard:           shard,
 		Cache:           cacheStore,
 		Telemetry:       rec,

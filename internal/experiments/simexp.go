@@ -47,11 +47,11 @@ func E5Placement() (*Result, error) {
 		"% constrained", "greedy s", "utilization-first s", "improvement %")
 	anyImprovement := false
 	for _, pct := range []int{10, 25, 50, 75} {
-		greedy, err := runPlacementSim(sched.GreedyBestFit{}, pct)
+		greedy, err := runPlacementSim(sched.NewGreedyBestFit(), pct)
 		if err != nil {
 			return nil, err
 		}
-		utilFirst, err := runPlacementSim(sched.UtilizationFirst{}, pct)
+		utilFirst, err := runPlacementSim(sched.NewUtilizationFirst(), pct)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,55 @@ import (
 	"vce/internal/metrics"
 )
 
+// Indexes are the comparison indexes of one run: what the analyzer
+// aggregates across seeds.
+type Indexes struct {
+	// MakespanS is the completion time of the last finished task (seconds);
+	// the horizon if nothing finished.
+	MakespanS float64 `json:"makespan_s"`
+	// ThroughputPerH is completed tasks per simulated hour.
+	ThroughputPerH float64 `json:"throughput_per_h"`
+	// MeanCompletionS averages completion instants of finished tasks.
+	MeanCompletionS float64 `json:"mean_completion_s"`
+	// UtilizationPct is the machine-mean time-weighted fraction of
+	// capacity spent on VCE work, in percent.
+	UtilizationPct float64 `json:"utilization_pct"`
+	// Migrations counts successful task migrations.
+	Migrations int64 `json:"migrations"`
+	// Suspensions counts suspension events (Stealth transitions or
+	// migration fallbacks).
+	Suspensions int64 `json:"suspensions"`
+	// Failed counts task incarnations killed by machine failures.
+	Failed int64 `json:"failed"`
+	// Rejected counts tasks that never ran: bounded-queue admission
+	// refusals, arrivals past the horizon, and tasks never placed.
+	Rejected int `json:"rejected"`
+	// Completed counts finished tasks.
+	Completed int `json:"completed"`
+	// SlowdownP50 and SlowdownP99 are steady-state slowdown quantiles:
+	// (finish − arrival) / (work at speed 1.0), from the run's fixed-shape
+	// quantile sketch (see StreamingIndexes).
+	SlowdownP50 float64 `json:"slowdown_p50"`
+	SlowdownP99 float64 `json:"slowdown_p99"`
+	// QueueDepthMean is the time-weighted mean waiting-queue depth over the
+	// run; QueueDepthMax is the largest settled backlog observed.
+	QueueDepthMean float64 `json:"queue_depth_mean"`
+	QueueDepthMax  float64 `json:"queue_depth_max"`
+	// RejectRatePct is Rejected as a percentage of the offered tasks.
+	RejectRatePct float64 `json:"reject_rate_pct"`
+	// ForwardedPct is the percentage of data-affine task placements (DAG
+	// tasks with completed parents, under a site topology) whose first
+	// placement landed off the site holding their dependency data.
+	ForwardedPct float64 `json:"forwarded_pct"`
+	// XferWaitS totals the seconds tasks spent staging dependency data
+	// across the network before starting.
+	XferWaitS float64 `json:"xfer_wait_s"`
+	// CriticalPathStretch is MakespanS over the workload DAG's ideal
+	// critical path (unit speed, free transfers); zero for independent
+	// workloads.
+	CriticalPathStretch float64 `json:"critical_path_stretch"`
+}
+
 // Cell aggregates one policy-matrix cell's runs.
 type Cell struct {
 	// Sched and Migration name the cell.
@@ -271,4 +320,13 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 		}
 	}
 	return written, nil
+}
+
+// dist builds a metrics.Dist over a per-run index extracted by f.
+func dist(runs []Indexes, f func(Indexes) float64) *metrics.Dist {
+	var d metrics.Dist
+	for _, r := range runs {
+		d.Observe(f(r))
+	}
+	return &d
 }

@@ -2,115 +2,99 @@ package scenario
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"vce/internal/arch"
-	"vce/internal/rng"
+	"vce/internal/netsim"
 	"vce/internal/sched"
 	"vce/internal/sim"
-	"vce/internal/workload"
 )
 
-// taskGen is one generated task of a run's shared workload: the sampled
-// draws (work size, constraint flag, arrival instant) that every matrix
-// cell of the same run index replays identically.
-type taskGen struct {
-	id          string
-	work        float64
-	arrival     time.Duration
-	constrained bool
-}
-
-// runArena is a per-worker reuse pool for executing (instance, run) cells.
-// One arena serves one worker of one sweep: cells arrive sequentially, so
-// nothing here is synchronized.
+// runArena executes the (policy, run) cells of one spec. It is bound to a
+// validated, defaults-applied spec at construction (newArena) and runCell is
+// the only way a cell executes: the executor gives each worker one arena for
+// the whole sweep, and RunInstanceContext runs one cell on a single-use
+// arena — the from-scratch reference the arena-reuse-identity property
+// (internal/scenario/check) compares every sweep cell against. Cells arrive
+// sequentially, so nothing here is synchronized.
 //
-// It recycles two kinds of state:
+// Everything that is constant for the spec resolves once, at construction:
+// the workload source and its streaming bit, the horizon, the default link
+// and the site topology, the fleet's shape (names, classes, slots — all but
+// the per-run speed draws), the placement candidate sets and the payload
+// sizes. Two kinds of state then recycle across cells:
 //
-//   - The generated world of a run index — machine specs, owner traces,
-//     task draws, fault schedules. Every cell of run k derives the
-//     identical world from (spec seed, k), so consecutive cells sharing a
-//     run index reuse the generated objects instead of re-deriving and
-//     reallocating them (the executor feeds jobs run-major to make such
-//     neighbours common).
-//   - The simulation substrate — the kernel, machine structs, pooled task
-//     records and every index-keyed scratch buffer. These reset in place
-//     between cells (Cluster.Reset, Task.Reset discipline), so steady-state
-//     sweep execution allocates per-event closures and policy scratch, not
-//     worlds.
-//
-// A nil arena in runInstance degenerates to a fresh single-use arena, which
-// IS the fresh-allocation path: the reuse-identity property (#9 in
-// internal/scenario/check) pins that both paths produce byte-identical
-// reports, so the recycling can be aggressive.
+//   - The generated world of a run index (see world): consecutive cells
+//     sharing a run index replay it instead of re-deriving it.
+//   - The simulation substrate — the kernel, machine structs, the task
+//     record pool and every index-keyed scratch buffer. These reset in place
+//     between cells (Cluster.Reset, Task.Recycle discipline), so
+//     steady-state sweep execution allocates per-event closures and policy
+//     scratch, not worlds.
 type runArena struct {
-	// worldRun is 1+run of the cached generated world; 0 marks empty.
-	worldRun int
-	specs    []arch.Machine
-	slots    []int
-	// ownerSteps is the per-machine owner load trace of the cached run.
-	ownerSteps [][]sim.LoadStep
-	gens       []taskGen
-	// faultAt is the per-machine failure schedule of the cached run (repair
-	// instants reconstruct as fail + DownS).
-	faultAt [][]time.Duration
+	sp        *Spec
+	src       WorkloadSource
+	streaming bool
+	dag       bool // workload.graph is set
+	horizon   time.Duration
+	// link is the flat default link; topo layers the per-site-pair resolver
+	// on top and is nil for flat (site-less) machine sets. A one-site
+	// topology is deliberately not how flat specs are expressed: it would set
+	// HomeSite on DAG items and switch Locality from greedy placement to its
+	// wait/forward/drop triad, which is not bit-exact with flat engines.
+	link netsim.Link
+	topo *siteTopology
+	// locCost prices the workload's dominant payload — the dependency edge
+	// for DAG workloads, the task image otherwise — between every site pair:
+	// the locality policy's forwarding-cost input. nil without a topology.
+	locCost    [][]float64
+	imageBytes int64
+	edgeBytes  int64
 
-	// DAG world of the cached run (workload.graph): parents/children
-	// adjacency over task indexes (edges always point low → high, so the
-	// graph is acyclic by construction) and the ideal critical path in
-	// unit-speed seconds — the lower bound critical_path_stretch divides by.
-	parents   [][]int32
-	children  [][]int32
-	graphCP   float64
-	cpScratch []float64
+	// fleet is the machine set with every spec-determined field filled in
+	// and Speed zero (each run's world samples speeds); slots is the
+	// per-machine task capacity.
+	fleet []arch.Machine
+	slots []int
+	// Candidate sets and the machine name index. Portable tasks accept every
+	// machine; constrained tasks only their pinned class. The sets carry both
+	// names and Machine.Index ids (same order) so the placement policies take
+	// their hash-free path.
+	machIdx     map[string]int
+	allNames    []string
+	allIDs      []int
+	pinnedNames []string
+	pinnedIDs   []int
 
-	// Realized site topology, cached per machine-set spec: the generated
-	// names and class blocks depend only on the spec, so it survives run
-	// and cell changes (see ensureTopology). nil means flat network.
-	topo    *siteTopology
-	topoFor *MachineSetSpec
+	world world
 
-	cluster  *sim.Cluster
-	machines []*sim.Machine
+	// cluster carries the specs of world run clusterRun-1 (0: never built).
+	cluster    *sim.Cluster
+	clusterRun int
+	machines   []*sim.Machine
 
-	// ids caches the task ID strings ("task-%03d"), which are independent
-	// of both run and cell; taskIdx inverts them. tasks is the pooled task
-	// record storage for eager (closed-workload) cells — cells hand out
-	// &tasks[i] pointers and re-initialize the values in place.
-	ids     []string
-	taskIdx map[string]int
-	tasks   []sim.Task
-
-	// Streaming (open-loop) cells draw task records from a bounded recycled
-	// pool instead: a slot is acquired at arrival admission and released at
-	// completion, so live records track the backlog + residents, not the
-	// task count. chunks stores records in fixed-size blocks — blocks never
-	// move as the pool grows, so &chunk[i] pointers held by machines stay
-	// valid. freeSlots is the recycle stack; poolCreated counts slots ever
-	// materialized (slot s lives at chunks[s/poolChunk][s%poolChunk]);
-	// poolLive/poolPeak track the cell's live-record high-water mark, the
-	// number the bounded-memory smoke asserts on.
-	streamMode  bool
-	chunks      [][]sim.Task
-	freeSlots   []int
-	poolCreated int
-	poolLive    int
-	poolPeak    int
+	pool taskPool
 
 	// acc is the per-run streaming index accumulator, arena-resident so its
 	// fixed-shape sketch recycles across cells.
 	acc StreamingIndexes
 
-	// Per-cell scratch, index-keyed by machine or task index.
-	down       []bool
-	ownerLoad  []float64
-	attached   []bool
-	everPlaced []bool
-	waiting    []sched.Item
-	statesBuf  []sched.MachineState
+	// Per-cell scratch, index-keyed by machine. down marks failed machines;
+	// ownerLoad remembers the owner trace's current level so repair restores
+	// the owner's load, not idle, and a trace step during an outage is
+	// deferred instead of reviving the machine. Both are keyed by
+	// Machine.Index: these are consulted on every machine-change
+	// notification, so no name hashing on that path.
+	down      []bool
+	ownerLoad []float64
+	// inflight counts per-machine deliveries in transit (DAG data staging):
+	// capacity the placement snapshot reserves so a transfer never lands on
+	// a slot a later placement round already spent.
+	inflight  []int
+	waiting   []sched.Item
+	statesBuf []sched.MachineState
 
-	// Per-cell DAG scratch (see prepDag): readiness countdown, the instant
+	// Per-cell DAG scratch (see prepare): readiness countdown, the instant
 	// a task's last parent finished (its effective arrival), the machine
 	// that completed it, and the site its dependency data lives at.
 	remParents []int32
@@ -118,36 +102,88 @@ type runArena struct {
 	doneHost   []int32
 	homeSite   []int32
 	submitted  []bool
-	// inflight counts per-machine deliveries in transit (DAG data staging):
-	// capacity the placement snapshot reserves so a transfer never lands on
-	// a slot a later placement round already spent.
-	inflight []int
-
-	// Candidate sets and the machine name index, stable across runs (the
-	// generated fleet's names and classes depend only on the spec).
-	machIdx     map[string]int
-	allNames    []string
-	allIDs      []int
-	pinnedNames []string
-	pinnedIDs   []int
-	pinnedFor   string
 
 	// Cached event closures, allocated once per arena position and replayed
 	// by every subsequent cell: scheduling a cell's owner steps, arrivals
 	// and faults then allocates nothing. Each closure reads current arena
-	// state at fire time (and dispatches per-cell behavior through the hooks
-	// below), so one closure is valid across worlds and cells; a world with
-	// fewer steps or tasks simply schedules a prefix of the cache.
+	// state at fire time (and dispatches per-cell behavior to ar.cell), so
+	// one closure is valid across worlds and cells; a world with fewer steps
+	// or tasks simply schedules a prefix of the cache.
 	ownerFns  [][]func()
 	arriveFns []func()
 	failFns   []func()
 	repairFns []func()
 
-	// Per-cell dispatch targets behind the cached closures; runInstance
-	// rebinds them before scheduling each cell's events.
-	submitHook func(i int)
-	failHook   func(mi int)
-	repairHook func(mi int)
+	// cell is the state of the cell being executed; runCell re-initializes
+	// it in place, so the cached closures above reach the current cell.
+	cell cell
+}
+
+// newArena binds an arena to sp, which must be validated with defaults
+// applied. A spec the engine cannot run — trace arrivals whose trace_path
+// was never inlined — fails here, once, instead of once per cell.
+func newArena(sp *Spec) (*runArena, error) {
+	src, err := WorkloadSourceFor(sp.Workload.Arrivals.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %s: %w", sp.Name, err)
+	}
+	if a := sp.Workload.Arrivals; a.Kind == "trace" && len(a.TraceS) == 0 {
+		return nil, fmt.Errorf("scenario: %s: trace arrivals not inlined — trace_path requires scenario.Load", sp.Name)
+	}
+	fleet, slots, err := fleetShape(sp.Machines)
+	if err != nil {
+		return nil, err
+	}
+	ar := &runArena{
+		sp:        sp,
+		src:       src,
+		streaming: src.Streaming(),
+		dag:       sp.Workload.Graph != nil,
+		horizon:   time.Duration(sp.HorizonS * float64(time.Second)),
+		link: netsim.Link{
+			Latency:   time.Duration(sp.Machines.LatencyMs * float64(time.Millisecond)),
+			Bandwidth: *sp.Machines.BandwidthMiBps * (1 << 20),
+		},
+		topo:       buildTopology(&sp.Machines, fleet),
+		imageBytes: int64(sp.Workload.ImageMiB * (1 << 20)),
+		fleet:      fleet,
+		slots:      slots,
+		machIdx:    make(map[string]int, len(fleet)),
+	}
+	// A closed cell holds one slot per task, so the final size of the slot
+	// index is known; a streaming pool grows to the backlog it meets.
+	slotHint := 0
+	if !ar.streaming {
+		slotHint = sp.Workload.Tasks
+	}
+	ar.pool.idx = make(map[string]int, slotHint)
+	payload := ar.imageBytes
+	if g := sp.Workload.Graph; g != nil {
+		ar.edgeBytes = int64(g.DataMiB * (1 << 20))
+		payload = ar.edgeBytes
+	}
+	if ar.topo != nil {
+		ar.locCost = ar.topo.costMatrix(payload)
+	}
+	// Machines register in fleet order, so Machine.Index is the position.
+	for i, m := range fleet {
+		ar.allNames = append(ar.allNames, m.Name)
+		ar.allIDs = append(ar.allIDs, i)
+		ar.machIdx[m.Name] = i
+	}
+	if con := sp.Workload.Constrained; con != nil {
+		class, err := arch.ParseClass(con.Class)
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range fleet {
+			if m.Class == class {
+				ar.pinnedNames = append(ar.pinnedNames, m.Name)
+				ar.pinnedIDs = append(ar.pinnedIDs, i)
+			}
+		}
+	}
+	return ar, nil
 }
 
 // ownerFn returns the cached callback for machine mi's si-th owner-trace
@@ -160,7 +196,7 @@ func (ar *runArena) ownerFn(mi, si int) func() {
 	for len(fns) <= si {
 		mi, si := mi, len(fns)
 		fns = append(fns, func() {
-			load := ar.ownerSteps[mi][si].Load
+			load := ar.world.ownerSteps[mi][si].Load
 			ar.ownerLoad[mi] = load
 			if !ar.down[mi] {
 				ar.machines[mi].SetLocalLoad(load)
@@ -171,12 +207,11 @@ func (ar *runArena) ownerFn(mi, si int) func() {
 	return fns[si]
 }
 
-// arriveFn returns the cached arrival callback for task index i; it
-// dispatches to the cell's submitHook.
+// arriveFn returns the cached arrival callback for task index i.
 func (ar *runArena) arriveFn(i int) func() {
 	for len(ar.arriveFns) <= i {
 		i := len(ar.arriveFns)
-		ar.arriveFns = append(ar.arriveFns, func() { ar.submitHook(i) })
+		ar.arriveFns = append(ar.arriveFns, func() { ar.cell.submit(i) })
 	}
 	return ar.arriveFns[i]
 }
@@ -187,7 +222,7 @@ func (ar *runArena) arriveFn(i int) func() {
 func (ar *runArena) failFn(mi int) func() {
 	for len(ar.failFns) <= mi {
 		mi := len(ar.failFns)
-		ar.failFns = append(ar.failFns, func() { ar.failHook(mi) })
+		ar.failFns = append(ar.failFns, func() { ar.cell.fail(mi) })
 	}
 	return ar.failFns[mi]
 }
@@ -195,161 +230,9 @@ func (ar *runArena) failFn(mi int) func() {
 func (ar *runArena) repairFn(mi int) func() {
 	for len(ar.repairFns) <= mi {
 		mi := len(ar.repairFns)
-		ar.repairFns = append(ar.repairFns, func() { ar.repairHook(mi) })
+		ar.repairFns = append(ar.repairFns, func() { ar.cell.repair(mi) })
 	}
 	return ar.repairFns[mi]
-}
-
-// ensureWorld makes the arena's cached world the one of (sp, run),
-// regenerating from the run's derived random streams on a cache miss. The
-// draw order within each derived stream is identical to a from-scratch
-// build, and the streams are derived by name (not consumed sequentially),
-// so replaying a cached world is indistinguishable from regenerating it.
-func (ar *runArena) ensureWorld(sp *Spec, run int, horizon time.Duration) error {
-	if ar.worldRun == run+1 {
-		return nil
-	}
-	ar.worldRun = 0
-	root := derivedStreams(sp, run)
-	specs, slots, err := generateMachines(sp.Machines, root.Derive("machines"))
-	if err != nil {
-		return err
-	}
-	ar.specs, ar.slots = specs, slots
-	nm := len(specs)
-
-	ar.ownerSteps = growSlices(ar.ownerSteps, nm)
-	if sp.Owner != nil {
-		ownerRng := root.Derive("owner")
-		for mi := 0; mi < nm; mi++ {
-			ar.ownerSteps[mi] = workload.BurstyTrace(ownerRng, horizon,
-				time.Duration(sp.Owner.MeanIdleS*float64(time.Second)),
-				time.Duration(sp.Owner.MeanBusyS*float64(time.Second)),
-				sp.Owner.BusyLoad)
-		}
-	}
-
-	// Eager (closed) sources materialize the task population here, as part
-	// of the cached world. Streaming sources draw tasks lazily per cell
-	// during the simulation — from the same derived streams, so the world
-	// cache still holds for machines, owner traces and faults.
-	src, err := workloadSource(sp.Workload.Arrivals.Kind)
-	if err != nil {
-		return err
-	}
-	if !src.Streaming() {
-		n := sp.Workload.Tasks
-		for len(ar.ids) < n {
-			ar.ids = append(ar.ids, fmt.Sprintf("task-%03d", len(ar.ids)))
-		}
-		if cap(ar.gens) < n {
-			ar.gens = make([]taskGen, n)
-		}
-		ar.gens = ar.gens[:n]
-		workRng := root.Derive("work")
-		for i := range ar.gens {
-			ar.gens[i] = taskGen{id: ar.ids[i], work: sp.Workload.Work.Sample(workRng)}
-		}
-		if con := sp.Workload.Constrained; con != nil {
-			conRng := root.Derive("constraints")
-			for i := range ar.gens {
-				ar.gens[i].constrained = conRng.Bool(con.Fraction)
-			}
-		}
-		if sp.Workload.Arrivals.Kind != "batch" {
-			cur := src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals"))
-			for i := range ar.gens {
-				at, ok := cur()
-				if !ok {
-					at = horizon // exhausted source: never arrives
-				}
-				ar.gens[i].arrival = at
-			}
-		}
-		ar.generateGraph(sp.Workload.Graph, root)
-	}
-
-	ar.faultAt = growSlices(ar.faultAt, nm)
-	if sp.Faults != nil {
-		faultRng := root.Derive("faults")
-		mtbf := sp.Faults.MTBFHours * 3600
-		downFor := time.Duration(sp.Faults.DownS * float64(time.Second))
-		for mi := 0; mi < nm; mi++ {
-			t := 0.0
-			for {
-				t += faultRng.ExpFloat64() * mtbf
-				at := time.Duration(t * float64(time.Second))
-				if at >= horizon {
-					break
-				}
-				ar.faultAt[mi] = append(ar.faultAt[mi], at)
-				t = (at + downFor).Seconds()
-			}
-		}
-	}
-	ar.worldRun = run + 1
-	return nil
-}
-
-// randomGraphWindow is how many immediately preceding tasks a "random" DAG
-// task draws candidate parents from.
-const randomGraphWindow = 8
-
-// generateGraph links the cached world's tasks into the spec's dependency
-// DAG and computes its ideal critical path. Only "random" consumes random
-// draws (the "graph" derived stream); chain and fanout shapes are
-// spec-determined. Edges always run from a lower task index to a higher one.
-func (ar *runArena) generateGraph(g *GraphSpec, root *rng.Source) {
-	ar.graphCP = 0
-	if g == nil {
-		return
-	}
-	n := len(ar.gens)
-	ar.parents = growSlices(ar.parents, n)
-	ar.children = growSlices(ar.children, n)
-	addEdge := func(p, c int) {
-		ar.parents[c] = append(ar.parents[c], int32(p))
-		ar.children[p] = append(ar.children[p], int32(c))
-	}
-	switch g.Kind {
-	case "chain":
-		for i := 1; i < n; i++ {
-			addEdge(i-1, i)
-		}
-	case "fanout":
-		for i := 1; i < n; i++ {
-			addEdge((i-1)/g.FanOut, i)
-		}
-	case "random":
-		gr := root.Derive("graph")
-		for j := 1; j < n; j++ {
-			lo := j - randomGraphWindow
-			if lo < 0 {
-				lo = 0
-			}
-			for i := lo; i < j; i++ {
-				if gr.Bool(g.EdgeProb) {
-					addEdge(i, j)
-				}
-			}
-		}
-	}
-	// Ideal critical path at unit speed ignoring transfers: a forward pass
-	// works because every edge points low → high.
-	ar.cpScratch = resetFloats(ar.cpScratch, n)
-	for i := 0; i < n; i++ {
-		cp := 0.0
-		for _, p := range ar.parents[i] {
-			if v := ar.cpScratch[p]; v > cp {
-				cp = v
-			}
-		}
-		cp += ar.gens[i].work
-		ar.cpScratch[i] = cp
-		if cp > ar.graphCP {
-			ar.graphCP = cp
-		}
-	}
 }
 
 // growSlices resizes a slice-of-slices to n entries with every inner slice
@@ -361,30 +244,6 @@ func growSlices[T any](s [][]T, n int) [][]T {
 	s = s[:n]
 	for i := range s {
 		s[i] = s[i][:0]
-	}
-	return s
-}
-
-// resetBools resizes a bool scratch slice to n with every entry false.
-func resetBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// resetFloats resizes a float scratch slice to n with every entry zero.
-func resetFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
 	}
 	return s
 }
@@ -401,201 +260,167 @@ func resetFill[T any](s []T, n int, v T) []T {
 	return s
 }
 
-// ensureCluster provides a cluster whose registered fleet matches the
-// arena's cached world: a fresh build on first use, Cluster.Reset (plus
-// ReplaceSpecs when the run changed) afterwards. It reports whether the
-// fleet objects were rebuilt, which invalidates cached candidate sets.
-func (ar *runArena) ensureCluster(worldFresh bool) (rebuilt bool, err error) {
-	if ar.cluster != nil {
-		ar.cluster.Reset()
-		if !worldFresh {
-			return false, nil
+// resetCluster provides a clean cluster whose registered fleet carries the
+// current world's specs: a fresh build on first use, Cluster.Reset (plus
+// ReplaceSpecs when the run changed) afterwards. A failed build or re-spec
+// leaves the arena as it was, so the next cell fails the same way instead of
+// running on a half-provisioned fleet.
+func (ar *runArena) resetCluster() error {
+	if ar.cluster == nil {
+		c := sim.NewCluster()
+		machines := ar.machines[:0]
+		for _, mspec := range ar.world.specs {
+			m, err := c.AddMachine(mspec)
+			if err != nil {
+				return err
+			}
+			machines = append(machines, m)
 		}
-		if err := ar.cluster.ReplaceSpecs(ar.specs); err == nil {
-			return false, nil
-		}
-		// The fleet shape moved (it cannot within one sweep, but the arena
-		// does not get to assume its caller): fall through to a rebuild.
-		ar.cluster = nil
+		ar.cluster, ar.machines, ar.clusterRun = c, machines, ar.world.run
+		return nil
 	}
-	ar.cluster = sim.NewCluster()
-	ar.machines = ar.machines[:0]
-	for _, mspec := range ar.specs {
-		m, err := ar.cluster.AddMachine(mspec)
-		if err != nil {
-			return true, err
-		}
-		ar.machines = append(ar.machines, m)
-	}
-	return true, nil
-}
-
-// ensureCandidates builds the placement candidate sets (names plus dense
-// machine ids, and the name→index lookup) once per fleet: the generated
-// machine names and classes depend only on the spec, so these survive both
-// run changes and cell changes.
-func (ar *runArena) ensureCandidates(sp *Spec, rebuilt bool) error {
-	if rebuilt || len(ar.allNames) != len(ar.machines) {
-		ar.allNames = ar.allNames[:0]
-		ar.allIDs = ar.allIDs[:0]
-		if ar.machIdx == nil {
-			ar.machIdx = make(map[string]int, len(ar.machines))
-		} else {
-			clear(ar.machIdx)
-		}
-		for i, m := range ar.machines {
-			ar.allNames = append(ar.allNames, m.Name())
-			ar.allIDs = append(ar.allIDs, m.Index())
-			ar.machIdx[m.Name()] = i
-		}
-		ar.pinnedFor = ""
-	}
-	if con := sp.Workload.Constrained; con != nil && ar.pinnedFor != con.Class {
-		class, err := arch.ParseClass(con.Class)
-		if err != nil {
+	ar.cluster.Reset()
+	if ar.clusterRun != ar.world.run {
+		if err := ar.cluster.ReplaceSpecs(ar.world.specs); err != nil {
 			return err
 		}
-		ar.pinnedNames = ar.pinnedNames[:0]
-		ar.pinnedIDs = ar.pinnedIDs[:0]
-		for _, m := range ar.machines {
-			if m.Spec.Class == class {
-				ar.pinnedNames = append(ar.pinnedNames, m.Name())
-				ar.pinnedIDs = append(ar.pinnedIDs, m.Index())
-			}
-		}
-		ar.pinnedFor = con.Class
+		ar.clusterRun = ar.world.run
 	}
 	return nil
 }
 
-// ensureTopology realizes the machine set's site model once per machine-set
-// spec: the generated names and class blocks depend only on the spec, so
-// the topology survives run and cell changes. ar.topo stays nil for flat
-// (site-less) machine sets.
-func (ar *runArena) ensureTopology(sp *Spec) {
-	if ar.topoFor != nil && reflect.DeepEqual(*ar.topoFor, sp.Machines) {
-		return
+// prepare readies the substrate for one cell of run: the run's world, a
+// clean cluster carrying its specs and network model, cleared per-cell
+// scratch and accumulator, and a recycled task pool — every record ever
+// materialized is free again. A closed cell then takes slots 0..n-1 in task
+// order for the world's task bag, so a task's slot is its index (the DAG
+// adjacency is keyed by it); a streaming cell starts empty and acquires at
+// admission. For DAG workloads the readiness countdowns rebuild from the
+// world's adjacency, and completion hosts / affinity sites clear to
+// "unknown".
+func (ar *runArena) prepare(run int) error {
+	ar.generateWorld(run)
+	if err := ar.resetCluster(); err != nil {
+		return err
 	}
-	ms := sp.Machines
-	ar.topoFor = &ms
-	ar.topo = buildTopology(&ms, ar.specs)
-}
-
-// prepDag resets the per-cell DAG scratch: the readiness countdowns rebuild
-// from the cached adjacency, and completion hosts / affinity sites clear to
-// "unknown" for every task of the cached world.
-func (ar *runArena) prepDag() {
-	n := len(ar.gens)
-	ar.remParents = resetFill(ar.remParents, n, int32(0))
-	for i := 0; i < n && i < len(ar.parents); i++ {
-		ar.remParents[i] = int32(len(ar.parents[i]))
+	// The flat link is the model default; a site topology layers its
+	// resolver on top, so machine pairs with declared positions price by
+	// their site-pair link and everything else (nothing, today) falls back.
+	ar.cluster.Net = netsim.New(ar.link)
+	if ar.topo != nil {
+		ar.cluster.Net.SetResolver(ar.topo.resolver())
 	}
-	ar.readyAt = resetFill(ar.readyAt, n, time.Duration(0))
-	ar.doneHost = resetFill(ar.doneHost, n, int32(-1))
-	ar.homeSite = resetFill(ar.homeSite, n, int32(-1))
-	ar.submitted = resetBools(ar.submitted, n)
-}
-
-// prepCell sizes and clears the per-cell scratch buffers and the pooled
-// task records' index, and resets the run accumulator. Task values
-// themselves are re-initialized by the caller (they need the cell's
-// completion callback). A streaming cell recycles the bounded task pool
-// instead of the flat per-task arrays: every slot ever materialized is free
-// again, and the per-slot scratch re-zeros lazily at acquisition.
-func (ar *runArena) prepCell(streaming bool) {
 	nm := len(ar.machines)
-	ar.down = resetBools(ar.down, nm)
-	ar.ownerLoad = resetFloats(ar.ownerLoad, nm)
+	ar.down = resetFill(ar.down, nm, false)
+	ar.ownerLoad = resetFill(ar.ownerLoad, nm, 0)
 	ar.inflight = resetFill(ar.inflight, nm, 0)
 	ar.waiting = ar.waiting[:0]
-	ar.streamMode = streaming
 	ar.acc.Reset()
-	if streaming {
-		created := ar.poolCreated
-		ar.gens = ar.gens[:created]
-		ar.attached = resetBools(ar.attached, created)
-		ar.everPlaced = resetBools(ar.everPlaced, created)
-		// Pop order is ascending slot ids, so task IDs assign in arrival
-		// order and recycling is deterministic.
-		ar.freeSlots = ar.freeSlots[:0]
-		for s := created - 1; s >= 0; s-- {
-			ar.freeSlots = append(ar.freeSlots, s)
-		}
-		ar.poolLive, ar.poolPeak = 0, 0
-		if ar.taskIdx == nil {
-			ar.taskIdx = make(map[string]int)
-		}
-		// An eager cell on this arena may have rebuilt the index smaller
-		// than the pool; re-cover every created slot (idempotent — the
-		// id→index mapping is universal).
-		if len(ar.taskIdx) < created {
-			for i := 0; i < created; i++ {
-				ar.taskIdx[ar.ids[i]] = i
-			}
-		}
-		return
+	ar.pool.reset()
+	for _, g := range ar.world.tasks {
+		ar.pool.acquire(g)
 	}
-	n := len(ar.gens)
-	ar.attached = resetBools(ar.attached, n)
-	ar.everPlaced = resetBools(ar.everPlaced, n)
-	if cap(ar.tasks) < n {
-		ar.tasks = make([]sim.Task, n)
+	if !ar.dag {
+		return nil
 	}
-	ar.tasks = ar.tasks[:n]
-	if len(ar.taskIdx) != n {
-		ar.taskIdx = make(map[string]int, n)
-		for i := 0; i < n; i++ {
-			ar.taskIdx[ar.ids[i]] = i
-		}
+	n := len(ar.world.tasks)
+	ar.remParents = resetFill(ar.remParents, n, 0)
+	for i, ps := range ar.world.parents {
+		ar.remParents[i] = int32(len(ps))
 	}
+	ar.readyAt = resetFill(ar.readyAt, n, 0)
+	ar.doneHost = resetFill(ar.doneHost, n, -1)
+	ar.homeSite = resetFill(ar.homeSite, n, -1)
+	ar.submitted = resetFill(ar.submitted, n, false)
+	return nil
 }
 
-// poolChunk is the streaming pool's block size: records allocate in blocks
-// so growth never moves existing records (machines hold pointers into them).
-const poolChunk = 512
+// poolChunk is the task pool's block size: records allocate in blocks so
+// growth never moves existing records (machines hold pointers into them).
+// Small, because every cell draws from the pool: a sweep of few-task cells
+// builds an arena per worker and should not pay for hundreds of idle records.
+const poolChunk = 64
 
-// taskAt returns the pooled record for slot i in the current cell's mode.
-func (ar *runArena) taskAt(i int) *sim.Task {
-	if ar.streamMode {
-		return &ar.chunks[i/poolChunk][i%poolChunk]
-	}
-	return &ar.tasks[i]
+// taskPool is the arena's task record storage, one path for every workload.
+// A slot is a pooled sim.Task record plus its per-slot draws and scratch.
+// Records live in fixed-size blocks — blocks never move as the pool grows,
+// so *sim.Task pointers held by machines stay valid. A streaming cell
+// acquires a slot at arrival admission and releases it at completion, so
+// live records track the backlog + residents, not the task count; a closed
+// cell holds slots 0..n-1 for its whole life and never releases, because
+// task ids feed the machines' resident ordering and must not be reused
+// within a cell.
+type taskPool struct {
+	chunks [][]sim.Task
+	// free is the recycle stack; created counts slots ever materialized
+	// (slot s lives at chunks[s/poolChunk][s%poolChunk]).
+	free    []int
+	created int
+	// live/peak track the cell's live-record high-water mark, the number the
+	// bounded-memory smoke asserts on.
+	live, peak int
+
+	// ids caches the task ID strings ("task-%03d"), which depend only on the
+	// slot; idx inverts them.
+	ids []string
+	idx map[string]int
+	// Per-slot state: the draws of the task occupying the slot, whether its
+	// checkpoint tick chain is attached, and whether it was ever placed.
+	gens       []taskGen
+	attached   []bool
+	everPlaced []bool
 }
 
-// acquireSlot hands out a free pool slot for an admitted streaming arrival,
-// materializing a new one (and its id, index entry and per-slot scratch)
-// when the recycle stack is empty. The caller fills gens[slot] and the task
-// record; acquire only guarantees clean placement/attachment scratch.
-func (ar *runArena) acquireSlot() int {
+// reset frees every materialized slot for a new cell. Pop order is
+// ascending slot ids, so task IDs assign in arrival order and recycling is
+// deterministic.
+func (p *taskPool) reset() {
+	p.free = p.free[:0]
+	for s := p.created - 1; s >= 0; s-- {
+		p.free = append(p.free, s)
+	}
+	p.live, p.peak = 0, 0
+}
+
+// task returns the pooled record of slot s.
+func (p *taskPool) task(s int) *sim.Task {
+	return &p.chunks[s/poolChunk][s%poolChunk]
+}
+
+// acquire hands out a free slot for a task with draws g, materializing a
+// new one (and its id and index entry) when the recycle stack is empty. The
+// caller initializes the task record; acquire guarantees clean
+// placement/attachment scratch.
+func (p *taskPool) acquire(g taskGen) int {
 	var s int
-	if n := len(ar.freeSlots); n > 0 {
-		s = ar.freeSlots[n-1]
-		ar.freeSlots = ar.freeSlots[:n-1]
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
 	} else {
-		s = ar.poolCreated
-		ar.poolCreated++
+		s = p.created
+		p.created++
 		if s%poolChunk == 0 {
-			ar.chunks = append(ar.chunks, make([]sim.Task, poolChunk))
+			p.chunks = append(p.chunks, make([]sim.Task, poolChunk))
 		}
-		for len(ar.ids) <= s {
-			ar.ids = append(ar.ids, fmt.Sprintf("task-%03d", len(ar.ids)))
-		}
-		ar.taskIdx[ar.ids[s]] = s
-		ar.gens = append(ar.gens, taskGen{})
-		ar.attached = append(ar.attached, false)
-		ar.everPlaced = append(ar.everPlaced, false)
+		id := fmt.Sprintf("task-%03d", s)
+		p.ids = append(p.ids, id)
+		p.idx[id] = s
+		p.gens = append(p.gens, taskGen{})
+		p.attached = append(p.attached, false)
+		p.everPlaced = append(p.everPlaced, false)
 	}
-	ar.everPlaced[s] = false
-	ar.attached[s] = false
-	ar.poolLive++
-	if ar.poolLive > ar.poolPeak {
-		ar.poolPeak = ar.poolLive
+	p.gens[s] = g
+	p.attached[s] = false
+	p.everPlaced[s] = false
+	p.live++
+	if p.live > p.peak {
+		p.peak = p.live
 	}
 	return s
 }
 
-// releaseSlot returns a completed task's slot to the pool.
-func (ar *runArena) releaseSlot(s int) {
-	ar.poolLive--
-	ar.freeSlots = append(ar.freeSlots, s)
+// release returns a completed task's slot to the pool.
+func (p *taskPool) release(s int) {
+	p.live--
+	p.free = append(p.free, s)
 }

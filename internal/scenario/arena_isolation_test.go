@@ -10,7 +10,8 @@ import (
 // cell's indexes must not depend on which cells ran before it on the same
 // arena, because the sweep executor assigns cells to per-worker arenas in
 // whatever order the workers drain the queue. It runs every (instance, run)
-// cell of the equivalence fixture on a fresh arena as the baseline, then
+// cell of the equivalence fixture from scratch (RunInstanceContext: a
+// single-use arena) as the baseline, then
 // replays every ordered pair (a, b) on a shared arena and re-checks b, plus
 // the full sequence forward and reversed. The historical leak this caught:
 // Cluster.Reset left vfs checkpoint records behind, so a reused world's
@@ -18,6 +19,7 @@ import (
 // the transfer — shifting completions by exactly the image transfer time.
 func TestArenaCellOrderIndependence(t *testing.T) {
 	sp := equivalenceSpec()
+	ctx := context.Background()
 	type cell struct {
 		inst Instance
 		run  int
@@ -30,7 +32,7 @@ func TestArenaCellOrderIndependence(t *testing.T) {
 	}
 	base := make([]Indexes, len(cells))
 	for i, cl := range cells {
-		idx, err := runInstance(context.Background(), cl.inst, cl.run, false, nil, nil)
+		idx, err := RunInstanceContext(ctx, cl.inst, cl.run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,19 +44,21 @@ func TestArenaCellOrderIndependence(t *testing.T) {
 		t.Errorf("cell %s/%s run %d drifted %s:\n got %s\nwant %s",
 			cells[i].inst.Sched, cells[i].inst.Migration, cells[i].run, context, g, w)
 	}
+	runOn := func(ar *runArena, i int) Indexes {
+		idx, err := ar.runCell(ctx, cells[i].inst.Sched, cells[i].inst.Migration, cells[i].run, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
 	for a := range cells {
 		for b := range cells {
 			if a == b {
 				continue
 			}
-			ar := new(runArena)
-			if _, err := runInstance(context.Background(), cells[a].inst, cells[a].run, false, nil, ar); err != nil {
-				t.Fatal(err)
-			}
-			idx, err := runInstance(context.Background(), cells[b].inst, cells[b].run, false, nil, ar)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ar := testArena(t, sp)
+			runOn(ar, a)
+			idx := runOn(ar, b)
 			if idx != base[b] {
 				mismatch(b, idx, "after "+cells[a].inst.Sched+"/"+cells[a].inst.Migration)
 				return // one pair pins the regression; skip the noise
@@ -62,17 +66,13 @@ func TestArenaCellOrderIndependence(t *testing.T) {
 		}
 	}
 	for _, reversed := range []bool{false, true} {
-		ar := new(runArena)
+		ar := testArena(t, sp)
 		for k := range cells {
 			i := k
 			if reversed {
 				i = len(cells) - 1 - k
 			}
-			idx, err := runInstance(context.Background(), cells[i].inst, cells[i].run, false, nil, ar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx != base[i] {
+			if idx := runOn(ar, i); idx != base[i] {
 				mismatch(i, idx, "in full-sequence replay")
 			}
 		}

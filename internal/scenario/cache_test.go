@@ -15,13 +15,14 @@ import (
 type mapStore struct {
 	mu               sync.Mutex
 	m                map[string]Indexes
-	hits, puts       atomic.Int64
+	gets, hits, puts atomic.Int64
 	failGet, failPut bool
 }
 
 func newMapStore() *mapStore { return &mapStore{m: make(map[string]Indexes)} }
 
 func (s *mapStore) Get(key string) (Indexes, bool, error) {
+	s.gets.Add(1)
 	if s.failGet {
 		return Indexes{}, false, errors.New("mapStore: injected get failure")
 	}
@@ -137,7 +138,7 @@ func TestCancelledSweepResumesFromCache(t *testing.T) {
 	_, err := RunContext(ctx, sp, Options{
 		Workers: 4,
 		Cache:   cache,
-		Progress: func(Instance, int, Indexes) {
+		Progress: func(ProgressEvent) {
 			if fired.CompareAndSwap(false, true) {
 				cancel()
 			}

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkVcebenchCheck tracks the invariant harness's own cost — one full
 // property sweep over one generated spec — so `vcebench check` stays cheap
-// enough for CI. scripts/bench.sh records this row in BENCH_sim.json.
+// enough for CI.
 func BenchmarkVcebenchCheck(b *testing.B) {
 	dir := b.TempDir()
 	b.ReportAllocs()

@@ -219,31 +219,36 @@ func cacheWarmIdentity(ctx context.Context, sp *scenario.Spec, workers int) erro
 	return nil
 }
 
-// arenaReuseIdentity pins the run arena's recycling contract: a sweep
-// executed with per-worker world and substrate reuse (the default) must
-// produce the byte-identical report of one that builds every cell from
-// scratch (Options.FreshWorlds). One worker funnels every cell through a
-// single arena — the maximally-recycled schedule, where any state leaking
-// across a Reset would compound — and the multi-worker pass exercises reuse
-// under whatever job interleaving the scheduler happens to deal.
+// arenaReuseIdentity pins the run arena's recycling contract: every cell of
+// a sweep — executed on per-worker arenas that recycle worlds and simulation
+// substrate from cell to cell — must equal scenario.RunInstanceContext of
+// that cell, which builds it from scratch on a single-use arena. One worker
+// funnels every cell through a single arena — the maximally-recycled
+// schedule, where any state leaking across a Reset would compound — and the
+// multi-worker pass exercises reuse under whatever job interleaving the
+// scheduler happens to deal.
 func arenaReuseIdentity(ctx context.Context, sp *scenario.Spec, workers int) error {
-	fresh, _, err := reportBytes(ctx, sp, scenario.Options{Workers: 1, FreshWorlds: true})
-	if err != nil {
-		return err
+	sweeps := []int{1, workers}
+	reports := make([]*scenario.Report, len(sweeps))
+	for i, w := range sweeps {
+		var err error
+		if _, reports[i], err = reportBytes(ctx, sp, scenario.Options{Workers: w}); err != nil {
+			return err
+		}
 	}
-	reused, _, err := reportBytes(ctx, sp, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(fresh, reused) {
-		return fmt.Errorf("recycled-arena report differs from the fresh-build report at 1 worker")
-	}
-	reusedPar, _, err := reportBytes(ctx, sp, scenario.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(fresh, reusedPar) {
-		return fmt.Errorf("recycled-arena report differs from the fresh-build report at %d workers", workers)
+	for ci, inst := range reports[0].Spec.Instances() {
+		for run := 0; run < reports[0].Spec.Runs; run++ {
+			fresh, err := scenario.RunInstanceContext(ctx, inst, run)
+			if err != nil {
+				return fmt.Errorf("%s run %d from scratch: %w", inst.Key(), run, err)
+			}
+			for i, rep := range reports {
+				if got := rep.Cells[ci].Runs[run]; got != fresh {
+					return fmt.Errorf("%s run %d: recycled-arena indexes differ from the from-scratch cell at %d workers:\n got %+v\nwant %+v",
+						inst.Key(), run, sweeps[i], got, fresh)
+				}
+			}
+		}
 	}
 	return nil
 }

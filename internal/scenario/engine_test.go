@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"os"
@@ -45,11 +46,11 @@ func testSpec() *Spec {
 // TestGoldenDeterminism is the reproducibility contract: the same spec and
 // seed produce bitwise-identical indexes, run after run.
 func TestGoldenDeterminism(t *testing.T) {
-	a, err := Run(testSpec(), nil)
+	a, err := RunContext(context.Background(), testSpec(), Options{})
 	if err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
-	b, err := Run(testSpec(), nil)
+	b, err := RunContext(context.Background(), testSpec(), Options{})
 	if err != nil {
 		t.Fatalf("second Run: %v", err)
 	}
@@ -61,13 +62,13 @@ func TestGoldenDeterminism(t *testing.T) {
 // TestSeedChangesOutcome guards against the opposite bug: a seed that is
 // silently ignored would make every "independent" run identical.
 func TestSeedChangesOutcome(t *testing.T) {
-	a, err := Run(testSpec(), nil)
+	a, err := RunContext(context.Background(), testSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := testSpec()
 	sp.Seed = 99999
-	b, err := Run(sp, nil)
+	b, err := RunContext(context.Background(), sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 
 func TestRunShape(t *testing.T) {
 	sp := testSpec()
-	rep, err := Run(sp, nil)
+	rep, err := RunContext(context.Background(), sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +116,17 @@ func TestRunShape(t *testing.T) {
 
 func TestRunInstanceMatchesRun(t *testing.T) {
 	sp := testSpec()
-	rep, err := Run(sp, nil)
+	rep, err := RunContext(context.Background(), sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst := sp.Instances()[0]
-	idx, err := RunInstance(inst, 0)
+	idx, err := RunInstanceContext(context.Background(), inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(idx, rep.Cells[0].Runs[0]) {
-		t.Errorf("RunInstance = %+v, Run cell = %+v", idx, rep.Cells[0].Runs[0])
+		t.Errorf("RunInstanceContext = %+v, RunContext cell = %+v", idx, rep.Cells[0].Runs[0])
 	}
 }
 
@@ -155,7 +156,7 @@ func TestIndexTablePrecision(t *testing.T) {
 }
 
 func TestWriteArtifacts(t *testing.T) {
-	rep, err := Run(testSpec(), nil)
+	rep, err := RunContext(context.Background(), testSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,17 +11,10 @@ import (
 	"vce/internal/obs"
 )
 
-// Progress reports engine progress to an observer (the CLI's live log). The
-// executor serializes invocations — the callback never runs concurrently
-// with itself and needs no locking — but under more than one worker the
-// invocation order is completion order, not cell/run order.
-type Progress func(inst Instance, run int, idx Indexes)
-
-// ProgressEvent is the richer per-run progress record delivered to
-// Options.ProgressV2: the Progress tuple plus execution provenance —
-// today, whether the run was replayed from the result cache or actually
-// simulated, which the live log needs to tell a warm sweep from a cold
-// one.
+// ProgressEvent is the per-run progress record delivered to
+// Options.Progress: the completed run plus execution provenance — today,
+// whether the run was replayed from the result cache or actually simulated,
+// which the live log needs to tell a warm sweep from a cold one.
 type ProgressEvent struct {
 	Instance Instance
 	Run      int
@@ -62,6 +55,28 @@ func (s Shard) validate() error {
 	return nil
 }
 
+// jobs enumerates the shard's slice of a cells × runs grid. Jobs are
+// enumerated run-major: every cell of run 0, then every cell of run 1, and so
+// on. Consecutive jobs on a worker then usually share a run index, which is
+// exactly what the per-worker arena's kept world wants — the generated world
+// of run k is derived once and replayed for each matrix cell. The report is
+// order-independent (fan-in is grid-indexed), and the shard split keys on the
+// flattened position, so the partition stays deterministic in (spec, N) — it
+// slices a run-major flattening.
+func (s Shard) jobs(cells, runs int) []job {
+	jobs := make([]job, 0, cells*runs)
+	pos := 0
+	for run := 0; run < runs; run++ {
+		for cell := 0; cell < cells; cell++ {
+			if s.Count <= 1 || pos%s.Count == s.Index {
+				jobs = append(jobs, job{cell: cell, run: run})
+			}
+			pos++
+		}
+	}
+	return jobs
+}
+
 // Options configure a sweep execution.
 type Options struct {
 	// Workers is how many (instance, run) cells execute concurrently.
@@ -78,14 +93,14 @@ type Options struct {
 	// ran, since cancellation may stop earlier grid positions from ever
 	// starting.
 	ContinueOnError bool
-	// Progress observes completed runs; may be nil. See Progress. Cached
-	// results report progress too — a warm sweep replays the same
-	// callback sequence a cold one produces.
-	Progress Progress
-	// ProgressV2 observes completed runs with the full ProgressEvent
-	// (notably the cache-hit provenance). Serialized exactly like
-	// Progress; both callbacks fire when both are set. May be nil.
-	ProgressV2 func(ProgressEvent)
+	// Progress observes completed runs (the CLI's live log, the service's
+	// event stream); may be nil. The executor serializes invocations — the
+	// callback never runs concurrently with itself and needs no locking —
+	// but under more than one worker the invocation order is completion
+	// order, not cell/run order. Cached results report progress too — a
+	// warm sweep replays the same callback sequence a cold one produces,
+	// marked Cached.
+	Progress func(ProgressEvent)
 	// Telemetry, when non-nil, records the sweep into the observability
 	// recorder (internal/obs): one span per (instance, run) cell with
 	// queue-wait / setup / simulate / measure attribution and kernel
@@ -106,18 +121,14 @@ type Options struct {
 	// contract and the EngineVersion stamp. Cache errors degrade to
 	// recomputation — they never fail the sweep.
 	Cache Store
-	// Audit attaches the engine invariant auditor to every run (see
-	// RunInstanceAudited): any conservation-of-work or virtual-time
-	// violation fails that run with an *AuditError. Audit disables Cache
-	// for the sweep — a cache hit skips exactly the simulation the audit
-	// exists to watch.
+	// Audit attaches the engine invariant auditor (sim.AttachAuditor) to
+	// every run: virtual-time monotonicity, conservation of work and
+	// per-task progress sanity are re-derived event by event, and any
+	// violation fails that run with an *AuditError. The auditor observes
+	// without perturbing, so a clean audited sweep's report is
+	// byte-identical. Audit disables Cache for the sweep — a cache hit skips
+	// exactly the simulation the audit exists to watch.
 	Audit bool
-	// FreshWorlds disables the per-worker run arena: every cell builds its
-	// world and simulation substrate from scratch instead of recycling the
-	// previous cell's. The report is byte-identical either way (the
-	// arena-reuse-identity property pins it); this switch exists for that
-	// property's harness and for bisecting, not for production sweeps.
-	FreshWorlds bool
 }
 
 // job and outcome are the executor's fan-out and fan-in records; cell and
@@ -137,22 +148,14 @@ type outcome struct {
 	cached    bool
 }
 
-// Run executes every instance of the spec for the configured number of runs
-// and returns the aggregated report. progress may be nil. It is the
-// serial-era signature kept for convenience: one worker per available CPU,
-// fail-fast, no cancellation.
-func Run(spec *Spec, progress Progress) (*Report, error) {
-	return RunContext(context.Background(), spec, Options{Progress: progress})
-}
-
 // RunContext executes the sweep under a context with explicit options: a
 // worker pool fans the (instance × run) grid out as independent jobs — each
-// builds a fully isolated simulation world from the spec's per-run derived
-// random streams — and the results merge back into the Report in expansion
-// order. For a fixed spec and seed the report is byte-identical regardless
-// of worker count. Cancelling ctx halts in-flight simulations promptly;
-// RunContext then returns ctx's error (joined with the partial report when
-// ContinueOnError is set).
+// worker runs its cells on its own run arena, an isolated simulation world
+// built from the spec's per-run derived random streams — and the results
+// merge back into the Report in expansion order. For a fixed spec and seed
+// the report is byte-identical regardless of worker count. Cancelling ctx
+// halts in-flight simulations promptly; RunContext then returns ctx's error
+// (joined with the partial report when ContinueOnError is set).
 //
 // Options.Shard restricts execution to one deterministic slice of the grid
 // (see Shard; MergeReports recombines shard reports), and Options.Cache
@@ -173,26 +176,7 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		return nil, err
 	}
 	insts := sp.Instances()
-	// Jobs are enumerated run-major: every cell of run 0, then every cell of
-	// run 1, and so on. Consecutive jobs on a worker then usually share a run
-	// index, which is exactly what the per-worker arena's world cache wants —
-	// the generated world of run k is derived once and replayed for each
-	// matrix cell. The report is order-independent (fan-in is grid-indexed),
-	// and the shard split keys on the flattened position, so the partition
-	// stays deterministic in (spec, N) — it just slices a run-major flattening
-	// now instead of a cell-major one.
-	jobs := make([]job, 0, len(insts)*sp.Runs)
-	pos := 0
-	for run := 0; run < sp.Runs; run++ {
-		for cell := range insts {
-			if opts.Shard.Count > 1 && pos%opts.Shard.Count != opts.Shard.Index {
-				pos++
-				continue
-			}
-			pos++
-			jobs = append(jobs, job{cell: cell, run: run})
-		}
-	}
+	jobs := opts.Shard.jobs(len(insts), sp.Runs)
 	cache := opts.Cache
 	if opts.Audit {
 		cache = nil // audited sweeps must simulate every cell
@@ -213,6 +197,19 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
+	// Each worker owns one run arena for its whole lifetime: worlds and
+	// simulation substrate recycle across the jobs it executes, and nothing
+	// in an arena is shared between workers. They are built here, before any
+	// worker starts, so a spec the engine cannot run fails the sweep once
+	// instead of once per cell.
+	arenas := make([]*runArena, workers)
+	for w := range arenas {
+		ar, err := newArena(sp)
+		if err != nil {
+			return nil, err
+		}
+		arenas[w] = ar
+	}
 	var execStart time.Duration
 	if rec != nil {
 		rec.SetWorkers(workers)
@@ -225,96 +222,8 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobCh := make(chan job)
-	outCh := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// Lanes are 1-based in the recorder: lane 0 is the sweep's own
-		// track (setup/execute/merge spans).
-		go func(lane int) {
-			defer wg.Done()
-			// Each worker owns one run arena for its whole lifetime: worlds
-			// and simulation substrate recycle across the jobs it executes,
-			// and nothing in the arena is shared between workers.
-			var ar *runArena
-			if !opts.FreshWorlds {
-				ar = new(runArena)
-			}
-			// The send never blocks forever: the fan-in below drains outCh
-			// until it closes, so every started job delivers its outcome
-			// even after cancellation — dropping outcomes here would make
-			// the surfaced error depend on goroutine scheduling.
-			for j := range jobCh {
-				var start time.Duration
-				if rec != nil {
-					start = rec.Elapsed()
-				}
-				var key string
-				if cache != nil {
-					key = cellKey(world, insts[j.cell].Sched, insts[j.cell].Migration, j.run)
-					// A cache error (I/O failure, corrupt entry already
-					// evicted by the store) is just a miss: the cache may
-					// never make a sweep fail that would have succeeded
-					// without it.
-					if idx, ok, err := cache.Get(key); err == nil && ok {
-						if rec != nil {
-							rec.RecordCell(obs.Cell{
-								Sched: insts[j.cell].Sched, Migration: insts[j.cell].Migration,
-								Run: j.run, Cached: true, Lane: lane,
-								Enqueued: j.enqueued, Start: start, End: rec.Elapsed(),
-							})
-						}
-						outCh <- outcome{cell: j.cell, run: j.run, idx: idx, cached: true}
-						continue
-					}
-				}
-				var tr *obs.RunTrace
-				if rec != nil {
-					tr = new(obs.RunTrace)
-				}
-				idx, err := runInstance(ctx, insts[j.cell], j.run, opts.Audit, tr, ar)
-				if err == nil && cache != nil {
-					// Best-effort write-through: a read-only or full cache
-					// directory costs reuse, not correctness — but it must
-					// not look healthy while reuse silently dies, so
-					// failures are counted (the store's Stats.PutErrors,
-					// plus a telemetry counter when a recorder is attached)
-					// even though they never fail the sweep.
-					if perr := cache.Put(key, idx); perr != nil && rec != nil {
-						rec.AddCounter("cache_put_errors", 1)
-					}
-				}
-				if rec != nil && err == nil {
-					rec.RecordCell(obs.Cell{
-						Sched: insts[j.cell].Sched, Migration: insts[j.cell].Migration,
-						Run: j.run, Lane: lane,
-						Enqueued: j.enqueued, Start: start, End: rec.Elapsed(),
-						Setup: tr.Setup, Simulate: tr.Simulate, Measure: tr.Measure,
-						Kernel: tr.Kernel,
-					})
-				}
-				outCh <- outcome{cell: j.cell, run: j.run, idx: idx, err: err}
-			}
-		}(w + 1)
-	}
-	go func() { // feeder
-		defer close(jobCh)
-		for _, j := range jobs {
-			if rec != nil {
-				j.enqueued = rec.Elapsed()
-			}
-			select {
-			case jobCh <- j:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() { // closer: fan-in ends when every worker has exited
-		wg.Wait()
-		close(outCh)
-	}()
+	ex := &executor{insts: insts, cache: cache, world: world, rec: rec, audit: opts.Audit}
+	outCh := ex.fanOut(ctx, arenas, jobs)
 
 	// Fan-in runs on the calling goroutine. Results land in a grid indexed
 	// by (cell, run), so the merge below rebuilds the exact serial order no
@@ -337,10 +246,7 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		done++
 		got[out.cell][out.run] = &out.idx
 		if opts.Progress != nil {
-			opts.Progress(insts[out.cell], out.run, out.idx)
-		}
-		if opts.ProgressV2 != nil {
-			opts.ProgressV2(ProgressEvent{
+			opts.Progress(ProgressEvent{
 				Instance: insts[out.cell], Run: out.run,
 				Indexes: out.idx, Cached: out.cached,
 			})
@@ -375,6 +281,122 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		return nil, errs[0]
 	}
 
+	rep := assembleReport(sp, insts, got)
+	if rec != nil {
+		rec.RecordSpan("merge", mergeStart, rec.Elapsed())
+	}
+	return rep, errors.Join(errs...)
+}
+
+// executor is the per-sweep state every worker shares read-only.
+type executor struct {
+	insts []Instance
+	// cache is nil when the sweep runs uncached (or audited); world is the
+	// canonical world serialization every cell key of the sweep starts from.
+	cache Store
+	world []byte
+	rec   *obs.Recorder
+	audit bool
+}
+
+// fanOut starts one worker per arena plus the feeder handing them jobs, and
+// returns the channel their outcomes arrive on; it closes once every worker
+// has exited. Cancelling ctx stops the feeder and the in-flight simulations.
+func (e *executor) fanOut(ctx context.Context, arenas []*runArena, jobs []job) <-chan outcome {
+	jobCh := make(chan job)
+	outCh := make(chan outcome)
+	var wg sync.WaitGroup
+	for w, ar := range arenas {
+		wg.Add(1)
+		// Lanes are 1-based in the recorder: lane 0 is the sweep's own
+		// track (setup/execute/merge spans).
+		go func(lane int, ar *runArena) {
+			defer wg.Done()
+			// The send never blocks forever: the caller drains the channel
+			// until it closes, so every started job delivers its outcome
+			// even after cancellation — dropping outcomes here would make
+			// the surfaced error depend on goroutine scheduling.
+			for j := range jobCh {
+				outCh <- e.runJob(ctx, ar, lane, j)
+			}
+		}(w+1, ar)
+	}
+	go func() { // feeder
+		defer close(jobCh)
+		for _, j := range jobs {
+			if e.rec != nil {
+				j.enqueued = e.rec.Elapsed()
+			}
+			select {
+			case jobCh <- j:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	go func() { // closer: fan-in ends when every worker has exited
+		wg.Wait()
+		close(outCh)
+	}()
+	return outCh
+}
+
+// runJob executes one grid job on the calling worker's arena: a cache hit
+// replays the stored indexes, a miss simulates the cell and writes the
+// result through.
+func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) outcome {
+	inst, rec := e.insts[j.cell], e.rec
+	var start time.Duration
+	if rec != nil {
+		start = rec.Elapsed()
+	}
+	var key string
+	if e.cache != nil {
+		key = cellKey(e.world, inst.Sched, inst.Migration, j.run)
+		// A cache error (I/O failure, corrupt entry already evicted by the
+		// store) is just a miss: the cache may never make a sweep fail that
+		// would have succeeded without it.
+		if idx, ok, err := e.cache.Get(key); err == nil && ok {
+			if rec != nil {
+				rec.RecordCell(obs.Cell{
+					Sched: inst.Sched, Migration: inst.Migration,
+					Run: j.run, Cached: true, Lane: lane,
+					Enqueued: j.enqueued, Start: start, End: rec.Elapsed(),
+				})
+			}
+			return outcome{cell: j.cell, run: j.run, idx: idx, cached: true}
+		}
+	}
+	var tr *obs.RunTrace
+	if rec != nil {
+		tr = new(obs.RunTrace)
+	}
+	idx, err := ar.runCell(ctx, inst.Sched, inst.Migration, j.run, e.audit, tr)
+	if err == nil && e.cache != nil {
+		// Best-effort write-through: a read-only or full cache directory
+		// costs reuse, not correctness — but it must not look healthy while
+		// reuse silently dies, so failures are counted (the store's
+		// Stats.PutErrors, plus a telemetry counter when a recorder is
+		// attached) even though they never fail the sweep.
+		if perr := e.cache.Put(key, idx); perr != nil && rec != nil {
+			rec.AddCounter("cache_put_errors", 1)
+		}
+	}
+	if rec != nil && err == nil {
+		rec.RecordCell(obs.Cell{
+			Sched: inst.Sched, Migration: inst.Migration,
+			Run: j.run, Lane: lane,
+			Enqueued: j.enqueued, Start: start, End: rec.Elapsed(),
+			Setup: tr.Setup, Simulate: tr.Simulate, Measure: tr.Measure,
+			Kernel: tr.Kernel,
+		})
+	}
+	return outcome{cell: j.cell, run: j.run, idx: idx, err: err}
+}
+
+// assembleReport rebuilds the report from the (cell, run) result grid in
+// expansion order; a nil entry is a run that did not survive.
+func assembleReport(sp *Spec, insts []Instance, got [][]*Indexes) *Report {
 	rep := &Report{Engine: EngineVersion, Spec: sp}
 	for cell, inst := range insts {
 		c := Cell{Sched: inst.Sched, Migration: inst.Migration}
@@ -393,8 +415,5 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		}
 		rep.Cells = append(rep.Cells, c)
 	}
-	if rec != nil {
-		rec.RecordSpan("merge", mergeStart, rec.Elapsed())
-	}
-	return rep, errors.Join(errs...)
+	return rep
 }

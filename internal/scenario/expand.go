@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"vce/internal/arch"
-	"vce/internal/rng"
 )
 
 // Instance is one concrete cell of the policy matrix: the spec's generated
@@ -38,11 +37,13 @@ func (s *Spec) Instances() []Instance {
 	return out
 }
 
-// generateMachines materializes the machine-set model: per-class counts with
-// sampled speeds. Workstations alternate byte order (big/little by index
-// parity) so homogeneity-requiring migration strategies face the §4.4
-// heterogeneity problem; other classes are big-endian.
-func generateMachines(ms MachineSetSpec, r *rng.Source) ([]arch.Machine, []int, error) {
+// fleetShape materializes the spec-determined part of the machine-set model:
+// per-class counts with every machine field but the sampled speed, which
+// each run's world fills in (generateWorld), plus the per-machine slot
+// counts. Workstations alternate byte order (big/little by index parity) so
+// homogeneity-requiring migration strategies face the §4.4 heterogeneity
+// problem; other classes are big-endian.
+func fleetShape(ms MachineSetSpec) ([]arch.Machine, []int, error) {
 	var out []arch.Machine
 	var slots []int
 	for _, cl := range ms.Classes {
@@ -78,7 +79,6 @@ func generateMachines(ms MachineSetSpec, r *rng.Source) ([]arch.Machine, []int, 
 			out = append(out, arch.Machine{
 				Name:     fmt.Sprintf("%s%02d", def.prefix, i),
 				Class:    class,
-				Speed:    cl.Speed.Sample(r),
 				OS:       os,
 				Order:    order,
 				MemoryMB: mem,

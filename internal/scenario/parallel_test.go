@@ -56,7 +56,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	var fired atomic.Bool
 	opts := Options{
 		Workers: 4,
-		Progress: func(Instance, int, Indexes) {
+		Progress: func(ProgressEvent) {
 			if fired.CompareAndSwap(false, true) {
 				cancel()
 			}
@@ -108,7 +108,7 @@ func TestCancelledContinueOnErrorReturnsPartialReport(t *testing.T) {
 	rep, err := RunContext(ctx, sp, Options{
 		Workers:         4,
 		ContinueOnError: true,
-		Progress: func(Instance, int, Indexes) {
+		Progress: func(ProgressEvent) {
 			if fired.CompareAndSwap(false, true) {
 				cancel()
 			}
@@ -250,7 +250,7 @@ func TestProgressSerialized(t *testing.T) {
 	calls := 0 // unsynchronized on purpose: serialization makes this safe
 	rep, err := RunContext(context.Background(), sp, Options{
 		Workers: 8,
-		Progress: func(Instance, int, Indexes) {
+		Progress: func(ProgressEvent) {
 			if !active.CompareAndSwap(0, 1) {
 				t.Error("progress callback ran concurrently with itself")
 			}
@@ -267,10 +267,10 @@ func TestProgressSerialized(t *testing.T) {
 	}
 }
 
-// TestWorkersEquivalentToSerialRun pins the compatibility wrapper: the old
-// Run signature and an explicit workers=N RunContext agree exactly.
+// TestWorkersEquivalentToSerialRun: the zero Options (one worker per
+// available CPU) and an explicit workers=N RunContext agree exactly.
 func TestWorkersEquivalentToSerialRun(t *testing.T) {
-	a, err := Run(testSpec(), nil)
+	a, err := RunContext(context.Background(), testSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +281,6 @@ func TestWorkersEquivalentToSerialRun(t *testing.T) {
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if string(aj) != string(bj) {
-		t.Fatalf("Run and RunContext(workers=8) reports differ:\n%s\nvs\n%s", aj, bj)
+		t.Fatalf("RunContext default and workers=8 reports differ:\n%s\nvs\n%s", aj, bj)
 	}
 }

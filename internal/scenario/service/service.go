@@ -7,7 +7,7 @@
 // this is that shape for the simulation stack. Each submission becomes a
 // sweep queued onto the existing RunContext worker pool (bounded by
 // Config.MaxConcurrent), its per-run progress streams to clients as
-// NDJSON or SSE straight off the engine's serialized ProgressV2 hook
+// NDJSON or SSE straight off the engine's serialized Progress hook
 // (cache provenance included), and its finished artifacts are written by
 // the same WriteArtifacts the CLI uses — a report fetched from the daemon
 // is byte-identical to a CLI run of the same spec.
@@ -337,9 +337,9 @@ func (sv *Server) execute(s *sweep) {
 	}
 	sv.logf("service: running sweep %s (%s)", s.id, s.spec.Name)
 	rep, err := scenario.RunContext(sv.ctx, s.spec, scenario.Options{
-		Workers:    sv.cfg.Workers,
-		Cache:      sv.cache,
-		ProgressV2: s.publishRun,
+		Workers:  sv.cfg.Workers,
+		Cache:    sv.cache,
+		Progress: s.publishRun,
 	})
 	if err != nil {
 		if sv.ctx.Err() != nil {

@@ -232,11 +232,11 @@ func readEvents(t *testing.T, ts *httptest.Server, id string, header map[string]
 	return events
 }
 
-// TestEventStreamMatchesProgressV2: at workers=1 the engine completes jobs
+// TestEventStreamMatchesProgress: at workers=1 the engine completes jobs
 // in grid-feed order, so the daemon's event stream must reproduce exactly
-// the serialized ProgressV2 sequence a direct RunContext observes —
+// the serialized Progress sequence a direct RunContext observes —
 // same cells, same order, same indexes — and terminate with one done event.
-func TestEventStreamMatchesProgressV2(t *testing.T) {
+func TestEventStreamMatchesProgress(t *testing.T) {
 	_, ts := newService(t, t.TempDir(), 1, 1)
 	st := submit(t, ts, tinySpec)
 	events := readEvents(t, ts, st.ID, nil)
@@ -247,8 +247,8 @@ func TestEventStreamMatchesProgressV2(t *testing.T) {
 	}
 	var want []scenario.ProgressEvent
 	if _, err := scenario.RunContext(context.Background(), sp, scenario.Options{
-		Workers:    1,
-		ProgressV2: func(ev scenario.ProgressEvent) { want = append(want, ev) },
+		Workers:  1,
+		Progress: func(ev scenario.ProgressEvent) { want = append(want, ev) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestEventStreamMatchesProgressV2(t *testing.T) {
 			t.Errorf("event %d cached = %v, want %v", i, ev.Cached, w.Cached)
 		}
 		if ev.Indexes == nil || *ev.Indexes != w.Indexes {
-			t.Errorf("event %d indexes differ from ProgressV2", i)
+			t.Errorf("event %d indexes differ from Progress", i)
 		}
 	}
 	if last := events[len(events)-1]; last.Type != StateDone {

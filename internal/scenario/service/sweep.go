@@ -54,7 +54,7 @@ type Status struct {
 }
 
 // Event is one line of a sweep's progress stream (NDJSON object or SSE
-// data payload). Run events mirror the engine's serialized ProgressV2
+// data payload). Run events mirror the engine's serialized Progress
 // callback one-to-one — same order, same cache provenance; the stream
 // terminates with a single done/failed/interrupted event.
 type Event struct {
@@ -63,7 +63,7 @@ type Event struct {
 	// Type is "run" for progress events, or a terminal sweep state
 	// ("done", "failed", "interrupted").
 	Type string `json:"type"`
-	// Sched, Migration, Run, Cached and Indexes carry the ProgressV2
+	// Sched, Migration, Run, Cached and Indexes carry the Progress
 	// payload for run events.
 	Sched     string            `json:"sched,omitempty"`
 	Migration string            `json:"migration,omitempty"`
@@ -122,7 +122,7 @@ func (s *sweep) status() Status {
 	}
 }
 
-// publishRun is the sweep's ProgressV2 hook. The engine serializes
+// publishRun is the sweep's Progress hook. The engine serializes
 // invocations, so events are appended (and fanned out to subscribers) in
 // exactly the callback order; subscriber channels are buffered to the full
 // event capacity, so the send can never block the executor.

@@ -13,19 +13,18 @@ import (
 )
 
 // WorkloadSource generates a run's arrival process. The engine resolves
-// `workload.arrivals.kind` against the source registry, so a new traffic
-// shape plugs in with RegisterWorkloadSource instead of editing the engine,
-// and validation errors enumerate the registered kinds programmatically.
+// `workload.arrivals.kind` against the source table below, and validation
+// errors enumerate its kinds programmatically.
 //
-// Sources come in two execution modes. A closed (eager) source — batch,
-// poisson — has its arrival instants materialized into the run's generated
-// world up front, alongside the work and constraint draws. An open-loop
-// (streaming) source — diurnal, trace — is pumped lazily during the
-// simulation by a self-scheduling arrival event: task records come from a
-// bounded pool and are recycled at completion, so a cell can absorb
+// Sources come in two execution modes, selected by the spec's arrival kind.
+// A closed source — batch, poisson — has its arrival instants materialized
+// into the run's generated world up front, alongside the work and constraint
+// draws. An open-loop (streaming) source — diurnal, trace — is pumped lazily
+// during the simulation by a self-scheduling arrival event: its task records
+// are recycled through the task pool at completion, so a cell can absorb
 // millions of arrivals in memory independent of the task count.
 type WorkloadSource interface {
-	// Kind is the spec keyword this source registers under.
+	// Kind is the spec keyword that selects this source.
 	Kind() string
 	// Validate checks the arrival parameters. It sees the raw spec (defaults
 	// not yet applied); specName locates error messages.
@@ -44,55 +43,33 @@ type WorkloadSource interface {
 // ArrivalCursor yields successive arrival instants.
 type ArrivalCursor func() (at time.Duration, ok bool)
 
-// sourceRegistry maps arrival kinds to their sources; kinds keeps
-// registration order for stable error messages and docs.
-var sourceRegistry = map[string]WorkloadSource{}
-var sourceKinds []string
+// sources is the table of arrival kinds, in the order error messages and
+// docs list them.
+var sources = []WorkloadSource{batchSource{}, poissonSource{}, diurnalSource{}, traceSource{}}
 
-// RegisterWorkloadSource adds a source to the registry; duplicate kinds
-// panic (registration is init-time wiring, not a runtime condition).
-func RegisterWorkloadSource(s WorkloadSource) {
-	kind := s.Kind()
-	if _, dup := sourceRegistry[kind]; dup {
-		panic(fmt.Sprintf("scenario: duplicate workload source kind %q", kind))
-	}
-	sourceRegistry[kind] = s
-	sourceKinds = append(sourceKinds, kind)
-}
-
-// ArrivalKinds lists the registered arrival kinds in registration order.
+// ArrivalKinds lists the known arrival kinds in table order.
 func ArrivalKinds() []string {
-	out := make([]string, len(sourceKinds))
-	copy(out, sourceKinds)
+	out := make([]string, len(sources))
+	for i, s := range sources {
+		out[i] = s.Kind()
+	}
 	return out
 }
 
-// WorkloadSourceFor resolves an arrival kind against the registry; "" means
-// the batch default. It is the exported face of the lookup for tooling that
-// needs a source's properties (specgen checks Streaming to decide whether a
-// queue limit is meaningful).
+// WorkloadSourceFor resolves an arrival kind against the table; "" means
+// the batch default. Exported for tooling that needs a source's properties
+// (specgen checks Streaming to decide whether a queue limit is meaningful).
 func WorkloadSourceFor(kind string) (WorkloadSource, error) {
-	return workloadSource(kind)
-}
-
-// workloadSource resolves an arrival kind; "" means the batch default.
-func workloadSource(kind string) (WorkloadSource, error) {
 	if kind == "" {
 		kind = "batch"
 	}
-	s, ok := sourceRegistry[kind]
-	if !ok {
-		return nil, fmt.Errorf("unknown arrival kind %q (want one of %s)",
-			kind, strings.Join(ArrivalKinds(), ", "))
+	for _, s := range sources {
+		if s.Kind() == kind {
+			return s, nil
+		}
 	}
-	return s, nil
-}
-
-func init() {
-	RegisterWorkloadSource(batchSource{})
-	RegisterWorkloadSource(poissonSource{})
-	RegisterWorkloadSource(diurnalSource{})
-	RegisterWorkloadSource(traceSource{})
+	return nil, fmt.Errorf("unknown arrival kind %q (want one of %s)",
+		kind, strings.Join(ArrivalKinds(), ", "))
 }
 
 // ---- batch: everything at t=0 (the closed-workload default) ----

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -17,19 +18,19 @@ import (
 // that enumerates the valid set programmatically.
 func TestWorkloadSourceRegistry(t *testing.T) {
 	for _, kind := range []string{"", "batch", "poisson", "diurnal", "trace"} {
-		src, err := workloadSource(kind)
+		src, err := WorkloadSourceFor(kind)
 		if err != nil {
-			t.Fatalf("workloadSource(%q): %v", kind, err)
+			t.Fatalf("WorkloadSourceFor(%q): %v", kind, err)
 		}
 		want := kind
 		if want == "" {
 			want = "batch"
 		}
 		if src.Kind() != want {
-			t.Errorf("workloadSource(%q).Kind() = %q, want %q", kind, src.Kind(), want)
+			t.Errorf("WorkloadSourceFor(%q).Kind() = %q, want %q", kind, src.Kind(), want)
 		}
 	}
-	_, err := workloadSource("bursty")
+	_, err := WorkloadSourceFor("bursty")
 	if err == nil {
 		t.Fatal("unknown kind accepted")
 	}
@@ -60,7 +61,7 @@ func reflect4Equal(a, b []string) bool {
 func TestSourceStreaming(t *testing.T) {
 	want := map[string]bool{"batch": false, "poisson": false, "diurnal": true, "trace": true}
 	for kind, streaming := range want {
-		src, err := workloadSource(kind)
+		src, err := WorkloadSourceFor(kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestSourceValidation(t *testing.T) {
 		{"trace-zero-repeat", ArrivalSpec{Kind: "trace", TraceS: []float64{0, 0}, Repeat: true}, "zero"},
 	}
 	for _, tc := range cases {
-		src, err := workloadSource(tc.a.Kind)
+		src, err := WorkloadSourceFor(tc.a.Kind)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -105,7 +106,7 @@ func TestSourceValidation(t *testing.T) {
 		{Kind: "trace", TraceS: []float64{0, 1.5, 2}, Repeat: true},
 		{Kind: "trace", TracePath: "gaps.txt"}, // content checked after inlining
 	} {
-		src, _ := workloadSource(a.Kind)
+		src, _ := WorkloadSourceFor(a.Kind)
 		if err := src.Validate("spec", a); err != nil {
 			t.Errorf("valid %s spec rejected: %v", a.Kind, err)
 		}
@@ -115,7 +116,7 @@ func TestSourceValidation(t *testing.T) {
 // TestTraceCursor: the cursor replays gaps cumulatively, ends when the
 // trace is exhausted, and tiles it when Repeat is set.
 func TestTraceCursor(t *testing.T) {
-	src, _ := workloadSource("trace")
+	src, _ := WorkloadSourceFor("trace")
 	a := ArrivalSpec{Kind: "trace", TraceS: []float64{0, 2, 3}}
 	cur := src.Cursor(a, rng.New(1).Derive("arrivals"))
 	want := []float64{0, 2, 5}
@@ -152,7 +153,7 @@ func TestTraceCursor(t *testing.T) {
 // for a given stream, and rate modulation shows up as more arrivals in the
 // peak half-period than the trough half-period.
 func TestDiurnalCursor(t *testing.T) {
-	src, _ := workloadSource("diurnal")
+	src, _ := WorkloadSourceFor("diurnal")
 	// 2000 arrivals at mean rate 5/s span ~400s ≈ 20 periods, enough to see
 	// the modulation.
 	a := ArrivalSpec{Kind: "diurnal", RatePerS: 5, Amplitude: 0.9, PeriodS: 20}
@@ -310,7 +311,7 @@ func TestInlineTracePrecedence(t *testing.T) {
 // trough essentially silent — the sequence stays ordered, deterministic, and
 // overwhelmingly concentrated away from the zero-rate region.
 func TestDiurnalFullAmplitude(t *testing.T) {
-	src, _ := workloadSource("diurnal")
+	src, _ := WorkloadSourceFor("diurnal")
 	a := ArrivalSpec{Kind: "diurnal", RatePerS: 5, Amplitude: 1, PeriodS: 20}
 	cur := src.Cursor(a, rng.New(7).Derive("arrivals"))
 	var last time.Duration
@@ -351,4 +352,32 @@ func reflect4EqualF(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestUninlinedTraceFailsOnce: a trace_path spec that never went through
+// Load cannot run. The sweep must say so once, before any worker starts —
+// not once per cell under ContinueOnError — so no progress fires and the
+// cache is never consulted.
+func TestUninlinedTraceFailsOnce(t *testing.T) {
+	sp := testSpec()
+	sp.Workload.Arrivals = ArrivalSpec{Kind: "trace", TracePath: "arrivals.trace"}
+	cache := newMapStore()
+	progress := 0
+	rep, err := RunContext(context.Background(), sp, Options{
+		Workers: 4, ContinueOnError: true, Cache: cache,
+		Progress: func(ProgressEvent) { progress++ },
+	})
+	if err == nil || rep != nil {
+		t.Fatalf("rep=%v err=%v, want a nil report and an error", rep, err)
+	}
+	if n := strings.Count(err.Error(), "trace arrivals not inlined"); n != 1 {
+		t.Errorf("error names the cause %d times, want once: %v", n, err)
+	}
+	if progress != 0 || cache.gets.Load() != 0 {
+		t.Errorf("progress fired %d times and the cache saw %d gets, want 0 and 0", progress, cache.gets.Load())
+	}
+	if _, err := RunInstanceContext(context.Background(), sp.Instances()[0], 0); err == nil ||
+		!strings.Contains(err.Error(), "trace arrivals not inlined") {
+		t.Errorf("RunInstanceContext err = %v, want the same cause", err)
+	}
 }

@@ -413,7 +413,7 @@ func (s *Spec) Validate() error {
 	if err := s.Workload.Work.validate(s.Name + ": workload.work"); err != nil {
 		return err
 	}
-	src, err := workloadSource(s.Workload.Arrivals.Kind)
+	src, err := WorkloadSourceFor(s.Workload.Arrivals.Kind)
 	if err != nil {
 		return fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}

@@ -10,13 +10,13 @@ import (
 // single cell, and the run must hold the bounded-memory contract — the task
 // pool's high-water mark stays a function of the queue limit and the slot
 // count, never of the task count. CI runs it at -benchtime 1x as a blocking
-// regression gate (see scripts/bench.sh).
+// regression gate (see .github/workflows/ci.yml).
 func BenchmarkStreamingMillion(b *testing.B) {
 	sp, err := Load("../../examples/scenarios/diurnal-steady.json")
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst := Instance{Spec: sp, Sched: sp.Policies.Scheduling[0], Migration: sp.Policies.Migration[0]}
+	sp = sp.withDefaults()
 	totalSlots := 0
 	for _, cl := range sp.Machines.Classes {
 		slots := cl.Slots
@@ -28,8 +28,11 @@ func BenchmarkStreamingMillion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar := new(runArena)
-		idx, err := runInstance(context.Background(), inst, 0, false, nil, ar)
+		ar, err := newArena(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx, err := ar.runCell(context.Background(), sp.Policies.Scheduling[0], sp.Policies.Migration[0], 0, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,9 +40,9 @@ func BenchmarkStreamingMillion(b *testing.B) {
 		// Live records are bounded by the admission queue plus the running
 		// tasks; the pool may additionally retain one completion's worth of
 		// slack per slot before recycling catches up.
-		if cap := sp.Workload.QueueLimit + 2*totalSlots; ar.poolPeak > cap {
+		if cap := sp.Workload.QueueLimit + 2*totalSlots; ar.pool.peak > cap {
 			b.Fatalf("task-pool peak %d exceeds the bounded-memory cap %d (queue %d + 2×%d slots) — streaming memory grew with the task count",
-				ar.poolPeak, cap, sp.Workload.QueueLimit, totalSlots)
+				ar.pool.peak, cap, sp.Workload.QueueLimit, totalSlots)
 		}
 		// Every offered task must be accounted: completed, rejected, or (for
 		// at most a slot-count's worth) still in flight at the horizon.
@@ -47,7 +50,7 @@ func BenchmarkStreamingMillion(b *testing.B) {
 			b.Fatalf("accounted %d of %d offered tasks (completed %d, rejected %d)",
 				got, sp.Workload.Tasks, idx.Completed, idx.Rejected)
 		}
-		b.ReportMetric(float64(ar.poolPeak), "pool-peak")
+		b.ReportMetric(float64(ar.pool.peak), "pool-peak")
 		b.ReportMetric(float64(idx.Completed), "completed")
 		b.StartTimer()
 	}

@@ -90,7 +90,7 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 
 // TestTelemetryWarmCacheProvenance: on a warm cache every cell records
 // Cached=true with zero kernel counters (nothing simulated), and
-// ProgressV2 reports the same provenance.
+// Progress reports the same provenance.
 func TestTelemetryWarmCacheProvenance(t *testing.T) {
 	sp := testSpec()
 	cache := newMapStore()
@@ -102,7 +102,7 @@ func TestTelemetryWarmCacheProvenance(t *testing.T) {
 	var events []ProgressEvent
 	if _, err := RunContext(context.Background(), sp, Options{
 		Workers: 4, Cache: cache, Telemetry: rec,
-		ProgressV2: func(ev ProgressEvent) { events = append(events, ev) },
+		Progress: func(ev ProgressEvent) { events = append(events, ev) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,25 +118,24 @@ func TestTelemetryWarmCacheProvenance(t *testing.T) {
 		}
 	}
 	if len(events) != jobs {
-		t.Fatalf("ProgressV2 fired %d times, want %d", len(events), jobs)
+		t.Fatalf("Progress fired %d times, want %d", len(events), jobs)
 	}
 	for _, ev := range events {
 		if !ev.Cached {
-			t.Fatalf("warm run %s#%d not marked cached in ProgressV2", ev.Instance.Key(), ev.Run)
+			t.Fatalf("warm run %s#%d not marked cached in Progress", ev.Instance.Key(), ev.Run)
 		}
 	}
 }
 
-// TestProgressV2ColdProvenance: without a cache no event claims a cache
-// replay, and both Progress generations fire when both are set.
-func TestProgressV2ColdProvenance(t *testing.T) {
+// TestProgressColdProvenance: without a cache no event claims a cache
+// replay, and every run reports once.
+func TestProgressColdProvenance(t *testing.T) {
 	sp := testSpec()
-	var v1, v2 int
+	var fired int
 	_, err := RunContext(context.Background(), sp, Options{
-		Workers:  2,
-		Progress: func(Instance, int, Indexes) { v1++ },
-		ProgressV2: func(ev ProgressEvent) {
-			v2++
+		Workers: 2,
+		Progress: func(ev ProgressEvent) {
+			fired++
 			if ev.Cached {
 				t.Fatal("cold run marked cached")
 			}
@@ -146,7 +145,7 @@ func TestProgressV2ColdProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := len(sp.Instances()) * sp.Runs
-	if v1 != jobs || v2 != jobs {
-		t.Fatalf("Progress/ProgressV2 fired %d/%d times, want %d", v1, v2, jobs)
+	if fired != jobs {
+		t.Fatalf("Progress fired %d times, want %d", fired, jobs)
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -177,7 +178,7 @@ func TestTopologyValidation(t *testing.T) {
 // unit speed, and the mimd hosts run 3× faster), and every cell reports its
 // affinity indexes in range.
 func TestDagTopologyRun(t *testing.T) {
-	rep, err := Run(topoSpec(), nil)
+	rep, err := RunContext(context.Background(), topoSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestDagTopologyRun(t *testing.T) {
 // TestFlatSpecsUnaffected: a spec with no sites and no graph produces
 // zero-valued topology indexes — the new columns are inert on legacy specs.
 func TestFlatSpecsUnaffected(t *testing.T) {
-	rep, err := Run(testSpec(), nil)
+	rep, err := RunContext(context.Background(), testSpec(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

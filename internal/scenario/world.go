@@ -1,0 +1,208 @@
+package scenario
+
+import (
+	"fmt"
+	"time"
+
+	"vce/internal/arch"
+	"vce/internal/rng"
+	"vce/internal/sim"
+	"vce/internal/workload"
+)
+
+// taskGen is one generated task of a run's shared workload: the sampled
+// draws (work size, constraint flag, arrival instant) that every matrix
+// cell of the same run index replays identically.
+type taskGen struct {
+	work        float64
+	arrival     time.Duration
+	constrained bool
+}
+
+// world is the generated world of one run index — everything the derived
+// random streams decide, and nothing a policy can influence: a function of
+// (spec, run) only. Every cell of run k derives the identical world from
+// (spec seed, k), so the arena keeps the last one generated and consecutive
+// cells sharing a run index replay it instead of re-deriving it (the
+// executor feeds jobs run-major to make such neighbours common).
+type world struct {
+	// run is 1+run index of the generated world; 0 marks empty.
+	run int
+	// specs is the fleet with this run's sampled speeds.
+	specs []arch.Machine
+	// ownerSteps is the per-machine owner load trace.
+	ownerSteps [][]sim.LoadStep
+	// tasks is the task bag of a closed source, in task-index order; a
+	// streaming source leaves it empty and draws tasks lazily per cell during
+	// the simulation — from the same derived streams, so the rest of the
+	// world still replays.
+	tasks []taskGen
+	// faultAt is the per-machine failure schedule (repair instants
+	// reconstruct as fail + DownS).
+	faultAt [][]time.Duration
+
+	// DAG world (workload.graph): parents/children adjacency over task
+	// indexes (edges always point low → high, so the graph is acyclic by
+	// construction) and the ideal critical path in unit-speed seconds — the
+	// lower bound critical_path_stretch divides by.
+	parents   [][]int32
+	children  [][]int32
+	graphCP   float64
+	cpScratch []float64
+}
+
+// derivedStreams builds the per-run random streams. Policy identity is
+// deliberately absent from the derivation: every cell of the matrix sees the
+// same generated world in run k, so differences in indexes are policy
+// effects, not sampling noise.
+func derivedStreams(sp *Spec, run int) *rng.Source {
+	return rng.New(sp.Seed).Derive(sp.Name).Derive(fmt.Sprintf("run-%03d", run))
+}
+
+// generateWorld makes the arena's world the one of run, regenerating from
+// the run's derived random streams unless it is already current. The draw
+// order within each derived stream is identical to a from-scratch build, and
+// the streams are derived by name (not consumed sequentially), so replaying
+// a kept world is indistinguishable from regenerating it. It reads the
+// arena's spec constants and writes ar.world, nothing else.
+func (ar *runArena) generateWorld(run int) {
+	w := &ar.world
+	if w.run == run+1 {
+		return
+	}
+	sp, horizon := ar.sp, ar.horizon
+	root := derivedStreams(sp, run)
+
+	// Speeds sample class-major, one draw per machine in fleet order.
+	w.specs = append(w.specs[:0], ar.fleet...)
+	machRng := root.Derive("machines")
+	mi := 0
+	for _, cl := range sp.Machines.Classes {
+		for i := 0; i < cl.Count; i++ {
+			w.specs[mi].Speed = cl.Speed.Sample(machRng)
+			mi++
+		}
+	}
+	nm := len(w.specs)
+
+	w.ownerSteps = growSlices(w.ownerSteps, nm)
+	if sp.Owner != nil {
+		ownerRng := root.Derive("owner")
+		for mi := 0; mi < nm; mi++ {
+			w.ownerSteps[mi] = workload.BurstyTrace(ownerRng, horizon,
+				time.Duration(sp.Owner.MeanIdleS*float64(time.Second)),
+				time.Duration(sp.Owner.MeanBusyS*float64(time.Second)),
+				sp.Owner.BusyLoad)
+		}
+	}
+
+	// Closed sources materialize the task population here, as part of the
+	// world: the DAG critical path and the run-major replay both need the
+	// whole bag before the first arrival.
+	w.tasks = w.tasks[:0]
+	w.graphCP = 0
+	if !ar.streaming {
+		w.tasks = resetFill(w.tasks, sp.Workload.Tasks, taskGen{})
+		workRng := root.Derive("work")
+		for i := range w.tasks {
+			w.tasks[i].work = sp.Workload.Work.Sample(workRng)
+		}
+		if con := sp.Workload.Constrained; con != nil {
+			conRng := root.Derive("constraints")
+			for i := range w.tasks {
+				w.tasks[i].constrained = conRng.Bool(con.Fraction)
+			}
+		}
+		if sp.Workload.Arrivals.Kind != "batch" {
+			cur := ar.src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals"))
+			for i := range w.tasks {
+				at, ok := cur()
+				if !ok {
+					at = horizon // exhausted source: never arrives
+				}
+				w.tasks[i].arrival = at
+			}
+		}
+		w.generateGraph(sp.Workload.Graph, root)
+	}
+
+	w.faultAt = growSlices(w.faultAt, nm)
+	if sp.Faults != nil {
+		faultRng := root.Derive("faults")
+		mtbf := sp.Faults.MTBFHours * 3600
+		downFor := time.Duration(sp.Faults.DownS * float64(time.Second))
+		for mi := 0; mi < nm; mi++ {
+			t := 0.0
+			for {
+				t += faultRng.ExpFloat64() * mtbf
+				at := time.Duration(t * float64(time.Second))
+				if at >= horizon {
+					break
+				}
+				w.faultAt[mi] = append(w.faultAt[mi], at)
+				t = (at + downFor).Seconds()
+			}
+		}
+	}
+	w.run = run + 1
+}
+
+// randomGraphWindow is how many immediately preceding tasks a "random" DAG
+// task draws candidate parents from.
+const randomGraphWindow = 8
+
+// generateGraph links the world's tasks into the spec's dependency DAG and
+// computes its ideal critical path. Only "random" consumes random draws (the
+// "graph" derived stream); chain and fanout shapes are spec-determined.
+// Edges always run from a lower task index to a higher one.
+func (w *world) generateGraph(g *GraphSpec, root *rng.Source) {
+	if g == nil {
+		return
+	}
+	n := len(w.tasks)
+	w.parents = growSlices(w.parents, n)
+	w.children = growSlices(w.children, n)
+	addEdge := func(p, c int) {
+		w.parents[c] = append(w.parents[c], int32(p))
+		w.children[p] = append(w.children[p], int32(c))
+	}
+	switch g.Kind {
+	case "chain":
+		for i := 1; i < n; i++ {
+			addEdge(i-1, i)
+		}
+	case "fanout":
+		for i := 1; i < n; i++ {
+			addEdge((i-1)/g.FanOut, i)
+		}
+	case "random":
+		gr := root.Derive("graph")
+		for j := 1; j < n; j++ {
+			lo := j - randomGraphWindow
+			if lo < 0 {
+				lo = 0
+			}
+			for i := lo; i < j; i++ {
+				if gr.Bool(g.EdgeProb) {
+					addEdge(i, j)
+				}
+			}
+		}
+	}
+	// Ideal critical path at unit speed ignoring transfers: a forward pass
+	// works because every edge points low → high.
+	w.cpScratch = resetFill(w.cpScratch, n, 0)
+	for i := 0; i < n; i++ {
+		cp := 0.0
+		for _, p := range w.parents[i] {
+			if v := w.cpScratch[p]; v > cp {
+				cp = v
+			}
+		}
+		cp += w.tasks[i].work
+		w.cpScratch[i] = cp
+		if cp > w.graphCP {
+			w.graphCP = cp
+		}
+	}
+}

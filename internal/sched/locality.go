@@ -31,7 +31,7 @@ type Locality struct {
 	// is dropped instead of queued (0 means the default of 128).
 	RejectCap int
 
-	scratch *placeScratch
+	scratch placeScratch
 	siteOf  []int
 	cost    [][]float64
 	backlog []int
@@ -45,9 +45,9 @@ const (
 	defaultLocalityRejectCap = 128
 )
 
-// NewLocality returns the policy with reusable round scratch; see
-// NewGreedyBestFit. Configure the site map with SetTopology.
-func NewLocality() *Locality { return &Locality{scratch: new(placeScratch)} }
+// NewLocality returns the policy; see NewGreedyBestFit. Configure the site
+// map with SetTopology.
+func NewLocality() *Locality { return new(Locality) }
 
 // Name implements Policy.
 func (*Locality) Name() string { return "locality" }
@@ -118,9 +118,9 @@ func (s *localityScan) consider(ms *MachineState) {
 
 // Place implements Policy.
 func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, l.scratch)
+	round := newRound(machines, &l.scratch)
 	var cache candidateCache
-	placed, waiting := outBuffers(l.scratch, items, machines)
+	placed, waiting := l.scratch.outBuffers(items, machines)
 	l.dropped = l.dropped[:0]
 
 	threshold := l.Threshold

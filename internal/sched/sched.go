@@ -138,10 +138,9 @@ type Policy interface {
 }
 
 // placeScratch is a policy's reusable round storage: the id-resolution
-// table, the ordering permutation, and the output buffers. Policies built
-// with their New constructors carry one and place rounds allocation-free in
-// steady state; zero-value policies (scratch == nil) allocate per round,
-// which is fine for one-shot callers.
+// table, the ordering permutation, and the output buffers. Every policy
+// carries one by value, so repeated Place calls on one policy place rounds
+// allocation-free in steady state.
 //
 // The output Item buffer is double-buffered because of how batch callers
 // loop: round N's waiting output is round N+1's items input, so the policy
@@ -157,14 +156,11 @@ type placeScratch struct {
 }
 
 // outBuffers returns empty placed/waiting buffers for one round, reusing the
-// scratch's storage when present. Neither can outgrow its initial capacity
-// (placements are bounded by placeCap, waiting by the items offered), so the
-// returned headers stay backed by the scratch.
-func outBuffers(s *placeScratch, items []Item, machines []MachineState) ([]Assignment, []Item) {
+// scratch's storage. Neither can outgrow its initial capacity (placements
+// are bounded by placeCap, waiting by the items offered), so the returned
+// headers stay backed by the scratch.
+func (s *placeScratch) outBuffers(items []Item, machines []MachineState) ([]Assignment, []Item) {
 	pc := placeCap(items, machines)
-	if s == nil {
-		return make([]Assignment, 0, pc), make([]Item, 0, len(items))
-	}
 	if cap(s.placed) < pc {
 		s.placed = make([]Assignment, 0, pc)
 	}
@@ -175,15 +171,10 @@ func outBuffers(s *placeScratch, items []Item, machines []MachineState) ([]Assig
 	return s.placed[:0], s.items[s.flip][:0]
 }
 
-// orderBuf returns an empty ordering buffer of capacity >= n from the
-// scratch, or a fresh one without it.
-func orderBuf(s *placeScratch, n int) []int {
-	if s == nil || cap(s.order) < n {
-		o := make([]int, 0, n)
-		if s != nil {
-			s.order = o
-		}
-		return o
+// orderBuf returns an empty ordering buffer of capacity >= n.
+func (s *placeScratch) orderBuf(n int) []int {
+	if cap(s.order) < n {
+		s.order = make([]int, 0, n)
 	}
 	return s.order[:0]
 }
@@ -192,25 +183,21 @@ func orderBuf(s *placeScratch, n int) []int {
 // fastest, least-loaded admissible machine available. This is the baseline
 // §4.3 argues against — it will burn the uniquely-capable "machine A" on a
 // task that could run anywhere.
-//
-// The zero value is a valid policy that allocates its round state per Place
-// call; NewGreedyBestFit returns one with reusable scratch for
-// placement-per-event callers like the scenario engine.
-type GreedyBestFit struct{ scratch *placeScratch }
+type GreedyBestFit struct{ scratch placeScratch }
 
-// NewGreedyBestFit returns the policy with reusable round scratch: repeated
-// Place calls share buffers instead of allocating. The returned value (and
-// its copies) must then not place concurrently with itself.
-func NewGreedyBestFit() GreedyBestFit { return GreedyBestFit{scratch: new(placeScratch)} }
+// NewGreedyBestFit returns the policy. Repeated Place calls share its round
+// buffers instead of allocating, so one policy value must not place
+// concurrently with itself.
+func NewGreedyBestFit() *GreedyBestFit { return new(GreedyBestFit) }
 
 // Name implements Policy.
-func (GreedyBestFit) Name() string { return "greedy-best-fit" }
+func (*GreedyBestFit) Name() string { return "greedy-best-fit" }
 
 // Place implements Policy.
-func (p GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, p.scratch)
+func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
+	round := newRound(machines, &p.scratch)
 	var cache candidateCache
-	placed, waiting := outBuffers(p.scratch, items, machines)
+	placed, waiting := p.scratch.outBuffers(items, machines)
 	for _, it := range items {
 		best := pickBest(it, &round, &cache, false)
 		if best == nil {
@@ -234,23 +221,17 @@ func (p GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignmen
 // items, waiting instead if no other machine is free — the §4.3 example where
 // the portable task yields machine A and "should be made to wait" because it
 // "can be used to occupy a workstation if one becomes idle."
-//
-// Like GreedyBestFit, the zero value allocates per round and
-// NewUtilizationFirst returns the scratch-carrying variant.
-type UtilizationFirst struct{ scratch *placeScratch }
+type UtilizationFirst struct{ scratch placeScratch }
 
-// NewUtilizationFirst returns the policy with reusable round scratch; see
-// NewGreedyBestFit.
-func NewUtilizationFirst() UtilizationFirst {
-	return UtilizationFirst{scratch: new(placeScratch)}
-}
+// NewUtilizationFirst returns the policy; see NewGreedyBestFit.
+func NewUtilizationFirst() *UtilizationFirst { return new(UtilizationFirst) }
 
 // Name implements Policy.
-func (UtilizationFirst) Name() string { return "utilization-first" }
+func (*UtilizationFirst) Name() string { return "utilization-first" }
 
 // Place implements Policy.
-func (p UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, p.scratch)
+func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
+	round := newRound(machines, &p.scratch)
 	var cache candidateCache
 	// A machine's scarce count tracks waiting constrained items for which
 	// it is the only candidate. Names absent from the snapshot are skipped
@@ -293,7 +274,7 @@ func (p UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assign
 		if lenB < lenA {
 			small = lenB
 		}
-		order = orderBuf(p.scratch, len(items))
+		order = p.scratch.orderBuf(len(items))
 		for i := range items {
 			if len(items[i].Candidates) == small {
 				order = append(order, i)
@@ -305,7 +286,7 @@ func (p UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assign
 			}
 		}
 	default:
-		order = orderBuf(p.scratch, len(items))[:len(items)]
+		order = p.scratch.orderBuf(len(items))[:len(items)]
 		for i := range order {
 			order[i] = i
 		}
@@ -314,7 +295,7 @@ func (p UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assign
 		})
 	}
 
-	placed, waiting := outBuffers(p.scratch, items, machines)
+	placed, waiting := p.scratch.outBuffers(items, machines)
 	for pos := range items {
 		idx := pos
 		if order != nil {
@@ -392,16 +373,14 @@ func (r *roundState) byID(id int) *MachineState {
 				max = r.backing[i].Index
 			}
 		}
-		if s := r.scratch; s != nil && cap(s.byIndex) >= max+1 {
+		if s := r.scratch; cap(s.byIndex) >= max+1 {
 			r.byIndex = s.byIndex[:max+1]
 			for i := range r.byIndex {
 				r.byIndex[i] = nil
 			}
 		} else {
 			r.byIndex = make([]*MachineState, max+1)
-			if s != nil {
-				s.byIndex = r.byIndex
-			}
+			s.byIndex = r.byIndex
 		}
 		for i := range r.backing {
 			r.byIndex[r.backing[i].Index] = &r.backing[i]

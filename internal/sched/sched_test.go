@@ -92,7 +92,7 @@ func machineAScenario() ([]Item, []MachineState) {
 
 func TestUtilizationFirstSolvesMachineA(t *testing.T) {
 	items, machines := machineAScenario()
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	got := map[taskgraph.TaskID]string{}
 	for _, a := range placed {
 		got[a.Task] = a.Machine
@@ -113,7 +113,7 @@ func TestGreedyBestFitBurnsMachineA(t *testing.T) {
 	// leaving the pinned task stranded — exactly the failure §4.3
 	// describes.
 	items, machines := machineAScenario()
-	placed, waiting := GreedyBestFit{}.Place(items, machines)
+	placed, waiting := NewGreedyBestFit().Place(items, machines)
 	got := map[taskgraph.TaskID]string{}
 	for _, a := range placed {
 		got[a.Task] = a.Machine
@@ -137,7 +137,7 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 	// Both claim only A here; make flexible truly flexible:
 	items[0].Candidates = []string{"A", "Bgone"} // B not in machine set
 	machines := []MachineState{ws("A", 1, 0, 1)}
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 1 || placed[0].Task != "pinned" {
 		t.Fatalf("placed = %v, want only pinned", placed)
 	}
@@ -149,7 +149,7 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 func TestUtilizationFirstUsesScarceMachineWhenNoScarceDemand(t *testing.T) {
 	items := []Item{{Task: "flexible", Candidates: []string{"A", "B"}, Work: 1}}
 	machines := []MachineState{ws("A", 4, 0, 1), ws("B", 1, 0, 1)}
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(waiting) != 0 || len(placed) != 1 {
 		t.Fatalf("placed=%v waiting=%v", placed, waiting)
 	}
@@ -163,7 +163,7 @@ func TestPlaceRespectsSlots(t *testing.T) {
 		{Task: "t1", Candidates: []string{"A"}},
 		{Task: "t2", Candidates: []string{"A"}},
 	}
-	for _, pol := range []Policy{GreedyBestFit{}, UtilizationFirst{}} {
+	for _, pol := range []Policy{NewGreedyBestFit(), NewUtilizationFirst()} {
 		// Fresh snapshot per policy: Place consumes the slice it is given.
 		machines := []MachineState{ws("A", 1, 0, 1)}
 		placed, waiting := pol.Place(items, machines)
@@ -180,7 +180,7 @@ func TestPlaceRespectsSlots(t *testing.T) {
 func TestPlaceConsumesMachineSlots(t *testing.T) {
 	items := []Item{{Task: "t", Candidates: []string{"A"}}}
 	machines := []MachineState{ws("A", 1, 0, 1)}
-	placed, _ := UtilizationFirst{}.Place(items, machines)
+	placed, _ := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 1 {
 		t.Fatalf("placed = %d, want 1", len(placed))
 	}
@@ -195,7 +195,7 @@ func TestPlaceConsumesMachineSlots(t *testing.T) {
 func TestPlaceUnknownCandidateSkipped(t *testing.T) {
 	items := []Item{{Task: "t", Candidates: []string{"ghost"}}}
 	machines := []MachineState{ws("A", 1, 0, 1)}
-	placed, waiting := GreedyBestFit{}.Place(items, machines)
+	placed, waiting := NewGreedyBestFit().Place(items, machines)
 	if len(placed) != 0 || len(waiting) != 1 {
 		t.Fatal("item with unknown candidates should wait")
 	}
@@ -208,7 +208,7 @@ func TestMultiInstancePlacementSpreads(t *testing.T) {
 		{Task: "mc", Instance: 2, Candidates: []string{"A", "B", "C"}},
 	}
 	machines := []MachineState{ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1)}
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 3 || len(waiting) != 0 {
 		t.Fatalf("placed=%d waiting=%d", len(placed), len(waiting))
 	}
