@@ -298,32 +298,12 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		if cache != nil {
-			// Per-shard cache traffic rides along next to report.json so
-			// `vcebench merge` can aggregate stats across shard directories
-			// instead of dropping them.
-			p := filepath.Join(*out, cacheStatsFile)
-			if err := writeCacheStats(p, obs.CacheStats(cache.Stats())); err != nil {
-				return fail(stderr, err)
-			}
-			written = append(written, p)
-		}
-		if rec != nil && *telem {
-			p := filepath.Join(*out, telemetryFile)
-			if err := writeFileWith(p, rec.WriteSummary); err != nil {
-				return fail(stderr, err)
-			}
-			written = append(written, p)
-		}
 		for _, p := range written {
 			fmt.Fprintf(stdout, "wrote %s\n", p)
 		}
 	}
-	if rec != nil && *traceOut != "" {
-		if err := writeFileWith(*traceOut, rec.WriteTrace); err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *traceOut)
+	if err := writeObsArtifacts(*out, cache, rec, *telem, *traceOut, stdout); err != nil {
+		return fail(stderr, err)
 	}
 	if partial {
 		return 1
@@ -345,12 +325,11 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-// writeObsArtifacts lands the observability artifacts of an aborted sweep:
-// cache_stats.json and telemetry.json into out (created if needed) plus the
-// -trace file. The success path writes the same files inline so they slot
-// into the report artifacts' "wrote" listing; this helper exists for the
-// path where there is no report to write but the sweep still has traffic
-// and telemetry to account for.
+// writeObsArtifacts lands a sweep's observability artifacts, finished or
+// aborted: cache_stats.json and telemetry.json into out (created if needed —
+// an aborted sweep has written no report there) plus the -trace file.
+// Per-shard cache traffic rides along next to report.json so `vcebench
+// merge` can aggregate stats across shard directories.
 func writeObsArtifacts(out string, cache *store.FS, rec *obs.Recorder, telem bool, traceOut string, stdout io.Writer) error {
 	if out != "" && (cache != nil || (rec != nil && telem)) {
 		if err := os.MkdirAll(out, 0o755); err != nil {

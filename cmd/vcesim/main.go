@@ -1,5 +1,5 @@
 // Command vcesim regenerates the evaluation: it runs every experiment in
-// DESIGN.md §9 (or a -run subset) and prints the resulting tables and shape
+// DESIGN.md §11 (or a -run subset) and prints the resulting tables and shape
 // notes. -md emits Markdown suitable for EXPERIMENTS.md.
 //
 // Usage:

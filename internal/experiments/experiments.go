@@ -1,5 +1,5 @@
 // Package experiments contains the reproduction harnesses indexed in
-// DESIGN.md §9: one experiment per figure and per quantified claim of the
+// DESIGN.md §11: one experiment per figure and per quantified claim of the
 // paper. Each harness builds its workload, runs it (live protocol stack or
 // discrete-event simulator, as appropriate), emits a table shaped like the
 // result the paper asserts, and *checks* the qualitative claim — who wins,

@@ -72,10 +72,14 @@ type VCEMigrate struct {
 	// Strategy performs the moves.
 	Strategy migrate.Strategy
 
-	// Migrations, FallbackSuspends and Results record what happened.
+	// Migrations and FallbackSuspends count what happened.
 	Migrations       int64
 	FallbackSuspends int64
-	Results          []migrate.Result
+
+	// Running cost totals: fixed-size however many migrations a long
+	// streaming cell performs.
+	bytesMoved int64
+	lostWork   float64
 
 	cluster *sim.Cluster
 }
@@ -124,7 +128,8 @@ func (v *VCEMigrate) react(c *sim.Cluster, m *sim.Machine) {
 			return
 		}
 		v.Migrations++
-		v.Results = append(v.Results, res)
+		v.bytesMoved += res.BytesMoved
+		v.lostWork += res.LostWork
 	}
 }
 
@@ -140,23 +145,11 @@ func (v *VCEMigrate) pickDestination(c *sim.Cluster, src *sim.Machine, t *sim.Ta
 	return nil
 }
 
-// TotalLostWork sums lost work across recorded migrations.
-func (v *VCEMigrate) TotalLostWork() float64 {
-	var total float64
-	for _, r := range v.Results {
-		total += r.LostWork
-	}
-	return total
-}
+// TotalLostWork is the work discarded and redone across all migrations.
+func (v *VCEMigrate) TotalLostWork() float64 { return v.lostWork }
 
-// TotalBytesMoved sums migrated bytes.
-func (v *VCEMigrate) TotalBytesMoved() int64 {
-	var total int64
-	for _, r := range v.Results {
-		total += r.BytesMoved
-	}
-	return total
-}
+// TotalBytesMoved is the state transferred across all migrations.
+func (v *VCEMigrate) TotalBytesMoved() int64 { return v.bytesMoved }
 
 // DAWGS is the Clark & McMillin-style distributed compute server: submitted
 // jobs wait in a global queue for an idle workstation (non-preemptive

@@ -145,9 +145,8 @@ func (k *Checkpointer) Attach(c *sim.Cluster, t *sim.Task) error {
 // the current virtual instant and the checkpoint record lands in the
 // cluster file system at the hosting site. An unplaced or finished task is
 // a no-op. Attach's periodic tick runs this same body; callers that manage
-// their own cadence — the scenario engine's cell-wide checkpoint ticker
-// over a recycled task pool, where per-task tick chains would outlive the
-// records they watch — call it directly.
+// their own cadence — the scenario engine's cell-wide checkpoint ticker —
+// call it directly.
 func (k *Checkpointer) CheckpointNow(c *sim.Cluster, t *sim.Task) {
 	m := t.Machine()
 	if m == nil || t.Finished() {
@@ -167,6 +166,13 @@ func (k *Checkpointer) CheckpointNow(c *sim.Cluster, t *sim.Task) {
 		}
 		_ = c.FS.Write(path, site, t.ImageBytes)
 	}
+}
+
+// Forget removes t's checkpoint record from the cluster file system: a
+// record lives as long as its task, so a later task reusing the ID never
+// restarts from a stranger's image. A task with no record is a no-op.
+func (k *Checkpointer) Forget(c *sim.Cluster, t *sim.Task) {
+	c.FS.Remove(ckptPath(t.ID))
 }
 
 // Stats returns (checkpoints taken, checkpoint bytes written).

@@ -37,12 +37,14 @@ type runArena struct {
 	streaming bool
 	dag       bool // workload.graph is set
 	horizon   time.Duration
-	// link is the flat default link; topo layers the per-site-pair resolver
-	// on top and is nil for flat (site-less) machine sets. A one-site
-	// topology is deliberately not how flat specs are expressed: it would set
-	// HomeSite on DAG items and switch Locality from greedy placement to its
-	// wait/forward/drop triad, which is not bit-exact with flat engines.
-	link netsim.Link
+	// net is the network model every cell's cluster uses — pure per-spec
+	// configuration no cell mutates: the flat default link, with topo's
+	// per-site-pair resolver layered on top. topo is nil for flat (site-less)
+	// machine sets. A one-site topology is deliberately not how flat specs are
+	// expressed: it would set HomeSite on DAG items and switch Locality from
+	// greedy placement to its wait/forward/drop triad, which is not bit-exact
+	// with flat engines.
+	net  *netsim.Model
 	topo *siteTopology
 	// locCost prices the workload's dominant payload — the dependency edge
 	// for DAG workloads, the task image otherwise — between every site pair:
@@ -140,10 +142,10 @@ func newArena(sp *Spec) (*runArena, error) {
 		streaming: src.Streaming(),
 		dag:       sp.Workload.Graph != nil,
 		horizon:   time.Duration(sp.HorizonS * float64(time.Second)),
-		link: netsim.Link{
+		net: netsim.New(netsim.Link{
 			Latency:   time.Duration(sp.Machines.LatencyMs * float64(time.Millisecond)),
 			Bandwidth: *sp.Machines.BandwidthMiBps * (1 << 20),
-		},
+		}),
 		topo:       buildTopology(&sp.Machines, fleet),
 		imageBytes: int64(sp.Workload.ImageMiB * (1 << 20)),
 		fleet:      fleet,
@@ -163,6 +165,9 @@ func newArena(sp *Spec) (*runArena, error) {
 		payload = ar.edgeBytes
 	}
 	if ar.topo != nil {
+		// Machine pairs with declared positions price by their site-pair
+		// link; everything else (nothing, today) falls back to the default.
+		ar.net.SetResolver(ar.topo.resolver())
 		ar.locCost = ar.topo.costMatrix(payload)
 	}
 	// Machines register in fleet order, so Machine.Index is the position.
@@ -268,6 +273,7 @@ func resetFill[T any](s []T, n int, v T) []T {
 func (ar *runArena) resetCluster() error {
 	if ar.cluster == nil {
 		c := sim.NewCluster()
+		c.Net = ar.net // Reset leaves the network model in place
 		machines := ar.machines[:0]
 		for _, mspec := range ar.world.specs {
 			m, err := c.AddMachine(mspec)
@@ -302,13 +308,6 @@ func (ar *runArena) prepare(run int) error {
 	ar.generateWorld(run)
 	if err := ar.resetCluster(); err != nil {
 		return err
-	}
-	// The flat link is the model default; a site topology layers its
-	// resolver on top, so machine pairs with declared positions price by
-	// their site-pair link and everything else (nothing, today) falls back.
-	ar.cluster.Net = netsim.New(ar.link)
-	if ar.topo != nil {
-		ar.cluster.Net.SetResolver(ar.topo.resolver())
 	}
 	nm := len(ar.machines)
 	ar.down = resetFill(ar.down, nm, false)
@@ -364,10 +363,9 @@ type taskPool struct {
 	// slot; idx inverts them.
 	ids []string
 	idx map[string]int
-	// Per-slot state: the draws of the task occupying the slot, whether its
-	// checkpoint tick chain is attached, and whether it was ever placed.
+	// Per-slot state: the draws of the task occupying the slot and whether it
+	// was ever placed.
 	gens       []taskGen
-	attached   []bool
 	everPlaced []bool
 }
 
@@ -389,8 +387,8 @@ func (p *taskPool) task(s int) *sim.Task {
 
 // acquire hands out a free slot for a task with draws g, materializing a
 // new one (and its id and index entry) when the recycle stack is empty. The
-// caller initializes the task record; acquire guarantees clean
-// placement/attachment scratch.
+// caller initializes the task record; acquire guarantees clean placement
+// scratch.
 func (p *taskPool) acquire(g taskGen) int {
 	var s int
 	if n := len(p.free); n > 0 {
@@ -406,11 +404,9 @@ func (p *taskPool) acquire(g taskGen) int {
 		p.ids = append(p.ids, id)
 		p.idx[id] = s
 		p.gens = append(p.gens, taskGen{})
-		p.attached = append(p.attached, false)
 		p.everPlaced = append(p.everPlaced, false)
 	}
 	p.gens[s] = g
-	p.attached[s] = false
 	p.everPlaced[s] = false
 	p.live++
 	if p.live > p.peak {

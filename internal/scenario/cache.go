@@ -13,7 +13,7 @@ import (
 // that moves the golden artifacts — event ordering, index arithmetic, RNG
 // derivation, world generation — must bump this string. Bumping it orphans
 // every existing cache entry instead of silently replaying stale results.
-const EngineVersion = "vce-scenario/3"
+const EngineVersion = "vce-scenario/4"
 
 // Store is the pluggable result cache the executor consults per grid cell
 // before simulating and writes through after. Keys are CellKey hashes;

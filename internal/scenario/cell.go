@@ -269,17 +269,20 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 	} else {
 		c.scheduleArrivals()
 	}
-	// Streaming cells checkpoint on a single cell-wide cadence over the live
-	// residents instead of per-task tick chains (see attachCheckpoint).
-	if ar.streaming && c.ck != nil && sp.Workload.Checkpointable {
-		interval := time.Duration(sp.CheckpointIntervalS * float64(time.Second))
+	// One checkpoint cadence per cell (§4.4 "migratable jobs checkpoint
+	// regularly"): every interval, each resident checkpoints — a cell's tasks
+	// are checkpointable all or none. A task holds no tick of its own, so
+	// nothing outlives a recycled record.
+	if c.ck != nil && sp.Workload.Checkpointable {
+		interval := c.ck.Interval
 		var ckTick func()
 		ckTick = func() {
 			for _, m := range ar.machines {
+				if m.RemoteTasks() == 0 {
+					continue // Tasks() copies and sorts; idle machines skip it
+				}
 				for _, t := range m.Tasks() {
-					if t.Checkpointable {
-						c.ck.CheckpointNow(cl, t)
-					}
+					c.ck.CheckpointNow(cl, t)
 				}
 			}
 			cl.Sim.After(interval, ckTick)
@@ -428,10 +431,8 @@ func (c *cell) candsFor(i int) ([]string, []int) {
 }
 
 // newItem builds the placement-queue entry for slot i with the
-// data-affinity site riding along. Submission, the race requeue and the
-// transfer bounce go through it; the fault requeue in fail does not, and
-// drops HomeSite (a known defect, see ROADMAP: fixing it changes
-// DAG+topology+fault cells and needs an EngineVersion bump).
+// data-affinity site riding along: the one way a task joins the queue, for
+// submission, the race requeue, the transfer bounce and the fault requeue.
 func (c *cell) newItem(i int, work float64) sched.Item {
 	ar := c.ar
 	cands, ids := c.candsFor(i)
@@ -502,18 +503,6 @@ func (c *cell) notePlaced(ti, hi int) {
 		}
 	}
 	ar.pool.everPlaced[ti] = true
-}
-
-// attachCheckpoint starts a closed cell's per-task checkpoint tick chain on
-// the task's first start. Streaming cells checkpoint through the cell-wide
-// ticker instead: a per-task tick chain would outlive its recycled pool
-// record and checkpoint the wrong incarnation.
-func (c *cell) attachCheckpoint(ti int, t *sim.Task) {
-	p := &c.ar.pool
-	if c.ck != nil && t.Checkpointable && !c.ar.streaming && !p.attached[ti] {
-		p.attached[ti] = true
-		_ = c.ck.Attach(c.cl, t)
-	}
 }
 
 // settle is tryPlace's outermost exit, where the queue has settled for this
@@ -593,7 +582,6 @@ func (c *cell) tryPlace() {
 				continue
 			}
 			c.notePlaced(ti, hi)
-			c.attachCheckpoint(ti, t)
 		}
 		if !c.placeAgain {
 			return
@@ -612,9 +600,7 @@ func (c *cell) deliver(ti, hi int) {
 	if c.ar.down[hi] || m.LocalLoad() >= migrateHi || m.AddTask(t) != nil {
 		c.waiting = append(c.waiting, c.newItem(ti, t.Remaining()))
 		c.tryPlace() // the reservation just became real capacity
-		return
 	}
-	c.attachCheckpoint(ti, t)
 }
 
 // taskDone is the one completion callback shared by every task of the cell:
@@ -650,6 +636,11 @@ func (c *cell) taskDone(t *sim.Task, at time.Duration) {
 		}
 	}
 	c.acc.TaskDone(at, arrival, t.Work)
+	// A checkpoint record lives as long as its task: the slot's next tenant
+	// reuses the id and must not restart from this one's image.
+	if c.ck != nil {
+		c.ck.Forget(c.cl, t)
+	}
 	if ar.streaming {
 		ar.pool.release(ti)
 	}
@@ -672,11 +663,7 @@ func (c *cell) fail(mi int) {
 		c.failed++
 		// Restart from the last checkpoint (scratch if none).
 		_ = killed.Rewind(killed.CheckpointedWork)
-		cands, ids := c.candsFor(c.ar.pool.idx[killed.ID])
-		c.waiting = append(c.waiting, sched.Item{
-			Task: taskgraph.TaskID(killed.ID), Candidates: cands,
-			CandidateIDs: ids, Work: killed.Remaining(),
-		})
+		c.waiting = append(c.waiting, c.newItem(c.ar.pool.idx[killed.ID], killed.Remaining()))
 	}
 	m.SetLocalLoad(1)
 	// Surviving machines may have free slots for the requeued victims;

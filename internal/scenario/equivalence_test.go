@@ -45,11 +45,12 @@ func equivalenceSpec() *Spec {
 }
 
 // TestEquivalenceLargeScenario runs the large fixture and compares the
-// full-precision per-run artifacts byte-for-byte against copies committed
-// before the hot-path rewrite (the old per-task-accrual semantics). The
-// optimization must change no observable simulation result: identical
-// completion instants, identical migration/suspension counts, identical
-// aggregate float bytes.
+// full-precision per-run artifacts byte-for-byte against the committed
+// copies. An optimization must change no observable simulation result:
+// identical completion instants, identical migration/suspension counts,
+// identical aggregate float bytes. A deliberate semantics change
+// regenerates them with -update and bumps EngineVersion in the same commit
+// (last: vce-scenario/4, the cell-wide checkpoint cadence).
 func TestEquivalenceLargeScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixture; skipped with -short")
@@ -88,7 +89,7 @@ func TestEquivalenceLargeScenario(t *testing.T) {
 			t.Fatalf("missing golden file (regenerate with -update): %v", err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s drifted from the pinned pre-rewrite semantics:\n--- got ---\n%s\n--- want ---\n%s",
+			t.Errorf("%s drifted from the pinned semantics:\n--- got ---\n%s\n--- want ---\n%s",
 				name, clip(got), clip(want))
 		}
 	}

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
-// The seam tests drive the three pieces of a cell — world generation,
-// placement and the task pool — directly on an arena, without RunContext.
+// The seam tests drive the pieces of a cell — world generation, placement,
+// the task pool and the checkpoint clock — directly on an arena, without
+// RunContext.
 
 func testArena(t *testing.T, sp *Spec) *runArena {
 	t.Helper()
@@ -43,6 +45,21 @@ func streamSpec() *Spec {
 		Runs:     3,
 		Seed:     7,
 	}
+}
+
+// testCell prepares run 0 of sp on a new arena and starts the given cell on
+// it, for tests that then drive the kernel by hand.
+func testCell(t *testing.T, sp *Spec, sched, migration string) (*runArena, *cell) {
+	t.Helper()
+	ar := testArena(t, sp)
+	if err := ar.prepare(0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ar.startCell(sched, migration, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ar, c
 }
 
 func sameNested[T comparable](a, b [][]T) bool {
@@ -116,16 +133,11 @@ func stagingSpec() *Spec {
 // While the transfer is in flight machine 1 hosts nothing, yet a later
 // placement round must not spend its one slot on child 3. Then machine 1
 // fails mid-transfer: the delivery bounces back to the queue and the task
-// runs on machine 0 instead.
+// runs on machine 0 instead. With machine 0 failed as well nothing can be
+// placed, so the queue shows the fault requeue as enqueued: like every other
+// entry it carries its task's data-affinity site.
 func TestStagingReservationAndBounce(t *testing.T) {
-	ar := testArena(t, stagingSpec())
-	if err := ar.prepare(0); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ar.startCell("greedy-best-fit", "none", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar, c := testCell(t, stagingSpec(), "greedy-best-fit", "none")
 	far := ar.machines[1]
 	ar.cluster.Sim.RunUntil(6 * time.Second)
 	c.tryPlace() // a later round, with child 3 still queued
@@ -137,6 +149,16 @@ func TestStagingReservationAndBounce(t *testing.T) {
 	}
 
 	c.fail(1)
+	c.fail(0)
+	if c.failed != 1 || len(c.waiting) != 2 {
+		t.Fatalf("both machines down: failed=%d waiting=%v, want task-001 requeued behind task-003", c.failed, c.waiting)
+	}
+	for _, it := range c.waiting {
+		if home := int(ar.homeSite[ar.pool.idx[string(it.Task)]]); home != 0 || it.HomeSite != home+1 {
+			t.Errorf("%s queued with HomeSite %d, want %d (its parent finished at site a)", it.Task, it.HomeSite, home+1)
+		}
+	}
+	c.repair(0)
 	ar.cluster.Sim.RunUntil(ar.horizon)
 	if ar.inflight[1] != 0 || far.Completed() != 0 {
 		t.Errorf("after the bounce: inflight=%d, far machine completed %d tasks, want 0 and 0", ar.inflight[1], far.Completed())
@@ -185,5 +207,89 @@ func TestPoolSlots(t *testing.T) {
 	}
 	if idx.Completed < 1000 || idx.Rejected < 1000 {
 		t.Errorf("streaming cell completed %d and rejected %d of %d: not the overloaded cell this test assumes", idx.Completed, idx.Rejected, sp.Workload.Tasks)
+	}
+	// A checkpoint record lives as long as its task: at the horizon every
+	// record belongs to a slot that is held and has run, never to a completed
+	// task whose slot (and id) went to a later arrival.
+	if n, _ := ar.cell.ck.Stats(); n == 0 {
+		t.Fatal("streaming cell took no checkpoint")
+	}
+	var stale []string
+	for _, path := range ar.cluster.FS.Paths() {
+		if s := ar.pool.idx[strings.TrimPrefix(path, "/ckpt/")]; slices.Contains(ar.pool.free, s) || !ar.pool.everPlaced[s] {
+			stale = append(stale, path)
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d checkpoint records outlived their tasks (slot free, or its tenant never ran): %v", len(stale), stale)
+	}
+}
+
+// TestRecycledSlotShipsItsOwnImage: a streaming arrival inherits its slot's
+// task id from a completed predecessor, but not the predecessor's checkpoint
+// record. The first task checkpoints on its host and completes; the second
+// takes the same id on the other machine and is evacuated to the first host
+// before its own first checkpoint — that move ships the full image, where a
+// leaked record with a current replica at the destination would ship nothing.
+func TestRecycledSlotShipsItsOwnImage(t *testing.T) {
+	ar, c := testCell(t, &Spec{
+		Name:                "recycle-test",
+		HorizonS:            100,
+		CheckpointIntervalS: 10,
+		Machines: MachineSetSpec{Classes: []MachineClassSpec{
+			// Not workstations: those alternate byte order, and a checkpoint
+			// image only restarts on a compatible host.
+			{Class: "mimd", Count: 2, Speed: Dist{Kind: "fixed", Value: 1}},
+		}},
+		Workload: WorkloadSpec{
+			Tasks:          2,
+			Work:           Dist{Kind: "fixed", Value: 25},
+			Arrivals:       ArrivalSpec{Kind: "trace", TraceS: []float64{1, 30}},
+			ImageMiB:       1,
+			Checkpointable: true,
+		},
+		Policies: PolicyMatrix{Scheduling: []string{"greedy-best-fit"}, Migration: []string{"checkpoint"}},
+		Runs:     1,
+		Seed:     1,
+	}, "greedy-best-fit", "checkpoint")
+	sim := ar.cluster.Sim
+	sim.RunUntil(2 * time.Second)
+	first := ar.pool.task(0).Machine()
+	if first == nil {
+		t.Fatal("task-000 not placed at t=2s")
+	}
+	other := ar.machines[1-first.Index()]
+	sim.RunUntil(27 * time.Second) // checkpointed at 10 s and 20 s, done at 26 s
+	if n, _ := c.ck.Stats(); n != 2 || c.acc.completed != 1 || ar.pool.live != 0 {
+		t.Fatalf("t=27s: %d checkpoints, %d completed, %d live slots, want 2, 1 and 0", n, c.acc.completed, ar.pool.live)
+	}
+	first.SetLocalLoad(1) // the owner is back: the second arrival goes elsewhere
+	sim.RunUntil(32 * time.Second)
+	if tenant := ar.pool.task(0); tenant.ID != "task-000" || tenant.Machine() != other {
+		t.Fatalf("t=32s: slot 0 holds %q on %v, want task-000 recycled onto %s", tenant.ID, tenant.Machine(), other.Name())
+	}
+	first.SetLocalLoad(0)
+	other.SetLocalLoad(1) // evacuates the tenant to the predecessor's host
+	if c.lb.Migrations != 1 || c.lb.TotalBytesMoved() != ar.imageBytes {
+		t.Errorf("%d migrations moved %d bytes, want 1 moving the %d-byte image", c.lb.Migrations, c.lb.TotalBytesMoved(), ar.imageBytes)
+	}
+}
+
+// TestCheckpointCadence: a cell has one checkpoint clock. Every resident
+// checkpoints at the instants k·interval, whenever it was placed, so the
+// checkpoints taken equal the residents summed over those instants.
+func TestCheckpointCadence(t *testing.T) {
+	// Closed: poisson arrivals, owner churn, faults.
+	ar, c := testCell(t, testSpec(), "greedy-best-fit", "checkpoint")
+	var want int64
+	for at := c.ck.Interval; at <= ar.horizon; at += c.ck.Interval {
+		ar.cluster.Sim.RunUntil(at - time.Nanosecond)
+		for _, m := range ar.machines {
+			want += int64(m.RemoteTasks())
+		}
+	}
+	ar.cluster.Sim.RunUntil(ar.horizon)
+	if got, _ := c.ck.Stats(); got != want || got == 0 {
+		t.Errorf("%d checkpoints taken, %d residents over the tick instants", got, want)
 	}
 }

@@ -356,8 +356,8 @@ func knownMigration(name string) bool {
 	return false
 }
 
-// classPrefixes maps class keywords to generated machine-name prefixes and
-// default memory, mirroring the workload.Testbed conventions.
+// classDefaults maps class keywords to generated machine-name prefixes and
+// default memory.
 var classDefaults = map[string]struct {
 	prefix   string
 	memoryMB int

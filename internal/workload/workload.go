@@ -1,16 +1,12 @@
-// Package workload generates the synthetic inputs the VCE experiments run
-// on: heavy-tailed task bags (the batch jobs of the load-balancing
-// literature §4.4 cites), Poisson submission streams, bursty owner-activity
-// traces for workstations, and heterogeneous testbed machine sets shaped
-// like the paper's "typical heterogeneous environment" (a MIMD group, a SIMD
-// group and a workstation group, §5).
+// Package workload generates synthetic inputs: bursty owner-activity traces
+// for workstations (the scenario engine's owner model, and experiment E13)
+// and, for E13 alone, uniform task bags and Poisson submission streams.
 package workload
 
 import (
 	"fmt"
 	"time"
 
-	"vce/internal/arch"
 	"vce/internal/rng"
 	"vce/internal/sim"
 )
@@ -34,21 +30,6 @@ func UniformBag(r *rng.Source, n int, lo, hi float64) []TaskSpec {
 		out[i] = TaskSpec{
 			ID:         fmt.Sprintf("task-%03d", i),
 			Work:       r.Range(lo, hi),
-			ImageBytes: 1 << 20,
-		}
-	}
-	return out
-}
-
-// ParetoBag returns n tasks with heavy-tailed work (bounded Pareto, shape
-// alpha, minimum xmin) — the long-running batch jobs Litzkow's systems
-// migrate.
-func ParetoBag(r *rng.Source, n int, alpha, xmin float64) []TaskSpec {
-	out := make([]TaskSpec, n)
-	for i := range out {
-		out[i] = TaskSpec{
-			ID:         fmt.Sprintf("task-%03d", i),
-			Work:       r.Pareto(alpha, xmin),
 			ImageBytes: 1 << 20,
 		}
 	}
@@ -97,94 +78,4 @@ func BurstyTrace(r *rng.Source, horizon time.Duration, meanIdle, meanBusy time.D
 		busy = !busy
 	}
 	return steps
-}
-
-// Testbed describes a heterogeneous machine population.
-type Testbed struct {
-	// Workstations, MIMD, SIMD, Vector count each group's machines.
-	Workstations, MIMD, SIMD, Vector int
-	// WSSpeed etc. set relative speeds (defaults 1, 10, 40, 25).
-	WSSpeed, MIMDSpeed, SIMDSpeed, VectorSpeed float64
-}
-
-func (tb Testbed) withDefaults() Testbed {
-	if tb.WSSpeed <= 0 {
-		tb.WSSpeed = 1
-	}
-	if tb.MIMDSpeed <= 0 {
-		tb.MIMDSpeed = 10
-	}
-	if tb.SIMDSpeed <= 0 {
-		tb.SIMDSpeed = 40
-	}
-	if tb.VectorSpeed <= 0 {
-		tb.VectorSpeed = 25
-	}
-	return tb
-}
-
-// Machines materializes the testbed's machine descriptors. Workstations are
-// split across two object-code signatures (big and little endian), because
-// heterogeneity within a class is what makes the §4.4 migration comparison
-// interesting.
-func (tb Testbed) Machines() []arch.Machine {
-	tb = tb.withDefaults()
-	var out []arch.Machine
-	for i := 0; i < tb.Workstations; i++ {
-		order := arch.BigEndian
-		if i%2 == 1 {
-			order = arch.LittleEndian
-		}
-		out = append(out, arch.Machine{
-			Name: fmt.Sprintf("ws%02d", i), Class: arch.Workstation,
-			Speed: tb.WSSpeed, OS: "unix", Order: order, MemoryMB: 64,
-		})
-	}
-	for i := 0; i < tb.MIMD; i++ {
-		out = append(out, arch.Machine{
-			Name: fmt.Sprintf("mimd%02d", i), Class: arch.MIMD,
-			Speed: tb.MIMDSpeed, OS: "unix", Order: arch.BigEndian, MemoryMB: 512,
-		})
-	}
-	for i := 0; i < tb.SIMD; i++ {
-		out = append(out, arch.Machine{
-			Name: fmt.Sprintf("simd%02d", i), Class: arch.SIMD,
-			Speed: tb.SIMDSpeed, OS: "cmost", Order: arch.BigEndian, MemoryMB: 1024,
-		})
-	}
-	for i := 0; i < tb.Vector; i++ {
-		out = append(out, arch.Machine{
-			Name: fmt.Sprintf("vec%02d", i), Class: arch.Vector,
-			Speed: tb.VectorSpeed, OS: "unicos", Order: arch.BigEndian, MemoryMB: 2048,
-		})
-	}
-	return out
-}
-
-// Populate adds the testbed's machines to a simulated cluster and returns
-// them.
-func (tb Testbed) Populate(c *sim.Cluster) ([]*sim.Machine, error) {
-	var out []*sim.Machine
-	for _, spec := range tb.Machines() {
-		m, err := c.AddMachine(spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// ChainSpec returns a linear pipeline of n task specs (stage i feeds
-// stage i+1) for ripple-effect experiments.
-func ChainSpec(n int, workPerStage float64) []TaskSpec {
-	out := make([]TaskSpec, n)
-	for i := range out {
-		out[i] = TaskSpec{
-			ID:         fmt.Sprintf("stage-%d", i),
-			Work:       workPerStage,
-			ImageBytes: 1 << 20,
-		}
-	}
-	return out
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"vce/internal/arch"
 	"vce/internal/rng"
-	"vce/internal/sim"
 )
 
 func TestUniformBag(t *testing.T) {
@@ -25,26 +23,6 @@ func TestUniformBag(t *testing.T) {
 			t.Fatalf("duplicate id %s", spec.ID)
 		}
 		ids[spec.ID] = true
-	}
-}
-
-func TestParetoBagHeavyTail(t *testing.T) {
-	r := rng.New(2)
-	bag := ParetoBag(r, 2000, 1.5, 10)
-	max, sum := 0.0, 0.0
-	for _, spec := range bag {
-		if spec.Work < 10 {
-			t.Fatalf("below xmin: %v", spec.Work)
-		}
-		sum += spec.Work
-		if spec.Work > max {
-			max = spec.Work
-		}
-	}
-	mean := sum / float64(len(bag))
-	// Heavy tail: the largest job dwarfs the mean.
-	if max < 5*mean {
-		t.Fatalf("max %v vs mean %v: tail not heavy", max, mean)
 	}
 }
 
@@ -97,58 +75,6 @@ func TestBurstyTraceAlternates(t *testing.T) {
 	frac := float64(busyTime) / float64(total)
 	if math.Abs(frac-1.0/6.0) > 0.12 {
 		t.Fatalf("busy fraction = %v, want ~0.17", frac)
-	}
-}
-
-func TestTestbedMachines(t *testing.T) {
-	tb := Testbed{Workstations: 4, MIMD: 2, SIMD: 1, Vector: 1}
-	ms := tb.Machines()
-	if len(ms) != 8 {
-		t.Fatalf("machines = %d", len(ms))
-	}
-	counts := map[arch.Class]int{}
-	for _, m := range ms {
-		counts[m.Class]++
-		if m.Speed <= 0 {
-			t.Fatalf("machine %s has speed %v", m.Name, m.Speed)
-		}
-	}
-	if counts[arch.Workstation] != 4 || counts[arch.MIMD] != 2 || counts[arch.SIMD] != 1 || counts[arch.Vector] != 1 {
-		t.Fatalf("class counts = %v", counts)
-	}
-	// Workstations split across byte orders for heterogeneity.
-	if ms[0].Order == ms[1].Order {
-		t.Fatal("workstations share byte order; want mixed")
-	}
-	if ms[0].ObjectCodeCompatible(ms[1]) {
-		t.Fatal("mixed-endian workstations report object-code compatibility")
-	}
-}
-
-func TestTestbedPopulate(t *testing.T) {
-	c := sim.NewCluster()
-	ms, err := Testbed{Workstations: 3, MIMD: 1}.Populate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 4 || len(c.Machines()) != 4 {
-		t.Fatalf("populated %d/%d", len(ms), len(c.Machines()))
-	}
-	// Populating twice collides on names.
-	if _, err := (Testbed{Workstations: 1}).Populate(c); err == nil {
-		t.Fatal("duplicate populate accepted")
-	}
-}
-
-func TestChainSpec(t *testing.T) {
-	chain := ChainSpec(5, 12)
-	if len(chain) != 5 {
-		t.Fatalf("len = %d", len(chain))
-	}
-	for _, s := range chain {
-		if s.Work != 12 {
-			t.Fatalf("work = %v", s.Work)
-		}
 	}
 }
 
