@@ -58,14 +58,16 @@
 //	vcebench check -seeds 50            # 50 generated specs × every invariant
 //	vcebench check -seeds 200 -out /tmp/repros
 //
-// Each generated spec is swept repeatedly while the harness asserts
-// engine-wide invariants — seed determinism, worker-count invariance,
-// shard/merge and cache-warm identity, policy-matrix and machine-order
-// permutation invariance, kernel conservation-of-work/monotonicity (audit
-// hook), steady-state identity of a heavy-traffic streaming cell, and
-// makespan dominance. A violated property is minimized to the
-// smallest still-failing spec and written to -out as a `vcebench -spec`
-// reproduction file; the exit status is non-zero.
+// Each generated spec is swept repeatedly while the harness asserts five
+// engine-wide properties: execution-identity (the report is the same whether
+// the sweep runs again, on single-use arenas, at N workers, sharded and
+// merged, from a warm cache, under the kernel audit hook or with the policy
+// matrix reversed — a violation names the failing mode), steady-state-bounds
+// and topology-conservation (index sanity on the generator's overloaded
+// stream and two-site DAG strata; skipped on other specs),
+// machine-permutation and makespan-dominance. A violated property is
+// minimized to the smallest still-failing spec and written to -out as a
+// `vcebench -spec` reproduction file; the exit status is non-zero.
 package main
 
 import (
@@ -498,12 +500,12 @@ func runCheck(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		seeds    = fs.Int("seeds", 50, "how many generated scenario specs to sweep")
 		baseSeed = fs.Uint64("seed", 1, "first generation seed (spec i uses seed+i)")
 		out      = fs.String("out", ".", "directory for minimized failure-reproduction specs")
-		workers  = fs.Int("workers", 4, "worker count for the parallel side of the invariance properties")
+		workers  = fs.Int("workers", 4, "worker count of the multi-worker sweeps the properties run")
 		quiet    = fs.Bool("q", false, "suppress per-seed progress lines")
 		propsArg = fs.String("properties", "", "comma-separated property subset (default: all)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: vcebench check [-seeds N] [-seed base] [-out dir] [-properties a,b]\n\nProperty-checks the whole engine over randomized generated scenarios.\nProperties: %s\n\n",
+		fmt.Fprintf(stderr, "usage: vcebench check [-seeds N] [-seed base] [-out dir] [-properties a,b]\n\nProperty-checks the whole engine over randomized generated scenarios; a\nproperty whose precondition rejects a spec counts it as skipped.\nProperties: %s\n\n",
 			strings.Join(check.PropertyNames(), ", "))
 		fs.PrintDefaults()
 	}

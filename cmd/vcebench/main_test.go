@@ -154,16 +154,16 @@ func TestMergeNoArgsUsage(t *testing.T) {
 }
 
 // TestCheckSubcommand: a tiny clean `vcebench check` run exits 0 and prints
-// the per-property summary with every property passing.
+// the per-property summary with all five properties and no failure.
 func TestCheckSubcommand(t *testing.T) {
 	out := t.TempDir()
 	code, stdout, errOut := runCLI(t, "check", "-seeds", "2", "-q", "-out", out)
 	if code != 0 {
 		t.Fatalf("check exit %d:\n%s", code, errOut)
 	}
-	for _, prop := range []string{"seed-determinism", "cache-warm-identity", "audit-conservation", "makespan-dominance"} {
+	for _, prop := range []string{"execution-identity", "steady-state-bounds", "topology-conservation", "machine-permutation", "makespan-dominance", "skipped"} {
 		if !strings.Contains(stdout, prop) {
-			t.Errorf("summary table missing property %s:\n%s", prop, stdout)
+			t.Errorf("summary table missing %s:\n%s", prop, stdout)
 		}
 	}
 	if entries, _ := os.ReadDir(out); len(entries) != 0 {

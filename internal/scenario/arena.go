@@ -14,9 +14,9 @@ import (
 // validated, defaults-applied spec at construction (newArena) and runCell is
 // the only way a cell executes: the executor gives each worker one arena for
 // the whole sweep, and RunInstanceContext runs one cell on a single-use
-// arena — the from-scratch reference the arena-reuse-identity property
-// (internal/scenario/check) compares every sweep cell against. Cells arrive
-// sequentially, so nothing here is synchronized.
+// arena — the from-scratch reference the execution-identity property's
+// fresh-arena mode (internal/scenario/check) compares every sweep cell
+// against. Cells arrive sequentially, so nothing here is synchronized.
 //
 // Everything that is constant for the spec resolves once, at construction:
 // the workload source and its streaming bit, the horizon, the default link

@@ -1,11 +1,12 @@
 // Package check is the engine-wide invariant harness behind `vcebench
 // check`: it draws randomized scenario specs from internal/scenario/specgen
-// and asserts metamorphic properties of the whole pipeline — seed
-// determinism, worker-count invariance, shard/merge identity, cache-warm
-// identity, policy-matrix permutation invariance, machine registration
-// permutation invariance, kernel conservation-of-work and virtual-time
-// monotonicity (via the sim.Auditor audit hook), and work-conserving
-// dominance sanity.
+// and asserts five properties of the whole pipeline. execution-identity
+// compares the reference sweep, mode by mode, with the same sweep run again,
+// on single-use arenas, at N workers, sharded and merged, from a warm cache,
+// under the kernel audit hook (sim.Auditor) and with the policy matrix
+// reversed. steady-state-bounds and topology-conservation check the indexes
+// on the generator's two strata and skip other specs. machine-permutation and
+// makespan-dominance are metamorphic pairs over worlds derived from the seed.
 //
 // A failing property is shrunk to a minimal still-failing spec and written
 // to disk as a standalone reproduction file, so a red nightly run hands the
@@ -27,14 +28,13 @@ import (
 type Options struct {
 	// Seeds is how many generated specs to sweep (default 20).
 	Seeds int
-	// BaseSeed is the first generation seed; spec i uses BaseSeed+i
-	// (default 1).
+	// BaseSeed is the first generation seed; spec i uses BaseSeed+i.
 	BaseSeed uint64
 	// Caps bound the generated scenario sizes (zero value: specgen
 	// defaults).
 	Caps specgen.Caps
-	// Workers is the worker count used by the multi-worker side of the
-	// invariance properties (default 4).
+	// Workers is the worker count of every multi-worker sweep the
+	// properties run (default 4).
 	Workers int
 	// OutDir is where minimized reproduction specs are written on failure
 	// (default: current directory). Empty string means default.
@@ -52,9 +52,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Seeds <= 0 {
 		o.Seeds = 20
-	}
-	if o.BaseSeed == 0 {
-		o.BaseSeed = 1
 	}
 	if o.Workers <= 0 {
 		o.Workers = 4
@@ -83,11 +80,13 @@ type Failure struct {
 	ReproPath string
 }
 
-// PropertyResult aggregates one property across the sweep.
+// PropertyResult aggregates one property across the sweep. Skipped counts
+// the specs outside the property's precondition: it said nothing about them.
 type PropertyResult struct {
-	Name   string
-	Passed int
-	Failed int
+	Name    string
+	Passed  int
+	Skipped int
+	Failed  int
 }
 
 // Result is the outcome of a harness sweep.
@@ -109,9 +108,9 @@ func (r *Result) Ok() bool { return len(r.Failures) == 0 }
 func (r *Result) Table() *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("engine invariants over %d generated specs (%v)", r.Specs, r.Elapsed.Round(time.Millisecond)),
-		"property", "passed", "failed")
+		"property", "passed", "skipped", "failed")
 	for _, p := range r.Properties {
-		t.AddRow(p.Name, p.Passed, p.Failed)
+		t.AddRow(p.Name, p.Passed, p.Skipped, p.Failed)
 	}
 	return t
 }
@@ -125,6 +124,11 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sweep(ctx, opts, props)
+}
+
+// sweep is Run over an explicit property table (opts already defaulted).
+func sweep(ctx context.Context, opts Options, props []property) (*Result, error) {
 	start := time.Now()
 	res := &Result{Specs: opts.Seeds}
 	res.Properties = make([]PropertyResult, len(props))
@@ -139,6 +143,10 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		sp := specgen.Generate(seed, opts.Caps)
 		before := len(res.Failures)
 		for pi, p := range props {
+			if p.applies != nil && !p.applies(sp) {
+				res.Properties[pi].Skipped++
+				continue
+			}
 			err := p.check(ctx, sp, opts.Workers)
 			if err == nil {
 				res.Properties[pi].Passed++

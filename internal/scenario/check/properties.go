@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vce/internal/arch"
 	"vce/internal/rng"
 	"vce/internal/scenario"
+	"vce/internal/scenario/specgen"
 	"vce/internal/sim"
 )
 
@@ -20,6 +23,10 @@ import (
 type property struct {
 	name string
 	doc  string
+	// applies, when set, is the property's precondition over the spec: the
+	// harness reports specs it rejects as skipped — neither passed nor
+	// failed — and the shrinker never leaves it.
+	applies func(*scenario.Spec) bool
 	// check returns nil when the invariant holds for sp; workers is the
 	// harness's concurrent-worker setting for multi-worker comparisons.
 	check func(ctx context.Context, sp *scenario.Spec, workers int) error
@@ -30,56 +37,36 @@ type property struct {
 	seedOnly bool
 }
 
+// violation evaluates p on sp; a spec outside p's precondition holds it
+// vacuously.
+func (p property) violation(ctx context.Context, sp *scenario.Spec, workers int) error {
+	if p.applies != nil && !p.applies(sp) {
+		return nil
+	}
+	return p.check(ctx, sp, workers)
+}
+
 // properties returns the harness's property table. Order is reporting
-// order: cheap structural invariants first, derived-scenario sanity last.
+// order: the execution lattice first, then what the indexes must satisfy on
+// the generator's strata, derived-world metamorphic pairs last.
 func properties() []property {
 	return []property{
 		{
-			name:  "seed-determinism",
-			doc:   "equal (spec, seed) produce byte-identical reports",
-			check: seedDeterminism,
+			name:  "execution-identity",
+			doc:   "the report is one function of (spec, seed): run again, on single-use arenas, at N workers, sharded and merged, replayed from a warm cache, audited, or with the policy matrix reversed, it equals the reference sweep",
+			check: executionIdentity(executionModes()),
 		},
 		{
-			name:  "worker-invariance",
-			doc:   "the report does not depend on the worker count",
-			check: workerInvariance,
+			name:    "steady-state-bounds",
+			doc:     "an overloaded bounded-queue stream completes work, orders its slowdown quantiles and never queues past queue_limit",
+			applies: specgen.OverloadedStream,
+			check:   onRuns(steadyStateHolds),
 		},
 		{
-			name:  "shard-merge-identity",
-			doc:   "sharded sweeps merge into the single-process report byte-identically",
-			check: shardMergeIdentity,
-		},
-		{
-			name:  "cache-warm-identity",
-			doc:   "a warm result cache replays the cold report with zero simulations",
-			check: cacheWarmIdentity,
-		},
-		{
-			name:  "arena-reuse-identity",
-			doc:   "per-worker world recycling replays the fresh-build report byte-identically",
-			check: arenaReuseIdentity,
-		},
-		{
-			name:  "cell-permutation",
-			doc:   "permuting the policy matrix permutes cells without changing any cell's runs",
-			check: cellPermutation,
-		},
-		{
-			name:  "audit-conservation",
-			doc:   "kernel audit: virtual-time monotonicity and conservation of work hold, and auditing does not perturb the report",
-			check: auditConservation,
-		},
-		{
-			name:     "steady-state-identity",
-			doc:      "a heavy-traffic streaming cell's steady-state indexes are byte-identical across worker counts, shard merges, and warm-cache replay",
-			check:    steadyStateIdentity,
-			seedOnly: true,
-		},
-		{
-			name:     "topology-conservation",
-			doc:      "on a two-site DAG workload every offered task completes or rejects exactly once, children never finish before their parents, and the topology indexes stay in range",
-			check:    topologyConservation,
-			seedOnly: true,
+			name:    "topology-conservation",
+			doc:     "on a two-site DAG every offered task completes or rejects exactly once and the topology indexes stay in range",
+			applies: specgen.TwoSiteDAG,
+			check:   onRuns(topologyConserved),
 		},
 		{
 			name:     "machine-permutation",
@@ -96,426 +83,234 @@ func properties() []property {
 	}
 }
 
-// reportBytes runs a sweep and returns the serialized report.
-func reportBytes(ctx context.Context, sp *scenario.Spec, o scenario.Options) ([]byte, *scenario.Report, error) {
-	rep, err := scenario.RunContext(ctx, sp, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, rep, nil
+// mode is one more way to execute a spec's sweep. Whatever it does — other
+// options, other entry points, a reordered matrix — what comes back must be
+// the reference sweep's numbers.
+type mode struct {
+	name string
+	run  func(ctx context.Context, sp *scenario.Spec, workers int) (*scenario.Report, error)
 }
 
-func seedDeterminism(ctx context.Context, sp *scenario.Spec, _ int) error {
-	a, _, err := reportBytes(ctx, sp, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
+// executionModes is the lattice above the reference sweep (Workers:1, no
+// cache, no audit), ordered from the least machinery to the most. The
+// reference already recycles one arena across every cell, so reproducibility
+// and arena reuse come first; every mode after "workers" runs at Workers:N.
+func executionModes() []mode {
+	return []mode{
+		{"again", sweepAt(scenario.Options{Workers: 1})},
+		{"fresh-arena", freshArenas},
+		{"workers", sweepAt(scenario.Options{})},
+		{"shards", shardMerge},
+		{"cache", coldThenWarm},
+		{"audited", sweepAt(scenario.Options{Audit: true})},
+		{"permuted-matrix", permutedMatrix},
 	}
-	b, _, err := reportBytes(ctx, sp, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(a, b) {
-		return fmt.Errorf("two runs of the same (spec, seed) produced different reports (%d vs %d bytes)", len(a), len(b))
-	}
-	return nil
 }
 
-func workerInvariance(ctx context.Context, sp *scenario.Spec, workers int) error {
-	serial, _, err := reportBytes(ctx, sp, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
+// sweepAt is the runner of a plain sweep under o, at the harness's worker
+// count unless o fixes one.
+func sweepAt(o scenario.Options) func(context.Context, *scenario.Spec, int) (*scenario.Report, error) {
+	return func(ctx context.Context, sp *scenario.Spec, workers int) (*scenario.Report, error) {
+		o := o
+		if o.Workers == 0 {
+			o.Workers = workers
+		}
+		return scenario.RunContext(ctx, sp, o)
 	}
-	parallel, _, err := reportBytes(ctx, sp, scenario.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(serial, parallel) {
-		return fmt.Errorf("report differs between 1 and %d workers", workers)
-	}
-	return nil
 }
 
-func shardMergeIdentity(ctx context.Context, sp *scenario.Spec, workers int) error {
-	full, _, err := reportBytes(ctx, sp, scenario.Options{Workers: workers})
+// executionIdentity is the one identity property: simulate the reference
+// once, then every mode is one more execution compared with that reference.
+// Evaluation stops at the first failing mode — each later mode runs on top
+// of the earlier ones' machinery and would only repeat the verdict — and the
+// violation names it, so one defect is one failure that says where to look.
+func executionIdentity(modes []mode) func(context.Context, *scenario.Spec, int) error {
+	return func(ctx context.Context, sp *scenario.Spec, workers int) error {
+		ref, err := scenario.RunContext(ctx, sp, scenario.Options{Workers: 1})
+		if err != nil {
+			return fmt.Errorf("mode=reference: %w", err)
+		}
+		for _, m := range modes {
+			got, err := m.run(ctx, sp, workers)
+			if err == nil {
+				err = sameReport(ref, got)
+			}
+			if err != nil {
+				return fmt.Errorf("mode=%s: %w", m.name, err)
+			}
+		}
+		return nil
+	}
+}
+
+// sameReport demands the serialized report — engine stamp, spec, cell order,
+// every index — byte for byte, and locates the first cell that differs.
+func sameReport(ref, got *scenario.Report) error {
+	want, err := json.Marshal(ref)
 	if err != nil {
 		return err
 	}
+	have, err := json.Marshal(got)
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(want, have) {
+		return nil
+	}
+	for i := 0; i < len(ref.Cells) && i < len(got.Cells); i++ {
+		if a, b := ref.Cells[i], got.Cells[i]; !slices.Equal(a.Runs, b.Runs) {
+			return fmt.Errorf("cell %s/%s: per-run indexes differ from the reference sweep:\n got %+v\nwant %+v", a.Sched, a.Migration, b.Runs, a.Runs)
+		}
+	}
+	return fmt.Errorf("report differs from the reference sweep outside the per-run indexes (%d vs %d bytes)", len(have), len(want))
+}
+
+// freshArenas rebuilds the sweep from scenario.RunInstanceContext, which runs
+// each (cell, run) from scratch on a single-use arena: the reference the
+// executor's recycled worlds, pooled tasks and reset kernels must replay.
+func freshArenas(ctx context.Context, sp *scenario.Spec, _ int) (*scenario.Report, error) {
+	insts := sp.Instances()
+	rep := &scenario.Report{Engine: scenario.EngineVersion, Spec: insts[0].Spec}
+	for _, inst := range insts {
+		cell := scenario.Cell{Sched: inst.Sched, Migration: inst.Migration}
+		for run := 0; run < inst.Spec.Runs; run++ {
+			idx, err := scenario.RunInstanceContext(ctx, inst, run)
+			if err != nil {
+				return nil, fmt.Errorf("%s run %d from scratch: %w", inst.Key(), run, err)
+			}
+			cell.Runs = append(cell.Runs, idx)
+		}
+		rep.Cells = append(rep.Cells, cell)
+	}
+	return rep, nil
+}
+
+// shardMerge runs the sweep as two shards and merges them.
+func shardMerge(ctx context.Context, sp *scenario.Spec, workers int) (*scenario.Report, error) {
 	var shards []*scenario.Report
 	for i := 0; i < 2; i++ {
-		_, rep, err := reportBytes(ctx, sp, scenario.Options{Workers: workers, Shard: scenario.Shard{Index: i, Count: 2}})
+		rep, err := scenario.RunContext(ctx, sp, scenario.Options{Workers: workers, Shard: scenario.Shard{Index: i, Count: 2}})
 		if err != nil {
-			return fmt.Errorf("shard %d/2: %w", i, err)
+			return nil, fmt.Errorf("shard %d/2: %w", i, err)
 		}
 		shards = append(shards, rep)
 	}
-	merged, err := scenario.MergeReports(shards...)
-	if err != nil {
-		return err
-	}
-	got, err := json.Marshal(merged)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(got, full) {
-		return fmt.Errorf("merged 2-shard report differs from the single-process report")
-	}
-	return nil
+	return scenario.MergeReports(shards...)
 }
 
-// memStore is an in-memory scenario.Store with traffic counters, the cache
-// test double for the warm-identity property.
+// memStore is an in-memory scenario.Store with a miss counter, the cache
+// double behind the "cache" mode.
 type memStore struct {
-	mu     sync.Mutex
-	m      map[string]scenario.Indexes
-	misses int
+	m      sync.Map // cell key → scenario.Indexes
+	misses atomic.Int64
 }
-
-func newMemStore() *memStore { return &memStore{m: make(map[string]scenario.Indexes)} }
 
 func (s *memStore) Get(key string) (scenario.Indexes, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, ok := s.m[key]
+	v, ok := s.m.Load(key)
 	if !ok {
-		s.misses++
+		s.misses.Add(1)
+		return scenario.Indexes{}, false, nil
 	}
-	return idx, ok, nil
+	return v.(scenario.Indexes), true, nil
 }
 
 func (s *memStore) Put(key string, idx scenario.Indexes) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = idx
+	s.m.Store(key, idx)
 	return nil
 }
 
-func (s *memStore) missCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.misses
+// coldThenWarm fills an empty store with one sweep and replays it with a
+// second, which must hit on every cell: what the lattice compares is what
+// the cold sweep stored.
+func coldThenWarm(ctx context.Context, sp *scenario.Spec, workers int) (*scenario.Report, error) {
+	store := new(memStore)
+	o := scenario.Options{Workers: workers, Cache: store}
+	if _, err := scenario.RunContext(ctx, sp, o); err != nil {
+		return nil, err
+	}
+	coldMisses := store.misses.Load()
+	warm, err := scenario.RunContext(ctx, sp, o)
+	if err != nil {
+		return nil, err
+	}
+	if extra := store.misses.Load() - coldMisses; extra != 0 {
+		return nil, fmt.Errorf("warm sweep missed the cache %d times — cell keys are not stable across runs", extra)
+	}
+	return warm, nil
 }
 
-func cacheWarmIdentity(ctx context.Context, sp *scenario.Spec, workers int) error {
-	store := newMemStore()
-	cold, _, err := reportBytes(ctx, sp, scenario.Options{Workers: workers, Cache: store})
+// permutedMatrix runs the sweep with both policy lists reversed — which
+// reverses the cells — and undoes the reversal on the report. Streams derive
+// from (seed, name, run) only, so which policies share the matrix, and in
+// what order, must not reach any cell's world.
+func permutedMatrix(ctx context.Context, sp *scenario.Spec, workers int) (*scenario.Report, error) {
+	perm := *sp
+	perm.Policies = scenario.PolicyMatrix{
+		Scheduling: slices.Clone(sp.Policies.Scheduling),
+		Migration:  slices.Clone(sp.Policies.Migration),
+	}
+	slices.Reverse(perm.Policies.Scheduling)
+	slices.Reverse(perm.Policies.Migration)
+	rep, err := scenario.RunContext(ctx, &perm, scenario.Options{Workers: workers})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	coldMisses := store.missCount()
-	warm, _, err := reportBytes(ctx, sp, scenario.Options{Workers: workers, Cache: store})
-	if err != nil {
-		return err
-	}
-	if extra := store.missCount() - coldMisses; extra != 0 {
-		return fmt.Errorf("warm sweep missed the cache %d times — cell keys are not stable across runs", extra)
-	}
-	if !bytes.Equal(cold, warm) {
-		return fmt.Errorf("warm-cache report differs from the cold report")
-	}
-	return nil
+	rep.Spec.Policies = sp.Policies
+	slices.Reverse(rep.Cells)
+	return rep, nil
 }
 
-// arenaReuseIdentity pins the run arena's recycling contract: every cell of
-// a sweep — executed on per-worker arenas that recycle worlds and simulation
-// substrate from cell to cell — must equal scenario.RunInstanceContext of
-// that cell, which builds it from scratch on a single-use arena. One worker
-// funnels every cell through a single arena — the maximally-recycled
-// schedule, where any state leaking across a Reset would compound — and the
-// multi-worker pass exercises reuse under whatever job interleaving the
-// scheduler happens to deal.
-func arenaReuseIdentity(ctx context.Context, sp *scenario.Spec, workers int) error {
-	sweeps := []int{1, workers}
-	reports := make([]*scenario.Report, len(sweeps))
-	for i, w := range sweeps {
-		var err error
-		if _, reports[i], err = reportBytes(ctx, sp, scenario.Options{Workers: w}); err != nil {
+// onRuns is the check of a property that every run of one sweep must
+// satisfy on its own; a violation is located by cell and run.
+func onRuns(holds func(*scenario.Spec, scenario.Indexes) error) func(context.Context, *scenario.Spec, int) error {
+	return func(ctx context.Context, sp *scenario.Spec, workers int) error {
+		rep, err := scenario.RunContext(ctx, sp, scenario.Options{Workers: workers})
+		if err != nil {
 			return err
 		}
-	}
-	for ci, inst := range reports[0].Spec.Instances() {
-		for run := 0; run < reports[0].Spec.Runs; run++ {
-			fresh, err := scenario.RunInstanceContext(ctx, inst, run)
-			if err != nil {
-				return fmt.Errorf("%s run %d from scratch: %w", inst.Key(), run, err)
-			}
-			for i, rep := range reports {
-				if got := rep.Cells[ci].Runs[run]; got != fresh {
-					return fmt.Errorf("%s run %d: recycled-arena indexes differ from the from-scratch cell at %d workers:\n got %+v\nwant %+v",
-						inst.Key(), run, sweeps[i], got, fresh)
+		for _, cell := range rep.Cells {
+			for i, run := range cell.Runs {
+				if err := holds(rep.Spec, run); err != nil {
+					return fmt.Errorf("cell %s/%s run %d: %w", cell.Sched, cell.Migration, i, err)
 				}
 			}
 		}
+		return nil
+	}
+}
+
+// steadyStateHolds is what the steady-state indexes of an overloaded
+// bounded-queue stream (the specgen.OverloadedStream stratum) must satisfy;
+// that they are also execution-invariant is the lattice's job.
+func steadyStateHolds(sp *scenario.Spec, run scenario.Indexes) error {
+	switch limit := sp.Workload.QueueLimit; {
+	case run.Completed == 0:
+		return fmt.Errorf("completed nothing — the streaming pump never delivered")
+	case run.SlowdownP50 <= 0 || run.SlowdownP99 < run.SlowdownP50:
+		return fmt.Errorf("slowdown quantiles out of order: p50=%g p99=%g", run.SlowdownP50, run.SlowdownP99)
+	case run.QueueDepthMax > float64(limit):
+		return fmt.Errorf("queue depth %g exceeded the admission limit %d", run.QueueDepthMax, limit)
 	}
 	return nil
 }
 
-// reversed returns a reversed copy.
-func reversed(in []string) []string {
-	out := make([]string, len(in))
-	for i, s := range in {
-		out[len(in)-1-i] = s
-	}
-	return out
-}
-
-func cellPermutation(ctx context.Context, sp *scenario.Spec, _ int) error {
-	_, base, err := reportBytes(ctx, sp, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	perm := *sp
-	perm.Policies = scenario.PolicyMatrix{
-		Scheduling: reversed(sp.Policies.Scheduling),
-		Migration:  reversed(sp.Policies.Migration),
-	}
-	_, permuted, err := reportBytes(ctx, &perm, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	if len(base.Cells) != len(permuted.Cells) {
-		return fmt.Errorf("permuted matrix produced %d cells, want %d", len(permuted.Cells), len(base.Cells))
-	}
-	byKey := make(map[string][]byte, len(base.Cells))
-	for _, cell := range base.Cells {
-		data, err := json.Marshal(cell.Runs)
-		if err != nil {
-			return err
-		}
-		byKey[cell.Sched+"/"+cell.Migration] = data
-	}
-	for _, cell := range permuted.Cells {
-		key := cell.Sched + "/" + cell.Migration
-		want, ok := byKey[key]
-		if !ok {
-			return fmt.Errorf("cell %s missing from the baseline matrix", key)
-		}
-		got, err := json.Marshal(cell.Runs)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("cell %s changed its per-run indexes when the matrix was reordered", key)
-		}
-	}
-	return nil
-}
-
-func auditConservation(ctx context.Context, sp *scenario.Spec, workers int) error {
-	plain, _, err := reportBytes(ctx, sp, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	audited, _, err := reportBytes(ctx, sp, scenario.Options{Workers: workers, Audit: true})
-	if err != nil {
-		return err // typically a *scenario.AuditError with the violations
-	}
-	if !bytes.Equal(plain, audited) {
-		return fmt.Errorf("attaching the auditor changed the report — the auditor must observe, not participate")
-	}
-	return nil
-}
-
-// steadyStateIdentity pins the streaming engine's determinism contract on a
-// spec guaranteed to exercise it: an overloaded diurnal cell with a bounded
-// admission queue, recycled task records, owner churn and checkpointing. The
-// corpus may or may not draw such a combination for any given seed; this
-// property always does, and demands the steady-state indexes — slowdown
-// quantiles included — come back byte-identical across worker counts, a
-// 2-shard merge, and a warm-cache replay.
-func steadyStateIdentity(ctx context.Context, sp *scenario.Spec, workers int) error {
-	r := rng.New(sp.Seed).Derive("check-steady")
-	spec := &scenario.Spec{
-		Name:     "check-steady",
-		HorizonS: 600,
-		Machines: scenario.MachineSetSpec{
-			BandwidthMiBps: scenario.Float64(4),
-			Classes: []scenario.MachineClassSpec{
-				{Class: "workstation", Count: 3 + r.Intn(4), Speed: scenario.Dist{Kind: "fixed", Value: 2}},
-			},
-		},
-		Workload: scenario.WorkloadSpec{
-			// The offered load (rate 2/s over 600s) outruns both the service
-			// capacity and the task cap, so admission rejections, the pool's
-			// recycling path and the past-cap accounting all engage.
-			Tasks: 200 + r.Intn(200),
-			Work:  scenario.Dist{Kind: "uniform", Min: 5, Max: 20},
-			Arrivals: scenario.ArrivalSpec{
-				Kind:      "diurnal",
-				RatePerS:  2,
-				Amplitude: 0.8,
-				PeriodS:   150,
-				PhaseS:    float64(r.Intn(60)),
-			},
-			QueueLimit:     8 + r.Intn(16),
-			ImageMiB:       1,
-			Checkpointable: true,
-		},
-		CheckpointIntervalS: 30,
-		Owner:               &scenario.OwnerSpec{MeanIdleS: 120, MeanBusyS: 60, BusyLoad: 1},
-		Policies: scenario.PolicyMatrix{
-			Scheduling: []string{"greedy-best-fit"},
-			Migration:  []string{"none", "suspend"},
-		},
-		Runs: 2,
-		Seed: r.Uint64(),
-	}
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("derived steady-state spec invalid: %w", err)
-	}
-
-	serial, rep, err := reportBytes(ctx, spec, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	for _, cell := range rep.Cells {
-		for i, run := range cell.Runs {
-			if run.Completed == 0 {
-				return fmt.Errorf("cell %s/%s run %d completed nothing — the streaming pump never delivered", cell.Sched, cell.Migration, i)
-			}
-			if run.SlowdownP99 < run.SlowdownP50 || run.SlowdownP50 <= 0 {
-				return fmt.Errorf("cell %s/%s run %d: slowdown quantiles out of order: p50=%g p99=%g",
-					cell.Sched, cell.Migration, i, run.SlowdownP50, run.SlowdownP99)
-			}
-			if run.QueueDepthMax > float64(spec.Workload.QueueLimit) {
-				return fmt.Errorf("cell %s/%s run %d: queue depth %g exceeded the admission limit %d",
-					cell.Sched, cell.Migration, i, run.QueueDepthMax, spec.Workload.QueueLimit)
-			}
-		}
-	}
-
-	parallel, _, err := reportBytes(ctx, spec, scenario.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(serial, parallel) {
-		return fmt.Errorf("streaming report differs between 1 and %d workers", workers)
-	}
-
-	var shards []*scenario.Report
-	for i := 0; i < 2; i++ {
-		_, shard, err := reportBytes(ctx, spec, scenario.Options{Workers: workers, Shard: scenario.Shard{Index: i, Count: 2}})
-		if err != nil {
-			return fmt.Errorf("shard %d/2: %w", i, err)
-		}
-		shards = append(shards, shard)
-	}
-	merged, err := scenario.MergeReports(shards...)
-	if err != nil {
-		return err
-	}
-	mergedBytes, err := json.Marshal(merged)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(serial, mergedBytes) {
-		return fmt.Errorf("merged 2-shard streaming report differs from the single-process report")
-	}
-
-	store := newMemStore()
-	cold, _, err := reportBytes(ctx, spec, scenario.Options{Workers: workers, Cache: store})
-	if err != nil {
-		return err
-	}
-	coldMisses := store.missCount()
-	warm, _, err := reportBytes(ctx, spec, scenario.Options{Workers: workers, Cache: store})
-	if err != nil {
-		return err
-	}
-	if extra := store.missCount() - coldMisses; extra != 0 {
-		return fmt.Errorf("warm streaming sweep missed the cache %d times — cell keys unstable for open-loop arrivals", extra)
-	}
-	if !bytes.Equal(cold, warm) {
-		return fmt.Errorf("warm-cache streaming report differs from the cold report")
-	}
-	if !bytes.Equal(serial, cold) {
-		return fmt.Errorf("cached streaming report differs from the uncached report")
-	}
-	return nil
-}
-
-// topologyConservation pins the topology/DAG engine's accounting on a spec
-// guaranteed to exercise it: a two-site fleet with an expensive inter-site
-// link, a dependent workload (shape drawn per seed) and the locality policy
-// swept against the greedy baseline. Conservation must be exact — every
-// offered task either completes or rejects, exactly once — the dependency
-// order is enforced in-engine (a child completing before its last parent
-// fails the run itself), the new indexes must stay in range, and the report
-// must not depend on the worker count. The corpus may or may not draw such a
-// combination for any given seed; this property always does.
-func topologyConservation(ctx context.Context, sp *scenario.Spec, workers int) error {
-	r := rng.New(sp.Seed).Derive("check-topology")
-	kinds := []string{"chain", "fanout", "random"}
-	spec := &scenario.Spec{
-		Name:     "check-topology",
-		HorizonS: 6000,
-		Machines: scenario.MachineSetSpec{
-			BandwidthMiBps: scenario.Float64(2),
-			LatencyMs:      1,
-			Classes: []scenario.MachineClassSpec{
-				{Class: "workstation", Count: 2 + r.Intn(3), Speed: scenario.Dist{Kind: "fixed", Value: 1}, Site: "site-a"},
-				{Class: "mimd", Count: 1 + r.Intn(2), Speed: scenario.Dist{Kind: "fixed", Value: 2}, Slots: 2, Site: "site-b"},
-			},
-			Topology: &scenario.TopologySpec{
-				IntraLatencyMs:      0.5,
-				IntraBandwidthMiBps: 16,
-				InterLatencyMs:      20,
-				InterBandwidthMiBps: 1,
-			},
-		},
-		Workload: scenario.WorkloadSpec{
-			Tasks:    12 + r.Intn(20),
-			Work:     scenario.Dist{Kind: "uniform", Min: 5, Max: 30},
-			Arrivals: scenario.ArrivalSpec{Kind: "batch"},
-			Graph:    &scenario.GraphSpec{Kind: kinds[r.Intn(len(kinds))], DataMiB: 2},
-			ImageMiB: 1,
-		},
-		Policies: scenario.PolicyMatrix{
-			Scheduling: []string{"locality", "greedy-best-fit"},
-			Migration:  []string{"none"},
-		},
-		Runs: 2,
-		Seed: r.Uint64(),
-	}
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("derived topology spec invalid: %w", err)
-	}
-
-	serial, rep, err := reportBytes(ctx, spec, scenario.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	for _, cell := range rep.Cells {
-		for i, run := range cell.Runs {
-			if run.Completed+run.Rejected != spec.Workload.Tasks {
-				return fmt.Errorf("cell %s/%s run %d: %d completed + %d rejected != %d offered — a task leaked or was double-counted",
-					cell.Sched, cell.Migration, i, run.Completed, run.Rejected, spec.Workload.Tasks)
-			}
-			if run.Completed == 0 {
-				return fmt.Errorf("cell %s/%s run %d completed nothing inside a generous horizon", cell.Sched, cell.Migration, i)
-			}
-			if run.ForwardedPct < 0 || run.ForwardedPct > 100 {
-				return fmt.Errorf("cell %s/%s run %d: forwarded_pct %g outside [0, 100]", cell.Sched, cell.Migration, i, run.ForwardedPct)
-			}
-			if run.XferWaitS < 0 {
-				return fmt.Errorf("cell %s/%s run %d: negative xfer_wait_s %g", cell.Sched, cell.Migration, i, run.XferWaitS)
-			}
-			if run.CriticalPathStretch <= 0 {
-				return fmt.Errorf("cell %s/%s run %d: critical_path_stretch %g not positive for a DAG workload",
-					cell.Sched, cell.Migration, i, run.CriticalPathStretch)
-			}
-		}
-	}
-
-	parallel, _, err := reportBytes(ctx, spec, scenario.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(serial, parallel) {
-		return fmt.Errorf("topology report differs between 1 and %d workers", workers)
+// topologyConserved is the accounting of a two-site DAG (the
+// specgen.TwoSiteDAG stratum): every offered task either completes or
+// rejects, exactly once, and the topology indexes stay in range. Dependency
+// order is enforced in-engine — a child completing before its last parent
+// fails the run itself.
+func topologyConserved(sp *scenario.Spec, run scenario.Indexes) error {
+	switch tasks := sp.Workload.Tasks; {
+	case run.Completed+run.Rejected != tasks:
+		return fmt.Errorf("%d completed + %d rejected != %d offered — a task leaked or was double-counted", run.Completed, run.Rejected, tasks)
+	case run.Completed == 0:
+		return fmt.Errorf("completed nothing inside a generous horizon")
+	case run.ForwardedPct < 0 || run.ForwardedPct > 100:
+		return fmt.Errorf("forwarded_pct %g outside [0, 100]", run.ForwardedPct)
+	case run.XferWaitS < 0:
+		return fmt.Errorf("negative xfer_wait_s %g", run.XferWaitS)
+	case run.CriticalPathStretch <= 0:
+		return fmt.Errorf("critical_path_stretch %g not positive for a DAG workload", run.CriticalPathStretch)
 	}
 	return nil
 }
@@ -649,11 +444,11 @@ func makespanDominance(ctx context.Context, sp *scenario.Spec, workers int) erro
 	aug.Machines.Classes = append(append([]scenario.MachineClassSpec(nil), base.Machines.Classes...),
 		scenario.MachineClassSpec{Class: "mimd", Count: 1 + r.Intn(3), Speed: scenario.Dist{Kind: "fixed", Value: speed}})
 
-	_, baseRep, err := reportBytes(ctx, base, scenario.Options{Workers: workers})
+	baseRep, err := scenario.RunContext(ctx, base, scenario.Options{Workers: workers})
 	if err != nil {
 		return err
 	}
-	_, augRep, err := reportBytes(ctx, &aug, scenario.Options{Workers: workers})
+	augRep, err := scenario.RunContext(ctx, &aug, scenario.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

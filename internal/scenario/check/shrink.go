@@ -6,17 +6,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"vce/internal/scenario"
 )
 
 // shrink greedily minimizes a failing spec: it repeatedly tries a fixed
-// menu of simplifications (single matrix cell, one run, dropped churn/fault
-// models, fewer tasks and machines, shorter horizon) and keeps any candidate
-// on which the property still fails, until no simplification sticks or the
-// evaluation budget runs out. It returns the smallest still-failing spec and
-// that spec's violation.
+// menu of simplifications (single matrix cell, one run, dropped churn, fault,
+// constraint, graph and topology models, closed arrivals, no queue bound,
+// fewer tasks and machines, shorter horizon) and keeps any candidate on which
+// the property still fails, until no simplification sticks or the evaluation
+// budget runs out. A candidate outside the property's precondition does not
+// fail, so a stratum property's repro stays in its stratum. It returns the
+// smallest still-failing spec and that spec's violation.
 //
 // Minimality is local and the failure mode may shift while shrinking (any
 // property error counts) — the point is a small, runnable reproduction, not
@@ -24,7 +27,7 @@ import (
 // on re-evaluation (a flake): the caller keeps the original spec and
 // violation.
 func shrink(ctx context.Context, p property, sp *scenario.Spec, workers, budget int) (*scenario.Spec, error) {
-	err := p.check(ctx, sp, workers)
+	err := p.violation(ctx, sp, workers)
 	budget--
 	if err == nil {
 		return sp, nil
@@ -40,7 +43,7 @@ func shrink(ctx context.Context, p property, sp *scenario.Spec, workers, budget 
 				continue // a transformation broke spec structure: not a candidate
 			}
 			budget--
-			if cerr := p.check(ctx, cand, workers); cerr != nil {
+			if cerr := p.violation(ctx, cand, workers); cerr != nil {
 				current, lastErr = cand, cerr
 				improved = true
 				break // restart the menu from the smaller spec
@@ -58,22 +61,9 @@ func candidates(s *scenario.Spec) []*scenario.Spec {
 	var out []*scenario.Spec
 	mutate := func(f func(*scenario.Spec)) {
 		c := *s
-		// Deep-copy the slices and pointers a transformation may touch.
-		c.Machines.Classes = append([]scenario.MachineClassSpec(nil), s.Machines.Classes...)
-		c.Policies.Scheduling = append([]string(nil), s.Policies.Scheduling...)
-		c.Policies.Migration = append([]string(nil), s.Policies.Migration...)
-		if s.Owner != nil {
-			o := *s.Owner
-			c.Owner = &o
-		}
-		if s.Faults != nil {
-			ft := *s.Faults
-			c.Faults = &ft
-		}
-		if s.Workload.Constrained != nil {
-			con := *s.Workload.Constrained
-			c.Workload.Constrained = &con
-		}
+		// Classes is the one thing a transformation edits in place; the
+		// rest is replaced or dropped whole.
+		c.Machines.Classes = slices.Clone(s.Machines.Classes)
 		f(&c)
 		out = append(out, &c)
 	}
@@ -99,8 +89,29 @@ func candidates(s *scenario.Spec) []*scenario.Spec {
 	if s.Workload.Constrained != nil {
 		mutate(func(c *scenario.Spec) { c.Workload.Constrained = nil })
 	}
-	if s.Workload.Arrivals.Kind == "poisson" {
-		mutate(func(c *scenario.Spec) { c.Workload.Arrivals = scenario.ArrivalSpec{Kind: "batch"} })
+	if s.Workload.Arrivals.Kind != "batch" {
+		// A queue bound is only meaningful on an open-loop source.
+		mutate(func(c *scenario.Spec) {
+			c.Workload.Arrivals = scenario.ArrivalSpec{Kind: "batch"}
+			c.Workload.QueueLimit = 0
+		})
+	}
+	if s.Workload.QueueLimit > 0 {
+		mutate(func(c *scenario.Spec) { c.Workload.QueueLimit = 0 })
+	}
+	if s.Workload.Graph != nil {
+		mutate(func(c *scenario.Spec) { c.Workload.Graph = nil })
+	}
+	hasSite := func(cl scenario.MachineClassSpec) bool { return cl.Site != "" }
+	if s.Machines.Topology != nil || slices.ContainsFunc(s.Machines.Classes, hasSite) {
+		// The topology needs its sites, and sites without it still feed
+		// locality's affinity accounting: they go together.
+		mutate(func(c *scenario.Spec) {
+			c.Machines.Topology = nil
+			for i := range c.Machines.Classes {
+				c.Machines.Classes[i].Site = ""
+			}
+		})
 	}
 	if s.Workload.Tasks > 1 {
 		mutate(func(c *scenario.Spec) { c.Workload.Tasks = s.Workload.Tasks / 2 })
@@ -144,12 +155,13 @@ func writeRepro(dir string, p property, seed uint64, sp *scenario.Spec, cause er
 		return "", fmt.Errorf("check: %w", err)
 	}
 	out := *sp
+	// The violation leads, so an execution-identity repro opens with the
+	// failing mode.
+	out.Description = fmt.Sprintf("%s — check repro: property %q failed on generator seed %d", firstLine(cause), p.name, seed)
 	if p.seedOnly {
-		out.Description = fmt.Sprintf(
-			"check repro: property %q failed on generator seed %d: %s — this property derives its world from the seed; replay with `vcebench check -seed %d -seeds 1 -properties %s`",
-			p.name, seed, firstLine(cause), seed, p.name)
-	} else {
-		out.Description = fmt.Sprintf("check repro: property %q failed on generator seed %d: %s", p.name, seed, firstLine(cause))
+		out.Description += fmt.Sprintf(
+			"; this property derives its world from the seed, replay with `vcebench check -seed %d -seeds 1 -properties %s`",
+			seed, p.name)
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {

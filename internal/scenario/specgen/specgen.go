@@ -13,11 +13,17 @@
 // Generated sizes are bounded by Caps so a whole `vcebench check -seeds N`
 // sweep stays cheap; every knob the scenario schema exposes is exercised
 // across seeds, including the ones the shipped example specs never combine.
+// Two combinations the free draw reaches too rarely to rely on — an
+// overloaded bounded-queue stream and a two-site DAG — are strata: one seed
+// in strataEvery draws each (see OverloadedStream and TwoSiteDAG), so any
+// run of consecutive seeds covers them.
 package specgen
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 
 	"vce/internal/rng"
 	"vce/internal/scenario"
@@ -102,15 +108,16 @@ func dist(r *rng.Source, lo, hi float64) scenario.Dist {
 	}
 }
 
+// quantRate quantizes an arrival rate to 1e-3 for compact serialization,
+// floored there: a rate must stay positive.
+func quantRate(rate float64) float64 {
+	return math.Max(0.001, round2(rate*1000)/1000)
+}
+
 // genRate draws an open-arrival rate that lands most of the workload inside
-// the horizon, quantized to 1e-3 for compact serialization.
+// the horizon.
 func genRate(r *rng.Source, sp *scenario.Spec) float64 {
-	rate := float64(sp.Workload.Tasks) / (sp.HorizonS * r.Range(0.3, 0.9))
-	rate = round2(rate*1000) / 1000
-	if rate <= 0 {
-		rate = 0.001
-	}
-	return rate
+	return quantRate(float64(sp.Workload.Tasks) / (sp.HorizonS * r.Range(0.3, 0.9)))
 }
 
 // subset returns a random non-empty subset of all, preserving order.
@@ -149,7 +156,40 @@ func Generate(seed uint64, caps Caps) *scenario.Spec {
 		Runs:        1 + r.Intn(caps.MaxRuns),
 		Seed:        r.Uint64(),
 	}
+	switch {
+	case seed%strataEvery == streamResidue:
+		drawOverloadedStream(sp, r.Derive("stream"), caps)
+	case seed%strataEvery == dagResidue && caps.MaxMachines >= 2 && caps.MaxCells >= 2:
+		drawTwoSiteDAG(sp, r.Derive("dag"), caps)
+	default:
+		drawAny(sp, r, caps)
+	}
+	if err := sp.Validate(); err != nil {
+		// The generator's whole point is emitting valid specs; an invalid
+		// one is a specgen bug, never scenario input noise.
+		panic(fmt.Sprintf("specgen: seed %d generated an invalid spec: %v", seed, err))
+	}
+	return sp
+}
 
+// drawGraph draws a dependency shape and its edge payload.
+func drawGraph(r *rng.Source) *scenario.GraphSpec {
+	g := &scenario.GraphSpec{DataMiB: round2(r.Range(0.25, 8))}
+	switch r.Intn(3) {
+	case 0:
+		g.Kind = "chain"
+	case 1:
+		g.Kind = "fanout"
+		g.FanOut = 2 + r.Intn(3)
+	default:
+		g.Kind = "random"
+		g.EdgeProb = round2(r.Range(0.05, 0.6))
+	}
+	return g
+}
+
+// drawAny fills sp with the free draw: every axis sampled independently.
+func drawAny(sp *scenario.Spec, r *rng.Source, caps Caps) {
 	// ---- machine set ----
 	mr := r.Derive("machines")
 	nclasses := 1 + mr.Intn(3)
@@ -252,18 +292,7 @@ func Generate(seed uint64, caps Caps) *scenario.Spec {
 	// tasks into a DAG (graph workloads require a materialized world, so
 	// streaming sources are excluded by construction, matching Validate).
 	if src, err := scenario.WorkloadSourceFor(sp.Workload.Arrivals.Kind); err == nil && !src.Streaming() && wr.Bool(0.35) {
-		g := &scenario.GraphSpec{DataMiB: round2(wr.Range(0.25, 8))}
-		switch wr.Intn(3) {
-		case 0:
-			g.Kind = "chain"
-		case 1:
-			g.Kind = "fanout"
-			g.FanOut = 2 + wr.Intn(3)
-		default:
-			g.Kind = "random"
-			g.EdgeProb = round2(wr.Range(0.05, 0.6))
-		}
-		sp.Workload.Graph = g
+		sp.Workload.Graph = drawGraph(wr)
 	}
 	if wr.Bool(0.3) {
 		pin := sp.Machines.Classes[wr.Intn(len(sp.Machines.Classes))].Class
@@ -301,13 +330,163 @@ func Generate(seed uint64, caps Caps) *scenario.Spec {
 		Scheduling: scheds,
 		Migration:  subset(pr, scenario.MigrationNames(), maxMig),
 	}
+}
 
-	if err := sp.Validate(); err != nil {
-		// The generator's whole point is emitting valid specs; an invalid
-		// one is a specgen bug, never scenario input noise.
-		panic(fmt.Sprintf("specgen: seed %d generated an invalid spec: %v", seed, err))
+// The strata: seeds in one residue class mod strataEvery each draw from a
+// narrow family instead of the free draw, so any strataEvery consecutive
+// seeds hold a spec of each. The predicates define the families;
+// internal/scenario/check runs its streaming and topology properties exactly
+// on the specs they accept.
+const (
+	strataEvery   = 8
+	streamResidue = 2
+	dagResidue    = 5
+)
+
+// fixedFleet returns the aggregate and the slowest speed of a fleet whose
+// classes all run at fixed speeds, zeros otherwise: the strata reason about
+// worst cases, which sampled speeds do not bound.
+func fixedFleet(ms scenario.MachineSetSpec) (total, slowest float64) {
+	slowest = math.Inf(1)
+	for _, cl := range ms.Classes {
+		if cl.Speed.Kind != "fixed" {
+			return 0, 0
+		}
+		total += float64(cl.Count) * cl.Speed.Value
+		slowest = math.Min(slowest, cl.Speed.Value)
 	}
-	return sp
+	return total, slowest
+}
+
+// OverloadedStream reports whether sp is an overloaded bounded-queue stream:
+// a diurnal source offering more work than the fleet can serve into a
+// bounded admission queue, more tasks than the queue holds, work short enough
+// to complete many times inside the horizon, owners idle at least as long as
+// busy. Faults are out: a fault requeue re-enters the queue past admission,
+// so the queue bound is not an invariant under them.
+func OverloadedStream(sp *scenario.Spec) bool {
+	w := &sp.Workload
+	capacity, slowest := fixedFleet(sp.Machines)
+	return w.Arrivals.Kind == "diurnal" && w.Work.Kind == "uniform" && slowest > 0 &&
+		sp.Faults == nil && w.Constrained == nil && w.QueueLimit > 0 && w.Tasks > 2*w.QueueLimit &&
+		w.Arrivals.RatePerS*w.Work.Min > capacity && 10*w.Work.Max/slowest <= sp.HorizonS &&
+		(sp.Owner == nil || sp.Owner.MeanIdleS >= sp.Owner.MeanBusyS)
+}
+
+// TwoSiteDAG reports whether sp is a sited DAG whose accounting closes inside
+// the horizon: a batch task graph over a topology with a priced inter-site
+// link, locality swept against a site-blind policy, no churn, faults or
+// constraints, and a horizon at least twice what running every task back to
+// back on the slowest machine, each staging its input across sites, takes.
+func TwoSiteDAG(sp *scenario.Spec) bool {
+	w, g, t := &sp.Workload, sp.Workload.Graph, sp.Machines.Topology
+	if g == nil || t == nil || len(t.Links) > 0 || g.DataMiB <= 0 || t.InterBandwidthMiBps <= 0 ||
+		w.Work.Kind != "uniform" || w.Arrivals.Kind != "batch" ||
+		sp.Owner != nil || sp.Faults != nil || w.Constrained != nil {
+		return false
+	}
+	scheds := sp.Policies.Scheduling
+	_, slowest := fixedFleet(sp.Machines)
+	stageS := g.DataMiB/t.InterBandwidthMiBps + t.InterLatencyMs/1000
+	return slices.Contains(scheds, "locality") && len(scheds) > 1 && slowest > 0 &&
+		2*float64(w.Tasks)*(w.Work.Max/slowest+stageS) <= sp.HorizonS
+}
+
+// stratumTasks draws a task count in the upper half of the cap: the strata
+// want all the traffic the caps allow.
+func stratumTasks(r *rng.Source, caps Caps) int {
+	return caps.MaxTasks/2 + 1 + r.Intn((caps.MaxTasks+1)/2)
+}
+
+// uniform returns the uniform distribution on [lo, hi], quantized and kept
+// valid (0 < min ≤ max) however small the caps make it.
+func uniform(lo, hi float64) scenario.Dist {
+	lo = math.Max(0.01, round2(lo))
+	return scenario.Dist{Kind: "uniform", Min: lo, Max: math.Max(lo, round2(hi))}
+}
+
+// pick draws one of names.
+func pick(r *rng.Source, names ...string) string { return names[r.Intn(len(names))] }
+
+// drawOverloadedStream fills sp with a member of the OverloadedStream
+// family: a small fixed-speed pool, arrivals at several times what it can
+// serve, owner churn and checkpointing — so admission rejections, slot
+// recycling and the checkpoint record's lifetime all engage.
+func drawOverloadedStream(sp *scenario.Spec, r *rng.Source, caps Caps) {
+	n, speed := 1+r.Intn(min(3, caps.MaxMachines)), float64(1+r.Intn(2))
+	sp.Machines = scenario.MachineSetSpec{
+		BandwidthMiBps: scenario.Float64(4),
+		Classes:        []scenario.MachineClassSpec{{Class: "workstation", Count: n, Speed: scenario.Dist{Kind: "fixed", Value: speed}}},
+	}
+	// A task holds a machine for a 15th to a 30th of the horizon at most,
+	// half that at least, so the fleet serves at most 2n/serviceS tasks a
+	// second; the margin above that absorbs quantization.
+	serviceS := sp.HorizonS / r.Range(15, 30)
+	rate := quantRate(r.Range(3, 6) * float64(n) / serviceS)
+	tasks := stratumTasks(r, caps)
+	sp.Workload = scenario.WorkloadSpec{
+		Tasks: tasks,
+		Work:  uniform(serviceS*speed/2, serviceS*speed),
+		Arrivals: scenario.ArrivalSpec{
+			Kind: "diurnal", RatePerS: rate, Amplitude: round2(r.Range(0, 0.8)),
+			PeriodS: round2(sp.HorizonS / r.Range(2, 6)), PhaseS: round2(r.Range(0, sp.HorizonS/6)),
+		},
+		QueueLimit:     1 + r.Intn(max(1, tasks/6)),
+		ImageMiB:       1,
+		Checkpointable: true,
+	}
+	sp.Owner = &scenario.OwnerSpec{
+		MeanIdleS: round2(sp.HorizonS / r.Range(3, 6)),
+		MeanBusyS: round2(sp.HorizonS / r.Range(20, 40)),
+		BusyLoad:  1,
+	}
+	sp.CheckpointIntervalS = round2(serviceS / r.Range(1, 3))
+	migs := []string{pick(r, "none", "suspend"), "checkpoint"}
+	if caps.MaxCells < 2 {
+		migs = migs[1:]
+	}
+	sp.Policies = scenario.PolicyMatrix{
+		Scheduling: []string{pick(r, "greedy-best-fit", "utilization-first")},
+		Migration:  migs,
+	}
+}
+
+// drawTwoSiteDAG fills sp with a member of the TwoSiteDAG family: two sites
+// joined by a link that costs about as much as a task's compute, a task
+// graph whose shape is drawn per seed, and locality swept against a
+// site-blind policy. Work and staging are sized from a task's share of half
+// the horizon, so every offered task completes or rejects in time.
+func drawTwoSiteDAG(sp *scenario.Spec, r *rng.Source, caps Caps) {
+	a := 1 + r.Intn(caps.MaxMachines/2)
+	b := 1 + r.Intn(min(3, caps.MaxMachines-a))
+	interBW := round2(r.Range(0.5, 2))
+	sp.Machines = scenario.MachineSetSpec{
+		BandwidthMiBps: scenario.Float64(2),
+		LatencyMs:      1,
+		Classes: []scenario.MachineClassSpec{
+			{Class: "workstation", Count: a, Speed: scenario.Dist{Kind: "fixed", Value: 1}, Site: "s0"},
+			{Class: "mimd", Count: b, Speed: scenario.Dist{Kind: "fixed", Value: 2}, Slots: 2, Site: "s1"},
+		},
+		Topology: &scenario.TopologySpec{
+			IntraLatencyMs: 0.5, IntraBandwidthMiBps: 16,
+			InterLatencyMs: 20, InterBandwidthMiBps: interBW,
+		},
+	}
+	tasks := stratumTasks(r, caps)
+	shareS := sp.HorizonS / float64(2*tasks)
+	g := drawGraph(r)
+	g.DataMiB = math.Max(0.01, round2(interBW*shareS*r.Range(0.1, 0.3)))
+	sp.Workload = scenario.WorkloadSpec{
+		Tasks:    tasks,
+		Work:     uniform(shareS*0.2, shareS*0.6),
+		Arrivals: scenario.ArrivalSpec{Kind: "batch"},
+		Graph:    g,
+		ImageMiB: 1,
+	}
+	sp.Policies = scenario.PolicyMatrix{
+		Scheduling: []string{pick(r, "greedy-best-fit", "utilization-first"), "locality"},
+		Migration:  []string{"none"},
+	}
 }
 
 // MarshalCanonical serializes a spec the way the corpus stores it: indented,

@@ -13,9 +13,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/corpus from the current generator output")
 
-// corpusSeeds are the committed corpus's generation seeds: enough diversity
-// to cover every optional spec axis (owner churn, faults, constraints,
-// poisson arrivals) across the set.
+// corpusSize is how many seeds, from 0, the committed corpus holds: enough
+// diversity to cover every optional spec axis and both strata twice.
 const corpusSize = 16
 
 // TestGeneratedSpecsAlwaysValid sweeps a wide seed range: every generated
@@ -97,39 +96,54 @@ func TestGenerateRespectsCaps(t *testing.T) {
 
 // TestCoverageAcrossSeeds: the generator must actually exercise the optional
 // spec axes somewhere in a modest seed range, or the property harness is
-// sweeping a blind spot.
+// sweeping a blind spot — and the two strata the harness's streaming and
+// topology properties run on must each appear in CI's 25-seed slice, under
+// every cap set the repo generates with.
 func TestCoverageAcrossSeeds(t *testing.T) {
-	var owner, faults, constrained, poisson, multiClass, slots int
+	axes := map[string]int{}
+	count := func(name string, hit bool) {
+		hits := axes[name] // a miss still registers the axis
+		if hit {
+			hits++
+		}
+		axes[name] = hits
+	}
 	const n = 200
 	for seed := 0; seed < n; seed++ {
 		sp := Generate(uint64(seed), Caps{})
-		if sp.Owner != nil {
-			owner++
+		count("owner", sp.Owner != nil)
+		count("faults", sp.Faults != nil)
+		count("constrained", sp.Workload.Constrained != nil)
+		count("multi-class", len(sp.Machines.Classes) > 1)
+		for _, kind := range []string{"poisson", "diurnal", "trace"} {
+			count(kind, sp.Workload.Arrivals.Kind == kind)
 		}
-		if sp.Faults != nil {
-			faults++
-		}
-		if sp.Workload.Constrained != nil {
-			constrained++
-		}
-		if sp.Workload.Arrivals.Kind == "poisson" {
-			poisson++
-		}
-		if len(sp.Machines.Classes) > 1 {
-			multiClass++
-		}
+		count("queue_limit", sp.Workload.QueueLimit > 0)
+		count("graph", sp.Workload.Graph != nil)
+		count("topology", sp.Machines.Topology != nil)
 		for _, cl := range sp.Machines.Classes {
-			if cl.Slots > 0 {
-				slots++
-			}
+			count("slots", cl.Slots > 0)
+			count("site", cl.Site != "")
 		}
 	}
-	for name, got := range map[string]int{
-		"owner": owner, "faults": faults, "constrained": constrained,
-		"poisson": poisson, "multi-class": multiClass, "slots": slots,
-	} {
+	for name, got := range axes {
 		if got == 0 {
 			t.Errorf("axis %q never generated in %d seeds", name, n)
+		}
+	}
+	for name, caps := range map[string]Caps{"default": {}, "fuzz": fuzzCaps} {
+		var streams, dags int
+		for seed := uint64(1); seed <= 25; seed++ {
+			sp := Generate(seed, caps)
+			if OverloadedStream(sp) {
+				streams++
+			}
+			if TwoSiteDAG(sp) {
+				dags++
+			}
+		}
+		if streams < 3 || dags < 3 {
+			t.Errorf("%s caps: seeds 1..25 hold %d overloaded streams and %d two-site DAGs, want at least 3 of each", name, streams, dags)
 		}
 	}
 }
