@@ -54,6 +54,15 @@ type Strategy interface {
 // ErrNotApplicable marks a strategy that cannot serve this task/pair.
 var ErrNotApplicable = errors.New("migrate: strategy not applicable")
 
+// The refusals of a heterogeneous machine pair. An evacuation scan asks
+// CanMigrate once per idle candidate and keeps only the nil answers, so on a
+// mixed fleet these are returned per candidate per scan: they are immutable
+// values, not formatted per call.
+var (
+	errAddressSpaceHeterogeneous = fmt.Errorf("%w: address-space copy requires homogeneity (same class, OS and byte order)", ErrNotApplicable)
+	errCheckpointHeterogeneous   = fmt.Errorf("%w: checkpoint image is architecture-specific", ErrNotApplicable)
+)
+
 // ---- address-space copy ----
 
 // AddressSpace is "process migration the old-fashioned way": freeze, copy
@@ -70,8 +79,7 @@ func (AddressSpace) CanMigrate(t *sim.Task, src, dst *sim.Machine) error {
 		return fmt.Errorf("migrate: nil argument")
 	}
 	if !src.Spec.ObjectCodeCompatible(dst.Spec) {
-		return fmt.Errorf("%w: address-space copy requires homogeneity (%s vs %s)",
-			ErrNotApplicable, src.Spec.Class, dst.Spec.Class)
+		return errAddressSpaceHeterogeneous
 	}
 	return nil
 }
@@ -189,7 +197,7 @@ func (k *Checkpointer) CanMigrate(t *sim.Task, src, dst *sim.Machine) error {
 	// Checkpoint restart loads the saved image; the destination must be
 	// able to execute the same binary the checkpoint was taken on.
 	if !src.Spec.ObjectCodeCompatible(dst.Spec) {
-		return fmt.Errorf("%w: checkpoint image is architecture-specific", ErrNotApplicable)
+		return errCheckpointHeterogeneous
 	}
 	return nil
 }

@@ -46,6 +46,19 @@ func TestAddressSpaceRequiresHomogeneity(t *testing.T) {
 	if _, err := (AddressSpace{}).Migrate(c, task, src, dst); err == nil {
 		t.Fatal("Migrate succeeded across architectures")
 	}
+	// The evacuation scan asks once per idle candidate and discards the
+	// refusal: answering must not format (allocate) an error.
+	task.Checkpointable = true
+	for _, s := range []Strategy{AddressSpace{}, NewCheckpointer(time.Second)} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if !errors.Is(s.CanMigrate(task, src, dst), ErrNotApplicable) {
+				t.Fatalf("%s allowed a heterogeneous pair", s.Name())
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: refusing a heterogeneous pair allocates %v times per call", s.Name(), allocs)
+		}
+	}
 }
 
 func TestAddressSpaceMigrationPreservesWork(t *testing.T) {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -142,10 +143,6 @@ var indexRegistry = []indexColumn{
 	{"critical_path_stretch", "×", func(i Indexes) float64 { return i.CriticalPathStretch }, aggMeanStd},
 }
 
-// indexColumns returns the registry (kept as a function so existing call
-// sites read naturally; the slice is shared — callers must not mutate it).
-func indexColumns() []indexColumn { return indexRegistry }
-
 // fmtAgg renders one comparison cell per the column's aggregation kind.
 func fmtAgg(d *metrics.Dist, agg aggKind) string {
 	if agg == aggPeak {
@@ -173,7 +170,7 @@ func num(v float64) string {
 // cell, one column per index.
 func (r *Report) ComparisonTable() *metrics.Table {
 	cols := []string{"sched", "migration"}
-	for _, c := range indexColumns() {
+	for _, c := range indexRegistry {
 		cols = append(cols, c.name)
 	}
 	title := fmt.Sprintf("%s: policy matrix, mean ± stddev over %d runs", r.Spec.Name, r.Spec.Runs)
@@ -186,7 +183,7 @@ func (r *Report) ComparisonTable() *metrics.Table {
 	t := metrics.NewTable(title, cols...)
 	for _, cell := range r.Cells {
 		row := []interface{}{cell.Sched, cell.Migration}
-		for _, c := range indexColumns() {
+		for _, c := range indexRegistry {
 			row = append(row, fmtAgg(dist(cell.Runs, c.get), c.agg))
 		}
 		t.AddRow(row...)
@@ -198,13 +195,13 @@ func (r *Report) ComparisonTable() *metrics.Table {
 // mean and stddev columns per index, for CSV/JSON consumers.
 func (r *Report) IndexTable() *metrics.Table {
 	cols := []string{"sched", "migration", "runs"}
-	for _, c := range indexColumns() {
+	for _, c := range indexRegistry {
 		cols = append(cols, c.name+"_mean", c.name+"_std")
 	}
 	t := metrics.NewTable(r.Spec.Name, cols...)
 	for _, cell := range r.Cells {
 		row := []interface{}{cell.Sched, cell.Migration, len(cell.Runs)}
-		for _, c := range indexColumns() {
+		for _, c := range indexRegistry {
 			d := dist(cell.Runs, c.get)
 			row = append(row, num(d.Mean()), num(d.Stddev()))
 		}
@@ -216,14 +213,14 @@ func (r *Report) IndexTable() *metrics.Table {
 // RunsTable renders the raw per-run indexes, one row per (cell, run).
 func (r *Report) RunsTable() *metrics.Table {
 	cols := []string{"sched", "migration", "run"}
-	for _, c := range indexColumns() {
+	for _, c := range indexRegistry {
 		cols = append(cols, c.name)
 	}
 	t := metrics.NewTable(r.Spec.Name+": per-run indexes", cols...)
 	for _, cell := range r.Cells {
 		for i, idx := range cell.Runs {
 			row := []interface{}{cell.Sched, cell.Migration, cell.runNumber(i)}
-			for _, c := range indexColumns() {
+			for _, c := range indexRegistry {
 				row = append(row, num(c.get(idx)))
 			}
 			t.AddRow(row...)
@@ -234,6 +231,12 @@ func (r *Report) RunsTable() *metrics.Table {
 
 // Markdown renders the full report as a Markdown document.
 func (r *Report) Markdown() string {
+	return r.markdown(r.ComparisonTable(), r.RunsTable())
+}
+
+// markdown renders the document around the report's already built
+// comparison and per-run tables.
+func (r *Report) markdown(comparison, runs *metrics.Table) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Scenario %s\n\n", r.Spec.Name)
 	if r.Spec.Description != "" {
@@ -242,9 +245,9 @@ func (r *Report) Markdown() string {
 	fmt.Fprintf(&b, "%d scheduling policies × %d migration strategies, %d runs per cell, seed %d, horizon %.0fs.\n\n",
 		len(r.Spec.Policies.Scheduling), len(r.Spec.Policies.Migration), r.Spec.Runs, r.Spec.Seed, r.Spec.HorizonS)
 	b.WriteString("## Index comparison (mean ± stddev)\n\n")
-	b.WriteString(r.ComparisonTable().Markdown())
+	b.WriteString(comparison.Markdown())
 	b.WriteString("\nUnits: ")
-	for i, c := range indexColumns() {
+	for i, c := range indexRegistry {
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -252,7 +255,7 @@ func (r *Report) Markdown() string {
 	}
 	b.WriteString(". queue_depth_max is the maximum across runs; all other columns are per-run means.\n")
 	b.WriteString("\n## Per-run indexes\n\n")
-	b.WriteString(r.RunsTable().Markdown())
+	b.WriteString(runs.Markdown())
 	return b.String()
 }
 
@@ -272,7 +275,7 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	var written []string
-	write := func(name string, gen func(*os.File) error) error {
+	write := func(name string, gen func(io.Writer) error) error {
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)
 		if err != nil {
@@ -288,31 +291,30 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 		written = append(written, path)
 		return nil
 	}
+	// Each table is built once (one dist pass over cells × columns) and
+	// rendered every way it is published.
+	comparison, index, runs := r.ComparisonTable(), r.IndexTable(), r.RunsTable()
+	text := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	indented := func(v any) func(io.Writer) error {
+		return func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(v)
+		}
+	}
 	steps := []struct {
 		name string
-		gen  func(*os.File) error
+		gen  func(io.Writer) error
 	}{
-		{"report.txt", func(f *os.File) error {
-			_, err := f.WriteString(r.ComparisonTable().String())
-			return err
-		}},
-		{"report.md", func(f *os.File) error {
-			_, err := f.WriteString(r.Markdown())
-			return err
-		}},
-		{"indexes.csv", func(f *os.File) error { return r.IndexTable().WriteCSV(f) }},
-		{"indexes.json", func(f *os.File) error { return r.IndexTable().WriteJSON(f) }},
-		{"runs.csv", func(f *os.File) error { return r.RunsTable().WriteCSV(f) }},
-		{"spec.json", func(f *os.File) error {
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			return enc.Encode(r.Spec)
-		}},
-		{ReportFile, func(f *os.File) error {
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			return enc.Encode(r)
-		}},
+		{"report.txt", text(comparison.String())},
+		{"report.md", text(r.markdown(comparison, runs))},
+		{"indexes.csv", index.WriteCSV},
+		{"indexes.json", index.WriteJSON},
+		{"runs.csv", runs.WriteCSV},
+		{"spec.json", indented(r.Spec)},
+		{ReportFile, indented(r)},
 	}
 	for _, s := range steps {
 		if err := write(s.name, s.gen); err != nil {

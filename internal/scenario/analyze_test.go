@@ -24,7 +24,7 @@ func TestIndexRegistryMatchesIndexes(t *testing.T) {
 		tags[tag] = true
 	}
 	seen := map[string]bool{}
-	for _, c := range indexColumns() {
+	for _, c := range indexRegistry {
 		if seen[c.name] {
 			t.Errorf("column %q registered twice", c.name)
 		}

@@ -59,14 +59,12 @@ type runArena struct {
 	fleet []arch.Machine
 	slots []int
 	// Candidate sets and the machine name index. Portable tasks accept every
-	// machine; constrained tasks only their pinned class. The sets carry both
-	// names and Machine.Index ids (same order) so the placement policies take
-	// their hash-free path.
-	machIdx     map[string]int
-	allNames    []string
-	allIDs      []int
-	pinnedNames []string
-	pinnedIDs   []int
+	// machine; constrained tasks only their pinned class. The sets are
+	// Machine.Index ids, which the placement policies resolve without
+	// hashing a name.
+	machIdx   map[string]int
+	allIDs    []int
+	pinnedIDs []int
 
 	world world
 
@@ -172,7 +170,6 @@ func newArena(sp *Spec) (*runArena, error) {
 	}
 	// Machines register in fleet order, so Machine.Index is the position.
 	for i, m := range fleet {
-		ar.allNames = append(ar.allNames, m.Name)
 		ar.allIDs = append(ar.allIDs, i)
 		ar.machIdx[m.Name] = i
 	}
@@ -183,7 +180,6 @@ func newArena(sp *Spec) (*runArena, error) {
 		}
 		for i, m := range fleet {
 			if m.Class == class {
-				ar.pinnedNames = append(ar.pinnedNames, m.Name)
 				ar.pinnedIDs = append(ar.pinnedIDs, i)
 			}
 		}

@@ -422,12 +422,12 @@ func (c *cell) pump() {
 	c.scheduleNext()
 }
 
-// candsFor returns slot i's admissible machines as names and dense ids.
-func (c *cell) candsFor(i int) ([]string, []int) {
+// candsFor returns slot i's admissible machines as dense ids.
+func (c *cell) candsFor(i int) []int {
 	if c.ar.pool.gens[i].constrained {
-		return c.ar.pinnedNames, c.ar.pinnedIDs
+		return c.ar.pinnedIDs
 	}
-	return c.ar.allNames, c.ar.allIDs
+	return c.ar.allIDs
 }
 
 // newItem builds the placement-queue entry for slot i with the
@@ -435,8 +435,7 @@ func (c *cell) candsFor(i int) ([]string, []int) {
 // submission, the race requeue, the transfer bounce and the fault requeue.
 func (c *cell) newItem(i int, work float64) sched.Item {
 	ar := c.ar
-	cands, ids := c.candsFor(i)
-	it := sched.Item{Task: taskgraph.TaskID(ar.pool.ids[i]), Candidates: cands, CandidateIDs: ids, Work: work}
+	it := sched.Item{Task: taskgraph.TaskID(ar.pool.ids[i]), CandidateIDs: c.candsFor(i), Work: work}
 	if ar.dag && ar.topo != nil && ar.homeSite[i] >= 0 {
 		it.HomeSite = int(ar.homeSite[i]) + 1
 	}

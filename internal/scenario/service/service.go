@@ -73,9 +73,11 @@ type Config struct {
 	MaxConcurrent int
 	// Log, when non-nil, receives one line per sweep state transition.
 	Log *log.Logger
-	// MaxSpecBytes bounds a submitted spec body (default 4 MiB).
-	MaxSpecBytes int64
 }
+
+// maxSpecBytes bounds a submitted spec body; a longer one is refused with
+// 413 before anything is parsed or persisted.
+const maxSpecBytes = 4 << 20
 
 // ServerStats is the GET /stats payload: live traffic over the shared
 // store plus the sweep registry's state census.
@@ -118,9 +120,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
-	}
-	if cfg.MaxSpecBytes <= 0 {
-		cfg.MaxSpecBytes = 4 << 20
 	}
 	cache, err := store.Open(cfg.CacheDir)
 	if err != nil {
@@ -411,7 +410,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, sv.cfg.MaxSpecBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return

@@ -338,7 +338,8 @@ func TestStatsAndPersistence(t *testing.T) {
 // with the validation error, unknown sweeps are 404s, artifacts of
 // unfinished sweeps are 409s, and artifact names cannot traverse paths.
 func TestBadRequests(t *testing.T) {
-	_, ts := newService(t, t.TempDir(), 1, 1)
+	dir := t.TempDir()
+	_, ts := newService(t, dir, 1, 1)
 
 	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(`{"name": "x"`))
 	if err != nil {
@@ -369,6 +370,22 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
+	}
+
+	// A valid spec padded to one byte over the body limit is refused for
+	// its size alone, before a sweep directory exists; the submission after
+	// it (below) shows the daemon still serves.
+	oversized := tinySpec + strings.Repeat(" ", maxSpecBytes+1-len(tinySpec))
+	resp, err = http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(oversized))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("spec of %d bytes: status %d, want 413", len(oversized), resp.StatusCode)
+	}
+	if sweeps, _ := os.ReadDir(filepath.Join(dir, "sweeps")); len(sweeps) != 0 {
+		t.Errorf("refused submissions left %d sweep directories behind", len(sweeps))
 	}
 
 	st := submit(t, ts, tinySpec)

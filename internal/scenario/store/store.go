@@ -184,30 +184,36 @@ func (s *FS) Stats() Stats {
 	}
 }
 
-// Len walks the store and counts content-addressed entries. It is safe to
-// call under live traffic: an entry that vanishes mid-walk (a corrupt-entry
-// eviction racing the WalkDir, a concurrent cleaner) is simply not counted
-// rather than aborting the walk, and non-entry JSON files sharing the
-// directory (the sweep service persists sweep state under the same root)
-// are excluded by the key grammar.
+// Len counts the store's content-addressed entries: it reads the root once
+// and descends only into two-character directories, counting the valid keys
+// that begin with their directory's name (the fan-out scheme), so its cost
+// follows the entries and not whatever else shares the root (the sweep
+// service persists every sweep's state and artifacts under sweeps/, which
+// is neither read nor counted). It is safe to call under live traffic: a
+// fan-out directory that vanishes mid-scan (a concurrent cleaner) is simply
+// not counted rather than failing the call.
 func (s *FS) Len() (int, error) {
+	fanout, err := os.ReadDir(s.dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
 	n := 0
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil
+	for _, d := range fanout {
+		if !d.IsDir() || len(d.Name()) != 2 {
+			continue
+		}
+		entries, err := os.ReadDir(filepath.Join(s.dir, d.Name()))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return n, err
+		}
+		for _, e := range entries {
+			key, isJSON := strings.CutSuffix(e.Name(), ".json")
+			if isJSON && !e.IsDir() && strings.HasPrefix(key, d.Name()) && checkKey(key) == nil {
+				n++
 			}
-			return err
 		}
-		if d.IsDir() || filepath.Ext(path) != ".json" {
-			return nil
-		}
-		if checkKey(strings.TrimSuffix(d.Name(), ".json")) == nil {
-			n++
-		}
-		return nil
-	})
-	return n, err
+	}
+	return n, nil
 }
 
 var _ scenario.Store = (*FS)(nil)

@@ -241,7 +241,10 @@ func TestLenCountsOnlyCacheEntries(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(sweepDir, "artifacts"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"spec.json", "state.json", filepath.Join("artifacts", "report.json")} {
+	// The last one is a decoy: a hex-named .json that satisfies the key
+	// grammar but sits outside the fan-out directories.
+	for _, name := range []string{"spec.json", "state.json", filepath.Join("artifacts", "report.json"),
+		filepath.Join("artifacts", "0123456789abcdef.json")} {
 		if err := os.WriteFile(filepath.Join(sweepDir, name), []byte("{}"), 0o644); err != nil {
 			t.Fatal(err)
 		}

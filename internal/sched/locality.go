@@ -81,10 +81,26 @@ type localityScan struct {
 	fwdBest   float64
 }
 
-func (s *localityScan) begin(home int, cost []float64) {
+// scan considers every candidate of it, whose data lives at home (cost is
+// home's row of the cost matrix). With the round's budget spent it finds
+// nothing without resolving a candidate: the caller's wait/drop outcome then
+// depends only on its backlog counters.
+func (s *localityScan) scan(it Item, r *roundState, home int, cost []float64) {
 	s.home, s.cost = home, cost
 	s.local, s.localBest = nil, -1
 	s.fwd, s.fwdCost, s.fwdBest = nil, math.MaxFloat64, -1
+	if r.free == 0 {
+		return
+	}
+	if ids := it.CandidateIDs; ids != nil {
+		for _, id := range ids {
+			s.consider(r.byID(id))
+		}
+	} else {
+		for _, name := range it.Candidates {
+			s.consider(r.lookup(name))
+		}
+	}
 }
 
 // site resolves a machine's site id, -1 when the index is outside the map.
@@ -118,9 +134,7 @@ func (s *localityScan) consider(ms *MachineState) {
 
 // Place implements Policy.
 func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, &l.scratch)
-	var cache candidateCache
-	placed, waiting := l.scratch.outBuffers(items, machines)
+	round, placed, waiting := newRound(items, machines, &l.scratch)
 	l.dropped = l.dropped[:0]
 
 	threshold := l.Threshold
@@ -145,30 +159,14 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 		home := it.HomeSite - 1
 		if l.siteOf == nil || home < 0 || home >= nsites {
 			// No topology or no affinity: greedy best fit.
-			best := pickBest(it, &round, &cache, false)
-			if best == nil {
+			if best := round.pickBest(it, false); best != nil {
+				placed = append(placed, round.assign(it, best))
+			} else {
 				waiting = append(waiting, it)
-				continue
 			}
-			best.Slots--
-			best.Load += loadIncrement(it, best.Machine)
-			placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
 			continue
 		}
-		var row []float64
-		if home < len(l.cost) {
-			row = l.cost[home]
-		}
-		sc.begin(home, row)
-		if ids := it.CandidateIDs; ids != nil {
-			for _, id := range ids {
-				sc.consider(round.byID(id))
-			}
-		} else {
-			for _, ms := range cache.resolve(it.Candidates, &round) {
-				sc.consider(ms)
-			}
-		}
+		sc.scan(it, &round, home, l.cost[home])
 		best := sc.local
 		if best == nil {
 			// Home site full: wait a little, forward under pressure.
@@ -187,9 +185,7 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 				continue
 			}
 		}
-		best.Slots--
-		best.Load += loadIncrement(it, best.Machine)
-		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
+		placed = append(placed, round.assign(it, best))
 	}
 	return placed, waiting
 }

@@ -1,0 +1,276 @@
+package sched
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"vce/internal/taskgraph"
+)
+
+// refPlace is the naive reference the policies are held to: it resolves
+// every candidate of every item by linear search over the snapshot, with no
+// round budget and no lookup tables, and applies each policy's documented
+// rule. It works on its own copy of machines.
+func refPlace(policy string, items []Item, machines []MachineState, siteOf []int, cost [][]float64, threshold, rejectCap int) (placed []Assignment, waiting, dropped []Item) {
+	ms := append([]MachineState(nil), machines...)
+	resolve := func(it Item) []*MachineState {
+		var out []*MachineState
+		find := func(match func(*MachineState) bool) {
+			for i := range ms {
+				if match(&ms[i]) {
+					out = append(out, &ms[i])
+					return
+				}
+			}
+		}
+		if it.CandidateIDs != nil {
+			for _, id := range it.CandidateIDs {
+				find(func(m *MachineState) bool { return m.Index == id })
+			}
+		} else {
+			for _, name := range it.Candidates {
+				find(func(m *MachineState) bool { return m.Machine.Name == name })
+			}
+		}
+		return out
+	}
+	size := func(it Item) int {
+		if it.CandidateIDs != nil {
+			return len(it.CandidateIDs)
+		}
+		return len(it.Candidates)
+	}
+	score := func(m *MachineState) float64 { return m.Machine.Speed / (1 + m.Load) }
+	greedy := func(it Item, skipReserved bool) *MachineState {
+		var best *MachineState
+		for _, m := range resolve(it) {
+			if m.Slots <= 0 || (skipReserved && m.scarce > 0) {
+				continue
+			}
+			if best == nil || score(m) > score(best) {
+				best = m
+			}
+		}
+		return best
+	}
+	assign := func(it Item, m *MachineState) {
+		m.Slots--
+		m.Load += loadIncrement(it, m.Machine)
+		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: m.Machine.Name})
+	}
+
+	switch policy {
+	case "greedy-best-fit":
+		for _, it := range items {
+			if m := greedy(it, false); m != nil {
+				assign(it, m)
+			} else {
+				waiting = append(waiting, it)
+			}
+		}
+	case "utilization-first":
+		for _, it := range items {
+			if size(it) == 1 {
+				for _, m := range resolve(it) {
+					m.scarce++
+				}
+			}
+		}
+		order := append([]Item(nil), items...)
+		sort.SliceStable(order, func(a, b int) bool { return size(order[a]) < size(order[b]) })
+		for _, it := range order {
+			constrained := size(it) == 1
+			m := greedy(it, !constrained)
+			if m == nil {
+				waiting = append(waiting, it)
+				continue
+			}
+			if constrained {
+				m.scarce--
+			}
+			assign(it, m)
+		}
+	case "locality":
+		backlog := make([]int, len(cost))
+		for _, it := range items {
+			home := it.HomeSite - 1
+			if siteOf == nil || home < 0 || home >= len(cost) {
+				if m := greedy(it, false); m != nil {
+					assign(it, m)
+				} else {
+					waiting = append(waiting, it)
+				}
+				continue
+			}
+			var local, fwd *MachineState
+			fwdCost := math.MaxFloat64
+			for _, m := range resolve(it) {
+				if m.Slots <= 0 {
+					continue
+				}
+				site := -1
+				if m.Index >= 0 && m.Index < len(siteOf) {
+					site = siteOf[m.Index]
+				}
+				if site == home {
+					if local == nil || score(m) > score(local) {
+						local = m
+					}
+					continue
+				}
+				c := math.MaxFloat64
+				if site >= 0 && site < len(cost[home]) {
+					c = cost[home][site]
+				}
+				if fwd == nil || c < fwdCost || (c == fwdCost && score(m) > score(fwd)) {
+					fwd, fwdCost = m, c
+				}
+			}
+			if local == nil {
+				backlog[home]++
+			}
+			switch {
+			case local != nil:
+				assign(it, local)
+			case backlog[home] <= threshold:
+				waiting = append(waiting, it)
+			case fwd != nil:
+				assign(it, fwd)
+			case backlog[home] > rejectCap:
+				dropped = append(dropped, it)
+			default:
+				waiting = append(waiting, it)
+			}
+		}
+	}
+	return placed, waiting, dropped
+}
+
+// randomRound draws one placement round: a snapshot of up to 8 machines over
+// 3 sites (slot counts include zero, and one round in four is exhausted
+// outright), and up to 40 items with one- and many-candidate sets, ghost
+// candidates that name no machine of the snapshot, and HomeSite unset, valid
+// and out of range. It returns the round's items in both forms — ids only
+// and names only — describing the same candidates in the same order.
+func randomRound(rng *rand.Rand) (byID, byName []Item, machines []MachineState, siteOf []int) {
+	const fleet = 10 // ids 8 and 9 are ghosts: never in the snapshot
+	siteOf = make([]int, fleet)
+	for i := range siteOf {
+		siteOf[i] = rng.Intn(3)
+	}
+	exhausted := rng.Intn(4) == 0
+	for _, idx := range rng.Perm(8)[:1+rng.Intn(8)] {
+		m := siteMachine(fmt.Sprintf("m%d", idx), idx, float64(1+rng.Intn(3)), rng.Intn(3))
+		m.Load = float64(rng.Intn(3)) / 2
+		if exhausted {
+			m.Slots = 0
+		}
+		machines = append(machines, m)
+	}
+	for i := rng.Intn(41); i > 0; i-- {
+		ids := rng.Perm(fleet)[:1+rng.Intn(fleet)]
+		if rng.Intn(3) == 0 {
+			ids = ids[:1]
+		}
+		names := make([]string, len(ids))
+		for k, id := range ids {
+			names[k] = fmt.Sprintf("m%d", id)
+		}
+		it := Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", len(byID))), Work: float64(rng.Intn(30)), HomeSite: rng.Intn(5)}
+		it.CandidateIDs = ids
+		byID = append(byID, it)
+		it.CandidateIDs, it.Candidates = nil, names
+		byName = append(byName, it)
+	}
+	return byID, byName, machines, siteOf
+}
+
+// TestPlaceMatchesExhaustiveReference holds every policy, on both candidate
+// views, to the naive reference over a few hundred random rounds: the round
+// budget and the per-view resolution must not change a single placement,
+// the waiting order, or what Locality drops. One policy value serves every
+// round, so scratch reuse across rounds is covered too.
+func TestPlaceMatchesExhaustiveReference(t *testing.T) {
+	cost := [][]float64{{0, 1, 5}, {1, 0, 1}, {5, 1, 0}}
+	loc := NewLocality()
+	loc.Threshold, loc.RejectCap = 2, 4
+	policies := []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc}
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 300; round++ {
+		byID, byName, machines, siteOf := randomRound(rng)
+		if round%5 == 0 {
+			siteOf = nil // Locality without a topology is greedy
+		}
+		loc.SetTopology(siteOf, cost)
+		for _, p := range policies {
+			for i, items := range [][]Item{byID, byName} {
+				form := []string{"ids", "names"}[i]
+				wantPlaced, wantWaiting, wantDropped := refPlace(p.Name(), items, machines, siteOf, cost, loc.Threshold, loc.RejectCap)
+				placed, waiting := p.Place(items, append([]MachineState(nil), machines...))
+				var dropped []Item
+				if p == Policy(loc) {
+					dropped = loc.Dropped()
+				}
+				if !sameAssignments(placed, wantPlaced) || !sameItems(waiting, wantWaiting) || !sameItems(dropped, wantDropped) {
+					t.Fatalf("round %d, %s, %s form:\n placed  %v\n want    %v\n waiting %v\n want    %v\n dropped %v\n want    %v",
+						round, p.Name(), form, placed, wantPlaced, taskIDs(waiting), taskIDs(wantWaiting), taskIDs(dropped), taskIDs(wantDropped))
+				}
+			}
+		}
+	}
+}
+
+func sameAssignments(a, b []Assignment) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+func sameItems(a, b []Item) bool {
+	return reflect.DeepEqual(taskIDs(a), taskIDs(b))
+}
+
+func taskIDs(items []Item) []taskgraph.TaskID {
+	ids := make([]taskgraph.TaskID, 0, len(items))
+	for _, it := range items {
+		ids = append(ids, it.Task)
+	}
+	return ids
+}
+
+// TestPlaceRoundBoundedByFreeSlots is the streaming cell's steady state
+// scaled up: one machine with one free slot, 4096 waiting items that each
+// admit 4096 machines. The first item takes the slot; the other 4095 must
+// join the waiting output without their candidates being resolved. An
+// exhaustive scan resolves 50 × 4096 × 4096 ≈ 8 × 10⁸ ids per policy
+// (seconds); a round bounded by its budget takes about a millisecond.
+func TestPlaceRoundBoundedByFreeSlots(t *testing.T) {
+	const n = 4096
+	ids := make([]int, n)
+	siteOf := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", i)), CandidateIDs: ids, Work: 1, HomeSite: 1}
+	}
+	loc := NewLocality()
+	loc.RejectCap = n
+	loc.SetTopology(siteOf, [][]float64{{0}})
+	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
+		start := time.Now()
+		for round := 0; round < 50; round++ {
+			placed, waiting := p.Place(items, []MachineState{siteMachine("free", n-1, 1, 1)})
+			if len(placed) != 1 || placed[0].Task != "t0" || len(waiting) != n-1 || waiting[0].Task != "t1" {
+				t.Fatalf("%s: placed %v, %d waiting; want t0 placed and the other %d waiting in order", p.Name(), placed, len(waiting), n-1)
+			}
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: 50 one-slot rounds over %d×%d candidates took %v: the round scans candidates after its last slot is spent", p.Name(), n, n, d)
+		}
+	}
+}

@@ -4,6 +4,15 @@
 // and the aging priority queue that prevents starvation ("as a task waits to
 // be dispatched its priority will be increased to insure it will eventually
 // be dispatched even if that results in a globally suboptimal schedule").
+//
+// The placement contract (Policy.Place) is shaped by its event-frequency
+// caller, the scenario engine, which re-places its whole waiting queue
+// against the machines that are idle now on every arrival and completion:
+// an Item names its admissible machines by dense id (CandidateIDs, resolved
+// by array index) or, for hand-written callers, by name (Candidates); and a
+// round ends when nothing is free — once the snapshot's slots are spent the
+// remaining items wait without their candidates being looked at, so a round
+// costs what it can place, not waiting items × candidates.
 package sched
 
 import (
@@ -79,8 +88,8 @@ type MachineState struct {
 	// placement round.
 	Slots int
 	// Index is an optional caller-assigned dense id (e.g. the simulator's
-	// Machine.Index). It powers the hash-free Item.CandidateIDs fast path;
-	// callers that don't use CandidateIDs can leave it zero.
+	// Machine.Index): what Item.CandidateIDs entries name. Callers that
+	// describe candidates by name can leave it zero.
 	Index int
 
 	// scarce is UtilizationFirst's internal reservation count: waiting
@@ -95,15 +104,15 @@ type Item struct {
 	// Instance distinguishes multiple copies of the same task.
 	Instance int
 	// Candidates lists admissible machine names (already filtered by
-	// requirements).
+	// requirements), resolved against the snapshot by name. It is read
+	// only when CandidateIDs is nil.
 	Candidates []string
-	// CandidateIDs optionally carries the same admissible machines as
-	// MachineState.Index values, in the same order as Candidates. When
-	// set (and the caller assigned unique Index values to its states),
-	// policies resolve candidates by array index instead of hashing names
-	// — the placement hot path of event-frequency callers like the
-	// scenario engine. Candidates must still be populated; both views
-	// must agree.
+	// CandidateIDs, when non-nil, is the admissible set, as
+	// MachineState.Index values (the caller assigned its states unique
+	// ones): policies resolve each by array index, no name hashing — the
+	// form event-frequency callers like the scenario engine use. Entries
+	// of either view that name no machine of the snapshot are skipped;
+	// entry order breaks score ties.
 	CandidateIDs []int
 	// Work is the instance's expected work, used by cost heuristics.
 	Work float64
@@ -112,6 +121,15 @@ type Item struct {
 	// topology-aware policy was configured with (Locality.SetTopology).
 	// Zero means no data affinity; policies without topology ignore it.
 	HomeSite int
+}
+
+// candidates is the size of the item's admissible set, from whichever view
+// is filled.
+func (it *Item) candidates() int {
+	if it.CandidateIDs != nil {
+		return len(it.CandidateIDs)
+	}
+	return len(it.Candidates)
 }
 
 // Assignment binds a task instance to a machine.
@@ -133,7 +151,9 @@ type Policy interface {
 	// are consumed in place as assignments are made, so callers that need
 	// the snapshot afterwards must pass a copy. Batch callers rebuild the
 	// snapshot per round anyway, and not copying keeps the per-event
-	// placement path allocation-lean.
+	// placement path allocation-lean. A round is bounded by what is free:
+	// once the snapshot's slots are spent, the remaining items join the
+	// waiting output without their candidates being resolved.
 	Place(items []Item, machines []MachineState) ([]Assignment, []Item)
 }
 
@@ -155,18 +175,17 @@ type placeScratch struct {
 	flip    int
 }
 
-// outBuffers returns empty placed/waiting buffers for one round, reusing the
-// scratch's storage. Neither can outgrow its initial capacity (placements
-// are bounded by placeCap, waiting by the items offered), so the returned
-// headers stay backed by the scratch.
-func (s *placeScratch) outBuffers(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	pc := placeCap(items, machines)
-	if cap(s.placed) < pc {
-		s.placed = make([]Assignment, 0, pc)
+// outBuffers returns empty placed/waiting buffers for one round of at most
+// maxPlaced assignments over nItems items, reusing the scratch's storage.
+// Neither can outgrow its initial capacity, so the returned headers stay
+// backed by the scratch.
+func (s *placeScratch) outBuffers(maxPlaced, nItems int) ([]Assignment, []Item) {
+	if cap(s.placed) < maxPlaced {
+		s.placed = make([]Assignment, 0, maxPlaced)
 	}
 	s.flip ^= 1
-	if cap(s.items[s.flip]) < len(items) {
-		s.items[s.flip] = make([]Item, 0, len(items))
+	if cap(s.items[s.flip]) < nItems {
+		s.items[s.flip] = make([]Item, 0, nItems)
 	}
 	return s.placed[:0], s.items[s.flip][:0]
 }
@@ -195,18 +214,13 @@ func (*GreedyBestFit) Name() string { return "greedy-best-fit" }
 
 // Place implements Policy.
 func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, &p.scratch)
-	var cache candidateCache
-	placed, waiting := p.scratch.outBuffers(items, machines)
+	round, placed, waiting := newRound(items, machines, &p.scratch)
 	for _, it := range items {
-		best := pickBest(it, &round, &cache, false)
-		if best == nil {
+		if best := round.pickBest(it, false); best != nil {
+			placed = append(placed, round.assign(it, best))
+		} else {
 			waiting = append(waiting, it)
-			continue
 		}
-		best.Slots--
-		best.Load += loadIncrement(it, best.Machine)
-		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
 	}
 	return placed, waiting
 }
@@ -231,8 +245,7 @@ func (*UtilizationFirst) Name() string { return "utilization-first" }
 
 // Place implements Policy.
 func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, &p.scratch)
-	var cache candidateCache
+	round, placed, waiting := newRound(items, machines, &p.scratch)
 	// A machine's scarce count tracks waiting constrained items for which
 	// it is the only candidate. Names absent from the snapshot are skipped
 	// as candidates anyway, so their demand can be dropped here. The same
@@ -241,7 +254,8 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 	lenA, lenB := -1, -1 // distinct candidate-set sizes seen (at most two tracked)
 	moreSizes := false
 	for _, it := range items {
-		if len(it.Candidates) == 1 {
+		n := it.candidates()
+		if n == 1 {
 			var ms *MachineState
 			if it.CandidateIDs != nil {
 				ms = round.byID(it.CandidateIDs[0])
@@ -252,7 +266,7 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 				ms.scarce++
 			}
 		}
-		switch n := len(it.Candidates); {
+		switch {
 		case lenA == -1 || n == lenA:
 			lenA = n
 		case lenB == -1 || n == lenB:
@@ -276,12 +290,12 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 		}
 		order = p.scratch.orderBuf(len(items))
 		for i := range items {
-			if len(items[i].Candidates) == small {
+			if items[i].candidates() == small {
 				order = append(order, i)
 			}
 		}
 		for i := range items {
-			if len(items[i].Candidates) != small {
+			if items[i].candidates() != small {
 				order = append(order, i)
 			}
 		}
@@ -291,21 +305,20 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 			order[i] = i
 		}
 		sort.SliceStable(order, func(a, b int) bool {
-			return len(items[order[a]].Candidates) < len(items[order[b]].Candidates)
+			return items[order[a]].candidates() < items[order[b]].candidates()
 		})
 	}
 
-	placed, waiting := p.scratch.outBuffers(items, machines)
 	for pos := range items {
 		idx := pos
 		if order != nil {
 			idx = order[pos]
 		}
 		it := items[idx]
-		constrained := len(it.Candidates) == 1
+		constrained := it.candidates() == 1
 		// Flexible items skip machines reserved for tasks that can run
 		// nowhere else.
-		best := pickBest(it, &round, &cache, !constrained)
+		best := round.pickBest(it, !constrained)
 		if best == nil {
 			waiting = append(waiting, it)
 			continue
@@ -313,43 +326,46 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 		if constrained {
 			best.scarce--
 		}
-		best.Slots--
-		best.Load += loadIncrement(it, best.Machine)
-		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
+		placed = append(placed, round.assign(it, best))
 	}
 	return placed, waiting
 }
 
 // roundState wraps the caller's machine states as the round's working set
 // (the Policy contract hands the slice to the policy; no defensive copy).
-// Name lookup is served by a map built lazily on first use: batch callers
-// that pass CandidateIDs or positionally aligned candidate sets never pay
-// for building it.
+// free is the round's budget: the snapshot's unspent slots, counted once at
+// the start and decremented per assignment. The name map and the id table
+// are each built on first use, so a round pays only for the view its items
+// carry.
 type roundState struct {
 	backing []MachineState
+	free    int
 	byName  map[string]*MachineState
 	byIndex []*MachineState
 	scratch *placeScratch
 }
 
-func newRound(machines []MachineState, s *placeScratch) roundState {
-	return roundState{backing: machines, scratch: s}
-}
-
-// positional reports whether cands names the snapshot's machines in order.
-// Callers like the scenario engine build candidate lists straight from the
-// machine fleet, so the name strings share headers with the snapshot's and
-// the comparison is effectively pointer equality per entry.
-func (r *roundState) positional(cands []string) bool {
-	if len(cands) != len(r.backing) {
-		return false
-	}
-	for i := range cands {
-		if cands[i] != r.backing[i].Machine.Name {
-			return false
+// newRound opens a round over machines and returns it with empty
+// placed/waiting buffers: placements are bounded by the free slots and the
+// items offered, waiting by the items offered.
+func newRound(items []Item, machines []MachineState, s *placeScratch) (roundState, []Assignment, []Item) {
+	free := 0
+	for i := range machines {
+		if n := machines[i].Slots; n > 0 {
+			free += n
 		}
 	}
-	return true
+	placed, waiting := s.outBuffers(min(free, len(items)), len(items))
+	return roundState{backing: machines, free: free, scratch: s}, placed, waiting
+}
+
+// assign books it onto ms, spending one of the machine's slots and one unit
+// of the round's budget.
+func (r *roundState) assign(it Item, ms *MachineState) Assignment {
+	ms.Slots--
+	r.free--
+	ms.Load += loadIncrement(it, ms.Machine)
+	return Assignment{Task: it.Task, Instance: it.Instance, Machine: ms.Machine.Name}
 }
 
 func (r *roundState) lookup(name string) *MachineState {
@@ -393,12 +409,15 @@ func (r *roundState) byID(id int) *MachineState {
 }
 
 // pickBest scans one item's candidates — by dense id when CandidateIDs is
-// set, by (cached) name resolution otherwise — and returns the
-// best-scoring machine with a free slot, nil when none qualifies. Equal
-// scores keep the earliest candidate, so candidate order is the
-// tie-breaker. With skipReserved, machines carrying scarce reservations
-// are passed over (UtilizationFirst's flexible items).
-func pickBest(it Item, round *roundState, cache *candidateCache, skipReserved bool) *MachineState {
+// set, by name otherwise — and returns the best-scoring machine with a free
+// slot, nil when none qualifies. With the round's budget spent none can, so
+// nothing is resolved. Equal scores keep the earliest candidate, so
+// candidate order is the tie-breaker. With skipReserved, machines carrying
+// scarce reservations are passed over (UtilizationFirst's flexible items).
+func (r *roundState) pickBest(it Item, skipReserved bool) *MachineState {
+	if r.free == 0 {
+		return nil
+	}
 	var best *MachineState
 	bestScore := -1.0
 	consider := func(ms *MachineState) {
@@ -416,70 +435,14 @@ func pickBest(it Item, round *roundState, cache *candidateCache, skipReserved bo
 	}
 	if ids := it.CandidateIDs; ids != nil {
 		for _, id := range ids {
-			consider(round.byID(id))
+			consider(r.byID(id))
 		}
 	} else {
-		for _, ms := range cache.resolve(it.Candidates, round) {
-			consider(ms)
+		for _, name := range it.Candidates {
+			consider(r.lookup(name))
 		}
 	}
 	return best
-}
-
-// placeCap bounds how many assignments a round can produce: no more than
-// the items offered or the slots available.
-func placeCap(items []Item, machines []MachineState) int {
-	slots := 0
-	for i := range machines {
-		slots += machines[i].Slots
-	}
-	if slots > len(items) {
-		slots = len(items)
-	}
-	if slots < 0 {
-		slots = 0
-	}
-	return slots
-}
-
-// candidateCache memoizes the name→state resolution of recently seen
-// Candidates slices, keyed by slice identity. Batch callers (the scenario
-// engine, the experiment harnesses) reuse one slice header per candidate
-// class — typically "all machines" and one pinned subset, which may
-// interleave item-by-item — so two entries make resolution, the only string
-// hashing on the placement path, a once-per-class cost instead of
-// once-per-item×candidate. Unknown names resolve to nil and are skipped at
-// scoring time, exactly like the map-miss path they replace.
-type candidateCache struct {
-	entries [2]struct {
-		names []string
-		ms    []*MachineState
-	}
-}
-
-func (c *candidateCache) resolve(cands []string, r *roundState) []*MachineState {
-	if len(cands) == 0 {
-		return nil
-	}
-	for i := range c.entries {
-		e := &c.entries[i]
-		if len(e.names) == len(cands) && &e.names[0] == &cands[0] {
-			return e.ms
-		}
-	}
-	ms := make([]*MachineState, len(cands))
-	if r.positional(cands) {
-		for i := range ms {
-			ms[i] = &r.backing[i]
-		}
-	} else {
-		for i, n := range cands {
-			ms[i] = r.lookup(n)
-		}
-	}
-	c.entries[1] = c.entries[0]
-	c.entries[0].names, c.entries[0].ms = cands, ms
-	return ms
 }
 
 // loadIncrement estimates how much an item raises a machine's load, scaling
