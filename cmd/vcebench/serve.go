@@ -14,6 +14,15 @@ import (
 	"vce/internal/scenario/service"
 )
 
+// Connection limits for the daemon. A client that never finishes its
+// request headers, or parks an idle keep-alive connection, is cut off
+// instead of holding a file descriptor forever. There is no write timeout:
+// GET /sweeps/{id}/events streams for as long as its sweep runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // runServe is the `vcebench serve` subcommand: the long-running sweep
 // daemon (internal/scenario/service) over a shared content-addressed
 // cache. It listens until the context is cancelled (SIGINT/SIGTERM via
@@ -65,7 +74,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	// The resolved address (not the flag) is printed so scripts and tests
 	// can use -addr 127.0.0.1:0 and discover the picked port.
 	fmt.Fprintf(stderr, "vcebench serve: listening on http://%s (cache %s)\n", ln.Addr(), *cacheDir)
-	srv := &http.Server{Handler: svc}
+	srv := &http.Server{Handler: svc, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	select {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -161,6 +163,39 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
+// TestServeClosesHeaderlessConnection: a client that opens a connection
+// and never completes its request headers is disconnected once
+// readHeaderTimeout passes, so stalled clients cannot pin the daemon's
+// descriptors.
+func TestServeClosesHeaderlessConnection(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	var out bytes.Buffer
+	errBuf := &syncBuffer{}
+	exit := make(chan int, 1)
+	go func() {
+		exit <- runServe(ctx, []string{"-addr", "127.0.0.1:0", "-cache-dir", t.TempDir(), "-q"}, &out, errBuf)
+	}()
+	defer func() { cancel(); <-exit }()
+	conn, err := net.Dial("tcp", waitListen(t, errBuf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /sweeps HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+	start := time.Now()
+	n, err := conn.Read(make([]byte, 1))
+	if err != io.EOF {
+		t.Fatalf("read on a headerless connection = %d bytes, %v; want EOF from the server closing it", n, err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+}
+
 // TestSignalStopsServe exercises the dispatch-level signal wiring
 // end to end: a real SIGINT delivered to the process must cancel the
 // NotifyContext installed by dispatch and bring the daemon down with
@@ -198,8 +233,8 @@ func TestSignalStopsServe(t *testing.T) {
 	}
 }
 
-// slowCLISpec takes ~0.5s/cell over 8 cells: long enough that a short
-// -timeout reliably lands mid-sweep.
+// slowCLISpec takes ~0.5s/cell over 8 cells: no cell can finish inside an
+// already-expired timeout.
 const slowCLISpec = `{
   "name": "cli-slow",
   "horizon_s": 36000,
@@ -212,10 +247,11 @@ const slowCLISpec = `{
 `
 
 // TestAbortedSweepFlushesObsArtifacts pins the interrupted-sweep
-// accountability contract: when the context dies mid-sweep (timeout here;
-// SIGINT exercises the same path), no report exists, but cache_stats.json
-// still lands in -out so the aborted run's cache traffic is on record next
-// to the cells the store retained for resume.
+// accountability contract: when the context dies mid-sweep (a 1ns timeout
+// here, spent before the first cell can finish, so the abort does not
+// depend on host speed; SIGINT exercises the same path), no report exists,
+// but cache_stats.json still lands in -out so the aborted run's cache
+// traffic is on record next to the cells the store retained for resume.
 func TestAbortedSweepFlushesObsArtifacts(t *testing.T) {
 	spec := filepath.Join(t.TempDir(), "slow.json")
 	if err := os.WriteFile(spec, []byte(slowCLISpec), 0o644); err != nil {
@@ -223,12 +259,12 @@ func TestAbortedSweepFlushesObsArtifacts(t *testing.T) {
 	}
 	cacheDir := t.TempDir()
 	outDir := filepath.Join(t.TempDir(), "out")
-	code, _, errOut := runCLI(t, "-spec", spec, "-cache-dir", cacheDir, "-out", outDir, "-timeout", "500ms", "-q")
+	code, _, errOut := runCLI(t, "-spec", spec, "-cache-dir", cacheDir, "-out", outDir, "-timeout", "1ns", "-q")
+	if _, err := os.Stat(filepath.Join(outDir, "report.json")); err == nil {
+		t.Fatalf("sweep under an expired timeout wrote a report (exit %d)", code)
+	}
 	if code != 1 {
 		t.Fatalf("timed-out sweep exited %d, want 1:\n%s", code, errOut)
-	}
-	if _, err := os.Stat(filepath.Join(outDir, "report.json")); err == nil {
-		t.Skip("sweep finished before the timeout; nothing aborted to check")
 	}
 	if _, err := os.Stat(filepath.Join(outDir, cacheStatsFile)); err != nil {
 		t.Errorf("aborted sweep left no %s: %v\nstderr:\n%s", cacheStatsFile, err, errOut)

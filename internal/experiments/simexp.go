@@ -83,23 +83,19 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 	if err != nil {
 		return 0, err
 	}
-	byName := map[string]*sim.Machine{}
-	for _, m := range ms {
-		byName[m.Name()] = m
-	}
 	const nTasks = 20
 	const work = 10.0
 	nConstrained := nTasks * pctConstrained / 100
 	var waiting []sched.Item
 	// Portable tasks head the queue — the §4.3 situation where the
 	// flexible job is dispatchable while machine A sits free and a greedy
-	// scheduler burns A on it.
+	// scheduler burns A on it. Candidates are machine indexes: A is 0.
 	for i := 0; i < nTasks; i++ {
-		it := sched.Item{Task: taskgraph.TaskID(fmt.Sprintf("t%02d", i)), Work: work}
+		it := sched.Item{Ref: i, Work: work}
 		if i >= nTasks-nConstrained {
-			it.Candidates = []string{"A"}
+			it.CandidateIDs = []int{0}
 		} else {
-			it.Candidates = []string{"A", "b", "c", "d", "e"}
+			it.CandidateIDs = []int{0, 1, 2, 3, 4}
 		}
 		waiting = append(waiting, it)
 	}
@@ -110,17 +106,16 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 			return
 		}
 		var states []sched.MachineState
-		for _, m := range ms {
+		for i, m := range ms {
 			states = append(states, sched.MachineState{
-				Machine: m.Spec, Load: m.Load(), Slots: 1 - m.RemoteTasks(),
+				Machine: m.Spec, Load: m.Load(), Slots: 1 - m.RemoteTasks(), Index: i,
 			})
 		}
 		placed, left := pol.Place(waiting, states)
 		waiting = left
 		for _, a := range placed {
-			a := a
 			t := &sim.Task{
-				ID:   string(a.Task),
+				ID:   fmt.Sprintf("t%02d", a.Ref),
 				Work: work,
 				OnDone: func(_ *sim.Task, at time.Duration) {
 					if at > makespan {
@@ -129,7 +124,7 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 					tryPlace()
 				},
 			}
-			if err := byName[a.Machine].AddTask(t); err != nil {
+			if err := ms[a.Machine].AddTask(t); err != nil {
 				panic(err) // deterministic harness bug, not runtime state
 			}
 		}

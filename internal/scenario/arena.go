@@ -58,11 +58,9 @@ type runArena struct {
 	// per-machine task capacity.
 	fleet []arch.Machine
 	slots []int
-	// Candidate sets and the machine name index. Portable tasks accept every
-	// machine; constrained tasks only their pinned class. The sets are
-	// Machine.Index ids, which the placement policies resolve without
-	// hashing a name.
-	machIdx   map[string]int
+	// Candidate sets. Portable tasks accept every machine; constrained tasks
+	// only their pinned class. The sets are Machine.Index ids, which the
+	// placement policies resolve without hashing a name.
 	allIDs    []int
 	pinnedIDs []int
 
@@ -148,15 +146,7 @@ func newArena(sp *Spec) (*runArena, error) {
 		imageBytes: int64(sp.Workload.ImageMiB * (1 << 20)),
 		fleet:      fleet,
 		slots:      slots,
-		machIdx:    make(map[string]int, len(fleet)),
 	}
-	// A closed cell holds one slot per task, so the final size of the slot
-	// index is known; a streaming pool grows to the backlog it meets.
-	slotHint := 0
-	if !ar.streaming {
-		slotHint = sp.Workload.Tasks
-	}
-	ar.pool.idx = make(map[string]int, slotHint)
 	payload := ar.imageBytes
 	if g := sp.Workload.Graph; g != nil {
 		ar.edgeBytes = int64(g.DataMiB * (1 << 20))
@@ -169,9 +159,8 @@ func newArena(sp *Spec) (*runArena, error) {
 		ar.locCost = ar.topo.costMatrix(payload)
 	}
 	// Machines register in fleet order, so Machine.Index is the position.
-	for i, m := range fleet {
+	for i := range fleet {
 		ar.allIDs = append(ar.allIDs, i)
-		ar.machIdx[m.Name] = i
 	}
 	if con := sp.Workload.Constrained; con != nil {
 		class, err := arch.ParseClass(con.Class)
@@ -356,9 +345,9 @@ type taskPool struct {
 	live, peak int
 
 	// ids caches the task ID strings ("task-%03d"), which depend only on the
-	// slot; idx inverts them.
+	// slot. Nothing maps an id back: tasks and queue items carry their slot
+	// as Ref.
 	ids []string
-	idx map[string]int
 	// Per-slot state: the draws of the task occupying the slot and whether it
 	// was ever placed.
 	gens       []taskGen
@@ -382,7 +371,7 @@ func (p *taskPool) task(s int) *sim.Task {
 }
 
 // acquire hands out a free slot for a task with draws g, materializing a
-// new one (and its id and index entry) when the recycle stack is empty. The
+// new one (and its id) when the recycle stack is empty. The
 // caller initializes the task record; acquire guarantees clean placement
 // scratch.
 func (p *taskPool) acquire(g taskGen) int {
@@ -398,7 +387,6 @@ func (p *taskPool) acquire(g taskGen) int {
 		}
 		id := fmt.Sprintf("task-%03d", s)
 		p.ids = append(p.ids, id)
-		p.idx[id] = s
 		p.gens = append(p.gens, taskGen{})
 		p.everPlaced = append(p.everPlaced, false)
 	}

@@ -435,7 +435,7 @@ func (c *cell) candsFor(i int) []int {
 // submission, the race requeue, the transfer bounce and the fault requeue.
 func (c *cell) newItem(i int, work float64) sched.Item {
 	ar := c.ar
-	it := sched.Item{Task: taskgraph.TaskID(ar.pool.ids[i]), CandidateIDs: c.candsFor(i), Work: work}
+	it := sched.Item{Task: taskgraph.TaskID(ar.pool.ids[i]), Ref: i, CandidateIDs: c.candsFor(i), Work: work}
 	if ar.dag && ar.topo != nil && ar.homeSite[i] >= 0 {
 		it.HomeSite = int(ar.homeSite[i]) + 1
 	}
@@ -449,6 +449,7 @@ func (c *cell) submit(i int) {
 	g := &ar.pool.gens[i]
 	if err := ar.pool.task(i).Recycle(sim.Task{
 		ID:             ar.pool.ids[i],
+		Ref:            i,
 		Work:           g.work,
 		ImageBytes:     ar.imageBytes,
 		Checkpointable: ar.sp.Workload.Checkpointable,
@@ -555,17 +556,15 @@ func (c *cell) tryPlace() {
 			for _, d := range c.loc.Dropped() {
 				c.acc.TaskRejected()
 				if ar.streaming {
-					ar.pool.release(ar.pool.idx[string(d.Task)])
+					ar.pool.release(d.Ref)
 				}
 			}
 		}
 		for _, a := range placed {
-			ti := ar.pool.idx[string(a.Task)]
+			// Item.Ref is the pool slot and MachineState.Index the
+			// position in ar.machines.
+			ti, hi := a.Ref, a.Machine
 			t := ar.pool.task(ti)
-			hi, ok := ar.machIdx[a.Machine]
-			if !ok {
-				continue
-			}
 			if delay := c.stageDelay(ti, hi); delay > 0 {
 				// Dependency data must cross the network first: hold the
 				// slot and deliver the task when the transfer lands.
@@ -612,7 +611,7 @@ func (c *cell) deliver(ti, hi int) {
 // just finished.
 func (c *cell) taskDone(t *sim.Task, at time.Duration) {
 	ar := c.ar
-	ti := ar.pool.idx[t.ID]
+	ti := t.Ref
 	arrival := ar.pool.gens[ti].arrival
 	if ar.dag {
 		arrival = ar.readyAt[ti]
@@ -662,7 +661,7 @@ func (c *cell) fail(mi int) {
 		c.failed++
 		// Restart from the last checkpoint (scratch if none).
 		_ = killed.Rewind(killed.CheckpointedWork)
-		c.waiting = append(c.waiting, c.newItem(c.ar.pool.idx[killed.ID], killed.Remaining()))
+		c.waiting = append(c.waiting, c.newItem(killed.Ref, killed.Remaining()))
 	}
 	m.SetLocalLoad(1)
 	// Surviving machines may have free slots for the requeued victims;
@@ -686,7 +685,7 @@ func (c *cell) measure(end time.Duration) Indexes {
 	// stranded in the queue at the horizon were placed once and already show
 	// up in Failed, not here.
 	for _, it := range c.waiting {
-		if !ar.pool.everPlaced[ar.pool.idx[string(it.Task)]] {
+		if !ar.pool.everPlaced[it.Ref] {
 			c.acc.TaskRejected()
 		}
 	}

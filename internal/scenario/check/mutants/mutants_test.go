@@ -91,8 +91,8 @@ var table = []mutant{
 	{
 		name: "fault-requeue-loses-home-site",
 		file: "internal/scenario/cell.go",
-		old:  "\t\tc.waiting = append(c.waiting, c.newItem(c.ar.pool.idx[killed.ID], killed.Remaining()))\n",
-		new: "\t\tit := c.newItem(c.ar.pool.idx[killed.ID], killed.Remaining())\n\t\tit.HomeSite = 0\n" +
+		old:  "\t\tc.waiting = append(c.waiting, c.newItem(killed.Ref, killed.Remaining()))\n",
+		new: "\t\tit := c.newItem(killed.Ref, killed.Remaining())\n\t\tit.HomeSite = 0\n" +
 			"\t\tc.waiting = append(c.waiting, it)\n",
 	},
 }

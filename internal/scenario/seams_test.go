@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -154,7 +155,10 @@ func TestStagingReservationAndBounce(t *testing.T) {
 		t.Fatalf("both machines down: failed=%d waiting=%v, want task-001 requeued behind task-003", c.failed, c.waiting)
 	}
 	for _, it := range c.waiting {
-		if home := int(ar.homeSite[ar.pool.idx[string(it.Task)]]); home != 0 || it.HomeSite != home+1 {
+		if ar.pool.ids[it.Ref] != string(it.Task) {
+			t.Errorf("%s queued with Ref %d, the slot of %s", it.Task, it.Ref, ar.pool.ids[it.Ref])
+		}
+		if home := int(ar.homeSite[it.Ref]); home != 0 || it.HomeSite != home+1 {
 			t.Errorf("%s queued with HomeSite %d, want %d (its parent finished at site a)", it.Task, it.HomeSite, home+1)
 		}
 	}
@@ -189,8 +193,8 @@ func TestPoolSlots(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("task-%03d", i)
-			if p.ids[i] != id || p.idx[id] != i || p.task(i).ID != id || p.gens[i] != ar.world.tasks[i] {
-				t.Fatalf("slot %d holds %q (index %d, record %q), want task %d of the world", i, p.ids[i], p.idx[id], p.task(i).ID, i)
+			if p.ids[i] != id || p.task(i).ID != id || p.task(i).Ref != i || p.gens[i] != ar.world.tasks[i] {
+				t.Fatalf("slot %d holds %q (record %q, Ref %d), want task %d of the world", i, p.ids[i], p.task(i).ID, p.task(i).Ref, i)
 			}
 		}
 	}
@@ -216,7 +220,8 @@ func TestPoolSlots(t *testing.T) {
 	}
 	var stale []string
 	for _, path := range ar.cluster.FS.Paths() {
-		if s := ar.pool.idx[strings.TrimPrefix(path, "/ckpt/")]; slices.Contains(ar.pool.free, s) || !ar.pool.everPlaced[s] {
+		s, err := strconv.Atoi(strings.TrimPrefix(path, "/ckpt/task-"))
+		if err != nil || slices.Contains(ar.pool.free, s) || !ar.pool.everPlaced[s] {
 			stale = append(stale, path)
 		}
 	}

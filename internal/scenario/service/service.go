@@ -104,14 +104,15 @@ type Server struct {
 
 	// semCh bounds concurrently executing sweeps (capacity MaxConcurrent);
 	// flights serializes sweeps that share a spec hash so identical
-	// concurrent submissions replay from the cache instead of racing.
+	// concurrent submissions replay from the cache instead of racing. An
+	// entry lives while some sweep waits on or holds it.
 	semCh chan struct{}
 
 	mu      sync.Mutex
 	sweeps  map[string]*sweep
 	order   []string
 	seq     int
-	flights map[string]*sync.Mutex
+	flights map[string]*flight
 }
 
 // New opens (or creates) the cache directory, recovers persisted sweeps —
@@ -133,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 		cancel:  cancel,
 		semCh:   make(chan struct{}, cfg.MaxConcurrent),
 		sweeps:  make(map[string]*sweep),
-		flights: make(map[string]*sync.Mutex),
+		flights: make(map[string]*flight),
 	}
 	sv.routes()
 	if err := sv.recover(); err != nil {
@@ -281,16 +282,33 @@ func (sv *Server) Submit(sp *scenario.Spec, raw []byte) (Status, error) {
 	return s.status(), nil
 }
 
-// flightLock returns the mutex serializing sweeps of one spec hash.
-func (sv *Server) flightLock(hash string) *sync.Mutex {
+// flight is the lock serializing sweeps of one spec hash; holders counts
+// the sweeps waiting on or holding it.
+type flight struct {
+	sync.Mutex
+	holders int
+}
+
+// acquireFlight blocks until the caller holds the flight for hash and
+// returns its release, which deletes the entry when the last holder leaves.
+func (sv *Server) acquireFlight(hash string) (release func()) {
 	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	m, ok := sv.flights[hash]
-	if !ok {
-		m = &sync.Mutex{}
-		sv.flights[hash] = m
+	f := sv.flights[hash]
+	if f == nil {
+		f = &flight{}
+		sv.flights[hash] = f
 	}
-	return m
+	f.holders++
+	sv.mu.Unlock()
+	f.Lock()
+	return func() {
+		f.Unlock()
+		sv.mu.Lock()
+		if f.holders--; f.holders == 0 {
+			delete(sv.flights, hash)
+		}
+		sv.mu.Unlock()
+	}
 }
 
 // launch runs the sweep's lifecycle on its own goroutine: serialize
@@ -301,9 +319,8 @@ func (sv *Server) launch(s *sweep) {
 	sv.wg.Add(1)
 	go func() {
 		defer sv.wg.Done()
-		lock := sv.flightLock(s.specHash)
-		lock.Lock()
-		defer lock.Unlock()
+		release := sv.acquireFlight(s.specHash)
+		defer release()
 		select {
 		case sv.semCh <- struct{}{}:
 			defer func() { <-sv.semCh }()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -195,6 +196,42 @@ func TestConcurrentIdenticalClients(t *testing.T) {
 	if cs.Misses != tinyTotal || cs.Hits != tinyTotal || cs.PutErrors != 0 {
 		t.Errorf("store stats = %+v; want %d misses, %d hits", cs, tinyTotal, tinyTotal)
 	}
+	waitFlightsEmpty(t, sv)
+}
+
+// waitFlightsEmpty polls until no sweep waits on or holds a flight: a
+// sweep reports done before its goroutine releases the flight.
+func waitFlightsEmpty(t *testing.T, sv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sv.mu.Lock()
+		n := len(sv.flights)
+		sv.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d flight entries left after every sweep finished", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFlightsForgetFinishedSpecs: the per-spec-hash flight table holds only
+// specs with a sweep in progress, so a long-lived daemon does not grow one
+// entry per distinct spec ever submitted.
+func TestFlightsForgetFinishedSpecs(t *testing.T) {
+	sv, ts := newService(t, t.TempDir(), 1, 2)
+	var ids []string
+	for seed := 1; seed <= 5; seed++ {
+		spec := strings.Replace(tinySpec, `"seed": 9`, fmt.Sprintf(`"seed": %d`, seed), 1)
+		ids = append(ids, submit(t, ts, spec).ID)
+	}
+	for _, id := range ids {
+		waitState(t, ts, id, StateDone)
+	}
+	waitFlightsEmpty(t, sv)
 }
 
 // readEvents consumes a sweep's NDJSON event stream to its terminal event.

@@ -187,5 +187,6 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 		}
 		placed = append(placed, round.assign(it, best))
 	}
+	round.release()
 	return placed, waiting
 }

@@ -52,7 +52,7 @@ func TestLocalityPrefersHomeSite(t *testing.T) {
 		t.Fatalf("placed %d waiting %d, want 1/0", len(placed), len(waiting))
 	}
 	// Site 0 machines are slower than b0, but the data lives at site 0.
-	if got := placed[0].Machine; got != "a0" && got != "a1" {
+	if got := machines[placed[0].Machine].Machine.Name; got != "a0" && got != "a1" {
 		t.Fatalf("placed on %s, want a home-site machine", got)
 	}
 }
@@ -73,12 +73,12 @@ func TestLocalityWaitsThenForwards(t *testing.T) {
 	if len(placed) != 3 || len(waiting) != 2 {
 		t.Fatalf("placed %d waiting %d, want 3/2", len(placed), len(waiting))
 	}
-	forwarded := placed[2]
-	if forwarded.Machine != "b0" && forwarded.Machine != "b1" {
-		t.Fatalf("overflow item went to %s, want a site-1 machine", forwarded.Machine)
+	forwarded := machines[placed[2].Machine].Machine.Name
+	if forwarded != "b0" && forwarded != "b1" {
+		t.Fatalf("overflow item went to %s, want a site-1 machine", forwarded)
 	}
-	if forwarded.Machine != "b0" {
-		t.Fatalf("forwarded to %s, want the best-scoring machine of the cheapest site (b0)", forwarded.Machine)
+	if forwarded != "b0" {
+		t.Fatalf("forwarded to %s, want the best-scoring machine of the cheapest site (b0)", forwarded)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestLocalityWithoutTopologyIsGreedy(t *testing.T) {
 	cands, ids := names(machines)
 	l := NewLocality()
 	placed, _ := l.Place([]Item{item("t0", 1, cands, ids)}, machines)
-	if len(placed) != 1 || placed[0].Machine != "b0" {
+	if len(placed) != 1 || machines[placed[0].Machine].Machine.Name != "b0" {
 		t.Fatalf("placed = %v, want greedy best fit on b0", placed)
 	}
 }
@@ -133,7 +133,7 @@ func TestLocalityNoAffinityIsGreedy(t *testing.T) {
 	l := NewLocality()
 	l.SetTopology(siteOf, cost)
 	placed, _ := l.Place([]Item{item("t0", 0, cands, ids)}, machines)
-	if len(placed) != 1 || placed[0].Machine != "b0" {
+	if len(placed) != 1 || machines[placed[0].Machine].Machine.Name != "b0" {
 		t.Fatalf("placed = %v, want greedy best fit on b0", placed)
 	}
 }

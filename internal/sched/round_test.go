@@ -61,7 +61,7 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 	assign := func(it Item, m *MachineState) {
 		m.Slots--
 		m.Load += loadIncrement(it, m.Machine)
-		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: m.Machine.Name})
+		placed = append(placed, Assignment{Ref: it.Ref, Machine: m.Index})
 	}
 
 	switch policy {
@@ -181,7 +181,7 @@ func randomRound(rng *rand.Rand) (byID, byName []Item, machines []MachineState, 
 		for k, id := range ids {
 			names[k] = fmt.Sprintf("m%d", id)
 		}
-		it := Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", len(byID))), Work: float64(rng.Intn(30)), HomeSite: rng.Intn(5)}
+		it := Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", len(byID))), Ref: len(byID), Work: float64(rng.Intn(30)), HomeSite: rng.Intn(5)}
 		it.CandidateIDs = ids
 		byID = append(byID, it)
 		it.CandidateIDs, it.Candidates = nil, names
@@ -256,7 +256,7 @@ func TestPlaceRoundBoundedByFreeSlots(t *testing.T) {
 	}
 	items := make([]Item, n)
 	for i := range items {
-		items[i] = Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", i)), CandidateIDs: ids, Work: 1, HomeSite: 1}
+		items[i] = Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", i)), Ref: i, CandidateIDs: ids, Work: 1, HomeSite: 1}
 	}
 	loc := NewLocality()
 	loc.RejectCap = n
@@ -265,12 +265,36 @@ func TestPlaceRoundBoundedByFreeSlots(t *testing.T) {
 		start := time.Now()
 		for round := 0; round < 50; round++ {
 			placed, waiting := p.Place(items, []MachineState{siteMachine("free", n-1, 1, 1)})
-			if len(placed) != 1 || placed[0].Task != "t0" || len(waiting) != n-1 || waiting[0].Task != "t1" {
+			if len(placed) != 1 || placed[0].Ref != 0 || placed[0].Machine != n-1 || len(waiting) != n-1 || waiting[0].Task != "t1" {
 				t.Fatalf("%s: placed %v, %d waiting; want t0 placed and the other %d waiting in order", p.Name(), placed, len(waiting), n-1)
 			}
 		}
 		if d := time.Since(start); d > time.Second {
 			t.Errorf("%s: 50 one-slot rounds over %d×%d candidates took %v: the round scans candidates after its last slot is spent", p.Name(), n, n, d)
+		}
+	}
+}
+
+// TestPlaceForgetsPreviousSnapshot reuses one snapshot buffer the way the
+// scenario engine does: round 1 holds machines 0 and 5 (5 with free slots
+// left over), round 2 only machine 0 in the same backing array. An item
+// whose one candidate is 5 must wait in round 2 — the id table keeps no
+// entry from an earlier round, however much of the old backing survives.
+func TestPlaceForgetsPreviousSnapshot(t *testing.T) {
+	loc := NewLocality()
+	loc.SetTopology(make([]int, 6), [][]float64{{0}})
+	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
+		buf := []MachineState{siteMachine("m0", 0, 1, 1), siteMachine("m5", 5, 1, 3)}
+		first := []Item{{Task: "t0", Ref: 7, CandidateIDs: []int{0}, HomeSite: 1}}
+		placed, waiting := p.Place(first, buf)
+		if len(placed) != 1 || placed[0] != (Assignment{Ref: 7, Machine: 0}) || len(waiting) != 0 {
+			t.Fatalf("%s round 1: placed %v, %d waiting; want t0 on machine 0", p.Name(), placed, len(waiting))
+		}
+		buf[0] = siteMachine("m0", 0, 1, 1)
+		second := []Item{{Task: "t1", Ref: 8, CandidateIDs: []int{5}, HomeSite: 1}}
+		placed, waiting = p.Place(second, buf[:1])
+		if len(placed) != 0 || len(waiting) != 1 {
+			t.Fatalf("%s round 2: placed %v on a machine absent from the snapshot", p.Name(), placed)
 		}
 	}
 }

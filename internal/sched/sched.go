@@ -7,12 +7,16 @@
 //
 // The placement contract (Policy.Place) is shaped by its event-frequency
 // caller, the scenario engine, which re-places its whole waiting queue
-// against the machines that are idle now on every arrival and completion:
-// an Item names its admissible machines by dense id (CandidateIDs, resolved
-// by array index) or, for hand-written callers, by name (Candidates); and a
-// round ends when nothing is free — once the snapshot's slots are spent the
-// remaining items wait without their candidates being looked at, so a round
-// costs what it can place, not waiting items × candidates.
+// against the machines that are idle now on every arrival and completion.
+// It speaks one identity, dense ints: every MachineState carries the
+// caller's Index, an Item names its admissible machines by those ids
+// (CandidateIDs, resolved by array index; hand-written callers may use names
+// instead) and carries the caller's Ref, and an Assignment hands back the
+// item's Ref and the chosen machine's Index, so the caller needs no name
+// lookup to act on it. Task and machine names are labels only. A round ends
+// when nothing is free — once the snapshot's slots are spent the remaining
+// items wait without their candidates being looked at, so a round costs
+// what it can place, not waiting items × candidates.
 package sched
 
 import (
@@ -87,9 +91,10 @@ type MachineState struct {
 	// Slots is how many additional tasks this machine accepts in this
 	// placement round.
 	Slots int
-	// Index is an optional caller-assigned dense id (e.g. the simulator's
-	// Machine.Index): what Item.CandidateIDs entries name. Callers that
-	// describe candidates by name can leave it zero.
+	// Index is the caller-assigned dense id (e.g. the simulator's
+	// Machine.Index), unique within the snapshot: what Item.CandidateIDs
+	// entries name, what Assignment.Machine reports and what a Locality
+	// site map is keyed by.
 	Index int
 
 	// scarce is UtilizationFirst's internal reservation count: waiting
@@ -99,10 +104,11 @@ type MachineState struct {
 
 // Item is one task instance awaiting placement.
 type Item struct {
-	// Task is the owning task.
+	// Task labels the item for people; policies never read it.
 	Task taskgraph.TaskID
-	// Instance distinguishes multiple copies of the same task.
-	Instance int
+	// Ref is the caller's handle for the item (the scenario engine's task
+	// slot), echoed in its Assignment; policies never read it.
+	Ref int
 	// Candidates lists admissible machine names (already filtered by
 	// requirements), resolved against the snapshot by name. It is read
 	// only when CandidateIDs is nil.
@@ -132,13 +138,12 @@ func (it *Item) candidates() int {
 	return len(it.Candidates)
 }
 
-// Assignment binds a task instance to a machine.
+// Assignment binds a placed item to a machine, in the caller's ids.
 type Assignment struct {
-	// Task and Instance identify the placed item.
-	Task     taskgraph.TaskID
-	Instance int
-	// Machine is the chosen host.
-	Machine string
+	// Ref is the placed item's Item.Ref.
+	Ref int
+	// Machine is the chosen machine's MachineState.Index.
+	Machine int
 }
 
 // Policy places a batch of task instances onto machines.
@@ -222,6 +227,7 @@ func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignme
 			waiting = append(waiting, it)
 		}
 	}
+	round.release()
 	return placed, waiting
 }
 
@@ -328,6 +334,7 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 		}
 		placed = append(placed, round.assign(it, best))
 	}
+	round.release()
 	return placed, waiting
 }
 
@@ -336,7 +343,7 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 // free is the round's budget: the snapshot's unspent slots, counted once at
 // the start and decremented per assignment. The name map and the id table
 // are each built on first use, so a round pays only for the view its items
-// carry.
+// carry; the id table lives in the scratch and is all nil between rounds.
 type roundState struct {
 	backing []MachineState
 	free    int
@@ -365,7 +372,7 @@ func (r *roundState) assign(it Item, ms *MachineState) Assignment {
 	ms.Slots--
 	r.free--
 	ms.Load += loadIncrement(it, ms.Machine)
-	return Assignment{Task: it.Task, Instance: it.Instance, Machine: ms.Machine.Name}
+	return Assignment{Ref: it.Ref, Machine: ms.Index}
 }
 
 func (r *roundState) lookup(name string) *MachineState {
@@ -379,33 +386,36 @@ func (r *roundState) lookup(name string) *MachineState {
 }
 
 // byID resolves a caller-assigned MachineState.Index to its snapshot entry,
-// nil when the id names no machine in this round. The index table is one
-// array fill — no hashing.
+// nil when the id names no machine in this round. On first use the round
+// sets one entry of the scratch's id table per snapshot machine — no
+// hashing, and no pass over ids the snapshot does not hold.
 func (r *roundState) byID(id int) *MachineState {
 	if r.byIndex == nil {
-		max := -1
+		t := r.scratch.byIndex
 		for i := range r.backing {
-			if r.backing[i].Index > max {
-				max = r.backing[i].Index
+			ix := r.backing[i].Index
+			if ix >= len(t) {
+				t = append(t, make([]*MachineState, ix+1-len(t))...)
 			}
+			t[ix] = &r.backing[i]
 		}
-		if s := r.scratch; cap(s.byIndex) >= max+1 {
-			r.byIndex = s.byIndex[:max+1]
-			for i := range r.byIndex {
-				r.byIndex[i] = nil
-			}
-		} else {
-			r.byIndex = make([]*MachineState, max+1)
-			s.byIndex = r.byIndex
-		}
-		for i := range r.backing {
-			r.byIndex[r.backing[i].Index] = &r.backing[i]
-		}
+		r.scratch.byIndex = t
+		r.byIndex = t
 	}
 	if id < 0 || id >= len(r.byIndex) {
 		return nil
 	}
 	return r.byIndex[id]
+}
+
+// release ends the round: it clears the id-table entries byID set, so the
+// next round's table holds only its own snapshot.
+func (r *roundState) release() {
+	if r.byIndex != nil {
+		for i := range r.backing {
+			r.byIndex[r.backing[i].Index] = nil
+		}
+	}
 }
 
 // pickBest scans one item's candidates — by dense id when CandidateIDs is

@@ -17,6 +17,23 @@ func ws(name string, speed float64, load float64, slots int) MachineState {
 	}
 }
 
+// fleet numbers machines by position: the Index an Assignment reports.
+func fleet(machines ...MachineState) []MachineState {
+	for i := range machines {
+		machines[i].Index = i
+	}
+	return machines
+}
+
+// onto maps each placed item's task to its machine's name.
+func onto(placed []Assignment, items []Item, machines []MachineState) map[taskgraph.TaskID]string {
+	got := map[taskgraph.TaskID]string{}
+	for _, a := range placed {
+		got[items[a.Ref].Task] = machines[a.Machine].Machine.Name
+	}
+	return got
+}
+
 func TestRankBidsByLoad(t *testing.T) {
 	bids := []Bid{
 		{Machine: "c", Load: 0.9, Capacity: 1},
@@ -80,23 +97,20 @@ func TestSelectBestInsufficientIsAllocError(t *testing.T) {
 // machine A; task "portable" runs anywhere but fastest on machine A.
 func machineAScenario() ([]Item, []MachineState) {
 	items := []Item{
-		{Task: "portable", Candidates: []string{"A", "B"}, Work: 10},
-		{Task: "pinned", Candidates: []string{"A"}, Work: 10},
+		{Task: "portable", Ref: 0, Candidates: []string{"A", "B"}, Work: 10},
+		{Task: "pinned", Ref: 1, Candidates: []string{"A"}, Work: 10},
 	}
-	machines := []MachineState{
+	machines := fleet(
 		ws("A", 4, 0, 1), // fast, uniquely capable
 		ws("B", 1, 0, 1), // slow but universal
-	}
+	)
 	return items, machines
 }
 
 func TestUtilizationFirstSolvesMachineA(t *testing.T) {
 	items, machines := machineAScenario()
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
-	got := map[taskgraph.TaskID]string{}
-	for _, a := range placed {
-		got[a.Task] = a.Machine
-	}
+	got := onto(placed, items, machines)
 	if got["pinned"] != "A" {
 		t.Fatalf("pinned placed on %q, want A", got["pinned"])
 	}
@@ -114,10 +128,7 @@ func TestGreedyBestFitBurnsMachineA(t *testing.T) {
 	// describes.
 	items, machines := machineAScenario()
 	placed, waiting := NewGreedyBestFit().Place(items, machines)
-	got := map[taskgraph.TaskID]string{}
-	for _, a := range placed {
-		got[a.Task] = a.Machine
-	}
+	got := onto(placed, items, machines)
 	if got["portable"] != "A" {
 		t.Fatalf("greedy portable on %q, expected it to grab A", got["portable"])
 	}
@@ -131,14 +142,14 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 	// wait even though the machine could host it ("the second job should
 	// be made to wait", §4.3).
 	items := []Item{
-		{Task: "flexible", Candidates: []string{"A"}, Work: 1},
-		{Task: "pinned", Candidates: []string{"A"}, Work: 1},
+		{Task: "flexible", Ref: 0, Candidates: []string{"A"}, Work: 1},
+		{Task: "pinned", Ref: 1, Candidates: []string{"A"}, Work: 1},
 	}
 	// Both claim only A here; make flexible truly flexible:
 	items[0].Candidates = []string{"A", "Bgone"} // B not in machine set
 	machines := []MachineState{ws("A", 1, 0, 1)}
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
-	if len(placed) != 1 || placed[0].Task != "pinned" {
+	if len(placed) != 1 || items[placed[0].Ref].Task != "pinned" {
 		t.Fatalf("placed = %v, want only pinned", placed)
 	}
 	if len(waiting) != 1 || waiting[0].Task != "flexible" {
@@ -148,13 +159,13 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 
 func TestUtilizationFirstUsesScarceMachineWhenNoScarceDemand(t *testing.T) {
 	items := []Item{{Task: "flexible", Candidates: []string{"A", "B"}, Work: 1}}
-	machines := []MachineState{ws("A", 4, 0, 1), ws("B", 1, 0, 1)}
+	machines := fleet(ws("A", 4, 0, 1), ws("B", 1, 0, 1))
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(waiting) != 0 || len(placed) != 1 {
 		t.Fatalf("placed=%v waiting=%v", placed, waiting)
 	}
-	if placed[0].Machine != "A" {
-		t.Fatalf("flexible should take the fast machine when nobody scarce needs it, got %q", placed[0].Machine)
+	if got := onto(placed, items, machines)["flexible"]; got != "A" {
+		t.Fatalf("flexible should take the fast machine when nobody scarce needs it, got %q", got)
 	}
 }
 
@@ -203,16 +214,16 @@ func TestPlaceUnknownCandidateSkipped(t *testing.T) {
 
 func TestMultiInstancePlacementSpreads(t *testing.T) {
 	items := []Item{
-		{Task: "mc", Instance: 0, Candidates: []string{"A", "B", "C"}},
-		{Task: "mc", Instance: 1, Candidates: []string{"A", "B", "C"}},
-		{Task: "mc", Instance: 2, Candidates: []string{"A", "B", "C"}},
+		{Task: "mc", Ref: 0, Candidates: []string{"A", "B", "C"}},
+		{Task: "mc", Ref: 1, Candidates: []string{"A", "B", "C"}},
+		{Task: "mc", Ref: 2, Candidates: []string{"A", "B", "C"}},
 	}
-	machines := []MachineState{ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1)}
+	machines := fleet(ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1))
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 3 || len(waiting) != 0 {
 		t.Fatalf("placed=%d waiting=%d", len(placed), len(waiting))
 	}
-	used := map[string]bool{}
+	used := map[int]bool{}
 	for _, a := range placed {
 		used[a.Machine] = true
 	}

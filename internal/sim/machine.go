@@ -35,6 +35,10 @@ import (
 type Task struct {
 	// ID uniquely names the task instance.
 	ID string
+	// Ref is the owner's handle for the task (the scenario engine's pool
+	// slot). sim never reads it; a migration re-adds the same record, so
+	// it survives moves.
+	Ref int
 	// App groups instances of an application.
 	App string
 	// Work is the total work units required.
