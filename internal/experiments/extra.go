@@ -208,13 +208,14 @@ func E13Utilization() (*Result, error) {
 				})
 			}
 		case "dawgs", "vce-migrate":
-			queue := loadbalance.NewDAWGS(0.5, 0.8, 0.2)
+			// Placement by the same idle-seeking queue in both modes;
+			// owners returning get suspension or evacuation beside it.
 			if mode == "vce-migrate" {
-				// Placement by the same idle-seeking queue, but
-				// evacuation instead of suspension when owners return.
-				queue = loadbalance.NewDAWGS(0.5, 99, 0.2) // suspension off
 				loadbalance.NewVCEMigrate(0.8, 0.2, 0.5, migrate.AddressSpace{}).Attach(c)
+			} else {
+				loadbalance.NewStealth(0.8, 0.2).Attach(c)
 			}
+			queue := loadbalance.NewDAWGS(0.5)
 			queue.Attach(c)
 			for i, at := range arrivals {
 				if i >= nJobs {

@@ -7,8 +7,8 @@
 //     activity of locally initiated tasks diminishes". No migration needed —
 //     and no escape from a busy machine.
 //   - DAWGS (Clark & McMillin): a distributed compute server that places
-//     queued jobs on idle workstations only (non-preemptive placement), with
-//     Stealth-style suspension once the owner returns.
+//     queued jobs on idle workstations only (non-preemptive placement);
+//     Stealth beside it suspends them once the owner returns.
 //   - VCEMigrate: the paper's position — when a host gets busy, move the
 //     task "from a less suitable machine to a more suitable machine" using
 //     whichever migration strategy applies, falling back to suspension only
@@ -151,43 +151,33 @@ func (v *VCEMigrate) TotalLostWork() float64 { return v.lostWork }
 // TotalBytesMoved is the state transferred across all migrations.
 func (v *VCEMigrate) TotalBytesMoved() int64 { return v.bytesMoved }
 
-// DAWGS is the Clark & McMillin-style distributed compute server: submitted
-// jobs wait in a global queue for an idle workstation (non-preemptive
-// placement), and suspend in place when the owner returns.
+// DAWGS is the Clark & McMillin-style distributed compute server's
+// placement queue: submitted jobs wait in a global queue for an idle
+// workstation (non-preemptive placement). What happens to a placed job when
+// its host's owner returns is a separate policy attached beside the queue:
+// Stealth suspends it in place, VCEMigrate moves it.
 type DAWGS struct {
 	// IdleBelow is the local load under which a machine counts as idle.
 	IdleBelow float64
-	// Hi and Lo are the suspension hysteresis thresholds.
-	Hi, Lo float64
 
 	// Placed counts dispatches; QueueLenMax tracks backlog.
 	Placed      int64
 	QueueLenMax int
 
-	queue   []*sim.Task
-	cluster *sim.Cluster
+	queue []*sim.Task
 }
 
-// NewDAWGS returns the non-preemptive idle-workstation policy.
-func NewDAWGS(idleBelow, hi, lo float64) *DAWGS {
-	return &DAWGS{IdleBelow: idleBelow, Hi: hi, Lo: lo}
+// NewDAWGS returns the non-preemptive idle-workstation queue.
+func NewDAWGS(idleBelow float64) *DAWGS {
+	return &DAWGS{IdleBelow: idleBelow}
 }
 
 // Name identifies the policy.
 func (d *DAWGS) Name() string { return "dawgs-queue" }
 
-// Attach hooks the policy to cluster change events.
+// Attach drains the queue on every cluster change event.
 func (d *DAWGS) Attach(c *sim.Cluster) {
-	d.cluster = c
-	c.OnChange(func(m *sim.Machine, now time.Duration) {
-		// Suspension behaviour while the owner is active.
-		if m.LocalLoad() >= d.Hi && !m.Suspended() && m.RemoteTasks() > 0 {
-			m.SetSuspended(true)
-		} else if m.LocalLoad() <= d.Lo && m.Suspended() {
-			m.SetSuspended(false)
-		}
-		d.drain(c)
-	})
+	c.OnChange(func(*sim.Machine, time.Duration) { d.drain(c) })
 }
 
 // Submit places the task on an idle machine or queues it until one appears.

@@ -177,7 +177,7 @@ func TestDAWGSQueuesUntilIdle(t *testing.T) {
 	c, ms := newCluster(t, "a", "b")
 	ms["a"].SetLocalLoad(0.9)
 	ms["b"].SetLocalLoad(0.9)
-	pol := NewDAWGS(0.5, 0.8, 0.2)
+	pol := NewDAWGS(0.5)
 	pol.Attach(c)
 	var done int
 	for i := 0; i < 3; i++ {
@@ -200,10 +200,11 @@ func TestDAWGSQueuesUntilIdle(t *testing.T) {
 }
 
 func TestDAWGSNonPreemptive(t *testing.T) {
-	// DAWGS never moves a placed task: owner activity suspends it in
-	// place even when another machine is idle.
+	// DAWGS never moves a placed task: with Stealth beside the queue,
+	// owner activity suspends it in place even when another machine is idle.
 	c, ms := newCluster(t, "host", "idle")
-	pol := NewDAWGS(0.5, 0.8, 0.2)
+	NewStealth(0.8, 0.2).Attach(c)
+	pol := NewDAWGS(0.5)
 	pol.Attach(c)
 	task := &sim.Task{ID: "t", Work: 10}
 	pol.Submit(c, task)
@@ -229,7 +230,7 @@ func TestPolicyNames(t *testing.T) {
 	if NewVCEMigrate(1, 0, 0, migrate.AddressSpace{}).Name() != "vce-migrate" {
 		t.Fatal("vce name")
 	}
-	if NewDAWGS(0, 1, 0).Name() != "dawgs-queue" {
+	if NewDAWGS(0).Name() != "dawgs-queue" {
 		t.Fatal("dawgs name")
 	}
 }

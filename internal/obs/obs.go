@@ -27,29 +27,11 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"sort"
 	"sync"
 	"time"
 )
-
-// publishMu serializes Publish so concurrent first registrations of the
-// same name cannot both pass the existence check.
-var publishMu sync.Mutex
-
-// Publish registers v under name in the process-wide expvar registry,
-// tolerating re-registration: expvar.Publish panics on a duplicate name,
-// which makes it unusable from code that can run more than once per
-// process (a restarted sweep service, package tests constructing several
-// servers). The first registration wins; later calls are no-ops.
-func Publish(name string, v expvar.Var) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if expvar.Get(name) == nil {
-		expvar.Publish(name, v)
-	}
-}
 
 // KernelCounters aggregates one run's (or one sweep's) discrete-event
 // kernel traffic, fed by vtime.Stats plus the cluster's change counter.

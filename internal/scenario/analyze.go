@@ -89,7 +89,8 @@ type Report struct {
 	// Engine stamps the simulation semantics that produced the indexes
 	// (EngineVersion at execution time). MergeReports refuses to combine
 	// reports carrying different stamps: their numbers are not one sweep.
-	// Empty in artifacts written before the stamp existed.
+	// Empty in artifacts written before the stamp existed, which
+	// MergeReports refuses as well.
 	Engine string `json:"engine,omitempty"`
 	// Spec is the executed scenario (defaults applied).
 	Spec *Spec `json:"spec"`

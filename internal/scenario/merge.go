@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // ReportFile is the name of the serialized-report artifact WriteArtifacts
@@ -34,10 +33,10 @@ func LoadReport(path string) (*Report, error) {
 
 // MergeReports deterministically combines shard reports of one sweep into
 // the report a single-process run of the full grid would have produced —
-// byte-identically, because cells reassemble in run-number order and a
-// completed cell drops its RunNumbers overlay exactly as the executor
-// does. Inputs must share an identical spec (defaults applied) and cell
-// structure, and no (cell, run) position may appear in more than one
+// byte-identically, because the runs fill one (cell, run) grid that the
+// executor's own assembleReport turns into the report. Inputs must carry
+// the same engine stamp, share an identical spec (defaults applied) and
+// cell structure, and no (cell, run) position may appear in more than one
 // input: overlap means the shards were produced with inconsistent
 // partitions, and picking a winner silently would mask that. Merging
 // partial reports (interrupted or ContinueOnError shards) is fine — the
@@ -51,14 +50,17 @@ func MergeReports(reports ...*Report) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: merge: %w", err)
 	}
-	// Engine stamps must agree pairwise: indexes produced by different
-	// simulation semantics are different experiments, however equal the
-	// specs look. Unstamped (pre-stamp) reports are tolerated alongside any
-	// ONE stamp for artifact back-compatibility, so the reference is the
-	// first non-empty stamp wherever it appears, not report 0's field.
-	engine := ""
-	engineFrom := -1
 	for i, rep := range reports {
+		// Indexes produced by different simulation semantics are different
+		// experiments, however equal the specs look. An unstamped report
+		// predates the stamp itself, so it agrees with no stamped one.
+		if rep.Engine == "" {
+			return nil, fmt.Errorf("scenario: merge: report %d carries no engine stamp — it predates engine stamping, so its results cannot be one sweep with any other", i)
+		}
+		if rep.Engine != ref.Engine {
+			return nil, fmt.Errorf("scenario: merge: report %d was produced by engine %q, report 0 by %q — results from different engine versions cannot be one sweep",
+				i, rep.Engine, ref.Engine)
+		}
 		// Duplicate (sched, migration) cells inside one report would let the
 		// per-cell merge below silently conflate unrelated run sets.
 		seen := make(map[string]bool, len(rep.Cells))
@@ -68,15 +70,6 @@ func MergeReports(reports ...*Report) (*Report, error) {
 				return nil, fmt.Errorf("scenario: merge: report %d contains cell %s twice", i, key)
 			}
 			seen[key] = true
-		}
-		if rep.Engine == "" {
-			continue
-		}
-		if engine == "" {
-			engine, engineFrom = rep.Engine, i
-		} else if rep.Engine != engine {
-			return nil, fmt.Errorf("scenario: merge: report %d was produced by engine %q, report %d by %q — results from different engine versions cannot be one sweep",
-				i, rep.Engine, engineFrom, engine)
 		}
 	}
 	for i, rep := range reports[1:] {
@@ -99,43 +92,31 @@ func MergeReports(reports ...*Report) (*Report, error) {
 		}
 	}
 
-	// Carry the stamp forward (all stamped inputs agree; some may predate it).
-	out := &Report{Engine: engine, Spec: ref.Spec}
-	for c := range ref.Cells {
-		merged := Cell{Sched: ref.Cells[c].Sched, Migration: ref.Cells[c].Migration}
-		byRun := make(map[int]Indexes)
-		for _, rep := range reports {
-			cell := rep.Cells[c]
-			for i, idx := range cell.Runs {
-				run := cell.runNumber(i)
-				if _, dup := byRun[run]; dup {
-					return nil, fmt.Errorf("scenario: merge: run %d of cell %s/%s appears in more than one report — overlapping shards",
-						run, merged.Sched, merged.Migration)
-				}
-				byRun[run] = idx
-			}
-		}
-		runs := make([]int, 0, len(byRun))
-		for run := range byRun {
-			runs = append(runs, run)
-		}
-		sort.Ints(runs)
-		for _, run := range runs {
-			merged.Runs = append(merged.Runs, byRun[run])
-		}
-		// Same convention as the executor: a complete cell stays in the
-		// position-is-run-number format; only gaps need the overlay.
-		complete := len(runs) == ref.Spec.Runs
-		for i, run := range runs {
-			if run != i {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			merged.RunNumbers = runs
-		}
-		out.Cells = append(out.Cells, merged)
+	runs := ref.Spec.Runs
+	insts := make([]Instance, len(ref.Cells))
+	got := make([][]*Indexes, len(ref.Cells))
+	for c, cell := range ref.Cells {
+		insts[c] = Instance{Spec: ref.Spec, Sched: cell.Sched, Migration: cell.Migration}
+		got[c] = make([]*Indexes, runs)
 	}
+	for i, rep := range reports {
+		for c := range rep.Cells {
+			cell := &rep.Cells[c]
+			for k := range cell.Runs {
+				run := cell.runNumber(k)
+				if run < 0 || run >= runs {
+					return nil, fmt.Errorf("scenario: merge: report %d carries run %d of cell %s/%s, outside the spec's %d runs",
+						i, run, cell.Sched, cell.Migration, runs)
+				}
+				if got[c][run] != nil {
+					return nil, fmt.Errorf("scenario: merge: run %d of cell %s/%s appears in more than one report — overlapping shards",
+						run, cell.Sched, cell.Migration)
+				}
+				got[c][run] = &cell.Runs[k]
+			}
+		}
+	}
+	out := assembleReport(ref.Spec, insts, got)
+	out.Engine = ref.Engine
 	return out, nil
 }

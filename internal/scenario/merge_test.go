@@ -44,16 +44,35 @@ func TestMergeRejectsEngineMismatch(t *testing.T) {
 		t.Fatalf("engine mismatch accepted: %v", err)
 	}
 
-	// A pre-stamp (empty-engine) report merges with a stamped one — old
-	// artifacts stay loadable — and the stamp survives the merge.
+	// A pre-stamp (empty-engine) report predates the stamp itself, so its
+	// numbers cannot be one sweep with a stamped report's.
 	legacy := *b
 	legacy.Engine = ""
-	merged, err := MergeReports(a, &legacy)
+	if _, err := MergeReports(a, &legacy); err == nil || !strings.Contains(err.Error(), "engine") {
+		t.Fatalf("legacy unstamped report accepted: %v", err)
+	}
+	merged, err := MergeReports(a, b)
 	if err != nil {
-		t.Fatalf("legacy unstamped report rejected: %v", err)
+		t.Fatal(err)
 	}
 	if merged.Engine != EngineVersion {
 		t.Fatalf("merged engine = %q, want %q", merged.Engine, EngineVersion)
+	}
+}
+
+// TestMergeRejectsRunOutsideSpec: a run number outside [0, Runs) names no
+// seed of the spec, so the report carrying it is corrupt.
+func TestMergeRejectsRunOutsideSpec(t *testing.T) {
+	sp := testSpec()
+	sp.Runs = 2
+	for _, run := range []int{-1, 2} {
+		rep := &Report{Engine: EngineVersion, Spec: sp, Cells: []Cell{{
+			Sched: "greedy-best-fit", Migration: "none",
+			Runs: []Indexes{{Completed: 1}}, RunNumbers: []int{run},
+		}}}
+		if _, err := MergeReports(rep); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("run %d of a 2-run spec accepted: %v", run, err)
+		}
 	}
 }
 
@@ -74,17 +93,14 @@ func TestMergeEngineMismatchEitherOrder(t *testing.T) {
 	if _, err := MergeReports(&stale, b); err == nil || !strings.Contains(err.Error(), "engine") {
 		t.Fatalf("engine mismatch with stale reference accepted: %v", err)
 	}
+	// An unstamped report is refused whether it is the reference or not.
 	unstamped := *a
 	unstamped.Engine = ""
-	if merged, err := MergeReports(&unstamped, b); err != nil || merged.Engine != EngineVersion {
-		t.Fatalf("unstamped reference: merged=%v err=%v", merged, err)
+	if _, err := MergeReports(&unstamped, b); err == nil || !strings.Contains(err.Error(), "engine") {
+		t.Fatalf("unstamped reference accepted: %v", err)
 	}
-	// An unstamped reference must not blind the check to a mismatch among
-	// the later reports.
-	staleB := *b
-	staleB.Engine = "vce-scenario/0-ancient"
-	if _, err := MergeReports(&unstamped, a, &staleB); err == nil || !strings.Contains(err.Error(), "engine") {
-		t.Fatalf("mismatch behind an unstamped reference accepted: %v", err)
+	if _, err := MergeReports(b, &unstamped); err == nil || !strings.Contains(err.Error(), "engine") {
+		t.Fatalf("unstamped later report accepted: %v", err)
 	}
 }
 

@@ -5,18 +5,21 @@
 //
 // The paper's VCE is an always-on environment many users submit work into;
 // this is that shape for the simulation stack. Each submission becomes a
-// sweep queued onto the existing RunContext worker pool (bounded by
-// Config.MaxConcurrent), its per-run progress streams to clients as
-// NDJSON or SSE straight off the engine's serialized Progress hook
-// (cache provenance included), and its finished artifacts are written by
-// the same WriteArtifacts the CLI uses — a report fetched from the daemon
-// is byte-identical to a CLI run of the same spec.
+// sweep on one run queue that Config.MaxConcurrent runners drain in
+// submission order, each executing its sweep through the engine's
+// RunContext worker pool. A sweep's per-run progress lands in one
+// append-only event log that every client stream reads by cursor, as
+// NDJSON or SSE, in the order of the engine's serialized Progress hook
+// (cache provenance included). Its finished artifacts are written by the
+// same WriteArtifacts the CLI uses — a report fetched from the daemon is
+// byte-identical to a CLI run of the same spec.
 //
 // Multi-tenancy rides entirely on the executor's CellKey contract: every
 // sweep consults the shared store before simulating a cell, so N clients
-// submitting the same spec cost one sweep's worth of simulation. Sweeps
-// with identical spec hashes are serialized (distinct specs run
-// concurrently), which turns "two concurrent clients, same spec" into
+// submitting the same spec cost one sweep's worth of simulation. A runner
+// skips a queued sweep whose spec hash is already executing, so identical
+// sweeps run one after another in submission order while distinct specs
+// run concurrently. That turns "two concurrent clients, same spec" into
 // "first simulates, second replays entirely from cache" instead of a
 // duplicated race.
 //
@@ -31,7 +34,7 @@
 //	                                   to the CLI artifact
 //	GET  /sweeps/{id}/artifacts/{name} any report artifact
 //	GET  /stats                        cache traffic, entry count, sweep states
-//	GET  /debug/vars                   expvar (includes the vce_sweep_service var)
+//	GET  /debug/vars                   expvar (memstats, cmdline)
 //
 // Sweep state persists under the cache directory (sweeps/<id>/: the
 // submitted spec, a state.json rewritten atomically on every transition,
@@ -52,11 +55,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"vce/internal/obs"
 	"vce/internal/scenario"
 	"vce/internal/scenario/store"
 )
@@ -95,29 +98,31 @@ type ServerStats struct {
 // New, serve it, and Close it to cancel running sweeps and persist their
 // interrupted state.
 type Server struct {
-	cfg    Config
-	cache  *store.FS
-	mux    *http.ServeMux
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	cfg     Config
+	cache   *store.FS
+	mux     *http.ServeMux
+	ctx     context.Context
+	cancel  context.CancelFunc
+	runners sync.WaitGroup
 
-	// semCh bounds concurrently executing sweeps (capacity MaxConcurrent);
-	// flights serializes sweeps that share a spec hash so identical
-	// concurrent submissions replay from the cache instead of racing. An
-	// entry lives while some sweep waits on or holds it.
-	semCh chan struct{}
-
-	mu      sync.Mutex
-	sweeps  map[string]*sweep
-	order   []string
-	seq     int
-	flights map[string]*flight
+	mu     sync.Mutex
+	sweeps map[string]*sweep
+	order  []string
+	seq    int
+	// queue holds the sweeps not yet started, in submission order; running
+	// holds the spec hashes executing now. A runner takes the oldest queued
+	// sweep whose hash is not running, so identical specs replay from the
+	// cache one after another instead of racing. wake (on mu) is signalled
+	// when a sweep is queued and broadcast on shutdown.
+	queue   []*sweep
+	running map[string]bool
+	wake    *sync.Cond
 }
 
 // New opens (or creates) the cache directory, recovers persisted sweeps —
 // re-queuing any that were queued, running or interrupted when the
-// previous daemon died — and returns a ready-to-serve Server.
+// previous daemon died — and returns a ready-to-serve Server with
+// MaxConcurrent runners draining the run queue.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
@@ -132,16 +137,26 @@ func New(cfg Config) (*Server, error) {
 		cache:   cache,
 		ctx:     ctx,
 		cancel:  cancel,
-		semCh:   make(chan struct{}, cfg.MaxConcurrent),
 		sweeps:  make(map[string]*sweep),
-		flights: make(map[string]*flight),
+		running: make(map[string]bool),
 	}
+	sv.wake = sync.NewCond(&sv.mu)
 	sv.routes()
 	if err := sv.recover(); err != nil {
 		cancel()
 		return nil, err
 	}
-	obs.Publish("vce_sweep_service", expvar.Func(func() any { return sv.Stats() }))
+	// Shutdown wakes idle runners; taking mu first means no runner can be
+	// between its ctx check and its Wait when the broadcast happens.
+	context.AfterFunc(ctx, func() {
+		sv.mu.Lock()
+		sv.wake.Broadcast()
+		sv.mu.Unlock()
+	})
+	sv.runners.Add(cfg.MaxConcurrent)
+	for range cfg.MaxConcurrent {
+		go sv.run()
+	}
 	return sv, nil
 }
 
@@ -167,11 +182,20 @@ func (sv *Server) Stats() ServerStats {
 	return st
 }
 
-// Close cancels every running sweep and waits for them to persist their
-// interrupted state. The Server must not serve requests afterwards.
+// Close cancels every running sweep, waits for the runners to persist
+// their interrupted state, then interrupts every sweep still queued, so
+// all open event streams end. The Server must not serve requests
+// afterwards.
 func (sv *Server) Close() error {
 	sv.cancel()
-	sv.wg.Wait()
+	sv.runners.Wait()
+	sv.mu.Lock()
+	queued := sv.queue
+	sv.queue = nil
+	sv.mu.Unlock()
+	for _, s := range queued {
+		sv.interrupt(s)
+	}
 	return nil
 }
 
@@ -282,58 +306,43 @@ func (sv *Server) Submit(sp *scenario.Spec, raw []byte) (Status, error) {
 	return s.status(), nil
 }
 
-// flight is the lock serializing sweeps of one spec hash; holders counts
-// the sweeps waiting on or holding it.
-type flight struct {
-	sync.Mutex
-	holders int
-}
-
-// acquireFlight blocks until the caller holds the flight for hash and
-// returns its release, which deletes the entry when the last holder leaves.
-func (sv *Server) acquireFlight(hash string) (release func()) {
-	sv.mu.Lock()
-	f := sv.flights[hash]
-	if f == nil {
-		f = &flight{}
-		sv.flights[hash] = f
-	}
-	f.holders++
-	sv.mu.Unlock()
-	f.Lock()
-	return func() {
-		f.Unlock()
-		sv.mu.Lock()
-		if f.holders--; f.holders == 0 {
-			delete(sv.flights, hash)
-		}
-		sv.mu.Unlock()
-	}
-}
-
-// launch runs the sweep's lifecycle on its own goroutine: serialize
-// against identical specs, take a concurrency slot, execute. A daemon
-// shutdown observed at either wait point parks the sweep as interrupted
-// for the next recovery.
+// launch appends the sweep to the run queue and wakes an idle runner.
 func (sv *Server) launch(s *sweep) {
-	sv.wg.Add(1)
-	go func() {
-		defer sv.wg.Done()
-		release := sv.acquireFlight(s.specHash)
-		defer release()
-		select {
-		case sv.semCh <- struct{}{}:
-			defer func() { <-sv.semCh }()
-		case <-sv.ctx.Done():
-			sv.interrupt(s)
-			return
-		}
-		if sv.ctx.Err() != nil {
-			sv.interrupt(s)
-			return
-		}
+	sv.mu.Lock()
+	sv.queue = append(sv.queue, s)
+	sv.mu.Unlock()
+	sv.wake.Signal()
+}
+
+// run is one runner: it executes queued sweeps until the server closes.
+func (sv *Server) run() {
+	defer sv.runners.Done()
+	for s := sv.next(nil); s != nil; s = sv.next(s) {
 		sv.execute(s)
-	}()
+	}
+}
+
+// next releases the spec hash of the sweep the runner just finished (nil
+// for none), then blocks until it can claim the oldest queued sweep whose
+// hash is not running. It returns nil once the server is closing; the
+// sweeps left queued are Close's to interrupt.
+func (sv *Server) next(finished *sweep) *sweep {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	if finished != nil {
+		delete(sv.running, finished.specHash)
+	}
+	for sv.ctx.Err() == nil {
+		for i, s := range sv.queue {
+			if !sv.running[s.specHash] {
+				sv.queue = slices.Delete(sv.queue, i, i+1)
+				sv.running[s.specHash] = true
+				return s
+			}
+		}
+		sv.wake.Wait()
+	}
+	return nil
 }
 
 // interrupt parks a sweep for recovery by a future daemon on this cache
@@ -468,58 +477,47 @@ func (sv *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status())
 }
 
-// handleEvents streams a sweep's progress: every event published so far,
-// then live events until the sweep reaches a terminal state or the client
-// disconnects. The stream is NDJSON (one Event object per line) unless the
-// client asks for Server-Sent Events via Accept: text/event-stream.
+// handleEvents streams a sweep's progress: every event in its log so far,
+// then each later batch as it is appended, until the sweep reaches a
+// terminal state or the client disconnects. The stream is NDJSON (one
+// Event object per line) unless the client asks for Server-Sent Events via
+// Accept: text/event-stream. The handler only reads the log, so a client
+// that stops reading stalls its own connection and nothing else.
 func (sv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s, ok := sv.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no sweep %q", r.PathValue("id")))
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
+	frame := "%s\n"
+	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		frame = "data: %s\n\n"
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	flusher, _ := w.(http.Flusher)
-	emit := func(ev Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
+	for n := 0; ; {
+		evs, more := s.since(n)
+		for _, ev := range evs {
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, frame, data); err != nil {
+				return // the client is gone
+			}
 		}
-		if sse {
-			fmt.Fprintf(w, "data: %s\n\n", data)
-		} else {
-			fmt.Fprintf(w, "%s\n", data)
-		}
+		n += len(evs)
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
-	}
-	replay, live, cancel := s.subscribe()
-	defer cancel()
-	for _, ev := range replay {
-		if !emit(ev) {
-			return
+		if more == nil {
+			return // the sweep is terminal and its log complete
 		}
-	}
-	if live == nil {
-		return
-	}
-	for {
 		select {
-		case ev, ok := <-live:
-			if !ok {
-				return // sweep reached a terminal state
-			}
-			if !emit(ev) {
-				return
-			}
+		case <-more:
 		case <-r.Context().Done():
 			return
 		}

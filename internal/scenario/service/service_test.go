@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -196,31 +197,31 @@ func TestConcurrentIdenticalClients(t *testing.T) {
 	if cs.Misses != tinyTotal || cs.Hits != tinyTotal || cs.PutErrors != 0 {
 		t.Errorf("store stats = %+v; want %d misses, %d hits", cs, tinyTotal, tinyTotal)
 	}
-	waitFlightsEmpty(t, sv)
+	waitQueueIdle(t, sv)
 }
 
-// waitFlightsEmpty polls until no sweep waits on or holds a flight: a
-// sweep reports done before its goroutine releases the flight.
-func waitFlightsEmpty(t *testing.T, sv *Server) {
+// waitQueueIdle polls until the run queue and the running set are empty: a
+// sweep reports done before its runner releases its spec hash.
+func waitQueueIdle(t *testing.T, sv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		sv.mu.Lock()
-		n := len(sv.flights)
+		queued, running := len(sv.queue), len(sv.running)
 		sv.mu.Unlock()
-		if n == 0 {
+		if queued == 0 && running == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d flight entries left after every sweep finished", n)
+			t.Fatalf("%d queued and %d running spec hashes left after every sweep finished", queued, running)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestFlightsForgetFinishedSpecs: the per-spec-hash flight table holds only
-// specs with a sweep in progress, so a long-lived daemon does not grow one
-// entry per distinct spec ever submitted.
+// TestFlightsForgetFinishedSpecs: the running set holds only spec hashes
+// with a sweep executing, so a long-lived daemon does not grow one entry
+// per distinct spec ever submitted.
 func TestFlightsForgetFinishedSpecs(t *testing.T) {
 	sv, ts := newService(t, t.TempDir(), 1, 2)
 	var ids []string
@@ -231,7 +232,7 @@ func TestFlightsForgetFinishedSpecs(t *testing.T) {
 	for _, id := range ids {
 		waitState(t, ts, id, StateDone)
 	}
-	waitFlightsEmpty(t, sv)
+	waitQueueIdle(t, sv)
 }
 
 // readEvents consumes a sweep's NDJSON event stream to its terminal event.
@@ -553,6 +554,114 @@ func getPersistedState(t *testing.T, cacheDir, id string) Status {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestQueuedSweepsCostNoGoroutines: a queued sweep is an entry in the run
+// queue, not a parked goroutine, so a daemon's goroutines stay bounded by
+// MaxConcurrent however many sweeps wait.
+func TestQueuedSweepsCostNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sv, err := New(Config{CacheDir: t.TempDir(), Workers: 1, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	for seed := 1; seed <= 100; seed++ {
+		raw := strings.Replace(slowSpec, `"seed": 7`, fmt.Sprintf(`"seed": %d`, seed), 1)
+		sp, err := scenario.Parse([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.Submit(sp, []byte(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One runner, plus the running sweep's worker, feeder and closer.
+	if extra := runtime.NumGoroutine() - base; extra > 8 {
+		t.Errorf("%d goroutines above baseline with 100 sweeps submitted at MaxConcurrent 1, want at most 8", extra)
+	}
+}
+
+// TestCloseInterruptsQueuedSweep: at Close, a sweep still queued behind a
+// running one ends its open event stream with interrupted and persists
+// interrupted, and a restarted daemon runs it to done.
+func TestCloseInterruptsQueuedSweep(t *testing.T) {
+	dir := t.TempDir()
+	svA, err := New(Config{CacheDir: dir, Workers: 1, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(svA)
+	defer tsA.Close()
+	// Far more cells than the test lives for: the queued sweep cannot start
+	// before Close, and the restarted daemon's runner cancels it at cleanup.
+	blocker := submit(t, tsA, strings.Replace(slowSpec, `"runs": 4`, `"runs": 100`, 1))
+	waitState(t, tsA, blocker.ID, StateRunning)
+	queued := submit(t, tsA, tinySpec)
+	// The stream's headers arrive once its handler waits on the log.
+	resp, err := http.Get(tsA.URL + "/sweeps/" + queued.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	svA.Close()
+
+	var events []Event
+	for dec := json.NewDecoder(resp.Body); ; {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			break
+		}
+		events = append(events, ev)
+	}
+	if len(events) != 1 || events[0].Type != StateInterrupted {
+		t.Errorf("queued sweep's stream at Close = %+v; want one interrupted event", events)
+	}
+	if st := getPersistedState(t, dir, queued.ID); st.State != StateInterrupted {
+		t.Errorf("queued sweep persisted %s at Close, want %s", st.State, StateInterrupted)
+	}
+
+	_, tsB := newService(t, dir, 1, 2)
+	if done := waitState(t, tsB, queued.ID, StateDone); done.Done != tinyTotal {
+		t.Errorf("resumed queued sweep done = %d, want %d", done.Done, tinyTotal)
+	}
+}
+
+// stalledWriter is an event-stream client that never reads: every write
+// blocks until the request's context ends.
+type stalledWriter struct {
+	ctx    context.Context
+	header http.Header
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write([]byte) (int, error) {
+	<-w.ctx.Done()
+	return 0, w.ctx.Err()
+}
+
+// TestUnreadStreamDoesNotBlockSweep: an /events client that never reads
+// stalls only its own handler; the sweep still reaches done, and the
+// handler returns once the client goes away.
+func TestUnreadStreamDoesNotBlockSweep(t *testing.T) {
+	sv, ts := newService(t, t.TempDir(), 1, 1)
+	st := submit(t, ts, tinySpec)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest("GET", "/sweeps/"+st.ID+"/events", nil).WithContext(ctx)
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		sv.ServeHTTP(&stalledWriter{ctx: ctx, header: http.Header{}}, req)
+	}()
+	waitState(t, ts, st.ID, StateDone)
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("event handler still blocked after its client went away")
+	}
 }
 
 // TestRecoveredDoneSweepServable: a finished sweep survives a restart —

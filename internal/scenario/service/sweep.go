@@ -88,9 +88,11 @@ type sweep struct {
 	cached    int
 	err       string
 	artifacts []string
-	events    []Event
-	subs      []chan Event
-	closed    bool // terminal state reached; subs drained and closed
+	// events is the append-only log every event stream reads by cursor.
+	// grown, when a reader asked for one, is closed by the next append.
+	events []Event
+	grown  chan struct{}
+	closed bool // terminal state reached; the log is complete
 }
 
 // gridSize computes a spec's (instance × run) cell count. Instances()
@@ -123,12 +125,17 @@ func (s *sweep) status() Status {
 }
 
 // publishRun is the sweep's Progress hook. The engine serializes
-// invocations, so events are appended (and fanned out to subscribers) in
-// exactly the callback order; subscriber channels are buffered to the full
-// event capacity, so the send can never block the executor.
+// invocations, so events are appended in exactly the callback order, and
+// an append never waits on a reader.
 func (s *sweep) publishRun(ev scenario.ProgressEvent) {
 	idx := ev.Indexes
-	s.publish(Event{
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.done++
+	if ev.Cached {
+		s.cached++
+	}
+	s.appendLocked(Event{
 		Type:      "run",
 		Sched:     ev.Instance.Sched,
 		Migration: ev.Instance.Migration,
@@ -138,29 +145,20 @@ func (s *sweep) publishRun(ev scenario.ProgressEvent) {
 	})
 }
 
-func (s *sweep) publish(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
+// appendLocked numbers ev, appends it to the log and wakes the readers
+// waiting for it. The caller holds s.mu.
+func (s *sweep) appendLocked(ev Event) {
 	ev.Seq = len(s.events) + 1
 	s.events = append(s.events, ev)
-	if ev.Type == "run" {
-		s.done++
-		if ev.Cached {
-			s.cached++
-		}
-	}
-	for _, ch := range s.subs {
-		ch <- ev
+	if s.grown != nil {
+		close(s.grown)
+		s.grown = nil
 	}
 }
 
-// finish moves the sweep to a terminal state, emits the terminal event and
-// closes every subscriber channel. Idempotent.
+// finish moves the sweep to a terminal state and appends the terminal
+// event, which completes the log. Idempotent.
 func (s *sweep) finish(state, errMsg string, artifacts []string) {
-	s.publish(Event{Type: state, Error: errMsg})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -169,45 +167,26 @@ func (s *sweep) finish(state, errMsg string, artifacts []string) {
 	s.state = state
 	s.err = errMsg
 	s.artifacts = artifacts
+	s.appendLocked(Event{Type: state, Error: errMsg})
 	s.closed = true
-	for _, ch := range s.subs {
-		close(ch)
-	}
-	s.subs = nil
 }
 
-// subscribe returns the events published so far plus a live channel for
-// the rest. The replay and the subscription are taken under one lock, so
-// no event is dropped or duplicated between them. For a finished sweep the
-// channel is nil and the replay is complete; a recovered finished sweep
-// (whose in-memory log is empty) synthesizes its terminal event so the
-// stream still ends with a definitive state. cancel detaches the channel
-// (safe to call after the sweep closed it).
-func (s *sweep) subscribe() (replay []Event, live <-chan Event, cancel func()) {
+// since returns the log's events after the first n. While the sweep is
+// not terminal it also returns a channel the next append closes; once the
+// sweep is terminal the channel is nil and the log is complete. Appends
+// never rewrite an existing entry, so the caller reads the returned slice
+// without the lock.
+func (s *sweep) since(n int) ([]Event, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	replay = append([]Event(nil), s.events...)
+	evs := s.events[n:]
 	if s.closed {
-		if len(replay) == 0 {
-			replay = []Event{{Seq: 1, Type: s.state, Error: s.err}}
-		}
-		return replay, nil, func() {}
+		return evs, nil
 	}
-	// total+2 bounds the stream: one run event per grid cell plus one
-	// terminal event; the slack keeps an interrupted sweep's terminal
-	// event non-blocking even when every cell already fired.
-	ch := make(chan Event, s.total+2)
-	s.subs = append(s.subs, ch)
-	return replay, ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i, c := range s.subs {
-			if c == ch {
-				s.subs = append(s.subs[:i], s.subs[i+1:]...)
-				break
-			}
-		}
+	if s.grown == nil {
+		s.grown = make(chan struct{})
 	}
+	return evs, s.grown
 }
 
 // Persistence: each sweep owns <cache-dir>/sweeps/<id>/ with the submitted
@@ -253,7 +232,8 @@ func (s *sweep) setState(state string) error {
 // loadSweep reconstructs a sweep from its persisted directory. The spec is
 // re-parsed (and re-validated) from spec.json; counters for a non-terminal
 // sweep are reset — recovery re-queues it and the store replays whatever
-// already finished.
+// already finished. A finished sweep's log is its terminal event alone, so
+// its stream still ends with a definitive state.
 func loadSweep(dir string) (*sweep, error) {
 	specData, err := os.ReadFile(filepath.Join(dir, specFileName))
 	if err != nil {
@@ -281,6 +261,7 @@ func loadSweep(dir string) (*sweep, error) {
 	}
 	if st.State == StateDone || st.State == StateFailed {
 		s.done, s.cached, s.err = st.Done, st.Cached, st.Error
+		s.events = []Event{{Seq: 1, Type: st.State, Error: st.Error}}
 		s.closed = true
 		s.artifacts = listArtifacts(dir)
 	}

@@ -11,7 +11,10 @@
 #      cell replays from the shared content-addressed cache;
 #   2. the report fetched from the daemon is byte-identical to the
 #      report.json a plain CLI run of the same spec writes;
-#   3. the daemon shuts down cleanly on SIGTERM (exit 0, state persisted).
+#   3. the daemon shuts down cleanly on SIGTERM (exit 0, state persisted);
+#   4. a shutdown with a sweep still queued (-max-sweeps 1) ends that
+#      sweep's open event stream, exits 0 within 5 s, and a restart on the
+#      same cache directory runs both sweeps to done.
 # Exits non-zero on any divergence. Needs curl and jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,11 +30,14 @@ else
 fi
 
 serve_pid=""
+stream_pid=""
 cleanup() {
-  if [[ -n "$serve_pid" ]]; then
-    kill "$serve_pid" 2>/dev/null || true
-    wait "$serve_pid" 2>/dev/null || true
-  fi
+  for pid in "$serve_pid" "$stream_pid"; do
+    if [[ -n "$pid" ]]; then
+      kill "$pid" 2>/dev/null || true
+      wait "$pid" 2>/dev/null || true
+    fi
+  done
   [[ "$owned" == 1 ]] && rm -rf "$work"
 }
 trap cleanup EXIT
@@ -43,27 +49,47 @@ echo "== CLI reference run ($name, runs=$runs)"
 "$work/vcebench" -name "$name" -runs "$runs" -q -out "$work/cli" >/dev/null
 "$work/vcebench" -name "$name" -runs "$runs" -dump > "$work/spec.json"
 
-echo "== starting vcebench serve"
-"$work/vcebench" serve -addr 127.0.0.1:0 -cache-dir "$work/cache" \
-  2> "$work/serve.err" &
-serve_pid=$!
+# start_daemon CACHE_DIR LOG [serve flags...] starts `vcebench serve` on an
+# ephemeral port and sets serve_pid and addr (the daemon prints its
+# resolved address because we ask for port 0).
+start_daemon() {
+  local cache="$1" log="$2"
+  shift 2
+  "$work/vcebench" serve -addr 127.0.0.1:0 -cache-dir "$cache" "$@" 2> "$log" &
+  serve_pid=$!
+  addr=""
+  for _ in $(seq 1 100); do
+    addr="$(sed -n 's!.*listening on http://\([^ ]*\) .*!\1!p' "$log" | head -n1)"
+    [[ -n "$addr" ]] && break
+    sleep 0.1
+  done
+  if [[ -z "$addr" ]]; then
+    echo "FAIL: daemon never printed its listen address" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  echo "daemon up at $addr"
+}
 
-# The daemon prints its resolved address (we asked for port 0).
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's!.*listening on http://\([^ ]*\) .*!\1!p' "$work/serve.err" | head -n1)"
-  [[ -n "$addr" ]] && break
-  sleep 0.1
-done
-if [[ -z "$addr" ]]; then
-  echo "FAIL: daemon never printed its listen address" >&2
-  cat "$work/serve.err" >&2
-  exit 1
-fi
-echo "daemon up at $addr"
+# stop_daemon LOG sends SIGTERM and requires exit 0 with persisted state.
+stop_daemon() {
+  local log="$1"
+  kill -TERM "$serve_pid"
+  if ! wait "$serve_pid"; then
+    echo "FAIL: daemon exited non-zero on SIGTERM" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  serve_pid=""
+  if ! grep -q 'sweep state persisted for resume' "$log"; then
+    echo "FAIL: daemon did not report persisted state on shutdown" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+}
 
 submit() {
-  curl -sS -X POST --data-binary @"$work/spec.json" "http://$addr/sweeps"
+  curl -sS -X POST --data-binary @"${1:-$work/spec.json}" "http://$addr/sweeps"
 }
 
 wait_done() {
@@ -83,6 +109,9 @@ wait_done() {
   echo "FAIL: sweep $id never finished (state $state)" >&2
   return 1
 }
+
+echo "== starting vcebench serve"
+start_daemon "$work/cache" "$work/serve.err"
 
 echo "== first submission (cold)"
 id1="$(submit | jq -r .id)"
@@ -121,17 +150,48 @@ echo "== /stats"
 curl -sS "http://$addr/stats" | jq .
 
 echo "== graceful shutdown on SIGTERM"
-kill -TERM "$serve_pid"
-if ! wait "$serve_pid"; then
-  echo "FAIL: daemon exited non-zero on SIGTERM" >&2
-  cat "$work/serve.err" >&2
-  exit 1
-fi
-serve_pid=""
-if ! grep -q 'sweep state persisted for resume' "$work/serve.err"; then
-  echo "FAIL: daemon did not report persisted state on shutdown" >&2
-  cat "$work/serve.err" >&2
-  exit 1
-fi
+stop_daemon "$work/serve.err"
 echo "OK: daemon shut down cleanly; sweep state persisted"
+
+echo "== shutdown with a queued sweep (-max-sweeps 1)"
+# The first sweep is a 50x-task copy so it still runs (about a second on two
+# cores) when the reseeded copy is submitted behind it and SIGTERM arrives.
+jq '.workload.tasks *= 50 | .horizon_s *= 100' "$work/spec.json" > "$work/spec-heavy.json"
+jq '.seed += 1' "$work/spec.json" > "$work/spec-reseeded.json"
+start_daemon "$work/cache-queued" "$work/serve-queued.err" -max-sweeps 1
+qa="$(submit "$work/spec-heavy.json" | jq -r .id)"
+qb="$(submit "$work/spec-reseeded.json" | jq -r .id)"
+curl -sS -N -D "$work/stream.hdr" "http://$addr/sweeps/$qb/events" > "$work/stream.ndjson" &
+stream_pid=$!
+# The stream is open once its response headers have arrived.
+for _ in $(seq 1 100); do
+  [[ -s "$work/stream.hdr" ]] && break
+  sleep 0.05
+done
+if [[ ! -s "$work/stream.hdr" ]]; then
+  echo "FAIL: event stream of sweep $qb never opened" >&2
+  exit 1
+fi
+start_ns="$(date +%s%N)"
+stop_daemon "$work/serve-queued.err"
+took_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+wait "$stream_pid" || true
+stream_pid=""
+last="$(tail -n1 "$work/stream.ndjson" | jq -r .type)"
+echo "second sweep's stream ended with '$last'; daemon exited in ${took_ms} ms"
+if [[ "$last" != "interrupted" && "$last" != "done" ]]; then
+  echo "FAIL: queued sweep's stream ended with '$last', want interrupted or done" >&2
+  exit 1
+fi
+if (( took_ms >= 5000 )); then
+  echo "FAIL: daemon took ${took_ms} ms to exit with a sweep queued (want < 5000)" >&2
+  exit 1
+fi
+
+echo "== restart on the same cache dir: both sweeps run to done"
+start_daemon "$work/cache-queued" "$work/serve-restart.err" -max-sweeps 1
+wait_done "$qa"
+wait_done "$qb"
+stop_daemon "$work/serve-restart.err"
+echo "OK: queued sweep's stream ended at shutdown and both sweeps resumed to done"
 echo "PASS: service smoke"
