@@ -32,8 +32,9 @@ func (r *Result) note(format string, args ...interface{}) {
 
 // Runner is one experiment entry point.
 type Runner struct {
-	// ID and Title identify the experiment without running it.
-	ID, Title string
+	// ID identifies the experiment without running it; the title is the
+	// Result's.
+	ID string
 	// Run executes it.
 	Run func() (*Result, error)
 }
@@ -41,24 +42,24 @@ type Runner struct {
 // All returns every experiment in index order.
 func All() []Runner {
 	return []Runner{
-		{"E1", "Fig 1: SDM→EXM pipeline on the weather application", E1Pipeline},
-		{"E2", "Fig 2: proxy method invocation overhead", E2Proxy},
-		{"E3", "Fig 3: bidding protocol latency and selection", E3Bidding},
-		{"E3a", "Ablation: reply collection with a crashed bidder", E3aCrashedBidder},
-		{"E4", "§5: group-leader failover", E4Failover},
-		{"E5", "§4.3: throughput-first vs per-job greedy placement", E5Placement},
-		{"E6", "§4.3: priority aging prevents starvation", E6Aging},
-		{"E7", "§4.4: migration strategy costs", E7Migration},
-		{"E7a", "Ablation: checkpoint interval sweep", E7aCheckpointInterval},
-		{"E7b", "Ablation: adaptive strategy selection", E7bAdaptivePicker},
-		{"E8", "§4.3: ripple effect — suspension vs migration", E8Ripple},
-		{"E9", "§4.5: free parallelism", E9FreeParallelism},
-		{"E10", "§4.5: anticipatory compilation and replication", E10Anticipatory},
-		{"E10a", "Ablation: anticipatory replication fanout", E10aReplicationFanout},
-		{"E11", "§4.4: redundant execution vs suspension", E11Redundant},
-		{"E12", "§5: concurrent execution programs", E12Concurrency},
-		{"E13", "§4.3: remote execution and migration vs owner activity", E13Utilization},
-		{"E14", "Scenario engine: declarative owner-churn policy matrix", E14ScenarioMatrix},
+		{"E1", E1Pipeline},
+		{"E2", E2Proxy},
+		{"E3", E3Bidding},
+		{"E3a", E3aCrashedBidder},
+		{"E4", E4Failover},
+		{"E5", E5Placement},
+		{"E6", E6Aging},
+		{"E7", E7Migration},
+		{"E7a", E7aCheckpointInterval},
+		{"E7b", E7bAdaptivePicker},
+		{"E8", E8Ripple},
+		{"E9", E9FreeParallelism},
+		{"E10", E10Anticipatory},
+		{"E10a", E10aReplicationFanout},
+		{"E11", E11Redundant},
+		{"E12", E12Concurrency},
+		{"E13", E13Utilization},
+		{"E14", E14ScenarioMatrix},
 	}
 }
 

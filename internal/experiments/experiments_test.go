@@ -58,7 +58,7 @@ func TestAllRegistryComplete(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, r := range runners {
-		if r.ID == "" || r.Title == "" || r.Run == nil {
+		if r.ID == "" || r.Run == nil {
 			t.Fatalf("incomplete runner %+v", r)
 		}
 		if seen[r.ID] {

@@ -76,10 +76,9 @@ type VCEMigrate struct {
 	Migrations       int64
 	FallbackSuspends int64
 
-	// Running cost totals: fixed-size however many migrations a long
-	// streaming cell performs.
+	// bytesMoved is the running state-transfer total: fixed-size however
+	// many migrations a long streaming cell performs.
 	bytesMoved int64
-	lostWork   float64
 
 	cluster *sim.Cluster
 }
@@ -129,7 +128,6 @@ func (v *VCEMigrate) react(c *sim.Cluster, m *sim.Machine) {
 		}
 		v.Migrations++
 		v.bytesMoved += res.BytesMoved
-		v.lostWork += res.LostWork
 	}
 }
 
@@ -145,9 +143,6 @@ func (v *VCEMigrate) pickDestination(c *sim.Cluster, src *sim.Machine, t *sim.Ta
 	return nil
 }
 
-// TotalLostWork is the work discarded and redone across all migrations.
-func (v *VCEMigrate) TotalLostWork() float64 { return v.lostWork }
-
 // TotalBytesMoved is the state transferred across all migrations.
 func (v *VCEMigrate) TotalBytesMoved() int64 { return v.bytesMoved }
 
@@ -160,9 +155,8 @@ type DAWGS struct {
 	// IdleBelow is the local load under which a machine counts as idle.
 	IdleBelow float64
 
-	// Placed counts dispatches; QueueLenMax tracks backlog.
-	Placed      int64
-	QueueLenMax int
+	// Placed counts dispatches.
+	Placed int64
 
 	queue []*sim.Task
 }
@@ -183,9 +177,6 @@ func (d *DAWGS) Attach(c *sim.Cluster) {
 // Submit places the task on an idle machine or queues it until one appears.
 func (d *DAWGS) Submit(c *sim.Cluster, t *sim.Task) {
 	d.queue = append(d.queue, t)
-	if len(d.queue) > d.QueueLenMax {
-		d.QueueLenMax = len(d.queue)
-	}
 	d.drain(c)
 }
 

@@ -1,48 +1,24 @@
 // Package metrics provides the measurement substrate for VCE experiments:
-// counters, distributions with quantiles, time-weighted gauges (for
-// utilization accounting), and a plain-text table renderer used by the
-// experiment harness to print paper-style result tables.
+// sample distributions, a fixed-shape streaming quantile sketch,
+// time-weighted gauges (for utilization accounting), and a plain-text table
+// renderer used by the experiment harness to print paper-style result tables.
 package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct{ n int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta; negative deltas panic (counters are monotone).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: negative counter delta")
-	}
-	c.n += delta
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
 // Dist accumulates a sample distribution and reports summary statistics.
-// Samples are retained, so quantiles are exact; experiment scales here are
-// small enough (≤ millions of samples) that this is the simple correct choice.
-//
-// Min and max are tracked incrementally, so Mean/Min/Max are O(1) and never
-// sort: interleaving Observe with summary reads (the monitoring pattern) no
-// longer re-sorts the sample slice per read. Stddev stays the exact two-pass
+// Samples are retained for Stddev, which stays the exact two-pass
 // computation — a Welford running variance rounds differently in the last
 // ulps, and the scenario artifacts pin stddev bytes at full precision — but
 // its result is cached, so repeated reads between observations are O(1).
-// Only Quantile sorts, and only when new samples arrived since the last sort.
+// The sum and maximum are tracked incrementally, so Mean and Max are O(1).
 type Dist struct {
 	samples  []float64
-	sorted   bool
 	sum      float64
-	min, max float64
+	max      float64
 	stddev   float64
 	stddevOK bool
 }
@@ -50,25 +26,15 @@ type Dist struct {
 // Observe records one sample.
 func (d *Dist) Observe(v float64) {
 	d.samples = append(d.samples, v)
-	d.sorted = false
 	d.stddevOK = false
 	d.sum += v
-	if len(d.samples) == 1 || v < d.min {
-		d.min = v
-	}
 	if len(d.samples) == 1 || v > d.max {
 		d.max = v
 	}
 }
 
-// ObserveDuration records a duration sample in seconds.
-func (d *Dist) ObserveDuration(v time.Duration) { d.Observe(v.Seconds()) }
-
 // N returns the sample count.
 func (d *Dist) N() int { return len(d.samples) }
-
-// Sum returns the sample total.
-func (d *Dist) Sum() float64 { return d.sum }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (d *Dist) Mean() float64 {
@@ -78,42 +44,12 @@ func (d *Dist) Mean() float64 {
 	return d.sum / float64(len(d.samples))
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (d *Dist) Min() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.min
-}
-
 // Max returns the largest sample, or 0 with no samples.
 func (d *Dist) Max() float64 {
 	if len(d.samples) == 0 {
 		return 0
 	}
 	return d.max
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
-func (d *Dist) Quantile(q float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.ensureSorted()
-	if q <= 0 {
-		return d.samples[0]
-	}
-	if q >= 1 {
-		return d.samples[len(d.samples)-1]
-	}
-	pos := q * float64(len(d.samples)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return d.samples[lo]
-	}
-	frac := pos - float64(lo)
-	return d.samples[lo]*(1-frac) + d.samples[hi]*frac
 }
 
 // Stddev returns the population standard deviation. The exact two-pass
@@ -135,13 +71,6 @@ func (d *Dist) Stddev() float64 {
 		d.stddevOK = true
 	}
 	return d.stddev
-}
-
-func (d *Dist) ensureSorted() {
-	if !d.sorted {
-		sort.Float64s(d.samples)
-		d.sorted = true
-	}
 }
 
 // TimeWeighted tracks a piecewise-constant value over (virtual) time and
@@ -166,14 +95,6 @@ func (tw *TimeWeighted) Set(now time.Duration, v float64) {
 	tw.last = now
 	tw.value = v
 }
-
-// Add adjusts the tracked value by delta at virtual time now.
-func (tw *TimeWeighted) Add(now time.Duration, delta float64) {
-	tw.Set(now, tw.value+delta)
-}
-
-// Value returns the current (instantaneous) value.
-func (tw *TimeWeighted) Value() float64 { return tw.value }
 
 // Average returns the time-weighted mean over [start, now].
 func (tw *TimeWeighted) Average(now time.Duration) float64 {

@@ -14,16 +14,11 @@ import "math"
 // Geometry: sketchBuckets buckets spanning [2^-8, 2^24) at a resolution of
 // 2^(1/16) (≈4.4% relative error) per bucket, plus clamp buckets at both
 // ends. Exact minimum and maximum are tracked on the side, so Quantile(0)
-// and Quantile(1) are exact and interior quantiles are clamped into
-// [Min, Max].
-//
-// Merging two sketches (Merge) adds their counts, so a sketch over a
-// concatenated sample stream equals the merge of per-shard sketches —
-// the identity the shard-merge property leans on.
+// and Quantile(1) are exact and interior quantiles are clamped into the
+// exact sample range.
 type QuantileSketch struct {
 	counts [sketchBuckets]int64
 	n      int64
-	sum    float64
 	min    float64
 	max    float64
 }
@@ -65,7 +60,6 @@ func bucketValue(b int) float64 {
 // Observe folds one sample into the sketch.
 func (s *QuantileSketch) Observe(v float64) {
 	s.counts[bucketOf(v)]++
-	s.sum += v
 	if s.n == 0 || v < s.min {
 		s.min = v
 	}
@@ -75,39 +69,9 @@ func (s *QuantileSketch) Observe(v float64) {
 	s.n++
 }
 
-// N returns the number of observed samples.
-func (s *QuantileSketch) N() int64 { return s.n }
-
-// Sum returns the exact sample total (mean = Sum/N is exact, not sketched).
-func (s *QuantileSketch) Sum() float64 { return s.sum }
-
-// Mean returns the exact sample mean, or 0 with no samples.
-func (s *QuantileSketch) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest sample (exact), or 0 with no samples.
-func (s *QuantileSketch) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest sample (exact), or 0 with no samples.
-func (s *QuantileSketch) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) at the sketch's resolution:
 // the representative value of the bucket holding the rank-⌈q·n⌉ sample,
-// clamped into the exact [Min, Max] envelope. Out-of-range q clamps.
+// clamped into the exact [min, max] envelope. Out-of-range q clamps.
 func (s *QuantileSketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return 0
@@ -138,38 +102,4 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 		}
 	}
 	return s.max
-}
-
-// Merge folds o's samples into s: counts, n, min and max end up identical
-// to observing the concatenation of both observation sequences, so merged
-// quantiles are bit-equal to whole-stream quantiles. The sum is
-// reassociated (chunk totals added), so Mean is only float-close — callers
-// needing byte-stable means across sharding must aggregate at a coarser
-// grain (the scenario engine keeps sketches per run for exactly this
-// reason).
-func (s *QuantileSketch) Merge(o *QuantileSketch) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.n == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	for b := range s.counts {
-		s.counts[b] += o.counts[b]
-	}
-	s.n += o.n
-	s.sum += o.sum
-}
-
-// Reset returns the sketch to its empty state without releasing anything:
-// the counts array is embedded, so a reset sketch is recycle-ready.
-func (s *QuantileSketch) Reset() {
-	s.counts = [sketchBuckets]int64{}
-	s.n = 0
-	s.sum = 0
-	s.min = 0
-	s.max = 0
 }

@@ -4,7 +4,7 @@
 // migration image copies; the in-memory transport uses it to decide
 // deliverability.
 //
-// Links are symmetric and identified by unordered host pairs. A transfer
+// Partitions are symmetric: they are keyed by unordered host pairs. A transfer
 // between a host and itself is free: the paper's channels connect co-located
 // tasks through local memory.
 package netsim
@@ -42,7 +42,6 @@ func orderedPair(a, b string) pair {
 type Model struct {
 	mu          sync.RWMutex
 	def         Link
-	links       map[pair]Link
 	resolve     func(a, b string) (Link, bool)
 	partitioned map[pair]bool
 }
@@ -58,38 +57,27 @@ func LAN1994() *Model {
 func New(def Link) *Model {
 	return &Model{
 		def:         def,
-		links:       make(map[pair]Link),
 		partitioned: make(map[pair]bool),
 	}
 }
 
-// SetLink overrides the link between hosts a and b.
-func (m *Model) SetLink(a, b string, l Link) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.links[orderedPair(a, b)] = l
-}
-
-// SetResolver installs a computed link source consulted after explicit
-// SetLink overrides and before the default link. It lets a caller model a
-// structured interconnect (e.g. the scenario engine's per-site topology)
-// in O(1) memory instead of materializing a link per host pair; fn must be
-// pure and safe for concurrent use. A (Link, false) return falls through to
-// the default link; a nil fn removes the resolver.
+// SetResolver installs a computed link source consulted before the default
+// link. It lets a caller model a structured interconnect (e.g. the scenario
+// engine's per-site topology) in O(1) memory instead of materializing a link
+// per host pair; fn must be pure and safe for concurrent use. A
+// (Link, false) return falls through to the default link; a nil fn removes
+// the resolver.
 func (m *Model) SetResolver(fn func(a, b string) (Link, bool)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.resolve = fn
 }
 
-// LinkBetween returns the effective link between a and b: explicit SetLink
-// overrides first, then the resolver (see SetResolver), then the default.
+// LinkBetween returns the effective link between a and b: the resolver's
+// (see SetResolver), else the default.
 func (m *Model) LinkBetween(a, b string) Link {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if l, ok := m.links[orderedPair(a, b)]; ok {
-		return l
-	}
 	if m.resolve != nil {
 		if l, ok := m.resolve(a, b); ok {
 			return l
@@ -105,27 +93,11 @@ func (m *Model) Partition(a, b string) {
 	m.partitioned[orderedPair(a, b)] = true
 }
 
-// PartitionHost severs connectivity between host and every host in others.
-func (m *Model) PartitionHost(host string, others []string) {
-	for _, o := range others {
-		if o != host {
-			m.Partition(host, o)
-		}
-	}
-}
-
 // Heal restores connectivity between a and b.
 func (m *Model) Heal(a, b string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.partitioned, orderedPair(a, b))
-}
-
-// HealAll removes every partition.
-func (m *Model) HealAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.partitioned = make(map[pair]bool)
 }
 
 // Reachable reports whether a and b can exchange messages.

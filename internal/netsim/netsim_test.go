@@ -33,15 +33,23 @@ func TestLocalTransferFree(t *testing.T) {
 	}
 }
 
-func TestLinkOverrideSymmetric(t *testing.T) {
-	m := New(Link{Latency: time.Millisecond, Bandwidth: 1e6})
+// TestResolverOverridesDefault: a resolver's link wins for the pairs it
+// answers, a (Link, false) answer falls through to the default, and a nil
+// resolver restores the default everywhere.
+func TestResolverOverridesDefault(t *testing.T) {
+	def := Link{Latency: time.Millisecond, Bandwidth: 1e6}
 	fast := Link{Latency: time.Microsecond, Bandwidth: 1e9}
-	m.SetLink("a", "b", fast)
-	if got := m.LinkBetween("b", "a"); got != fast {
-		t.Fatalf("link b->a = %+v, want override (symmetric)", got)
+	m := New(def)
+	m.SetResolver(func(a, b string) (Link, bool) { return fast, a == "a" && b == "b" })
+	if got := m.LinkBetween("a", "b"); got != fast {
+		t.Fatalf("link a->b = %+v, want the resolver's %+v", got, fast)
 	}
-	if got := m.LinkBetween("a", "c"); got.Bandwidth != 1e6 {
-		t.Fatalf("unrelated link changed: %+v", got)
+	if got := m.LinkBetween("a", "c"); got != def {
+		t.Fatalf("unresolved link a->c = %+v, want the default", got)
+	}
+	m.SetResolver(nil)
+	if got := m.LinkBetween("a", "b"); got != def {
+		t.Fatalf("link a->b after removing the resolver = %+v, want the default", got)
 	}
 }
 
@@ -60,24 +68,6 @@ func TestPartitionAndHeal(t *testing.T) {
 	m.Heal("b", "a")
 	if !m.Reachable("a", "b") {
 		t.Fatal("heal did not restore link")
-	}
-}
-
-func TestPartitionHostAndHealAll(t *testing.T) {
-	m := New(Link{})
-	m.PartitionHost("x", []string{"a", "b", "x"})
-	if m.Reachable("x", "a") || m.Reachable("x", "b") {
-		t.Fatal("host partition incomplete")
-	}
-	if !m.Reachable("x", "x") {
-		t.Fatal("self-reachability must always hold")
-	}
-	if !m.Reachable("a", "b") {
-		t.Fatal("bystander pair affected")
-	}
-	m.HealAll()
-	if !m.Reachable("x", "a") || !m.Reachable("x", "b") {
-		t.Fatal("HealAll incomplete")
 	}
 }
 

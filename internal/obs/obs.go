@@ -7,15 +7,13 @@
 // kernel's traffic counters (events scheduled/fired/cancelled, heap
 // high-water, audit invocations, machine state changes). Sweep-level spans
 // (setup, execute, merge) land on a dedicated lane. The recorded registry
-// is emitted three ways:
+// is emitted two ways:
 //
 //   - WriteTrace: a Chrome trace-event JSON document loadable in Perfetto
 //     (ui.perfetto.dev) or chrome://tracing — the timeline view that turns
 //     "the sweep is slow" into "lane 3 sat idle behind one 12 ms cell";
 //   - WriteSummary / Snapshot: a machine-readable summary (telemetry.json)
-//     with per-cell records and aggregate phase/counter totals;
-//   - String: the Snapshot as compact JSON, satisfying expvar.Var, so a
-//     long-running service can expvar.Publish a live recorder.
+//     with per-cell records and aggregate phase/counter totals.
 //
 // Wall-clock measurements exist only in these artifacts. Nothing here
 // feeds the Report, cell keys or golden artifacts: telemetry observes the
@@ -230,7 +228,7 @@ type Totals struct {
 }
 
 // Summary is the machine-readable snapshot of a recorder: the
-// telemetry.json artifact and the expvar payload. Cells are sorted by
+// telemetry.json artifact. Cells are sorted by
 // (sched, migration, run) so the structure — names, counts, ordering and
 // kernel counters — is identical across worker counts; only the
 // wall-clock fields differ.
@@ -328,15 +326,4 @@ func (r *Recorder) WriteSummary(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// String renders the Snapshot as compact JSON. It makes *Recorder satisfy
-// the expvar.Var interface, so a service exposes a live sweep with
-// expvar.Publish("sweep", recorder).
-func (r *Recorder) String() string {
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return `{"error":"obs: unserializable snapshot"}`
-	}
-	return string(data)
 }

@@ -149,19 +149,6 @@ func TestSummaryTotals(t *testing.T) {
 	}
 }
 
-// TestExpvarString: String() must be the compact-JSON snapshot (the
-// expvar.Var contract — expvar renders Var.String() verbatim as JSON).
-func TestExpvarString(t *testing.T) {
-	r := record(t)
-	var v Summary
-	if err := json.Unmarshal([]byte(r.String()), &v); err != nil {
-		t.Fatalf("String() is not JSON: %v", err)
-	}
-	if v.Totals.Cells != 2 {
-		t.Fatalf("String() snapshot totals = %+v", v.Totals)
-	}
-}
-
 // TestKernelCountersMerge: counters sum, high waters max.
 func TestKernelCountersMerge(t *testing.T) {
 	a := KernelCounters{Scheduled: 1, Fired: 2, Cancelled: 3, AuditCalls: 4, HeapMax: 5, StateChanges: 6}

@@ -58,11 +58,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Range returns a uniform variate in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
@@ -106,13 +101,6 @@ func (s *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
-	}
 }
 
 // Bool returns true with probability p.

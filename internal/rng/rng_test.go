@@ -145,19 +145,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(23)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: sum = %d", sum)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(29)
 	hits := 0

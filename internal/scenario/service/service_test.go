@@ -410,9 +410,23 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
+	// A checkpoint tick the engine's clock cannot advance past would pin a
+	// runner forever; it is refused as invalid instead.
+	tick := strings.Replace(tinySpec, `"seed": 9`, `"seed": 9, "checkpoint_interval_s": 1e-10`, 1)
+	resp, err = http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(tick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg = nil
+	json.NewDecoder(resp.Body).Decode(&msg)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg["error"], "checkpoint_interval_s") {
+		t.Errorf("zero-length checkpoint tick: status %d, error %q", resp.StatusCode, msg["error"])
+	}
+
 	// A valid spec padded to one byte over the body limit is refused for
-	// its size alone, before a sweep directory exists; the submission after
-	// it (below) shows the daemon still serves.
+	// its size alone. Neither refusal leaves a sweep directory; the
+	// submission after them (below) shows the daemon still serves.
 	oversized := tinySpec + strings.Repeat(" ", maxSpecBytes+1-len(tinySpec))
 	resp, err = http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(oversized))
 	if err != nil {

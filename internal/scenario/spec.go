@@ -500,6 +500,35 @@ func (s *Spec) Validate() error {
 	if s.Runs < 0 || s.HorizonS < 0 || s.CheckpointIntervalS < 0 {
 		return fmt.Errorf("scenario: %s: negative runs, horizon_s or checkpoint_interval_s", s.Name)
 	}
+	return s.validateClock()
+}
+
+// Bounds on what the engine's clock, a time.Duration of nanoseconds, can
+// run: a horizon past maxHorizonS overflows it, and a checkpoint tick
+// shorter than minCheckpointIntervalS, or one that fires more than
+// maxCheckpointInstants times per run, turns a run into a tick loop that
+// never reaches its cancellation point.
+const (
+	maxHorizonS            = 1e9 // sim caps completion ETAs at the same bound
+	minCheckpointIntervalS = 0.001
+	maxCheckpointInstants  = 1e5
+)
+
+// validateClock rejects horizons and checkpoint intervals the engine's
+// clock cannot run, naming the field at fault.
+func (s *Spec) validateClock() error {
+	if s.HorizonS > maxHorizonS {
+		return fmt.Errorf("scenario: %s: horizon_s %g exceeds %g, the longest run the engine's clock can time", s.Name, s.HorizonS, maxHorizonS)
+	}
+	horizon := s.HorizonS
+	if horizon == 0 {
+		horizon = defaultHorizonS
+	}
+	floor := max(minCheckpointIntervalS, horizon/maxCheckpointInstants)
+	if iv := s.CheckpointIntervalS; iv > 0 && iv < floor {
+		return fmt.Errorf("scenario: %s: checkpoint_interval_s %g is below %g, the larger of %g s and horizon_s %g over %g checkpoint instants",
+			s.Name, iv, floor, minCheckpointIntervalS, horizon, float64(maxCheckpointInstants))
+	}
 	return nil
 }
 
@@ -543,11 +572,14 @@ func (s *Spec) validateTopology() error {
 	return nil
 }
 
+// defaultHorizonS is the simulated duration of a spec without horizon_s.
+const defaultHorizonS = 3600
+
 // withDefaults returns a copy with defaulted fields filled in.
 func (s *Spec) withDefaults() *Spec {
 	out := *s
 	if out.HorizonS == 0 {
-		out.HorizonS = 3600
+		out.HorizonS = defaultHorizonS
 	}
 	if out.Runs == 0 {
 		out.Runs = 5

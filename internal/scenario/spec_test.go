@@ -37,6 +37,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"unknown dist", `{"dist": "fixed", "value": 1}`, "unknown dist kind"},
 		{"bad uniform range", `{"dist": "uniform", "min": 10, "max": 20}`, "uniform dist needs"},
 		{"unknown class", `"workstation"`, "unknown class"},
+		// A horizon past time.Duration's range, and a checkpoint tick the
+		// clock cannot advance past (1e-10 s rounds to 0 ns).
+		{"horizon overflows the clock", `"horizon_s": 600`, "horizon_s"},
+		{"checkpoint interval below the clock floor", `"seed": 7`, "checkpoint_interval_s"},
+		{"too many checkpoint instants", `"seed": 7`, "checkpoint_interval_s"},
 	}
 	replacements := []string{
 		`"round-robin"`,
@@ -44,6 +49,9 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		`{"dist": "zipf", "value": 1}`,
 		`{"dist": "uniform", "min": 30, "max": 20}`,
 		`"quantum"`,
+		`"horizon_s": 1e12`,
+		`"seed": 7, "checkpoint_interval_s": 1e-10`,
+		`"seed": 7, "checkpoint_interval_s": 0.005`,
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,25 +11,23 @@ import "math"
 //   - An item with a free machine at its home site places there (best
 //     speed/load score within the site).
 //   - With the home site full, the item waits for a local slot while the
-//     site's backlog is at most Threshold items — betting a short wait beats
-//     moving the data.
-//   - Past Threshold the item forwards: it takes the free candidate machine
-//     whose site has the cheapest transfer cost from home (score breaks
-//     ties), accepting the data movement to shed the hot spot.
-//   - With no free machine anywhere and the site's backlog past RejectCap,
-//     the item is dropped — removed from both outputs and reported through
-//     Dropped, the backpressure signal open workloads need.
+//     site's backlog is at most the threshold (2 items) — betting a short
+//     wait beats moving the data.
+//   - Past the threshold the item forwards: it takes the free candidate
+//     machine whose site has the cheapest transfer cost from home (score
+//     breaks ties), accepting the data movement to shed the hot spot.
+//   - With no free machine anywhere and the site's backlog past the reject
+//     cap (128 items), the item is dropped — removed from both outputs and
+//     reported through Dropped, the backpressure signal open workloads need.
 //
 // Items without a home site (HomeSite == 0), and every item when no topology
 // was configured, place greedily like GreedyBestFit — so the policy is
 // comparable to the reactive baselines on topology-free scenarios.
 type Locality struct {
-	// Threshold is the per-site backlog tolerated before items forward
-	// away from their home site (0 means the default of 2).
-	Threshold int
-	// RejectCap is the per-site backlog beyond which an unplaceable item
-	// is dropped instead of queued (0 means the default of 128).
-	RejectCap int
+	// threshold is the per-site backlog tolerated before items forward
+	// away from their home site; rejectCap is the per-site backlog beyond
+	// which an unplaceable item is dropped instead of queued.
+	threshold, rejectCap int
 
 	scratch placeScratch
 	siteOf  []int
@@ -38,16 +36,10 @@ type Locality struct {
 	dropped []Item
 }
 
-// Default pressure bounds: forward after a couple of waiters, reject only
-// under pathological backlog.
-const (
-	defaultLocalityThreshold = 2
-	defaultLocalityRejectCap = 128
-)
-
-// NewLocality returns the policy; see NewGreedyBestFit. Configure the site
-// map with SetTopology.
-func NewLocality() *Locality { return new(Locality) }
+// NewLocality returns the policy; see NewGreedyBestFit. Its pressure bounds
+// forward after a couple of waiters and reject only under pathological
+// backlog. Configure the site map with SetTopology.
+func NewLocality() *Locality { return &Locality{threshold: 2, rejectCap: 128} }
 
 // Name implements Policy.
 func (*Locality) Name() string { return "locality" }
@@ -92,14 +84,8 @@ func (s *localityScan) scan(it Item, r *roundState, home int, cost []float64) {
 	if r.free == 0 {
 		return
 	}
-	if ids := it.CandidateIDs; ids != nil {
-		for _, id := range ids {
-			s.consider(r.byID(id))
-		}
-	} else {
-		for _, name := range it.Candidates {
-			s.consider(r.lookup(name))
-		}
+	for _, id := range it.CandidateIDs {
+		s.consider(r.byID(id))
 	}
 }
 
@@ -137,14 +123,6 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 	round, placed, waiting := newRound(items, machines, &l.scratch)
 	l.dropped = l.dropped[:0]
 
-	threshold := l.Threshold
-	if threshold == 0 {
-		threshold = defaultLocalityThreshold
-	}
-	rejectCap := l.RejectCap
-	if rejectCap == 0 {
-		rejectCap = defaultLocalityRejectCap
-	}
 	nsites := len(l.cost)
 	if cap(l.backlog) < nsites {
 		l.backlog = make([]int, nsites)
@@ -171,13 +149,13 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 		if best == nil {
 			// Home site full: wait a little, forward under pressure.
 			l.backlog[home]++
-			if l.backlog[home] <= threshold {
+			if l.backlog[home] <= l.threshold {
 				waiting = append(waiting, it)
 				continue
 			}
 			best = sc.fwd
 			if best == nil {
-				if l.backlog[home] > rejectCap {
+				if l.backlog[home] > l.rejectCap {
 					l.dropped = append(l.dropped, it)
 				} else {
 					waiting = append(waiting, it)

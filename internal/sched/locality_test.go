@@ -28,26 +28,24 @@ func twoSiteWorld() ([]MachineState, []int, [][]float64) {
 	return machines, siteOf, cost
 }
 
-func names(machines []MachineState) ([]string, []int) {
-	var n []string
+func indexes(machines []MachineState) []int {
 	var ids []int
 	for _, m := range machines {
-		n = append(n, m.Machine.Name)
 		ids = append(ids, m.Index)
 	}
-	return n, ids
+	return ids
 }
 
-func item(id string, home int, cands []string, ids []int) Item {
-	return Item{Task: taskgraph.TaskID(id), Candidates: cands, CandidateIDs: ids, Work: 10, HomeSite: home}
+func item(id string, home int, ids []int) Item {
+	return Item{Task: taskgraph.TaskID(id), CandidateIDs: ids, Work: 10, HomeSite: home}
 }
 
 func TestLocalityPrefersHomeSite(t *testing.T) {
 	machines, siteOf, cost := twoSiteWorld()
-	cands, ids := names(machines)
+	ids := indexes(machines)
 	l := NewLocality()
 	l.SetTopology(siteOf, cost)
-	placed, waiting := l.Place([]Item{item("t0", 1, cands, ids)}, machines)
+	placed, waiting := l.Place([]Item{item("t0", 1, ids)}, machines)
 	if len(waiting) != 0 || len(placed) != 1 {
 		t.Fatalf("placed %d waiting %d, want 1/0", len(placed), len(waiting))
 	}
@@ -59,15 +57,14 @@ func TestLocalityPrefersHomeSite(t *testing.T) {
 
 func TestLocalityWaitsThenForwards(t *testing.T) {
 	machines, siteOf, cost := twoSiteWorld()
-	cands, ids := names(machines)
+	ids := indexes(machines)
 	l := NewLocality()
-	l.Threshold = 2
 	l.SetTopology(siteOf, cost)
 	// Five site-0 items against two site-0 slots: two place locally, two
 	// wait under the threshold, the fifth forwards to site 1.
 	var items []Item
 	for _, id := range []string{"t0", "t1", "t2", "t3", "t4"} {
-		items = append(items, item(id, 1, cands, ids))
+		items = append(items, item(id, 1, ids))
 	}
 	placed, waiting := l.Place(items, machines)
 	if len(placed) != 3 || len(waiting) != 2 {
@@ -87,14 +84,13 @@ func TestLocalityRejectsPastCap(t *testing.T) {
 	for i := range machines {
 		machines[i].Slots = 0 // nothing free anywhere
 	}
-	cands, ids := names(machines)
+	ids := indexes(machines)
 	l := NewLocality()
-	l.Threshold = 1
-	l.RejectCap = 3
+	l.threshold, l.rejectCap = 1, 3
 	l.SetTopology(siteOf, cost)
 	var items []Item
 	for _, id := range []string{"t0", "t1", "t2", "t3", "t4"} {
-		items = append(items, item(id, 1, cands, ids))
+		items = append(items, item(id, 1, ids))
 	}
 	placed, waiting := l.Place(items, machines)
 	if len(placed) != 0 {
@@ -119,9 +115,9 @@ func TestLocalityRejectsPastCap(t *testing.T) {
 
 func TestLocalityWithoutTopologyIsGreedy(t *testing.T) {
 	machines, _, _ := twoSiteWorld()
-	cands, ids := names(machines)
+	ids := indexes(machines)
 	l := NewLocality()
-	placed, _ := l.Place([]Item{item("t0", 1, cands, ids)}, machines)
+	placed, _ := l.Place([]Item{item("t0", 1, ids)}, machines)
 	if len(placed) != 1 || machines[placed[0].Machine].Machine.Name != "b0" {
 		t.Fatalf("placed = %v, want greedy best fit on b0", placed)
 	}
@@ -129,10 +125,10 @@ func TestLocalityWithoutTopologyIsGreedy(t *testing.T) {
 
 func TestLocalityNoAffinityIsGreedy(t *testing.T) {
 	machines, siteOf, cost := twoSiteWorld()
-	cands, ids := names(machines)
+	ids := indexes(machines)
 	l := NewLocality()
 	l.SetTopology(siteOf, cost)
-	placed, _ := l.Place([]Item{item("t0", 0, cands, ids)}, machines)
+	placed, _ := l.Place([]Item{item("t0", 0, ids)}, machines)
 	if len(placed) != 1 || machines[placed[0].Machine].Machine.Name != "b0" {
 		t.Fatalf("placed = %v, want greedy best fit on b0", placed)
 	}

@@ -28,23 +28,12 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 				}
 			}
 		}
-		if it.CandidateIDs != nil {
-			for _, id := range it.CandidateIDs {
-				find(func(m *MachineState) bool { return m.Index == id })
-			}
-		} else {
-			for _, name := range it.Candidates {
-				find(func(m *MachineState) bool { return m.Machine.Name == name })
-			}
+		for _, id := range it.CandidateIDs {
+			find(func(m *MachineState) bool { return m.Index == id })
 		}
 		return out
 	}
-	size := func(it Item) int {
-		if it.CandidateIDs != nil {
-			return len(it.CandidateIDs)
-		}
-		return len(it.Candidates)
-	}
+	size := func(it Item) int { return len(it.CandidateIDs) }
 	score := func(m *MachineState) float64 { return m.Machine.Speed / (1 + m.Load) }
 	greedy := func(it Item, skipReserved bool) *MachineState {
 		var best *MachineState
@@ -155,9 +144,8 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 // 3 sites (slot counts include zero, and one round in four is exhausted
 // outright), and up to 40 items with one- and many-candidate sets, ghost
 // candidates that name no machine of the snapshot, and HomeSite unset, valid
-// and out of range. It returns the round's items in both forms — ids only
-// and names only — describing the same candidates in the same order.
-func randomRound(rng *rand.Rand) (byID, byName []Item, machines []MachineState, siteOf []int) {
+// and out of range.
+func randomRound(rng *rand.Rand) (items []Item, machines []MachineState, siteOf []int) {
 	const fleet = 10 // ids 8 and 9 are ghosts: never in the snapshot
 	siteOf = make([]int, fleet)
 	for i := range siteOf {
@@ -177,49 +165,39 @@ func randomRound(rng *rand.Rand) (byID, byName []Item, machines []MachineState, 
 		if rng.Intn(3) == 0 {
 			ids = ids[:1]
 		}
-		names := make([]string, len(ids))
-		for k, id := range ids {
-			names[k] = fmt.Sprintf("m%d", id)
-		}
-		it := Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", len(byID))), Ref: len(byID), Work: float64(rng.Intn(30)), HomeSite: rng.Intn(5)}
-		it.CandidateIDs = ids
-		byID = append(byID, it)
-		it.CandidateIDs, it.Candidates = nil, names
-		byName = append(byName, it)
+		items = append(items, Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", len(items))), Ref: len(items), CandidateIDs: ids,
+			Work: float64(rng.Intn(30)), HomeSite: rng.Intn(5)})
 	}
-	return byID, byName, machines, siteOf
+	return items, machines, siteOf
 }
 
-// TestPlaceMatchesExhaustiveReference holds every policy, on both candidate
-// views, to the naive reference over a few hundred random rounds: the round
-// budget and the per-view resolution must not change a single placement,
-// the waiting order, or what Locality drops. One policy value serves every
-// round, so scratch reuse across rounds is covered too.
+// TestPlaceMatchesExhaustiveReference holds every policy to the naive
+// reference over a few hundred random rounds: the round budget and the id
+// table must not change a single placement, the waiting order, or what
+// Locality drops. One policy value serves every round, so scratch reuse
+// across rounds is covered too.
 func TestPlaceMatchesExhaustiveReference(t *testing.T) {
 	cost := [][]float64{{0, 1, 5}, {1, 0, 1}, {5, 1, 0}}
 	loc := NewLocality()
-	loc.Threshold, loc.RejectCap = 2, 4
+	loc.threshold, loc.rejectCap = 2, 4
 	policies := []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc}
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 300; round++ {
-		byID, byName, machines, siteOf := randomRound(rng)
+		items, machines, siteOf := randomRound(rng)
 		if round%5 == 0 {
 			siteOf = nil // Locality without a topology is greedy
 		}
 		loc.SetTopology(siteOf, cost)
 		for _, p := range policies {
-			for i, items := range [][]Item{byID, byName} {
-				form := []string{"ids", "names"}[i]
-				wantPlaced, wantWaiting, wantDropped := refPlace(p.Name(), items, machines, siteOf, cost, loc.Threshold, loc.RejectCap)
-				placed, waiting := p.Place(items, append([]MachineState(nil), machines...))
-				var dropped []Item
-				if p == Policy(loc) {
-					dropped = loc.Dropped()
-				}
-				if !sameAssignments(placed, wantPlaced) || !sameItems(waiting, wantWaiting) || !sameItems(dropped, wantDropped) {
-					t.Fatalf("round %d, %s, %s form:\n placed  %v\n want    %v\n waiting %v\n want    %v\n dropped %v\n want    %v",
-						round, p.Name(), form, placed, wantPlaced, taskIDs(waiting), taskIDs(wantWaiting), taskIDs(dropped), taskIDs(wantDropped))
-				}
+			wantPlaced, wantWaiting, wantDropped := refPlace(p.Name(), items, machines, siteOf, cost, loc.threshold, loc.rejectCap)
+			placed, waiting := p.Place(items, append([]MachineState(nil), machines...))
+			var dropped []Item
+			if p == Policy(loc) {
+				dropped = loc.Dropped()
+			}
+			if !sameAssignments(placed, wantPlaced) || !sameItems(waiting, wantWaiting) || !sameItems(dropped, wantDropped) {
+				t.Fatalf("round %d, %s:\n placed  %v\n want    %v\n waiting %v\n want    %v\n dropped %v\n want    %v",
+					round, p.Name(), placed, wantPlaced, taskIDs(waiting), taskIDs(wantWaiting), taskIDs(dropped), taskIDs(wantDropped))
 			}
 		}
 	}
@@ -259,7 +237,7 @@ func TestPlaceRoundBoundedByFreeSlots(t *testing.T) {
 		items[i] = Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", i)), Ref: i, CandidateIDs: ids, Work: 1, HomeSite: 1}
 	}
 	loc := NewLocality()
-	loc.RejectCap = n
+	loc.rejectCap = n
 	loc.SetTopology(siteOf, [][]float64{{0}})
 	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
 		start := time.Now()

@@ -10,13 +10,12 @@
 // against the machines that are idle now on every arrival and completion.
 // It speaks one identity, dense ints: every MachineState carries the
 // caller's Index, an Item names its admissible machines by those ids
-// (CandidateIDs, resolved by array index; hand-written callers may use names
-// instead) and carries the caller's Ref, and an Assignment hands back the
-// item's Ref and the chosen machine's Index, so the caller needs no name
-// lookup to act on it. Task and machine names are labels only. A round ends
-// when nothing is free — once the snapshot's slots are spent the remaining
-// items wait without their candidates being looked at, so a round costs
-// what it can place, not waiting items × candidates.
+// (CandidateIDs, resolved by array index) and carries the caller's Ref, and
+// an Assignment hands back the item's Ref and the chosen machine's Index, so
+// the caller resolves no name to act on it. Task and machine names are
+// labels only. A round ends when nothing is free — once the snapshot's slots
+// are spent the remaining items wait without their candidates being looked
+// at, so a round costs what it can place, not waiting items × candidates.
 package sched
 
 import (
@@ -109,15 +108,12 @@ type Item struct {
 	// Ref is the caller's handle for the item (the scenario engine's task
 	// slot), echoed in its Assignment; policies never read it.
 	Ref int
-	// Candidates lists admissible machine names (already filtered by
-	// requirements), resolved against the snapshot by name. It is read
-	// only when CandidateIDs is nil.
+	// Deprecated: not read; CandidateIDs is the admissible set.
 	Candidates []string
-	// CandidateIDs, when non-nil, is the admissible set, as
-	// MachineState.Index values (the caller assigned its states unique
-	// ones): policies resolve each by array index, no name hashing — the
-	// form event-frequency callers like the scenario engine use. Entries
-	// of either view that name no machine of the snapshot are skipped;
+	// CandidateIDs is the admissible set (already filtered by
+	// requirements), as MachineState.Index values (the caller assigned its
+	// states unique ones): policies resolve each by array index, no name
+	// hashing. Entries that name no machine of the snapshot are skipped;
 	// entry order breaks score ties.
 	CandidateIDs []int
 	// Work is the instance's expected work, used by cost heuristics.
@@ -127,15 +123,6 @@ type Item struct {
 	// topology-aware policy was configured with (Locality.SetTopology).
 	// Zero means no data affinity; policies without topology ignore it.
 	HomeSite int
-}
-
-// candidates is the size of the item's admissible set, from whichever view
-// is filled.
-func (it *Item) candidates() int {
-	if it.CandidateIDs != nil {
-		return len(it.CandidateIDs)
-	}
-	return len(it.Candidates)
 }
 
 // Assignment binds a placed item to a machine, in the caller's ids.
@@ -253,22 +240,16 @@ func (*UtilizationFirst) Name() string { return "utilization-first" }
 func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
 	round, placed, waiting := newRound(items, machines, &p.scratch)
 	// A machine's scarce count tracks waiting constrained items for which
-	// it is the only candidate. Names absent from the snapshot are skipped
+	// it is the only candidate. Ids absent from the snapshot are skipped
 	// as candidates anyway, so their demand can be dropped here. The same
 	// pass collects the distinct candidate-set sizes (almost always ≤ 2:
 	// one pinned class plus "any machine").
 	lenA, lenB := -1, -1 // distinct candidate-set sizes seen (at most two tracked)
 	moreSizes := false
 	for _, it := range items {
-		n := it.candidates()
+		n := len(it.CandidateIDs)
 		if n == 1 {
-			var ms *MachineState
-			if it.CandidateIDs != nil {
-				ms = round.byID(it.CandidateIDs[0])
-			} else {
-				ms = round.lookup(it.Candidates[0])
-			}
-			if ms != nil {
+			if ms := round.byID(it.CandidateIDs[0]); ms != nil {
 				ms.scarce++
 			}
 		}
@@ -296,12 +277,12 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 		}
 		order = p.scratch.orderBuf(len(items))
 		for i := range items {
-			if items[i].candidates() == small {
+			if len(items[i].CandidateIDs) == small {
 				order = append(order, i)
 			}
 		}
 		for i := range items {
-			if items[i].candidates() != small {
+			if len(items[i].CandidateIDs) != small {
 				order = append(order, i)
 			}
 		}
@@ -311,7 +292,7 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 			order[i] = i
 		}
 		sort.SliceStable(order, func(a, b int) bool {
-			return items[order[a]].candidates() < items[order[b]].candidates()
+			return len(items[order[a]].CandidateIDs) < len(items[order[b]].CandidateIDs)
 		})
 	}
 
@@ -321,7 +302,7 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 			idx = order[pos]
 		}
 		it := items[idx]
-		constrained := it.candidates() == 1
+		constrained := len(it.CandidateIDs) == 1
 		// Flexible items skip machines reserved for tasks that can run
 		// nowhere else.
 		best := round.pickBest(it, !constrained)
@@ -341,29 +322,36 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 // roundState wraps the caller's machine states as the round's working set
 // (the Policy contract hands the slice to the policy; no defensive copy).
 // free is the round's budget: the snapshot's unspent slots, counted once at
-// the start and decremented per assignment. The name map and the id table
-// are each built on first use, so a round pays only for the view its items
-// carry; the id table lives in the scratch and is all nil between rounds.
+// the start and decremented per assignment. byIndex is the scratch's id
+// table: it holds one entry per snapshot machine during the round and is all
+// nil between rounds.
 type roundState struct {
 	backing []MachineState
 	free    int
-	byName  map[string]*MachineState
 	byIndex []*MachineState
-	scratch *placeScratch
 }
 
 // newRound opens a round over machines and returns it with empty
 // placed/waiting buffers: placements are bounded by the free slots and the
-// items offered, waiting by the items offered.
+// items offered, waiting by the items offered. The pass that sums the free
+// slots also sets the id-table entry of every snapshot machine — no hashing,
+// and no pass over ids the snapshot does not hold.
 func newRound(items []Item, machines []MachineState, s *placeScratch) (roundState, []Assignment, []Item) {
 	free := 0
+	t := s.byIndex
 	for i := range machines {
-		if n := machines[i].Slots; n > 0 {
-			free += n
+		ms := &machines[i]
+		if ms.Slots > 0 {
+			free += ms.Slots
 		}
+		if ms.Index >= len(t) {
+			t = append(t, make([]*MachineState, ms.Index+1-len(t))...)
+		}
+		t[ms.Index] = ms
 	}
+	s.byIndex = t
 	placed, waiting := s.outBuffers(min(free, len(items)), len(items))
-	return roundState{backing: machines, free: free, scratch: s}, placed, waiting
+	return roundState{backing: machines, free: free, byIndex: t}, placed, waiting
 }
 
 // assign books it onto ms, spending one of the machine's slots and one unit
@@ -375,81 +363,42 @@ func (r *roundState) assign(it Item, ms *MachineState) Assignment {
 	return Assignment{Ref: it.Ref, Machine: ms.Index}
 }
 
-func (r *roundState) lookup(name string) *MachineState {
-	if r.byName == nil {
-		r.byName = make(map[string]*MachineState, len(r.backing))
-		for i := range r.backing {
-			r.byName[r.backing[i].Machine.Name] = &r.backing[i]
-		}
-	}
-	return r.byName[name]
-}
-
 // byID resolves a caller-assigned MachineState.Index to its snapshot entry,
-// nil when the id names no machine in this round. On first use the round
-// sets one entry of the scratch's id table per snapshot machine — no
-// hashing, and no pass over ids the snapshot does not hold.
+// nil when the id names no machine in this round.
 func (r *roundState) byID(id int) *MachineState {
-	if r.byIndex == nil {
-		t := r.scratch.byIndex
-		for i := range r.backing {
-			ix := r.backing[i].Index
-			if ix >= len(t) {
-				t = append(t, make([]*MachineState, ix+1-len(t))...)
-			}
-			t[ix] = &r.backing[i]
-		}
-		r.scratch.byIndex = t
-		r.byIndex = t
-	}
 	if id < 0 || id >= len(r.byIndex) {
 		return nil
 	}
 	return r.byIndex[id]
 }
 
-// release ends the round: it clears the id-table entries byID set, so the
-// next round's table holds only its own snapshot.
+// release ends the round: it clears the id-table entries newRound set, so
+// the next round's table holds only its own snapshot.
 func (r *roundState) release() {
-	if r.byIndex != nil {
-		for i := range r.backing {
-			r.byIndex[r.backing[i].Index] = nil
-		}
+	for i := range r.backing {
+		r.byIndex[r.backing[i].Index] = nil
 	}
 }
 
-// pickBest scans one item's candidates — by dense id when CandidateIDs is
-// set, by name otherwise — and returns the best-scoring machine with a free
-// slot, nil when none qualifies. With the round's budget spent none can, so
-// nothing is resolved. Equal scores keep the earliest candidate, so
-// candidate order is the tie-breaker. With skipReserved, machines carrying
-// scarce reservations are passed over (UtilizationFirst's flexible items).
+// pickBest scans one item's candidate ids and returns the best-scoring
+// machine with a free slot, nil when none qualifies. With the round's budget
+// spent none can, so nothing is resolved. Equal scores keep the earliest
+// candidate, so candidate order is the tie-breaker. With skipReserved,
+// machines carrying scarce reservations are passed over (UtilizationFirst's
+// flexible items).
 func (r *roundState) pickBest(it Item, skipReserved bool) *MachineState {
 	if r.free == 0 {
 		return nil
 	}
 	var best *MachineState
 	bestScore := -1.0
-	consider := func(ms *MachineState) {
-		if ms == nil || ms.Slots <= 0 {
-			return
+	for _, id := range it.CandidateIDs {
+		ms := r.byID(id)
+		if ms == nil || ms.Slots <= 0 || (skipReserved && ms.scarce > 0) {
+			continue
 		}
-		if skipReserved && ms.scarce > 0 {
-			return
-		}
-		score := ms.Machine.Speed / (1 + ms.Load)
-		if score > bestScore {
-			bestScore = score
-			best = ms
-		}
-	}
-	if ids := it.CandidateIDs; ids != nil {
-		for _, id := range ids {
-			consider(r.byID(id))
-		}
-	} else {
-		for _, name := range it.Candidates {
-			consider(r.lookup(name))
+		if score := ms.Machine.Speed / (1 + ms.Load); score > bestScore {
+			bestScore, best = score, ms
 		}
 	}
 	return best

@@ -97,8 +97,8 @@ func TestSelectBestInsufficientIsAllocError(t *testing.T) {
 // machine A; task "portable" runs anywhere but fastest on machine A.
 func machineAScenario() ([]Item, []MachineState) {
 	items := []Item{
-		{Task: "portable", Ref: 0, Candidates: []string{"A", "B"}, Work: 10},
-		{Task: "pinned", Ref: 1, Candidates: []string{"A"}, Work: 10},
+		{Task: "portable", Ref: 0, CandidateIDs: []int{0, 1}, Work: 10},
+		{Task: "pinned", Ref: 1, CandidateIDs: []int{0}, Work: 10},
 	}
 	machines := fleet(
 		ws("A", 4, 0, 1), // fast, uniquely capable
@@ -142,12 +142,10 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 	// wait even though the machine could host it ("the second job should
 	// be made to wait", §4.3).
 	items := []Item{
-		{Task: "flexible", Ref: 0, Candidates: []string{"A"}, Work: 1},
-		{Task: "pinned", Ref: 1, Candidates: []string{"A"}, Work: 1},
+		{Task: "flexible", Ref: 0, CandidateIDs: []int{0, 1}, Work: 1}, // machine 1 is not in the snapshot
+		{Task: "pinned", Ref: 1, CandidateIDs: []int{0}, Work: 1},
 	}
-	// Both claim only A here; make flexible truly flexible:
-	items[0].Candidates = []string{"A", "Bgone"} // B not in machine set
-	machines := []MachineState{ws("A", 1, 0, 1)}
+	machines := fleet(ws("A", 1, 0, 1))
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 1 || items[placed[0].Ref].Task != "pinned" {
 		t.Fatalf("placed = %v, want only pinned", placed)
@@ -158,7 +156,7 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 }
 
 func TestUtilizationFirstUsesScarceMachineWhenNoScarceDemand(t *testing.T) {
-	items := []Item{{Task: "flexible", Candidates: []string{"A", "B"}, Work: 1}}
+	items := []Item{{Task: "flexible", CandidateIDs: []int{0, 1}, Work: 1}}
 	machines := fleet(ws("A", 4, 0, 1), ws("B", 1, 0, 1))
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(waiting) != 0 || len(placed) != 1 {
@@ -171,8 +169,8 @@ func TestUtilizationFirstUsesScarceMachineWhenNoScarceDemand(t *testing.T) {
 
 func TestPlaceRespectsSlots(t *testing.T) {
 	items := []Item{
-		{Task: "t1", Candidates: []string{"A"}},
-		{Task: "t2", Candidates: []string{"A"}},
+		{Task: "t1", CandidateIDs: []int{0}},
+		{Task: "t2", CandidateIDs: []int{0}},
 	}
 	for _, pol := range []Policy{NewGreedyBestFit(), NewUtilizationFirst()} {
 		// Fresh snapshot per policy: Place consumes the slice it is given.
@@ -189,7 +187,7 @@ func TestPlaceRespectsSlots(t *testing.T) {
 // Slots in place (callers needing the snapshot afterwards pass a copy).
 // Items, by contrast, must never be mutated.
 func TestPlaceConsumesMachineSlots(t *testing.T) {
-	items := []Item{{Task: "t", Candidates: []string{"A"}}}
+	items := []Item{{Task: "t", CandidateIDs: []int{0}}}
 	machines := []MachineState{ws("A", 1, 0, 1)}
 	placed, _ := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 1 {
@@ -198,13 +196,13 @@ func TestPlaceConsumesMachineSlots(t *testing.T) {
 	if machines[0].Slots != 0 {
 		t.Fatalf("caller Slots = %d after placement, want 0 (consumed in place)", machines[0].Slots)
 	}
-	if items[0].Task != "t" || len(items[0].Candidates) != 1 {
+	if items[0].Task != "t" || len(items[0].CandidateIDs) != 1 {
 		t.Fatal("policy mutated caller's items")
 	}
 }
 
 func TestPlaceUnknownCandidateSkipped(t *testing.T) {
-	items := []Item{{Task: "t", Candidates: []string{"ghost"}}}
+	items := []Item{{Task: "t", CandidateIDs: []int{7}}}
 	machines := []MachineState{ws("A", 1, 0, 1)}
 	placed, waiting := NewGreedyBestFit().Place(items, machines)
 	if len(placed) != 0 || len(waiting) != 1 {
@@ -212,11 +210,34 @@ func TestPlaceUnknownCandidateSkipped(t *testing.T) {
 	}
 }
 
+// TestPlaceReadsOnlyCandidateIDs pins the deprecated field's contract for
+// every policy: an item carrying both views with disagreeing sets (the shape
+// of the benchmark's placement probe) places only by its ids, and an item
+// carrying names only waits.
+func TestPlaceReadsOnlyCandidateIDs(t *testing.T) {
+	loc := NewLocality()
+	loc.SetTopology([]int{0, 0}, [][]float64{{0}})
+	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
+		machines := fleet(ws("A", 4, 0, 2), ws("B", 1, 0, 2))
+		items := []Item{
+			{Task: "both", Ref: 0, Candidates: []string{"A"}, CandidateIDs: []int{1}, HomeSite: 1},
+			{Task: "names", Ref: 1, Candidates: []string{"A", "B"}, HomeSite: 1},
+		}
+		placed, waiting := p.Place(items, machines)
+		if len(placed) != 1 || placed[0] != (Assignment{Ref: 0, Machine: 1}) {
+			t.Errorf("%s: placed %v, want only the item with ids, on its id (machine 1)", p.Name(), placed)
+		}
+		if len(waiting) != 1 || waiting[0].Task != "names" {
+			t.Errorf("%s: waiting %v, want the names-only item", p.Name(), taskIDs(waiting))
+		}
+	}
+}
+
 func TestMultiInstancePlacementSpreads(t *testing.T) {
 	items := []Item{
-		{Task: "mc", Ref: 0, Candidates: []string{"A", "B", "C"}},
-		{Task: "mc", Ref: 1, Candidates: []string{"A", "B", "C"}},
-		{Task: "mc", Ref: 2, Candidates: []string{"A", "B", "C"}},
+		{Task: "mc", Ref: 0, CandidateIDs: []int{0, 1, 2}},
+		{Task: "mc", Ref: 1, CandidateIDs: []int{0, 1, 2}},
+		{Task: "mc", Ref: 2, CandidateIDs: []int{0, 1, 2}},
 	}
 	machines := fleet(ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1))
 	placed, waiting := NewUtilizationFirst().Place(items, machines)

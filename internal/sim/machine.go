@@ -109,8 +109,8 @@ func (t *Task) Finished() bool { return t.finished }
 // reschedule) reads accum, lastUpdate, localLoad, speed, suspended and the
 // ordered-residents header, which the layout packs together at the top of
 // the struct so a churn event touches one or two cache lines per machine,
-// not the whole ~250-byte struct. Spec (strings, cold identity data) and
-// the monitoring gauges sit below the hot prefix.
+// not the whole struct. Spec (strings, cold identity data) and the
+// monitoring gauge sit below the hot prefix.
 type Machine struct {
 	cluster *Cluster
 
@@ -157,10 +157,8 @@ type Machine struct {
 	finishedScratch []*Task
 
 	// Monitoring.
-	remoteBusy  metrics.TimeWeighted // fraction of capacity running VCE work
-	localBusy   metrics.TimeWeighted
-	completed   int64
-	killedCount int64
+	remoteBusy metrics.TimeWeighted // fraction of capacity running VCE work
+	completed  int64
 }
 
 // LocalLoad returns the current local load fraction.
@@ -232,7 +230,7 @@ func (m *Machine) progress(t *Task) float64 {
 	return d
 }
 
-// recordUtil snapshots the utilization gauges after a state mutation; the
+// recordUtil snapshots the utilization gauge after a state mutation; the
 // recorded value holds until the next mutation (piecewise-constant).
 func (m *Machine) recordUtil(now time.Duration) {
 	frac := 0.0
@@ -240,14 +238,6 @@ func (m *Machine) recordUtil(now time.Duration) {
 		frac = m.remoteRatePerTask() * float64(len(m.ordered)) / m.speed
 	}
 	m.remoteBusy.Set(now, frac)
-	m.localBusy.Set(now, minf(m.localLoad, 1))
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // maxETASeconds bounds a completion ETA (~31 virtual years): far beyond any
@@ -440,7 +430,6 @@ func (m *Machine) Kill(id string) (*Task, error) {
 	t.doneWork = m.progress(t)
 	m.removeOrdered(t)
 	t.machine = nil
-	m.killedCount++
 	m.cluster.taskCount--
 	m.reschedule(now)
 	m.recordUtil(now)
@@ -550,7 +539,7 @@ func (t *Task) Recycle(fresh Task) error {
 }
 
 // Reset returns the machine to its just-registered state: no residents, no
-// accrued progress, idle owner, fresh monitoring gauges. Identity (Spec,
+// accrued progress, idle owner, a fresh monitoring gauge. Identity (Spec,
 // Index, cluster membership) and the reusable completion closure survive, so
 // a recycled machine allocates nothing. Resident task records are detached,
 // not mutated — the caller owns their recycling (Task.Reset). The pending
@@ -572,17 +561,5 @@ func (m *Machine) Reset() {
 	m.maxWork = 0
 	m.pending = vtime.Event{}
 	m.remoteBusy = metrics.TimeWeighted{}
-	m.localBusy = metrics.TimeWeighted{}
 	m.completed = 0
-	m.killedCount = 0
-}
-
-// Killed returns how many tasks were killed on this machine (migrations and
-// terminations).
-func (m *Machine) Killed() int64 { return m.killedCount }
-
-// LocalUtilization returns the time-weighted average local (owner) load up
-// to now, capped at 1 — how occupied the machine's owner kept it.
-func (m *Machine) LocalUtilization(now time.Duration) float64 {
-	return m.localBusy.Average(now)
 }

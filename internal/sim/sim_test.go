@@ -399,24 +399,3 @@ func TestLoadTraceUnknownMachine(t *testing.T) {
 		t.Fatal("trace for unknown machine accepted")
 	}
 }
-
-func TestKilledCounterAndLocalUtilization(t *testing.T) {
-	c, m := newSingle(t, 1)
-	_ = m.AddTask(&Task{ID: "t", Work: 100})
-	c.Sim.At(time.Second, func() {
-		if _, err := m.Kill("t"); err != nil {
-			t.Errorf("kill: %v", err)
-		}
-	})
-	c.Sim.At(2*time.Second, func() { m.SetLocalLoad(1.0) })
-	c.Sim.At(4*time.Second, func() { m.SetLocalLoad(0.0) })
-	c.Sim.Run()
-	if m.Killed() != 1 {
-		t.Fatalf("killed = %d", m.Killed())
-	}
-	// Local load 1.0 for 2s of a 4s window = 0.5 average.
-	util := m.LocalUtilization(4 * time.Second)
-	if math.Abs(util-0.5) > 1e-9 {
-		t.Fatalf("local utilization = %v, want 0.5", util)
-	}
-}
