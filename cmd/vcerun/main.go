@@ -62,10 +62,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("vcerun: %v", err)
 	}
-	if _, err := sdm.Design(g); err != nil {
+	if err := sdm.Design(g); err != nil {
 		log.Fatalf("vcerun: %v", err)
 	}
-	if err := sdm.Code(g, sdm.CodingDefaults{}); err != nil {
+	if err := sdm.Code(g); err != nil {
 		log.Fatalf("vcerun: %v", err)
 	}
 	log.Printf("vcerun: dispatching %q: %d tasks, %d arcs", *app, g.Len(), len(g.Arcs()))

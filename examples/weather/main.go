@@ -14,15 +14,20 @@ import (
 	"vce/internal/channel"
 )
 
-// waitForPeers blocks until the channel has at least n connected ports (the
+// waitForPort blocks until the named port is connected to the channel (the
 // 1994 equivalent: tasks rendezvous on their assigned channels at startup).
-func waitForPeers(ch *channel.Channel, n int) {
-	for i := 0; i < 5000; i++ {
-		if len(ch.Ports()) >= n {
-			return
+// It fails after five seconds instead of letting the caller send to nobody.
+func waitForPort(ch *channel.Channel, id channel.PortID) error {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, p := range ch.Ports() {
+			if p == id {
+				return nil
+			}
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return fmt.Errorf("channel %s: port %q never connected", ch.Name(), id)
 }
 
 func main() {
@@ -57,7 +62,9 @@ func main() {
 		if err != nil {
 			return err
 		}
-		waitForPeers(ch, 3) // both collectors + predictor
+		if err := waitForPort(ch, "predictor"); err != nil {
+			return err
+		}
 		for i := 0; i < 5; i++ {
 			reading := fmt.Sprintf("station%d: %d cm", ctx.Instance, 3*(i+1))
 			if err := port.SendTo("predictor", []byte(reading)); err != nil {
@@ -74,7 +81,9 @@ func main() {
 		if err != nil {
 			return err
 		}
-		waitForPeers(ch, 4)
+		if err := waitForPort(ch, "predictor"); err != nil {
+			return err
+		}
 		return port.SendTo("predictor", []byte("spotter report: 5 cm"))
 	}))
 
@@ -103,7 +112,9 @@ func main() {
 		if err != nil {
 			return err
 		}
-		waitForPeers(viz, 2) // display must be listening
+		if err := waitForPort(viz, "display"); err != nil {
+			return err
+		}
 		forecast := fmt.Sprintf("accumulated snowfall %d cm: expect %s", total,
 			map[bool]string{true: "heavy snow", false: "flurries"}[total > 60])
 		return out.SendTo("display", []byte(forecast))

@@ -93,20 +93,6 @@ func (p ProblemClass) String() string {
 	}
 }
 
-// ParseProblemClass converts a script keyword to a ProblemClass.
-func ParseProblemClass(s string) (ProblemClass, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "SYNC", "SYNCHRONOUS":
-		return Synchronous, nil
-	case "LOOSESYNC", "LOOSELYSYNCHRONOUS", "LOOSELY-SYNCHRONOUS":
-		return LooselySynchronous, nil
-	case "ASYNC", "ASYNCHRONOUS":
-		return Asynchronous, nil
-	default:
-		return ProblemUnknown, fmt.Errorf("arch: unknown problem class %q", s)
-	}
-}
-
 // MachineClasses maps a problem architecture to the machine classes able to
 // execute it well — the design-stage-to-machine-level mapping of §4.1 ("the
 // synchronous class of problems maps easily to most SIMD style machines").
@@ -275,30 +261,6 @@ func (db *DB) Get(name string) (Machine, bool) {
 	return m, ok
 }
 
-// Len returns the number of registered machines.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.machines)
-}
-
-// All returns every machine sorted by name.
-func (db *DB) All() []Machine {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]Machine, 0, len(db.machines))
-	for _, m := range db.machines {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ByClass returns every machine of class c sorted by name.
-func (db *DB) ByClass(c Class) []Machine {
-	return db.Candidates(Requirements{Classes: []Class{c}})
-}
-
 // Candidates returns every machine admitted by req, sorted by descending
 // speed then name — the compilation manager's "best machines" ordering.
 func (db *DB) Candidates(req Requirements) []Machine {
@@ -316,22 +278,6 @@ func (db *DB) Candidates(req Requirements) []Machine {
 		}
 		return out[i].Name < out[j].Name
 	})
-	return out
-}
-
-// Classes returns the distinct machine classes present, sorted by name.
-func (db *DB) Classes() []Class {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	seen := make(map[Class]bool)
-	for _, m := range db.machines {
-		seen[m.Class] = true
-	}
-	out := make([]Class, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 

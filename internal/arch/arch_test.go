@@ -31,23 +31,6 @@ func TestParseClassCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestParseProblemClass(t *testing.T) {
-	cases := map[string]ProblemClass{
-		"SYNC":      Synchronous,
-		"async":     Asynchronous,
-		"LOOSESYNC": LooselySynchronous,
-	}
-	for in, want := range cases {
-		got, err := ParseProblemClass(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseProblemClass(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseProblemClass("weird"); err == nil {
-		t.Fatal("unknown problem class accepted")
-	}
-}
-
 func TestProblemClassMapping(t *testing.T) {
 	if got := Synchronous.MachineClasses(); len(got) == 0 || got[0] != SIMD {
 		t.Fatalf("Synchronous maps to %v, want SIMD first (paper §4.1)", got)
@@ -128,23 +111,23 @@ func TestDBCRUD(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Len() != 3 {
-		t.Fatalf("len = %d", db.Len())
+	if len(db.machines) != 3 {
+		t.Fatalf("len = %d", len(db.machines))
 	}
 	if _, ok := db.Get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	all := db.All()
-	if len(all) != 3 || all[0].Name != "a" || all[1].Name != "b" {
-		t.Fatalf("All not name-sorted: %v", all)
+	all := db.Candidates(Requirements{})
+	if len(all) != 3 || all[0].Name != "cm5" || all[1].Name != "a" || all[2].Name != "b" {
+		t.Fatalf("Candidates not speed-sorted: %v", all)
 	}
 	db.Remove("a")
 	if _, ok := db.Get("a"); ok {
 		t.Fatal("a still present after Remove")
 	}
 	db.Remove("a") // removing absent machine is a no-op
-	if db.Len() != 2 {
-		t.Fatalf("len after removes = %d", db.Len())
+	if len(db.machines) != 2 {
+		t.Fatalf("len after removes = %d", len(db.machines))
 	}
 }
 
@@ -156,8 +139,8 @@ func TestDBUpdateOverwrites(t *testing.T) {
 	if m.Speed != 9 {
 		t.Fatalf("update did not overwrite: speed = %v", m.Speed)
 	}
-	if db.Len() != 1 {
-		t.Fatalf("duplicate names created extra entries: %d", db.Len())
+	if len(db.machines) != 1 {
+		t.Fatalf("duplicate names created extra entries: %d", len(db.machines))
 	}
 }
 
@@ -177,20 +160,9 @@ func TestDBCandidatesTieBreakByName(t *testing.T) {
 	db := NewDB()
 	_ = db.Add(ws("zeta", 2))
 	_ = db.Add(ws("alpha", 2))
-	got := db.ByClass(Workstation)
+	got := db.Candidates(Requirements{Classes: []Class{Workstation}})
 	if got[0].Name != "alpha" {
 		t.Fatalf("tie-break wrong: %v", got)
-	}
-}
-
-func TestDBClasses(t *testing.T) {
-	db := NewDB()
-	_ = db.Add(ws("w", 1))
-	_ = db.Add(Machine{Name: "cm5", Class: SIMD, Speed: 50, OS: "cmost"})
-	_ = db.Add(Machine{Name: "sp1", Class: MIMD, Speed: 20, OS: "unix"})
-	got := db.Classes()
-	if len(got) != 3 {
-		t.Fatalf("classes = %v", got)
 	}
 }
 
@@ -218,8 +190,7 @@ func TestDBConcurrentAccess(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 500; i++ {
-		db.All()
-		db.Len()
+		db.Candidates(Requirements{})
 		db.Get("m")
 	}
 	<-done

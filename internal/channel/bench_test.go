@@ -17,7 +17,7 @@ func BenchmarkDirectedSend(b *testing.B) {
 		if err := a.SendTo("b", payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := dst.TryRecv(); !ok {
+		if _, ok := dst.Recv(); !ok {
 			b.Fatal("lost message")
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkGroupSendFanout8(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, p := range ports {
-			if _, ok := p.TryRecv(); !ok {
+			if _, ok := p.Recv(); !ok {
 				b.Fatal("lost fanout message")
 			}
 		}
@@ -59,6 +59,6 @@ func BenchmarkSendThroughInterposer(b *testing.B) {
 		if err := a.SendTo("b", payload); err != nil {
 			b.Fatal(err)
 		}
-		dst.TryRecv()
+		dst.Recv()
 	}
 }

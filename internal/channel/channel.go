@@ -9,8 +9,9 @@
 // placement, and destruction of ports."
 //
 // Channels also give the runtime manager "the ability to monitor, redirect,
-// and move connections between tasks" — Stats, Redirect and port replacement
-// are what migration leans on.
+// and move connections between tasks": Stats, Split and Redirect. The live
+// programs use only ports, Send/SendTo and Recv; no experiment or entry
+// point calls the monitoring and redirection half yet.
 package channel
 
 import (
@@ -109,17 +110,6 @@ func (c *Channel) CreatePort(id PortID) (*Port, error) {
 	c.ports[id] = p
 	delete(c.aliases, id) // a live port overrides any stale redirection
 	return p, nil
-}
-
-// DestroyPort disconnects and closes a port.
-func (c *Channel) DestroyPort(id PortID) {
-	c.mu.Lock()
-	p := c.ports[id]
-	delete(c.ports, id)
-	c.mu.Unlock()
-	if p != nil {
-		p.close()
-	}
 }
 
 // Split interposes a task into the channel. Interposers apply to every
@@ -262,25 +252,6 @@ func (p *Port) Recv() (Message, bool) {
 	return m, true
 }
 
-// TryRecv returns a queued message without blocking.
-func (p *Port) TryRecv() (Message, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
-		return Message{}, false
-	}
-	m := p.queue[0]
-	p.queue = p.queue[1:]
-	return m, true
-}
-
-// Pending returns the queued message count.
-func (p *Port) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
 func (p *Port) close() {
 	p.mu.Lock()
 	p.closed = true
@@ -335,15 +306,4 @@ func (h *Hub) Destroy(name string) {
 	for _, p := range ports {
 		p.close()
 	}
-}
-
-// Names returns the current channel names.
-func (h *Hub) Names() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.channels))
-	for n := range h.channels {
-		out = append(out, n)
-	}
-	return out
 }

@@ -69,7 +69,10 @@ func TestGroupDelivery(t *testing.T) {
 			t.Fatal("group member missed message")
 		}
 	}
-	if a.Pending() != 0 {
+	a.mu.Lock()
+	own := len(a.queue)
+	a.mu.Unlock()
+	if own != 0 {
 		t.Fatal("sender received its own group message")
 	}
 }
@@ -234,17 +237,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-func TestDestroyPortStopsDelivery(t *testing.T) {
-	_, c, a, b := pair(t)
-	c.DestroyPort("b")
-	if err := a.SendTo("b", nil); err == nil {
-		t.Fatal("send to destroyed port accepted")
-	}
-	if _, ok := b.Recv(); ok {
-		t.Fatal("destroyed port still delivers")
-	}
-}
-
 func TestHubDestroyClosesEverything(t *testing.T) {
 	h, c, a, b := pair(t)
 	h.Destroy("data")
@@ -257,8 +249,8 @@ func TestHubDestroyClosesEverything(t *testing.T) {
 	if _, err := c.CreatePort("late"); err == nil {
 		t.Fatal("port created on destroyed channel")
 	}
-	if len(h.Names()) != 0 {
-		t.Fatalf("names = %v", h.Names())
+	if len(h.channels) != 0 {
+		t.Fatalf("channels = %v", h.channels)
 	}
 }
 
@@ -268,19 +260,6 @@ func TestHubChannelIdempotent(t *testing.T) {
 	c2 := h.Channel("x")
 	if c1 != c2 {
 		t.Fatal("same name produced different channels")
-	}
-}
-
-func TestTryRecv(t *testing.T) {
-	_, _, a, b := pair(t)
-	if _, ok := b.TryRecv(); ok {
-		t.Fatal("TryRecv on empty port returned a message")
-	}
-	if err := a.SendTo("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := b.TryRecv(); !ok || string(m.Payload) != "x" {
-		t.Fatalf("TryRecv = %+v, %v", m, ok)
 	}
 }
 
@@ -307,7 +286,9 @@ func TestConcurrentSendersFIFOPerSender(t *testing.T) {
 	wg.Wait()
 	next := make(map[string]int)
 	for i := 0; i < senders*per; i++ {
-		m, ok := b.TryRecv()
+		// Every send enqueued before wg.Wait returned, so Recv never
+		// blocks here.
+		m, ok := b.Recv()
 		if !ok {
 			t.Fatalf("only %d messages arrived", i)
 		}

@@ -181,17 +181,6 @@ func (m *Manager) Stats() (int64, int64) {
 	return m.compiles, m.hits
 }
 
-// Invalidate drops cached binaries for a program (source changed).
-func (m *Manager) Invalidate(program string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range m.cache {
-		if k.program == program {
-			delete(m.cache, k)
-		}
-	}
-}
-
 // ProxyStub describes one generated proxy pair for an object-oriented
 // stream arc — the compilation manager "generate[s] proxies when needed,
 // using a tool such as the IDL compiler" (§4.2). The stub records which

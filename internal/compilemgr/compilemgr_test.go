@@ -135,22 +135,6 @@ func TestHasBinaryFor(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	m := New(testDB(t), DefaultCostModel())
-	task := wsTask("a")
-	if _, _, err := m.PrepareAll(task); err != nil {
-		t.Fatal(err)
-	}
-	m.Invalidate(task.Program)
-	_, cost, err := m.PrepareAll(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost == 0 {
-		t.Fatal("invalidated binaries still cached")
-	}
-}
-
 func TestGenerateProxies(t *testing.T) {
 	g := taskgraph.New("app")
 	for _, id := range []taskgraph.TaskID{"client", "server", "other"} {

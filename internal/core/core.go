@@ -204,26 +204,6 @@ func (v *VCE) NewExecProgram() (*exm.ExecProgram, error) {
 	})
 }
 
-// PrepareAndRun annotates a task graph through the remaining SDM layers,
-// prepares all binaries (§4.1), and executes it.
-func (v *VCE) PrepareAndRun(g *taskgraph.Graph) (*exm.RunReport, error) {
-	if _, err := sdm.Design(g); err != nil {
-		return nil, err
-	}
-	if err := sdm.Code(g, sdm.CodingDefaults{}); err != nil {
-		return nil, err
-	}
-	if _, _, err := v.compiler.PrepareGraph(g); err != nil {
-		return nil, err
-	}
-	e, err := v.NewExecProgram()
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.Run(g)
-}
-
 // RunScript compiles a §5 application-description script (conditionals
 // evaluated against live group availability) and runs it.
 func (v *VCE) RunScript(app, src string) (*exm.RunReport, error) {
@@ -236,25 +216,13 @@ func (v *VCE) RunScript(app, src string) (*exm.RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sdm.Design(g); err != nil {
-		return nil, err
-	}
-	if err := sdm.Code(g, sdm.CodingDefaults{}); err != nil {
-		return nil, err
-	}
-	if _, _, err := v.compiler.PrepareGraph(g); err != nil {
-		return nil, err
-	}
-	return e.Run(g)
+	return v.run(e, g)
 }
 
 // RunSpec runs an application defined as an SDM problem specification.
 func (v *VCE) RunSpec(spec sdm.Spec) (*exm.RunReport, error) {
-	g, _, err := sdm.Pipeline(spec)
+	g, err := spec.Graph()
 	if err != nil {
-		return nil, err
-	}
-	if _, _, err := v.compiler.PrepareGraph(g); err != nil {
 		return nil, err
 	}
 	e, err := v.NewExecProgram()
@@ -262,6 +230,22 @@ func (v *VCE) RunSpec(spec sdm.Spec) (*exm.RunReport, error) {
 		return nil, err
 	}
 	defer e.Close()
+	return v.run(e, g)
+}
+
+// run is the one application pipeline behind both front ends: the SDM
+// design and coding layers annotate g, the compilation manager prepares its
+// binaries for every candidate target (§4.1), and e executes it.
+func (v *VCE) run(e *exm.ExecProgram, g *taskgraph.Graph) (*exm.RunReport, error) {
+	if err := sdm.Design(g); err != nil {
+		return nil, err
+	}
+	if err := sdm.Code(g); err != nil {
+		return nil, err
+	}
+	if _, _, err := v.compiler.PrepareGraph(g); err != nil {
+		return nil, err
+	}
 	return e.Run(g)
 }
 

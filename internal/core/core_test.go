@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vce/internal/arch"
+	"vce/internal/compilemgr"
 	"vce/internal/exm"
 	"vce/internal/isis"
 	"vce/internal/sdm"
@@ -278,5 +279,50 @@ func TestLiveFileStagingThroughFacade(t *testing.T) {
 	}
 	if !v.FS().HasCurrent("/data/in.dat", machine.Load().(string)) {
 		t.Fatal("facade run did not stage inputs")
+	}
+}
+
+// TestBothFrontEndsShareOnePipeline pins that a specification and a script
+// reach the execution module the same way: a task that arrives without a
+// problem class is classified by the design stage, given a language by the
+// coding level, and has its binaries prepared before it runs.
+func TestBothFrontEndsShareOnePipeline(t *testing.T) {
+	v := newVCE(t, 2, 0, 0)
+	ws, _ := v.DB().Get("ws0")
+	cases := []struct {
+		name    string
+		program string
+		run     func(program string) error
+	}{
+		{"RunSpec", "/apps/spec.vce", func(program string) error {
+			_, err := v.RunSpec(sdm.Spec{Name: "spec", Tasks: []sdm.TaskSpec{{Name: "t", Program: program, WorkUnits: 1}}})
+			return err
+		}},
+		{"RunScript", "/apps/script.vce", func(program string) error {
+			_, err := v.RunScript("script", `WORKSTATION 1 "`+program+`"`)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		if err := v.Registry().Register(tc.program, func(exm.ProgContext) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := v.Compiler().Stats()
+		if err := tc.run(tc.program); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after, _ := v.Compiler().Stats()
+		if after <= before {
+			t.Fatalf("%s: no binaries prepared (compiles %d -> %d)", tc.name, before, after)
+		}
+		bin, ok := v.Compiler().Lookup(tc.program, compilemgr.TargetOf(ws))
+		if !ok {
+			t.Fatalf("%s: no binary for the workstation target", tc.name)
+		}
+		// An unclassified, untagged, uncoupled task is asynchronous, and
+		// the coding level writes asynchronous tasks in C+MPI.
+		if bin.Language != "C+MPI" {
+			t.Fatalf("%s: binary language = %q, want C+MPI (classified and coded)", tc.name, bin.Language)
+		}
 	}
 }

@@ -221,7 +221,7 @@ func (d *Daemon) lead(req requestMsg) {
 		reply(allocMsg{ReqID: req.ReqID, App: req.App, Task: req.Task, Err: err.Error()})
 		return
 	}
-	replies, castErr := d.proc.Cast(isis.FIFO, kindBidCast, cast, isis.AllReplies)
+	replies, castErr := d.proc.Cast(kindBidCast, cast, isis.AllReplies)
 	// Timeout with partial replies is the normal path when some daemons
 	// decline; only a hard failure (stopped process) aborts.
 	if castErr != nil && castErr != isis.ErrTimeout {
@@ -324,7 +324,7 @@ func (d *Daemon) onKill(_ isis.MemberID, payload []byte) {
 		return
 	}
 	d.applyKill(k)
-	_, _ = d.proc.Cast(isis.FIFO, kindKillCast, payload, 0)
+	_, _ = d.proc.Cast(kindKillCast, payload, 0)
 }
 
 // onKillCast applies a group-relayed kill.

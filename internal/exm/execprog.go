@@ -346,7 +346,7 @@ func (e *ExecProgram) runWave(g *taskgraph.Graph, ready []taskgraph.TaskID) ([]P
 				// re-request a machine and dispatch a fresh copy.
 				if pi.retries > 0 {
 					pi.retries--
-					if e.redisatchInstance(g.Name, taskByName[d.Task], pi) {
+					if e.redispatchInstance(g.Name, taskByName[d.Task], pi) {
 						continue
 					}
 				}
@@ -385,9 +385,9 @@ func (e *ExecProgram) runWave(g *taskgraph.Graph, ready []taskgraph.TaskID) ([]P
 	return placements, nil
 }
 
-// redisatchInstance re-runs a failed instance on a freshly allocated
+// redispatchInstance re-runs a failed instance on a freshly allocated
 // machine; it reports whether the retry was dispatched.
-func (e *ExecProgram) redisatchInstance(app string, task taskgraph.Task, pi *pendingInstance) bool {
+func (e *ExecProgram) redispatchInstance(app string, task taskgraph.Task, pi *pendingInstance) bool {
 	if task.ID == "" {
 		return false
 	}

@@ -500,7 +500,7 @@ func TestRegistryValidation(t *testing.T) {
 	if _, ok := r.Lookup("/x"); !ok {
 		t.Fatal("lookup failed")
 	}
-	if len(r.Paths()) != 1 {
+	if len(r.progs) != 1 {
 		t.Fatal("paths wrong")
 	}
 }

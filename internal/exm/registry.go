@@ -65,14 +65,3 @@ func (r *Registry) Lookup(path string) (Program, bool) {
 	p, ok := r.progs[path]
 	return p, ok
 }
-
-// Paths lists registered program paths.
-func (r *Registry) Paths() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.progs))
-	for p := range r.progs {
-		out = append(out, p)
-	}
-	return out
-}

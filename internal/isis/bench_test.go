@@ -59,32 +59,12 @@ func BenchmarkCastAllReplies(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replies, err := procs[0].Cast(FIFO, "bid", nil, AllReplies)
+		replies, err := procs[0].Cast("bid", nil, AllReplies)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(replies) != 8 {
 			b.Fatalf("replies = %d", len(replies))
-		}
-	}
-}
-
-// BenchmarkABCast measures sequencer-ordered broadcast delivery.
-func BenchmarkABCast(b *testing.B) {
-	procs := newBenchGroup(b, 4)
-	defer func() {
-		for _, p := range procs {
-			p.Stop()
-		}
-	}()
-	for _, p := range procs {
-		p.HandleCast("ab", func(MemberID, []byte) ([]byte, bool) { return nil, false })
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := procs[1].Cast(Total, "ab", []byte("x"), 0); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -2,13 +2,12 @@ package isis
 
 import (
 	"fmt"
-	"time"
 
 	"vce/internal/transport"
 )
 
 // Cast broadcasts payload to every member of the current view (including the
-// caster) under the given ordering, then collects replies.
+// caster) in per-sender FIFO order, then collects replies.
 //
 // nreplies semantics follow Isis bcast/reply: AllReplies waits for one reply
 // per member in the view at cast time; 0 returns immediately after sending; k
@@ -16,7 +15,7 @@ import (
 // reply, so undersubscribed casts end at the reply timeout with ErrTimeout
 // and whatever replies arrived — the exact partial-failure surface the VCE
 // group leader is built on.
-func (p *Process) Cast(order Ordering, kind string, payload []byte, nreplies int) ([]Reply, error) {
+func (p *Process) Cast(kind string, payload []byte, nreplies int) ([]Reply, error) {
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
@@ -33,33 +32,13 @@ func (p *Process) Cast(order Ordering, kind string, payload []byte, nreplies int
 	}
 	p.castSeq++
 	id := p.castSeq
-	msg := &castMsg{
+	msg := castMsg{
 		ID:        id,
 		Kind:      kind,
 		Sender:    p.id,
 		ReplyTo:   p.ep.Addr(),
-		Order:     order,
-		ViewNum:   view.Number,
 		WantReply: want > 0,
 		Payload:   payload,
-	}
-	switch order {
-	case FIFO:
-		p.senderSeq++
-		msg.SenderSeq = p.senderSeq
-	case Causal:
-		p.senderSeq++
-		msg.SenderSeq = p.senderSeq
-		p.vc[p.id]++
-		msg.VC = make(map[MemberID]uint64, len(p.vc))
-		for k, v := range p.vc {
-			msg.VC[k] = v
-		}
-	case Total:
-		// Sequenced by the leader; SenderSeq intentionally unset.
-	default:
-		p.mu.Unlock()
-		return nil, fmt.Errorf("isis: unknown ordering %d", order)
 	}
 	var pc *pendingCast
 	if want > 0 {
@@ -69,19 +48,12 @@ func (p *Process) Cast(order Ordering, kind string, payload []byte, nreplies int
 	timeout := p.cfg.ReplyTimeout
 	p.mu.Unlock()
 
-	wire, err := encode(*msg)
+	wire, err := encode(msg)
 	if err != nil {
 		return nil, err
 	}
-	if order == Total {
-		leader := view.Leader()
-		if err := p.ep.Send(leader.Addr, kindABReq, wire); err != nil {
-			return nil, fmt.Errorf("isis: abcast to sequencer: %w", err)
-		}
-	} else {
-		for _, m := range view.Members {
-			_ = p.ep.Send(m.Addr, kindCast, wire)
-		}
+	for _, m := range view.Members {
+		_ = p.ep.Send(m.Addr, kindCast, wire)
 	}
 
 	if pc == nil {
@@ -135,53 +107,14 @@ func (p *Process) Send(to MemberID, kind string, payload []byte) error {
 	return p.ep.Send(transport.Addr(addr), kindPoint, wire)
 }
 
-// handleABReq runs at the sequencer (leader): stamp and fan out.
-func (p *Process) handleABReq(cm *castMsg) {
-	p.mu.Lock()
-	if p.stopped || !p.isLeaderLocked() {
-		p.mu.Unlock()
-		return
-	}
-	p.totalSeq++
-	cm.TotalSeq = p.totalSeq
-	view := p.view.clone()
-	p.mu.Unlock()
-	wire, err := encode(*cm)
-	if err != nil {
-		return
-	}
-	for _, m := range view.Members {
-		_ = p.ep.Send(m.Addr, kindCast, wire)
-	}
-}
-
-// handleCast buffers or delivers an inbound cast according to its ordering.
+// handleCast delivers an inbound cast in per-sender FIFO order.
 func (p *Process) handleCast(cm *castMsg) {
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
 		return
 	}
-	var ready []*castMsg
-	switch cm.Order {
-	case Total:
-		if cm.TotalSeq < p.nextTotal {
-			p.mu.Unlock()
-			return // duplicate/old
-		}
-		p.totalBuf[cm.TotalSeq] = cm
-		ready = p.drainTotalLocked()
-	case Causal:
-		if cm.Sender == p.id {
-			// Own cast: the vector clock advanced at send time.
-			ready = append(ready, cm)
-		} else {
-			p.causalBuf = append(p.causalBuf, cm)
-			ready = p.drainCausalLocked()
-		}
-	default: // FIFO
-		ready = p.admitFIFOLocked(cm)
-	}
+	ready := p.admitFIFOLocked(cm)
 	p.mu.Unlock()
 	p.deliverAll(ready)
 }
@@ -191,27 +124,27 @@ func (p *Process) handleCast(cm *castMsg) {
 func (p *Process) admitFIFOLocked(cm *castMsg) []*castMsg {
 	next, known := p.fifoNext[cm.Sender]
 	if !known {
-		p.fifoNext[cm.Sender] = cm.SenderSeq + 1
+		p.fifoNext[cm.Sender] = cm.ID + 1
 		return []*castMsg{cm}
 	}
-	if cm.SenderSeq < next {
+	if cm.ID < next {
 		return nil // duplicate
 	}
-	if cm.SenderSeq > next {
+	if cm.ID > next {
 		p.fifoBuf[cm.Sender] = append(p.fifoBuf[cm.Sender], cm)
 		return nil
 	}
 	ready := []*castMsg{cm}
-	p.fifoNext[cm.Sender] = cm.SenderSeq + 1
+	p.fifoNext[cm.Sender] = cm.ID + 1
 	// Pull any buffered successors forward.
 	progress := true
 	for progress {
 		progress = false
 		buf := p.fifoBuf[cm.Sender]
 		for i, b := range buf {
-			if b != nil && b.SenderSeq == p.fifoNext[cm.Sender] {
+			if b != nil && b.ID == p.fifoNext[cm.Sender] {
 				ready = append(ready, b)
-				p.fifoNext[cm.Sender] = b.SenderSeq + 1
+				p.fifoNext[cm.Sender] = b.ID + 1
 				buf[i] = nil
 				progress = true
 			}
@@ -225,62 +158,6 @@ func (p *Process) admitFIFOLocked(cm *castMsg) []*castMsg {
 	}
 	p.fifoBuf[cm.Sender] = compact
 	return ready
-}
-
-// drainTotalLocked releases the contiguous run of sequenced casts.
-func (p *Process) drainTotalLocked() []*castMsg {
-	var ready []*castMsg
-	for {
-		cm, ok := p.totalBuf[p.nextTotal]
-		if !ok {
-			return ready
-		}
-		delete(p.totalBuf, p.nextTotal)
-		p.nextTotal++
-		ready = append(ready, cm)
-	}
-}
-
-// drainCausalLocked releases every buffered cast whose causal predecessors
-// have been delivered, iterating to a fixpoint.
-func (p *Process) drainCausalLocked() []*castMsg {
-	var ready []*castMsg
-	progress := true
-	for progress {
-		progress = false
-		for i, cm := range p.causalBuf {
-			if cm == nil || !p.causallyDeliverableLocked(cm) {
-				continue
-			}
-			p.vc[cm.Sender] = cm.VC[cm.Sender]
-			ready = append(ready, cm)
-			p.causalBuf[i] = nil
-			progress = true
-		}
-	}
-	compact := p.causalBuf[:0]
-	for _, cm := range p.causalBuf {
-		if cm != nil {
-			compact = append(compact, cm)
-		}
-	}
-	p.causalBuf = compact
-	return ready
-}
-
-func (p *Process) causallyDeliverableLocked(cm *castMsg) bool {
-	if cm.VC[cm.Sender] != p.vc[cm.Sender]+1 {
-		return false
-	}
-	for member, count := range cm.VC {
-		if member == cm.Sender {
-			continue
-		}
-		if count > p.vc[member] {
-			return false
-		}
-	}
-	return true
 }
 
 // deliverAll invokes handlers (outside the lock) and sends replies.
@@ -314,7 +191,3 @@ func (p *Process) handleReply(rm replyMsg) {
 		close(pc.done)
 	}
 }
-
-// ReplyTimeout exposes the configured reply window (used by callers to align
-// their own deadlines).
-func (p *Process) ReplyTimeout() time.Duration { return p.cfg.ReplyTimeout }

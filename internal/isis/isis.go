@@ -1,9 +1,13 @@
 // Package isis reimplements the slice of the Isis Distributed Toolkit that
 // the VCE prototype is built on (§5): process groups with membership views,
-// heartbeat failure detection, error notification, bcast/reply collection,
-// FIFO/causal/total message orderings, and the rule that "the oldest
-// surviving member of the group assume[s] the role of group leader in case
-// the group leader fails."
+// heartbeat failure detection, error notification, FIFO bcast/reply
+// collection, and the rule that "the oldest surviving member of the group
+// assume[s] the role of group leader in case the group leader fails."
+//
+// Casts are delivered in per-sender FIFO order, the only ordering the VCE
+// daemons use: the leader's bid request and the execution program's kill
+// relay. Isis's causal (cbcast) and total (abcast) orderings are not
+// implemented.
 //
 // The implementation is an engineering approximation of Isis's virtual
 // synchrony, not a formally verified GMS: views are issued by the current
@@ -73,19 +77,6 @@ func (v View) clone() View {
 	return out
 }
 
-// Ordering selects the delivery order of a group cast.
-type Ordering uint8
-
-const (
-	// FIFO delivers in per-sender order (Isis fbcast).
-	FIFO Ordering = iota
-	// Causal delivers respecting potential causality (Isis cbcast).
-	Causal
-	// Total delivers in one global order via the leader-as-sequencer
-	// (Isis abcast).
-	Total
-)
-
 // Reply is one member's answer to a cast.
 type Reply struct {
 	// From is the replying member.
@@ -151,32 +142,25 @@ func (c Config) withDefaults() Config {
 // Process is one group member: the substrate under every VCE
 // scheduling/dispatching daemon.
 type Process struct {
-	cfg   Config
-	ep    transport.Endpoint
-	id    MemberID
-	group string
+	cfg Config
+	ep  transport.Endpoint
+	id  MemberID
 
-	mu        sync.Mutex
-	view      View
-	haveView  bool
-	stopped   bool
-	nextRank  int // leader-only: rank to assign to the next joiner
-	castSeq   uint64
-	senderSeq uint64
-	totalSeq  uint64 // leader-only: abcast sequencer
+	mu       sync.Mutex
+	view     View
+	haveView bool
+	stopped  bool
+	nextRank int    // leader-only: rank to assign to the next joiner
+	castSeq  uint64 // this member's casts, numbered from 1
 
 	// Failure detection state.
 	lastHB     map[MemberID]time.Time // leader: member -> last beacon
 	leaderSeen time.Time              // member: last leader beacon
 	tick       vtime.Timer
 
-	// Cast delivery state.
-	vc        map[MemberID]uint64 // causal vector clock
-	causalBuf []*castMsg
-	totalBuf  map[uint64]*castMsg
-	nextTotal uint64
-	fifoNext  map[MemberID]uint64
-	fifoBuf   map[MemberID][]*castMsg
+	// FIFO delivery state.
+	fifoNext map[MemberID]uint64
+	fifoBuf  map[MemberID][]*castMsg
 
 	// Pending reply collections, by cast ID.
 	pending map[uint64]*pendingCast
@@ -255,11 +239,7 @@ func newProcess(net transport.Network, group string, cfg Config) (*Process, erro
 		cfg:           cfg,
 		ep:            ep,
 		id:            MemberID(ep.Addr()),
-		group:         group,
 		lastHB:        make(map[MemberID]time.Time),
-		vc:            make(map[MemberID]uint64),
-		totalBuf:      make(map[uint64]*castMsg),
-		nextTotal:     1,
 		fifoNext:      make(map[MemberID]uint64),
 		fifoBuf:       make(map[MemberID][]*castMsg),
 		pending:       make(map[uint64]*pendingCast),
@@ -276,9 +256,6 @@ func (p *Process) ID() MemberID { return p.id }
 
 // Addr returns this process's transport address.
 func (p *Process) Addr() transport.Addr { return p.ep.Addr() }
-
-// Group returns the group name.
-func (p *Process) Group() string { return p.group }
 
 // View returns the current membership view.
 func (p *Process) View() View {
@@ -416,21 +393,17 @@ func (p *Process) installViewLocked(v View) {
 		}
 	}
 	p.lastHB = fresh
-	if p.isLeaderLocked() {
-		if p.nextRank <= v.Members[len(v.Members)-1].Rank {
-			p.nextRank = v.Members[len(v.Members)-1].Rank + 1
-		}
-		// A process promoted to leader adopts the sequencer at its own
-		// delivery point so new abcasts continue the global order.
-		if p.totalSeq < p.nextTotal-1 {
-			p.totalSeq = p.nextTotal - 1
-		}
+	if p.isLeaderLocked() && p.nextRank <= v.Members[len(v.Members)-1].Rank {
+		p.nextRank = v.Members[len(v.Members)-1].Rank + 1
 	}
-	handlers := append([]ViewHandler(nil), p.viewHandlers...)
-	snapshot := v.clone()
 	if first {
 		close(p.joinedCh)
 	}
+	if len(p.viewHandlers) == 0 {
+		return
+	}
+	handlers := append([]ViewHandler(nil), p.viewHandlers...)
+	snapshot := v.clone()
 	// Run observers without the lock: they may call back into the process.
 	go func() {
 		for _, h := range handlers {
@@ -439,16 +412,13 @@ func (p *Process) installViewLocked(v View) {
 	}()
 }
 
-// broadcastView sends a view to every member in it (including self),
-// carrying the sequencer position so joiners synchronize abcast delivery.
+// broadcastView sends a view to every member in it (including self).
 func (p *Process) broadcastView(v View) {
-	p.mu.Lock()
-	nextTotal := p.totalSeq + 1
-	p.mu.Unlock()
-	p.broadcastViewWithTotal(v, nextTotal)
-}
-
-// Members returns the current members, oldest first.
-func (p *Process) Members() []Member {
-	return p.View().Members
+	payload, err := encode(v)
+	if err != nil {
+		return
+	}
+	for _, m := range v.Members {
+		_ = p.ep.Send(m.Addr, kindView, payload)
+	}
 }

@@ -32,9 +32,6 @@ func eventually(t *testing.T, what string, cond func() bool) {
 func newGroup(t *testing.T, n int) []*Process {
 	t.Helper()
 	net := transport.NewInMem(nil)
-	netMu.Lock()
-	netByGroup["vce"] = net
-	netMu.Unlock()
 	// Heartbeat 20x slower than the detection threshold: false positives
 	// under scheduler jitter would silently reshape views mid-test.
 	cfg := func(i int) Config {
@@ -58,6 +55,11 @@ func newGroup(t *testing.T, n int) []*Process {
 		}
 		procs = append(procs, p)
 	}
+	netMu.Lock()
+	for _, p := range procs {
+		netByMember[p.ID()] = net
+	}
+	netMu.Unlock()
 	for _, p := range procs {
 		p := p
 		eventually(t, "full view", func() bool { return p.View().Size() == n })
@@ -143,7 +145,7 @@ func TestCastFIFOAllReplies(t *testing.T) {
 			return []byte(fmt.Sprintf("bid-from-%d", i)), true
 		})
 	}
-	replies, err := procs[0].Cast(FIFO, "bid", []byte("need"), AllReplies)
+	replies, err := procs[0].Cast("bid", []byte("need"), AllReplies)
 	if err != nil {
 		t.Fatalf("cast: %v (replies %d)", err, len(replies))
 	}
@@ -164,7 +166,7 @@ func TestCastKReplies(t *testing.T) {
 	for _, p := range procs {
 		p.HandleCast("q", func(MemberID, []byte) ([]byte, bool) { return []byte("y"), true })
 	}
-	replies, err := procs[1].Cast(FIFO, "q", nil, 3)
+	replies, err := procs[1].Cast("q", nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestCastDecliningMembersCauseTimeout(t *testing.T) {
 	short := procs[0]
 	// Shorten the reply window for this test only.
 	short.cfg.ReplyTimeout = 100 * time.Millisecond
-	replies, err := short.Cast(FIFO, "q", nil, AllReplies)
+	replies, err := short.Cast("q", nil, AllReplies)
 	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -205,7 +207,7 @@ func TestCastNoReplyWanted(t *testing.T) {
 			return nil, false
 		})
 	}
-	replies, err := procs[0].Cast(FIFO, "note", []byte("x"), 0)
+	replies, err := procs[0].Cast("note", []byte("x"), 0)
 	if err != nil || replies != nil {
 		t.Fatalf("cast = %v, %v", replies, err)
 	}
@@ -233,7 +235,7 @@ func TestFIFOOrderPerSender(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := procs[0].Cast(FIFO, "seq", []byte(fmt.Sprintf("%d", i)), 0); err != nil {
+		if _, err := procs[0].Cast("seq", []byte(fmt.Sprintf("%d", i)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,118 +254,6 @@ func TestFIFOOrderPerSender(t *testing.T) {
 			if seq[i] != seq[i-1]+1 {
 				t.Fatalf("receiver %d saw out-of-order FIFO: %v", recv, seq)
 			}
-		}
-	}
-}
-
-func TestTotalOrderAgreement(t *testing.T) {
-	procs := newGroup(t, 4)
-	var mu sync.Mutex
-	orders := make(map[int][]string)
-	for i, p := range procs {
-		i := i
-		p.HandleCast("ab", func(from MemberID, payload []byte) ([]byte, bool) {
-			mu.Lock()
-			orders[i] = append(orders[i], string(payload))
-			mu.Unlock()
-			return nil, false
-		})
-	}
-	// Two different senders race abcasts; all members must agree on order.
-	var wg sync.WaitGroup
-	for s := 0; s < 2; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if _, err := procs[s+1].Cast(Total, "ab", []byte(fmt.Sprintf("s%d-%d", s, i)), 0); err != nil {
-					t.Errorf("abcast: %v", err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	eventually(t, "all abcast deliveries", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := 0; i < 4; i++ {
-			if len(orders[i]) != 20 {
-				return false
-			}
-		}
-		return true
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	want := orders[0]
-	for i := 1; i < 4; i++ {
-		for j := range want {
-			if orders[i][j] != want[j] {
-				t.Fatalf("member %d order differs at %d: %v vs %v", i, j, orders[i][j], want[j])
-			}
-		}
-	}
-}
-
-func TestCausalOrderRespectsHappensBefore(t *testing.T) {
-	procs := newGroup(t, 3)
-	var mu sync.Mutex
-	delivered := make(map[int][]string)
-	release := make(chan struct{})
-	for i, p := range procs {
-		i := i
-		p.HandleCast("c", func(from MemberID, payload []byte) ([]byte, bool) {
-			mu.Lock()
-			delivered[i] = append(delivered[i], string(payload))
-			mu.Unlock()
-			return nil, false
-		})
-		_ = i
-	}
-	close(release)
-	// m1 casts "first"; after observing it, m2 casts "second" (causally
-	// after). No member may deliver "second" before "first".
-	if _, err := procs[1].Cast(Causal, "c", []byte("first"), 0); err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, "first delivered at m2", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, msg := range delivered[2] {
-			if msg == "first" {
-				return true
-			}
-		}
-		return false
-	})
-	if _, err := procs[2].Cast(Causal, "c", []byte("second"), 0); err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, "both delivered everywhere", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := 0; i < 3; i++ {
-			if len(delivered[i]) < 2 {
-				return false
-			}
-		}
-		return true
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < 3; i++ {
-		fi, si := -1, -1
-		for j, msg := range delivered[i] {
-			if msg == "first" {
-				fi = j
-			}
-			if msg == "second" {
-				si = j
-			}
-		}
-		if fi == -1 || si == -1 || fi > si {
-			t.Fatalf("member %d violated causality: %v", i, delivered[i])
 		}
 	}
 }
@@ -456,21 +346,20 @@ func TestJoinAfterFailover(t *testing.T) {
 // for late joins in tests.
 func transportOf(t *testing.T, p *Process) transport.Network {
 	t.Helper()
-	// The in-memory network is shared by construction in newGroup; tests
-	// that need it keep a reference. Reconstructing it is impossible, so
-	// newGroup-based tests store it here.
+	// The in-memory network is shared by construction in newGroup, which
+	// records it here for every member it creates.
 	netMu.Lock()
 	defer netMu.Unlock()
-	net, ok := netByGroup[p.Group()]
+	net, ok := netByMember[p.ID()]
 	if !ok {
-		t.Fatal("no recorded network for group")
+		t.Fatal("no recorded network for member")
 	}
 	return net
 }
 
 var (
-	netMu      sync.Mutex
-	netByGroup = map[string]transport.Network{}
+	netMu       sync.Mutex
+	netByMember = map[MemberID]transport.Network{}
 )
 
 func TestPointToPoint(t *testing.T) {
@@ -495,7 +384,7 @@ func TestPointToPoint(t *testing.T) {
 func TestCastOnStoppedProcess(t *testing.T) {
 	procs := newGroup(t, 2)
 	procs[1].Stop()
-	if _, err := procs[1].Cast(FIFO, "x", nil, 0); err != ErrStopped {
+	if _, err := procs[1].Cast("x", nil, 0); err != ErrStopped {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 }

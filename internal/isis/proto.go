@@ -16,9 +16,9 @@ func (p *Process) onMessage(msg transport.Message) {
 			p.handleJoin(req)
 		}
 	case kindView:
-		var vm viewMsg
-		if decode(msg.Payload, &vm) == nil {
-			p.handleView(vm)
+		var v View
+		if decode(msg.Payload, &v) == nil {
+			p.handleView(v)
 		}
 	case kindHeartbeat:
 		var hb hbMsg
@@ -29,11 +29,6 @@ func (p *Process) onMessage(msg transport.Message) {
 		var cm castMsg
 		if decode(msg.Payload, &cm) == nil {
 			p.handleCast(&cm)
-		}
-	case kindABReq:
-		var cm castMsg
-		if decode(msg.Payload, &cm) == nil {
-			p.handleABReq(&cm)
 		}
 	case kindReply:
 		var rm replyMsg
@@ -92,8 +87,7 @@ func (p *Process) handleJoin(req joinReq) {
 	p.broadcastView(v)
 }
 
-func (p *Process) handleView(vm viewMsg) {
-	v := vm.View
+func (p *Process) handleView(v View) {
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
@@ -117,18 +111,9 @@ func (p *Process) handleView(vm viewMsg) {
 		accept = true
 	}
 	if accept {
-		if vm.NextTotal > p.nextTotal {
-			p.nextTotal = vm.NextTotal
-		}
 		p.installViewLocked(v)
 	}
 	p.mu.Unlock()
-	if accept {
-		p.mu.Lock()
-		deliverables := p.drainTotalLocked()
-		p.mu.Unlock()
-		p.deliverAll(deliverables)
-	}
 }
 
 // removeMembers ejects ids (leader only) and publishes the new view.
@@ -157,19 +142,8 @@ func (p *Process) removeMembers(ids []MemberID) {
 	for id := range gone {
 		delete(p.lastHB, id)
 	}
-	nextTotal := p.totalSeq + 1
 	p.mu.Unlock()
-	p.broadcastViewWithTotal(v, nextTotal)
-}
-
-func (p *Process) broadcastViewWithTotal(v View, nextTotal uint64) {
-	payload, err := encode(viewMsg{View: v, NextTotal: nextTotal})
-	if err != nil {
-		return
-	}
-	for _, m := range v.Members {
-		_ = p.ep.Send(m.Addr, kindView, payload)
-	}
+	p.broadcastView(v)
 }
 
 // ---- failure detection ----
@@ -272,17 +246,13 @@ func (p *Process) takeOver() {
 		p.mu.Unlock()
 		return
 	}
-	// Adopt the sequencer at our delivery point; casts the dead leader
-	// sequenced but never sent are lost, like in-flight Isis messages.
-	p.totalSeq = p.nextTotal - 1
-	nextTotal := p.totalSeq + 1
 	now := p.cfg.Clock.Now()
 	for _, m := range v.Members {
 		p.lastHB[m.ID] = now
 	}
 	p.leaderSeen = now
 	p.mu.Unlock()
-	p.broadcastViewWithTotal(v, nextTotal)
+	p.broadcastView(v)
 }
 
 func (p *Process) handleHeartbeat(from MemberID, hb hbMsg) {

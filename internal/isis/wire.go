@@ -4,35 +4,26 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"time"
 
 	"vce/internal/transport"
 )
 
 // Wire message kinds carried in transport.Message.Kind.
 const (
-	kindJoinReq   = "isis.join"       // newcomer -> any member
-	kindJoinFwd   = "isis.join_fwd"   // member -> leader
-	kindView      = "isis.view"       // leader -> members
-	kindHeartbeat = "isis.hb"         // member <-> leader liveness
-	kindCast      = "isis.cast"       // group broadcast data
-	kindReply     = "isis.reply"      // cast reply, point-to-point
-	kindABReq     = "isis.abcast_req" // sender -> sequencer (leader)
-	kindLeave     = "isis.leave"      // member -> leader, graceful exit
-	kindPoint     = "isis.p2p"        // application point-to-point
+	kindJoinReq   = "isis.join"     // newcomer -> any member
+	kindJoinFwd   = "isis.join_fwd" // member -> leader
+	kindView      = "isis.view"     // leader -> members: a View
+	kindHeartbeat = "isis.hb"       // member <-> leader liveness
+	kindCast      = "isis.cast"     // group broadcast data
+	kindReply     = "isis.reply"    // cast reply, point-to-point
+	kindLeave     = "isis.leave"    // member -> leader, graceful exit
+	kindPoint     = "isis.p2p"      // application point-to-point
 )
 
 // joinReq asks to join the group via a contact member.
 type joinReq struct {
 	Name string
 	Addr transport.Addr
-}
-
-// viewMsg installs a new membership view. NextTotal tells joiners where the
-// abcast sequencer currently stands so they do not wait for history.
-type viewMsg struct {
-	View      View
-	NextTotal uint64
 }
 
 // hbMsg is a liveness beacon.
@@ -43,17 +34,13 @@ type hbMsg struct {
 
 // castMsg is a group broadcast, possibly expecting replies.
 type castMsg struct {
+	// ID numbers the sender's casts from 1: it orders FIFO delivery and
+	// keys the sender's reply collection.
 	ID        uint64
 	Kind      string
 	Sender    MemberID
 	ReplyTo   transport.Addr
-	Order     Ordering
-	ViewNum   int
-	SenderSeq uint64              // FIFO sequence per sender
-	VC        map[MemberID]uint64 // causal vector clock (Order == Causal)
-	TotalSeq  uint64              // sequencer order (Order == Total)
 	WantReply bool
-	Deadline  time.Duration // advisory; carried for symmetry with Isis
 	Payload   []byte
 }
 

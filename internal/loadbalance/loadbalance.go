@@ -180,9 +180,6 @@ func (d *DAWGS) Submit(c *sim.Cluster, t *sim.Task) {
 	d.drain(c)
 }
 
-// QueueLen returns the waiting job count.
-func (d *DAWGS) QueueLen() int { return len(d.queue) }
-
 func (d *DAWGS) drain(c *sim.Cluster) {
 	for len(d.queue) > 0 {
 		idle := c.IdleMachines(d.IdleBelow)

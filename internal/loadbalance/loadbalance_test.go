@@ -184,8 +184,8 @@ func TestDAWGSQueuesUntilIdle(t *testing.T) {
 		pol.Submit(c, &sim.Task{ID: string(rune('x' + i)), Work: 5,
 			OnDone: func(*sim.Task, time.Duration) { done++ }})
 	}
-	if pol.QueueLen() != 3 || pol.Placed != 0 {
-		t.Fatalf("queue = %d placed = %d; nothing should place on busy machines", pol.QueueLen(), pol.Placed)
+	if len(pol.queue) != 3 || pol.Placed != 0 {
+		t.Fatalf("queue = %d placed = %d; nothing should place on busy machines", len(pol.queue), pol.Placed)
 	}
 	// Machine a goes idle: jobs flow one at a time (a machine with a
 	// resident task is no longer idle).

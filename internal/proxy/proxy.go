@@ -72,18 +72,6 @@ func (s *Server) Register(method string, h Handler) {
 	s.methods[method] = h
 }
 
-// Methods lists registered method names (the "interface used between the two
-// objects" a method definition defines).
-func (s *Server) Methods() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.methods))
-	for m := range s.methods {
-		out = append(out, m)
-	}
-	return out
-}
-
 // Calls returns (total, failed) call counts.
 func (s *Server) Calls() (int64, int64) {
 	s.mu.Lock()

@@ -443,21 +443,9 @@ func (q *AgingQueue) Push(id string, base float64, now time.Duration) {
 	q.entries = append(q.entries, agingEntry{id: id, base: base, enqueued: now})
 }
 
-// Len returns the queued count.
-func (q *AgingQueue) Len() int { return len(q.entries) }
-
 // Effective returns the entry's current effective priority.
 func (q *AgingQueue) effective(e agingEntry, now time.Duration) float64 {
 	return e.base + q.rate*(now-e.enqueued).Seconds()
-}
-
-// Peek returns the id that Pop would return, without removing it.
-func (q *AgingQueue) Peek(now time.Duration) (string, bool) {
-	idx := q.best(now)
-	if idx < 0 {
-		return "", false
-	}
-	return q.entries[idx].id, true
 }
 
 // Pop removes and returns the highest effective-priority task. FIFO order
@@ -496,13 +484,4 @@ func (q *AgingQueue) Boost(id string, delta float64) bool {
 		}
 	}
 	return false
-}
-
-// WaitTimes reports each queued task's wait so far, for starvation metrics.
-func (q *AgingQueue) WaitTimes(now time.Duration) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(q.entries))
-	for _, e := range q.entries {
-		out[e.id] = now - e.enqueued
-	}
-	return out
 }

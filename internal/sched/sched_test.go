@@ -279,8 +279,8 @@ func TestAgingOvertakesStaticPriority(t *testing.T) {
 	q.Push("new-high", 5, 0)
 	// At t=0 the high-priority task wins; but if we only query later,
 	// both aged equally, so high still wins.
-	if id, _ := q.Peek(0); id != "new-high" {
-		t.Fatalf("peek = %q", id)
+	if id, _ := q.Pop(10 * time.Second); id != "new-high" {
+		t.Fatalf("pop = %q", id)
 	}
 	// Re-push high repeatedly (fresh arrivals), old-low must still win
 	// eventually because its age keeps growing.
@@ -312,8 +312,8 @@ func TestNoAgingStarves(t *testing.T) {
 			t.Fatal("static priority unexpectedly dispatched the low task")
 		}
 	}
-	if q.Len() != 1 {
-		t.Fatalf("queue len = %d, want 1 (the starving task)", q.Len())
+	if len(q.entries) != 1 {
+		t.Fatalf("queue len = %d, want 1 (the starving task)", len(q.entries))
 	}
 }
 
@@ -333,23 +333,10 @@ func TestBoost(t *testing.T) {
 	}
 }
 
-func TestWaitTimes(t *testing.T) {
-	q := NewAgingQueue(1)
-	q.Push("a", 0, 0)
-	q.Push("b", 0, 5*time.Second)
-	waits := q.WaitTimes(10 * time.Second)
-	if waits["a"] != 10*time.Second || waits["b"] != 5*time.Second {
-		t.Fatalf("waits = %v", waits)
-	}
-}
-
 func TestPopEmpty(t *testing.T) {
 	q := NewAgingQueue(1)
 	if _, ok := q.Pop(0); ok {
 		t.Fatal("pop on empty queue succeeded")
-	}
-	if _, ok := q.Peek(0); ok {
-		t.Fatal("peek on empty queue succeeded")
 	}
 }
 

@@ -10,10 +10,12 @@
 //     "other classes that capture the nature of the task, such as graphic or
 //     interactive".
 //   - The coding level parallelizes tasks "using architecture independent
-//     languages" (HPF, HPC++, C+MPI) and binds communication to channels.
+//     languages" (HPF, HPC++, C+MPI).
 //
-// Hints recorded along the way let the EXM "do extra optimization", e.g.
-// dispatching the longest functionally-parallel module first.
+// In the paper, hints recorded along the way let the EXM "do extra
+// optimization", e.g. dispatching the longest functionally-parallel module
+// first. DispatchPriorities computes that order; exm does not read it yet and
+// dispatches each ready set in graph order.
 package sdm
 
 import (
@@ -121,27 +123,14 @@ func (s Spec) Graph() (*taskgraph.Graph, error) {
 	return g, nil
 }
 
-// Decision records one design-stage classification, for the report the
-// design tools would display.
-type Decision struct {
-	// Task is the classified task.
-	Task taskgraph.TaskID
-	// Problem is the assigned class.
-	Problem arch.ProblemClass
-	// Reason explains the classification.
-	Reason string
-}
-
 // Design runs the design-stage analysis: it assigns a problem-architecture
 // class to every unclassified task, "concentrat[ing] on the architecture of
 // the problem and not the machine", and fills in machine-class requirements
 // from the problem class.
-func Design(g *taskgraph.Graph) ([]Decision, error) {
-	var decisions []Decision
+func Design(g *taskgraph.Graph) error {
 	for _, t := range g.Tasks() {
-		reason := "explicitly classified"
 		if t.Problem == arch.ProblemUnknown {
-			t.Problem, reason = classify(g, t)
+			t.Problem = classify(g, t)
 		}
 		if len(t.Requirements.Classes) == 0 {
 			if t.Local {
@@ -151,82 +140,60 @@ func Design(g *taskgraph.Graph) ([]Decision, error) {
 			}
 		}
 		if err := g.UpdateTask(t); err != nil {
-			return nil, err
+			return err
 		}
-		decisions = append(decisions, Decision{Task: t.ID, Problem: t.Problem, Reason: reason})
 	}
-	return decisions, nil
+	return nil
 }
 
 // classify infers the temporal structure of a task from its annotations and
 // its position in the graph.
-func classify(g *taskgraph.Graph, t taskgraph.Task) (arch.ProblemClass, string) {
+func classify(g *taskgraph.Graph, t taskgraph.Task) arch.ProblemClass {
 	for _, n := range t.Nature {
 		switch n {
 		case "dataparallel", "simd", "regular":
-			return arch.Synchronous, "data-parallel nature tag"
+			return arch.Synchronous
 		case "iterative", "stencil", "spmd":
-			return arch.LooselySynchronous, "iterative compute/communicate nature tag"
+			return arch.LooselySynchronous
 		case "montecarlo", "batch", "interactive", "graphic":
-			return arch.Asynchronous, "independent/irregular nature tag"
+			return arch.Asynchronous
 		}
 	}
 	// Tasks in tight mutual communication iterate compute/communicate
 	// phases; isolated tasks have no global temporal structure.
-	peers := g.Peers(t.ID)
-	for _, p := range peers {
+	for _, p := range g.Peers(t.ID) {
 		for _, q := range g.Peers(p) {
 			if q == t.ID {
-				return arch.LooselySynchronous, "bidirectional stream communication"
+				return arch.LooselySynchronous
 			}
 		}
 	}
-	if t.MinInstances > 1 {
-		return arch.Asynchronous, "replicated instances without coupling"
-	}
-	return arch.Asynchronous, "no temporal structure detected"
+	return arch.Asynchronous
 }
 
-// CodingDefaults selects implementation languages per problem class,
-// defaulting to the emerging standards the paper names (§3.1.1).
-type CodingDefaults struct {
-	// Synchronous tasks' language (default "HPF").
-	Synchronous string
-	// LooselySynchronous tasks' language (default "HPC++").
-	LooselySynchronous string
-	// Asynchronous tasks' language (default "C+MPI").
-	Asynchronous string
-}
+// The coding level's implementation language per problem class: the
+// emerging architecture-independent standards the paper names (§3.1.1).
+const (
+	langSynchronous        = "HPF"
+	langLooselySynchronous = "HPC++"
+	langAsynchronous       = "C+MPI"
+)
 
-func (c CodingDefaults) withDefaults() CodingDefaults {
-	if c.Synchronous == "" {
-		c.Synchronous = "HPF"
-	}
-	if c.LooselySynchronous == "" {
-		c.LooselySynchronous = "HPC++"
-	}
-	if c.Asynchronous == "" {
-		c.Asynchronous = "C+MPI"
-	}
-	return c
-}
-
-// Code runs the coding level: every task gets an architecture-independent
-// implementation language, and every stream arc gets a concrete channel
-// name. It fails on tasks the design stage has not classified.
-func Code(g *taskgraph.Graph, defaults CodingDefaults) error {
-	defaults = defaults.withDefaults()
+// Code runs the coding level: every task without an explicit language gets
+// the architecture-independent language of its problem class. It fails on
+// tasks the design stage has not classified.
+func Code(g *taskgraph.Graph) error {
 	for _, t := range g.Tasks() {
 		if t.Language != "" {
 			continue
 		}
 		switch t.Problem {
 		case arch.Synchronous:
-			t.Language = defaults.Synchronous
+			t.Language = langSynchronous
 		case arch.LooselySynchronous:
-			t.Language = defaults.LooselySynchronous
+			t.Language = langLooselySynchronous
 		case arch.Asynchronous:
-			t.Language = defaults.Asynchronous
+			t.Language = langAsynchronous
 		default:
 			return fmt.Errorf("sdm: task %q reached coding level unclassified", t.ID)
 		}
@@ -235,24 +202,6 @@ func Code(g *taskgraph.Graph, defaults CodingDefaults) error {
 		}
 	}
 	return nil
-}
-
-// NamedChannels returns arc channel names, generating "chan-<from>-<to>" for
-// stream arcs left unnamed. (Arcs are immutable in the graph; the EXM calls
-// this when it creates runtime channels.)
-func NamedChannels(g *taskgraph.Graph) map[string]taskgraph.Arc {
-	out := make(map[string]taskgraph.Arc)
-	for _, a := range g.Arcs() {
-		if a.Kind != taskgraph.Stream {
-			continue
-		}
-		name := a.Channel
-		if name == "" {
-			name = fmt.Sprintf("chan-%s-%s", a.From, a.To)
-		}
-		out[name] = a
-	}
-	return out
 }
 
 // DispatchPriorities implements the §3.1.1 optimization example: "if a
@@ -307,21 +256,4 @@ func expectedRuntime(t taskgraph.Task) time.Duration {
 		return t.Hint.ExpectedRuntime
 	}
 	return time.Duration(t.WorkUnits * float64(time.Second))
-}
-
-// Pipeline runs all three SDM layers over a specification and returns the
-// fully annotated graph ready for the execution module.
-func Pipeline(spec Spec) (*taskgraph.Graph, []Decision, error) {
-	g, err := spec.Graph()
-	if err != nil {
-		return nil, nil, err
-	}
-	decisions, err := Design(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := Code(g, CodingDefaults{}); err != nil {
-		return nil, nil, err
-	}
-	return g, decisions, nil
 }

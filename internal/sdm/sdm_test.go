@@ -62,12 +62,13 @@ func TestDesignClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decisions, err := Design(g)
-	if err != nil {
+	if err := Design(g); err != nil {
 		t.Fatal(err)
 	}
-	if len(decisions) != 4 {
-		t.Fatalf("decisions = %d", len(decisions))
+	for _, task := range g.Tasks() {
+		if task.Problem == arch.ProblemUnknown {
+			t.Fatalf("task %s left unclassified", task.ID)
+		}
 	}
 	pred, _ := g.Task("predictor")
 	if pred.Problem != arch.Synchronous {
@@ -91,12 +92,8 @@ func TestDesignRespectsExplicitClass(t *testing.T) {
 	if err := g.AddTask(taskgraph.Task{ID: "t", Problem: arch.LooselySynchronous}); err != nil {
 		t.Fatal(err)
 	}
-	decisions, err := Design(g)
-	if err != nil {
+	if err := Design(g); err != nil {
 		t.Fatal(err)
-	}
-	if decisions[0].Reason != "explicitly classified" {
-		t.Fatalf("reason = %q", decisions[0].Reason)
 	}
 	tt, _ := g.Task("t")
 	if tt.Problem != arch.LooselySynchronous {
@@ -114,7 +111,7 @@ func TestDesignBidirectionalStreamsMeanLooselySynchronous(t *testing.T) {
 	if err := g.AddArc(taskgraph.Arc{From: "a", To: "b", Kind: taskgraph.Stream}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Design(g); err != nil {
+	if err := Design(g); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := g.Task("a")
@@ -125,10 +122,10 @@ func TestDesignBidirectionalStreamsMeanLooselySynchronous(t *testing.T) {
 
 func TestCodeAssignsLanguages(t *testing.T) {
 	g, _ := weatherSpec().Graph()
-	if _, err := Design(g); err != nil {
+	if err := Design(g); err != nil {
 		t.Fatal(err)
 	}
-	if err := Code(g, CodingDefaults{}); err != nil {
+	if err := Code(g); err != nil {
 		t.Fatal(err)
 	}
 	pred, _ := g.Task("predictor")
@@ -146,7 +143,7 @@ func TestCodeFailsOnUnclassified(t *testing.T) {
 	if err := g.AddTask(taskgraph.Task{ID: "u"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Code(g, CodingDefaults{}); err == nil {
+	if err := Code(g); err == nil {
 		t.Fatal("unclassified task passed coding level")
 	}
 }
@@ -156,26 +153,12 @@ func TestCodeKeepsExplicitLanguage(t *testing.T) {
 	if err := g.AddTask(taskgraph.Task{ID: "t", Problem: arch.Synchronous, Language: "CMFortran"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Code(g, CodingDefaults{}); err != nil {
+	if err := Code(g); err != nil {
 		t.Fatal(err)
 	}
 	tt, _ := g.Task("t")
 	if tt.Language != "CMFortran" {
 		t.Fatal("explicit language overwritten")
-	}
-}
-
-func TestNamedChannels(t *testing.T) {
-	g, _ := weatherSpec().Graph()
-	chans := NamedChannels(g)
-	if len(chans) != 3 {
-		t.Fatalf("channels = %v", chans)
-	}
-	if _, ok := chans["obs"]; !ok {
-		t.Fatal("named channel lost")
-	}
-	if _, ok := chans["chan-usercollect-predictor"]; !ok {
-		t.Fatalf("generated channel name missing: %v", chans)
 	}
 }
 
@@ -237,13 +220,19 @@ func TestDispatchPrioritiesSeparateDepths(t *testing.T) {
 	}
 }
 
+// TestPipeline runs the three layers in the order every front end does —
+// specification, design, coding — and checks the graph comes out fully
+// annotated for the execution module.
 func TestPipeline(t *testing.T) {
-	g, decisions, err := Pipeline(weatherSpec())
+	g, err := weatherSpec().Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decisions) != 4 {
-		t.Fatalf("decisions = %d", len(decisions))
+	if err := Design(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := Code(g); err != nil {
+		t.Fatal(err)
 	}
 	for _, task := range g.Tasks() {
 		if task.Problem == arch.ProblemUnknown {

@@ -21,13 +21,18 @@ import (
 type TaskID string
 
 // Hints carries the user-supplied information of §3.1.1 that lets "the
-// execution module do extra optimization".
+// execution module do extra optimization". The execution module reads
+// Redundant and Retries; ExpectedRuntime, Priority and Checkpointable are
+// recorded (script HINT RUNTIME/PRIORITY/CHECKPOINT) but exm does not act on
+// them yet.
 type Hints struct {
-	// ExpectedRuntime is the user's runtime estimate; the dispatcher
-	// prioritizes long functionally-parallel modules (§3.1.1's example).
+	// ExpectedRuntime is the user's runtime estimate. sdm.DispatchPriorities
+	// ranks long functionally-parallel modules first from it (§3.1.1's
+	// example).
 	ExpectedRuntime time.Duration
 	// Priority is an explicit user priority; "authorized users will be
 	// able to modify the priorities of particular applications" (§4.3).
+	// sdm.DispatchPriorities adds it to the runtime rank.
 	Priority int
 	// Checkpointable marks the task as cooperating with checkpoint-based
 	// migration (§4.4: "may require the cooperation of the task").
@@ -109,8 +114,7 @@ type Arc struct {
 	From, To TaskID
 	// Kind is the relationship the arc encodes.
 	Kind ArcKind
-	// Channel names the VCE channel carrying a Stream arc; empty gets a
-	// generated name at runtime.
+	// Channel optionally names the VCE channel carrying a Stream arc.
 	Channel string
 }
 
@@ -312,54 +316,6 @@ func (g *Graph) TopoSort() ([]TaskID, error) {
 	return out, nil
 }
 
-// CriticalPath returns the longest precedence chain weighted by expected
-// runtime (falling back to WorkUnits as seconds when no hint is present),
-// and its total duration.
-func (g *Graph) CriticalPath() ([]TaskID, time.Duration, error) {
-	topo, err := g.TopoSort()
-	if err != nil {
-		return nil, 0, err
-	}
-	weight := func(id TaskID) time.Duration {
-		t := g.tasks[id]
-		if t.Hint.ExpectedRuntime > 0 {
-			return t.Hint.ExpectedRuntime
-		}
-		return time.Duration(t.WorkUnits * float64(time.Second))
-	}
-	dist := make(map[TaskID]time.Duration, len(topo))
-	prev := make(map[TaskID]TaskID, len(topo))
-	var best TaskID
-	var bestDist time.Duration = -1
-	for _, id := range topo {
-		d := weight(id)
-		for _, p := range g.Predecessors(id) {
-			if dist[p]+weight(id) > d {
-				d = dist[p] + weight(id)
-				prev[id] = p
-			}
-		}
-		dist[id] = d
-		if d > bestDist {
-			bestDist = d
-			best = id
-		}
-	}
-	if bestDist < 0 {
-		return nil, 0, nil
-	}
-	var path []TaskID
-	for id := best; ; {
-		path = append([]TaskID{id}, path...)
-		p, ok := prev[id]
-		if !ok {
-			break
-		}
-		id = p
-	}
-	return path, bestDist, nil
-}
-
 // DOT renders the graph in Graphviz dot syntax — the "visual representation"
 // of §3.1 in the only portable format a library can emit.
 func (g *Graph) DOT() string {
@@ -380,29 +336,4 @@ func (g *Graph) DOT() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// Clone returns a deep copy.
-func (g *Graph) Clone() *Graph {
-	out := New(g.Name)
-	for _, id := range g.order {
-		t := *g.tasks[id]
-		t.Nature = append([]string(nil), t.Nature...)
-		t.InputFiles = append([]string(nil), t.InputFiles...)
-		t.OutputFiles = append([]string(nil), t.OutputFiles...)
-		out.tasks[id] = &t
-		out.order = append(out.order, id)
-	}
-	out.arcs = append(out.arcs, g.arcs...)
-	return out
-}
-
-// TotalWork sums WorkUnits over all tasks times their minimum instances.
-func (g *Graph) TotalWork() float64 {
-	var total float64
-	for _, id := range g.order {
-		t := g.tasks[id]
-		total += t.WorkUnits * float64(t.Instances())
-	}
-	return total
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"vce/internal/arch"
 )
@@ -164,64 +163,6 @@ func TestReadyFrontier(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	g := New("cp")
-	add := func(id TaskID, runtime time.Duration) {
-		t.Helper()
-		if err := g.AddTask(Task{ID: id, Hint: Hints{ExpectedRuntime: runtime}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add("a", 10*time.Second)
-	add("b", 1*time.Second)
-	add("c", 20*time.Second)
-	add("d", 5*time.Second)
-	// a -> b -> d and a -> c -> d; critical path goes through c.
-	for _, arc := range []Arc{{From: "a", To: "b"}, {From: "a", To: "c"}, {From: "b", To: "d"}, {From: "c", To: "d"}} {
-		if err := g.AddArc(arc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path, total, err := g.CriticalPath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 35*time.Second {
-		t.Fatalf("critical path length = %v, want 35s", total)
-	}
-	want := []TaskID{"a", "c", "d"}
-	if len(path) != 3 {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-func TestCriticalPathFallsBackToWorkUnits(t *testing.T) {
-	g := New("wu")
-	if err := g.AddTask(Task{ID: "x", WorkUnits: 7}); err != nil {
-		t.Fatal(err)
-	}
-	_, total, err := g.CriticalPath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 7*time.Second {
-		t.Fatalf("total = %v, want 7s", total)
-	}
-}
-
-func TestCriticalPathEmptyGraph(t *testing.T) {
-	g := New("empty")
-	path, total, err := g.CriticalPath()
-	if err != nil || path != nil || total != 0 {
-		t.Fatalf("empty graph: %v %v %v", path, total, err)
-	}
-}
-
 func TestUpdateTask(t *testing.T) {
 	g := chain(t, "a")
 	task, _ := g.Task("a")
@@ -239,29 +180,6 @@ func TestUpdateTask(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := chain(t, "a", "b")
-	task, _ := g.Task("a")
-	task.InputFiles = []string{"/f1"}
-	if err := g.UpdateTask(task); err != nil {
-		t.Fatal(err)
-	}
-	c := g.Clone()
-	ct, _ := c.Task("a")
-	ct.InputFiles[0] = "/mutated"
-	ct.Language = "X"
-	if err := c.UpdateTask(ct); err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := g.Task("a")
-	if orig.InputFiles[0] != "/f1" || orig.Language == "X" {
-		t.Fatal("clone aliased original")
-	}
-	if c.Len() != g.Len() || len(c.Arcs()) != len(g.Arcs()) {
-		t.Fatal("clone shape differs")
-	}
-}
-
 func TestDOTOutput(t *testing.T) {
 	g := chain(t, "a", "b")
 	if err := g.AddArc(Arc{From: "a", To: "b", Kind: Stream, Channel: "x"}); err != nil {
@@ -272,19 +190,6 @@ func TestDOTOutput(t *testing.T) {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, dot)
 		}
-	}
-}
-
-func TestTotalWork(t *testing.T) {
-	g := New("tw")
-	if err := g.AddTask(Task{ID: "a", WorkUnits: 2, MinInstances: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddTask(Task{ID: "b", WorkUnits: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.TotalWork(); got != 11 {
-		t.Fatalf("total work = %v, want 11", got)
 	}
 }
 

@@ -122,28 +122,6 @@ func (fs *FS) Replicate(path string, dst string) (int64, error) {
 	return f.Size, nil
 }
 
-// DropReplica removes the replica at site; the last replica cannot be
-// dropped (that would lose the file).
-func (fs *FS) DropReplica(path string, site string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return fmt.Errorf("vfs: drop replica of missing file %q", path)
-	}
-	current := 0
-	for _, v := range f.replicas {
-		if v == f.Version {
-			current++
-		}
-	}
-	if v, has := f.replicas[site]; has && v == f.Version && current == 1 {
-		return fmt.Errorf("vfs: cannot drop last current replica of %q", path)
-	}
-	delete(f.replicas, site)
-	return nil
-}
-
 // Remove deletes the file and all replicas.
 func (fs *FS) Remove(path string) {
 	fs.mu.Lock()
@@ -211,26 +189,6 @@ func (fs *FS) Stage(paths []string, site string) (int64, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// BytesAt returns the total bytes of current replicas held at site.
-func (fs *FS) BytesAt(site string) int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var total int64
-	for _, f := range fs.files {
-		if v, has := f.replicas[site]; has && v == f.Version {
-			total += f.Size
-		}
-	}
-	return total
-}
-
-// Len returns the number of logical files.
-func (fs *FS) Len() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return len(fs.files)
 }
 
 // Paths returns every logical path, sorted.

@@ -101,38 +101,6 @@ func TestWriteKeepsSizeWhenNegative(t *testing.T) {
 	}
 }
 
-func TestDropReplicaProtectsLastCopy(t *testing.T) {
-	fs := newFS(t)
-	if err := fs.DropReplica("/apps/a.vce", "host1"); err == nil {
-		t.Fatal("dropped the only current replica")
-	}
-	if _, err := fs.Replicate("/apps/a.vce", "host2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.DropReplica("/apps/a.vce", "host1"); err != nil {
-		t.Fatalf("drop with surviving replica failed: %v", err)
-	}
-	sites := fs.Sites("/apps/a.vce")
-	if len(sites) != 1 || sites[0] != "host2" {
-		t.Fatalf("sites = %v", sites)
-	}
-}
-
-func TestDropStaleReplicaAlwaysAllowed(t *testing.T) {
-	fs := newFS(t)
-	if _, err := fs.Replicate("/apps/a.vce", "host2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write("/apps/a.vce", "host1", 1000); err != nil {
-		t.Fatal(err)
-	}
-	// host2 is now stale; dropping it must succeed even though host1 is
-	// the only current copy.
-	if err := fs.DropReplica("/apps/a.vce", "host2"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStageBytes(t *testing.T) {
 	fs := newFS(t)
 	if err := fs.Create("/apps/b.dat", 500, "host1"); err != nil {
@@ -162,22 +130,6 @@ func TestStageMissingFileErrors(t *testing.T) {
 	}
 }
 
-func TestBytesAt(t *testing.T) {
-	fs := newFS(t)
-	if err := fs.Create("/apps/b.dat", 500, "host2"); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.BytesAt("host1"); got != 1000 {
-		t.Fatalf("bytes at host1 = %d", got)
-	}
-	if got := fs.BytesAt("host2"); got != 500 {
-		t.Fatalf("bytes at host2 = %d", got)
-	}
-	if got := fs.BytesAt("nowhere"); got != 0 {
-		t.Fatalf("bytes at nowhere = %d", got)
-	}
-}
-
 func TestRemoveAndPaths(t *testing.T) {
 	fs := newFS(t)
 	if err := fs.Create("/z", 1, "h"); err != nil {
@@ -188,8 +140,8 @@ func TestRemoveAndPaths(t *testing.T) {
 		t.Fatalf("paths = %v", paths)
 	}
 	fs.Remove("/z")
-	if fs.Len() != 1 {
-		t.Fatalf("len after remove = %d", fs.Len())
+	if paths := fs.Paths(); len(paths) != 1 {
+		t.Fatalf("paths after remove = %v", paths)
 	}
 }
 
@@ -234,13 +186,13 @@ func TestConcurrentReplication(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 300; i++ {
 			_, _ = fs.Replicate("/apps/a.vce", "hostX")
-			_ = fs.DropReplica("/apps/a.vce", "hostX")
+			_ = fs.Write("/apps/a.vce", "host1", -1) // hostX goes stale
 		}
 	}()
 	for i := 0; i < 300; i++ {
 		fs.Sites("/apps/a.vce")
 		fs.HasCurrent("/apps/a.vce", "hostX")
-		fs.BytesAt("hostX")
+		_, _ = fs.StageBytes([]string{"/apps/a.vce"}, "hostX")
 	}
 	<-done
 }

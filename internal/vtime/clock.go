@@ -1,11 +1,13 @@
-// Package vtime provides the time substrate for the VCE: a Clock abstraction
-// shared by live and simulated components, a wall-clock implementation, a
-// manually advanced clock for deterministic protocol tests, and a
-// discrete-event simulation kernel used by the cluster simulator.
+// Package vtime provides the VCE's two time substrates.
 //
-// All scheduler, failure-detection and migration code in this repository is
-// written against Clock so the identical policy logic runs under real time
-// (cmd/vced, examples) and virtual time (internal/sim, benches).
+// Clock is the live protocol stack's time source: internal/isis runs its
+// heartbeats, failure detection and reply windows against it. Real is the
+// wall clock; Manual moves only when a test advances it, so failure
+// detection can be tested deterministically.
+//
+// Sim is the discrete-event kernel that internal/sim and the scenario
+// engine schedule on directly, in virtual time. The two substrates do not
+// share code: no policy logic runs under both.
 package vtime
 
 import (
@@ -26,8 +28,6 @@ type Clock interface {
 	Now() time.Time
 	// AfterFunc schedules f to run after d has elapsed on this clock.
 	AfterFunc(d time.Duration, f func()) Timer
-	// Since returns the duration elapsed since t.
-	Since(t time.Time) time.Duration
 }
 
 // Real is the wall-clock Clock used in live mode.
@@ -38,9 +38,6 @@ func NewReal() Real { return Real{} }
 
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
-
-// Since implements Clock.
-func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
 type realTimer struct{ t *time.Timer }
 
@@ -91,9 +88,6 @@ func (m *Manual) Now() time.Time {
 	defer m.mu.Unlock()
 	return m.now
 }
-
-// Since implements Clock.
-func (m *Manual) Since(t time.Time) time.Duration { return m.Now().Sub(t) }
 
 // AfterFunc implements Clock. Callbacks run synchronously inside Advance, in
 // deadline order with ties broken by registration order.

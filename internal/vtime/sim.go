@@ -373,31 +373,3 @@ func (s *Sim) Step() bool {
 	fn()
 	return true
 }
-
-// simTimer adapts a scheduled event to the Timer interface. Stop cancels the
-// event natively: the queue entry is deleted, not left behind as a dead
-// closure.
-type simTimer struct {
-	sim *Sim
-	ev  Event
-}
-
-func (t simTimer) Stop() bool { return t.sim.Cancel(t.ev) }
-
-// simClock adapts Sim to the Clock interface so policy code written against
-// Clock runs unchanged inside the simulator. Virtual time zero maps to epoch.
-type simClock struct {
-	sim   *Sim
-	epoch time.Time
-}
-
-// Clock returns a Clock view of the simulation's virtual time.
-func (s *Sim) Clock() Clock {
-	return simClock{sim: s, epoch: time.Unix(0, 0).UTC()}
-}
-
-func (c simClock) Now() time.Time                  { return c.epoch.Add(c.sim.now) }
-func (c simClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-func (c simClock) AfterFunc(d time.Duration, f func()) Timer {
-	return simTimer{sim: c.sim, ev: c.sim.After(d, f)}
-}
