@@ -161,6 +161,12 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *runs < 0 {
+		return fail(stderr, fmt.Errorf("vcebench: -runs must be >= 0 (0 keeps the spec's count), got %d", *runs))
+	}
+	if *workers < 0 {
+		return fail(stderr, fmt.Errorf("vcebench: -workers must be >= 0 (0 = one per CPU), got %d", *workers))
+	}
 
 	shard, err := parseShard(*shardArg)
 	if err != nil {
@@ -514,6 +520,12 @@ func runCheck(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			return 0
 		}
 		return 2
+	}
+	if *seeds < 1 {
+		return fail(stderr, fmt.Errorf("vcebench check: -seeds must be >= 1, got %d", *seeds))
+	}
+	if *workers < 1 {
+		return fail(stderr, fmt.Errorf("vcebench check: -workers must be >= 1, got %d", *workers))
 	}
 	opts := check.Options{
 		Seeds:    *seeds,

@@ -178,6 +178,27 @@ func TestCheckUnknownProperty(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeCountsRejected: a count flag outside its range is a named
+// error, not a silent swap for the default.
+func TestOutOfRangeCountsRejected(t *testing.T) {
+	spec := writeTinySpec(t)
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-spec", spec, "-q", "-runs", "-1"}, "-runs"},
+		{[]string{"-spec", spec, "-q", "-workers", "-3"}, "-workers"},
+		{[]string{"check", "-q", "-seeds", "0"}, "-seeds"},
+		{[]string{"check", "-q", "-seeds", "-5"}, "-seeds"},
+		{[]string{"check", "-q", "-seeds", "1", "-workers", "0"}, "-workers"},
+	} {
+		code, stdout, errOut := runCLI(t, tc.args...)
+		if code != 1 || !strings.Contains(errOut, tc.flag) || stdout != "" {
+			t.Errorf("vcebench %v: exit %d, stdout %q, stderr %q; want exit 1 naming %s", tc.args, code, stdout, errOut, tc.flag)
+		}
+	}
+}
+
 // TestHelpExitsZero: -h is a successful invocation on every subcommand, not
 // a usage error.
 func TestHelpExitsZero(t *testing.T) {

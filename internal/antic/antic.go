@@ -5,7 +5,8 @@
 // machines, efficiency is not a relevant measure of parallel performance,
 // only speed-up needs to be considered" — so a task with an instance range
 // (ASYNC 5-) may expand to soak up every idle machine. ExtraInstances
-// computes that count; exm does not apply it yet and runs MinInstances.
+// computes that count; E9 sizes its parallel stage with it. The live
+// dispatcher (exm) runs MinInstances.
 //
 // Anticipatory processing: "using idle workstations to perform processing
 // that may or may not be required in the future" — anticipatory compilation

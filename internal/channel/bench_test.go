@@ -45,20 +45,3 @@ func BenchmarkGroupSendFanout8(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSendThroughInterposer(b *testing.B) {
-	h := NewHub()
-	c := h.Channel("bench")
-	a, _ := c.CreatePort("a")
-	dst, _ := c.CreatePort("b")
-	c.Split(InterposerFunc(func(m Message) (Message, bool) { return m, true }))
-	payload := make([]byte, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.SendTo("b", payload); err != nil {
-			b.Fatal(err)
-		}
-		dst.Recv()
-	}
-}

@@ -8,10 +8,9 @@
 // through ports. The runtime system will be responsible for the creation,
 // placement, and destruction of ports."
 //
-// Channels also give the runtime manager "the ability to monitor, redirect,
-// and move connections between tasks": Stats, Split and Redirect. The live
-// programs use only ports, Send/SendTo and Recv; no experiment or entry
-// point calls the monitoring and redirection half yet.
+// This package implements ports, group and directed delivery, and teardown.
+// The paper's splitting, monitoring and redirection of connections are out of
+// its scope: no program or experiment uses them.
 package channel
 
 import (
@@ -36,43 +35,13 @@ type Message struct {
 	Payload []byte
 }
 
-// Interposer is a task spliced into a channel by the runtime system.
-// Transform may rewrite the message (data conversion) or reject it
-// (authentication); rejected messages are counted as dropped.
-type Interposer interface {
-	Transform(Message) (Message, bool)
-}
-
-// InterposerFunc adapts a function to the Interposer interface.
-type InterposerFunc func(Message) (Message, bool)
-
-// Transform implements Interposer.
-func (f InterposerFunc) Transform(m Message) (Message, bool) { return f(m) }
-
-// Stats is a channel's monitoring counters.
-type Stats struct {
-	// Sent counts messages submitted by ports.
-	Sent int64
-	// Delivered counts per-port deliveries (one group send to N peers
-	// counts N).
-	Delivered int64
-	// Dropped counts messages rejected by interposers or addressed to
-	// missing ports.
-	Dropped int64
-	// Bytes counts payload bytes delivered.
-	Bytes int64
-}
-
 // Channel is one logical transport medium.
 type Channel struct {
 	name string
 
-	mu          sync.Mutex
-	ports       map[PortID]*Port
-	aliases     map[PortID]PortID // redirections: old port -> new port
-	interposers []Interposer
-	stats       Stats
-	destroyed   bool
+	mu        sync.Mutex
+	ports     map[PortID]*Port
+	destroyed bool
 }
 
 // Name returns the channel name.
@@ -108,42 +77,7 @@ func (c *Channel) CreatePort(id PortID) (*Port, error) {
 	p := &Port{id: id, ch: c}
 	p.cond = sync.NewCond(&p.mu)
 	c.ports[id] = p
-	delete(c.aliases, id) // a live port overrides any stale redirection
 	return p, nil
-}
-
-// Split interposes a task into the channel. Interposers apply to every
-// subsequently delivered message, in splice order.
-func (c *Channel) Split(i Interposer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.interposers = append(c.interposers, i)
-}
-
-// Redirect moves messages addressed to old so they deliver to new — the
-// primitive behind "move connections between tasks" during migration. The
-// old port, if still connected, is destroyed.
-func (c *Channel) Redirect(old, new PortID) error {
-	c.mu.Lock()
-	if _, ok := c.ports[new]; !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("channel %s: redirect target %q not connected", c.name, new)
-	}
-	stale := c.ports[old]
-	delete(c.ports, old)
-	c.aliases[old] = new
-	c.mu.Unlock()
-	if stale != nil {
-		stale.close()
-	}
-	return nil
-}
-
-// Stats returns a snapshot of the monitoring counters.
-func (c *Channel) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // Ports returns the IDs of currently connected ports.
@@ -157,58 +91,28 @@ func (c *Channel) Ports() []PortID {
 	return out
 }
 
-// resolve follows redirection aliases to a live port.
-func (c *Channel) resolveLocked(id PortID) (*Port, bool) {
-	for hops := 0; hops < 16; hops++ {
-		if p, ok := c.ports[id]; ok {
-			return p, true
-		}
-		next, ok := c.aliases[id]
-		if !ok {
-			return nil, false
-		}
-		id = next
-	}
-	return nil, false
-}
-
-// send routes a message from a port through the interposers to its
-// destination(s).
+// send routes a message from a port to its destination(s).
 func (c *Channel) send(m Message) error {
 	c.mu.Lock()
 	if c.destroyed {
 		c.mu.Unlock()
 		return fmt.Errorf("channel %s: destroyed", c.name)
 	}
-	c.stats.Sent++
-	for _, ip := range c.interposers {
-		var ok bool
-		m, ok = ip.Transform(m)
-		if !ok {
-			c.stats.Dropped++
-			c.mu.Unlock()
-			return nil // rejection is not a sender error
-		}
-	}
 	var targets []*Port
 	if m.To != "" {
-		p, ok := c.resolveLocked(m.To)
+		p, ok := c.ports[m.To]
 		if !ok {
-			c.stats.Dropped++
 			c.mu.Unlock()
 			return fmt.Errorf("channel %s: no port %q", c.name, m.To)
 		}
 		targets = append(targets, p)
 	} else {
-		sender, _ := c.resolveLocked(m.From)
-		for _, p := range c.ports {
-			if p != sender {
+		for id, p := range c.ports {
+			if id != m.From {
 				targets = append(targets, p)
 			}
 		}
 	}
-	c.stats.Delivered += int64(len(targets))
-	c.stats.Bytes += int64(len(m.Payload)) * int64(len(targets))
 	c.mu.Unlock()
 	for _, p := range targets {
 		p.enqueue(m)
@@ -276,11 +180,7 @@ func (h *Hub) Channel(name string) *Channel {
 	defer h.mu.Unlock()
 	c, ok := h.channels[name]
 	if !ok {
-		c = &Channel{
-			name:    name,
-			ports:   make(map[PortID]*Port),
-			aliases: make(map[PortID]PortID),
-		}
+		c = &Channel{name: name, ports: make(map[PortID]*Port)}
 		h.channels[name] = c
 	}
 	return c

@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -98,10 +97,6 @@ func TestSendToMissingPort(t *testing.T) {
 	if err := a.SendTo("ghost", nil); err == nil {
 		t.Fatal("send to missing port accepted")
 	}
-	_, c2, _, _ := pair(t)
-	if c2.Stats().Dropped != 0 {
-		t.Fatal("fresh channel has drops")
-	}
 }
 
 func TestDuplicateAndEmptyPortIDs(t *testing.T) {
@@ -111,129 +106,6 @@ func TestDuplicateAndEmptyPortIDs(t *testing.T) {
 	}
 	if _, err := c.CreatePort(""); err == nil {
 		t.Fatal("empty port id accepted")
-	}
-}
-
-func TestInterposerDataConversion(t *testing.T) {
-	_, c, a, b := pair(t)
-	c.Split(InterposerFunc(func(m Message) (Message, bool) {
-		m.Payload = bytes.ToUpper(m.Payload)
-		return m, true
-	}))
-	if err := a.SendTo("b", []byte("convert me")); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(recvWithin(t, b).Payload); got != "CONVERT ME" {
-		t.Fatalf("payload = %q", got)
-	}
-}
-
-func TestInterposerAuthenticationRejects(t *testing.T) {
-	_, c, a, b := pair(t)
-	c.Split(InterposerFunc(func(m Message) (Message, bool) {
-		return m, bytes.HasPrefix(m.Payload, []byte("token:"))
-	}))
-	if err := a.SendTo("b", []byte("unauthenticated")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendTo("b", []byte("token:ok")); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(recvWithin(t, b).Payload); got != "token:ok" {
-		t.Fatalf("authenticated message lost, got %q", got)
-	}
-	s := c.Stats()
-	if s.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", s.Dropped)
-	}
-}
-
-func TestInterposersApplyInSpliceOrder(t *testing.T) {
-	_, c, a, b := pair(t)
-	c.Split(InterposerFunc(func(m Message) (Message, bool) {
-		m.Payload = append(m.Payload, '1')
-		return m, true
-	}))
-	c.Split(InterposerFunc(func(m Message) (Message, bool) {
-		m.Payload = append(m.Payload, '2')
-		return m, true
-	}))
-	if err := a.SendTo("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(recvWithin(t, b).Payload); got != "x12" {
-		t.Fatalf("payload = %q", got)
-	}
-}
-
-func TestRedirectMovesConnection(t *testing.T) {
-	_, c, a, b := pair(t)
-	// b's task migrates: a replacement port takes over its traffic.
-	b2, err := c.CreatePort("b-migrated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Redirect("b", "b-migrated"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendTo("b", []byte("follow me")); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(recvWithin(t, b2).Payload); got != "follow me" {
-		t.Fatalf("redirected payload = %q", got)
-	}
-	// The stale port is closed.
-	if _, ok := b.Recv(); ok {
-		t.Fatal("stale port still delivers")
-	}
-}
-
-func TestRedirectChain(t *testing.T) {
-	_, c, a, _ := pair(t)
-	b2, _ := c.CreatePort("b2")
-	if err := c.Redirect("b", "b2"); err != nil {
-		t.Fatal(err)
-	}
-	b3, _ := c.CreatePort("b3")
-	if err := c.Redirect("b2", "b3"); err != nil {
-		t.Fatal(err)
-	}
-	_ = b2
-	if err := a.SendTo("b", []byte("twice moved")); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(recvWithin(t, b3).Payload); got != "twice moved" {
-		t.Fatalf("chained redirect payload = %q", got)
-	}
-}
-
-func TestRedirectToMissingTarget(t *testing.T) {
-	_, c, _, _ := pair(t)
-	if err := c.Redirect("a", "nowhere"); err == nil {
-		t.Fatal("redirect to missing port accepted")
-	}
-}
-
-func TestStatsCounting(t *testing.T) {
-	_, c, a, b := pair(t)
-	d, _ := c.CreatePort("d")
-	_ = d
-	if err := a.Send(make([]byte, 10)); err != nil { // delivered to b and d
-		t.Fatal(err)
-	}
-	if err := a.SendTo("b", make([]byte, 5)); err != nil {
-		t.Fatal(err)
-	}
-	_ = b
-	s := c.Stats()
-	if s.Sent != 2 {
-		t.Fatalf("sent = %d", s.Sent)
-	}
-	if s.Delivered != 3 {
-		t.Fatalf("delivered = %d, want 3", s.Delivered)
-	}
-	if s.Bytes != 25 {
-		t.Fatalf("bytes = %d, want 25", s.Bytes)
 	}
 }
 

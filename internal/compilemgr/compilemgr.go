@@ -181,33 +181,6 @@ func (m *Manager) Stats() (int64, int64) {
 	return m.compiles, m.hits
 }
 
-// ProxyStub describes one generated proxy pair for an object-oriented
-// stream arc — the compilation manager "generate[s] proxies when needed,
-// using a tool such as the IDL compiler" (§4.2). The stub records which
-// channel the generated code binds to.
-type ProxyStub struct {
-	// Channel is the VCE channel name the proxies communicate over.
-	Channel string
-	// Client and Server are the connected tasks.
-	Client, Server taskgraph.TaskID
-}
-
-// GenerateProxies emits a proxy stub for every stream arc of the graph.
-func (m *Manager) GenerateProxies(g *taskgraph.Graph) []ProxyStub {
-	var out []ProxyStub
-	for _, a := range g.Arcs() {
-		if a.Kind != taskgraph.Stream {
-			continue
-		}
-		name := a.Channel
-		if name == "" {
-			name = fmt.Sprintf("chan-%s-%s", a.From, a.To)
-		}
-		out = append(out, ProxyStub{Channel: name, Client: a.From, Server: a.To})
-	}
-	return out
-}
-
 // PrepareGraph prepares all binaries for every non-local task of a graph —
 // what the EXM does between accepting an application and dispatching it.
 // The returned duration is the total compile time paid.

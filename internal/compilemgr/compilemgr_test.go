@@ -135,35 +135,6 @@ func TestHasBinaryFor(t *testing.T) {
 	}
 }
 
-func TestGenerateProxies(t *testing.T) {
-	g := taskgraph.New("app")
-	for _, id := range []taskgraph.TaskID{"client", "server", "other"} {
-		if err := g.AddTask(taskgraph.Task{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddArc(taskgraph.Arc{From: "client", To: "server", Kind: taskgraph.Stream, Channel: "svc"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddArc(taskgraph.Arc{From: "client", To: "other", Kind: taskgraph.Stream}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddArc(taskgraph.Arc{From: "server", To: "other", Kind: taskgraph.Precedence}); err != nil {
-		t.Fatal(err)
-	}
-	m := New(testDB(t), DefaultCostModel())
-	stubs := m.GenerateProxies(g)
-	if len(stubs) != 2 {
-		t.Fatalf("stubs = %+v", stubs)
-	}
-	if stubs[0].Channel != "svc" {
-		t.Fatalf("named channel lost: %+v", stubs[0])
-	}
-	if stubs[1].Channel != "chan-client-other" {
-		t.Fatalf("generated channel name = %q", stubs[1].Channel)
-	}
-}
-
 func TestPrepareGraph(t *testing.T) {
 	m := New(testDB(t), DefaultCostModel())
 	g := taskgraph.New("app")

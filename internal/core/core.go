@@ -69,7 +69,7 @@ type VCE struct {
 // New constructs an empty environment.
 func New(opts Options) *VCE {
 	if opts.Network == nil {
-		opts.Network = transport.NewInMem(nil)
+		opts.Network = transport.NewInMem()
 	}
 	if opts.CompileCost == (compilemgr.CostModel{}) {
 		opts.CompileCost = compilemgr.DefaultCostModel()

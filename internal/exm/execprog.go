@@ -2,6 +2,7 @@ package exm
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -18,7 +19,8 @@ import (
 // allocation error, ship execution info, start, wait for termination, then
 // broadcast terminate — generalized to task graphs with precedence arcs
 // (dispatched in ready-set waves; a script without arcs is one wave, exactly
-// the prototype).
+// the prototype). Within a wave the user's hints set the dispatch order
+// (orderReady).
 type ExecProgram struct {
 	client *isis.Client
 	// Contacts maps machine classes to a known daemon address per group.
@@ -210,6 +212,7 @@ func (e *ExecProgram) Run(g *taskgraph.Graph) (*RunReport, error) {
 			return report, fmt.Errorf("exm: no dispatchable tasks with %d/%d complete", len(done), g.Len())
 		}
 		report.Waves++
+		orderReady(g, ready)
 		placements, err := e.runWave(g, ready)
 		report.Placements = append(report.Placements, placements...)
 		if err != nil {
@@ -223,6 +226,29 @@ func (e *ExecProgram) Run(g *taskgraph.Graph) (*RunReport, error) {
 	e.terminate(g.Name)
 	report.Elapsed = time.Since(start)
 	return report, nil
+}
+
+// orderReady sorts one ready set into dispatch order, the §3.1.1
+// optimization: "dispatching of the longer job can be given higher priority
+// so opportunities for parallel execution will be maximized." Higher
+// Hint.Priority goes first, then the longer expected runtime (the RUNTIME
+// hint, else WorkUnits seconds); ties keep graph order. A wave is one
+// precedence depth, so the order never crosses an arc.
+func orderReady(g *taskgraph.Graph, ready []taskgraph.TaskID) {
+	expected := func(t taskgraph.Task) time.Duration {
+		if t.Hint.ExpectedRuntime > 0 {
+			return t.Hint.ExpectedRuntime
+		}
+		return time.Duration(t.WorkUnits * float64(time.Second))
+	}
+	sort.SliceStable(ready, func(i, j int) bool {
+		a, _ := g.Task(ready[i])
+		b, _ := g.Task(ready[j])
+		if a.Hint.Priority != b.Hint.Priority {
+			return a.Hint.Priority > b.Hint.Priority
+		}
+		return expected(a) > expected(b)
+	})
 }
 
 // pendingInstance tracks one dispatched instance awaiting completion.

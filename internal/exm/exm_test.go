@@ -50,7 +50,7 @@ func (c *cluster) setLoad(i int, v float64) {
 func newCluster(t *testing.T, n int) *cluster {
 	t.Helper()
 	c := &cluster{
-		net:      transport.NewInMem(nil),
+		net:      transport.NewInMem(),
 		registry: NewRegistry(),
 		hub:      channel.NewHub(),
 		loads:    make([]float64, n),
@@ -287,6 +287,125 @@ func TestPrecedenceWaves(t *testing.T) {
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Fatalf("execution order = %v", order)
 	}
+}
+
+// sendLog wraps a network and records, in send order, the resource requests
+// and exec dispatches its endpoints send, as "request <task>" / "exec <task>".
+type sendLog struct {
+	transport.Network
+	mu   sync.Mutex
+	sent []string
+}
+
+func (l *sendLog) Endpoint(name string) (transport.Endpoint, error) {
+	ep, err := l.Network.Endpoint(name)
+	if err != nil {
+		return nil, err
+	}
+	return loggedEndpoint{ep, l}, nil
+}
+
+type loggedEndpoint struct {
+	transport.Endpoint
+	log *sendLog
+}
+
+func (e loggedEndpoint) Send(to transport.Addr, kind string, payload []byte) error {
+	// isis carries an application message as a gob-encoded
+	// {Kind, From, Payload}; gob matches the fields by name.
+	var point struct {
+		Kind    string
+		Payload []byte
+	}
+	var body struct{ Task string }
+	if decode(payload, &point) == nil && decode(point.Payload, &body) == nil {
+		switch point.Kind {
+		case kindRequest:
+			e.log.add("request " + body.Task)
+		case kindExec:
+			e.log.add("exec " + body.Task)
+		}
+	}
+	return e.Endpoint.Send(to, kind, payload)
+}
+
+func (l *sendLog) add(entry string) {
+	l.mu.Lock()
+	l.sent = append(l.sent, entry)
+	l.mu.Unlock()
+}
+
+// dispatchOrder runs g on a one-daemon cluster and returns the order in
+// which the execution program requested machines for, and dispatched, each
+// task.
+func dispatchOrder(t *testing.T, g *taskgraph.Graph) []string {
+	t.Helper()
+	c := newCluster(t, 1)
+	for _, task := range g.Tasks() {
+		_ = c.registry.Register(task.Program, func(ProgContext) error { return nil })
+	}
+	log := &sendLog{Network: c.net}
+	e, err := NewExecProgram(log, ExecConfig{
+		Contacts: map[arch.Class]transport.Addr{arch.Workstation: c.daemons[0].Addr()},
+		Timeout:  8 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	return log.sent
+}
+
+func wantOrder(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order = %q, want %q", got, want)
+	}
+}
+
+// §3.1.1: of functionally parallel modules, the one expected to run longest
+// is dispatched first. The long task comes second in the script, and its
+// runtime comes from the RUNTIME hint on one side and WorkUnits on the other.
+func TestWaveRequestsLongerRuntimeFirst(t *testing.T) {
+	g := wsGraph(t, "par",
+		taskgraph.Task{ID: "short1", Program: "/apps/short1.vce", Hint: taskgraph.Hints{ExpectedRuntime: time.Minute}},
+		taskgraph.Task{ID: "long", Program: "/apps/long.vce", Hint: taskgraph.Hints{ExpectedRuntime: time.Hour}},
+		taskgraph.Task{ID: "short2", Program: "/apps/short2.vce", WorkUnits: 120},
+	)
+	wantOrder(t, dispatchOrder(t, g),
+		"request long", "request short2", "request short1",
+		"exec long", "exec short2", "exec short1")
+}
+
+// An explicit PRIORITY outranks any runtime estimate.
+func TestWavePriorityBeatsRuntime(t *testing.T) {
+	g := wsGraph(t, "prio",
+		taskgraph.Task{ID: "long", Program: "/apps/long.vce", Hint: taskgraph.Hints{ExpectedRuntime: time.Hour}},
+		taskgraph.Task{ID: "boosted", Program: "/apps/boosted.vce", Hint: taskgraph.Hints{ExpectedRuntime: time.Minute, Priority: 1}},
+	)
+	wantOrder(t, dispatchOrder(t, g),
+		"request boosted", "request long", "exec boosted", "exec long")
+}
+
+// Equal hints keep graph order, and the order never crosses a precedence
+// arc: a longer task that depends on a shorter one still waits its wave.
+func TestWaveTiesKeepGraphOrder(t *testing.T) {
+	g := wsGraph(t, "ties",
+		taskgraph.Task{ID: "b", Program: "/apps/b.vce", WorkUnits: 10},
+		taskgraph.Task{ID: "a", Program: "/apps/a.vce", WorkUnits: 10},
+		taskgraph.Task{ID: "after", Program: "/apps/after.vce", WorkUnits: 1000},
+	)
+	if err := g.AddArc(taskgraph.Arc{From: "a", To: "after", Kind: taskgraph.Precedence}); err != nil {
+		t.Fatal(err)
+	}
+	wantOrder(t, dispatchOrder(t, g),
+		"request b", "request a", "exec b", "exec a",
+		"request after", "exec after")
 }
 
 func TestLocalTaskRunsLocally(t *testing.T) {

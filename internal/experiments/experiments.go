@@ -15,14 +15,14 @@ import (
 
 // Result is one experiment's output.
 type Result struct {
-	// ID is the experiment identifier (E1..E12, plus ablation suffixes).
+	// ID is the experiment identifier (E1..E14, plus ablation suffixes).
 	ID string
 	// Title summarizes what is reproduced.
 	Title string
 	// Table holds the regenerated rows.
 	Table *metrics.Table
-	// Notes records the measured shape statements (what EXPERIMENTS.md
-	// quotes).
+	// Notes records the measured shape statements, printed under the
+	// table.
 	Notes []string
 }
 

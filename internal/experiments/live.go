@@ -13,7 +13,6 @@ import (
 	"vce/internal/metrics"
 	"vce/internal/proxy"
 	"vce/internal/rng"
-	"vce/internal/sched"
 )
 
 // liveIsis is the protocol tuning for live experiments: fast heartbeats so
@@ -420,13 +419,4 @@ func E12Concurrency() (*Result, error) {
 	}
 	res.note("per-request threads let concurrent submitters overlap: throughput rises from %.1f to %.1f apps/sec", serial, best)
 	return res, nil
-}
-
-// leastLoadedName is a test helper shared by live experiments.
-func leastLoadedName(bids []sched.Bid) string {
-	ranked := sched.RankBids(bids)
-	if len(ranked) == 0 {
-		return ""
-	}
-	return ranked[0].Machine
 }

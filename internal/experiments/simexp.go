@@ -139,16 +139,18 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 
 // E6Aging reproduces the §4.3 starvation guarantee: with aging, a
 // low-priority task is eventually dispatched under a continuous stream of
-// high-priority arrivals; without aging it starves.
+// high-priority arrivals; without aging it starves. A last row witnesses the
+// other §4.3 remedy, "authorized users will be able to modify the priorities
+// of particular applications": without aging, a boosted victim is dispatched.
 func E6Aging() (*Result, error) {
 	res := &Result{ID: "E6", Title: "§4.3: priority aging prevents starvation"}
 	res.Table = metrics.NewTable("E6: victim task wait by aging rate",
-		"aging rate (prio/s)", "victim wait s", "dispatched")
+		"aging rate (prio/s)", "victim boost", "victim wait s", "dispatched")
 	const horizon = 120 * time.Second
 	var waits []time.Duration
 	for _, rate := range []float64{0, 0.1, 1, 10} {
-		wait, dispatched := runAgingSim(rate, horizon)
-		res.Table.AddRow(rate, wait.Seconds(), dispatched)
+		wait, dispatched := runAgingSim(rate, 0, horizon)
+		res.Table.AddRow(rate, "none", wait.Seconds(), dispatched)
 		if rate == 0 && dispatched {
 			return nil, fmt.Errorf("E6: victim dispatched without aging under saturation")
 		}
@@ -163,14 +165,26 @@ func E6Aging() (*Result, error) {
 			return nil, fmt.Errorf("E6: wait not monotone in aging rate: %v", waits)
 		}
 	}
+	const boostAt = 10 * time.Second
+	boosted, dispatched := runAgingSim(0, boostAt, horizon)
+	res.Table.AddRow(0.0, fmt.Sprintf("+%d at t=%gs", victimBoost, boostAt.Seconds()), boosted.Seconds(), dispatched)
+	if !dispatched || boosted >= waits[0] {
+		return nil, fmt.Errorf("E6: boosted victim waited %v (dispatched %v), not below the unboosted %v", boosted, dispatched, waits[0])
+	}
 	res.note("aging bounds the victim's wait (%.0fs at rate 0.1, %.0fs at rate 10); a static-priority dispatcher starves it for the whole run", waits[1].Seconds(), waits[3].Seconds())
+	res.note("without aging, a user boost at t=%gs dispatches the victim at %.0fs", boostAt.Seconds(), boosted.Seconds())
 	return res, nil
 }
 
+// victimBoost is the priority a user adds to E6's victim: above the
+// stream's priority 5, so the boost alone ends the starvation.
+const victimBoost = 10
+
 // runAgingSim runs a single-server dispatcher fed by an aging queue: fresh
 // priority-5 tasks arrive every 500ms; the victim (priority 0) arrives at
-// t=0. Service time is 1s.
-func runAgingSim(rate float64, horizon time.Duration) (time.Duration, bool) {
+// t=0. Service time is 1s. A positive boostAt raises the victim's priority
+// by victimBoost at that time.
+func runAgingSim(rate float64, boostAt, horizon time.Duration) (time.Duration, bool) {
 	kernel := vtime.NewSim()
 	q := sched.NewAgingQueue(rate)
 	q.Push("victim", 0, 0)
@@ -206,6 +220,9 @@ func runAgingSim(rate float64, horizon time.Duration) (time.Duration, bool) {
 		kernel.After(500*time.Millisecond, arrive)
 	}
 	arrive()
+	if boostAt > 0 {
+		kernel.At(boostAt, func() { q.Boost("victim", victimBoost) })
+	}
 	kernel.RunUntil(horizon)
 	if victimAt < 0 {
 		return horizon, false
@@ -432,7 +449,10 @@ func E8Ripple() (*Result, error) {
 
 // E9FreeParallelism reproduces the §4.5 example: with a 90%% serial
 // application, 100 idle machines yield only ~10%% speed-up — and it is still
-// worth taking because the machines are otherwise idle.
+// worth taking because the machines are otherwise idle. When the serial stage
+// completes, antic.ExtraInstances sizes the parallel fan-out from the
+// machines idle at that moment (at least one instance, no upper bound), so
+// the parallel stage soaks up the whole fleet.
 func E9FreeParallelism() (*Result, error) {
 	const totalWork = 600.0
 	const serialFraction = 0.9
@@ -449,12 +469,14 @@ func E9FreeParallelism() (*Result, error) {
 			return 0, err
 		}
 		var makespan time.Duration
+		width := 0
 		serial := &sim.Task{ID: "serial", Work: totalWork * serialFraction,
 			OnDone: func(_ *sim.Task, at time.Duration) {
-				// Parallel part fans out over all machines.
-				per := totalWork * (1 - serialFraction) / float64(n)
-				for i, m := range ms {
-					_ = m.AddTask(&sim.Task{
+				idle := c.IdleMachines(0.5)
+				width = antic.ExtraInstances(1, 0, len(idle))
+				per := totalWork * (1 - serialFraction) / float64(width)
+				for i := 0; i < width; i++ {
+					_ = idle[i%len(idle)].AddTask(&sim.Task{
 						ID: fmt.Sprintf("par-%d", i), Work: per,
 						OnDone: func(_ *sim.Task, at2 time.Duration) {
 							if at2 > makespan {
@@ -466,6 +488,9 @@ func E9FreeParallelism() (*Result, error) {
 			}}
 		_ = ms[0].AddTask(serial)
 		c.Sim.Run()
+		if width != n {
+			return 0, fmt.Errorf("E9: parallel fan-out %d wide on %d idle machines", width, n)
+		}
 		return makespan, nil
 	}
 	base, err := runN(1)

@@ -10,7 +10,7 @@ import (
 // newBenchGroup builds a group without the testing.T cleanup helpers.
 func newBenchGroup(b *testing.B, n int) []*Process {
 	b.Helper()
-	net := transport.NewInMem(nil)
+	net := transport.NewInMem()
 	cfg := func(name string) Config {
 		return Config{Name: name, HeartbeatEvery: 250 * time.Millisecond,
 			FailAfter: 5 * time.Second, ReplyTimeout: 5 * time.Second}

@@ -31,7 +31,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // network with fast heartbeats.
 func newGroup(t *testing.T, n int) []*Process {
 	t.Helper()
-	net := transport.NewInMem(nil)
+	net := transport.NewInMem()
 	// Heartbeat 20x slower than the detection threshold: false positives
 	// under scheduler jitter would silently reshape views mid-test.
 	cfg := func(i int) Config {
@@ -104,7 +104,7 @@ func TestFoundAndJoin(t *testing.T) {
 }
 
 func TestJoinViaNonLeaderForwards(t *testing.T) {
-	net := transport.NewInMem(nil)
+	net := transport.NewInMem()
 	cfg := Config{Name: "a", HeartbeatEvery: 25 * time.Millisecond, FailAfter: 500 * time.Millisecond, ReplyTimeout: 2 * time.Second}
 	a, err := Found(net, "g", cfg)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestJoinViaNonLeaderForwards(t *testing.T) {
 }
 
 func TestJoinUnknownContactFails(t *testing.T) {
-	net := transport.NewInMem(nil)
+	net := transport.NewInMem()
 	cfg := Config{Name: "x", ReplyTimeout: 50 * time.Millisecond}
 	if _, err := Join(net, "g", "ghost", cfg); err == nil {
 		t.Fatal("join via dead contact succeeded")
@@ -414,7 +414,7 @@ func TestOnViewChangeImmediateAndOnChange(t *testing.T) {
 func TestManualClockFailureDetection(t *testing.T) {
 	// Deterministic failure detection using the manual clock: no real
 	// sleeps are involved in deciding death, only explicit Advance calls.
-	net := transport.NewInMem(nil)
+	net := transport.NewInMem()
 	clock := vtime.NewManual(time.Unix(0, 0))
 	cfg := func(name string) Config {
 		return Config{Name: name, Clock: clock, HeartbeatEvery: time.Second, FailAfter: 3 * time.Second, ReplyTimeout: time.Minute}

@@ -9,7 +9,7 @@ import (
 )
 
 // Table accumulates experiment rows and renders them as an aligned plain-text
-// table, the format used by EXPERIMENTS.md and the cmd/vcesim output.
+// table, the format of the cmd/vcesim output.
 type Table struct {
 	Title   string
 	Columns []string

@@ -1,16 +1,13 @@
 // Package netsim models the interconnect of a VCE network: per-link latency
-// and bandwidth, with partition injection for fault-tolerance experiments.
-// The cluster simulator uses it to time message deliveries, file staging and
-// migration image copies; the in-memory transport uses it to decide
-// deliverability.
+// and bandwidth. The cluster simulator uses it to time message deliveries,
+// file staging and migration image copies. The model has no fault mode: every
+// pair of hosts is connected.
 //
-// Partitions are symmetric: they are keyed by unordered host pairs. A transfer
-// between a host and itself is free: the paper's channels connect co-located
-// tasks through local memory.
+// A transfer between a host and itself is free: the paper's channels connect
+// co-located tasks through local memory.
 package netsim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -29,21 +26,11 @@ type Link struct {
 	Bandwidth float64
 }
 
-type pair struct{ a, b string }
-
-func orderedPair(a, b string) pair {
-	if a > b {
-		a, b = b, a
-	}
-	return pair{a, b}
-}
-
 // Model is a thread-safe network model.
 type Model struct {
-	mu          sync.RWMutex
-	def         Link
-	resolve     func(a, b string) (Link, bool)
-	partitioned map[pair]bool
+	mu      sync.RWMutex
+	def     Link
+	resolve func(a, b string) (Link, bool)
 }
 
 // LAN1994 returns a model shaped like the prototype's environment: a 10 Mb/s
@@ -55,10 +42,7 @@ func LAN1994() *Model {
 
 // New returns a model whose unspecified links all behave like def.
 func New(def Link) *Model {
-	return &Model{
-		def:         def,
-		partitioned: make(map[pair]bool),
-	}
+	return &Model{def: def}
 }
 
 // SetResolver installs a computed link source consulted before the default
@@ -86,39 +70,13 @@ func (m *Model) LinkBetween(a, b string) Link {
 	return m.def
 }
 
-// Partition severs connectivity between a and b.
-func (m *Model) Partition(a, b string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.partitioned[orderedPair(a, b)] = true
-}
-
-// Heal restores connectivity between a and b.
-func (m *Model) Heal(a, b string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.partitioned, orderedPair(a, b))
-}
-
-// Reachable reports whether a and b can exchange messages.
-func (m *Model) Reachable(a, b string) bool {
-	if a == b {
-		return true
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return !m.partitioned[orderedPair(a, b)]
-}
-
 // TransferTime returns how long moving size bytes from a to b takes:
-// latency + size/bandwidth. It fails across partitions. Local transfers are
-// instantaneous.
+// latency + size/bandwidth. Local transfers are instantaneous. The error is
+// always nil; the signature keeps it for the callers that check it
+// (benchmark/probes.go).
 func (m *Model) TransferTime(a, b string, size int64) (time.Duration, error) {
 	if a == b {
 		return 0, nil
-	}
-	if !m.Reachable(a, b) {
-		return 0, fmt.Errorf("netsim: %s and %s are partitioned", a, b)
 	}
 	l := m.LinkBetween(a, b)
 	d := l.Latency

@@ -53,24 +53,6 @@ func TestResolverOverridesDefault(t *testing.T) {
 	}
 }
 
-func TestPartitionAndHeal(t *testing.T) {
-	m := New(Link{Latency: time.Millisecond, Bandwidth: 1e6})
-	m.Partition("a", "b")
-	if m.Reachable("a", "b") || m.Reachable("b", "a") {
-		t.Fatal("partitioned pair still reachable")
-	}
-	if _, err := m.TransferTime("a", "b", 10); err == nil {
-		t.Fatal("transfer across partition succeeded")
-	}
-	if !m.Reachable("a", "c") {
-		t.Fatal("partition leaked to other pairs")
-	}
-	m.Heal("b", "a")
-	if !m.Reachable("a", "b") {
-		t.Fatal("heal did not restore link")
-	}
-}
-
 func TestZeroBandwidthMeansLatencyOnly(t *testing.T) {
 	m := New(Link{Latency: 3 * time.Millisecond})
 	d, err := m.TransferTime("a", "b", 1<<20)
@@ -96,13 +78,14 @@ func TestConcurrentModelAccess(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		fast := func(a, b string) (Link, bool) { return Link{Latency: time.Microsecond}, true }
 		for i := 0; i < 500; i++ {
-			m.Partition("a", "b")
-			m.Heal("a", "b")
+			m.SetResolver(fast)
+			m.SetResolver(nil)
 		}
 	}()
 	for i := 0; i < 500; i++ {
-		m.Reachable("a", "b")
+		m.LinkBetween("a", "b")
 		_, _ = m.TransferTime("a", "c", 100)
 	}
 	<-done

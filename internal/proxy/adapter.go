@@ -18,5 +18,3 @@ func (a chanAdapter) Recv() (ChannelMessage, bool) {
 	m, ok := a.p.Recv()
 	return ChannelMessage{From: PortID(m.From), Payload: m.Payload}, ok
 }
-
-func (a chanAdapter) ID() PortID { return PortID(a.p.ID()) }

@@ -8,8 +8,7 @@
 // The architecture-independent form is a big-endian, type-tagged binary
 // encoding (network byte order, in the tradition of XDR) so values survive
 // transit between machines of different byte orders. Proxies talk over VCE
-// channels, so the runtime can monitor, redirect and migrate object-oriented
-// tasks exactly like data-parallel ones.
+// channels, the same ports data-parallel tasks use.
 package proxy
 
 import (

@@ -27,7 +27,6 @@ type Handler func(args []interface{}) ([]interface{}, error)
 type Port interface {
 	SendTo(dst PortID, payload []byte) error
 	Recv() (ChannelMessage, bool)
-	ID() PortID
 }
 
 // PortID mirrors channel.PortID without importing it (kept as a distinct
@@ -191,14 +190,6 @@ func (c *Client) Traffic() (int64, int64) {
 	return c.bytesOut, c.bytesIn
 }
 
-// Rebind points the proxy at a different server port — the client half of
-// connection migration.
-func (c *Client) Rebind(server PortID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.server = server
-}
-
 // Call invokes method with args on the remote object and returns its
 // results. Concurrent calls from multiple goroutines multiplex over call IDs.
 func (c *Client) Call(method string, args ...interface{}) ([]interface{}, error) {
@@ -217,7 +208,6 @@ func (c *Client) Call(method string, args ...interface{}) ([]interface{}, error)
 	id := c.nextID
 	ch := make(chan response, 1)
 	c.pending[id] = ch
-	server := c.server
 	c.bytesOut += int64(len(method) + len(body) + 11)
 	c.mu.Unlock()
 
@@ -230,7 +220,7 @@ func (c *Client) Call(method string, args ...interface{}) ([]interface{}, error)
 	frame = append(frame, method...)
 	frame = append(frame, body...)
 
-	if err := c.port.SendTo(server, frame); err != nil {
+	if err := c.port.SendTo(c.server, frame); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()

@@ -226,9 +226,6 @@ func ToGraph(name string, stmts []Stmt) (*taskgraph.Graph, error) {
 			if s.HasPriority {
 				t.Hint.Priority = s.Priority
 			}
-			if s.Checkpoint {
-				t.Hint.Checkpointable = true
-			}
 			if err := g.UpdateTask(t); err != nil {
 				return nil, err
 			}

@@ -18,7 +18,7 @@
 //	ENDIF
 //	COMM "/apps/snow/collector.vce" -> "/apps/snow/predictor.vce" CHANNEL obs
 //	AFTER "/apps/snow/predictor.vce" "/apps/snow/display.vce"
-//	HINT "/apps/snow/predictor.vce" RUNTIME 120s PRIORITY 2 CHECKPOINT
+//	HINT "/apps/snow/predictor.vce" RUNTIME 120s PRIORITY 2
 //	REDUNDANT "/apps/snow/predictor.vce" 2
 package script
 
@@ -87,8 +87,6 @@ type Hint struct {
 	Priority int
 	// HasPriority distinguishes "PRIORITY 0" from no priority clause.
 	HasPriority bool
-	// Checkpoint marks the program checkpoint-cooperative.
-	Checkpoint bool
 }
 
 // Redundant requests N-way redundant dispatch of a program.
@@ -300,8 +298,7 @@ func (p *parser) statement(head string, toks []string) (Stmt, error) {
 				h.HasPriority = true
 				i += 2
 			case "CHECKPOINT":
-				h.Checkpoint = true
-				i++
+				return nil, fail("HINT CHECKPOINT is not supported: the live stack does not checkpoint")
 			default:
 				return nil, fail("unknown hint clause %q", toks[i])
 			}

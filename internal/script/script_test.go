@@ -107,13 +107,22 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseHint(t *testing.T) {
-	s, err := Parse(`HINT "/a.vce" RUNTIME 90s PRIORITY 3 CHECKPOINT`)
+	s, err := Parse(`HINT "/a.vce" RUNTIME 90s PRIORITY 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := s.Stmts[0].(*Hint)
-	if h.Runtime != 90*time.Second || h.Priority != 3 || !h.HasPriority || !h.Checkpoint {
+	if h.Runtime != 90*time.Second || h.Priority != 3 || !h.HasPriority {
 		t.Fatalf("hint = %+v", h)
+	}
+}
+
+// The live stack never checkpoints, so the parser refuses the clause by name
+// rather than recording a hint nothing reads.
+func TestParseHintCheckpointRejected(t *testing.T) {
+	_, err := Parse(`HINT "/a" CHECKPOINT`)
+	if err == nil || !strings.Contains(err.Error(), "HINT CHECKPOINT") {
+		t.Fatalf("Parse(HINT CHECKPOINT) err = %v, want an error naming HINT CHECKPOINT", err)
 	}
 }
 
@@ -268,7 +277,7 @@ func TestToGraphCommAfterHint(t *testing.T) {
 	src := weatherScript + `
 COMM "/apps/snow/collector.vce" -> "/apps/snow/predictor.vce" CHANNEL obs
 AFTER "/apps/snow/predictor.vce" "/apps/snow/display.vce"
-HINT "/apps/snow/predictor.vce" RUNTIME 120s PRIORITY 2 CHECKPOINT
+HINT "/apps/snow/predictor.vce" RUNTIME 120s PRIORITY 2
 REDUNDANT "/apps/snow/predictor.vce" 2`
 	g, err := Compile("snow", src, nil)
 	if err != nil {
@@ -286,7 +295,7 @@ REDUNDANT "/apps/snow/predictor.vce" 2`
 	}
 	pred, _ := g.Task("predictor")
 	if pred.Hint.ExpectedRuntime != 2*time.Minute || pred.Hint.Priority != 2 ||
-		!pred.Hint.Checkpointable || pred.Hint.Redundant != 2 {
+		pred.Hint.Redundant != 2 {
 		t.Fatalf("hints = %+v", pred.Hint)
 	}
 }

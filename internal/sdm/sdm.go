@@ -12,15 +12,13 @@
 //   - The coding level parallelizes tasks "using architecture independent
 //     languages" (HPF, HPC++, C+MPI).
 //
-// In the paper, hints recorded along the way let the EXM "do extra
-// optimization", e.g. dispatching the longest functionally-parallel module
-// first. DispatchPriorities computes that order; exm does not read it yet and
-// dispatches each ready set in graph order.
+// Hints recorded along the way (ExpectedRuntime here, the script's HINT
+// RUNTIME/PRIORITY) let the EXM "do extra optimization": exm dispatches each
+// ready set highest priority first, then longest expected runtime first.
 package sdm
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vce/internal/arch"
@@ -202,58 +200,4 @@ func Code(g *taskgraph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// DispatchPriorities implements the §3.1.1 optimization example: "if a
-// particular application has three functionally parallel modules and the
-// user expects one to run much longer than the combined running times of the
-// other two ... dispatching of the longer job can be given higher priority
-// so opportunities for parallel execution will be maximized."
-//
-// Tasks are grouped by precedence depth (functionally parallel = same
-// depth); within a group, longer expected runtime ⇒ higher priority. The
-// explicit user priority (Hints.Priority) is added on top.
-func DispatchPriorities(g *taskgraph.Graph) (map[taskgraph.TaskID]int, error) {
-	topo, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	depth := make(map[taskgraph.TaskID]int)
-	for _, id := range topo {
-		d := 0
-		for _, p := range g.Predecessors(id) {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[id] = d
-	}
-	byDepth := make(map[int][]taskgraph.TaskID)
-	for id, d := range depth {
-		byDepth[d] = append(byDepth[d], id)
-	}
-	out := make(map[taskgraph.TaskID]int, len(topo))
-	for _, group := range byDepth {
-		sort.Slice(group, func(i, j int) bool {
-			ti, _ := g.Task(group[i])
-			tj, _ := g.Task(group[j])
-			ri, rj := expectedRuntime(ti), expectedRuntime(tj)
-			if ri != rj {
-				return ri < rj // ascending: longer tasks get higher rank
-			}
-			return group[i] < group[j]
-		})
-		for rank, id := range group {
-			t, _ := g.Task(id)
-			out[id] = rank + t.Hint.Priority
-		}
-	}
-	return out, nil
-}
-
-func expectedRuntime(t taskgraph.Task) time.Duration {
-	if t.Hint.ExpectedRuntime > 0 {
-		return t.Hint.ExpectedRuntime
-	}
-	return time.Duration(t.WorkUnits * float64(time.Second))
 }

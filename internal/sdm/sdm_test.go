@@ -2,7 +2,6 @@ package sdm
 
 import (
 	"testing"
-	"time"
 
 	"vce/internal/arch"
 	"vce/internal/taskgraph"
@@ -159,64 +158,6 @@ func TestCodeKeepsExplicitLanguage(t *testing.T) {
 	tt, _ := g.Task("t")
 	if tt.Language != "CMFortran" {
 		t.Fatal("explicit language overwritten")
-	}
-}
-
-func TestDispatchPriorities(t *testing.T) {
-	// Three functionally parallel modules; the long one must get the
-	// highest dispatch priority (§3.1.1's example).
-	g := taskgraph.New("par")
-	for _, spec := range []struct {
-		id taskgraph.TaskID
-		rt time.Duration
-	}{{"short1", time.Minute}, {"long", time.Hour}, {"short2", 2 * time.Minute}} {
-		if err := g.AddTask(taskgraph.Task{ID: spec.id, Hint: taskgraph.Hints{ExpectedRuntime: spec.rt}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prio, err := DispatchPriorities(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(prio["long"] > prio["short2"] && prio["short2"] > prio["short1"]) {
-		t.Fatalf("priorities = %v, want long > short2 > short1", prio)
-	}
-}
-
-func TestDispatchPrioritiesUserBoost(t *testing.T) {
-	g := taskgraph.New("p")
-	if err := g.AddTask(taskgraph.Task{ID: "a", Hint: taskgraph.Hints{ExpectedRuntime: time.Hour}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddTask(taskgraph.Task{ID: "b", Hint: taskgraph.Hints{ExpectedRuntime: time.Minute, Priority: 100}}); err != nil {
-		t.Fatal(err)
-	}
-	prio, err := DispatchPriorities(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prio["b"] <= prio["a"] {
-		t.Fatalf("user priority boost ignored: %v", prio)
-	}
-}
-
-func TestDispatchPrioritiesSeparateDepths(t *testing.T) {
-	g := taskgraph.New("d")
-	for _, id := range []taskgraph.TaskID{"first", "second"} {
-		if err := g.AddTask(taskgraph.Task{ID: id, WorkUnits: 10}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddArc(taskgraph.Arc{From: "first", To: "second", Kind: taskgraph.Precedence}); err != nil {
-		t.Fatal(err)
-	}
-	prio, err := DispatchPriorities(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Different depths are independent groups; both get rank 0.
-	if prio["first"] != 0 || prio["second"] != 0 {
-		t.Fatalf("cross-depth priorities = %v", prio)
 	}
 }
 

@@ -10,8 +10,6 @@ package taskgraph
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"vce/internal/arch"
@@ -21,22 +19,18 @@ import (
 type TaskID string
 
 // Hints carries the user-supplied information of §3.1.1 that lets "the
-// execution module do extra optimization". The execution module reads
-// Redundant and Retries; ExpectedRuntime, Priority and Checkpointable are
-// recorded (script HINT RUNTIME/PRIORITY/CHECKPOINT) but exm does not act on
-// them yet.
+// execution module do extra optimization". exm reads all four: it orders each
+// ready set by Priority, then ExpectedRuntime (script HINT RUNTIME/PRIORITY),
+// and dispatches with Redundant and Retries.
 type Hints struct {
-	// ExpectedRuntime is the user's runtime estimate. sdm.DispatchPriorities
-	// ranks long functionally-parallel modules first from it (§3.1.1's
-	// example).
+	// ExpectedRuntime is the user's runtime estimate. Among tasks with equal
+	// Priority, exm dispatches the longer one first (§3.1.1's example); a
+	// zero estimate falls back to WorkUnits seconds.
 	ExpectedRuntime time.Duration
 	// Priority is an explicit user priority; "authorized users will be
 	// able to modify the priorities of particular applications" (§4.3).
-	// sdm.DispatchPriorities adds it to the runtime rank.
+	// Higher dispatches first within a ready set.
 	Priority int
-	// Checkpointable marks the task as cooperating with checkpoint-based
-	// migration (§4.4: "may require the cooperation of the task").
-	Checkpointable bool
 	// Redundant asks for N-way redundant dispatch, enabling migration by
 	// redundant execution (§4.4). Zero or one means no redundancy.
 	Redundant int
@@ -314,26 +308,4 @@ func (g *Graph) TopoSort() ([]TaskID, error) {
 		return nil, fmt.Errorf("taskgraph: precedence cycle among %d tasks", len(g.order)-len(out))
 	}
 	return out, nil
-}
-
-// DOT renders the graph in Graphviz dot syntax — the "visual representation"
-// of §3.1 in the only portable format a library can emit.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", g.Name)
-	ids := append([]TaskID(nil), g.order...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		t := g.tasks[id]
-		fmt.Fprintf(&b, "  %q [label=\"%s\\n%s x%d\"];\n", id, id, t.Problem, t.Instances())
-	}
-	for _, a := range g.arcs {
-		style := "solid"
-		if a.Kind == Stream {
-			style = "dashed"
-		}
-		fmt.Fprintf(&b, "  %q -> %q [style=%s];\n", a.From, a.To, style)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package taskgraph
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -177,19 +176,6 @@ func TestUpdateTask(t *testing.T) {
 	}
 	if err := g.UpdateTask(Task{ID: "ghost"}); err == nil {
 		t.Fatal("update of unknown task accepted")
-	}
-}
-
-func TestDOTOutput(t *testing.T) {
-	g := chain(t, "a", "b")
-	if err := g.AddArc(Arc{From: "a", To: "b", Kind: Stream, Channel: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	dot := g.DOT()
-	for _, want := range []string{"digraph", `"a" -> "b" [style=solid]`, `"a" -> "b" [style=dashed]`} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package transport provides the message-passing substrate beneath the Isis
 // layer: named endpoints exchanging typed, opaque-payload messages. Two
 // implementations share one interface — an in-memory network for tests,
-// examples and deterministic fault injection, and a TCP network for real
+// examples and single-process environments, and a TCP network for real
 // multi-process deployment (cmd/vced / cmd/vcerun).
 //
 // Delivery guarantees (both implementations): messages between a live sender
@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"vce/internal/netsim"
 )
 
 // Addr identifies an endpoint. In-memory addresses are plain names; TCP
@@ -62,21 +60,19 @@ type Network interface {
 // ErrClosed is returned when sending from or to a closed endpoint.
 var ErrClosed = errors.New("transport: endpoint closed")
 
-// ErrUnreachable is returned when the destination does not exist or the
-// network model says the pair is partitioned.
+// ErrUnreachable is returned when the destination does not exist or cannot
+// be dialled.
 var ErrUnreachable = errors.New("transport: destination unreachable")
 
-// InMem is an in-process Network. An optional netsim.Model injects
-// partitions: sends across a partitioned pair fail exactly like a dead link.
+// InMem is an in-process Network: every pair of live endpoints is connected.
 type InMem struct {
 	mu        sync.RWMutex
 	endpoints map[Addr]*inmemEndpoint
-	model     *netsim.Model
 }
 
-// NewInMem returns an in-memory network. model may be nil (fully connected).
-func NewInMem(model *netsim.Model) *InMem {
-	return &InMem{endpoints: make(map[Addr]*inmemEndpoint), model: model}
+// NewInMem returns an in-memory network.
+func NewInMem() *InMem {
+	return &InMem{endpoints: make(map[Addr]*inmemEndpoint)}
 }
 
 // Endpoint implements Network.
@@ -137,9 +133,6 @@ func (e *inmemEndpoint) Send(to Addr, kind string, payload []byte) error {
 		return ErrClosed
 	}
 	e.mu.Unlock()
-	if e.net.model != nil && !e.net.model.Reachable(string(e.addr), string(to)) {
-		return ErrUnreachable
-	}
 	dst, ok := e.net.lookup(to)
 	if !ok {
 		return ErrUnreachable

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"vce/internal/netsim"
 )
 
 // collector gathers delivered messages behind a mutex.
@@ -146,7 +144,7 @@ func testNetworkBasics(t *testing.T, mk func(t *testing.T) Network) {
 }
 
 func TestInMemNetwork(t *testing.T) {
-	testNetworkBasics(t, func(t *testing.T) Network { return NewInMem(nil) })
+	testNetworkBasics(t, func(t *testing.T) Network { return NewInMem() })
 }
 
 func TestTCPNetwork(t *testing.T) {
@@ -154,7 +152,7 @@ func TestTCPNetwork(t *testing.T) {
 }
 
 func TestInMemUnknownDestination(t *testing.T) {
-	net := NewInMem(nil)
+	net := NewInMem()
 	a, _ := net.Endpoint("a")
 	defer a.Close()
 	if err := a.Send("ghost", "x", nil); err != ErrUnreachable {
@@ -163,7 +161,7 @@ func TestInMemUnknownDestination(t *testing.T) {
 }
 
 func TestInMemDuplicateName(t *testing.T) {
-	net := NewInMem(nil)
+	net := NewInMem()
 	_, err := net.Endpoint("dup")
 	if err != nil {
 		t.Fatal(err)
@@ -176,28 +174,8 @@ func TestInMemDuplicateName(t *testing.T) {
 	}
 }
 
-func TestInMemPartition(t *testing.T) {
-	model := netsim.New(netsim.Link{})
-	net := NewInMem(model)
-	a, _ := net.Endpoint("a")
-	defer a.Close()
-	b, _ := net.Endpoint("b")
-	defer b.Close()
-	col := newCollector()
-	b.Handle(col.handler)
-	model.Partition("a", "b")
-	if err := a.Send("b", "x", nil); err != ErrUnreachable {
-		t.Fatalf("partitioned send err = %v, want ErrUnreachable", err)
-	}
-	model.Heal("a", "b")
-	if err := a.Send("b", "x", nil); err != nil {
-		t.Fatalf("healed send failed: %v", err)
-	}
-	col.wait(t, 1)
-}
-
 func TestInMemMessagesBeforeHandlerAreQueued(t *testing.T) {
-	net := NewInMem(nil)
+	net := NewInMem()
 	a, _ := net.Endpoint("a")
 	defer a.Close()
 	b, _ := net.Endpoint("b")
@@ -214,7 +192,7 @@ func TestInMemMessagesBeforeHandlerAreQueued(t *testing.T) {
 }
 
 func TestInMemSendToClosedEndpoint(t *testing.T) {
-	net := NewInMem(nil)
+	net := NewInMem()
 	a, _ := net.Endpoint("a")
 	defer a.Close()
 	b, _ := net.Endpoint("b")
@@ -300,7 +278,7 @@ func TestReadFrameCorrupt(t *testing.T) {
 }
 
 func TestInMemConcurrentSenders(t *testing.T) {
-	net := NewInMem(nil)
+	net := NewInMem()
 	dst, _ := net.Endpoint("dst")
 	defer dst.Close()
 	col := newCollector()

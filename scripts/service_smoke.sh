@@ -38,7 +38,7 @@ cleanup() {
       wait "$pid" 2>/dev/null || true
     fi
   done
-  [[ "$owned" == 1 ]] && rm -rf "$work"
+  if [[ "$owned" == 1 ]]; then rm -rf "$work"; fi
 }
 trap cleanup EXIT
 
