@@ -59,18 +59,77 @@ func TestEquivalenceLargeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// runs.csv pins every per-run index at full float precision; indexes.json
+	// pins the aggregation (mean/stddev) arithmetic on top of it.
+	checkPerCellGolden(t, rep, "golden-large")
+}
+
+// topologySpec is the fixture for the paths the flat fixtures never reach:
+// a three-site random DAG with data staging between sites, the locality
+// policy's wait/forward triad against site-blind greedy placement, a
+// constrained fraction pinned to the center's slotted machines, and owner
+// churn so capacity comes and goes under migration.
+func topologySpec() *Spec {
+	return &Spec{
+		Name:        "golden-topo",
+		Description: "Fixed-seed fixture pinning topology, locality placement and constrained waiters.",
+		HorizonS:    3600,
+		Machines: MachineSetSpec{
+			BandwidthMiBps: Float64(4),
+			LatencyMs:      2,
+			Classes: []MachineClassSpec{
+				{Class: "workstation", Count: 4, Site: "campus", Speed: Dist{Kind: "uniform", Min: 1, Max: 2}},
+				{Class: "mimd", Count: 1, Slots: 3, Site: "center", Speed: Dist{Kind: "fixed", Value: 4}},
+				{Class: "vector", Count: 2, Site: "annex", Speed: Dist{Kind: "uniform", Min: 1, Max: 3}},
+			},
+			Topology: &TopologySpec{
+				IntraLatencyMs: 1, IntraBandwidthMiBps: 8,
+				InterLatencyMs: 25, InterBandwidthMiBps: 0.75,
+			},
+		},
+		Workload: WorkloadSpec{
+			Tasks:       96,
+			Work:        Dist{Kind: "uniform", Min: 40, Max: 120},
+			Arrivals:    ArrivalSpec{Kind: "poisson", RatePerS: 1},
+			Graph:       &GraphSpec{Kind: "random", EdgeProb: 0.15, DataMiB: 4},
+			ImageMiB:    2,
+			Constrained: &ConstrainedSpec{Fraction: 0.2, Class: "mimd"},
+		},
+		Owner: &OwnerSpec{MeanIdleS: 240, MeanBusyS: 90, BusyLoad: 1},
+		Policies: PolicyMatrix{
+			Scheduling: []string{"locality", "greedy-best-fit"},
+			Migration:  []string{"none", "address-space"},
+		},
+		Runs: 2,
+		Seed: 33,
+	}
+}
+
+// TestGoldenTopology pins the per-run indexes of the topology fixture the
+// way TestEquivalenceLargeScenario pins the large flat one.
+func TestGoldenTopology(t *testing.T) {
+	rep, err := RunContext(context.Background(), topologySpec(), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPerCellGolden(t, rep, "golden-topo")
+}
+
+// checkPerCellGolden writes rep's artifacts and compares its per-cell files,
+// runs.csv and indexes.json, against testdata/<name> (rewriting them under
+// -update).
+func checkPerCellGolden(t *testing.T, rep *Report, name string) {
+	t.Helper()
 	dir := t.TempDir()
 	if _, err := rep.WriteArtifacts(dir); err != nil {
 		t.Fatal(err)
 	}
-	goldenDir := filepath.Join("testdata", "golden-large")
+	goldenDir := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// runs.csv pins every per-run index at full float precision; indexes.json
-	// pins the aggregation (mean/stddev) arithmetic on top of it.
 	for _, name := range []string{"runs.csv", "indexes.json"} {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
