@@ -56,7 +56,7 @@ func E7bAdaptivePicker() (*Result, error) {
 					return nil, nil, nil, nil, nil, err
 				}
 				c.Sim.RunUntil(5 * time.Second)
-				return c, ms[0].Tasks()[0], ms[0], ms[1], p, nil
+				return c, ms[0].AppendTasks(nil)[0], ms[0], ms[1], p, nil
 			},
 		},
 		{

@@ -106,9 +106,9 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 			return
 		}
 		var states []sched.MachineState
-		for i, m := range ms {
+		for _, m := range ms {
 			states = append(states, sched.MachineState{
-				Machine: m.Spec, Load: m.Load(), Slots: 1 - m.RemoteTasks(), Index: i,
+				Machine: m.Spec, Load: m.Load(), Slots: 1 - m.RemoteTasks(),
 			})
 		}
 		placed, left := pol.Place(waiting, states)
@@ -472,7 +472,7 @@ func E9FreeParallelism() (*Result, error) {
 		width := 0
 		serial := &sim.Task{ID: "serial", Work: totalWork * serialFraction,
 			OnDone: func(_ *sim.Task, at time.Duration) {
-				idle := c.IdleMachines(0.5)
+				idle := c.AppendIdleMachines(nil, 0.5)
 				width = antic.ExtraInstances(1, 0, len(idle))
 				per := totalWork * (1 - serialFraction) / float64(width)
 				for i := 0; i < width; i++ {

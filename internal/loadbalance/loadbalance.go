@@ -81,6 +81,12 @@ type VCEMigrate struct {
 	bytesMoved int64
 
 	cluster *sim.Cluster
+	// tasks and idle are react's and pickDestination's reused buffers, so an
+	// evacuation allocates no per-event slices. react runs only inside the
+	// cluster's change fan-out, which queues the changes its migrations
+	// cause instead of re-entering it, so one of each suffices.
+	tasks []*sim.Task
+	idle  []*sim.Machine
 }
 
 // NewVCEMigrate returns the migration policy over the given strategy.
@@ -107,8 +113,10 @@ func (v *VCEMigrate) react(c *sim.Cluster, m *sim.Machine) {
 	if m.LocalLoad() < v.Hi || m.RemoteTasks() == 0 {
 		return
 	}
-	// Owner is active: evacuate residents to idle machines.
-	for _, t := range m.Tasks() {
+	// Owner is active: evacuate residents to idle machines. The walk is
+	// over a copy, since every migration removes a resident.
+	v.tasks = m.AppendTasks(v.tasks[:0])
+	for _, t := range v.tasks {
 		dst := v.pickDestination(c, m, t)
 		if dst == nil {
 			// Nowhere to go: fall back to Stealth behaviour.
@@ -132,7 +140,8 @@ func (v *VCEMigrate) react(c *sim.Cluster, m *sim.Machine) {
 }
 
 func (v *VCEMigrate) pickDestination(c *sim.Cluster, src *sim.Machine, t *sim.Task) *sim.Machine {
-	for _, cand := range c.IdleMachines(v.IdleBelow) {
+	v.idle = c.AppendIdleMachines(v.idle[:0], v.IdleBelow)
+	for _, cand := range v.idle {
 		if cand == src {
 			continue
 		}
@@ -159,6 +168,10 @@ type DAWGS struct {
 	Placed int64
 
 	queue []*sim.Task
+	// idle is drain's reused buffer. A placement may re-enter drain through
+	// the change fan-out and refill it; the outer drain reads it only
+	// before placing, then refills it on its next iteration.
+	idle []*sim.Machine
 }
 
 // NewDAWGS returns the non-preemptive idle-workstation queue.
@@ -182,13 +195,13 @@ func (d *DAWGS) Submit(c *sim.Cluster, t *sim.Task) {
 
 func (d *DAWGS) drain(c *sim.Cluster) {
 	for len(d.queue) > 0 {
-		idle := c.IdleMachines(d.IdleBelow)
-		if len(idle) == 0 {
+		d.idle = c.AppendIdleMachines(d.idle[:0], d.IdleBelow)
+		if len(d.idle) == 0 {
 			return
 		}
 		t := d.queue[0]
 		d.queue = d.queue[1:]
-		if err := idle[0].AddTask(t); err == nil {
+		if err := d.idle[0].AddTask(t); err == nil {
 			d.Placed++
 		}
 	}

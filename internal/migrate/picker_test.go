@@ -36,7 +36,7 @@ func TestPickerPrefersRedundantCopy(t *testing.T) {
 	}
 	var chosen string
 	c.Sim.At(5*time.Second, func() {
-		task := ms["src"].Tasks()[0]
+		task := ms["src"].AppendTasks(nil)[0]
 		s, cost, err := p.Choose(c, task, ms["src"], ms["dst"])
 		if err != nil {
 			t.Errorf("choose: %v", err)

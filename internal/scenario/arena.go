@@ -59,8 +59,9 @@ type runArena struct {
 	fleet []arch.Machine
 	slots []int
 	// Candidate sets. Portable tasks accept every machine; constrained tasks
-	// only their pinned class. The sets are Machine.Index ids, which the
-	// placement policies resolve without hashing a name.
+	// only their pinned class. The sets are machine positions
+	// (Machine.Index), which the placement policies resolve by indexing the
+	// cell's fleet snapshot, without hashing a name.
 	allIDs    []int
 	pinnedIDs []int
 
@@ -88,9 +89,13 @@ type runArena struct {
 	// inflight counts per-machine deliveries in transit (DAG data staging):
 	// capacity the placement snapshot reserves so a transfer never lands on
 	// a slot a later placement round already spent.
-	inflight  []int
-	waiting   []sched.Item
-	statesBuf []sched.MachineState
+	inflight []int
+	waiting  []sched.Item
+	// states backs the cell's fleet snapshot (cell.states), one entry per
+	// machine; residents is the checkpoint tick's and the fault handler's
+	// resident walk buffer.
+	states    []sched.MachineState
+	residents []*sim.Task
 
 	// Per-cell DAG scratch (see prepare): readiness countdown, the instant
 	// a task's last parent finished (its effective arrival), the machine
@@ -111,6 +116,12 @@ type runArena struct {
 	arriveFns []func()
 	failFns   []func()
 	repairFns []func()
+	// deliverFns are the per-slot staged-delivery callbacks; deliverTo
+	// holds each one's destination machine. A slot stages at most one
+	// delivery at a time — its task is neither queued nor resident while
+	// the transfer runs — so one entry per slot suffices.
+	deliverFns []func()
+	deliverTo  []int32
 
 	// cell is the state of the cell being executed; runCell re-initializes
 	// it in place, so the cached closures above reach the current cell.
@@ -217,6 +228,18 @@ func (ar *runArena) failFn(mi int) func() {
 	return ar.failFns[mi]
 }
 
+// deliverFn returns slot ti's cached staged-delivery callback, aimed at
+// machine hi.
+func (ar *runArena) deliverFn(ti, hi int) func() {
+	for len(ar.deliverFns) <= ti {
+		ti := len(ar.deliverFns)
+		ar.deliverFns = append(ar.deliverFns, func() { ar.cell.deliver(ti, int(ar.deliverTo[ti])) })
+		ar.deliverTo = append(ar.deliverTo, 0)
+	}
+	ar.deliverTo[ti] = int32(hi)
+	return ar.deliverFns[ti]
+}
+
 func (ar *runArena) repairFn(mi int) func() {
 	for len(ar.repairFns) <= mi {
 		mi := len(ar.repairFns)
@@ -298,6 +321,12 @@ func (ar *runArena) prepare(run int) error {
 	ar.down = resetFill(ar.down, nm, false)
 	ar.ownerLoad = resetFill(ar.ownerLoad, nm, 0)
 	ar.inflight = resetFill(ar.inflight, nm, 0)
+	// The cell's fleet snapshot starts with nothing free; the first pass
+	// fills each machine's Slots. Specs are per run, so it is rebuilt here.
+	ar.states = resetFill(ar.states, nm, sched.MachineState{})
+	for i, m := range ar.machines {
+		ar.states[i].Machine = m.Spec
+	}
 	ar.waiting = ar.waiting[:0]
 	ar.acc.Reset()
 	ar.pool.reset()

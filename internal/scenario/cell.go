@@ -101,8 +101,12 @@ type cell struct {
 	onDone  func(*sim.Task, time.Duration)
 
 	waiting []sched.Item
-	// states is reused across placement passes: Place snapshots the machine
-	// states it needs, so the buffer is dead once Place returns.
+	// states is the cell's one fleet snapshot, built by prepare: entry i
+	// is ar.machines[i], so a machine's placement id is its position. Each
+	// pass refreshes Slots and Load in place, and Place spends Slots as it
+	// assigns, so between passes states[i].Slots is the free capacity the
+	// last pass left machine i — what the change listener's capacity gate
+	// compares against.
 	states []sched.MachineState
 	// tryPlace is re-entered through cluster change notifications (AddTask
 	// fires OnChange, which calls tryPlace): the guard collapses re-entrant
@@ -250,7 +254,7 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 	*c = cell{
 		ar: ar, cl: cl, acc: &ar.acc,
 		key: schedName + "/" + migration, run: run,
-		waiting: ar.waiting, states: ar.statesBuf,
+		waiting: ar.waiting, states: ar.states,
 	}
 	c.onDone = c.taskDone
 	if sp.Owner != nil {
@@ -279,9 +283,10 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		ckTick = func() {
 			for _, m := range ar.machines {
 				if m.RemoteTasks() == 0 {
-					continue // Tasks() copies and sorts; idle machines skip it
+					continue // AppendTasks copies and sorts; idle machines skip it
 				}
-				for _, t := range m.Tasks() {
+				ar.residents = m.AppendTasks(ar.residents[:0])
+				for _, t := range ar.residents {
 					c.ck.CheckpointNow(cl, t)
 				}
 			}
@@ -289,10 +294,21 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		}
 		cl.Sim.After(interval, ckTick)
 	}
-	// Owner departures free machines: retry placement on load drops.
-	cl.OnChange(func(m *sim.Machine, _ time.Duration) {
-		if m.LocalLoad() < migrateHi && !ar.down[m.Index()] {
+	// Owner departures and completions free capacity: a change that leaves
+	// machine i more free slots than the last pass left it (states[i].Slots)
+	// gets a pass. A pass after any other change could not place or drop
+	// anything (DESIGN §4, "Passes only on new capacity"), so the change
+	// only records the queue depth that pass would have recorded on its way
+	// out, and the backlog integral sees the same samples.
+	cl.OnChange(func(m *sim.Machine, now time.Duration) {
+		i := m.Index()
+		if m.LocalLoad() >= migrateHi || ar.down[i] {
+			return
+		}
+		if ar.slots[i]-m.RemoteTasks()-ar.inflight[i] > c.states[i].Slots {
 			c.tryPlace()
+		} else if !c.placing {
+			c.acc.NoteQueueDepth(now, len(c.waiting))
 		}
 	})
 	// Failure instants replay from the world's fault schedule; repairs
@@ -432,7 +448,7 @@ func (c *cell) candsFor(i int) []int {
 
 // newItem builds the placement-queue entry for slot i with the
 // data-affinity site riding along: the one way a task joins the queue, for
-// submission, the race requeue, the transfer bounce and the fault requeue.
+// submission, the transfer bounce and the fault requeue.
 func (c *cell) newItem(i int, work float64) sched.Item {
 	ar := c.ar
 	it := sched.Item{Task: taskgraph.TaskID(ar.pool.ids[i]), Ref: i, CandidateIDs: c.candsFor(i), Work: work}
@@ -525,27 +541,31 @@ func (c *cell) tryPlace() {
 	// The per-machine slices are fixed-length for the cell, so their headers
 	// can be hoisted; the pool's per-slot slices grow mid-run in a streaming
 	// cell and must be reached through ar.pool every time.
-	machines, slots, down, inflight := ar.machines, ar.slots, ar.down, ar.inflight
+	machines, slots, down, inflight, states := ar.machines, ar.slots, ar.down, ar.inflight, c.states
 	for {
 		c.placeAgain = false
 		if len(c.waiting) == 0 {
 			return
 		}
-		states := c.states[:0]
+		anyFree := false
 		for i, m := range machines {
+			st := &states[i]
 			// In-transit deliveries (DAG data staging) reserve their
 			// slot up front, so a later placement round can't spend it.
-			free := slots[i] - m.RemoteTasks() - inflight[i]
+			st.Slots = slots[i] - m.RemoteTasks() - inflight[i]
 			// Down machines and owner-occupied machines take no new
 			// placements (the DAWGS idle-placement discipline); residents
-			// are the migration/suspension policies' problem.
-			if down[i] || m.LocalLoad() >= migrateHi || free <= 0 {
+			// are the migration/suspension policies' problem. Like full
+			// machines they stay in the snapshot with no slots, and their
+			// Load is never read.
+			if down[i] || m.LocalLoad() >= migrateHi || st.Slots <= 0 {
+				st.Slots = 0
 				continue
 			}
-			states = append(states, sched.MachineState{Machine: m.Spec, Load: m.Load(), Slots: free, Index: m.Index()})
+			st.Load = m.Load()
+			anyFree = true
 		}
-		c.states = states
-		if len(states) == 0 {
+		if !anyFree {
 			return
 		}
 		placed, left := c.pol.Place(c.waiting, states)
@@ -561,8 +581,8 @@ func (c *cell) tryPlace() {
 			}
 		}
 		for _, a := range placed {
-			// Item.Ref is the pool slot and MachineState.Index the
-			// position in ar.machines.
+			// Item.Ref is the pool slot and the machine id the position
+			// in ar.machines.
 			ti, hi := a.Ref, a.Machine
 			t := ar.pool.task(ti)
 			if delay := c.stageDelay(ti, hi); delay > 0 {
@@ -571,13 +591,15 @@ func (c *cell) tryPlace() {
 				c.notePlaced(ti, hi)
 				c.xferWaitS += delay.Seconds()
 				inflight[hi]++
-				c.cl.Sim.After(delay, func() { c.deliver(ti, hi) })
+				c.cl.Sim.After(delay, ar.deliverFn(ti, hi))
 				continue
 			}
 			if err := machines[hi].AddTask(t); err != nil {
-				// Placement raced a policy callback; requeue.
-				c.waiting = append(c.waiting, c.newItem(ti, t.Remaining()))
-				continue
+				// Impossible by construction: a queued task is unplaced
+				// and unfinished, and its slot-derived ID is unique on
+				// the machine. The capacity gate relies on it — nothing
+				// re-enters the queue between passes without a pass.
+				panic(err)
 			}
 			c.notePlaced(ti, hi)
 		}
@@ -653,7 +675,8 @@ func (c *cell) fail(mi int) {
 	}
 	c.ar.down[mi] = true
 	m := c.ar.machines[mi]
-	for _, victim := range m.Tasks() {
+	c.ar.residents = m.AppendTasks(c.ar.residents[:0])
+	for _, victim := range c.ar.residents {
 		killed, err := m.Kill(victim.ID)
 		if err != nil {
 			continue
@@ -709,7 +732,6 @@ func (c *cell) measure(end time.Duration) Indexes {
 	}
 	// Hand the grown scratch capacity back to the arena for the next cell.
 	ar.waiting = c.waiting
-	ar.statesBuf = c.states
 
 	idx := Indexes{Failed: c.failed}
 	c.acc.Finalize(&idx, end, sp.Workload.Tasks)

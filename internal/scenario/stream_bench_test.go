@@ -55,3 +55,72 @@ func BenchmarkStreamingMillion(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// churnCellSpec is a closed owner-churn cell in the shape of the benchmark's
+// sweep_cold world at an eighth of its size: workstations plus a few slotted
+// mimd machines, heavy-tailed checkpointable work, a constrained fraction,
+// owners coming and going and rare machine failures.
+func churnCellSpec() *Spec {
+	return &Spec{
+		Name:     "alloc-budget-churn",
+		HorizonS: 3600,
+		Machines: MachineSetSpec{
+			BandwidthMiBps: Float64(4),
+			Classes: []MachineClassSpec{
+				{Class: "workstation", Count: 30, Speed: Dist{Kind: "uniform", Min: 1, Max: 2}},
+				{Class: "mimd", Count: 2, Slots: 2, Speed: Dist{Kind: "fixed", Value: 6}},
+			},
+		},
+		Workload: WorkloadSpec{
+			Tasks:          256,
+			Work:           Dist{Kind: "pareto", Alpha: 1.6, Xmin: 40},
+			Arrivals:       ArrivalSpec{Kind: "poisson", RatePerS: 256.0 / 1800},
+			ImageMiB:       2,
+			Checkpointable: true,
+			Constrained:    &ConstrainedSpec{Fraction: 0.1, Class: "mimd"},
+		},
+		Owner:  &OwnerSpec{MeanIdleS: 300, MeanBusyS: 120},
+		Faults: &FaultSpec{MTBFHours: 20, DownS: 120},
+		Policies: PolicyMatrix{
+			Scheduling: []string{"utilization-first"},
+			Migration:  []string{"checkpoint"},
+		},
+		Runs: 1,
+		Seed: 1,
+	}
+}
+
+// TestClosedCellAllocationBudget pins what one closed cell allocates on a
+// recycled arena, the sweep executor's steady state. Placement passes, the
+// resident walks of the checkpoint tick and of evacuations, and staged
+// deliveries all reuse arena or policy storage, so what remains is per-cell
+// setup (the policies and their closures) plus the checkpoint records the
+// migration layer writes. A regression that brings back a per-event
+// allocation adds hundreds per cell and fails here.
+func TestClosedCellAllocationBudget(t *testing.T) {
+	sp := churnCellSpec().withDefaults()
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ar, err := newArena(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ar.runCell(context.Background(), "utilization-first", "checkpoint", 0, false, nil); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("%.0f allocations per cell (%.2f per task)", allocs, allocs/float64(sp.Workload.Tasks))
+	// Measured: 1344 (go1.24, linux/amd64), about 92 % of them checkpoint
+	// records. The budget adds 19 % headroom. Allocating the resident walks
+	// and idle-machine lists per event would add about 1500.
+	const budget = 1600
+	if allocs > budget {
+		t.Errorf("one closed churn cell made %.0f allocations on a recycled arena, budget %d", allocs, budget)
+	}
+}

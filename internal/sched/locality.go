@@ -44,11 +44,11 @@ func NewLocality() *Locality { return &Locality{threshold: 2, rejectCap: 128} }
 // Name implements Policy.
 func (*Locality) Name() string { return "locality" }
 
-// SetTopology installs the site model: siteOf maps MachineState.Index to a
-// site id, and cost[a][b] estimates the seconds needed to move one item's
-// dependency payload from site a to site b. Both slices are read, never
-// written, and must outlive subsequent Place calls. A nil siteOf reverts to
-// greedy placement.
+// SetTopology installs the site model: siteOf maps a machine id (its
+// position in the snapshot) to a site id, and cost[a][b] estimates the
+// seconds needed to move one item's dependency payload from site a to site
+// b. Both slices are read, never written, and must outlive subsequent Place
+// calls. A nil siteOf reverts to greedy placement.
 func (l *Locality) SetTopology(siteOf []int, cost [][]float64) {
 	l.siteOf = siteOf
 	l.cost = cost
@@ -59,16 +59,17 @@ func (l *Locality) SetTopology(siteOf []int, cost [][]float64) {
 func (l *Locality) Dropped() []Item { return l.dropped }
 
 // localityScan accumulates one item's candidate scan without per-item
-// closures: the best free machine at the home site, and the best forwarding
-// target (cheapest transfer cost from home, then score; first seen wins
-// ties, so candidate order is the final tie-breaker).
+// closures: the id of the best free machine at the home site, and of the
+// best forwarding target (cheapest transfer cost from home, then score;
+// first seen wins ties, so candidate order is the final tie-breaker). -1
+// means none.
 type localityScan struct {
 	siteOf    []int
 	cost      []float64 // home site's cost row (nil: unknown costs)
 	home      int
-	local     *MachineState
+	local     int
 	localBest float64
-	fwd       *MachineState
+	fwd       int
 	fwdCost   float64
 	fwdBest   float64
 }
@@ -79,33 +80,33 @@ type localityScan struct {
 // depends only on its backlog counters.
 func (s *localityScan) scan(it Item, r *roundState, home int, cost []float64) {
 	s.home, s.cost = home, cost
-	s.local, s.localBest = nil, -1
-	s.fwd, s.fwdCost, s.fwdBest = nil, math.MaxFloat64, -1
+	s.local, s.localBest = -1, -1
+	s.fwd, s.fwdCost, s.fwdBest = -1, math.MaxFloat64, -1
 	if r.free == 0 {
 		return
 	}
 	for _, id := range it.CandidateIDs {
-		s.consider(r.byID(id))
+		s.consider(id, r.byID(id))
 	}
 }
 
-// site resolves a machine's site id, -1 when the index is outside the map.
-func (s *localityScan) site(ms *MachineState) int {
-	if ms.Index < 0 || ms.Index >= len(s.siteOf) {
+// site resolves a machine id's site, -1 when the id is outside the map.
+func (s *localityScan) site(id int) int {
+	if id < 0 || id >= len(s.siteOf) {
 		return -1
 	}
-	return s.siteOf[ms.Index]
+	return s.siteOf[id]
 }
 
-func (s *localityScan) consider(ms *MachineState) {
+func (s *localityScan) consider(id int, ms *MachineState) {
 	if ms == nil || ms.Slots <= 0 {
 		return
 	}
 	score := ms.Machine.Speed / (1 + ms.Load)
-	site := s.site(ms)
+	site := s.site(id)
 	if site == s.home {
 		if score > s.localBest {
-			s.localBest, s.local = score, ms
+			s.localBest, s.local = score, id
 		}
 		return
 	}
@@ -114,7 +115,7 @@ func (s *localityScan) consider(ms *MachineState) {
 		c = s.cost[site]
 	}
 	if c < s.fwdCost || (c == s.fwdCost && score > s.fwdBest) {
-		s.fwdCost, s.fwdBest, s.fwd = c, score, ms
+		s.fwdCost, s.fwdBest, s.fwd = c, score, id
 	}
 }
 
@@ -137,7 +138,7 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 		home := it.HomeSite - 1
 		if l.siteOf == nil || home < 0 || home >= nsites {
 			// No topology or no affinity: greedy best fit.
-			if best := round.pickBest(it, false); best != nil {
+			if best := round.pickBest(it, false); best >= 0 {
 				placed = append(placed, round.assign(it, best))
 			} else {
 				waiting = append(waiting, it)
@@ -146,7 +147,7 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 		}
 		sc.scan(it, &round, home, l.cost[home])
 		best := sc.local
-		if best == nil {
+		if best < 0 {
 			// Home site full: wait a little, forward under pressure.
 			l.backlog[home]++
 			if l.backlog[home] <= l.threshold {
@@ -154,7 +155,7 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 				continue
 			}
 			best = sc.fwd
-			if best == nil {
+			if best < 0 {
 				if l.backlog[home] > l.rejectCap {
 					l.dropped = append(l.dropped, it)
 				} else {
@@ -165,6 +166,5 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 		}
 		placed = append(placed, round.assign(it, best))
 	}
-	round.release()
 	return placed, waiting
 }

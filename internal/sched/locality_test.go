@@ -6,8 +6,9 @@ import (
 	"vce/internal/taskgraph"
 )
 
-// siteMachine builds a MachineState with a dense Index (the locality site
-// map is Index-keyed).
+// siteMachine builds a MachineState for position idx of a snapshot: the
+// deprecated Index mirrors the position, which is what the reference
+// placement in round_test.go searches by.
 func siteMachine(name string, idx int, speed float64, slots int) MachineState {
 	m := ws(name, speed, 0, slots)
 	m.Index = idx
@@ -28,10 +29,11 @@ func twoSiteWorld() ([]MachineState, []int, [][]float64) {
 	return machines, siteOf, cost
 }
 
+// indexes names every machine of a snapshot by its id, its position.
 func indexes(machines []MachineState) []int {
 	var ids []int
-	for _, m := range machines {
-		ids = append(ids, m.Index)
+	for i := range machines {
+		ids = append(ids, i)
 	}
 	return ids
 }

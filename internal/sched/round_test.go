@@ -140,25 +140,30 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 	return placed, waiting, dropped
 }
 
-// randomRound draws one placement round: a snapshot of up to 8 machines over
-// 3 sites (slot counts include zero, and one round in four is exhausted
-// outright), and up to 40 items with one- and many-candidate sets, ghost
-// candidates that name no machine of the snapshot, and HomeSite unset, valid
-// and out of range.
+// randomRound draws one placement round: a positional snapshot of 8
+// machines over 3 sites, of which a random subset takes part in the round
+// and the rest are present with Slots 0 (slot counts include zero anyway,
+// and one round in four is exhausted outright), and up to 40 items with
+// one- and many-candidate sets, ghost candidates at or beyond the snapshot's
+// length, and HomeSite unset, valid and out of range.
 func randomRound(rng *rand.Rand) (items []Item, machines []MachineState, siteOf []int) {
-	const fleet = 10 // ids 8 and 9 are ghosts: never in the snapshot
+	const snapshot, fleet = 8, 10 // ids 8 and 9 are ghosts: past the snapshot
 	siteOf = make([]int, fleet)
 	for i := range siteOf {
 		siteOf[i] = rng.Intn(3)
 	}
 	exhausted := rng.Intn(4) == 0
-	for _, idx := range rng.Perm(8)[:1+rng.Intn(8)] {
+	machines = make([]MachineState, snapshot)
+	for idx := range machines {
+		machines[idx] = siteMachine(fmt.Sprintf("m%d", idx), idx, 1, 0)
+	}
+	for _, idx := range rng.Perm(snapshot)[:1+rng.Intn(snapshot)] {
 		m := siteMachine(fmt.Sprintf("m%d", idx), idx, float64(1+rng.Intn(3)), rng.Intn(3))
 		m.Load = float64(rng.Intn(3)) / 2
 		if exhausted {
 			m.Slots = 0
 		}
-		machines = append(machines, m)
+		machines[idx] = m
 	}
 	for i := rng.Intn(41); i > 0; i-- {
 		ids := rng.Perm(fleet)[:1+rng.Intn(fleet)]
@@ -172,10 +177,10 @@ func randomRound(rng *rand.Rand) (items []Item, machines []MachineState, siteOf 
 }
 
 // TestPlaceMatchesExhaustiveReference holds every policy to the naive
-// reference over a few hundred random rounds: the round budget and the id
-// table must not change a single placement, the waiting order, or what
-// Locality drops. One policy value serves every round, so scratch reuse
-// across rounds is covered too.
+// reference over a few hundred random rounds: the round budget and the
+// positional id lookup must not change a single placement, the waiting
+// order, or what Locality drops. One policy value serves every round, so
+// scratch reuse across rounds is covered too.
 func TestPlaceMatchesExhaustiveReference(t *testing.T) {
 	cost := [][]float64{{0, 1, 5}, {1, 0, 1}, {5, 1, 0}}
 	loc := NewLocality()
@@ -220,9 +225,10 @@ func taskIDs(items []Item) []taskgraph.TaskID {
 }
 
 // TestPlaceRoundBoundedByFreeSlots is the streaming cell's steady state
-// scaled up: one machine with one free slot, 4096 waiting items that each
-// admit 4096 machines. The first item takes the slot; the other 4095 must
-// join the waiting output without their candidates being resolved. An
+// scaled up: a 4096-machine snapshot in which only the last machine has a
+// free slot, and 4096 waiting items that each admit every machine. The
+// first item takes the slot; the other 4095 must join the waiting output
+// without their candidates being resolved. An
 // exhaustive scan resolves 50 × 4096 × 4096 ≈ 8 × 10⁸ ids per policy
 // (seconds); a round bounded by its budget takes about a millisecond.
 func TestPlaceRoundBoundedByFreeSlots(t *testing.T) {
@@ -236,13 +242,18 @@ func TestPlaceRoundBoundedByFreeSlots(t *testing.T) {
 	for i := range items {
 		items[i] = Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", i)), Ref: i, CandidateIDs: ids, Work: 1, HomeSite: 1}
 	}
+	machines := make([]MachineState, n)
+	for i := range machines {
+		machines[i] = siteMachine(fmt.Sprintf("m%d", i), i, 1, 0)
+	}
 	loc := NewLocality()
 	loc.rejectCap = n
 	loc.SetTopology(siteOf, [][]float64{{0}})
 	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
 		start := time.Now()
 		for round := 0; round < 50; round++ {
-			placed, waiting := p.Place(items, []MachineState{siteMachine("free", n-1, 1, 1)})
+			machines[n-1].Slots = 1 // the previous round spent it
+			placed, waiting := p.Place(items, machines)
 			if len(placed) != 1 || placed[0].Ref != 0 || placed[0].Machine != n-1 || len(waiting) != n-1 || waiting[0].Task != "t1" {
 				t.Fatalf("%s: placed %v, %d waiting; want t0 placed and the other %d waiting in order", p.Name(), placed, len(waiting), n-1)
 			}
@@ -253,26 +264,46 @@ func TestPlaceRoundBoundedByFreeSlots(t *testing.T) {
 	}
 }
 
-// TestPlaceForgetsPreviousSnapshot reuses one snapshot buffer the way the
-// scenario engine does: round 1 holds machines 0 and 5 (5 with free slots
-// left over), round 2 only machine 0 in the same backing array. An item
-// whose one candidate is 5 must wait in round 2 — the id table keeps no
-// entry from an earlier round, however much of the old backing survives.
+// TestPlaceForgetsPreviousSnapshot reuses one snapshot buffer: round 1
+// holds machines 0 and 1 (1 with free slots left over), round 2 only
+// machine 0, a prefix of the same backing array. An item whose one
+// candidate is 1 must wait in round 2 — an id at or past the snapshot's
+// length resolves to nothing, however much of the old backing survives.
 func TestPlaceForgetsPreviousSnapshot(t *testing.T) {
 	loc := NewLocality()
 	loc.SetTopology(make([]int, 6), [][]float64{{0}})
 	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
-		buf := []MachineState{siteMachine("m0", 0, 1, 1), siteMachine("m5", 5, 1, 3)}
+		buf := []MachineState{siteMachine("m0", 0, 1, 1), siteMachine("m1", 1, 1, 3)}
 		first := []Item{{Task: "t0", Ref: 7, CandidateIDs: []int{0}, HomeSite: 1}}
 		placed, waiting := p.Place(first, buf)
 		if len(placed) != 1 || placed[0] != (Assignment{Ref: 7, Machine: 0}) || len(waiting) != 0 {
 			t.Fatalf("%s round 1: placed %v, %d waiting; want t0 on machine 0", p.Name(), placed, len(waiting))
 		}
 		buf[0] = siteMachine("m0", 0, 1, 1)
-		second := []Item{{Task: "t1", Ref: 8, CandidateIDs: []int{5}, HomeSite: 1}}
+		second := []Item{{Task: "t1", Ref: 8, CandidateIDs: []int{1}, HomeSite: 1}}
 		placed, waiting = p.Place(second, buf[:1])
 		if len(placed) != 0 || len(waiting) != 1 {
 			t.Fatalf("%s round 2: placed %v on a machine absent from the snapshot", p.Name(), placed)
 		}
+	}
+}
+
+// TestPlaceReservationsDoNotOutliveRound reuses one snapshot the way the
+// scenario engine does, refreshing only Slots between rounds. Round 1
+// leaves a constrained item waiting on full machine 1, which reserves it.
+// In round 2 only a flexible item waits and machine 1 has a slot again: no
+// constrained item needs it now, so the flexible item must take it.
+func TestPlaceReservationsDoNotOutliveRound(t *testing.T) {
+	p := NewUtilizationFirst()
+	snapshot := []MachineState{ws("A", 1, 0, 0), ws("B", 1, 0, 0)}
+	pinned := []Item{{Task: "pinned", Ref: 0, CandidateIDs: []int{1}}}
+	if placed, waiting := p.Place(pinned, snapshot); len(placed) != 0 || len(waiting) != 1 {
+		t.Fatalf("round 1: placed %v, %d waiting; want the pinned item waiting", placed, len(waiting))
+	}
+	snapshot[1].Slots = 1
+	flexible := []Item{{Task: "flexible", Ref: 1, CandidateIDs: []int{0, 1}}}
+	placed, _ := p.Place(flexible, snapshot)
+	if len(placed) != 1 || placed[0] != (Assignment{Ref: 1, Machine: 1}) {
+		t.Fatalf("round 2: placed %v, want the flexible item on machine 1 (round 1's reservation is gone)", placed)
 	}
 }

@@ -7,15 +7,16 @@
 //
 // The placement contract (Policy.Place) is shaped by its event-frequency
 // caller, the scenario engine, which re-places its whole waiting queue
-// against the machines that are idle now on every arrival and completion.
-// It speaks one identity, dense ints: every MachineState carries the
-// caller's Index, an Item names its admissible machines by those ids
-// (CandidateIDs, resolved by array index) and carries the caller's Ref, and
-// an Assignment hands back the item's Ref and the chosen machine's Index, so
-// the caller resolves no name to act on it. Task and machine names are
-// labels only. A round ends when nothing is free — once the snapshot's slots
-// are spent the remaining items wait without their candidates being looked
-// at, so a round costs what it can place, not waiting items × candidates.
+// against its machines' free capacity on every arrival and completion. It
+// speaks one identity, dense ints: a machine's id is its position in the
+// snapshot, an Item names its admissible machines by those ids
+// (CandidateIDs, resolved by indexing the snapshot) and carries the caller's
+// Ref, and an Assignment hands back the item's Ref and the chosen machine's
+// position, so the caller resolves no name to act on it. Task and machine
+// names are labels only. A round ends when nothing is free — once the
+// snapshot's slots are spent the remaining items wait without their
+// candidates being looked at, so a round costs what it can place, not
+// waiting items × candidates.
 package sched
 
 import (
@@ -81,7 +82,10 @@ func SelectBest(bids []Bid, n int) (machines []string, ok bool) {
 	return machines, len(machines) == n
 }
 
-// MachineState is a scheduler's snapshot of one machine.
+// MachineState is a scheduler's snapshot of one machine. A snapshot is the
+// whole fleet in the caller's order: a machine's id is its position in the
+// slice, and a machine that takes nothing this round is present with
+// Slots 0 (its Load is then never read).
 type MachineState struct {
 	// Machine is the hardware description.
 	Machine arch.Machine
@@ -90,10 +94,7 @@ type MachineState struct {
 	// Slots is how many additional tasks this machine accepts in this
 	// placement round.
 	Slots int
-	// Index is the caller-assigned dense id (e.g. the simulator's
-	// Machine.Index), unique within the snapshot: what Item.CandidateIDs
-	// entries name, what Assignment.Machine reports and what a Locality
-	// site map is keyed by.
+	// Deprecated: not read; a machine's id is its position in the snapshot.
 	Index int
 
 	// scarce is UtilizationFirst's internal reservation count: waiting
@@ -111,10 +112,10 @@ type Item struct {
 	// Deprecated: not read; CandidateIDs is the admissible set.
 	Candidates []string
 	// CandidateIDs is the admissible set (already filtered by
-	// requirements), as MachineState.Index values (the caller assigned its
-	// states unique ones): policies resolve each by array index, no name
-	// hashing. Entries that name no machine of the snapshot are skipped;
-	// entry order breaks score ties.
+	// requirements), as positions in the machines snapshot: policies
+	// resolve each by indexing it, no name hashing. Ids outside
+	// [0, len(machines)) resolve to nothing and are skipped; entry order
+	// breaks score ties.
 	CandidateIDs []int
 	// Work is the instance's expected work, used by cost heuristics.
 	Work float64
@@ -129,7 +130,7 @@ type Item struct {
 type Assignment struct {
 	// Ref is the placed item's Item.Ref.
 	Ref int
-	// Machine is the chosen machine's MachineState.Index.
+	// Machine is the chosen machine's position in the snapshot.
 	Machine int
 }
 
@@ -139,20 +140,21 @@ type Policy interface {
 	Name() string
 	// Place returns assignments and the items it chose to leave waiting.
 	// Implementations must not mutate items. The machines slice is the
-	// policy's working state for the round — Slots (and load estimates)
-	// are consumed in place as assignments are made, so callers that need
-	// the snapshot afterwards must pass a copy. Batch callers rebuild the
-	// snapshot per round anyway, and not copying keeps the per-event
-	// placement path allocation-lean. A round is bounded by what is free:
-	// once the snapshot's slots are spent, the remaining items join the
-	// waiting output without their candidates being resolved.
+	// positional fleet snapshot and the policy's working state for the
+	// round — Slots (and load estimates) are consumed in place as
+	// assignments are made, so callers that need the snapshot afterwards
+	// must pass a copy. The scenario engine keeps one snapshot per cell and
+	// refreshes Slots and Load before each round, so afterwards it reads
+	// the capacity the round left. A round is bounded by what is free: once
+	// the snapshot's slots are spent, the remaining items join the waiting
+	// output without their candidates being resolved.
 	Place(items []Item, machines []MachineState) ([]Assignment, []Item)
 }
 
-// placeScratch is a policy's reusable round storage: the id-resolution
-// table, the ordering permutation, and the output buffers. Every policy
-// carries one by value, so repeated Place calls on one policy place rounds
-// allocation-free in steady state.
+// placeScratch is a policy's reusable round storage: the ordering
+// permutation and the output buffers. Every policy carries one by value, so
+// repeated Place calls on one policy place rounds allocation-free in steady
+// state.
 //
 // The output Item buffer is double-buffered because of how batch callers
 // loop: round N's waiting output is round N+1's items input, so the policy
@@ -160,11 +162,10 @@ type Policy interface {
 // Assignments have no such feedback (callers consume them before the next
 // round), so one buffer suffices.
 type placeScratch struct {
-	byIndex []*MachineState
-	order   []int
-	placed  []Assignment
-	items   [2][]Item
-	flip    int
+	order  []int
+	placed []Assignment
+	items  [2][]Item
+	flip   int
 }
 
 // outBuffers returns empty placed/waiting buffers for one round of at most
@@ -208,13 +209,12 @@ func (*GreedyBestFit) Name() string { return "greedy-best-fit" }
 func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
 	round, placed, waiting := newRound(items, machines, &p.scratch)
 	for _, it := range items {
-		if best := round.pickBest(it, false); best != nil {
+		if best := round.pickBest(it, false); best >= 0 {
 			placed = append(placed, round.assign(it, best))
 		} else {
 			waiting = append(waiting, it)
 		}
 	}
-	round.release()
 	return placed, waiting
 }
 
@@ -240,8 +240,8 @@ func (*UtilizationFirst) Name() string { return "utilization-first" }
 func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
 	round, placed, waiting := newRound(items, machines, &p.scratch)
 	// A machine's scarce count tracks waiting constrained items for which
-	// it is the only candidate. Ids absent from the snapshot are skipped
-	// as candidates anyway, so their demand can be dropped here. The same
+	// it is the only candidate. Ids outside the snapshot are skipped as
+	// candidates anyway, so their demand can be dropped here. The same
 	// pass collects the distinct candidate-set sizes (almost always ≤ 2:
 	// one pinned class plus "any machine").
 	lenA, lenB := -1, -1 // distinct candidate-set sizes seen (at most two tracked)
@@ -306,91 +306,75 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 		// Flexible items skip machines reserved for tasks that can run
 		// nowhere else.
 		best := round.pickBest(it, !constrained)
-		if best == nil {
+		if best < 0 {
 			waiting = append(waiting, it)
 			continue
 		}
 		if constrained {
-			best.scarce--
+			round.machines[best].scarce--
 		}
 		placed = append(placed, round.assign(it, best))
 	}
-	round.release()
 	return placed, waiting
 }
 
-// roundState wraps the caller's machine states as the round's working set
-// (the Policy contract hands the slice to the policy; no defensive copy).
-// free is the round's budget: the snapshot's unspent slots, counted once at
-// the start and decremented per assignment. byIndex is the scratch's id
-// table: it holds one entry per snapshot machine during the round and is all
-// nil between rounds.
+// roundState wraps the caller's positional snapshot as the round's working
+// set (the Policy contract hands the slice to the policy; no defensive
+// copy). free is the round's budget: the snapshot's unspent slots, counted
+// once at the start and decremented per assignment.
 type roundState struct {
-	backing []MachineState
-	free    int
-	byIndex []*MachineState
+	machines []MachineState
+	free     int
 }
 
 // newRound opens a round over machines and returns it with empty
 // placed/waiting buffers: placements are bounded by the free slots and the
 // items offered, waiting by the items offered. The pass that sums the free
-// slots also sets the id-table entry of every snapshot machine — no hashing,
-// and no pass over ids the snapshot does not hold.
+// slots also zeroes every machine's scarce count, since a caller's snapshot
+// outlives the round that set them.
 func newRound(items []Item, machines []MachineState, s *placeScratch) (roundState, []Assignment, []Item) {
 	free := 0
-	t := s.byIndex
 	for i := range machines {
 		ms := &machines[i]
 		if ms.Slots > 0 {
 			free += ms.Slots
 		}
-		if ms.Index >= len(t) {
-			t = append(t, make([]*MachineState, ms.Index+1-len(t))...)
-		}
-		t[ms.Index] = ms
+		ms.scarce = 0
 	}
-	s.byIndex = t
 	placed, waiting := s.outBuffers(min(free, len(items)), len(items))
-	return roundState{backing: machines, free: free, byIndex: t}, placed, waiting
+	return roundState{machines: machines, free: free}, placed, waiting
 }
 
-// assign books it onto ms, spending one of the machine's slots and one unit
-// of the round's budget.
-func (r *roundState) assign(it Item, ms *MachineState) Assignment {
+// assign books it onto machine id, spending one of the machine's slots and
+// one unit of the round's budget.
+func (r *roundState) assign(it Item, id int) Assignment {
+	ms := &r.machines[id]
 	ms.Slots--
 	r.free--
 	ms.Load += loadIncrement(it, ms.Machine)
-	return Assignment{Ref: it.Ref, Machine: ms.Index}
+	return Assignment{Ref: it.Ref, Machine: id}
 }
 
-// byID resolves a caller-assigned MachineState.Index to its snapshot entry,
-// nil when the id names no machine in this round.
+// byID resolves a machine id, a position in the snapshot, to its entry; nil
+// when the id is outside the snapshot.
 func (r *roundState) byID(id int) *MachineState {
-	if id < 0 || id >= len(r.byIndex) {
+	if id < 0 || id >= len(r.machines) {
 		return nil
 	}
-	return r.byIndex[id]
+	return &r.machines[id]
 }
 
-// release ends the round: it clears the id-table entries newRound set, so
-// the next round's table holds only its own snapshot.
-func (r *roundState) release() {
-	for i := range r.backing {
-		r.byIndex[r.backing[i].Index] = nil
-	}
-}
-
-// pickBest scans one item's candidate ids and returns the best-scoring
-// machine with a free slot, nil when none qualifies. With the round's budget
-// spent none can, so nothing is resolved. Equal scores keep the earliest
-// candidate, so candidate order is the tie-breaker. With skipReserved,
-// machines carrying scarce reservations are passed over (UtilizationFirst's
-// flexible items).
-func (r *roundState) pickBest(it Item, skipReserved bool) *MachineState {
+// pickBest scans one item's candidate ids and returns the id of the
+// best-scoring machine with a free slot, -1 when none qualifies. With the
+// round's budget spent none can, so nothing is resolved. Equal scores keep
+// the earliest candidate, so candidate order is the tie-breaker. With
+// skipReserved, machines carrying scarce reservations are passed over
+// (UtilizationFirst's flexible items).
+func (r *roundState) pickBest(it Item, skipReserved bool) int {
 	if r.free == 0 {
-		return nil
+		return -1
 	}
-	var best *MachineState
+	best := -1
 	bestScore := -1.0
 	for _, id := range it.CandidateIDs {
 		ms := r.byID(id)
@@ -398,7 +382,7 @@ func (r *roundState) pickBest(it Item, skipReserved bool) *MachineState {
 			continue
 		}
 		if score := ms.Machine.Speed / (1 + ms.Load); score > bestScore {
-			bestScore, best = score, ms
+			bestScore, best = score, id
 		}
 	}
 	return best

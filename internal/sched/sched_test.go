@@ -17,15 +17,8 @@ func ws(name string, speed float64, load float64, slots int) MachineState {
 	}
 }
 
-// fleet numbers machines by position: the Index an Assignment reports.
-func fleet(machines ...MachineState) []MachineState {
-	for i := range machines {
-		machines[i].Index = i
-	}
-	return machines
-}
-
-// onto maps each placed item's task to its machine's name.
+// onto maps each placed item's task to its machine's name. A machine's id is
+// its position in the snapshot.
 func onto(placed []Assignment, items []Item, machines []MachineState) map[taskgraph.TaskID]string {
 	got := map[taskgraph.TaskID]string{}
 	for _, a := range placed {
@@ -100,10 +93,10 @@ func machineAScenario() ([]Item, []MachineState) {
 		{Task: "portable", Ref: 0, CandidateIDs: []int{0, 1}, Work: 10},
 		{Task: "pinned", Ref: 1, CandidateIDs: []int{0}, Work: 10},
 	}
-	machines := fleet(
+	machines := []MachineState{
 		ws("A", 4, 0, 1), // fast, uniquely capable
 		ws("B", 1, 0, 1), // slow but universal
-	)
+	}
 	return items, machines
 }
 
@@ -142,10 +135,10 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 	// wait even though the machine could host it ("the second job should
 	// be made to wait", §4.3).
 	items := []Item{
-		{Task: "flexible", Ref: 0, CandidateIDs: []int{0, 1}, Work: 1}, // machine 1 is not in the snapshot
+		{Task: "flexible", Ref: 0, CandidateIDs: []int{0, 1}, Work: 1}, // id 1 is past the snapshot
 		{Task: "pinned", Ref: 1, CandidateIDs: []int{0}, Work: 1},
 	}
-	machines := fleet(ws("A", 1, 0, 1))
+	machines := []MachineState{ws("A", 1, 0, 1)}
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 1 || items[placed[0].Ref].Task != "pinned" {
 		t.Fatalf("placed = %v, want only pinned", placed)
@@ -157,7 +150,7 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 
 func TestUtilizationFirstUsesScarceMachineWhenNoScarceDemand(t *testing.T) {
 	items := []Item{{Task: "flexible", CandidateIDs: []int{0, 1}, Work: 1}}
-	machines := fleet(ws("A", 4, 0, 1), ws("B", 1, 0, 1))
+	machines := []MachineState{ws("A", 4, 0, 1), ws("B", 1, 0, 1)}
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(waiting) != 0 || len(placed) != 1 {
 		t.Fatalf("placed=%v waiting=%v", placed, waiting)
@@ -218,7 +211,7 @@ func TestPlaceReadsOnlyCandidateIDs(t *testing.T) {
 	loc := NewLocality()
 	loc.SetTopology([]int{0, 0}, [][]float64{{0}})
 	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
-		machines := fleet(ws("A", 4, 0, 2), ws("B", 1, 0, 2))
+		machines := []MachineState{ws("A", 4, 0, 2), ws("B", 1, 0, 2)}
 		items := []Item{
 			{Task: "both", Ref: 0, Candidates: []string{"A"}, CandidateIDs: []int{1}, HomeSite: 1},
 			{Task: "names", Ref: 1, Candidates: []string{"A", "B"}, HomeSite: 1},
@@ -239,7 +232,7 @@ func TestMultiInstancePlacementSpreads(t *testing.T) {
 		{Task: "mc", Ref: 1, CandidateIDs: []int{0, 1, 2}},
 		{Task: "mc", Ref: 2, CandidateIDs: []int{0, 1, 2}},
 	}
-	machines := fleet(ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1))
+	machines := []MachineState{ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1)}
 	placed, waiting := NewUtilizationFirst().Place(items, machines)
 	if len(placed) != 3 || len(waiting) != 0 {
 		t.Fatalf("placed=%d waiting=%d", len(placed), len(waiting))

@@ -32,7 +32,7 @@ type Cluster struct {
 	notifying bool
 	pending   []*Machine
 	// speedOrder caches machines by descending speed (stable on
-	// registration order) for IdleMachines; invalidated by AddMachine.
+	// registration order) for AppendIdleMachines; invalidated by AddMachine.
 	speedOrder []*Machine
 }
 
@@ -203,11 +203,13 @@ func (c *Cluster) TransferTime(src, dst string, bytes int64) (time.Duration, err
 	return c.Net.TransferTime(src, dst, bytes)
 }
 
-// IdleMachines returns machines with local load below threshold and no
-// resident remote tasks, sorted by descending speed — the free-parallelism
-// harvest set (§4.5). Speeds are fixed at registration, so the speed order
-// is computed once per fleet and each call is a filter pass, not a sort.
-func (c *Cluster) IdleMachines(threshold float64) []*Machine {
+// AppendIdleMachines appends the machines with local load below threshold
+// and no resident remote tasks to dst, by descending speed — the
+// free-parallelism harvest set (§4.5) — and returns the extended slice.
+// Speeds are fixed at registration, so the speed order is computed once per
+// fleet and each call is a filter pass, not a sort; callers reuse one buffer
+// across calls (AppendIdleMachines(buf[:0], threshold)).
+func (c *Cluster) AppendIdleMachines(dst []*Machine, threshold float64) []*Machine {
 	if c.speedOrder == nil && len(c.order) > 0 {
 		c.speedOrder = make([]*Machine, 0, len(c.order))
 		for _, name := range c.order {
@@ -217,13 +219,12 @@ func (c *Cluster) IdleMachines(threshold float64) []*Machine {
 			return c.speedOrder[i].Spec.Speed > c.speedOrder[j].Spec.Speed
 		})
 	}
-	var out []*Machine
 	for _, m := range c.speedOrder {
 		if m.localLoad < threshold && len(m.ordered) == 0 {
-			out = append(out, m)
+			dst = append(dst, m)
 		}
 	}
-	return out
+	return dst
 }
 
 // LeastLoaded returns the n least-loaded machines admitted by req (what a

@@ -23,7 +23,9 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"vce/internal/arch"
@@ -466,13 +468,18 @@ func (m *Machine) SetSuspended(s bool) {
 	m.cluster.notifyChange(m)
 }
 
-// Tasks returns the resident tasks (copy) in ID order, so policies that walk
-// residents (migration evacuation) behave deterministically.
-func (m *Machine) Tasks() []*Task {
-	out := make([]*Task, len(m.ordered))
-	copy(out, m.ordered)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// AppendTasks appends the resident tasks to dst in ID order, so policies
+// that walk residents (migration evacuation) behave deterministically, and
+// returns the extended slice. Only the appended part is sorted. The result
+// is a copy: callers may add and remove residents while walking it, and
+// reuse one buffer across calls (AppendTasks(buf[:0])).
+func (m *Machine) AppendTasks(dst []*Task) []*Task {
+	n := len(dst)
+	dst = append(dst, m.ordered...)
+	// IDs are unique on a machine, so the order is total; the generic sort
+	// boxes nothing, where sort.Slice would allocate per call.
+	slices.SortFunc(dst[n:], func(a, b *Task) int { return strings.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // Sync accrues progress up to the current virtual instant so observers

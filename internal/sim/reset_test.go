@@ -42,7 +42,7 @@ func clusterScript(t *testing.T, c *Cluster) map[string]time.Duration {
 	c.Sim.At(90*time.Second, func() { machines[2].SetSuspended(false) })
 	c.Sim.At(65*time.Second, func() {
 		// Kill whatever runs on machine 3 and restart it there from scratch.
-		for _, victim := range machines[3].Tasks() {
+		for _, victim := range machines[3].AppendTasks(nil) {
 			killed, err := machines[3].Kill(victim.ID)
 			if err != nil {
 				t.Errorf("kill %s: %v", victim.ID, err)

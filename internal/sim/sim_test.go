@@ -293,15 +293,19 @@ func TestIdleMachines(t *testing.T) {
 	slow, _ := c.AddMachine(ws("slow", 1))
 	busy, _ := c.AddMachine(ws("busy", 2))
 	busy.SetLocalLoad(0.9)
-	_ = slow
-	idle := c.IdleMachines(0.5)
+	idle := c.AppendIdleMachines(nil, 0.5)
 	if len(idle) != 2 || idle[0] != fast {
 		t.Fatalf("idle = %v", names(idle))
 	}
 	_ = fast.AddTask(&Task{ID: "t", Work: 100})
-	idle = c.IdleMachines(0.5)
+	idle = c.AppendIdleMachines(idle[:0], 0.5)
 	if len(idle) != 1 || idle[0].Name() != "slow" {
 		t.Fatalf("idle after placement = %v", names(idle))
+	}
+	// Appending keeps what dst already holds.
+	idle = c.AppendIdleMachines([]*Machine{busy}, 0.5)
+	if len(idle) != 2 || idle[0] != busy || idle[1] != slow {
+		t.Fatalf("appended idle = %v, want [busy slow]", names(idle))
 	}
 }
 
@@ -383,7 +387,7 @@ func TestPendingDoesNotGrowWithRescheduleStorms(t *testing.T) {
 		t.Fatalf("pending = %d after 1000 reschedules, want 1", got)
 	}
 	// Killing every task cancels the last completion event too.
-	for _, tk := range m.Tasks() {
+	for _, tk := range m.AppendTasks(nil) {
 		if _, err := m.Kill(tk.ID); err != nil {
 			t.Fatal(err)
 		}
