@@ -92,9 +92,11 @@ type runArena struct {
 	inflight []int
 	waiting  []sched.Item
 	// states backs the cell's fleet snapshot (cell.states), one entry per
-	// machine; residents is the checkpoint tick's and the fault handler's
-	// resident walk buffer.
+	// machine, and stale/isStale its stale set (cell.stale); residents is
+	// the checkpoint tick's and the fault handler's resident walk buffer.
 	states    []sched.MachineState
+	stale     []int
+	isStale   []bool
 	residents []*sim.Task
 
 	// Per-cell DAG scratch (see prepare): readiness countdown, the instant
@@ -321,11 +323,15 @@ func (ar *runArena) prepare(run int) error {
 	ar.down = resetFill(ar.down, nm, false)
 	ar.ownerLoad = resetFill(ar.ownerLoad, nm, 0)
 	ar.inflight = resetFill(ar.inflight, nm, 0)
-	// The cell's fleet snapshot starts with nothing free; the first pass
-	// fills each machine's Slots. Specs are per run, so it is rebuilt here.
+	// The cell's fleet snapshot starts with nothing free and every machine
+	// stale; the first pass fills each machine's Slots. Specs are per run,
+	// so it is rebuilt here.
 	ar.states = resetFill(ar.states, nm, sched.MachineState{})
+	ar.isStale = resetFill(ar.isStale, nm, true)
+	ar.stale = ar.stale[:0]
 	for i, m := range ar.machines {
 		ar.states[i].Machine = m.Spec
+		ar.stale = append(ar.stale, i)
 	}
 	ar.waiting = ar.waiting[:0]
 	ar.acc.Reset()

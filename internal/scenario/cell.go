@@ -102,12 +102,23 @@ type cell struct {
 
 	waiting []sched.Item
 	// states is the cell's one fleet snapshot, built by prepare: entry i
-	// is ar.machines[i], so a machine's placement id is its position. Each
-	// pass refreshes Slots and Load in place, and Place spends Slots as it
-	// assigns, so between passes states[i].Slots is the free capacity the
-	// last pass left machine i — what the change listener's capacity gate
-	// compares against.
+	// is ar.machines[i], so a machine's placement id is its position. A
+	// pass re-derives Slots and Load (freeSlots, Machine.Load) only for the
+	// machines in the stale set, and Place spends Slots as it assigns, so
+	// between passes states[i].Slots is the free capacity the last pass
+	// left machine i — what the change listener's capacity gate compares
+	// against. free is the sum of every entry's Slots.
 	states []sched.MachineState
+	free   int
+	// stale lists, once each (isStale marks membership), the machines
+	// whose entry may no longer be what freeSlots and Machine.Load would
+	// derive. Every write to what those read marks its machine (markStale
+	// lists the writers), so a pass touches only what changed.
+	stale   []int
+	isStale []bool
+	// auditor, set on audited runs, receives a violation for every entry
+	// (and the free total) a pass finds different from a full re-derivation.
+	auditor *sim.Auditor
 	// tryPlace is re-entered through cluster change notifications (AddTask
 	// fires OnChange, which calls tryPlace): the guard collapses re-entrant
 	// calls into one extra pass after the current one finishes, so every
@@ -176,6 +187,7 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 	if err != nil {
 		return Indexes{}, err
 	}
+	c.auditor = auditor
 
 	// A cancellable ctx installs a self-rescheduling probe that halts the
 	// kernel once ctx is done. Probes never touch world state or random
@@ -255,6 +267,7 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		ar: ar, cl: cl, acc: &ar.acc,
 		key: schedName + "/" + migration, run: run,
 		waiting: ar.waiting, states: ar.states,
+		stale: ar.stale, isStale: ar.isStale,
 	}
 	c.onDone = c.taskDone
 	if sp.Owner != nil {
@@ -294,7 +307,8 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		}
 		cl.Sim.After(interval, ckTick)
 	}
-	// Owner departures and completions free capacity: a change that leaves
+	// Every change makes its machine's snapshot entry stale. Owner
+	// departures and completions free capacity: a change that leaves
 	// machine i more free slots than the last pass left it (states[i].Slots)
 	// gets a pass. A pass after any other change could not place or drop
 	// anything (DESIGN §4, "Passes only on new capacity"), so the change
@@ -302,10 +316,11 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 	// out, and the backlog integral sees the same samples.
 	cl.OnChange(func(m *sim.Machine, now time.Duration) {
 		i := m.Index()
+		c.markStale(i)
 		if m.LocalLoad() >= migrateHi || ar.down[i] {
 			return
 		}
-		if ar.slots[i]-m.RemoteTasks()-ar.inflight[i] > c.states[i].Slots {
+		if c.freeSlots(i) > c.states[i].Slots {
 			c.tryPlace()
 		} else if !c.placing {
 			c.acc.NoteQueueDepth(now, len(c.waiting))
@@ -528,6 +543,75 @@ func (c *cell) settle() {
 	c.acc.NoteQueueDepth(c.cl.Sim.Now(), len(c.waiting))
 }
 
+// freeSlots derives machine i's snapshot capacity: its free slots less the
+// deliveries in transit to it (DAG data staging reserves its slot up front,
+// so a later placement round can't spend it). Down machines and
+// owner-occupied machines take no new placements (the DAWGS idle-placement
+// discipline); residents are the migration/suspension policies' problem.
+// Like full machines they get 0.
+func (c *cell) freeSlots(i int) int {
+	ar := c.ar
+	m := ar.machines[i]
+	if ar.down[i] || m.LocalLoad() >= migrateHi {
+		return 0
+	}
+	return max(0, ar.slots[i]-m.RemoteTasks()-ar.inflight[i])
+}
+
+// markStale adds machine i to the stale set. The writers of what
+// freeSlots and Machine.Load read, and where each marks:
+//   - every change notification (a placement, completion, kill or owner
+//     step), in the listener before its gates;
+//   - the completing host, in taskDone: OnDone fires before that machine's
+//     notification, and the completion's own passes must see the freed slot;
+//   - every machine a pass assigned to: Place left its in-round Load
+//     estimate in the entry, and the AddTask notification can queue behind
+//     the next pass;
+//   - deliver (inflight), fail and repair (down);
+//   - cell start (prepare lists every machine).
+func (c *cell) markStale(i int) {
+	if !c.isStale[i] {
+		c.isStale[i] = true
+		c.stale = append(c.stale, i)
+	}
+}
+
+// refreshStale re-derives the stale machines' snapshot entries and keeps
+// free in step. A policy never reads the Load of a machine without a free
+// slot, so theirs is not derived.
+func (c *cell) refreshStale() {
+	machines := c.ar.machines
+	for _, i := range c.stale {
+		c.isStale[i] = false
+		st := &c.states[i]
+		n := c.freeSlots(i)
+		if n > 0 {
+			st.Load = machines[i].Load()
+		}
+		c.free += n - st.Slots
+		st.Slots = n
+	}
+	c.stale = c.stale[:0]
+}
+
+// auditSnapshot re-derives every snapshot entry and the free total, and
+// reports each disagreement with the stale-set snapshot as a violation.
+func (c *cell) auditSnapshot() {
+	free := 0
+	for i, m := range c.ar.machines {
+		n := c.freeSlots(i)
+		free += n
+		st := &c.states[i]
+		if st.Slots != n || (n > 0 && st.Load != m.Load()) {
+			c.auditor.Violatef("placement snapshot: %s at %v holds slots %d load %g, the machine derives slots %d load %g",
+				m.Name(), c.cl.Sim.Now(), st.Slots, st.Load, n, m.Load())
+		}
+	}
+	if free != c.free {
+		c.auditor.Violatef("placement snapshot: free total %d at %v, the machines derive %d", c.free, c.cl.Sim.Now(), free)
+	}
+}
+
 // tryPlace runs placement passes until the queue or the free capacity is
 // exhausted (see the placing guard on cell).
 func (c *cell) tryPlace() {
@@ -541,35 +625,22 @@ func (c *cell) tryPlace() {
 	// The per-machine slices are fixed-length for the cell, so their headers
 	// can be hoisted; the pool's per-slot slices grow mid-run in a streaming
 	// cell and must be reached through ar.pool every time.
-	machines, slots, down, inflight, states := ar.machines, ar.slots, ar.down, ar.inflight, c.states
+	machines, inflight := ar.machines, ar.inflight
 	for {
 		c.placeAgain = false
 		if len(c.waiting) == 0 {
 			return
 		}
-		anyFree := false
-		for i, m := range machines {
-			st := &states[i]
-			// In-transit deliveries (DAG data staging) reserve their
-			// slot up front, so a later placement round can't spend it.
-			st.Slots = slots[i] - m.RemoteTasks() - inflight[i]
-			// Down machines and owner-occupied machines take no new
-			// placements (the DAWGS idle-placement discipline); residents
-			// are the migration/suspension policies' problem. Like full
-			// machines they stay in the snapshot with no slots, and their
-			// Load is never read.
-			if down[i] || m.LocalLoad() >= migrateHi || st.Slots <= 0 {
-				st.Slots = 0
-				continue
-			}
-			st.Load = m.Load()
-			anyFree = true
+		c.refreshStale()
+		if c.auditor != nil {
+			c.auditSnapshot()
 		}
-		if !anyFree {
+		if c.free == 0 {
 			return
 		}
-		placed, left := c.pol.Place(c.waiting, states)
+		placed, left := c.pol.Place(c.waiting, c.states)
 		c.waiting = left
+		c.free -= len(placed)
 		if c.loc != nil {
 			// Backpressure rejections leave the system here: dropped
 			// items are in neither output, so account them now.
@@ -584,6 +655,7 @@ func (c *cell) tryPlace() {
 			// Item.Ref is the pool slot and the machine id the position
 			// in ar.machines.
 			ti, hi := a.Ref, a.Machine
+			c.markStale(hi)
 			t := ar.pool.task(ti)
 			if delay := c.stageDelay(ti, hi); delay > 0 {
 				// Dependency data must cross the network first: hold the
@@ -615,6 +687,7 @@ func (c *cell) tryPlace() {
 // back to the queue for a fresh decision.
 func (c *cell) deliver(ti, hi int) {
 	c.ar.inflight[hi]--
+	c.markStale(hi)
 	t := c.ar.pool.task(ti)
 	m := c.ar.machines[hi]
 	if c.ar.down[hi] || m.LocalLoad() >= migrateHi || m.AddTask(t) != nil {
@@ -634,6 +707,8 @@ func (c *cell) deliver(ti, hi int) {
 func (c *cell) taskDone(t *sim.Task, at time.Duration) {
 	ar := c.ar
 	ti := t.Ref
+	host := t.DoneOn()
+	c.markStale(host.Index())
 	arrival := ar.pool.gens[ti].arrival
 	if ar.dag {
 		arrival = ar.readyAt[ti]
@@ -641,17 +716,15 @@ func (c *cell) taskDone(t *sim.Task, at time.Duration) {
 			c.dagErr = fmt.Errorf("scenario: %s run %d: task %s completed at %v before its last parent at %v",
 				c.key, c.run, t.ID, at, arrival)
 		}
-		if host := t.DoneOn(); host != nil {
-			ar.doneHost[ti] = int32(host.Index())
-			for _, ci := range ar.world.children[ti] {
-				ar.remParents[ci]--
-				if ar.remParents[ci] == 0 {
-					ar.readyAt[ci] = at
-					if ar.topo != nil {
-						ar.homeSite[ci] = int32(ar.topo.siteOf[host.Index()])
-					}
-					c.submit(int(ci))
+		ar.doneHost[ti] = int32(host.Index())
+		for _, ci := range ar.world.children[ti] {
+			ar.remParents[ci]--
+			if ar.remParents[ci] == 0 {
+				ar.readyAt[ci] = at
+				if ar.topo != nil {
+					ar.homeSite[ci] = int32(ar.topo.siteOf[host.Index()])
 				}
+				c.submit(int(ci))
 			}
 		}
 	}
@@ -674,6 +747,7 @@ func (c *cell) fail(mi int) {
 		return
 	}
 	c.ar.down[mi] = true
+	c.markStale(mi)
 	m := c.ar.machines[mi]
 	c.ar.residents = m.AppendTasks(c.ar.residents[:0])
 	for _, victim := range c.ar.residents {
@@ -696,6 +770,7 @@ func (c *cell) fail(mi int) {
 // level, not blanket idle.
 func (c *cell) repair(mi int) {
 	c.ar.down[mi] = false
+	c.markStale(mi)
 	c.ar.machines[mi].SetLocalLoad(c.ar.ownerLoad[mi])
 	c.tryPlace()
 }

@@ -153,3 +153,44 @@ func checkPerCellGolden(t *testing.T, rep *Report, name string) {
 		}
 	}
 }
+
+// TestGoldensPassAudit runs the golden fixtures and the small example specs
+// audited: the engine auditor and the cell's fleet-snapshot check must find
+// nothing, and auditing must not move a byte of report.json. A writer the
+// snapshot's stale set misses fails here even where the missed slot happens
+// not to move a placement, so no golden number would show it.
+func TestGoldensPassAudit(t *testing.T) {
+	specs := []*Spec{goldenSpec(), topologySpec()}
+	if !testing.Short() {
+		specs = append(specs, equivalenceSpec())
+	}
+	for _, name := range []string{"dag-locality", "faulty-fleet", "hetero-baseline", "owner-churn"} {
+		sp, err := Load(filepath.Join("../../examples/scenarios", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, sp)
+	}
+	for _, sp := range specs {
+		t.Run(sp.Name, func(t *testing.T) {
+			report := func(audit bool) []byte {
+				rep, err := RunContext(context.Background(), sp, Options{Workers: 2, Audit: audit})
+				if err != nil {
+					t.Fatalf("audit=%v: %v", audit, err)
+				}
+				dir := t.TempDir()
+				if _, err := rep.WriteArtifacts(dir); err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(filepath.Join(dir, "report.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			if plain, audited := report(false), report(true); string(plain) != string(audited) {
+				t.Errorf("audited report.json differs from the unaudited one:\n--- audited ---\n%s\n--- plain ---\n%s", clip(audited), clip(plain))
+			}
+		})
+	}
+}

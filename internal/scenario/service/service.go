@@ -348,8 +348,7 @@ func (sv *Server) next(finished *sweep) *sweep {
 // interrupt parks a sweep for recovery by a future daemon on this cache
 // directory.
 func (sv *Server) interrupt(s *sweep) {
-	s.finish(StateInterrupted, "", nil)
-	if err := s.persist(); err != nil {
+	if err := s.finish(StateInterrupted, "", nil); err != nil {
 		sv.logf("service: persisting interrupted sweep %s: %v", s.id, err)
 	}
 	sv.logf("service: interrupted sweep %s (resumable on restart)", s.id)
@@ -371,23 +370,20 @@ func (sv *Server) execute(s *sweep) {
 			sv.interrupt(s)
 			return
 		}
-		s.finish(StateFailed, err.Error(), nil)
-		if perr := s.persist(); perr != nil {
+		if perr := s.finish(StateFailed, err.Error(), nil); perr != nil {
 			sv.logf("service: %v", perr)
 		}
 		sv.logf("service: sweep %s failed: %v", s.id, err)
 		return
 	}
 	if _, err := rep.WriteArtifacts(filepath.Join(s.dir, artifactsDir)); err != nil {
-		s.finish(StateFailed, err.Error(), nil)
-		if perr := s.persist(); perr != nil {
+		if perr := s.finish(StateFailed, err.Error(), nil); perr != nil {
 			sv.logf("service: %v", perr)
 		}
 		sv.logf("service: sweep %s failed writing artifacts: %v", s.id, err)
 		return
 	}
-	s.finish(StateDone, "", listArtifacts(s.dir))
-	if err := s.persist(); err != nil {
+	if err := s.finish(StateDone, "", listArtifacts(s.dir)); err != nil {
 		sv.logf("service: %v", err)
 	}
 	st := s.status()

@@ -110,6 +110,10 @@ func gridSize(sp *scenario.Spec) int {
 func (s *sweep) status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statusLocked()
+}
+
+func (s *sweep) statusLocked() Status {
 	return Status{
 		ID:        s.id,
 		Name:      s.spec.Name,
@@ -156,19 +160,31 @@ func (s *sweep) appendLocked(ev Event) {
 	}
 }
 
-// finish moves the sweep to a terminal state and appends the terminal
-// event, which completes the log. Idempotent.
-func (s *sweep) finish(state, errMsg string, artifacts []string) {
+// finish moves the sweep to a terminal state: it persists that state, then
+// publishes it and appends the terminal event, which completes the log. A
+// client that sees a terminal state therefore finds it in state.json. The
+// state is published even when persisting fails; the error is returned.
+// Idempotent.
+func (s *sweep) finish(state, errMsg string, artifacts []string) error {
+	s.mu.Lock()
+	st, closed := s.statusLocked(), s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil
+	}
+	st.State, st.Error, st.Artifacts = state, errMsg, artifacts
+	err := s.write(st)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return
+		return err
 	}
 	s.state = state
 	s.err = errMsg
 	s.artifacts = artifacts
 	s.appendLocked(Event{Type: state, Error: errMsg})
 	s.closed = true
+	return err
 }
 
 // since returns the log's events after the first n. While the sweep is
@@ -201,11 +217,12 @@ const (
 	artifactsDir  = "artifacts"
 )
 
-// persist writes the sweep's current Status to state.json via temp+rename,
-// so a killed daemon never leaves a torn state file for recovery to choke
-// on.
-func (s *sweep) persist() error {
-	st := s.status()
+// persist writes the sweep's current Status to state.json.
+func (s *sweep) persist() error { return s.write(s.status()) }
+
+// write writes st to state.json via temp+rename, so a killed daemon never
+// leaves a torn state file for recovery to choke on.
+func (s *sweep) write(st Status) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return fmt.Errorf("service: marshal state: %w", err)

@@ -78,7 +78,7 @@ type localityScan struct {
 // home's row of the cost matrix). With the round's budget spent it finds
 // nothing without resolving a candidate: the caller's wait/drop outcome then
 // depends only on its backlog counters.
-func (s *localityScan) scan(it Item, r *roundState, home int, cost []float64) {
+func (s *localityScan) scan(it *Item, r *roundState, home int, cost []float64) {
 	s.home, s.cost = home, cost
 	s.local, s.localBest = -1, -1
 	s.fwd, s.fwdCost, s.fwdBest = -1, math.MaxFloat64, -1
@@ -133,15 +133,18 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 		l.backlog[i] = 0
 	}
 
+	// Every item is visited even once nothing is free: the backlog
+	// counters that decide drops need the whole queue.
 	sc := localityScan{siteOf: l.siteOf}
-	for _, it := range items {
+	for i := range items {
+		it := &items[i]
 		home := it.HomeSite - 1
 		if l.siteOf == nil || home < 0 || home >= nsites {
 			// No topology or no affinity: greedy best fit.
 			if best := round.pickBest(it, false); best >= 0 {
 				placed = append(placed, round.assign(it, best))
 			} else {
-				waiting = append(waiting, it)
+				waiting = append(waiting, *it)
 			}
 			continue
 		}
@@ -151,15 +154,15 @@ func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, [
 			// Home site full: wait a little, forward under pressure.
 			l.backlog[home]++
 			if l.backlog[home] <= l.threshold {
-				waiting = append(waiting, it)
+				waiting = append(waiting, *it)
 				continue
 			}
 			best = sc.fwd
 			if best < 0 {
 				if l.backlog[home] > l.rejectCap {
-					l.dropped = append(l.dropped, it)
+					l.dropped = append(l.dropped, *it)
 				} else {
-					waiting = append(waiting, it)
+					waiting = append(waiting, *it)
 				}
 				continue
 			}

@@ -49,7 +49,7 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 	}
 	assign := func(it Item, m *MachineState) {
 		m.Slots--
-		m.Load += loadIncrement(it, m.Machine)
+		m.Load += loadIncrement(it.Work, m.Machine.Speed)
 		placed = append(placed, Assignment{Ref: it.Ref, Machine: m.Index})
 	}
 
@@ -179,8 +179,11 @@ func randomRound(rng *rand.Rand) (items []Item, machines []MachineState, siteOf 
 // TestPlaceMatchesExhaustiveReference holds every policy to the naive
 // reference over a few hundred random rounds: the round budget and the
 // positional id lookup must not change a single placement, the waiting
-// order, or what Locality drops. One policy value serves every round, so
-// scratch reuse across rounds is covered too.
+// order, or what Locality drops. Waiting and dropped items are compared
+// whole, field for field, so the bulk-copied tail of a spent round is held
+// to the same standard as the items a policy visited; and every Place must
+// leave its items input as it found it. One policy value serves every
+// round, so scratch reuse across rounds is covered too.
 func TestPlaceMatchesExhaustiveReference(t *testing.T) {
 	cost := [][]float64{{0, 1, 5}, {1, 0, 1}, {5, 1, 0}}
 	loc := NewLocality()
@@ -195,7 +198,11 @@ func TestPlaceMatchesExhaustiveReference(t *testing.T) {
 		loc.SetTopology(siteOf, cost)
 		for _, p := range policies {
 			wantPlaced, wantWaiting, wantDropped := refPlace(p.Name(), items, machines, siteOf, cost, loc.threshold, loc.rejectCap)
+			before := cloneItems(items)
 			placed, waiting := p.Place(items, append([]MachineState(nil), machines...))
+			if !sameItems(items, before) {
+				t.Fatalf("round %d, %s: Place mutated its items input:\n got  %+v\n want %+v", round, p.Name(), items, before)
+			}
 			var dropped []Item
 			if p == Policy(loc) {
 				dropped = loc.Dropped()
@@ -212,8 +219,19 @@ func sameAssignments(a, b []Assignment) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
+// sameItems compares whole items, field for field; nil and empty are equal.
 func sameItems(a, b []Item) bool {
-	return reflect.DeepEqual(taskIDs(a), taskIDs(b))
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// cloneItems deep-copies items, candidate slices included.
+func cloneItems(items []Item) []Item {
+	out := make([]Item, len(items))
+	for i, it := range items {
+		it.CandidateIDs = append([]int(nil), it.CandidateIDs...)
+		out[i] = it
+	}
+	return out
 }
 
 func taskIDs(items []Item) []taskgraph.TaskID {

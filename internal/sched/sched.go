@@ -7,16 +7,18 @@
 //
 // The placement contract (Policy.Place) is shaped by its event-frequency
 // caller, the scenario engine, which re-places its whole waiting queue
-// against its machines' free capacity on every arrival and completion. It
-// speaks one identity, dense ints: a machine's id is its position in the
-// snapshot, an Item names its admissible machines by those ids
-// (CandidateIDs, resolved by indexing the snapshot) and carries the caller's
-// Ref, and an Assignment hands back the item's Ref and the chosen machine's
-// position, so the caller resolves no name to act on it. Task and machine
-// names are labels only. A round ends when nothing is free — once the
-// snapshot's slots are spent the remaining items wait without their
-// candidates being looked at, so a round costs what it can place, not
-// waiting items × candidates.
+// against its machines' free capacity whenever an arrival, completion or
+// owner departure may have freed a slot. It speaks one identity, dense
+// ints: a machine's id is its position in the snapshot, an Item names its
+// admissible machines by those ids (CandidateIDs, resolved by indexing the
+// snapshot) and carries the caller's Ref, and an Assignment hands back the
+// item's Ref and the chosen machine's position, so the caller resolves no
+// name to act on it. Task and machine names are labels only. Policies walk
+// items in place and copy an item only into an output. A round ends when
+// nothing is free — once the snapshot's slots are spent, the rest of the
+// queue is handed back without a candidate looked at (Locality still counts
+// each item's backlog), so a round costs what it can place, not waiting
+// items × candidates.
 package sched
 
 import (
@@ -143,11 +145,15 @@ type Policy interface {
 	// positional fleet snapshot and the policy's working state for the
 	// round — Slots (and load estimates) are consumed in place as
 	// assignments are made, so callers that need the snapshot afterwards
-	// must pass a copy. The scenario engine keeps one snapshot per cell and
-	// refreshes Slots and Load before each round, so afterwards it reads
-	// the capacity the round left. A round is bounded by what is free: once
-	// the snapshot's slots are spent, the remaining items join the waiting
-	// output without their candidates being resolved.
+	// must pass a copy. The scenario engine keeps one snapshot per cell:
+	// before each round it re-derives Slots and Load only for the machines
+	// that changed since they were last derived (and for every machine the
+	// previous round assigned to), and between rounds it reads the capacity
+	// the round left. A round is bounded by what is free: once the
+	// snapshot's slots are spent, GreedyBestFit and UtilizationFirst stop
+	// visiting items and hand the rest back in visit order (one bulk copy
+	// when that is queue order); Locality still visits each for its backlog
+	// counters, without resolving a candidate.
 	Place(items []Item, machines []MachineState) ([]Assignment, []Item)
 }
 
@@ -208,11 +214,16 @@ func (*GreedyBestFit) Name() string { return "greedy-best-fit" }
 // Place implements Policy.
 func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
 	round, placed, waiting := newRound(items, machines, &p.scratch)
-	for _, it := range items {
+	for i := range items {
+		if round.free == 0 {
+			// Nothing left to spend: the rest of the queue waits as is.
+			return placed, append(waiting, items[i:]...)
+		}
+		it := &items[i]
 		if best := round.pickBest(it, false); best >= 0 {
 			placed = append(placed, round.assign(it, best))
 		} else {
-			waiting = append(waiting, it)
+			waiting = append(waiting, *it)
 		}
 	}
 	return placed, waiting
@@ -246,7 +257,8 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 	// one pinned class plus "any machine").
 	lenA, lenB := -1, -1 // distinct candidate-set sizes seen (at most two tracked)
 	moreSizes := false
-	for _, it := range items {
+	for i := range items {
+		it := &items[i]
 		n := len(it.CandidateIDs)
 		if n == 1 {
 			if ms := round.byID(it.CandidateIDs[0]); ms != nil {
@@ -297,17 +309,27 @@ func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assig
 	}
 
 	for pos := range items {
+		if round.free == 0 {
+			// Nothing left to spend: the rest waits in visit order.
+			if order == nil {
+				return placed, append(waiting, items[pos:]...)
+			}
+			for _, idx := range order[pos:] {
+				waiting = append(waiting, items[idx])
+			}
+			return placed, waiting
+		}
 		idx := pos
 		if order != nil {
 			idx = order[pos]
 		}
-		it := items[idx]
+		it := &items[idx]
 		constrained := len(it.CandidateIDs) == 1
 		// Flexible items skip machines reserved for tasks that can run
 		// nowhere else.
 		best := round.pickBest(it, !constrained)
 		if best < 0 {
-			waiting = append(waiting, it)
+			waiting = append(waiting, *it)
 			continue
 		}
 		if constrained {
@@ -347,11 +369,11 @@ func newRound(items []Item, machines []MachineState, s *placeScratch) (roundStat
 
 // assign books it onto machine id, spending one of the machine's slots and
 // one unit of the round's budget.
-func (r *roundState) assign(it Item, id int) Assignment {
+func (r *roundState) assign(it *Item, id int) Assignment {
 	ms := &r.machines[id]
 	ms.Slots--
 	r.free--
-	ms.Load += loadIncrement(it, ms.Machine)
+	ms.Load += loadIncrement(it.Work, ms.Machine.Speed)
 	return Assignment{Ref: it.Ref, Machine: id}
 }
 
@@ -370,7 +392,7 @@ func (r *roundState) byID(id int) *MachineState {
 // the earliest candidate, so candidate order is the tie-breaker. With
 // skipReserved, machines carrying scarce reservations are passed over
 // (UtilizationFirst's flexible items).
-func (r *roundState) pickBest(it Item, skipReserved bool) int {
+func (r *roundState) pickBest(it *Item, skipReserved bool) int {
 	if r.free == 0 {
 		return -1
 	}
@@ -388,16 +410,17 @@ func (r *roundState) pickBest(it Item, skipReserved bool) int {
 	return best
 }
 
-// loadIncrement estimates how much an item raises a machine's load, scaling
-// inversely with speed so fast machines absorb work more gracefully.
-func loadIncrement(it Item, m arch.Machine) float64 {
-	if m.Speed <= 0 {
+// loadIncrement estimates how much an item of the given work raises the
+// load of a machine of the given speed, scaling inversely with speed so
+// fast machines absorb work more gracefully.
+func loadIncrement(work, speed float64) float64 {
+	if speed <= 0 {
 		return 1
 	}
-	if it.Work <= 0 {
-		return 1 / m.Speed
+	if work <= 0 {
+		return 1 / speed
 	}
-	return it.Work / (it.Work + m.Speed) / m.Speed * 2
+	return work / (work + speed) / speed * 2
 }
 
 // AgingQueue is the §4.3 anti-starvation dispatcher queue: effective

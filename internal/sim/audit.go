@@ -70,8 +70,10 @@ func AttachAuditor(c *Cluster) *Auditor {
 	return a
 }
 
-// violate records one violation message, capping retention.
-func (a *Auditor) violate(format string, args ...interface{}) {
+// Violatef records one violation message, capping retention. Observers
+// layered on the auditor (the scenario cell's fleet-snapshot check) report
+// through it too.
+func (a *Auditor) Violatef(format string, args ...interface{}) {
 	if len(a.violations) >= maxViolations {
 		a.Dropped++
 		return
@@ -95,7 +97,7 @@ func auditRate(m *Machine) float64 {
 // integrates delivered work exactly.
 func (a *Auditor) observe(at time.Duration) {
 	if a.started && at < a.lastAt {
-		a.violate("vtime: event fired at %v after an event at %v — virtual time ran backwards", at, a.lastAt)
+		a.Violatef("vtime: event fired at %v after an event at %v — virtual time ran backwards", at, a.lastAt)
 	}
 	a.accrue(at)
 	a.started = true
@@ -140,7 +142,7 @@ func (a *Auditor) onChange(m *Machine, now time.Duration) {
 		// itself a conservation bug (progress accrued at a stale rate), but
 		// only when virtual time actually passed since the last advance.
 		if a.started && now > m.lastUpdate {
-			a.violate("sim: %s mutated at %v without advancing from %v", m.Name(), now, m.lastUpdate)
+			a.Violatef("sim: %s mutated at %v without advancing from %v", m.Name(), now, m.lastUpdate)
 		}
 		return
 	}
@@ -149,16 +151,16 @@ func (a *Auditor) onChange(m *Machine, now time.Duration) {
 		audit = a.accum[m.index]
 	}
 	if diff := m.accum - audit; diff > conservationTolerance(audit) || -diff > conservationTolerance(audit) {
-		a.violate("sim: %s at %v: conservation of work violated: engine accumulator %v, audited integral %v (Δ=%g)",
+		a.Violatef("sim: %s at %v: conservation of work violated: engine accumulator %v, audited integral %v (Δ=%g)",
 			m.Name(), now, m.accum, audit, diff)
 	}
 	for _, t := range m.ordered {
 		d := m.progress(t)
 		if d < 0 || d > t.Work {
-			a.violate("sim: task %s on %s at %v: progress %v outside [0, %v]", t.ID, m.Name(), now, d, t.Work)
+			a.Violatef("sim: task %s on %s at %v: progress %v outside [0, %v]", t.ID, m.Name(), now, d, t.Work)
 		}
 		if prev, seen := a.done[t.ID]; seen && prev.placement == t.placements && d < prev.done-1e-9 {
-			a.violate("sim: task %s on %s at %v: progress moved backwards within a residency: %v after %v",
+			a.Violatef("sim: task %s on %s at %v: progress moved backwards within a residency: %v after %v",
 				t.ID, m.Name(), now, d, prev.done)
 		}
 		a.done[t.ID] = watermark{placement: t.placements, done: d}
