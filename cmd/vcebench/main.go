@@ -86,6 +86,7 @@ import (
 	"strings"
 	"syscall"
 
+	"vce/examples/scenarios"
 	"vce/internal/obs"
 	"vce/internal/scenario"
 	"vce/internal/scenario/check"
@@ -208,8 +209,8 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, n := range scenario.BuiltinNames() {
-			sp, _ := scenario.Builtin(n)
+		for _, n := range scenarios.Names() {
+			sp, _ := scenarios.Builtin(n)
 			fmt.Fprintf(stdout, "%-16s %s\n", n, sp.Description)
 		}
 		return 0
@@ -282,7 +283,7 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vcebench: cache %s: hits: %d, misses: %d, corrupt: %d, put_errors: %d\n",
 			cache.Dir(), st.Hits, st.Misses, st.Corrupt, st.PutErrors)
 		if rec != nil {
-			rec.SetCacheStats(obs.CacheStats(st))
+			rec.SetCacheStats(st)
 		}
 	}
 	if err != nil {
@@ -345,7 +346,7 @@ func writeObsArtifacts(out string, cache *store.FS, rec *obs.Recorder, telem boo
 		}
 		if cache != nil {
 			p := filepath.Join(out, cacheStatsFile)
-			if err := writeCacheStats(p, obs.CacheStats(cache.Stats())); err != nil {
+			if err := writeCacheStats(p, cache.Stats()); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "wrote %s\n", p)
@@ -400,7 +401,7 @@ func loadSpec(specPath, name string) (*scenario.Spec, error) {
 	case specPath != "":
 		return scenario.Load(specPath)
 	case name != "":
-		return scenario.Builtin(name)
+		return scenarios.Builtin(name)
 	default:
 		return nil, fmt.Errorf("vcebench: need -spec <file> or -name <builtin> (try -list)")
 	}

@@ -10,6 +10,7 @@ import (
 	"vce/internal/metrics"
 	"vce/internal/migrate"
 	"vce/internal/rng"
+	"vce/internal/scenario"
 	"vce/internal/sim"
 	"vce/internal/workload"
 )
@@ -148,10 +149,12 @@ func E7bAdaptivePicker() (*Result, error) {
 }
 
 // E13Utilization reproduces the §4.3 framing around Krueger: non-preemptive
-// idle-workstation placement improves utilization "significantly" over no
-// remote execution — and migration recovers the additional throughput that
-// suspension leaves behind ("opportunities for increasing throughput could
-// be missed if it is not possible to move a process").
+// idle-workstation placement improves on no remote execution — and
+// migration recovers what suspension leaves behind ("opportunities for
+// increasing throughput could be missed if it is not possible to move a
+// process"). On this world every mode completes the same jobs, so the
+// difference shows in mean completion time, which must fall strictly from
+// mode to mode.
 func E13Utilization() (*Result, error) {
 	res := &Result{ID: "E13", Title: "§4.3: remote execution and migration vs owner activity"}
 	res.Table = metrics.NewTable("E13: 40 batch jobs on 8 owner-occupied workstations (1h horizon)",
@@ -186,20 +189,31 @@ func E13Utilization() (*Result, error) {
 		}
 		completed := 0
 		var doneSum float64
-		arrivals := workload.PoissonArrivals(r.Derive("arrivals"), 1.0/45, horizon/2)
-		specs := workload.UniformBag(r.Derive("work"), nJobs, jobWork, jobWork+1)
+		// The engine's generators: Poisson arrivals over the first half of
+		// the horizon, uniform work in [jobWork, jobWork+1).
+		poisson, err := scenario.WorkloadSourceFor("poisson")
+		if err != nil {
+			return outcome{}, err
+		}
+		next := poisson.Cursor(scenario.ArrivalSpec{RatePerS: 1.0 / 45}, r.Derive("arrivals"))
+		var arrivals []time.Duration
+		for at, _ := next(); at < horizon/2 && len(arrivals) < nJobs; at, _ = next() {
+			arrivals = append(arrivals, at)
+		}
+		workRng := r.Derive("work")
+		dist := scenario.Dist{Kind: "uniform", Min: jobWork, Max: jobWork + 1}
+		work := make([]float64, nJobs)
+		for i := range work {
+			work[i] = dist.Sample(workRng)
+		}
 
 		switch mode {
 		case "origin-only":
 			// No remote execution: every job runs on its owner's machine.
 			for i, at := range arrivals {
-				if i >= nJobs {
-					break
-				}
-				i := i
 				c.Sim.At(at, func() {
 					_ = ms[i%len(ms)].AddTask(&sim.Task{
-						ID: specs[i].ID, Work: specs[i].Work,
+						ID: fmt.Sprintf("task-%03d", i), Work: work[i],
 						OnDone: func(_ *sim.Task, done time.Duration) {
 							completed++
 							doneSum += done.Seconds()
@@ -218,13 +232,9 @@ func E13Utilization() (*Result, error) {
 			queue := loadbalance.NewDAWGS(0.5)
 			queue.Attach(c)
 			for i, at := range arrivals {
-				if i >= nJobs {
-					break
-				}
-				i := i
 				c.Sim.At(at, func() {
 					queue.Submit(c, &sim.Task{
-						ID: specs[i].ID, Work: specs[i].Work, ImageBytes: 1 << 20,
+						ID: fmt.Sprintf("task-%03d", i), Work: work[i], ImageBytes: 1 << 20,
 						OnDone: func(_ *sim.Task, done time.Duration) {
 							completed++
 							doneSum += done.Seconds()
@@ -260,11 +270,11 @@ func E13Utilization() (*Result, error) {
 		return nil, fmt.Errorf("E13: migration (%d) worse than suspension (%d)",
 			results["vce-migrate"].completed, results["dawgs"].completed)
 	}
-	if results["vce-migrate"].meanDone >= results["origin-only"].meanDone {
-		return nil, fmt.Errorf("E13: migration mean completion (%.0fs) not below origin-only (%.0fs)",
-			results["vce-migrate"].meanDone, results["origin-only"].meanDone)
+	origin, dawgs, migr := results["origin-only"].meanDone, results["dawgs"].meanDone, results["vce-migrate"].meanDone
+	if !(origin > dawgs && dawgs > migr) {
+		return nil, fmt.Errorf("E13: mean completion not strictly origin-only > dawgs > vce-migrate: %.0f, %.0f, %.0f s", origin, dawgs, migr)
 	}
-	res.note("idle-workstation placement lifts throughput over origin-only execution (Krueger's finding), and migration recovers the §4.3 throughput that suspension leaves on busy machines: %d → %d → %d jobs",
-		results["origin-only"].completed, results["dawgs"].completed, results["vce-migrate"].completed)
+	res.note("idle-workstation placement finishes jobs sooner than origin-only execution (Krueger's finding), and migration sooner still than suspending on machines whose owners return: mean completion %.0f → %.0f → %.0f s",
+		origin, dawgs, migr)
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"vce/examples/scenarios"
 	"vce/internal/scenario"
 )
 
@@ -21,7 +22,7 @@ import (
 // three): E5's own harness gets its gain by queueing portable tasks ahead of
 // constrained ones, which the engine's placement does not do.
 func E14ScenarioMatrix() (*Result, error) {
-	spec, err := scenario.Builtin("owner-churn")
+	spec, err := scenarios.Builtin("owner-churn")
 	if err != nil {
 		return nil, err
 	}

@@ -60,10 +60,9 @@ func (k *KernelCounters) Merge(o KernelCounters) {
 	k.StateChanges += o.StateChanges
 }
 
-// CacheStats mirrors the result store's traffic counters
-// (internal/scenario/store.Stats) without importing it. PutErrors counts
-// write-through failures — a read-only or full cache directory costs reuse
-// silently unless this is surfaced.
+// CacheStats is the result store's traffic counters (store.Stats is this
+// type). PutErrors counts write-through failures — a read-only or full
+// cache directory costs reuse silently unless this is surfaced.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`

@@ -26,11 +26,6 @@ const (
 	idleBelow = 0.5 // destination machines must be idler than this
 )
 
-// cancelProbes is how many cancellation probe points a cancellable run
-// spreads across its horizon: enough that a cancelled context halts the
-// event loop promptly, few enough that probes are noise in the event count.
-const cancelProbes = 256
-
 // AuditError reports engine-invariant violations recorded by an audited run
 // (see Options.Audit).
 type AuditError struct {
@@ -56,10 +51,9 @@ func (e *AuditError) Error() string {
 
 // RunInstanceContext executes one instance for one run index and returns its
 // indexes. It is deterministic: equal (spec, instance, run) yield equal
-// indexes. A cancelled or expired ctx halts the discrete-event loop at the
-// next probe tick and returns ctx's error; an uncancelled one changes
-// nothing — the probe events observe the simulation without mutating it or
-// consuming random draws.
+// indexes. A cancelled or expired ctx halts the discrete-event loop before
+// its next virtual instant and returns ctx's error; an uncancelled one
+// changes nothing — the kernel's halt request is outside the simulation.
 //
 // The cell runs on a single-use arena: a fully isolated world — its own
 // event kernel, cluster, machines, policies and derived random streams —
@@ -162,7 +156,7 @@ type cell struct {
 // The kernel breaks time ties by sequence number, so the order in which
 // setup schedules events is part of the result: owner steps, arrivals (or
 // the first pump), the checkpoint ticker, the OnChange registration, faults
-// and repairs, then the cancel probe.
+// and repairs.
 func (ar *runArena) runCell(ctx context.Context, schedName, migration string, run int, audit bool, tr *obs.RunTrace) (Indexes, error) {
 	var kstats vtime.Stats
 	var phaseAt time.Time
@@ -189,47 +183,29 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 	}
 	c.auditor = auditor
 
-	// A cancellable ctx installs a self-rescheduling probe that halts the
-	// kernel once ctx is done. Probes never touch world state or random
-	// streams, so indexes are unchanged when ctx survives; Background's nil
-	// Done channel skips them entirely.
-	halted := false
-	if done := ctx.Done(); done != nil {
-		interval := ar.horizon / cancelProbes
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		var probe func()
-		probe = func() {
-			select {
-			case <-done:
-				halted = true
-				cl.Sim.Halt()
-			default:
-				cl.Sim.After(interval, probe)
-			}
-		}
-		cl.Sim.After(interval, probe)
-	}
+	// ctx's end halts the kernel from whichever goroutine ends it. The halt
+	// request never touches world state or random streams, so indexes are
+	// unchanged when ctx survives.
+	stop := context.AfterFunc(ctx, cl.Sim.Halt)
 	if tr != nil {
 		now := time.Now()
 		tr.Setup = now.Sub(phaseAt)
 		phaseAt = now
 	}
-	cl.Sim.RunUntil(ar.horizon)
+	end := cl.Sim.RunUntil(ar.horizon)
+	stop()
 	if tr != nil {
 		now := time.Now()
 		tr.Simulate = now.Sub(phaseAt)
 		phaseAt = now
 	}
-	// Only a run the probe actually truncated is discarded: a context that
+	// Only a run the halt actually truncated is discarded: a context that
 	// expires after the final event has run leaves the indexes complete and
 	// valid, and throwing them away would shrink partial reports for no
 	// reason.
-	if halted {
+	if end < ar.horizon {
 		return Indexes{}, ctx.Err()
 	}
-	end := cl.Sim.Now()
 	if auditor != nil {
 		auditor.Finish()
 		if v := auditor.Violations(); len(v) > 0 {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"testing"
 )
 
@@ -12,8 +13,12 @@ import (
 // near-misses.
 func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(minimalJSON))
-	for _, name := range BuiltinNames() {
-		sp, err := Builtin(name)
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		sp, err := Load(p)
 		if err != nil {
 			f.Fatal(err)
 		}

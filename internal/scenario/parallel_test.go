@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -19,7 +20,7 @@ import (
 func TestParallelByteIdenticalAcrossWorkers(t *testing.T) {
 	serialize := func(workers int) []byte {
 		t.Helper()
-		sp, err := Builtin("hetero-baseline")
+		sp, err := Load(filepath.Join("../../examples/scenarios", "hetero-baseline.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,6 +94,36 @@ func TestCancellationMidSweep(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before sweep, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDeadlineStopsRunningCell: an expired context stops a cell mid-run
+// even when every event of the cell falls early in a long horizon. The
+// overloaded 20k-task cell below takes seconds to simulate uncancelled;
+// with a 100 ms deadline the sweep must return the deadline error within a
+// fraction of that.
+func TestDeadlineStopsRunningCell(t *testing.T) {
+	sp, err := Parse([]byte(`{
+		"name": "deadline",
+		"horizon_s": 1000000,
+		"machines": {"classes": [{"class": "workstation", "count": 200, "speed": {"dist": "fixed", "value": 1}, "slots": 2}]},
+		"workload": {"tasks": 20000, "work": {"dist": "uniform", "min": 1, "max": 3}, "arrivals": {"kind": "poisson", "rate_per_s": 150}},
+		"policies": {"scheduling": ["greedy-best-fit"], "migration": ["none"]},
+		"runs": 1
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	rep, err := RunContext(ctx, sp, Options{Workers: 1})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || rep != nil {
+		t.Fatalf("RunContext = (%v, %v), want (nil, context.DeadlineExceeded)", rep, err)
+	}
+	if elapsed > 600*time.Millisecond {
+		t.Fatalf("deadline of 100ms stopped the sweep after %v", elapsed)
 	}
 }
 

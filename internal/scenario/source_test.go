@@ -149,6 +149,32 @@ func TestTraceCursor(t *testing.T) {
 	}
 }
 
+// TestPoissonCursor: a rate-1 process puts about 1000 arrivals in 1000 s,
+// strictly increasing, and the same stream draws the same instants.
+func TestPoissonCursor(t *testing.T) {
+	src, _ := WorkloadSourceFor("poisson")
+	draw := func() []time.Duration {
+		cur := src.Cursor(ArrivalSpec{Kind: "poisson", RatePerS: 1}, rng.New(3).Derive("arrivals"))
+		var got []time.Duration
+		for at, _ := cur(); at < 1000*time.Second; at, _ = cur() {
+			got = append(got, at)
+		}
+		return got
+	}
+	one, two := draw(), draw()
+	if len(one) < 800 || len(one) > 1200 {
+		t.Fatalf("rate-1 process produced %d arrivals in 1000s", len(one))
+	}
+	for i, at := range one {
+		if i > 0 && at <= one[i-1] {
+			t.Fatalf("arrival %d = %v not after %v", i, at, one[i-1])
+		}
+		if i >= len(two) || at != two[i] {
+			t.Fatalf("arrival %d differs across identical streams", i)
+		}
+	}
+}
+
 // TestDiurnalCursor: arrivals are strictly ordered in time, deterministic
 // for a given stream, and rate modulation shows up as more arrivals in the
 // peak half-period than the trough half-period.

@@ -506,8 +506,8 @@ func (s *Spec) Validate() error {
 // Bounds on what the engine's clock, a time.Duration of nanoseconds, can
 // run: a horizon past maxHorizonS overflows it, and a checkpoint tick
 // shorter than minCheckpointIntervalS, or one that fires more than
-// maxCheckpointInstants times per run, turns a run into a tick loop that
-// never reaches its cancellation point.
+// maxCheckpointInstants times per run, turns a run into a tick loop whose
+// events are nearly all checkpoints.
 const (
 	maxHorizonS            = 1e9 // sim caps completion ETAs at the same bound
 	minCheckpointIntervalS = 0.001

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -92,28 +91,6 @@ func TestValidateConstrainedClassMustExist(t *testing.T) {
 	}
 }
 
-func TestBuiltinsValidate(t *testing.T) {
-	names := BuiltinNames()
-	if len(names) < 3 {
-		t.Fatalf("want >= 3 built-in scenarios, got %v", names)
-	}
-	for _, n := range names {
-		sp, err := Builtin(n)
-		if err != nil {
-			t.Fatalf("Builtin(%q): %v", n, err)
-		}
-		if err := sp.Validate(); err != nil {
-			t.Errorf("builtin %q invalid: %v", n, err)
-		}
-		if sp.Name != n {
-			t.Errorf("builtin %q has name %q", n, sp.Name)
-		}
-	}
-	if _, err := Builtin("no-such"); err == nil {
-		t.Error("Builtin accepted an unknown name")
-	}
-}
-
 func TestExampleSpecFilesParse(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil || len(paths) == 0 {
@@ -122,26 +99,6 @@ func TestExampleSpecFilesParse(t *testing.T) {
 	for _, p := range paths {
 		if _, err := Load(p); err != nil {
 			t.Errorf("example %s does not parse: %v", p, err)
-		}
-	}
-}
-
-// TestExamplesMatchBuiltins pins the shipped JSON files to the built-in
-// specs they document: `vcebench -name X` and `-spec examples/scenarios/
-// X.json` must be the same scenario. Regenerate a drifted file with
-// `go run ./cmd/vcebench -name X -dump > examples/scenarios/X.json`.
-func TestExamplesMatchBuiltins(t *testing.T) {
-	for _, name := range BuiltinNames() {
-		builtin, err := Builtin(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromFile, err := Load(filepath.Join("../../examples/scenarios", name+".json"))
-		if err != nil {
-			t.Fatalf("builtin %q has no matching example file: %v", name, err)
-		}
-		if !reflect.DeepEqual(builtin, fromFile) {
-			t.Errorf("example %s.json drifted from the builtin:\nbuiltin: %+v\nfile:    %+v", name, builtin, fromFile)
 		}
 	}
 }

@@ -14,21 +14,18 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"vce/internal/obs"
 	"vce/internal/scenario"
 )
 
-// Stats is a snapshot of a store's traffic counters. Misses counts every
-// Get that did not return a usable entry (absent or corrupt); Corrupt
-// counts the subset that found a file but could not decode it. PutErrors
-// counts writes that failed to land: the executor treats Put as best
-// effort, so a read-only or full cache directory is invisible in the
-// hit/miss traffic — this counter is how a dying cache stays visible.
-type Stats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Corrupt   uint64 `json:"corrupt"`
-	PutErrors uint64 `json:"put_errors"`
-}
+// Stats is a snapshot of a store's traffic counters, in the type telemetry
+// and cache_stats.json carry. Misses counts every Get that did not return a
+// usable entry (absent or corrupt); Corrupt counts the subset that found a
+// file but could not decode it. PutErrors counts writes that failed to
+// land: the executor treats Put as best effort, so a read-only or full
+// cache directory is invisible in the hit/miss traffic — this counter is
+// how a dying cache stays visible.
+type Stats = obs.CacheStats
 
 // FS is the filesystem scenario.Store: one JSON file per cell result,
 // addressed as <dir>/<key[:2]>/<key>.json (the two-character fan-out keeps

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,8 +31,9 @@ import (
 //
 // Sim is not safe for concurrent use: all events must be scheduled either
 // before Run or from within event callbacks, which is the natural shape of a
-// discrete-event simulation. The cluster simulator (internal/sim) is built on
-// this kernel.
+// discrete-event simulation. Halt is the one exception — any goroutine may
+// call it, which is how a cancelled context stops a running loop. The
+// cluster simulator (internal/sim) is built on this kernel.
 type Sim struct {
 	now    time.Duration
 	seq    int64
@@ -39,7 +41,10 @@ type Sim struct {
 	slots  []slot
 	free   []int32
 	nfired int64
-	halted bool
+	// halted is a pending Halt request: set by Halt from any goroutine,
+	// read by the loop before each event of a later instant, cleared by
+	// the RunUntil that honours it (and by Reset).
+	halted atomic.Bool
 	// audit, when set, observes every fired event just before its callback
 	// runs (see SetAuditHook). Nil on the production path: the only cost is
 	// one predictable branch per event.
@@ -101,7 +106,7 @@ func (s *Sim) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.nfired = 0
-	s.halted = false
+	s.halted.Store(false)
 	s.audit = nil
 	s.stats = nil
 }
@@ -311,8 +316,13 @@ func (s *Sim) siftDown(i int) {
 // a participant.
 func (s *Sim) SetAuditHook(fn func(at time.Duration)) { s.audit = fn }
 
-// Halt stops Run after the currently executing event returns.
-func (s *Sim) Halt() { s.halted = true }
+// Halt stops Run before it fires an event of a later instant than the
+// current one: the events of the instant being drained still fire, the rest
+// stay queued, and a later Run resumes where the halted one stopped. It is
+// safe to call from any goroutine, at any time. A Halt that finds nothing
+// left to stop — no loop running, or a loop with no event left at or before
+// its limit — stays pending for the next loop; Reset clears it.
+func (s *Sim) Halt() { s.halted.Store(true) }
 
 // Run executes events until the queue is empty or Halt is called. It returns
 // the virtual time at which the simulation quiesced.
@@ -322,12 +332,18 @@ func (s *Sim) Run() time.Duration {
 
 // RunUntil executes events with timestamps <= limit. Events beyond limit stay
 // queued; the virtual clock is left at min(limit, last event time) if events
-// ran, or advanced to limit if the queue drained earlier.
+// ran, or advanced to limit if the queue drained earlier. A halted loop
+// stops short of an event at or before limit, so it returns a time below
+// limit — what tells its caller the run did not finish.
 func (s *Sim) RunUntil(limit time.Duration) time.Duration {
-	s.halted = false
-	for len(s.heap) > 0 && !s.halted {
-		if s.heap[0].at > limit {
+	for len(s.heap) > 0 {
+		next := s.heap[0].at
+		if next > limit {
 			s.now = limit
+			return s.now
+		}
+		if next > s.now && s.halted.Load() {
+			s.halted.Store(false)
 			return s.now
 		}
 		at, fn := s.popMin()
@@ -344,11 +360,9 @@ func (s *Sim) RunUntil(limit time.Duration) time.Duration {
 		}
 		fn()
 	}
-	if s.now < limit && len(s.heap) == 0 && !s.halted {
-		// Queue drained: the caller asked for time to pass regardless.
-		if limit < 1<<62-1 {
-			s.now = limit
-		}
+	// Queue drained: the caller asked for time to pass regardless.
+	if s.now < limit && limit < 1<<62-1 {
+		s.now = limit
 	}
 	return s.now
 }

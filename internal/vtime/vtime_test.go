@@ -257,6 +257,45 @@ func TestSimHaltMidDrain(t *testing.T) {
 	}
 }
 
+// TestSimHaltFromAnotherGoroutine stops an endless event loop from outside
+// it, the way a cancelled context does: Run returns with the loop's next
+// event still queued.
+func TestSimHaltFromAnotherGoroutine(t *testing.T) {
+	s := NewSim()
+	started := make(chan struct{})
+	var tick func()
+	tick = func() {
+		if s.Fired() == 1 {
+			close(started)
+		}
+		s.After(time.Second, tick)
+	}
+	s.At(0, tick)
+	go func() {
+		<-started
+		s.Halt()
+	}()
+	s.Run()
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d after halt, want the loop's next tick", s.Pending())
+	}
+}
+
+// TestSimHaltBeforeRun: a Halt made while no loop runs is not lost — the
+// next RunUntil stops before its first event, and the one after resumes.
+func TestSimHaltBeforeRun(t *testing.T) {
+	s := NewSim()
+	fired := 0
+	s.At(time.Second, func() { fired++ })
+	s.Halt()
+	if at := s.RunUntil(10 * time.Second); fired != 0 || at != 0 {
+		t.Fatalf("halted RunUntil fired %d events and returned %v, want 0 and 0s", fired, at)
+	}
+	if at := s.RunUntil(10 * time.Second); fired != 1 || at != 10*time.Second {
+		t.Fatalf("resumed RunUntil fired %d events and returned %v, want 1 and 10s", fired, at)
+	}
+}
+
 // TestSimScheduleAndCancelInsideCallback exercises the reschedule shape the
 // cluster simulator relies on: a callback cancelling a pending event and
 // scheduling its replacement, repeatedly.

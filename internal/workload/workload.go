@@ -1,58 +1,13 @@
-// Package workload generates synthetic inputs: bursty owner-activity traces
-// for workstations (the scenario engine's owner model, and experiment E13)
-// and, for E13 alone, uniform task bags and Poisson submission streams.
+// Package workload generates bursty owner-activity traces for workstations:
+// the scenario engine's owner model, and experiment E13's.
 package workload
 
 import (
-	"fmt"
 	"time"
 
 	"vce/internal/rng"
 	"vce/internal/sim"
 )
-
-// TaskSpec describes one generated task.
-type TaskSpec struct {
-	// ID names the task.
-	ID string
-	// Work is the task's work units.
-	Work float64
-	// ImageBytes sizes the task image.
-	ImageBytes int64
-	// Checkpointable marks checkpoint-cooperative tasks.
-	Checkpointable bool
-}
-
-// UniformBag returns n tasks with work uniform in [lo, hi).
-func UniformBag(r *rng.Source, n int, lo, hi float64) []TaskSpec {
-	out := make([]TaskSpec, n)
-	for i := range out {
-		out[i] = TaskSpec{
-			ID:         fmt.Sprintf("task-%03d", i),
-			Work:       r.Range(lo, hi),
-			ImageBytes: 1 << 20,
-		}
-	}
-	return out
-}
-
-// PoissonArrivals returns arrival instants of a Poisson process with the
-// given rate (events/second) over the horizon.
-func PoissonArrivals(r *rng.Source, rate float64, horizon time.Duration) []time.Duration {
-	if rate <= 0 {
-		return nil
-	}
-	var out []time.Duration
-	t := 0.0
-	limit := horizon.Seconds()
-	for {
-		t += r.ExpFloat64() / rate
-		if t >= limit {
-			return out
-		}
-		out = append(out, time.Duration(t*float64(time.Second)))
-	}
-}
 
 // BurstyTrace generates an owner-activity trace: alternating idle and busy
 // periods with exponential lengths (meanIdle, meanBusy), busy load level
