@@ -73,7 +73,8 @@ func E5Placement() (*Result, error) {
 
 // runPlacementSim drives the given policy over a 20-task mix on a cluster
 // with one uniquely-capable fast machine ("A") and four generic
-// workstations, re-placing the waiting queue whenever a machine frees.
+// workstations, placing from the policy's waiting queue whenever a machine
+// frees.
 func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error) {
 	machines := []arch.Machine{
 		wsSpec("A", 2), // fast and uniquely capable
@@ -86,34 +87,28 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 	const nTasks = 20
 	const work = 10.0
 	nConstrained := nTasks * pctConstrained / 100
-	var waiting []sched.Item
 	// Portable tasks head the queue — the §4.3 situation where the
 	// flexible job is dispatchable while machine A sits free and a greedy
 	// scheduler burns A on it. Candidates are machine indexes: A is 0.
+	pinned, anywhere := []int{0}, []int{0, 1, 2, 3, 4}
 	for i := 0; i < nTasks; i++ {
-		it := sched.Item{Ref: i, Work: work}
+		it := sched.Item{Ref: i, Work: work, CandidateIDs: anywhere}
 		if i >= nTasks-nConstrained {
-			it.CandidateIDs = []int{0}
-		} else {
-			it.CandidateIDs = []int{0, 1, 2, 3, 4}
+			it.CandidateIDs = pinned
 		}
-		waiting = append(waiting, it)
+		pol.Enqueue(it)
 	}
 	var makespan time.Duration
 	var tryPlace func()
 	tryPlace = func() {
-		if len(waiting) == 0 {
-			return
-		}
 		var states []sched.MachineState
+		free := 0
 		for _, m := range ms {
-			states = append(states, sched.MachineState{
-				Machine: m.Spec, Load: m.Load(), Slots: 1 - m.RemoteTasks(),
-			})
+			slots := 1 - m.RemoteTasks()
+			free += slots
+			states = append(states, sched.MachineState{Machine: m.Spec, Load: m.Load(), Slots: slots})
 		}
-		placed, left := pol.Place(waiting, states)
-		waiting = left
-		for _, a := range placed {
+		for _, a := range pol.PlaceWaiting(states, free) {
 			t := &sim.Task{
 				ID:   fmt.Sprintf("t%02d", a.Ref),
 				Work: work,
@@ -131,8 +126,8 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 	}
 	tryPlace()
 	c.Sim.Run()
-	if len(waiting) > 0 {
-		return 0, fmt.Errorf("placement sim stalled with %d tasks waiting under %s", len(waiting), pol.Name())
+	if n := pol.Len(); n > 0 {
+		return 0, fmt.Errorf("placement sim stalled with %d tasks waiting under %s", n, pol.Name())
 	}
 	return makespan, nil
 }

@@ -90,7 +90,6 @@ type runArena struct {
 	// capacity the placement snapshot reserves so a transfer never lands on
 	// a slot a later placement round already spent.
 	inflight []int
-	waiting  []sched.Item
 	// states backs the cell's fleet snapshot (cell.states), one entry per
 	// machine, and stale/isStale its stale set (cell.stale); residents is
 	// the checkpoint tick's and the fault handler's resident walk buffer.
@@ -333,7 +332,6 @@ func (ar *runArena) prepare(run int) error {
 		ar.states[i].Machine = m.Spec
 		ar.stale = append(ar.stale, i)
 	}
-	ar.waiting = ar.waiting[:0]
 	ar.acc.Reset()
 	ar.pool.reset()
 	for _, g := range ar.world.tasks {

@@ -73,9 +73,10 @@ func RunInstanceContext(ctx context.Context, inst Instance, run int) (Indexes, e
 }
 
 // cell is the state of one executing (policy, run) cell: the policies under
-// comparison, the placement queue and the counters behind the indexes. Its
-// methods are the event handlers of the simulation. It lives in the arena
-// (runArena.cell) and is re-initialized per cell.
+// comparison (the scheduling policy holds the placement queue) and the
+// counters behind the indexes. Its methods are the event handlers of the
+// simulation. It lives in the arena (runArena.cell) and is re-initialized
+// per cell.
 type cell struct {
 	ar *runArena
 	cl *sim.Cluster
@@ -94,14 +95,11 @@ type cell struct {
 	stealth *loadbalance.Stealth
 	onDone  func(*sim.Task, time.Duration)
 
-	waiting []sched.Item
 	// states is the cell's one fleet snapshot, built by prepare: entry i
 	// is ar.machines[i], so a machine's placement id is its position. A
 	// pass re-derives Slots and Load (freeSlots, Machine.Load) only for the
-	// machines in the stale set, and Place spends Slots as it assigns, so
-	// between passes states[i].Slots is the free capacity the last pass
-	// left machine i — what the change listener's capacity gate compares
-	// against. free is the sum of every entry's Slots.
+	// machines in the stale set, and PlaceWaiting spends Slots as it
+	// assigns. free is the sum of every entry's Slots, the round's budget.
 	states []sched.MachineState
 	free   int
 	// stale lists, once each (isStale marks membership), the machines
@@ -242,8 +240,7 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 	*c = cell{
 		ar: ar, cl: cl, acc: &ar.acc,
 		key: schedName + "/" + migration, run: run,
-		waiting: ar.waiting, states: ar.states,
-		stale: ar.stale, isStale: ar.isStale,
+		states: ar.states, stale: ar.stale, isStale: ar.isStale,
 	}
 	c.onDone = c.taskDone
 	if sp.Owner != nil {
@@ -283,23 +280,15 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		}
 		cl.Sim.After(interval, ckTick)
 	}
-	// Every change makes its machine's snapshot entry stale. Owner
-	// departures and completions free capacity: a change that leaves
-	// machine i more free slots than the last pass left it (states[i].Slots)
-	// gets a pass. A pass after any other change could not place or drop
-	// anything (DESIGN §4, "Passes only on new capacity"), so the change
-	// only records the queue depth that pass would have recorded on its way
-	// out, and the backlog integral sees the same samples.
-	cl.OnChange(func(m *sim.Machine, now time.Duration) {
+	// Every change makes its machine's snapshot entry stale, and a change
+	// to a machine that takes placements gets a pass: owner departures and
+	// completions free capacity. A pass with nothing new to place costs a
+	// visit per candidate set.
+	cl.OnChange(func(m *sim.Machine, _ time.Duration) {
 		i := m.Index()
 		c.markStale(i)
-		if m.LocalLoad() >= migrateHi || ar.down[i] {
-			return
-		}
-		if c.freeSlots(i) > c.states[i].Slots {
+		if m.LocalLoad() < migrateHi && !ar.down[i] {
 			c.tryPlace()
-		} else if !c.placing {
-			c.acc.NoteQueueDepth(now, len(c.waiting))
 		}
 	})
 	// Failure instants replay from the world's fault schedule; repairs
@@ -330,7 +319,10 @@ func (c *cell) attachPolicies(schedName, migration string) error {
 	}
 	c.pol = pol
 	c.loc, _ = pol.(*sched.Locality)
-	if c.loc != nil && ar.topo != nil {
+	// Only DAG items carry a home site (newItem). Elsewhere Locality places
+	// every item greedily either way, and without a topology its round
+	// skips the walk over every item that its backlog counters need.
+	if c.loc != nil && ar.dag && ar.topo != nil {
 		c.loc.SetTopology(ar.topo.siteOf, ar.locCost)
 	}
 
@@ -421,7 +413,7 @@ func (c *cell) pump() {
 	c.generated++
 	g := taskGen{work: w.Work.Sample(c.workRng), arrival: c.cl.Sim.Now()}
 	g.constrained = c.conRng != nil && c.conRng.Bool(w.Constrained.Fraction)
-	if w.QueueLimit > 0 && len(c.waiting) >= w.QueueLimit {
+	if w.QueueLimit > 0 && c.pol.Len() >= w.QueueLimit {
 		c.acc.TaskRejected()
 	} else {
 		c.submit(c.ar.pool.acquire(g))
@@ -471,7 +463,7 @@ func (c *cell) submit(i int) {
 		ar.submitted[i] = true
 		ar.readyAt[i] = c.cl.Sim.Now()
 	}
-	c.waiting = append(c.waiting, c.newItem(i, g.work))
+	c.pol.Enqueue(c.newItem(i, g.work))
 	c.tryPlace()
 }
 
@@ -516,7 +508,7 @@ func (c *cell) notePlaced(ti, hi int) {
 // event: record its depth for the time-weighted backlog integral.
 func (c *cell) settle() {
 	c.placing = false
-	c.acc.NoteQueueDepth(c.cl.Sim.Now(), len(c.waiting))
+	c.acc.NoteQueueDepth(c.cl.Sim.Now(), c.pol.Len())
 }
 
 // freeSlots derives machine i's snapshot capacity: its free slots less the
@@ -604,7 +596,7 @@ func (c *cell) tryPlace() {
 	machines, inflight := ar.machines, ar.inflight
 	for {
 		c.placeAgain = false
-		if len(c.waiting) == 0 {
+		if c.pol.Len() == 0 {
 			return
 		}
 		c.refreshStale()
@@ -614,8 +606,7 @@ func (c *cell) tryPlace() {
 		if c.free == 0 {
 			return
 		}
-		placed, left := c.pol.Place(c.waiting, c.states)
-		c.waiting = left
+		placed := c.pol.PlaceWaiting(c.states, c.free)
 		c.free -= len(placed)
 		if c.loc != nil {
 			// Backpressure rejections leave the system here: dropped
@@ -645,8 +636,7 @@ func (c *cell) tryPlace() {
 			if err := machines[hi].AddTask(t); err != nil {
 				// Impossible by construction: a queued task is unplaced
 				// and unfinished, and its slot-derived ID is unique on
-				// the machine. The capacity gate relies on it — nothing
-				// re-enters the queue between passes without a pass.
+				// the machine.
 				panic(err)
 			}
 			c.notePlaced(ti, hi)
@@ -667,7 +657,7 @@ func (c *cell) deliver(ti, hi int) {
 	t := c.ar.pool.task(ti)
 	m := c.ar.machines[hi]
 	if c.ar.down[hi] || m.LocalLoad() >= migrateHi || m.AddTask(t) != nil {
-		c.waiting = append(c.waiting, c.newItem(ti, t.Remaining()))
+		c.pol.Enqueue(c.newItem(ti, t.Remaining()))
 		c.tryPlace() // the reservation just became real capacity
 	}
 }
@@ -734,7 +724,7 @@ func (c *cell) fail(mi int) {
 		c.failed++
 		// Restart from the last checkpoint (scratch if none).
 		_ = killed.Rewind(killed.CheckpointedWork)
-		c.waiting = append(c.waiting, c.newItem(killed.Ref, killed.Remaining()))
+		c.pol.Enqueue(c.newItem(killed.Ref, killed.Remaining()))
 	}
 	m.SetLocalLoad(1)
 	// Surviving machines may have free slots for the requeued victims;
@@ -758,11 +748,11 @@ func (c *cell) measure(end time.Duration) Indexes {
 	// Rejected counts tasks that never got a placement; fault-requeued tasks
 	// stranded in the queue at the horizon were placed once and already show
 	// up in Failed, not here.
-	for _, it := range c.waiting {
+	c.pol.Each(func(it *sched.Item) {
 		if !ar.pool.everPlaced[it.Ref] {
 			c.acc.TaskRejected()
 		}
-	}
+	})
 	// A streaming pump that the horizon (or an exhausted trace) stopped
 	// short of the task cap never offered the remainder: those tasks never
 	// arrive, the same fate as closed arrivals past the horizon.
@@ -781,9 +771,6 @@ func (c *cell) measure(end time.Duration) Indexes {
 			}
 		}
 	}
-	// Hand the grown scratch capacity back to the arena for the next cell.
-	ar.waiting = c.waiting
-
 	idx := Indexes{Failed: c.failed}
 	c.acc.Finalize(&idx, end, sp.Workload.Tasks)
 	if c.affine > 0 {

@@ -87,9 +87,9 @@ var table = []mutant{
 	{
 		name: "fault-requeue-loses-home-site",
 		file: "internal/scenario/cell.go",
-		old:  "\t\tc.waiting = append(c.waiting, c.newItem(killed.Ref, killed.Remaining()))\n",
+		old:  "\t\tc.pol.Enqueue(c.newItem(killed.Ref, killed.Remaining()))\n",
 		new: "\t\tit := c.newItem(killed.Ref, killed.Remaining())\n\t\tit.HomeSite = 0\n" +
-			"\t\tc.waiting = append(c.waiting, it)\n",
+			"\t\tc.pol.Enqueue(it)\n",
 	},
 	// The fleet snapshot forgets a completion host: the completion's own
 	// passes miss the slot it freed, and the host's change notification

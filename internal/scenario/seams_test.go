@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vce/internal/sched"
 )
 
 // The seam tests drive the pieces of a cell — world generation, placement,
@@ -128,6 +130,13 @@ func stagingSpec() *Spec {
 	}
 }
 
+// queued lists the cell's waiting items as its policy holds them.
+func queued(c *cell) []sched.Item {
+	var items []sched.Item
+	c.pol.Each(func(it *sched.Item) { items = append(items, *it) })
+	return items
+}
+
 // TestStagingReservationAndBounce pins the placement seam. The root runs on
 // the fast machine (index 0) and completes at t=5s; child 1 follows it
 // there, child 2 is placed on machine 1 and starts staging, child 3 waits.
@@ -145,16 +154,17 @@ func TestStagingReservationAndBounce(t *testing.T) {
 	if ar.inflight[1] != 1 || far.RemoteTasks() != 0 {
 		t.Fatalf("mid-transfer: inflight=%d residents=%d on the far machine, want a reservation and no resident", ar.inflight[1], far.RemoteTasks())
 	}
-	if len(c.waiting) != 1 || string(c.waiting[0].Task) != "task-003" {
-		t.Fatalf("mid-transfer: waiting = %v, want only task-003 — the reserved slot was spent", c.waiting)
+	if waiting := queued(c); len(waiting) != 1 || string(waiting[0].Task) != "task-003" {
+		t.Fatalf("mid-transfer: waiting = %v, want only task-003 — the reserved slot was spent", waiting)
 	}
 
 	c.fail(1)
 	c.fail(0)
-	if c.failed != 1 || len(c.waiting) != 2 {
-		t.Fatalf("both machines down: failed=%d waiting=%v, want task-001 requeued behind task-003", c.failed, c.waiting)
+	waiting := queued(c)
+	if c.failed != 1 || len(waiting) != 2 || waiting[1].Task != "task-001" {
+		t.Fatalf("both machines down: failed=%d waiting=%v, want task-001 requeued behind task-003", c.failed, waiting)
 	}
-	for _, it := range c.waiting {
+	for _, it := range waiting {
 		if ar.pool.ids[it.Ref] != string(it.Task) {
 			t.Errorf("%s queued with Ref %d, the slot of %s", it.Task, it.Ref, ar.pool.ids[it.Ref])
 		}

@@ -29,14 +29,14 @@ type Locality struct {
 	// which an unplaceable item is dropped instead of queued.
 	threshold, rejectCap int
 
-	scratch placeScratch
+	queue
 	siteOf  []int
 	cost    [][]float64
 	backlog []int
 	dropped []Item
 }
 
-// NewLocality returns the policy; see NewGreedyBestFit. Its pressure bounds
+// NewLocality returns the policy with an empty queue. Its pressure bounds
 // forward after a couple of waiters and reject only under pathological
 // backlog. Configure the site map with SetTopology.
 func NewLocality() *Locality { return &Locality{threshold: 2, rejectCap: 128} }
@@ -47,15 +47,16 @@ func (*Locality) Name() string { return "locality" }
 // SetTopology installs the site model: siteOf maps a machine id (its
 // position in the snapshot) to a site id, and cost[a][b] estimates the
 // seconds needed to move one item's dependency payload from site a to site
-// b. Both slices are read, never written, and must outlive subsequent Place
-// calls. A nil siteOf reverts to greedy placement.
+// b. Both slices are read, never written, and must outlive subsequent
+// rounds. A nil siteOf reverts to greedy placement.
 func (l *Locality) SetTopology(siteOf []int, cost [][]float64) {
 	l.siteOf = siteOf
 	l.cost = cost
 }
 
-// Dropped returns the items the last Place call rejected under backlog
-// pressure, in submission order. The slice is valid until the next Place.
+// Dropped returns the items the last round rejected under backlog
+// pressure, in arrival order; they left the queue. The slice is valid until
+// the next round.
 func (l *Locality) Dropped() []Item { return l.dropped }
 
 // localityScan accumulates one item's candidate scan without per-item
@@ -119,55 +120,56 @@ func (s *localityScan) consider(id int, ms *MachineState) {
 	}
 }
 
-// Place implements Policy.
-func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round, placed, waiting := newRound(items, machines, &l.scratch)
+// PlaceWaiting implements Policy. Without a topology every item places
+// greedily, which is the queue's own round. Otherwise every item is
+// visited, even once nothing is free: the backlog counters that decide
+// drops need the whole queue, and rejectCap bounds it per site. So the
+// round drains the queue in arrival order and re-enqueues the items still
+// waiting behind it, in the same order.
+func (l *Locality) PlaceWaiting(machines []MachineState, free int) []Assignment {
 	l.dropped = l.dropped[:0]
-
+	if l.siteOf == nil {
+		return l.queue.PlaceWaiting(machines, free)
+	}
+	r := roundState{machines: machines, free: free}
+	l.placed = l.placed[:0]
 	nsites := len(l.cost)
-	if cap(l.backlog) < nsites {
-		l.backlog = make([]int, nsites)
-	}
-	l.backlog = l.backlog[:nsites]
-	for i := range l.backlog {
-		l.backlog[i] = 0
-	}
+	l.backlog = append(l.backlog[:0], make([]int, nsites)...)
 
-	// Every item is visited even once nothing is free: the backlog
-	// counters that decide drops need the whole queue.
 	sc := localityScan{siteOf: l.siteOf}
-	for i := range items {
-		it := &items[i]
+	for n := l.n; n > 0; n-- {
+		s := l.next()
+		f := &l.sets[s]
+		it := f.buf[f.head].Item
+		l.pop(s)
 		home := it.HomeSite - 1
-		if l.siteOf == nil || home < 0 || home >= nsites {
-			// No topology or no affinity: greedy best fit.
-			if best := round.pickBest(it, false); best >= 0 {
-				placed = append(placed, round.assign(it, best))
-			} else {
-				waiting = append(waiting, *it)
-			}
-			continue
-		}
-		sc.scan(it, &round, home, l.cost[home])
-		best := sc.local
-		if best < 0 {
+		best := -1
+		if home < 0 || home >= nsites {
+			// No affinity: greedy best fit.
+			best = r.pickBest(&it, nil)
+		} else if sc.scan(&it, &r, home, l.cost[home]); sc.local >= 0 {
+			best = sc.local
+		} else {
 			// Home site full: wait a little, forward under pressure.
 			l.backlog[home]++
-			if l.backlog[home] <= l.threshold {
-				waiting = append(waiting, *it)
-				continue
-			}
-			best = sc.fwd
-			if best < 0 {
-				if l.backlog[home] > l.rejectCap {
-					l.dropped = append(l.dropped, *it)
-				} else {
-					waiting = append(waiting, *it)
+			if l.backlog[home] > l.threshold {
+				best = sc.fwd
+				if best < 0 && l.backlog[home] > l.rejectCap {
+					l.dropped = append(l.dropped, it)
+					continue
 				}
-				continue
 			}
 		}
-		placed = append(placed, round.assign(it, best))
+		if best < 0 {
+			l.push(s, it)
+			continue
+		}
+		l.placed = append(l.placed, r.assign(&it, best))
 	}
-	return placed, waiting
+	return l.placed
+}
+
+// Place implements Policy.
+func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
+	return l.PlaceWaiting(machines, l.load(items, machines)), l.drain()
 }

@@ -15,7 +15,9 @@ import (
 // refPlace is the naive reference the policies are held to: it resolves
 // every candidate of every item by linear search over the snapshot, with no
 // round budget and no lookup tables, and applies each policy's documented
-// rule. It works on its own copy of machines.
+// rule. It works on its own copy of machines, and keeps UtilizationFirst's
+// reservations (waiting constrained items per unique host) in its own
+// counts.
 func refPlace(policy string, items []Item, machines []MachineState, siteOf []int, cost [][]float64, threshold, rejectCap int) (placed []Assignment, waiting, dropped []Item) {
 	ms := append([]MachineState(nil), machines...)
 	resolve := func(it Item) []*MachineState {
@@ -35,10 +37,11 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 	}
 	size := func(it Item) int { return len(it.CandidateIDs) }
 	score := func(m *MachineState) float64 { return m.Machine.Speed / (1 + m.Load) }
+	scarce := map[*MachineState]int{}
 	greedy := func(it Item, skipReserved bool) *MachineState {
 		var best *MachineState
 		for _, m := range resolve(it) {
-			if m.Slots <= 0 || (skipReserved && m.scarce > 0) {
+			if m.Slots <= 0 || (skipReserved && scarce[m] > 0) {
 				continue
 			}
 			if best == nil || score(m) > score(best) {
@@ -66,7 +69,7 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 		for _, it := range items {
 			if size(it) == 1 {
 				for _, m := range resolve(it) {
-					m.scarce++
+					scarce[m]++
 				}
 			}
 		}
@@ -80,7 +83,7 @@ func refPlace(policy string, items []Item, machines []MachineState, siteOf []int
 				continue
 			}
 			if constrained {
-				m.scarce--
+				scarce[m]--
 			}
 			assign(it, m)
 		}
@@ -177,13 +180,14 @@ func randomRound(rng *rand.Rand) (items []Item, machines []MachineState, siteOf 
 }
 
 // TestPlaceMatchesExhaustiveReference holds every policy to the naive
-// reference over a few hundred random rounds: the round budget and the
-// positional id lookup must not change a single placement, the waiting
-// order, or what Locality drops. Waiting and dropped items are compared
-// whole, field for field, so the bulk-copied tail of a spent round is held
-// to the same standard as the items a policy visited; and every Place must
-// leave its items input as it found it. One policy value serves every
-// round, so scratch reuse across rounds is covered too.
+// reference over a few hundred random rounds: the round budget, the
+// per-set FIFOs a round stops visiting once blocked, and the positional id
+// lookup must not change a single placement, the waiting order, or what
+// Locality drops. Waiting and dropped items are compared whole, field for
+// field, so the items a round never visited are held to the same standard
+// as the ones it did; and every Place must leave its items input as it
+// found it. One policy value serves every round, so queue storage reused
+// across Resets is covered too.
 func TestPlaceMatchesExhaustiveReference(t *testing.T) {
 	cost := [][]float64{{0, 1, 5}, {1, 0, 1}, {5, 1, 0}}
 	loc := NewLocality()
@@ -323,5 +327,51 @@ func TestPlaceReservationsDoNotOutliveRound(t *testing.T) {
 	placed, _ := p.Place(flexible, snapshot)
 	if len(placed) != 1 || placed[0] != (Assignment{Ref: 1, Machine: 1}) {
 		t.Fatalf("round 2: placed %v, want the flexible item on machine 1 (round 1's reservation is gone)", placed)
+	}
+}
+
+// TestRoundVisitsWhatItPlaces is an overloaded cell's steady state: 100 000
+// items pinned to machine 0, which stays full, with one flexible item
+// arriving after every 100 pinned ones. Each round frees one slot on
+// another machine. The round loop must place one flexible item and look at
+// no more than placed + sets + 1 heads — the pinned FIFO blocks at its
+// head — however long the pinned line is. Locality walks every item by
+// design (its backlog counters need the whole queue), so it is not held to
+// this.
+func TestRoundVisitsWhatItPlaces(t *testing.T) {
+	const pinnedN, every, machines = 100_000, 100, 8
+	pinned := []int{0}
+	anywhere := make([]int, machines)
+	for i := range anywhere {
+		anywhere[i] = i
+	}
+	for _, q := range []*queue{&NewGreedyBestFit().queue, &NewUtilizationFirst().queue} {
+		for i := 0; i < pinnedN; i++ {
+			q.Enqueue(Item{Ref: i, CandidateIDs: pinned, Work: 1})
+			if i%every == every-1 {
+				q.Enqueue(Item{Ref: pinnedN + i, CandidateIDs: anywhere, Work: 1})
+			}
+		}
+		flexible := q.Len() - pinnedN
+		states := make([]MachineState, machines)
+		for i := range states {
+			states[i] = ws(fmt.Sprintf("m%d", i), 1, 0, 0)
+		}
+		for round := 0; round < flexible; round++ {
+			states[1+round%(machines-1)].Slots = 1
+			before := q.visits
+			placed := q.PlaceWaiting(states, 1)
+			visits := q.visits - before
+			if len(placed) != 1 || placed[0].Ref < pinnedN {
+				t.Fatalf("bySize=%v round %d: placed %v, want one flexible item", q.bySize, round, placed)
+			}
+			if bound := len(placed) + len(q.sets) + 1; visits > bound {
+				t.Fatalf("bySize=%v round %d: visited %d heads to place %d with %d sets waiting, want at most %d",
+					q.bySize, round, visits, len(placed), len(q.sets), bound)
+			}
+		}
+		if q.Len() != pinnedN {
+			t.Fatalf("bySize=%v: %d items left, want the %d pinned ones", q.bySize, q.Len(), pinnedN)
+		}
 	}
 }

@@ -5,23 +5,29 @@
 // be dispatched its priority will be increased to insure it will eventually
 // be dispatched even if that results in a globally suboptimal schedule").
 //
-// The placement contract (Policy.Place) is shaped by its event-frequency
-// caller, the scenario engine, which re-places its whole waiting queue
-// against its machines' free capacity whenever an arrival, completion or
-// owner departure may have freed a slot. It speaks one identity, dense
-// ints: a machine's id is its position in the snapshot, an Item names its
-// admissible machines by those ids (CandidateIDs, resolved by indexing the
-// snapshot) and carries the caller's Ref, and an Assignment hands back the
-// item's Ref and the chosen machine's position, so the caller resolves no
-// name to act on it. Task and machine names are labels only. Policies walk
-// items in place and copy an item only into an output. A round ends when
-// nothing is free — once the snapshot's slots are spent, the rest of the
-// queue is handed back without a candidate looked at (Locality still counts
-// each item's backlog), so a round costs what it can place, not waiting
-// items × candidates.
+// The placement contract (Policy) is shaped by its event-frequency caller,
+// the scenario engine. A policy owns the waiting queue: the engine enqueues
+// every task that must wait (§4.3: a portable task "should be made to
+// wait") and, whenever an arrival, completion or owner departure may have
+// freed a slot, asks the policy to place what it can against its machines'
+// free capacity. It speaks one identity, dense ints: a machine's id is its
+// position in the snapshot, an Item names its admissible machines by those
+// ids (CandidateIDs, resolved by indexing the snapshot) and carries the
+// caller's Ref, and an Assignment hands back the item's Ref and the chosen
+// machine's position, so the caller resolves no name to act on it. Task and
+// machine names are labels only.
+//
+// The queue is one FIFO per distinct candidate set, merged by arrival
+// sequence. Within a round slots only go down, so once one item of a set
+// finds no free candidate none of the set's later items can place, and the
+// round skips the rest of that FIFO; a round also ends when nothing is
+// free. A round therefore costs what it places plus one visit per set, not
+// the queue's length (Locality still walks every item for its backlog
+// counters).
 package sched
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -98,10 +104,6 @@ type MachineState struct {
 	Slots int
 	// Deprecated: not read; a machine's id is its position in the snapshot.
 	Index int
-
-	// scarce is UtilizationFirst's internal reservation count: waiting
-	// constrained items for which this machine is the only candidate.
-	scarce int
 }
 
 // Item is one task instance awaiting placement.
@@ -136,98 +138,240 @@ type Assignment struct {
 	Machine int
 }
 
-// Policy places a batch of task instances onto machines.
+// Policy owns a waiting queue and places its items onto machines.
 type Policy interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
-	// Place returns assignments and the items it chose to leave waiting.
-	// Implementations must not mutate items. The machines slice is the
-	// positional fleet snapshot and the policy's working state for the
-	// round — Slots (and load estimates) are consumed in place as
-	// assignments are made, so callers that need the snapshot afterwards
-	// must pass a copy. The scenario engine keeps one snapshot per cell:
-	// before each round it re-derives Slots and Load only for the machines
-	// that changed since they were last derived (and for every machine the
-	// previous round assigned to), and between rounds it reads the capacity
-	// the round left. A round is bounded by what is free: once the
-	// snapshot's slots are spent, GreedyBestFit and UtilizationFirst stop
-	// visiting items and hand the rest back in visit order (one bulk copy
-	// when that is queue order); Locality still visits each for its backlog
-	// counters, without resolving a candidate.
+	// Enqueue adds it at the back of the queue. Its CandidateIDs slice is
+	// kept, not copied, and must not change while the item waits.
+	Enqueue(it Item)
+	// Len is the number of waiting items.
+	Len() int
+	// PlaceWaiting runs one placement round and returns its assignments;
+	// placed items leave the queue, and the slice is valid until the next
+	// call. machines is the positional fleet snapshot and the round's
+	// working state: Slots and Load are consumed in place as assignments
+	// are made. free is the snapshot's total of positive Slots, which the
+	// scenario engine keeps as it re-derives the machines that changed.
+	// Items the round leaves waiting keep their arrival order.
+	PlaceWaiting(machines []MachineState, free int) []Assignment
+	// Each calls fn on every waiting item, set by set; fn must not change
+	// the queue.
+	Each(fn func(*Item))
+	// Reset empties the queue, keeping its storage.
+	Reset()
+	// Place is the one-round form, used only by tests and the benchmark's
+	// placement probe: it resets the queue, enqueues items, runs
+	// PlaceWaiting, and returns the assignments and the items left waiting
+	// in the order the round visited them, leaving the queue empty. items
+	// is not mutated.
 	Place(items []Item, machines []MachineState) ([]Assignment, []Item)
 }
 
-// placeScratch is a policy's reusable round storage: the ordering
-// permutation and the output buffers. Every policy carries one by value, so
-// repeated Place calls on one policy place rounds allocation-free in steady
-// state.
-//
-// The output Item buffer is double-buffered because of how batch callers
-// loop: round N's waiting output is round N+1's items input, so the policy
-// must never write an output over the slice it is still reading.
-// Assignments have no such feedback (callers consume them before the next
-// round), so one buffer suffices.
-type placeScratch struct {
-	order  []int
-	placed []Assignment
-	items  [2][]Item
-	flip   int
+// queue is the waiting line every policy keeps: one FIFO per distinct
+// candidate set, merged by arrival sequence. GreedyBestFit and
+// UtilizationFirst are a queue and its round loop; Locality embeds one and
+// runs its own round over it. One queue must not be used concurrently.
+type queue struct {
+	sets []fifo
+	n    int // waiting items across sets
+	seq  int // arrival sequence of the next enqueued item
+	// bySize makes the round visit sets by candidate-set size before
+	// arrival, and flexible items pass over reserved machines
+	// (UtilizationFirst).
+	bySize bool
+	// reserved counts, per machine id, the waiting items whose only
+	// candidate it is; kept on push and pop when bySize.
+	reserved []int
+	placed   []Assignment
+	rest     []Item
+	// visits counts the heads the round loop has looked at.
+	visits int
 }
 
-// outBuffers returns empty placed/waiting buffers for one round of at most
-// maxPlaced assignments over nItems items, reusing the scratch's storage.
-// Neither can outgrow its initial capacity, so the returned headers stay
-// backed by the scratch.
-func (s *placeScratch) outBuffers(maxPlaced, nItems int) ([]Assignment, []Item) {
-	if cap(s.placed) < maxPlaced {
-		s.placed = make([]Assignment, 0, maxPlaced)
-	}
-	s.flip ^= 1
-	if cap(s.items[s.flip]) < nItems {
-		s.items[s.flip] = make([]Item, 0, nItems)
-	}
-	return s.placed[:0], s.items[s.flip][:0]
+// fifo is the waiting line of one candidate set: buf[head:], in arrival
+// order. blocked marks a set whose head found no free candidate in the
+// running round.
+type fifo struct {
+	ids     []int // the set, as the first item enqueued into it carried it
+	buf     []queued
+	head    int
+	blocked bool
 }
 
-// orderBuf returns an empty ordering buffer of capacity >= n.
-func (s *placeScratch) orderBuf(n int) []int {
-	if cap(s.order) < n {
-		s.order = make([]int, 0, n)
+type queued struct {
+	Item
+	seq int
+}
+
+// Enqueue implements Policy.
+func (q *queue) Enqueue(it Item) { q.push(q.setFor(it.CandidateIDs), it) }
+
+// Len implements Policy.
+func (q *queue) Len() int { return q.n }
+
+// Each implements Policy.
+func (q *queue) Each(fn func(*Item)) {
+	for s := range q.sets {
+		f := &q.sets[s]
+		for i := f.head; i < len(f.buf); i++ {
+			fn(&f.buf[i].Item)
+		}
 	}
-	return s.order[:0]
+}
+
+// Reset implements Policy. A set's storage is reused by the next set
+// opened in its place.
+func (q *queue) Reset() {
+	q.sets = q.sets[:0]
+	q.n, q.seq = 0, 0
+	clear(q.reserved)
+}
+
+// setFor returns the index of the FIFO for candidate set ids, opening one
+// for a set not seen since the last Reset. Sets compare by contents, after
+// a slice-header test that makes a caller's shared sets cost O(1) each.
+func (q *queue) setFor(ids []int) int {
+	for s := range q.sets {
+		f := q.sets[s].ids
+		if len(f) == len(ids) && (len(f) > 0 && &f[0] == &ids[0] || slices.Equal(f, ids)) {
+			return s
+		}
+	}
+	s := len(q.sets)
+	q.sets = slices.Grow(q.sets, 1)[:s+1]
+	q.sets[s] = fifo{ids: ids, buf: q.sets[s].buf[:0]}
+	return s
+}
+
+// push appends it to set s with the next arrival sequence. A full buffer
+// whose front half is popped slides its line down instead of growing.
+func (q *queue) push(s int, it Item) {
+	f := &q.sets[s]
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
+	f.buf = append(f.buf, queued{Item: it, seq: q.seq})
+	q.seq++
+	q.n++
+	q.reserve(f.ids, 1)
+}
+
+// pop removes set s's head.
+func (q *queue) pop(s int) {
+	f := &q.sets[s]
+	if f.head++; f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	q.n--
+	q.reserve(f.ids, -1)
+}
+
+// reserve adds d to the reservation of a single-candidate set's machine.
+func (q *queue) reserve(ids []int, d int) {
+	if q.bySize && len(ids) == 1 && ids[0] >= 0 {
+		id := ids[0]
+		q.reserved = append(q.reserved, make([]int, max(0, id+1-len(q.reserved)))...)
+		q.reserved[id] += d
+	}
+}
+
+// next returns the set whose head the round visits next: of the unblocked,
+// non-empty sets, the one whose head arrived first (under bySize, the
+// smallest set first); -1 when none is left.
+func (q *queue) next() int {
+	best := -1
+	for s := range q.sets {
+		f := &q.sets[s]
+		if f.blocked || f.head == len(f.buf) {
+			continue
+		}
+		if best < 0 || q.before(f, &q.sets[best]) {
+			best = s
+		}
+	}
+	return best
+}
+
+func (q *queue) before(a, b *fifo) bool {
+	if q.bySize && len(a.ids) != len(b.ids) {
+		return len(a.ids) < len(b.ids)
+	}
+	return a.buf[a.head].seq < b.buf[b.head].seq
+}
+
+// PlaceWaiting implements Policy: each visit takes the next set's head and
+// places it on its best free candidate, or blocks the set. That is exact:
+// slots only go down within a round, so no later item of a blocked set
+// could place. UtilizationFirst's reservations cannot change while a
+// flexible set is visited either, since every single-candidate set sorts
+// first.
+func (q *queue) PlaceWaiting(machines []MachineState, free int) []Assignment {
+	r := roundState{machines: machines, free: free}
+	q.placed = q.placed[:0]
+	for s := q.next(); s >= 0 && r.free > 0; s = q.next() {
+		q.visits++
+		f := &q.sets[s]
+		var reserved []int
+		if q.bySize && len(f.ids) != 1 {
+			reserved = q.reserved // flexible items yield the unique hosts
+		}
+		it := &f.buf[f.head].Item
+		if best := r.pickBest(it, reserved); best >= 0 {
+			q.placed = append(q.placed, r.assign(it, best))
+			q.pop(s)
+		} else {
+			f.blocked = true
+		}
+	}
+	for s := range q.sets {
+		q.sets[s].blocked = false
+	}
+	return q.placed
+}
+
+// Place implements Policy.
+func (q *queue) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
+	return q.PlaceWaiting(machines, q.load(items, machines)), q.drain()
+}
+
+// load is the first half of Place: it resets the queue, enqueues items and
+// returns the snapshot's free total.
+func (q *queue) load(items []Item, machines []MachineState) (free int) {
+	q.Reset()
+	for i := range items {
+		q.Enqueue(items[i])
+	}
+	for i := range machines {
+		free += max(0, machines[i].Slots)
+	}
+	return free
+}
+
+// drain is the second half of Place: it empties the queue into the rest
+// buffer, in visit order.
+func (q *queue) drain() []Item {
+	q.rest = q.rest[:0]
+	for s := q.next(); s >= 0; s = q.next() {
+		f := &q.sets[s]
+		q.rest = append(q.rest, f.buf[f.head].Item)
+		q.pop(s)
+	}
+	return q.rest
 }
 
 // GreedyBestFit optimizes each job in isolation: every item takes the
 // fastest, least-loaded admissible machine available. This is the baseline
 // §4.3 argues against — it will burn the uniquely-capable "machine A" on a
 // task that could run anywhere.
-type GreedyBestFit struct{ scratch placeScratch }
+type GreedyBestFit struct{ queue }
 
-// NewGreedyBestFit returns the policy. Repeated Place calls share its round
-// buffers instead of allocating, so one policy value must not place
-// concurrently with itself.
+// NewGreedyBestFit returns the policy with an empty queue.
 func NewGreedyBestFit() *GreedyBestFit { return new(GreedyBestFit) }
 
 // Name implements Policy.
 func (*GreedyBestFit) Name() string { return "greedy-best-fit" }
-
-// Place implements Policy.
-func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round, placed, waiting := newRound(items, machines, &p.scratch)
-	for i := range items {
-		if round.free == 0 {
-			// Nothing left to spend: the rest of the queue waits as is.
-			return placed, append(waiting, items[i:]...)
-		}
-		it := &items[i]
-		if best := round.pickBest(it, false); best >= 0 {
-			placed = append(placed, round.assign(it, best))
-		} else {
-			waiting = append(waiting, *it)
-		}
-	}
-	return placed, waiting
-}
 
 // UtilizationFirst is the paper's policy: "tend to give preference to
 // schedules that maximize overall resource utilization (and therefore
@@ -239,132 +383,20 @@ func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignme
 // items, waiting instead if no other machine is free — the §4.3 example where
 // the portable task yields machine A and "should be made to wait" because it
 // "can be used to occupy a workstation if one becomes idle."
-type UtilizationFirst struct{ scratch placeScratch }
+type UtilizationFirst struct{ queue }
 
-// NewUtilizationFirst returns the policy; see NewGreedyBestFit.
-func NewUtilizationFirst() *UtilizationFirst { return new(UtilizationFirst) }
+// NewUtilizationFirst returns the policy with an empty queue.
+func NewUtilizationFirst() *UtilizationFirst { return &UtilizationFirst{queue{bySize: true}} }
 
 // Name implements Policy.
 func (*UtilizationFirst) Name() string { return "utilization-first" }
 
-// Place implements Policy.
-func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round, placed, waiting := newRound(items, machines, &p.scratch)
-	// A machine's scarce count tracks waiting constrained items for which
-	// it is the only candidate. Ids outside the snapshot are skipped as
-	// candidates anyway, so their demand can be dropped here. The same
-	// pass collects the distinct candidate-set sizes (almost always ≤ 2:
-	// one pinned class plus "any machine").
-	lenA, lenB := -1, -1 // distinct candidate-set sizes seen (at most two tracked)
-	moreSizes := false
-	for i := range items {
-		it := &items[i]
-		n := len(it.CandidateIDs)
-		if n == 1 {
-			if ms := round.byID(it.CandidateIDs[0]); ms != nil {
-				ms.scarce++
-			}
-		}
-		switch {
-		case lenA == -1 || n == lenA:
-			lenA = n
-		case lenB == -1 || n == lenB:
-			lenB = n
-		default:
-			moreSizes = true
-		}
-	}
-	// Scarcest-capability first; ties keep submission order. With one
-	// distinct size the stable sort is the identity permutation; with two,
-	// a stable partition replaces the O(n log n) sort. More sizes fall back
-	// to sorting.
-	var order []int
-	switch {
-	case !moreSizes && lenB == -1:
-		// uniform: identity order
-	case !moreSizes:
-		small := lenA
-		if lenB < lenA {
-			small = lenB
-		}
-		order = p.scratch.orderBuf(len(items))
-		for i := range items {
-			if len(items[i].CandidateIDs) == small {
-				order = append(order, i)
-			}
-		}
-		for i := range items {
-			if len(items[i].CandidateIDs) != small {
-				order = append(order, i)
-			}
-		}
-	default:
-		order = p.scratch.orderBuf(len(items))[:len(items)]
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return len(items[order[a]].CandidateIDs) < len(items[order[b]].CandidateIDs)
-		})
-	}
-
-	for pos := range items {
-		if round.free == 0 {
-			// Nothing left to spend: the rest waits in visit order.
-			if order == nil {
-				return placed, append(waiting, items[pos:]...)
-			}
-			for _, idx := range order[pos:] {
-				waiting = append(waiting, items[idx])
-			}
-			return placed, waiting
-		}
-		idx := pos
-		if order != nil {
-			idx = order[pos]
-		}
-		it := &items[idx]
-		constrained := len(it.CandidateIDs) == 1
-		// Flexible items skip machines reserved for tasks that can run
-		// nowhere else.
-		best := round.pickBest(it, !constrained)
-		if best < 0 {
-			waiting = append(waiting, *it)
-			continue
-		}
-		if constrained {
-			round.machines[best].scarce--
-		}
-		placed = append(placed, round.assign(it, best))
-	}
-	return placed, waiting
-}
-
-// roundState wraps the caller's positional snapshot as the round's working
-// set (the Policy contract hands the slice to the policy; no defensive
-// copy). free is the round's budget: the snapshot's unspent slots, counted
-// once at the start and decremented per assignment.
+// roundState is one round's view of the caller's positional snapshot (no
+// defensive copy): free is the round's budget, the snapshot's unspent
+// slots, decremented per assignment.
 type roundState struct {
 	machines []MachineState
 	free     int
-}
-
-// newRound opens a round over machines and returns it with empty
-// placed/waiting buffers: placements are bounded by the free slots and the
-// items offered, waiting by the items offered. The pass that sums the free
-// slots also zeroes every machine's scarce count, since a caller's snapshot
-// outlives the round that set them.
-func newRound(items []Item, machines []MachineState, s *placeScratch) (roundState, []Assignment, []Item) {
-	free := 0
-	for i := range machines {
-		ms := &machines[i]
-		if ms.Slots > 0 {
-			free += ms.Slots
-		}
-		ms.scarce = 0
-	}
-	placed, waiting := s.outBuffers(min(free, len(items)), len(items))
-	return roundState{machines: machines, free: free}, placed, waiting
 }
 
 // assign books it onto machine id, spending one of the machine's slots and
@@ -389,10 +421,10 @@ func (r *roundState) byID(id int) *MachineState {
 // pickBest scans one item's candidate ids and returns the id of the
 // best-scoring machine with a free slot, -1 when none qualifies. With the
 // round's budget spent none can, so nothing is resolved. Equal scores keep
-// the earliest candidate, so candidate order is the tie-breaker. With
-// skipReserved, machines carrying scarce reservations are passed over
-// (UtilizationFirst's flexible items).
-func (r *roundState) pickBest(it *Item, skipReserved bool) int {
+// the earliest candidate, so candidate order is the tie-breaker. Machines
+// with a positive count in reserved are passed over (UtilizationFirst's
+// flexible items).
+func (r *roundState) pickBest(it *Item, reserved []int) int {
 	if r.free == 0 {
 		return -1
 	}
@@ -400,7 +432,7 @@ func (r *roundState) pickBest(it *Item, skipReserved bool) int {
 	bestScore := -1.0
 	for _, id := range it.CandidateIDs {
 		ms := r.byID(id)
-		if ms == nil || ms.Slots <= 0 || (skipReserved && ms.scarce > 0) {
+		if ms == nil || ms.Slots <= 0 || (id < len(reserved) && reserved[id] > 0) {
 			continue
 		}
 		if score := ms.Machine.Speed / (1 + ms.Load); score > bestScore {
