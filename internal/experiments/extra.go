@@ -96,9 +96,7 @@ func E7bAdaptivePicker() (*Result, error) {
 				if err := ms[0].AddTask(task); err != nil {
 					return nil, nil, nil, nil, nil, err
 				}
-				if err := ck.Attach(c, task); err != nil {
-					return nil, nil, nil, nil, nil, err
-				}
+				ck.Start(c)
 				c.Sim.RunUntil(10500 * time.Millisecond) // one checkpoint taken
 				if _, err := c.FS.Replicate("/ckpt/job", "dst"); err != nil {
 					return nil, nil, nil, nil, nil, err
@@ -225,11 +223,11 @@ func E13Utilization() (*Result, error) {
 			// Placement by the same idle-seeking queue in both modes;
 			// owners returning get suspension or evacuation beside it.
 			if mode == "vce-migrate" {
-				loadbalance.NewVCEMigrate(0.8, 0.2, 0.5, migrate.AddressSpace{}).Attach(c)
+				loadbalance.NewVCEMigrate(migrate.AddressSpace{}).Attach(c)
 			} else {
-				loadbalance.NewStealth(0.8, 0.2).Attach(c)
+				loadbalance.NewStealth().Attach(c)
 			}
-			queue := loadbalance.NewDAWGS(0.5)
+			queue := loadbalance.NewDAWGS()
 			queue.Attach(c)
 			for i, at := range arrivals {
 				c.Sim.At(at, func() {

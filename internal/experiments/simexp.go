@@ -260,7 +260,7 @@ func E7Migration() (*Result, error) {
 		}
 	}
 
-	runOne := func(strategy migrate.Strategy, attach func(*sim.Cluster, *sim.Task) error, dstSpec arch.Machine) (migrate.Result, error) {
+	runOne := func(strategy migrate.Strategy, start func(*sim.Cluster), dstSpec arch.Machine) (migrate.Result, error) {
 		c, ms, err := simCluster(wsSpec("src", 1), dstSpec)
 		if err != nil {
 			return migrate.Result{}, err
@@ -269,10 +269,8 @@ func E7Migration() (*Result, error) {
 		if err := ms[0].AddTask(task); err != nil {
 			return migrate.Result{}, err
 		}
-		if attach != nil {
-			if err := attach(c, task); err != nil {
-				return migrate.Result{}, err
-			}
+		if start != nil {
+			start(c)
 		}
 		var r migrate.Result
 		var migErr error
@@ -290,7 +288,7 @@ func E7Migration() (*Result, error) {
 	res.Table.AddRow("address-space", float64(addr.BytesMoved)/(1<<20), addr.Downtime.Seconds(), addr.LostWork, "no (homogeneity required)")
 
 	ck := migrate.NewCheckpointer(10 * time.Second)
-	ckr, err := runOne(ck, func(c *sim.Cluster, t *sim.Task) error { return ck.Attach(c, t) }, wsSpec("dst", 1))
+	ckr, err := runOne(ck, ck.Start, wsSpec("dst", 1))
 	if err != nil {
 		return nil, fmt.Errorf("E7 checkpoint: %w", err)
 	}
@@ -350,9 +348,7 @@ func E7aCheckpointInterval() (*Result, error) {
 		task := &sim.Task{ID: "job", Work: 200, ImageBytes: 4 << 20, Checkpointable: true}
 		_ = ms[0].AddTask(task)
 		k := migrate.NewCheckpointer(interval)
-		if err := k.Attach(c, task); err != nil {
-			return nil, err
-		}
+		k.Start(c)
 		var r migrate.Result
 		var migErr error
 		c.Sim.At(50*time.Second, func() { r, migErr = k.Migrate(c, task, ms[0], ms[1]) })
@@ -417,12 +413,12 @@ func E8Ripple() (*Result, error) {
 		}
 		return finish, nil
 	}
-	suspend, err := run(func(c *sim.Cluster) { loadbalance.NewStealth(0.8, 0.2).Attach(c) })
+	suspend, err := run(func(c *sim.Cluster) { loadbalance.NewStealth().Attach(c) })
 	if err != nil {
 		return nil, err
 	}
 	migrated, err := run(func(c *sim.Cluster) {
-		loadbalance.NewVCEMigrate(0.8, 0.2, 0.5, migrate.AddressSpace{}).Attach(c)
+		loadbalance.NewVCEMigrate(migrate.AddressSpace{}).Attach(c)
 	})
 	if err != nil {
 		return nil, err
@@ -467,7 +463,7 @@ func E9FreeParallelism() (*Result, error) {
 		width := 0
 		serial := &sim.Task{ID: "serial", Work: totalWork * serialFraction,
 			OnDone: func(_ *sim.Task, at time.Duration) {
-				idle := c.AppendIdleMachines(nil, 0.5)
+				idle := c.AppendIdleMachines(nil, loadbalance.IdleBelow)
 				width = antic.ExtraInstances(1, 0, len(idle))
 				per := totalWork * (1 - serialFraction) / float64(width)
 				for i := 0; i < width; i++ {
@@ -714,7 +710,7 @@ func E11Redundant() (*Result, error) {
 			// Policy: on owner return, evict the resident copy if a
 			// survivor exists; otherwise it just runs slower/stalls.
 			c.OnChange(func(m *sim.Machine, now time.Duration) {
-				if m.LocalLoad() < 0.8 || set.Done() {
+				if m.LocalLoad() < loadbalance.Hi || set.Done() {
 					return
 				}
 				if set.Copies() > 1 {

@@ -1,5 +1,5 @@
-// Package loadbalance implements the workload-balancing policies §4.3–§4.4
-// contrast:
+// Package loadbalance decides what happens to remote work when a
+// workstation's owner returns, the choice §4.3–§4.4 contrast:
 //
 //   - Stealth (Krueger & Chawla): "suspend (or drastically reduce the local
 //     dispatching priority of) remotely initiated tasks when resource
@@ -11,8 +11,12 @@
 //     Stealth beside it suspends them once the owner returns.
 //   - VCEMigrate: the paper's position — when a host gets busy, move the
 //     task "from a less suitable machine to a more suitable machine" using
-//     whichever migration strategy applies, falling back to suspension only
-//     when no idle machine exists.
+//     whichever migration strategy applies. It is Stealth plus evacuation:
+//     a task with nowhere to go, or whose move fails, suspends by Stealth's
+//     rule, and Stealth alone resumes it.
+//
+// Every policy reads one threshold set, the package constants Hi, Lo and
+// IdleBelow; the scenario engine's placement gate reads Hi too.
 //
 // The §4.3 ripple-effect claim — suspension "could delay initiation of other
 // tasks dependent on the output of the suspended task" — is exactly the
@@ -26,23 +30,27 @@ import (
 	"vce/internal/sim"
 )
 
+// The owner-load thresholds, as fractions of a machine's capacity.
+const (
+	// Hi is the local load at or above which an owner counts as active:
+	// remote tasks suspend or evacuate, and no new ones are placed.
+	Hi = 0.8
+	// Lo is the local load at or below which suspended tasks resume. The
+	// band between Lo and Hi is the suspension's hysteresis.
+	Lo = 0.2
+	// IdleBelow is the local load under which a machine with no remote
+	// tasks is idle: a placement or evacuation destination.
+	IdleBelow = 0.5
+)
+
 // Stealth suspends remote tasks while the owner is active.
 type Stealth struct {
-	// Hi is the local load at or above which remote tasks suspend.
-	Hi float64
-	// Lo is the local load at or below which they resume.
-	Lo float64
-
 	// Suspensions and Resumes count transitions.
 	Suspensions, Resumes int64
 }
 
-// NewStealth returns the Krueger-style suspension policy with the given
-// hysteresis band.
-func NewStealth(hi, lo float64) *Stealth { return &Stealth{Hi: hi, Lo: lo} }
-
-// Name identifies the policy.
-func (s *Stealth) Name() string { return "stealth-suspend" }
+// NewStealth returns the Krueger-style suspension policy.
+func NewStealth() *Stealth { return &Stealth{} }
 
 // Attach hooks the policy to cluster change events.
 func (s *Stealth) Attach(c *sim.Cluster) {
@@ -52,35 +60,37 @@ func (s *Stealth) Attach(c *sim.Cluster) {
 }
 
 func (s *Stealth) react(m *sim.Machine) {
-	if m.LocalLoad() >= s.Hi && !m.Suspended() && m.RemoteTasks() > 0 {
-		m.SetSuspended(true)
-		s.Suspensions++
-	} else if m.LocalLoad() <= s.Lo && m.Suspended() {
+	if m.LocalLoad() >= Hi && m.RemoteTasks() > 0 {
+		s.suspend(m)
+	} else if m.LocalLoad() <= Lo && m.Suspended() {
 		m.SetSuspended(false)
 		s.Resumes++
 	}
 }
 
-// VCEMigrate moves tasks off busy machines to idle ones.
+// suspend freezes m's remote tasks unless they already are.
+func (s *Stealth) suspend(m *sim.Machine) {
+	if !m.Suspended() {
+		m.SetSuspended(true)
+		s.Suspensions++
+	}
+}
+
+// VCEMigrate moves tasks off busy machines to idle ones. The embedded
+// Stealth is its suspension rule: it suspends a machine whose residents
+// cannot all leave, and resumes it once the owner goes.
 type VCEMigrate struct {
-	// Hi is the local load at or above which residents are evacuated.
-	Hi float64
-	// Lo is the resume threshold for the suspension fallback.
-	Lo float64
-	// IdleBelow qualifies destination machines.
-	IdleBelow float64
+	Stealth
 	// Strategy performs the moves.
 	Strategy migrate.Strategy
 
-	// Migrations and FallbackSuspends count what happened.
-	Migrations       int64
-	FallbackSuspends int64
+	// Migrations counts completed moves.
+	Migrations int64
 
 	// bytesMoved is the running state-transfer total: fixed-size however
 	// many migrations a long streaming cell performs.
 	bytesMoved int64
 
-	cluster *sim.Cluster
 	// tasks and idle are react's and pickDestination's reused buffers, so an
 	// evacuation allocates no per-event slices. react runs only inside the
 	// cluster's change fan-out, which queues the changes its migrations
@@ -90,27 +100,20 @@ type VCEMigrate struct {
 }
 
 // NewVCEMigrate returns the migration policy over the given strategy.
-func NewVCEMigrate(hi, lo, idleBelow float64, strategy migrate.Strategy) *VCEMigrate {
-	return &VCEMigrate{Hi: hi, Lo: lo, IdleBelow: idleBelow, Strategy: strategy}
+func NewVCEMigrate(strategy migrate.Strategy) *VCEMigrate {
+	return &VCEMigrate{Strategy: strategy}
 }
-
-// Name identifies the policy.
-func (v *VCEMigrate) Name() string { return "vce-migrate" }
 
 // Attach hooks the policy to cluster change events.
 func (v *VCEMigrate) Attach(c *sim.Cluster) {
-	v.cluster = c
 	c.OnChange(func(m *sim.Machine, now time.Duration) {
 		v.react(c, m)
 	})
 }
 
 func (v *VCEMigrate) react(c *sim.Cluster, m *sim.Machine) {
-	if m.LocalLoad() <= v.Lo && m.Suspended() {
-		m.SetSuspended(false)
-		return
-	}
-	if m.LocalLoad() < v.Hi || m.RemoteTasks() == 0 {
+	if m.LocalLoad() < Hi || m.RemoteTasks() == 0 {
+		v.Stealth.react(m)
 		return
 	}
 	// Owner is active: evacuate residents to idle machines. The walk is
@@ -119,19 +122,12 @@ func (v *VCEMigrate) react(c *sim.Cluster, m *sim.Machine) {
 	for _, t := range v.tasks {
 		dst := v.pickDestination(c, m, t)
 		if dst == nil {
-			// Nowhere to go: fall back to Stealth behaviour.
-			if !m.Suspended() {
-				m.SetSuspended(true)
-				v.FallbackSuspends++
-			}
+			v.suspend(m) // nowhere to go
 			return
 		}
 		res, err := v.Strategy.Migrate(c, t, m, dst)
 		if err != nil {
-			if !m.Suspended() {
-				m.SetSuspended(true)
-				v.FallbackSuspends++
-			}
+			v.suspend(m)
 			return
 		}
 		v.Migrations++
@@ -140,7 +136,7 @@ func (v *VCEMigrate) react(c *sim.Cluster, m *sim.Machine) {
 }
 
 func (v *VCEMigrate) pickDestination(c *sim.Cluster, src *sim.Machine, t *sim.Task) *sim.Machine {
-	v.idle = c.AppendIdleMachines(v.idle[:0], v.IdleBelow)
+	v.idle = c.AppendIdleMachines(v.idle[:0], IdleBelow)
 	for _, cand := range v.idle {
 		if cand == src {
 			continue
@@ -161,9 +157,6 @@ func (v *VCEMigrate) TotalBytesMoved() int64 { return v.bytesMoved }
 // its host's owner returns is a separate policy attached beside the queue:
 // Stealth suspends it in place, VCEMigrate moves it.
 type DAWGS struct {
-	// IdleBelow is the local load under which a machine counts as idle.
-	IdleBelow float64
-
 	// Placed counts dispatches.
 	Placed int64
 
@@ -175,12 +168,7 @@ type DAWGS struct {
 }
 
 // NewDAWGS returns the non-preemptive idle-workstation queue.
-func NewDAWGS(idleBelow float64) *DAWGS {
-	return &DAWGS{IdleBelow: idleBelow}
-}
-
-// Name identifies the policy.
-func (d *DAWGS) Name() string { return "dawgs-queue" }
+func NewDAWGS() *DAWGS { return &DAWGS{} }
 
 // Attach drains the queue on every cluster change event.
 func (d *DAWGS) Attach(c *sim.Cluster) {
@@ -195,7 +183,7 @@ func (d *DAWGS) Submit(c *sim.Cluster, t *sim.Task) {
 
 func (d *DAWGS) drain(c *sim.Cluster) {
 	for len(d.queue) > 0 {
-		d.idle = c.AppendIdleMachines(d.idle[:0], d.IdleBelow)
+		d.idle = c.AppendIdleMachines(d.idle[:0], IdleBelow)
 		if len(d.idle) == 0 {
 			return
 		}

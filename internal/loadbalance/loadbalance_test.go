@@ -31,7 +31,7 @@ func newCluster(t *testing.T, names ...string) (*sim.Cluster, map[string]*sim.Ma
 
 func TestStealthSuspendsAndResumes(t *testing.T) {
 	c, ms := newCluster(t, "m")
-	pol := NewStealth(0.8, 0.2)
+	pol := NewStealth()
 	pol.Attach(c)
 	var doneAt time.Duration
 	task := &sim.Task{ID: "t", Work: 10, OnDone: func(_ *sim.Task, at time.Duration) { doneAt = at }}
@@ -50,7 +50,7 @@ func TestStealthSuspendsAndResumes(t *testing.T) {
 
 func TestStealthIgnoresMachinesWithoutRemoteTasks(t *testing.T) {
 	c, ms := newCluster(t, "m")
-	pol := NewStealth(0.8, 0.2)
+	pol := NewStealth()
 	pol.Attach(c)
 	ms["m"].SetLocalLoad(1.0)
 	c.Sim.Run()
@@ -61,7 +61,7 @@ func TestStealthIgnoresMachinesWithoutRemoteTasks(t *testing.T) {
 
 func TestVCEMigrateEvacuatesToIdleMachine(t *testing.T) {
 	c, ms := newCluster(t, "busy", "idle")
-	pol := NewVCEMigrate(0.8, 0.2, 0.5, migrate.AddressSpace{})
+	pol := NewVCEMigrate(migrate.AddressSpace{})
 	pol.Attach(c)
 	var doneAt time.Duration
 	task := &sim.Task{ID: "t", Work: 10, ImageBytes: 1 << 20,
@@ -86,7 +86,7 @@ func TestVCEMigrateFallsBackToSuspension(t *testing.T) {
 	// No idle destination: the policy suspends like Stealth.
 	c, ms := newCluster(t, "busy", "alsobusy")
 	ms["alsobusy"].SetLocalLoad(0.9)
-	pol := NewVCEMigrate(0.8, 0.2, 0.5, migrate.AddressSpace{})
+	pol := NewVCEMigrate(migrate.AddressSpace{})
 	pol.Attach(c)
 	task := &sim.Task{ID: "t", Work: 10}
 	_ = ms["busy"].AddTask(task)
@@ -95,8 +95,8 @@ func TestVCEMigrateFallsBackToSuspension(t *testing.T) {
 	if pol.Migrations != 0 {
 		t.Fatalf("migrations = %d, want 0", pol.Migrations)
 	}
-	if pol.FallbackSuspends != 1 {
-		t.Fatalf("fallback suspends = %d", pol.FallbackSuspends)
+	if pol.Suspensions != 1 {
+		t.Fatalf("suspensions = %d", pol.Suspensions)
 	}
 	if !ms["busy"].Suspended() {
 		t.Fatal("machine not suspended")
@@ -109,6 +109,9 @@ func TestVCEMigrateFallsBackToSuspension(t *testing.T) {
 	if !done {
 		t.Fatal("task never completed after resume")
 	}
+	if pol.Resumes != 1 {
+		t.Fatalf("resumes = %d, want 1 (Stealth's rule resumes the fallback)", pol.Resumes)
+	}
 }
 
 func TestVCEMigrateHonoursStrategyApplicability(t *testing.T) {
@@ -118,7 +121,7 @@ func TestVCEMigrateHonoursStrategyApplicability(t *testing.T) {
 	c.Net = netsim.New(netsim.Link{Bandwidth: 1 << 20})
 	busy, _ := c.AddMachine(ws("busy"))
 	_, _ = c.AddMachine(arch.Machine{Name: "cm5", Class: arch.SIMD, Speed: 10, OS: "cmost"})
-	pol := NewVCEMigrate(0.8, 0.2, 0.5, migrate.AddressSpace{})
+	pol := NewVCEMigrate(migrate.AddressSpace{})
 	pol.Attach(c)
 	task := &sim.Task{ID: "t", Work: 10}
 	_ = busy.AddTask(task)
@@ -159,9 +162,9 @@ func TestRippleEffectSuspensionVsMigration(t *testing.T) {
 		}
 		return finish
 	}
-	suspended := runPipeline(func(c *sim.Cluster) { NewStealth(0.8, 0.2).Attach(c) })
+	suspended := runPipeline(func(c *sim.Cluster) { NewStealth().Attach(c) })
 	migrated := runPipeline(func(c *sim.Cluster) {
-		NewVCEMigrate(0.8, 0.2, 0.5, migrate.AddressSpace{}).Attach(c)
+		NewVCEMigrate(migrate.AddressSpace{}).Attach(c)
 	})
 	if migrated >= suspended {
 		t.Fatalf("migration (%v) should beat suspension (%v) on dependent completion", migrated, suspended)
@@ -177,7 +180,7 @@ func TestDAWGSQueuesUntilIdle(t *testing.T) {
 	c, ms := newCluster(t, "a", "b")
 	ms["a"].SetLocalLoad(0.9)
 	ms["b"].SetLocalLoad(0.9)
-	pol := NewDAWGS(0.5)
+	pol := NewDAWGS()
 	pol.Attach(c)
 	var done int
 	for i := 0; i < 3; i++ {
@@ -203,8 +206,8 @@ func TestDAWGSNonPreemptive(t *testing.T) {
 	// DAWGS never moves a placed task: with Stealth beside the queue,
 	// owner activity suspends it in place even when another machine is idle.
 	c, ms := newCluster(t, "host", "idle")
-	NewStealth(0.8, 0.2).Attach(c)
-	pol := NewDAWGS(0.5)
+	NewStealth().Attach(c)
+	pol := NewDAWGS()
 	pol.Attach(c)
 	task := &sim.Task{ID: "t", Work: 10}
 	pol.Submit(c, task)
@@ -221,16 +224,4 @@ func TestDAWGSNonPreemptive(t *testing.T) {
 		t.Fatal("DAWGS moved a task")
 	}
 	_ = ms
-}
-
-func TestPolicyNames(t *testing.T) {
-	if NewStealth(1, 0).Name() != "stealth-suspend" {
-		t.Fatal("stealth name")
-	}
-	if NewVCEMigrate(1, 0, 0, migrate.AddressSpace{}).Name() != "vce-migrate" {
-		t.Fatal("vce name")
-	}
-	if NewDAWGS(0).Name() != "dawgs-queue" {
-		t.Fatal("dawgs name")
-	}
 }

@@ -14,7 +14,17 @@
 //     architectures (Theimer & Hayes).
 //
 // Each strategy reports the costs the §4.4 comparison turns on: bytes moved,
-// downtime, and lost work.
+// downtime, and lost work. A strategy prices a move in one place (its
+// unexported price, read at the current virtual instant without changing
+// anything): Migrate charges exactly that price, and the adaptive picker's
+// Estimate reads it. Migrate prices before it kills, so a move that cannot
+// happen leaves the task where it was. A migration kills the task record on
+// its source, applies the strategy's side effects (a checkpoint restart
+// rewinds the record; a recompilation fills the compiler cache) and lands
+// the same record on the destination once the downtime has passed.
+//
+// Checkpoints follow one cadence per cluster (Checkpointer.Start): "migratable
+// jobs checkpoint regularly", and a task holds no tick of its own.
 package migrate
 
 import (
@@ -84,8 +94,9 @@ func (AddressSpace) CanMigrate(t *sim.Task, src, dst *sim.Machine) error {
 	return nil
 }
 
-// Migrate implements Strategy.
-func (a AddressSpace) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
+// price is one image transfer; progress freezes at the kill, so nothing is
+// lost.
+func (a AddressSpace) price(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
 	if err := a.CanMigrate(t, src, dst); err != nil {
 		return Result{}, err
 	}
@@ -93,29 +104,44 @@ func (a AddressSpace) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine
 	if err != nil {
 		return Result{}, fmt.Errorf("migrate: %w", err)
 	}
-	killed, err := src.Kill(t.ID)
+	return Result{Strategy: a.Name(), BytesMoved: t.ImageBytes, Downtime: transfer}, nil
+}
+
+// Migrate implements Strategy.
+func (a AddressSpace) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
+	r, err := a.price(c, t, src, dst)
 	if err != nil {
 		return Result{}, err
 	}
-	c.Sim.After(transfer, func() {
-		// Progress froze at the kill; nothing is lost.
-		_ = dst.AddTask(killed)
-	})
-	return Result{Strategy: a.Name(), BytesMoved: t.ImageBytes, Downtime: transfer}, nil
+	if err := src.Kill(t); err != nil {
+		return Result{}, err
+	}
+	land(c, t, dst, r)
+	return r, nil
+}
+
+// land places the killed record t on dst once the move's downtime has
+// passed. The record is unplaced and unfinished, so only a resident of dst
+// with the same ID could refuse it; task IDs are unique in every caller.
+func land(c *sim.Cluster, t *sim.Task, dst *sim.Machine, r Result) {
+	c.Sim.After(r.Downtime, func() { _ = dst.AddTask(t) })
 }
 
 // ---- checkpoint-based ----
 
-// Checkpointer drives periodic checkpoints for cooperative tasks and
-// migrates from the latest checkpoint record. Checkpoint records live in the
-// cluster's distributed file system, so restart cost depends on replica
-// placement — which is what anticipatory file replication (§4.5) optimizes.
+// Checkpointer checkpoints cooperative tasks on a cluster-wide cadence
+// (Start) and migrates from the latest checkpoint record. Checkpoint records
+// live in the cluster's distributed file system, so restart cost depends on
+// replica placement — which is what anticipatory file replication (§4.5)
+// optimizes.
 type Checkpointer struct {
 	// Interval is the checkpoint period.
 	Interval time.Duration
 
 	bytesWritten int64
 	checkpoints  int64
+	// residents is the cadence's reused walk buffer.
+	residents []*sim.Task
 }
 
 // NewCheckpointer returns a checkpoint-migration strategy with the given
@@ -127,39 +153,38 @@ func NewCheckpointer(interval time.Duration) *Checkpointer {
 // ckptPath names a task's checkpoint record in the vfs.
 func ckptPath(id string) string { return "/ckpt/" + id }
 
-// Attach begins periodic checkpointing of a placed task. Checkpoints stop
-// when the task finishes or is no longer placed anywhere (killed without
-// restart).
-func (k *Checkpointer) Attach(c *sim.Cluster, t *sim.Task) error {
-	if !t.Checkpointable {
-		return fmt.Errorf("%w: task %q does not cooperate with checkpointing", ErrNotApplicable, t.ID)
-	}
-	if t.Machine() == nil {
-		return fmt.Errorf("migrate: task %q not placed", t.ID)
-	}
+// Start begins the cluster's one checkpoint cadence: every Interval from
+// now, each checkpointable resident checkpoints, machines in registration
+// order and residents in ID order. A task holds no tick of its own, so the
+// cadence has no per-task phase and nothing outlives a task record. A tick
+// that finds nothing else pending in the kernel schedules no successor:
+// nothing is left that could move a resident, and a drained simulation
+// still ends.
+func (k *Checkpointer) Start(c *sim.Cluster) {
 	var tick func()
 	tick = func() {
-		if t.Finished() {
-			return
+		for _, m := range c.Machines() {
+			if m.RemoteTasks() == 0 {
+				continue // AppendTasks copies and sorts; idle machines skip it
+			}
+			k.residents = m.AppendTasks(k.residents[:0])
+			for _, t := range k.residents {
+				if t.Checkpointable {
+					k.checkpoint(c, m, t)
+				}
+			}
 		}
-		k.CheckpointNow(c, t)
-		c.Sim.After(k.Interval, tick)
+		if c.Sim.Pending() > 0 {
+			c.Sim.After(k.Interval, tick)
+		}
 	}
 	c.Sim.After(k.Interval, tick)
-	return nil
 }
 
-// CheckpointNow captures one checkpoint of t immediately: progress syncs to
+// checkpoint captures one checkpoint of m's resident t: progress syncs to
 // the current virtual instant and the checkpoint record lands in the
-// cluster file system at the hosting site. An unplaced or finished task is
-// a no-op. Attach's periodic tick runs this same body; callers that manage
-// their own cadence — the scenario engine's cell-wide checkpoint ticker —
-// call it directly.
-func (k *Checkpointer) CheckpointNow(c *sim.Cluster, t *sim.Task) {
-	m := t.Machine()
-	if m == nil || t.Finished() {
-		return
-	}
+// cluster file system at the hosting site.
+func (k *Checkpointer) checkpoint(c *sim.Cluster, m *sim.Machine, t *sim.Task) {
 	m.Sync()
 	t.CheckpointedWork = t.DoneWork()
 	k.checkpoints++
@@ -202,43 +227,58 @@ func (k *Checkpointer) CanMigrate(t *sim.Task, src, dst *sim.Machine) error {
 	return nil
 }
 
-// Migrate implements Strategy: kill, restore from the checkpoint record,
-// redo the work since the last checkpoint.
-func (k *Checkpointer) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
+// price is the restart's record transfer plus the work done since the last
+// checkpoint. The record moves unless a current replica is already at dst
+// (anticipatory replication's win); with no record yet, the initial image
+// ships. Progress syncs to now, as the kill's would.
+func (k *Checkpointer) price(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
 	if err := k.CanMigrate(t, src, dst); err != nil {
 		return Result{}, err
 	}
-	killed, err := src.Kill(t.ID)
-	if err != nil {
-		return Result{}, err
-	}
-	lost := killed.DoneWork() - killed.CheckpointedWork
-	if lost < 0 {
-		lost = 0
-	}
-	// Restart cost: move the checkpoint record to dst unless a current
-	// replica is already there (anticipatory replication's win).
-	var moved int64
+	moved := t.ImageBytes
 	path := ckptPath(t.ID)
-	if _, ok := c.FS.Stat(path); ok {
-		moved, _ = c.FS.Replicate(path, dst.Name())
-	} else {
-		moved = t.ImageBytes // no record yet: ship the initial image
+	if f, ok := c.FS.Stat(path); ok {
+		moved = f.Size
+		if c.FS.HasCurrent(path, dst.Name()) {
+			moved = 0
+		}
 	}
 	transfer, err := c.TransferTime(src.Name(), dst.Name(), moved)
 	if err != nil {
 		return Result{}, fmt.Errorf("migrate: %w", err)
 	}
-	if err := killed.Rewind(killed.CheckpointedWork); err != nil {
-		return Result{}, err
-	}
-	c.Sim.After(transfer, func() {
-		_ = dst.AddTask(killed)
-	})
+	src.Sync()
+	lost := max(0, t.DoneWork()-t.CheckpointedWork)
 	return Result{Strategy: k.Name(), BytesMoved: moved, Downtime: transfer, LostWork: lost}, nil
 }
 
+// Migrate implements Strategy: kill, restore from the checkpoint record,
+// redo the work since the last checkpoint.
+func (k *Checkpointer) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
+	r, err := k.price(c, t, src, dst)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := src.Kill(t); err != nil {
+		return Result{}, err
+	}
+	// The record, if any, follows the task (a no-op for a current replica).
+	path := ckptPath(t.ID)
+	if _, ok := c.FS.Stat(path); ok {
+		_, _ = c.FS.Replicate(path, dst.Name())
+	}
+	// t is unplaced and unfinished, and a checkpoint never records more
+	// than its work, so the rewind cannot fail.
+	_ = t.Rewind(t.CheckpointedWork)
+	land(c, t, dst, r)
+	return r, nil
+}
+
 // ---- recompilation ----
+
+// stateFraction sizes a recompiled task's portable state relative to its
+// image.
+const stateFraction = 0.1
 
 // Recompile is heterogeneous migration by recompilation (Theimer & Hayes):
 // portable at the price of a compile on the destination architecture plus a
@@ -246,17 +286,13 @@ func (k *Checkpointer) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machin
 // §4.1 prepare-everything policy or §4.5 anticipatory compilation), the
 // compile cost vanishes — that interaction is experiment E7's ablation.
 type Recompile struct {
-	// Compiler prices (and caches) compilations; required.
+	// Compiler caches compilations; without it (or without Program) every
+	// migration pays Cost's compile.
 	Compiler *compilemgr.Manager
-	// Cost prices a compile when Compiler is nil (pure cost model).
+	// Cost prices a compile.
 	Cost compilemgr.CostModel
-	// StateFraction sizes portable state relative to the image
-	// (default 0.1).
-	StateFraction float64
 	// Program is the source program path for cache lookups.
 	Program string
-	// Language records the source language for the produced binary.
-	Language string
 }
 
 // Name implements Strategy.
@@ -271,42 +307,44 @@ func (r *Recompile) CanMigrate(t *sim.Task, src, dst *sim.Machine) error {
 	return nil
 }
 
-func (r *Recompile) stateFraction() float64 {
-	if r.StateFraction <= 0 {
-		return 0.1
+// cold reports whether moving to dst needs a compile: the compiler cache
+// holds no binary of the program for dst's target.
+func (r *Recompile) cold(dst *sim.Machine) bool {
+	return r.Compiler == nil || r.Program == "" || !r.Compiler.HasBinaryFor(r.Program, dst.Spec)
+}
+
+// price is the portable-state transfer plus a compile unless the cache is
+// warm for dst. Portable state preserves progress; the cost is downtime,
+// not redo.
+func (r *Recompile) price(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
+	if err := r.CanMigrate(t, src, dst); err != nil {
+		return Result{}, err
 	}
-	return r.StateFraction
+	state := int64(float64(t.ImageBytes) * stateFraction)
+	downtime, err := c.TransferTime(src.Name(), dst.Name(), state)
+	if err != nil {
+		return Result{}, fmt.Errorf("migrate: %w", err)
+	}
+	if r.cold(dst) {
+		downtime += r.Cost.CompileTime(t.ImageBytes)
+	}
+	return Result{Strategy: r.Name(), BytesMoved: state, Downtime: downtime}, nil
 }
 
 // Migrate implements Strategy.
 func (r *Recompile) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
-	if err := r.CanMigrate(t, src, dst); err != nil {
-		return Result{}, err
-	}
-	killed, err := src.Kill(t.ID)
+	p, err := r.price(c, t, src, dst)
 	if err != nil {
 		return Result{}, err
 	}
-	stateBytes := int64(float64(t.ImageBytes) * r.stateFraction())
-	transfer, err := c.TransferTime(src.Name(), dst.Name(), stateBytes)
-	if err != nil {
-		return Result{}, fmt.Errorf("migrate: %w", err)
+	if err := src.Kill(t); err != nil {
+		return Result{}, err
 	}
-	compile := time.Duration(0)
-	if r.Compiler != nil && r.Program != "" {
-		if !r.Compiler.HasBinaryFor(r.Program, dst.Spec) {
-			compile = r.Cost.CompileTime(t.ImageBytes)
-			// Record the binary so repeated migrations reuse it.
-			shim := taskgraph.Task{ID: "migrate-shim", Program: r.Program, Language: r.Language, ImageBytes: t.ImageBytes}
-			_, _ = r.Compiler.Prepare(shim, compilemgr.TargetOf(dst.Spec))
-		}
-	} else {
-		compile = r.Cost.CompileTime(t.ImageBytes)
+	if r.Compiler != nil && r.Program != "" && r.cold(dst) {
+		// Record the binary so repeated migrations reuse it.
+		shim := taskgraph.Task{ID: "migrate-shim", Program: r.Program, ImageBytes: t.ImageBytes}
+		_, _ = r.Compiler.Prepare(shim, compilemgr.TargetOf(dst.Spec))
 	}
-	downtime := transfer + compile
-	c.Sim.After(downtime, func() {
-		_ = dst.AddTask(killed)
-	})
-	// Portable state preserves progress; the cost is downtime, not redo.
-	return Result{Strategy: r.Name(), BytesMoved: stateBytes, Downtime: downtime}, nil
+	land(c, t, dst, p)
+	return p, nil
 }

@@ -10,6 +10,7 @@ import (
 	"vce/internal/compilemgr"
 	"vce/internal/netsim"
 	"vce/internal/sim"
+	"vce/internal/taskgraph"
 )
 
 func ws(name string) arch.Machine {
@@ -97,8 +98,10 @@ func TestCheckpointerRequiresCooperation(t *testing.T) {
 	task := &sim.Task{ID: "t", Work: 10} // not checkpointable
 	_ = ms["src"].AddTask(task)
 	k := NewCheckpointer(time.Second)
-	if err := k.Attach(c, task); !errors.Is(err, ErrNotApplicable) {
-		t.Fatalf("attach to uncooperative task: %v", err)
+	k.Start(c)
+	c.Sim.Run()
+	if n, bytes := k.Stats(); n != 0 || bytes != 0 {
+		t.Fatalf("uncooperative task checkpointed %d times (%d bytes)", n, bytes)
 	}
 	if err := k.CanMigrate(task, ms["src"], ms["dst"]); !errors.Is(err, ErrNotApplicable) {
 		t.Fatalf("CanMigrate: %v", err)
@@ -112,9 +115,7 @@ func TestCheckpointMigrationLosesOnlyDelta(t *testing.T) {
 		OnDone: func(_ *sim.Task, at time.Duration) { doneAt = at }}
 	_ = ms["src"].AddTask(task)
 	k := NewCheckpointer(3 * time.Second)
-	if err := k.Attach(c, task); err != nil {
-		t.Fatal(err)
-	}
+	k.Start(c)
 	var res Result
 	c.Sim.At(10*time.Second, func() {
 		var err error
@@ -147,9 +148,7 @@ func TestCheckpointIntervalTradesLostWork(t *testing.T) {
 		task := &sim.Task{ID: "t", Work: 100, ImageBytes: 1 << 20, Checkpointable: true}
 		_ = ms["src"].AddTask(task)
 		k := NewCheckpointer(interval)
-		if err := k.Attach(c, task); err != nil {
-			t.Fatal(err)
-		}
+		k.Start(c)
 		var res Result
 		c.Sim.At(50*time.Second, func() {
 			var err error
@@ -175,7 +174,7 @@ func TestCheckpointReplicaMakesRestartCheap(t *testing.T) {
 	task := &sim.Task{ID: "t", Work: 100, ImageBytes: 1 << 20, Checkpointable: true}
 	_ = ms["src"].AddTask(task)
 	k := NewCheckpointer(time.Second)
-	_ = k.Attach(c, task)
+	k.Start(c)
 	var res Result
 	c.Sim.At(5500*time.Millisecond, func() {
 		// Anticipatory replication of the checkpoint record.
@@ -399,7 +398,7 @@ func TestStrategyOverheadOrdering(t *testing.T) {
 	})
 	ckpt := run(func(c *sim.Cluster, src, dst *sim.Machine, task *sim.Task) Result {
 		k := NewCheckpointer(4 * time.Second)
-		_ = k.Attach(c, task)
+		k.Start(c)
 		r, err := k.Migrate(c, task, src, dst)
 		if err != nil {
 			t.Fatal(err)
@@ -422,5 +421,162 @@ func TestStrategyOverheadOrdering(t *testing.T) {
 	}
 	if ckpt.LostWork <= 0 {
 		t.Fatalf("checkpoint lost work = %v, want > 0", ckpt.LostWork)
+	}
+}
+
+// TestCheckpointCadence pins the cluster's one checkpoint cadence: every
+// cooperative resident of every machine checkpoints at each multiple of the
+// interval, an uncooperative one never does, and the cadence stops after
+// the last event that could change a resident, so Run returns.
+func TestCheckpointCadence(t *testing.T) {
+	c, ms := newCluster(t, "a", "b")
+	// a: two cooperative tasks sharing speed 1, done at 200s. b: a
+	// cooperative 50-unit task beside an uncooperative one; the first is
+	// done at 100s, the second at 150s.
+	c1 := &sim.Task{ID: "c1", Work: 100, ImageBytes: 1 << 20, Checkpointable: true}
+	c2 := &sim.Task{ID: "c2", Work: 100, ImageBytes: 1 << 20, Checkpointable: true}
+	c3 := &sim.Task{ID: "c3", Work: 50, ImageBytes: 1 << 20, Checkpointable: true}
+	u := &sim.Task{ID: "u", Work: 100, ImageBytes: 1 << 20}
+	for _, p := range []struct {
+		m    *sim.Machine
+		task *sim.Task
+	}{{ms["a"], c1}, {ms["a"], c2}, {ms["b"], c3}, {ms["b"], u}} {
+		if err := p.m.AddTask(p.task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const interval = 7 * time.Second
+	k := NewCheckpointer(interval)
+	k.Start(c)
+	// Just after each of the first three ticks, c1's record holds the
+	// progress of the tick's instant: 0.5 work units per second.
+	for i := 1; i <= 3; i++ {
+		want := 3.5 * float64(i)
+		c.Sim.At(time.Duration(i)*interval+time.Millisecond, func() {
+			if math.Abs(c1.CheckpointedWork-want) > 1e-9 {
+				t.Errorf("after tick %d c1 checkpointed %v, want %v", i, c1.CheckpointedWork, want)
+			}
+		})
+	}
+	c.Sim.Run()
+	// Ticks at 7s … 196s reach c1 and c2 (28 each) and c3 until it ends at
+	// 100s (7s … 98s, 14). The tick at 203s finds nothing else pending and
+	// is the last.
+	if n, bytes := k.Stats(); n != 70 || bytes != 70<<20 {
+		t.Fatalf("checkpoints = %d (%d bytes), want 70 (70 MiB)", n, bytes)
+	}
+	if c1.CheckpointedWork != 98 || c2.CheckpointedWork != 98 || c3.CheckpointedWork != 49 {
+		t.Fatalf("last checkpoints c1=%v c2=%v c3=%v, want 98/98/49", c1.CheckpointedWork, c2.CheckpointedWork, c3.CheckpointedWork)
+	}
+	if u.CheckpointedWork != 0 {
+		t.Fatalf("uncooperative task checkpointed %v", u.CheckpointedWork)
+	}
+	if _, ok := c.FS.Stat(ckptPath("u")); ok {
+		t.Fatal("uncooperative task has a checkpoint record")
+	}
+	if now := c.Sim.Now(); now != 203*time.Second || c.Sim.Pending() != 0 {
+		t.Fatalf("run ended at %v with %d pending, want 203s and none", now, c.Sim.Pending())
+	}
+}
+
+// TestEstimateIsMigratePrice pins one price per strategy: on twin clusters
+// at the same instant, the picker's Estimate equals the downtime Migrate
+// charges, plus the redo time of its lost work for a checkpoint restart.
+func TestEstimateIsMigratePrice(t *testing.T) {
+	type strategy interface {
+		Strategy
+		Estimator
+	}
+	cm5 := arch.Machine{Name: "cm5", Class: arch.SIMD, Speed: 2, OS: "cmost"}
+	const program = "/apps/t.vce"
+	compiler := func(warm bool) *compilemgr.Manager {
+		db := arch.NewDB()
+		_ = db.Add(ws("src"))
+		_ = db.Add(cm5)
+		mgr := compilemgr.New(db, compilemgr.CostModel{Base: 10 * time.Second})
+		if warm {
+			mgr.Prepare(taskgraph.Task{ID: "warm", Program: program, ImageBytes: 1 << 20}, compilemgr.TargetOf(cm5))
+		}
+		return mgr
+	}
+	cases := []struct {
+		name    string
+		dst     arch.Machine
+		at      time.Duration
+		strat   func() strategy
+		prepare func(c *sim.Cluster, s strategy)
+		bytes   int64
+	}{
+		{name: "address-space", dst: ws("dst"), at: 5 * time.Second,
+			strat: func() strategy { return AddressSpace{} }, bytes: 1 << 20},
+		{name: "checkpoint/cold record", dst: ws("dst"), at: 5 * time.Second,
+			strat: func() strategy { return NewCheckpointer(10 * time.Second) }, bytes: 1 << 20},
+		{name: "checkpoint/mid-interval", dst: ws("dst"), at: 15 * time.Second,
+			strat:   func() strategy { return NewCheckpointer(10 * time.Second) },
+			prepare: func(c *sim.Cluster, s strategy) { s.(*Checkpointer).Start(c) }, bytes: 1 << 20},
+		{name: "checkpoint/warm replica", dst: ws("dst"), at: 11 * time.Second,
+			strat: func() strategy { return NewCheckpointer(10 * time.Second) },
+			prepare: func(c *sim.Cluster, s strategy) {
+				s.(*Checkpointer).Start(c)
+				c.Sim.At(10500*time.Millisecond, func() { _, _ = c.FS.Replicate(ckptPath("t"), "dst") })
+			}},
+		{name: "recompile/cold cache", dst: cm5, at: 5 * time.Second,
+			strat: func() strategy {
+				return &Recompile{Compiler: compiler(false), Cost: compilemgr.CostModel{Base: 10 * time.Second}, Program: program}
+			}, bytes: 1 << 20 / 10},
+		{name: "recompile/warm cache", dst: cm5, at: 5 * time.Second,
+			strat: func() strategy {
+				return &Recompile{Compiler: compiler(true), Cost: compilemgr.CostModel{Base: 10 * time.Second}, Program: program}
+			}, bytes: 1 << 20 / 10},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// twin builds one of two identical worlds and runs f at tc.at.
+			twin := func(f func(c *sim.Cluster, s strategy, task *sim.Task, src, dst *sim.Machine)) *sim.Task {
+				c := sim.NewCluster()
+				c.Net = netsim.New(netsim.Link{Latency: 0, Bandwidth: 1 << 20})
+				src, _ := c.AddMachine(ws("src"))
+				dst, _ := c.AddMachine(tc.dst)
+				task := &sim.Task{ID: "t", Work: 100, ImageBytes: 1 << 20, Checkpointable: true}
+				if err := src.AddTask(task); err != nil {
+					t.Fatal(err)
+				}
+				s := tc.strat()
+				if tc.prepare != nil {
+					tc.prepare(c, s)
+				}
+				c.Sim.At(tc.at, func() { f(c, s, task, src, dst) })
+				c.Sim.RunUntil(tc.at)
+				return task
+			}
+			var est time.Duration
+			twin(func(c *sim.Cluster, s strategy, task *sim.Task, src, dst *sim.Machine) {
+				var err error
+				if est, err = s.Estimate(c, task, src, dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			var res Result
+			var want time.Duration
+			moved := twin(func(c *sim.Cluster, s strategy, task *sim.Task, src, dst *sim.Machine) {
+				var err error
+				if res, err = s.Migrate(c, task, src, dst); err != nil {
+					t.Fatal(err)
+				}
+				want = res.Downtime
+				if _, ok := s.(*Checkpointer); ok {
+					want += redoTime(res.LostWork, dst)
+				}
+			})
+			if m := moved.Machine(); m != nil && m.Name() == "src" {
+				t.Fatal("task still on src after Migrate")
+			}
+			if est != want {
+				t.Fatalf("Estimate = %v, Migrate charged %+v (want estimate %v)", est, res, want)
+			}
+			if res.BytesMoved != tc.bytes {
+				t.Fatalf("bytes moved = %d, want %d", res.BytesMoved, tc.bytes)
+			}
+		})
 	}
 }

@@ -34,55 +34,23 @@ func (r *Redundant) Estimate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine)
 	return 0, nil
 }
 
-// Estimate implements Estimator: one image transfer, no redone work.
+// Estimate implements Estimator: the move's downtime.
 func (a AddressSpace) Estimate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (time.Duration, error) {
-	if err := a.CanMigrate(t, src, dst); err != nil {
-		return 0, err
-	}
-	return c.TransferTime(src.Name(), dst.Name(), t.ImageBytes)
+	r, err := a.price(c, t, src, dst)
+	return r.Downtime, err
 }
 
-// Estimate implements Estimator: checkpoint-record transfer plus redoing
-// the work done since the last checkpoint.
+// Estimate implements Estimator: the record transfer plus redoing the work
+// done since the last checkpoint.
 func (k *Checkpointer) Estimate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (time.Duration, error) {
-	if err := k.CanMigrate(t, src, dst); err != nil {
-		return 0, err
-	}
-	var moved int64 = t.ImageBytes
-	path := ckptPath(t.ID)
-	if c.FS.HasCurrent(path, dst.Name()) {
-		moved = 0
-	}
-	transfer, err := c.TransferTime(src.Name(), dst.Name(), moved)
-	if err != nil {
-		return 0, err
-	}
-	if m := t.Machine(); m != nil {
-		m.Sync()
-	}
-	lost := t.DoneWork() - t.CheckpointedWork
-	if lost < 0 {
-		lost = 0
-	}
-	return transfer + redoTime(lost, dst), nil
+	r, err := k.price(c, t, src, dst)
+	return r.Downtime + redoTime(r.LostWork, dst), err
 }
 
-// Estimate implements Estimator: portable-state transfer plus a compile
-// unless the binary cache is already warm for the destination.
+// Estimate implements Estimator: the move's downtime.
 func (r *Recompile) Estimate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (time.Duration, error) {
-	if err := r.CanMigrate(t, src, dst); err != nil {
-		return 0, err
-	}
-	stateBytes := int64(float64(t.ImageBytes) * r.stateFraction())
-	transfer, err := c.TransferTime(src.Name(), dst.Name(), stateBytes)
-	if err != nil {
-		return 0, err
-	}
-	compile := time.Duration(0)
-	if r.Compiler == nil || r.Program == "" || !r.Compiler.HasBinaryFor(r.Program, dst.Spec) {
-		compile = r.Cost.CompileTime(t.ImageBytes)
-	}
-	return transfer + compile, nil
+	p, err := r.price(c, t, src, dst)
+	return p.Downtime, err
 }
 
 // Picker is the adaptive strategy: it holds the execution layer's

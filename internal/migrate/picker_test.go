@@ -99,9 +99,7 @@ func TestPickerChoosesCheckpointWhenFresh(t *testing.T) {
 	p, _, ck := fullRepertoire(t)
 	task := &sim.Task{ID: "t", Work: 100, ImageBytes: 8 << 20, Checkpointable: true}
 	_ = ms["src"].AddTask(task)
-	if err := ck.Attach(c, task); err != nil {
-		t.Fatal(err)
-	}
+	ck.Start(c)
 	var chosen string
 	// At t=20s the last checkpoint was at 20s exactly (interval 10s):
 	// lost work 0; pre-replicate the record to dst just before.

@@ -66,10 +66,8 @@ func (r *Redundant) Launch(c *sim.Cluster, id string, work float64, image int64,
 						delete(set.copies, mName)
 						continue
 					}
-					if m, ok := c.Machine(mName); ok {
-						if killed, err := m.Kill(cp.ID); err == nil {
-							set.WastedWork += killed.DoneWork()
-						}
+					if m, ok := c.Machine(mName); ok && m.Kill(cp) == nil {
+						set.WastedWork += cp.DoneWork()
 					}
 					delete(set.copies, mName)
 				}
@@ -114,15 +112,14 @@ func (r *Redundant) Evict(c *sim.Cluster, id string, machine string) (Result, er
 	if !ok {
 		return Result{}, fmt.Errorf("migrate: unknown machine %q", machine)
 	}
-	killed, err := m.Kill(t.ID)
-	if err != nil {
+	if err := m.Kill(t); err != nil {
 		return Result{}, err
 	}
 	delete(set.copies, machine)
-	set.WastedWork += killed.DoneWork()
+	set.WastedWork += t.DoneWork()
 	// No bytes move, no downtime: the surviving copies were already
 	// running. The killed copy's progress is the only cost.
-	return Result{Strategy: r.Name(), LostWork: killed.DoneWork()}, nil
+	return Result{Strategy: r.Name(), LostWork: t.DoneWork()}, nil
 }
 
 // Name implements Strategy.

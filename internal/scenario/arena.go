@@ -67,7 +67,9 @@ type runArena struct {
 
 	world world
 
-	// cluster carries the specs of world run clusterRun-1 (0: never built).
+	// cluster carries the specs of world run clusterRun-1 (0: never built);
+	// machines is its fleet (Cluster.Machines), so machine i is the one
+	// with Index i.
 	cluster    *sim.Cluster
 	clusterRun int
 	machines   []*sim.Machine
@@ -92,7 +94,8 @@ type runArena struct {
 	inflight []int
 	// states backs the cell's fleet snapshot (cell.states), one entry per
 	// machine, and stale/isStale its stale set (cell.stale); residents is
-	// the checkpoint tick's and the fault handler's resident walk buffer.
+	// the fault handler's walk buffer (a failure kills every resident, so
+	// it walks a copy).
 	states    []sched.MachineState
 	stale     []int
 	isStale   []bool
@@ -283,15 +286,12 @@ func (ar *runArena) resetCluster() error {
 	if ar.cluster == nil {
 		c := sim.NewCluster()
 		c.Net = ar.net // Reset leaves the network model in place
-		machines := ar.machines[:0]
 		for _, mspec := range ar.world.specs {
-			m, err := c.AddMachine(mspec)
-			if err != nil {
+			if _, err := c.AddMachine(mspec); err != nil {
 				return err
 			}
-			machines = append(machines, m)
 		}
-		ar.cluster, ar.machines, ar.clusterRun = c, machines, ar.world.run
+		ar.cluster, ar.machines, ar.clusterRun = c, c.Machines(), ar.world.run
 		return nil
 	}
 	ar.cluster.Reset()

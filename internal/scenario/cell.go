@@ -17,15 +17,6 @@ import (
 	"vce/internal/vtime"
 )
 
-// Migration/placement thresholds. The scheduler's busy gate must equal the
-// migration policies' Hi threshold: a machine the engine refuses to place on
-// is exactly a machine the evacuation policies would clear.
-const (
-	migrateHi = 0.8 // local load at/above which residents evacuate (and placement stops)
-	migrateLo = 0.2 // resume threshold for the suspension fallback
-	idleBelow = 0.5 // destination machines must be idler than this
-)
-
 // AuditError reports engine-invariant violations recorded by an audited run
 // (see Options.Audit).
 type AuditError struct {
@@ -88,10 +79,12 @@ type cell struct {
 	key string // "sched/migration", for error messages
 	run int
 
-	pol     sched.Policy
-	loc     *sched.Locality // pol, when it is the locality policy
-	ck      *migrate.Checkpointer
-	lb      *loadbalance.VCEMigrate
+	pol sched.Policy
+	loc *sched.Locality // pol, when it is the locality policy
+	ck  *migrate.Checkpointer
+	lb  *loadbalance.VCEMigrate
+	// stealth is the cell's suspension rule: its own policy under
+	// "suspend", lb's embedded one under a migrating strategy.
 	stealth *loadbalance.Stealth
 	onDone  func(*sim.Task, time.Duration)
 
@@ -153,8 +146,10 @@ type cell struct {
 //
 // The kernel breaks time ties by sequence number, so the order in which
 // setup schedules events is part of the result: owner steps, arrivals (or
-// the first pump), the checkpoint ticker, the OnChange registration, faults
-// and repairs.
+// the first pump), the first checkpoint tick (Checkpointer.Start), the
+// OnChange registration, faults and repairs. Change listeners run in
+// registration order: the auditor's, the migration policy's
+// (attachPolicies), then the cell's placement listener.
 func (ar *runArena) runCell(ctx context.Context, schedName, migration string, run int, audit bool, tr *obs.RunTrace) (Indexes, error) {
 	var kstats vtime.Stats
 	var phaseAt time.Time
@@ -260,34 +255,18 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		c.scheduleArrivals()
 	}
 	// One checkpoint cadence per cell (§4.4 "migratable jobs checkpoint
-	// regularly"): every interval, each resident checkpoints — a cell's tasks
-	// are checkpointable all or none. A task holds no tick of its own, so
-	// nothing outlives a recycled record.
+	// regularly"). A cell's tasks are checkpointable all or none.
 	if c.ck != nil && sp.Workload.Checkpointable {
-		interval := c.ck.Interval
-		var ckTick func()
-		ckTick = func() {
-			for _, m := range ar.machines {
-				if m.RemoteTasks() == 0 {
-					continue // AppendTasks copies and sorts; idle machines skip it
-				}
-				ar.residents = m.AppendTasks(ar.residents[:0])
-				for _, t := range ar.residents {
-					c.ck.CheckpointNow(cl, t)
-				}
-			}
-			cl.Sim.After(interval, ckTick)
-		}
-		cl.Sim.After(interval, ckTick)
+		c.ck.Start(cl)
 	}
 	// Every change makes its machine's snapshot entry stale, and a change
-	// to a machine that takes placements gets a pass: owner departures and
+	// to a machine that takes work gets a pass: owner departures and
 	// completions free capacity. A pass with nothing new to place costs a
 	// visit per candidate set.
 	cl.OnChange(func(m *sim.Machine, _ time.Duration) {
 		i := m.Index()
 		c.markStale(i)
-		if m.LocalLoad() < migrateHi && !ar.down[i] {
+		if c.takesWork(i) {
 			c.tryPlace()
 		}
 	})
@@ -327,8 +306,9 @@ func (c *cell) attachPolicies(schedName, migration string) error {
 	}
 
 	attachMigrate := func(strategy migrate.Strategy) {
-		c.lb = loadbalance.NewVCEMigrate(migrateHi, migrateLo, idleBelow, strategy)
+		c.lb = loadbalance.NewVCEMigrate(strategy)
 		c.lb.Attach(cl)
+		c.stealth = &c.lb.Stealth
 	}
 	newRecompile := func() *migrate.Recompile {
 		return &migrate.Recompile{Cost: compilemgr.CostModel{Base: 60 * time.Second, PerMiB: time.Second}}
@@ -337,7 +317,7 @@ func (c *cell) attachPolicies(schedName, migration string) error {
 	switch migration {
 	case "none":
 	case "suspend":
-		c.stealth = loadbalance.NewStealth(migrateHi, migrateLo)
+		c.stealth = loadbalance.NewStealth()
 		c.stealth.Attach(cl)
 	case "address-space":
 		attachMigrate(migrate.AddressSpace{})
@@ -511,19 +491,24 @@ func (c *cell) settle() {
 	c.acc.NoteQueueDepth(c.cl.Sim.Now(), c.pol.Len())
 }
 
+// takesWork reports whether machine i accepts new tasks: it is up and its
+// owner is not active (local load below loadbalance.Hi, the DAWGS
+// idle-placement discipline). A machine the engine refuses work is exactly
+// one the migration policies evacuate; its residents are their problem.
+func (c *cell) takesWork(i int) bool {
+	return !c.ar.down[i] && c.ar.machines[i].LocalLoad() < loadbalance.Hi
+}
+
 // freeSlots derives machine i's snapshot capacity: its free slots less the
 // deliveries in transit to it (DAG data staging reserves its slot up front,
-// so a later placement round can't spend it). Down machines and
-// owner-occupied machines take no new placements (the DAWGS idle-placement
-// discipline); residents are the migration/suspension policies' problem.
-// Like full machines they get 0.
+// so a later placement round can't spend it), and 0 for a machine that
+// takes no work.
 func (c *cell) freeSlots(i int) int {
 	ar := c.ar
-	m := ar.machines[i]
-	if ar.down[i] || m.LocalLoad() >= migrateHi {
+	if !c.takesWork(i) {
 		return 0
 	}
-	return max(0, ar.slots[i]-m.RemoteTasks()-ar.inflight[i])
+	return max(0, ar.slots[i]-ar.machines[i].RemoteTasks()-ar.inflight[i])
 }
 
 // markStale adds machine i to the stale set. The writers of what
@@ -655,8 +640,7 @@ func (c *cell) deliver(ti, hi int) {
 	c.ar.inflight[hi]--
 	c.markStale(hi)
 	t := c.ar.pool.task(ti)
-	m := c.ar.machines[hi]
-	if c.ar.down[hi] || m.LocalLoad() >= migrateHi || m.AddTask(t) != nil {
+	if !c.takesWork(hi) || c.ar.machines[hi].AddTask(t) != nil {
 		c.pol.Enqueue(c.newItem(ti, t.Remaining()))
 		c.tryPlace() // the reservation just became real capacity
 	}
@@ -717,14 +701,13 @@ func (c *cell) fail(mi int) {
 	m := c.ar.machines[mi]
 	c.ar.residents = m.AppendTasks(c.ar.residents[:0])
 	for _, victim := range c.ar.residents {
-		killed, err := m.Kill(victim.ID)
-		if err != nil {
+		if m.Kill(victim) != nil {
 			continue
 		}
 		c.failed++
 		// Restart from the last checkpoint (scratch if none).
-		_ = killed.Rewind(killed.CheckpointedWork)
-		c.pol.Enqueue(c.newItem(killed.Ref, killed.Remaining()))
+		_ = victim.Rewind(victim.CheckpointedWork)
+		c.pol.Enqueue(c.newItem(victim.Ref, victim.Remaining()))
 	}
 	m.SetLocalLoad(1)
 	// Surviving machines may have free slots for the requeued victims;
@@ -789,7 +772,6 @@ func (c *cell) measure(end time.Duration) Indexes {
 	}
 	if c.lb != nil {
 		idx.Migrations = c.lb.Migrations
-		idx.Suspensions = c.lb.FallbackSuspends
 	}
 	if c.stealth != nil {
 		idx.Suspensions = c.stealth.Suspensions

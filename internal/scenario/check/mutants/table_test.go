@@ -87,8 +87,8 @@ var table = []mutant{
 	{
 		name: "fault-requeue-loses-home-site",
 		file: "internal/scenario/cell.go",
-		old:  "\t\tc.pol.Enqueue(c.newItem(killed.Ref, killed.Remaining()))\n",
-		new: "\t\tit := c.newItem(killed.Ref, killed.Remaining())\n\t\tit.HomeSite = 0\n" +
+		old:  "\t\tc.pol.Enqueue(c.newItem(victim.Ref, victim.Remaining()))\n",
+		new: "\t\tit := c.newItem(victim.Ref, victim.Remaining())\n\t\tit.HomeSite = 0\n" +
 			"\t\tc.pol.Enqueue(it)\n",
 	},
 	// The fleet snapshot forgets a completion host: the completion's own

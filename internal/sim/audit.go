@@ -110,8 +110,7 @@ func (a *Auditor) accrue(now time.Duration) {
 	if dt <= 0 {
 		return
 	}
-	for _, name := range a.c.order {
-		m := a.c.machines[name]
+	for _, m := range a.c.machines {
 		for len(a.accum) <= m.index {
 			a.accum = append(a.accum, 0)
 		}
@@ -174,8 +173,7 @@ func (a *Auditor) Finish() {
 	now := a.c.Sim.Now()
 	a.accrue(now)
 	a.lastAt = now
-	for _, name := range a.c.order {
-		m := a.c.machines[name]
+	for _, m := range a.c.machines {
 		m.advance(now)
 		a.onChange(m, now)
 	}

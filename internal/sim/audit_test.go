@@ -155,16 +155,15 @@ func TestAuditorAllowsCheckpointRewindAcrossVirginMachines(t *testing.T) {
 		}
 	})
 	c.Sim.At(5*time.Second, func() {
-		killed, err := m1.Kill("t")
-		if err != nil {
+		if err := m1.Kill(task); err != nil {
 			t.Error(err)
 			return
 		}
-		if err := killed.Rewind(0); err != nil { // restart from scratch
+		if err := task.Rewind(0); err != nil { // restart from scratch
 			t.Error(err)
 			return
 		}
-		if err := m2.AddTask(killed); err != nil {
+		if err := m2.AddTask(task); err != nil {
 			t.Error(err)
 		}
 	})

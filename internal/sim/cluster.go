@@ -15,7 +15,12 @@ import (
 // load steps). Load-balancing policies hang off this hook.
 type ChangeListener func(m *Machine, now time.Duration)
 
-// Cluster is a simulated VCE network.
+// Cluster is a simulated VCE network: the machines in registration order
+// (a machine's position is its Index), one event kernel, one network model
+// and one file system. Machines is the fleet itself, not a copy, so a walk
+// over it allocates nothing; Machine resolves a name. Change listeners
+// (policies, the scenario engine, the auditor) see every state change of
+// every machine, in the order the changes happen.
 type Cluster struct {
 	// Sim is the discrete-event kernel driving everything.
 	Sim *vtime.Sim
@@ -24,8 +29,8 @@ type Cluster struct {
 	// FS is the simulated distributed file system.
 	FS *vfs.FS
 
-	machines  map[string]*Machine
-	order     []string
+	machines  []*Machine
+	byName    map[string]*Machine
 	listeners []ChangeListener
 	taskCount int
 	changes   int64
@@ -40,10 +45,10 @@ type Cluster struct {
 // network model.
 func NewCluster() *Cluster {
 	return &Cluster{
-		Sim:      vtime.NewSim(),
-		Net:      netsim.LAN1994(),
-		FS:       vfs.New(),
-		machines: make(map[string]*Machine),
+		Sim:    vtime.NewSim(),
+		Net:    netsim.LAN1994(),
+		FS:     vfs.New(),
+		byName: make(map[string]*Machine),
 	}
 }
 
@@ -55,15 +60,15 @@ func (c *Cluster) AddMachine(spec arch.Machine) (*Machine, error) {
 	if spec.Speed <= 0 {
 		return nil, fmt.Errorf("sim: machine %q needs positive speed", spec.Name)
 	}
-	if _, dup := c.machines[spec.Name]; dup {
+	if _, dup := c.byName[spec.Name]; dup {
 		return nil, fmt.Errorf("sim: duplicate machine %q", spec.Name)
 	}
-	m := &Machine{cluster: c, index: len(c.order), Spec: spec, speed: spec.Speed}
+	m := &Machine{cluster: c, index: len(c.machines), Spec: spec, speed: spec.Speed}
 	// One completion callback per machine, bound once: rescheduling the
 	// completion event never allocates a closure.
 	m.completionFn = m.onCompletion
-	c.machines[spec.Name] = m
-	c.order = append(c.order, spec.Name)
+	c.byName[spec.Name] = m
+	c.machines = append(c.machines, m)
 	c.speedOrder = nil
 	return m, nil
 }
@@ -84,8 +89,8 @@ func (c *Cluster) AddMachine(spec arch.Machine) (*Machine, error) {
 func (c *Cluster) Reset() {
 	c.Sim.Reset()
 	c.FS.Reset()
-	for _, name := range c.order {
-		c.machines[name].Reset()
+	for _, m := range c.machines {
+		m.Reset()
 	}
 	c.listeners = c.listeners[:0]
 	c.taskCount = 0
@@ -101,19 +106,19 @@ func (c *Cluster) Reset() {
 // not growing or renaming the fleet. Call on a reset cluster; live
 // residents would otherwise see their host's speed change mid-residency.
 func (c *Cluster) ReplaceSpecs(specs []arch.Machine) error {
-	if len(specs) != len(c.order) {
-		return fmt.Errorf("sim: ReplaceSpecs got %d specs for a %d-machine fleet", len(specs), len(c.order))
+	if len(specs) != len(c.machines) {
+		return fmt.Errorf("sim: ReplaceSpecs got %d specs for a %d-machine fleet", len(specs), len(c.machines))
 	}
 	for i, spec := range specs {
-		if spec.Name != c.order[i] {
-			return fmt.Errorf("sim: ReplaceSpecs spec %d named %q, machine is %q", i, spec.Name, c.order[i])
+		if name := c.machines[i].Name(); spec.Name != name {
+			return fmt.Errorf("sim: ReplaceSpecs spec %d named %q, machine is %q", i, spec.Name, name)
 		}
 		if spec.Speed <= 0 {
 			return fmt.Errorf("sim: machine %q needs positive speed", spec.Name)
 		}
 	}
 	for i, spec := range specs {
-		m := c.machines[c.order[i]]
+		m := c.machines[i]
 		m.Spec = spec
 		m.speed = spec.Speed
 	}
@@ -123,18 +128,13 @@ func (c *Cluster) ReplaceSpecs(specs []arch.Machine) error {
 
 // Machine returns a machine by name.
 func (c *Cluster) Machine(name string) (*Machine, bool) {
-	m, ok := c.machines[name]
+	m, ok := c.byName[name]
 	return m, ok
 }
 
-// Machines returns all machines in registration order.
-func (c *Cluster) Machines() []*Machine {
-	out := make([]*Machine, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, c.machines[n])
-	}
-	return out
-}
+// Machines returns all machines in registration order. The slice is the
+// cluster's own: callers read it and must not modify it.
+func (c *Cluster) Machines() []*Machine { return c.machines }
 
 // RunningTasks returns the total resident task count.
 func (c *Cluster) RunningTasks() int { return c.taskCount }
@@ -179,7 +179,7 @@ func (c *Cluster) notifyChange(m *Machine) {
 
 // PlayLoadTrace schedules local-load steps on a machine.
 func (c *Cluster) PlayLoadTrace(machine string, steps []LoadStep) error {
-	m, ok := c.machines[machine]
+	m, ok := c.byName[machine]
 	if !ok {
 		return fmt.Errorf("sim: no machine %q", machine)
 	}
@@ -210,11 +210,8 @@ func (c *Cluster) TransferTime(src, dst string, bytes int64) (time.Duration, err
 // fleet and each call is a filter pass, not a sort; callers reuse one buffer
 // across calls (AppendIdleMachines(buf[:0], threshold)).
 func (c *Cluster) AppendIdleMachines(dst []*Machine, threshold float64) []*Machine {
-	if c.speedOrder == nil && len(c.order) > 0 {
-		c.speedOrder = make([]*Machine, 0, len(c.order))
-		for _, name := range c.order {
-			c.speedOrder = append(c.speedOrder, c.machines[name])
-		}
+	if c.speedOrder == nil && len(c.machines) > 0 {
+		c.speedOrder = append([]*Machine(nil), c.machines...)
 		sort.SliceStable(c.speedOrder, func(i, j int) bool {
 			return c.speedOrder[i].Spec.Speed > c.speedOrder[j].Spec.Speed
 		})
@@ -237,8 +234,7 @@ func (c *Cluster) LeastLoaded(req arch.Requirements, n int) []*Machine {
 		load float64
 	}
 	var cands []cand
-	for _, name := range c.order {
-		m := c.machines[name]
+	for _, m := range c.machines {
 		if req.Admits(m.Spec) {
 			cands = append(cands, cand{m, m.Load()})
 		}

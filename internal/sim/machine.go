@@ -51,8 +51,6 @@ type Task struct {
 	Checkpointable bool
 	// OnDone fires at completion with the completion time.
 	OnDone func(t *Task, at time.Duration)
-	// OnKilled fires when the task is killed (migration or termination).
-	OnKilled func(t *Task, at time.Duration)
 
 	// CheckpointedWork is the work captured by the latest checkpoint.
 	CheckpointedWork float64
@@ -77,7 +75,6 @@ type Task struct {
 	// the whole residency, and ordering residents by (finishKey, ID) is
 	// ordering them by remaining work — the heart of the O(1) accounting.
 	finishKey float64
-	startedAt time.Duration
 	finished  bool
 }
 
@@ -133,7 +130,7 @@ type Machine struct {
 	suspended bool // remote tasks frozen (Stealth)
 
 	// ordered holds residents ascending by (finishKey, ID): front is the
-	// next completion. It also serves Kill/duplicate lookups by linear
+	// next completion. It also serves AddTask's duplicate-ID check by linear
 	// scan — residents per machine are bounded by the placement slots, so
 	// a scan beats a per-machine map's allocation and hashing at fleet
 	// scale.
@@ -406,9 +403,6 @@ func (m *Machine) AddTask(t *Task) error {
 	t.accumBase = m.accum
 	t.placements++
 	t.finishKey = (t.Work - t.doneWork) + m.accum
-	if t.startedAt == 0 && t.doneWork == 0 {
-		t.startedAt = now
-	}
 	m.insertOrdered(t)
 	if t.Work > m.maxWork {
 		m.maxWork = t.Work
@@ -420,12 +414,13 @@ func (m *Machine) AddTask(t *Task) error {
 	return nil
 }
 
-// Kill removes a task without completing it, firing OnKilled. The task's
-// accrued work survives in doneWork (checkpoint strategies read it).
-func (m *Machine) Kill(id string) (*Task, error) {
-	t := m.findByID(id)
-	if t == nil {
-		return nil, fmt.Errorf("sim: no task %q on %s", id, m.Name())
+// Kill removes resident t without completing it. The task's accrued work
+// survives in the record (checkpoint strategies read it), so a caller may
+// rewind it or place it again. Killing a task that does not reside here is
+// an error.
+func (m *Machine) Kill(t *Task) error {
+	if t.machine != m {
+		return fmt.Errorf("sim: no task %q on %s", t.ID, m.Name())
 	}
 	now := m.cluster.Sim.Now()
 	m.advance(now)
@@ -435,11 +430,8 @@ func (m *Machine) Kill(id string) (*Task, error) {
 	m.cluster.taskCount--
 	m.reschedule(now)
 	m.recordUtil(now)
-	if t.OnKilled != nil {
-		t.OnKilled(t, now)
-	}
 	m.cluster.notifyChange(m)
-	return t, nil
+	return nil
 }
 
 // SetLocalLoad steps the machine's local load (trace playback).
@@ -521,7 +513,6 @@ func (t *Task) Reset() error {
 	t.doneWork = 0
 	t.accumBase = 0
 	t.finishKey = 0
-	t.startedAt = 0
 	t.finished = false
 	// placements survives: it is the record's residency generation stamp,
 	// and the auditor keys progress watermarks by (ID, generation). Zeroing

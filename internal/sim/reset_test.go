@@ -43,14 +43,13 @@ func clusterScript(t *testing.T, c *Cluster) map[string]time.Duration {
 	c.Sim.At(65*time.Second, func() {
 		// Kill whatever runs on machine 3 and restart it there from scratch.
 		for _, victim := range machines[3].AppendTasks(nil) {
-			killed, err := machines[3].Kill(victim.ID)
-			if err != nil {
+			if err := machines[3].Kill(victim); err != nil {
 				t.Errorf("kill %s: %v", victim.ID, err)
 				continue
 			}
-			_ = killed.Rewind(0)
-			if err := machines[3].AddTask(killed); err != nil {
-				t.Errorf("restart %s: %v", killed.ID, err)
+			_ = victim.Rewind(0)
+			if err := machines[3].AddTask(victim); err != nil {
+				t.Errorf("restart %s: %v", victim.ID, err)
 			}
 		}
 	})

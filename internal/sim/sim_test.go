@@ -156,24 +156,21 @@ func TestSuspensionFreezesProgress(t *testing.T) {
 
 func TestKillFiresCallbackAndStopsWork(t *testing.T) {
 	c, m := newSingle(t, 1)
-	var killedAt time.Duration
-	var killed *Task
 	task := &Task{ID: "t", Work: 10,
-		OnDone:   func(*Task, time.Duration) { t.Fatal("killed task completed") },
-		OnKilled: func(tk *Task, at time.Duration) { killed, killedAt = tk, at },
+		OnDone: func(*Task, time.Duration) { t.Fatal("killed task completed") },
 	}
 	_ = m.AddTask(task)
 	c.Sim.At(4*time.Second, func() {
-		if _, err := m.Kill("t"); err != nil {
+		if err := m.Kill(task); err != nil {
 			t.Errorf("kill: %v", err)
 		}
 	})
 	c.Sim.Run()
-	if killed == nil || killedAt != 4*time.Second {
-		t.Fatalf("killed at %v", killedAt)
+	if task.Machine() != nil {
+		t.Fatalf("killed task still placed on %s", task.Machine().Name())
 	}
-	if math.Abs(killed.DoneWork()-4) > 1e-9 {
-		t.Fatalf("done work = %v, want 4", killed.DoneWork())
+	if math.Abs(task.DoneWork()-4) > 1e-9 {
+		t.Fatalf("done work = %v, want 4", task.DoneWork())
 	}
 	if c.RunningTasks() != 0 {
 		t.Fatal("task still counted as running")
@@ -182,8 +179,52 @@ func TestKillFiresCallbackAndStopsWork(t *testing.T) {
 
 func TestKillUnknownTask(t *testing.T) {
 	_, m := newSingle(t, 1)
-	if _, err := m.Kill("ghost"); err == nil {
+	if err := m.Kill(&Task{ID: "ghost"}); err == nil {
 		t.Fatal("killing unknown task succeeded")
+	}
+}
+
+// TestKillRefusesAnotherMachinesTask pins that Kill goes by record, not by
+// ID: a machine cannot kill a task that lives elsewhere, even when one of
+// its own residents shares the ID.
+func TestKillRefusesAnotherMachinesTask(t *testing.T) {
+	c := NewCluster()
+	a, _ := c.AddMachine(ws("a", 1))
+	b, _ := c.AddMachine(ws("b", 1))
+	onA := &Task{ID: "t", Work: 10}
+	onB := &Task{ID: "t", Work: 10}
+	if err := a.AddTask(onA); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddTask(onB); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Kill(onB); err == nil {
+		t.Fatal("a killed the task that lives on b")
+	}
+	if onA.Machine() != a || onB.Machine() != b || c.RunningTasks() != 2 {
+		t.Fatalf("a refused kill moved residents: a=%v b=%v running=%d", onA.Machine(), onB.Machine(), c.RunningTasks())
+	}
+}
+
+// TestMachinesDoesNotAllocate pins that Machines hands out the cluster's
+// own registration-order slice: per-event walks over the fleet (the
+// checkpoint cadence) cost nothing.
+func TestMachinesDoesNotAllocate(t *testing.T) {
+	c := NewCluster()
+	for _, n := range []string{"a", "b", "c"} {
+		if _, err := c.AddMachine(ws(n, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ms []*Machine
+	if allocs := testing.AllocsPerRun(100, func() { ms = c.Machines() }); allocs != 0 {
+		t.Fatalf("Machines allocates %v times per call", allocs)
+	}
+	for i, m := range ms {
+		if m.Index() != i {
+			t.Fatalf("machine %s at position %d has index %d", m.Name(), i, m.Index())
+		}
 	}
 }
 
@@ -195,13 +236,11 @@ func TestTaskMoveBetweenMachines(t *testing.T) {
 	task := &Task{ID: "t", Work: 10, OnDone: func(_ *Task, at time.Duration) { doneAt = at }}
 	_ = src.AddTask(task)
 	c.Sim.At(5*time.Second, func() {
-		moved, err := src.Kill("t")
-		if err != nil {
+		if err := src.Kill(task); err != nil {
 			t.Errorf("kill: %v", err)
 			return
 		}
-		moved.finished = false
-		if err := dst.AddTask(moved); err != nil {
+		if err := dst.AddTask(task); err != nil {
 			t.Errorf("re-add: %v", err)
 		}
 	})
@@ -254,8 +293,8 @@ func TestReentrantListenerMigration(t *testing.T) {
 	c.OnChange(func(m *Machine, now time.Duration) {
 		if m == busy && m.LocalLoad() >= 1 && !moved {
 			moved = true
-			if tk, err := busy.Kill("t"); err == nil {
-				_ = idle.AddTask(tk)
+			if busy.Kill(task) == nil {
+				_ = idle.AddTask(task)
 			}
 		}
 	})
@@ -388,7 +427,7 @@ func TestPendingDoesNotGrowWithRescheduleStorms(t *testing.T) {
 	}
 	// Killing every task cancels the last completion event too.
 	for _, tk := range m.AppendTasks(nil) {
-		if _, err := m.Kill(tk.ID); err != nil {
+		if err := m.Kill(tk); err != nil {
 			t.Fatal(err)
 		}
 	}

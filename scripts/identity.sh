@@ -4,12 +4,17 @@
 # Usage:
 #   scripts/identity.sh <rev> [workdir]
 #
-# Builds vcebench at <rev> (in a temporary git worktree) and from the
-# working tree, runs both on every examples/scenarios/*.json and every
+# Builds vcebench and vcesim at <rev> (in a temporary git worktree) and from
+# the working tree. It runs both vcesim builds on each deterministic
+# experiment and fails unless the tables are identical once the elapsed
+# time is stripped from each "=== ID: title (elapsed)" header; E1–E4 and
+# E12 print wall-clock measurements, so they are not compared. It then runs
+# both vcebench builds on every examples/scenarios/*.json and every
 # internal/scenario/specgen/testdata/corpus/*.json, each at its own seed and
 # at -seed 7, and fails unless every run's seven artifacts are
-# byte-identical. A change that keeps EngineVersion must pass; one that
-# moves numbers needs the bump (CI's golden-drift job checks that).
+# byte-identical. A change that
+# keeps EngineVersion must pass; one that moves numbers needs the bump (CI's
+# golden-drift job checks that).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,11 +30,30 @@ fi
 base="$work/base-src"
 trap 'git worktree remove --force "$base" 2>/dev/null || true; cleanup' EXIT
 
-echo "== building vcebench at $rev and from the working tree"
+echo "== building vcebench and vcesim at $rev and from the working tree"
 rm -rf "$base" "$work/base" "$work/head"
 git worktree add --quiet --detach "$base" "$rev"
-(cd "$base" && go build -o "$work/vcebench.base" ./cmd/vcebench)
+(cd "$base" && go build -o "$work/vcebench.base" ./cmd/vcebench && go build -o "$work/vcesim.base" ./cmd/vcesim)
 go build -o "$work/vcebench.head" ./cmd/vcebench
+go build -o "$work/vcesim.head" ./cmd/vcesim
+
+tables=0
+mkdir -p "$work/base" "$work/head"
+for id in E5 E6 E7 E7a E7b E8 E9 E10 E10a E11 E13 E14; do
+  for side in base head; do
+    if ! "$work/vcesim.$side" -run "$id" >"$work/$side/$id.raw"; then
+      echo "FAIL: $side vcesim -run $id exited non-zero" >&2
+      exit 1
+    fi
+    sed -E 's/^(=== .*) \([^)]*\)$/\1/' "$work/$side/$id.raw" >"$work/$side/$id.txt"
+  done
+  if ! diff "$work/base/$id.txt" "$work/head/$id.txt"; then
+    echo "FAIL: $id: the working tree's experiment table differs from $rev's" >&2
+    exit 1
+  fi
+  tables=$((tables + 1))
+done
+echo "OK: $tables experiment tables are identical at $rev and in the working tree"
 
 runs=0
 for spec in examples/scenarios/*.json internal/scenario/specgen/testdata/corpus/*.json; do
