@@ -114,7 +114,7 @@ type ReplicatePlan struct {
 	Path string
 	// Site is the candidate host to stage it at.
 	Site string
-	// Bytes is the transfer size (zero when already current).
+	// Bytes is the transfer size (zero when already held).
 	Bytes int64
 }
 
@@ -136,7 +136,7 @@ func ReplicationPlans(fs *vfs.FS, g *taskgraph.Graph, done, started map[taskgrap
 				if !ok {
 					return nil, fmt.Errorf("antic: input %q of task %s does not exist", path, t.ID)
 				}
-				if fs.HasCurrent(path, site) {
+				if fs.HasReplica(path, site) {
 					continue
 				}
 				plans = append(plans, ReplicatePlan{Path: path, Site: site, Bytes: f.Size})
@@ -147,22 +147,19 @@ func ReplicationPlans(fs *vfs.FS, g *taskgraph.Graph, done, started map[taskgrap
 }
 
 // ExecuteReplicate performs one staged replication on the simulated
-// cluster: the bytes cross the network from the nearest current replica,
-// and the replica registers on arrival.
+// cluster: the bytes cross the network from the nearest replica, and the
+// replica registers on arrival.
 func ExecuteReplicate(c *sim.Cluster, fs *vfs.FS, plan ReplicatePlan) error {
 	sites := fs.Sites(plan.Path)
 	if len(sites) == 0 {
 		return fmt.Errorf("antic: no replica of %q", plan.Path)
 	}
-	src := sites[0]
 	best := time.Duration(1<<62 - 1)
 	for _, s := range sites {
 		if d, err := c.TransferTime(s, plan.Site, plan.Bytes); err == nil && d < best {
 			best = d
-			src = s
 		}
 	}
-	_ = src
 	if best == 1<<62-1 {
 		return fmt.Errorf("antic: site %q unreachable from every replica of %q", plan.Site, plan.Path)
 	}

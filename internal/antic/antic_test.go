@@ -130,7 +130,7 @@ func TestReplicationPlansAndExecution(t *testing.T) {
 		}
 	}
 	c.Sim.Run()
-	if !fs.HasCurrent("/data/obs.dat", "ws1") || !fs.HasCurrent("/data/obs.dat", "ws2") {
+	if !fs.HasReplica("/data/obs.dat", "ws1") || !fs.HasReplica("/data/obs.dat", "ws2") {
 		t.Fatal("replicas missing after anticipatory replication")
 	}
 	// Transfer of 1 MiB at 1 MiB/s: done at 1s.

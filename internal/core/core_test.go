@@ -277,7 +277,7 @@ func TestLiveFileStagingThroughFacade(t *testing.T) {
 	if _, err := v.RunSpec(spec); err != nil {
 		t.Fatal(err)
 	}
-	if !v.FS().HasCurrent("/data/in.dat", machine.Load().(string)) {
+	if !v.FS().HasReplica("/data/in.dat", machine.Load().(string)) {
 		t.Fatal("facade run did not stage inputs")
 	}
 }

@@ -756,7 +756,7 @@ func TestInputFileStagingAtDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	machine := ranOn.Load().(string)
-	if !fs.HasCurrent("/data/in.dat", machine) {
+	if !fs.HasReplica("/data/in.dat", machine) {
 		t.Fatalf("input not staged at %s", machine)
 	}
 	var staged int64

@@ -98,7 +98,7 @@ func E7bAdaptivePicker() (*Result, error) {
 				}
 				ck.Start(c)
 				c.Sim.RunUntil(10500 * time.Millisecond) // one checkpoint taken
-				if _, err := c.FS.Replicate("/ckpt/job", "dst"); err != nil {
+				if err := task.ReplicateCheckpoint(ms[1]); err != nil {
 					return nil, nil, nil, nil, nil, err
 				}
 				c.Sim.RunUntil(10600 * time.Millisecond)

@@ -614,7 +614,7 @@ func E10Anticipatory() (*Result, error) {
 
 // E10aReplicationFanout sweeps how many candidate sites the input file is
 // replicated to: expected dispatch latency falls with fanout because the
-// chosen host is more likely to hold a current replica.
+// chosen host is more likely to hold a replica.
 func E10aReplicationFanout() (*Result, error) {
 	res := &Result{ID: "E10a", Title: "Ablation: anticipatory replication fanout"}
 	res.Table = metrics.NewTable("E10a: dispatch latency vs replication fanout (8 candidate hosts)",

@@ -130,10 +130,11 @@ func land(c *sim.Cluster, t *sim.Task, dst *sim.Machine, r Result) {
 // ---- checkpoint-based ----
 
 // Checkpointer checkpoints cooperative tasks on a cluster-wide cadence
-// (Start) and migrates from the latest checkpoint record. Checkpoint records
-// live in the cluster's distributed file system, so restart cost depends on
-// replica placement — which is what anticipatory file replication (§4.5)
-// optimizes.
+// (Start) and migrates from the latest checkpoint record. The record is part
+// of its task (sim.Task.Checkpoint): the machines holding a current copy,
+// so restart cost depends on where the copies are — which is what
+// anticipatory replication (§4.5) optimizes — and the record ends with the
+// task.
 type Checkpointer struct {
 	// Interval is the checkpoint period.
 	Interval time.Duration
@@ -149,9 +150,6 @@ type Checkpointer struct {
 func NewCheckpointer(interval time.Duration) *Checkpointer {
 	return &Checkpointer{Interval: interval}
 }
-
-// ckptPath names a task's checkpoint record in the vfs.
-func ckptPath(id string) string { return "/ckpt/" + id }
 
 // Start begins the cluster's one checkpoint cadence: every Interval from
 // now, each checkpointable resident checkpoints, machines in registration
@@ -170,7 +168,7 @@ func (k *Checkpointer) Start(c *sim.Cluster) {
 			k.residents = m.AppendTasks(k.residents[:0])
 			for _, t := range k.residents {
 				if t.Checkpointable {
-					k.checkpoint(c, m, t)
+					k.checkpoint(t)
 				}
 			}
 		}
@@ -181,31 +179,12 @@ func (k *Checkpointer) Start(c *sim.Cluster) {
 	c.Sim.After(k.Interval, tick)
 }
 
-// checkpoint captures one checkpoint of m's resident t: progress syncs to
-// the current virtual instant and the checkpoint record lands in the
-// cluster file system at the hosting site.
-func (k *Checkpointer) checkpoint(c *sim.Cluster, m *sim.Machine, t *sim.Task) {
-	m.Sync()
-	t.CheckpointedWork = t.DoneWork()
+// checkpoint captures one checkpoint of resident t, an image written at its
+// host.
+func (k *Checkpointer) checkpoint(t *sim.Task) {
+	t.Checkpoint()
 	k.checkpoints++
 	k.bytesWritten += t.ImageBytes
-	site := m.Name()
-	path := ckptPath(t.ID)
-	if _, ok := c.FS.Stat(path); !ok {
-		_ = c.FS.Create(path, t.ImageBytes, site)
-	} else {
-		if !c.FS.HasCurrent(path, site) {
-			_, _ = c.FS.Replicate(path, site)
-		}
-		_ = c.FS.Write(path, site, t.ImageBytes)
-	}
-}
-
-// Forget removes t's checkpoint record from the cluster file system: a
-// record lives as long as its task, so a later task reusing the ID never
-// restarts from a stranger's image. A task with no record is a no-op.
-func (k *Checkpointer) Forget(c *sim.Cluster, t *sim.Task) {
-	c.FS.Remove(ckptPath(t.ID))
 }
 
 // Stats returns (checkpoints taken, checkpoint bytes written).
@@ -228,20 +207,16 @@ func (k *Checkpointer) CanMigrate(t *sim.Task, src, dst *sim.Machine) error {
 }
 
 // price is the restart's record transfer plus the work done since the last
-// checkpoint. The record moves unless a current replica is already at dst
-// (anticipatory replication's win); with no record yet, the initial image
-// ships. Progress syncs to now, as the kill's would.
+// checkpoint. The image moves unless a current copy of the record is
+// already at dst (anticipatory replication's win); with no record yet, the
+// initial image ships. Progress syncs to now, as the kill's would.
 func (k *Checkpointer) price(c *sim.Cluster, t *sim.Task, src, dst *sim.Machine) (Result, error) {
 	if err := k.CanMigrate(t, src, dst); err != nil {
 		return Result{}, err
 	}
 	moved := t.ImageBytes
-	path := ckptPath(t.ID)
-	if f, ok := c.FS.Stat(path); ok {
-		moved = f.Size
-		if c.FS.HasCurrent(path, dst.Name()) {
-			moved = 0
-		}
+	if t.CheckpointOn(dst) {
+		moved = 0
 	}
 	transfer, err := c.TransferTime(src.Name(), dst.Name(), moved)
 	if err != nil {
@@ -262,11 +237,8 @@ func (k *Checkpointer) Migrate(c *sim.Cluster, t *sim.Task, src, dst *sim.Machin
 	if err := src.Kill(t); err != nil {
 		return Result{}, err
 	}
-	// The record, if any, follows the task (a no-op for a current replica).
-	path := ckptPath(t.ID)
-	if _, ok := c.FS.Stat(path); ok {
-		_, _ = c.FS.Replicate(path, dst.Name())
-	}
+	// The record, if any, follows the task (a no-op for a current copy).
+	_ = t.ReplicateCheckpoint(dst)
 	// t is unplaced and unfinished, and a checkpoint never records more
 	// than its work, so the rewind cannot fail.
 	_ = t.Rewind(t.CheckpointedWork)

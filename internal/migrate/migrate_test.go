@@ -178,7 +178,7 @@ func TestCheckpointReplicaMakesRestartCheap(t *testing.T) {
 	var res Result
 	c.Sim.At(5500*time.Millisecond, func() {
 		// Anticipatory replication of the checkpoint record.
-		if _, err := c.FS.Replicate("/ckpt/t", "dst"); err != nil {
+		if err := task.ReplicateCheckpoint(ms["dst"]); err != nil {
 			t.Errorf("replicate: %v", err)
 		}
 	})
@@ -449,12 +449,17 @@ func TestCheckpointCadence(t *testing.T) {
 	k := NewCheckpointer(interval)
 	k.Start(c)
 	// Just after each of the first three ticks, c1's record holds the
-	// progress of the tick's instant: 0.5 work units per second.
+	// progress of the tick's instant: 0.5 work units per second. Its host
+	// holds the record; the uncooperative task has none.
 	for i := 1; i <= 3; i++ {
 		want := 3.5 * float64(i)
 		c.Sim.At(time.Duration(i)*interval+time.Millisecond, func() {
 			if math.Abs(c1.CheckpointedWork-want) > 1e-9 {
 				t.Errorf("after tick %d c1 checkpointed %v, want %v", i, c1.CheckpointedWork, want)
+			}
+			if !c1.CheckpointOn(ms["a"]) || c1.CheckpointOn(ms["b"]) || u.CheckpointOn(ms["b"]) {
+				t.Errorf("after tick %d: c1's record on a=%v b=%v, u's on b=%v; want only c1 on a", i,
+					c1.CheckpointOn(ms["a"]), c1.CheckpointOn(ms["b"]), u.CheckpointOn(ms["b"]))
 			}
 		})
 	}
@@ -471,8 +476,11 @@ func TestCheckpointCadence(t *testing.T) {
 	if u.CheckpointedWork != 0 {
 		t.Fatalf("uncooperative task checkpointed %v", u.CheckpointedWork)
 	}
-	if _, ok := c.FS.Stat(ckptPath("u")); ok {
+	if u.ReplicateCheckpoint(ms["a"]) == nil {
 		t.Fatal("uncooperative task has a checkpoint record")
+	}
+	if c1.CheckpointOn(ms["a"]) || c3.CheckpointOn(ms["b"]) {
+		t.Fatal("a finished task still holds its checkpoint record")
 	}
 	if now := c.Sim.Now(); now != 203*time.Second || c.Sim.Pending() != 0 {
 		t.Fatalf("run ended at %v with %d pending, want 203s and none", now, c.Sim.Pending())
@@ -504,7 +512,7 @@ func TestEstimateIsMigratePrice(t *testing.T) {
 		dst     arch.Machine
 		at      time.Duration
 		strat   func() strategy
-		prepare func(c *sim.Cluster, s strategy)
+		prepare func(c *sim.Cluster, s strategy, task *sim.Task, dst *sim.Machine)
 		bytes   int64
 	}{
 		{name: "address-space", dst: ws("dst"), at: 5 * time.Second,
@@ -513,12 +521,16 @@ func TestEstimateIsMigratePrice(t *testing.T) {
 			strat: func() strategy { return NewCheckpointer(10 * time.Second) }, bytes: 1 << 20},
 		{name: "checkpoint/mid-interval", dst: ws("dst"), at: 15 * time.Second,
 			strat:   func() strategy { return NewCheckpointer(10 * time.Second) },
-			prepare: func(c *sim.Cluster, s strategy) { s.(*Checkpointer).Start(c) }, bytes: 1 << 20},
+			prepare: func(c *sim.Cluster, s strategy, _ *sim.Task, _ *sim.Machine) { s.(*Checkpointer).Start(c) }, bytes: 1 << 20},
 		{name: "checkpoint/warm replica", dst: ws("dst"), at: 11 * time.Second,
 			strat: func() strategy { return NewCheckpointer(10 * time.Second) },
-			prepare: func(c *sim.Cluster, s strategy) {
+			prepare: func(c *sim.Cluster, s strategy, task *sim.Task, dst *sim.Machine) {
 				s.(*Checkpointer).Start(c)
-				c.Sim.At(10500*time.Millisecond, func() { _, _ = c.FS.Replicate(ckptPath("t"), "dst") })
+				c.Sim.At(10500*time.Millisecond, func() {
+					if err := task.ReplicateCheckpoint(dst); err != nil {
+						t.Error(err)
+					}
+				})
 			}},
 		{name: "recompile/cold cache", dst: cm5, at: 5 * time.Second,
 			strat: func() strategy {
@@ -543,7 +555,7 @@ func TestEstimateIsMigratePrice(t *testing.T) {
 				}
 				s := tc.strat()
 				if tc.prepare != nil {
-					tc.prepare(c, s)
+					tc.prepare(c, s, task, dst)
 				}
 				c.Sim.At(tc.at, func() { f(c, s, task, src, dst) })
 				c.Sim.RunUntil(tc.at)

@@ -104,7 +104,7 @@ func TestPickerChoosesCheckpointWhenFresh(t *testing.T) {
 	// At t=20s the last checkpoint was at 20s exactly (interval 10s):
 	// lost work 0; pre-replicate the record to dst just before.
 	c.Sim.At(20500*time.Millisecond, func() {
-		if _, err := c.FS.Replicate("/ckpt/t", "dst"); err != nil {
+		if err := task.ReplicateCheckpoint(ms["dst"]); err != nil {
 			t.Errorf("replicate: %v", err)
 		}
 	})

@@ -126,12 +126,11 @@ type span struct {
 type Recorder struct {
 	origin time.Time
 
-	mu       sync.Mutex
-	workers  int
-	cells    []Cell
-	spans    []span
-	cache    *CacheStats
-	counters map[string]int64
+	mu      sync.Mutex
+	workers int
+	cells   []Cell
+	spans   []span
+	cache   *CacheStats
 }
 
 // New returns an empty Recorder with its wall-clock origin at now. All
@@ -171,17 +170,6 @@ func (r *Recorder) SetCacheStats(s CacheStats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cache = &s
-}
-
-// AddCounter accumulates a named sweep-level counter (e.g. progress
-// callbacks fired). Counters land in the summary's "counters" map.
-func (r *Recorder) AddCounter(name string, delta int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = make(map[string]int64)
-	}
-	r.counters[name] += delta
 }
 
 // ms converts a duration to milliseconds with sub-ms resolution.
@@ -232,14 +220,13 @@ type Totals struct {
 // kernel counters — is identical across worker counts; only the
 // wall-clock fields differ.
 type Summary struct {
-	Schema   int              `json:"schema"`
-	WallMS   float64          `json:"wall_ms"`
-	Workers  int              `json:"workers"`
-	Totals   Totals           `json:"totals"`
-	Cache    *CacheStats      `json:"cache,omitempty"`
-	Counters map[string]int64 `json:"counters,omitempty"`
-	Spans    []SpanSummary    `json:"spans"`
-	Cells    []CellSummary    `json:"cells"`
+	Schema  int           `json:"schema"`
+	WallMS  float64       `json:"wall_ms"`
+	Workers int           `json:"workers"`
+	Totals  Totals        `json:"totals"`
+	Cache   *CacheStats   `json:"cache,omitempty"`
+	Spans   []SpanSummary `json:"spans"`
+	Cells   []CellSummary `json:"cells"`
 }
 
 // SummarySchema versions the Summary JSON shape.
@@ -258,12 +245,6 @@ func (r *Recorder) Snapshot() Summary {
 	if r.cache != nil {
 		c := *r.cache
 		s.Cache = &c
-	}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for k, v := range r.counters {
-			s.Counters[k] = v
-		}
 	}
 	cells := make([]Cell, len(r.cells))
 	copy(cells, r.cells)

@@ -14,9 +14,12 @@ import (
 // single-use arena) as the baseline, then
 // replays every ordered pair (a, b) on a shared arena and re-checks b, plus
 // the full sequence forward and reversed. The historical leak this caught:
-// Cluster.Reset left vfs checkpoint records behind, so a reused world's
-// migration could find a stale /ckpt replica at its destination and skip
-// the transfer — shifting completions by exactly the image transfer time.
+// checkpoint records outlived the world they were taken in, so a reused
+// world's migration could find a stale copy of a predecessor's record at
+// its destination and skip the transfer — shifting completions by exactly
+// the image transfer time. Records now live on their task and Task.Recycle
+// empties them; TestRecycledArenaShipsItsOwnImage pins the case this
+// fixture does not reach, a slot resident at the last horizon.
 func TestArenaCellOrderIndependence(t *testing.T) {
 	sp := equivalenceSpec()
 	ctx := context.Background()

@@ -679,11 +679,6 @@ func (c *cell) taskDone(t *sim.Task, at time.Duration) {
 		}
 	}
 	c.acc.TaskDone(at, arrival, t.Work)
-	// A checkpoint record lives as long as its task: the slot's next tenant
-	// reuses the id and must not restart from this one's image.
-	if c.ck != nil {
-		c.ck.Forget(c.cl, t)
-	}
 	if ar.streaming {
 		ar.pool.release(ti)
 	}

@@ -375,12 +375,10 @@ func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) ou
 	if err == nil && e.cache != nil {
 		// Best-effort write-through: a read-only or full cache directory
 		// costs reuse, not correctness — but it must not look healthy while
-		// reuse silently dies, so failures are counted (the store's
-		// Stats.PutErrors, plus a telemetry counter when a recorder is
-		// attached) even though they never fail the sweep.
-		if perr := e.cache.Put(key, idx); perr != nil && rec != nil {
-			rec.AddCounter("cache_put_errors", 1)
-		}
+		// reuse silently dies, so the store counts failures (store.FS's
+		// Stats.PutErrors, which the CLI writes to telemetry.json under
+		// cache) even though they never fail the sweep.
+		_ = e.cache.Put(key, idx)
 	}
 	if rec != nil && err == nil {
 		rec.RecordCell(obs.Cell{

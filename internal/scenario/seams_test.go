@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -210,11 +208,31 @@ func TestPoolSlots(t *testing.T) {
 	}
 
 	sp = streamSpec()
-	ar = testArena(t, sp)
-	idx, err := ar.runCell(context.Background(), "greedy-best-fit", "checkpoint", 0, false, nil)
-	if err != nil {
-		t.Fatal(err)
+	ar, c := testCell(t, sp, "greedy-best-fit", "checkpoint")
+	// A checkpoint record lives as long as its task: at every instant each
+	// record belongs to a slot that is held and has run, never to a completed
+	// task whose slot (and id) went to a later arrival.
+	var records int
+	stale := map[string]bool{}
+	for at := time.Duration(0); at < ar.horizon; at += 5 * time.Second {
+		ar.cluster.Sim.RunUntil(at)
+		for s := range ar.pool.created {
+			if !slices.ContainsFunc(ar.machines, ar.pool.task(s).CheckpointOn) {
+				continue
+			}
+			records++
+			if slices.Contains(ar.pool.free, s) || !ar.pool.everPlaced[s] {
+				stale[ar.pool.ids[s]] = true
+			}
+		}
 	}
+	if n, _ := c.ck.Stats(); n == 0 || records == 0 {
+		t.Fatalf("streaming cell took %d checkpoints and held %d records over the sample instants: nothing was checked", n, records)
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d checkpoint records outlived their tasks (slot free, or its tenant never ran): %v", len(stale), stale)
+	}
+	idx := c.measure(ar.cluster.Sim.RunUntil(ar.horizon))
 	slots := sp.Machines.Classes[0].Count * sp.Machines.Classes[0].Slots
 	if bound := sp.Workload.QueueLimit + 2*slots; ar.pool.peak > bound || ar.pool.created > bound {
 		t.Errorf("streaming cell: pool peak %d, created %d, want at most queue_limit + 2×slots = %d", ar.pool.peak, ar.pool.created, bound)
@@ -222,21 +240,73 @@ func TestPoolSlots(t *testing.T) {
 	if idx.Completed < 1000 || idx.Rejected < 1000 {
 		t.Errorf("streaming cell completed %d and rejected %d of %d: not the overloaded cell this test assumes", idx.Completed, idx.Rejected, sp.Workload.Tasks)
 	}
-	// A checkpoint record lives as long as its task: at the horizon every
-	// record belongs to a slot that is held and has run, never to a completed
-	// task whose slot (and id) went to a later arrival.
-	if n, _ := ar.cell.ck.Stats(); n == 0 {
-		t.Fatal("streaming cell took no checkpoint")
+}
+
+// TestRecycledArenaShipsItsOwnImage: a task still resident at its cell's
+// horizon keeps its checkpoint record through Cluster.Reset, and the next
+// cell on the same arena recycles its slot. That slot's new task, evacuated
+// before its own first checkpoint onto the machine where the predecessor
+// checkpointed, ships its full image — exactly what the same cell ships on
+// a single-use arena.
+func TestRecycledArenaShipsItsOwnImage(t *testing.T) {
+	sp := &Spec{
+		Name:                "recycled-arena-test",
+		HorizonS:            30,
+		CheckpointIntervalS: 10,
+		Machines: MachineSetSpec{Classes: []MachineClassSpec{
+			// Not workstations: a checkpoint image only restarts on a host of
+			// the same byte order.
+			{Class: "mimd", Count: 2, Speed: Dist{Kind: "fixed", Value: 1}},
+		}},
+		Workload: WorkloadSpec{
+			Tasks:          1,
+			Work:           Dist{Kind: "fixed", Value: 1000},
+			Arrivals:       ArrivalSpec{Kind: "trace", TraceS: []float64{1}},
+			ImageMiB:       1,
+			Checkpointable: true,
+		},
+		Policies: PolicyMatrix{Scheduling: []string{"greedy-best-fit"}, Migration: []string{"checkpoint"}},
+		Runs:     1,
+		Seed:     1,
 	}
-	var stale []string
-	for _, path := range ar.cluster.FS.Paths() {
-		s, err := strconv.Atoi(strings.TrimPrefix(path, "/ckpt/task-"))
-		if err != nil || slices.Contains(ar.pool.free, s) || !ar.pool.everPlaced[s] {
-			stale = append(stale, path)
+	used := testArena(t, sp)
+	if _, err := used.runCell(context.Background(), "greedy-best-fit", "checkpoint", 0, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	held := used.pool.task(0).Machine()
+	if held == nil || !used.pool.task(0).CheckpointOn(held) {
+		t.Fatalf("first cell: task-000 on %v at the horizon, want it resident with a checkpoint record", held)
+	}
+	x := held.Index()
+
+	// evacuation runs the second cell on ar: the arrival lands on the
+	// machine other than x, whose owner then returns before the first
+	// checkpoint at 10 s. It returns the bytes the one migration moved.
+	evacuation := func(ar *runArena) int64 {
+		if err := ar.prepare(0); err != nil {
+			t.Fatal(err)
 		}
+		c, err := ar.startCell("greedy-best-fit", "checkpoint", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onto, from := ar.machines[x], ar.machines[1-x]
+		onto.SetLocalLoad(1)
+		ar.cluster.Sim.RunUntil(2 * time.Second)
+		if m := ar.pool.task(0).Machine(); m != from {
+			t.Fatalf("t=2s: task-000 on %v, want %s", m, from.Name())
+		}
+		onto.SetLocalLoad(0)
+		from.SetLocalLoad(1)
+		if c.lb.Migrations != 1 {
+			t.Fatalf("%d migrations, want the one evacuation", c.lb.Migrations)
+		}
+		return c.lb.TotalBytesMoved()
 	}
-	if len(stale) > 0 {
-		t.Errorf("%d checkpoint records outlived their tasks (slot free, or its tenant never ran): %v", len(stale), stale)
+	fresh, recycled := evacuation(testArena(t, sp)), evacuation(used)
+	if fresh != used.imageBytes || recycled != fresh {
+		t.Errorf("the evacuation moved %d bytes on a recycled arena and %d on a single-use one, want the %d-byte image on both",
+			recycled, fresh, used.imageBytes)
 	}
 }
 

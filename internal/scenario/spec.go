@@ -249,10 +249,11 @@ type WorkloadSpec struct {
 	Checkpointable bool `json:"checkpointable,omitempty"`
 	// Constrained, when present, pins a fraction of tasks to one class.
 	Constrained *ConstrainedSpec `json:"constrained,omitempty"`
-	// QueueLimit bounds the waiting queue for open-loop sources: an arrival
-	// that finds the queue full is rejected at admission and counted in the
-	// reject-rate index. Zero means unbounded (the backlog — and with a
-	// streaming source, the task pool — then grows with overload).
+	// QueueLimit bounds the waiting queue of an open-loop (streaming)
+	// source: an arrival that finds the queue full is rejected at admission
+	// and counted in the reject-rate index. Zero means unbounded (the
+	// backlog and the task pool then grow with overload). A closed source
+	// admits its whole task bag, so Validate rejects the field there.
 	QueueLimit int `json:"queue_limit,omitempty"`
 }
 
@@ -443,6 +444,16 @@ func (s *Spec) Validate() error {
 	}
 	if s.Workload.QueueLimit < 0 {
 		return fmt.Errorf("scenario: %s: negative queue_limit", s.Name)
+	}
+	if s.Workload.QueueLimit > 0 && !src.Streaming() {
+		var open []string
+		for _, o := range sources {
+			if o.Streaming() {
+				open = append(open, o.Kind())
+			}
+		}
+		return fmt.Errorf("scenario: %s: workload.queue_limit bounds an open-loop arrival queue (%s); closed %q arrivals admit every task",
+			s.Name, strings.Join(open, " or "), src.Kind())
 	}
 	if s.Workload.ImageMiB < 0 {
 		return fmt.Errorf("scenario: %s: negative image_mib", s.Name)

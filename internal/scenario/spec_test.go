@@ -41,6 +41,8 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"horizon overflows the clock", `"horizon_s": 600`, "horizon_s"},
 		{"checkpoint interval below the clock floor", `"seed": 7`, "checkpoint_interval_s"},
 		{"too many checkpoint instants", `"seed": 7`, "checkpoint_interval_s"},
+		// Only the open-loop arrival pump reads queue_limit.
+		{"queue limit on a closed source", `{"kind": "batch"}`, "workload.queue_limit bounds an open-loop arrival queue (diurnal or trace)"},
 	}
 	replacements := []string{
 		`"round-robin"`,
@@ -51,6 +53,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		`"horizon_s": 1e12`,
 		`"seed": 7, "checkpoint_interval_s": 1e-10`,
 		`"seed": 7, "checkpoint_interval_s": 0.005`,
+		`{"kind": "batch"}, "queue_limit": 8`,
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

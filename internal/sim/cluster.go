@@ -81,11 +81,12 @@ func (c *Cluster) AddMachine(spec arch.Machine) (*Machine, error) {
 // kernel's slot arena and every per-machine buffer keep their storage, so
 // rebuilding a world on a reset cluster allocates almost nothing — the
 // scenario engine's per-worker arena recycles whole 10⁴-machine worlds this
-// way. The file system empties in place (FS.Reset): checkpoint records and
-// staged files belong to one simulated world, and a leaked /ckpt record can
-// silently zero a later world's migration transfer. The network model alone
-// is left as-is — it is pure configuration, and callers that vary it per
-// run overwrite it, as they do on a fresh cluster.
+// way. The file system empties in place (FS.Reset): staged files and their
+// replicas belong to one simulated world. Task records are not the
+// cluster's: a task resident at Reset keeps its checkpoint record until
+// its owner recycles it (Task.Recycle). The network model alone is left
+// as-is — it is pure configuration, and callers that vary it per run
+// overwrite it, as they do on a fresh cluster.
 func (c *Cluster) Reset() {
 	c.Sim.Reset()
 	c.FS.Reset()

@@ -22,6 +22,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -34,6 +35,9 @@ import (
 )
 
 // Task is one remote VCE task instance executing on the simulated cluster.
+// It carries its own checkpoint record (Checkpoint), so the record lives
+// exactly as long as the task: completion empties it, and so do Recycle and
+// Reset.
 type Task struct {
 	// ID uniquely names the task instance.
 	ID string
@@ -54,6 +58,11 @@ type Task struct {
 
 	// CheckpointedWork is the work captured by the latest checkpoint.
 	CheckpointedWork float64
+	// holders are the machines with a current copy of the checkpoint
+	// record: the host that took the latest checkpoint, then every machine
+	// it was replicated to. Empty means no record. A record is always
+	// ImageBytes long, so where its copies are is all it holds.
+	holders []*Machine
 
 	machine *Machine
 	// doneOn is the machine that ran the task to completion, recorded just
@@ -101,6 +110,36 @@ func (t *Task) DoneOn() *Machine { return t.doneOn }
 
 // Finished reports completion.
 func (t *Task) Finished() bool { return t.finished }
+
+// errNoCheckpoint refuses a replication of a record that does not exist. A
+// migration before the first checkpoint meets it, so it is one value, not
+// formatted per call.
+var errNoCheckpoint = errors.New("sim: no checkpoint record to replicate")
+
+// Checkpoint captures the resident task's progress at the current virtual
+// instant in its checkpoint record, which the host then holds alone: every
+// older copy is stale. Only a resident task checkpoints.
+func (t *Task) Checkpoint() {
+	t.machine.Sync()
+	t.CheckpointedWork = t.DoneWork()
+	t.holders = append(t.holders[:0], t.machine)
+}
+
+// CheckpointOn reports whether m holds a current copy of the task's
+// checkpoint record.
+func (t *Task) CheckpointOn(m *Machine) bool { return slices.Contains(t.holders, m) }
+
+// ReplicateCheckpoint copies the task's checkpoint record to m (a no-op
+// where a copy is current). A task with no record has nothing to copy.
+func (t *Task) ReplicateCheckpoint(m *Machine) error {
+	if len(t.holders) == 0 {
+		return errNoCheckpoint
+	}
+	if !t.CheckpointOn(m) {
+		t.holders = append(t.holders, m)
+	}
+	return nil
+}
 
 // Machine is one simulated computer.
 //
@@ -348,6 +387,7 @@ func (m *Machine) onCompletion() {
 		if t.Work-m.progress(t) <= workEpsilon(t.Work) {
 			t.doneWork = m.progress(t)
 			t.finished = true
+			t.holders = t.holders[:0] // a finished task restarts nowhere
 			t.machine = nil
 			t.doneOn = m
 			finished = append(finished, t)
@@ -499,8 +539,8 @@ func (t *Task) Rewind(work float64) error {
 }
 
 // Reset returns an unplaced task to its virgin state — no progress, no
-// checkpoint, not finished — so pooled task records can be recycled across
-// simulation runs (or re-submitted as fresh work within one) without
+// checkpoint record, not finished — so pooled task records can be recycled
+// across simulation runs (or re-submitted as fresh work within one) without
 // reallocating. Identity (ID, App), sizing (Work, ImageBytes) and the
 // callbacks are kept; call sites that reuse a record for different work
 // overwrite those fields directly. Resetting a placed task is an error:
@@ -510,6 +550,7 @@ func (t *Task) Reset() error {
 		return fmt.Errorf("sim: cannot reset task %q while placed on %s", t.ID, t.machine.Name())
 	}
 	t.CheckpointedWork = 0
+	t.holders = t.holders[:0]
 	t.doneWork = 0
 	t.accumBase = 0
 	t.finishKey = 0
@@ -524,15 +565,18 @@ func (t *Task) Reset() error {
 // Recycle re-initializes an unplaced record as a brand-new task — the pooled
 // analogue of allocating a fresh Task. Unlike a bare struct overwrite it
 // preserves the residency generation stamp (see Reset), so audits never
-// confuse two incarnations sharing a pooled record's ID. Recycling a placed
-// record is an error: the hosting machine's accounting still references it.
+// confuse two incarnations sharing a pooled record's ID, and it keeps the
+// checkpoint record's storage but none of its copies: a task resident or
+// queued when its world ended still holds its record, and the slot's next
+// tenant must restart from its own image. Recycling a placed record is an
+// error: the hosting machine's accounting still references it.
 func (t *Task) Recycle(fresh Task) error {
 	if t.machine != nil {
 		return fmt.Errorf("sim: cannot recycle task %q while placed on %s", t.ID, t.machine.Name())
 	}
-	gen := t.placements
+	gen, holders := t.placements, t.holders[:0]
 	*t = fresh
-	t.placements = gen
+	t.placements, t.holders = gen, holders
 	return nil
 }
 
@@ -540,7 +584,8 @@ func (t *Task) Recycle(fresh Task) error {
 // accrued progress, idle owner, a fresh monitoring gauge. Identity (Spec,
 // Index, cluster membership) and the reusable completion closure survive, so
 // a recycled machine allocates nothing. Resident task records are detached,
-// not mutated — the caller owns their recycling (Task.Reset). The pending
+// not mutated, and keep their checkpoint records — the caller owns their
+// recycling (Task.Recycle, Task.Reset), which empties those. The pending
 // completion event is cancelled natively, so Reset is safe both standalone
 // and under Cluster.Reset (where the kernel reset invalidates the handle
 // anyway). Reset does not notify change listeners: it is world teardown,

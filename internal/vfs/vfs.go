@@ -1,12 +1,14 @@
-// Package vfs is a simulated distributed file system: named files with sizes
-// and versions, replicated across sites (machines). It stands in for the
-// "LANs and distributed file systems [that] are becoming commonplace" the VCE
-// design exploits (§2), and is the substrate for input-file staging,
-// checkpoint records (§4.4) and anticipatory file replication (§4.5).
+// Package vfs is a simulated distributed file system: named files with sizes,
+// replicated across sites (machines). It stands in for the "LANs and
+// distributed file systems [that] are becoming commonplace" the VCE design
+// exploits (§2), and is the substrate for input-file staging and
+// anticipatory file replication (§4.5).
 //
 // vfs models placement and cost, not contents: what matters to every
 // scheduling claim in the paper is where replicas are and how many bytes a
-// stage-in must move.
+// stage-in must move. Files are written once, at Create, so every replica
+// is current. Checkpoint records are not files here: they live on their
+// task (sim.Task.Checkpoint).
 package vfs
 
 import (
@@ -21,13 +23,11 @@ type File struct {
 	Path string
 	// Size is the file size in bytes.
 	Size int64
-	// Version counts writes; replicas carry the version they copied.
-	Version int
 }
 
 type fileState struct {
 	File
-	replicas map[string]int // site -> replica version
+	replicas map[string]struct{} // sites holding a copy
 }
 
 // FS is a thread-safe simulated distributed file system.
@@ -58,16 +58,16 @@ func (fs *FS) Create(path string, size int64, origin string) error {
 		return fmt.Errorf("vfs: %q already exists", path)
 	}
 	fs.files[path] = &fileState{
-		File:     File{Path: path, Size: size, Version: 1},
-		replicas: map[string]int{origin: 1},
+		File:     File{Path: path, Size: size},
+		replicas: map[string]struct{}{origin: {}},
 	}
 	return nil
 }
 
 // Reset empties the file system in place, keeping the map storage for
 // reuse. A reset FS is indistinguishable from a New one to every query:
-// recycled simulations call this so checkpoint records and staged files
-// never leak from one simulated world into the next.
+// recycled simulations call this so staged files never leak from one
+// simulated world into the next.
 func (fs *FS) Reset() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -85,29 +85,8 @@ func (fs *FS) Stat(path string) (File, bool) {
 	return f.File, true
 }
 
-// Write records an update to the file performed at site, bumping the version.
-// Site must already hold a replica (you write where you run); other replicas
-// become stale.
-func (fs *FS) Write(path string, site string, newSize int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return fmt.Errorf("vfs: write to missing file %q", path)
-	}
-	if _, has := f.replicas[site]; !has {
-		return fmt.Errorf("vfs: site %q has no replica of %q to write", site, path)
-	}
-	if newSize >= 0 {
-		f.Size = newSize
-	}
-	f.Version++
-	f.replicas[site] = f.Version
-	return nil
-}
-
-// Replicate copies the current version of path to site dst, returning the
-// number of bytes moved. Copying onto an up-to-date replica moves zero bytes.
+// Replicate copies path to site dst, returning the number of bytes moved.
+// Copying onto a site that already holds a replica moves zero bytes.
 func (fs *FS) Replicate(path string, dst string) (int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -115,21 +94,14 @@ func (fs *FS) Replicate(path string, dst string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("vfs: replicate of missing file %q", path)
 	}
-	if v, has := f.replicas[dst]; has && v == f.Version {
+	if _, has := f.replicas[dst]; has {
 		return 0, nil
 	}
-	f.replicas[dst] = f.Version
+	f.replicas[dst] = struct{}{}
 	return f.Size, nil
 }
 
-// Remove deletes the file and all replicas.
-func (fs *FS) Remove(path string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	delete(fs.files, path)
-}
-
-// Sites returns the sites holding a current replica, sorted.
+// Sites returns the sites holding a replica, sorted.
 func (fs *FS) Sites(path string) []string {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -137,29 +109,27 @@ func (fs *FS) Sites(path string) []string {
 	if !ok {
 		return nil
 	}
-	var out []string
-	for site, v := range f.replicas {
-		if v == f.Version {
-			out = append(out, site)
-		}
+	out := make([]string, 0, len(f.replicas))
+	for site := range f.replicas {
+		out = append(out, site)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// HasCurrent reports whether site holds an up-to-date replica of path.
-func (fs *FS) HasCurrent(path string, site string) bool {
+// HasReplica reports whether site holds a replica of path.
+func (fs *FS) HasReplica(path string, site string) bool {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	f, ok := fs.files[path]
 	if !ok {
 		return false
 	}
-	v, has := f.replicas[site]
-	return has && v == f.Version
+	_, has := f.replicas[site]
+	return has
 }
 
-// StageBytes returns how many bytes must be moved so that site holds current
+// StageBytes returns how many bytes must be moved so that site holds
 // replicas of every path. Missing files are an error: staging an application
 // whose inputs do not exist anywhere is a deployment bug worth surfacing.
 func (fs *FS) StageBytes(paths []string, site string) (int64, error) {
@@ -171,7 +141,7 @@ func (fs *FS) StageBytes(paths []string, site string) (int64, error) {
 		if !ok {
 			return 0, fmt.Errorf("vfs: staging missing file %q", p)
 		}
-		if v, has := f.replicas[site]; !has || v != f.Version {
+		if _, has := f.replicas[site]; !has {
 			total += f.Size
 		}
 	}

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -36,7 +37,7 @@ func TestCreateValidation(t *testing.T) {
 func TestStat(t *testing.T) {
 	fs := newFS(t)
 	f, ok := fs.Stat("/apps/a.vce")
-	if !ok || f.Size != 1000 || f.Version != 1 {
+	if !ok || f.Path != "/apps/a.vce" || f.Size != 1000 {
 		t.Fatalf("stat = %+v, %v", f, ok)
 	}
 	if _, ok := fs.Stat("/nope"); ok {
@@ -52,52 +53,14 @@ func TestReplicateMovesBytesOnce(t *testing.T) {
 	}
 	n, err = fs.Replicate("/apps/a.vce", "host2")
 	if err != nil || n != 0 {
-		t.Fatalf("second replicate = %d, %v; want 0 (already current)", n, err)
+		t.Fatalf("second replicate = %d, %v; want 0 (already held)", n, err)
 	}
 	sites := fs.Sites("/apps/a.vce")
 	if len(sites) != 2 || sites[0] != "host1" || sites[1] != "host2" {
 		t.Fatalf("sites = %v", sites)
 	}
-}
-
-func TestWriteInvalidatesReplicas(t *testing.T) {
-	fs := newFS(t)
-	if _, err := fs.Replicate("/apps/a.vce", "host2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write("/apps/a.vce", "host1", 2000); err != nil {
-		t.Fatal(err)
-	}
-	if fs.HasCurrent("/apps/a.vce", "host2") {
-		t.Fatal("stale replica still current after write")
-	}
-	if !fs.HasCurrent("/apps/a.vce", "host1") {
-		t.Fatal("writer site lost currency")
-	}
-	n, err := fs.Replicate("/apps/a.vce", "host2")
-	if err != nil || n != 2000 {
-		t.Fatalf("re-replicate after write = %d, %v; want 2000", n, err)
-	}
-}
-
-func TestWriteRequiresLocalReplica(t *testing.T) {
-	fs := newFS(t)
-	if err := fs.Write("/apps/a.vce", "elsewhere", 10); err == nil {
-		t.Fatal("write without local replica accepted")
-	}
-	if err := fs.Write("/missing", "host1", 10); err == nil {
-		t.Fatal("write to missing file accepted")
-	}
-}
-
-func TestWriteKeepsSizeWhenNegative(t *testing.T) {
-	fs := newFS(t)
-	if err := fs.Write("/apps/a.vce", "host1", -1); err != nil {
-		t.Fatal(err)
-	}
-	f, _ := fs.Stat("/apps/a.vce")
-	if f.Size != 1000 || f.Version != 2 {
-		t.Fatalf("stat after size-preserving write = %+v", f)
+	if !fs.HasReplica("/apps/a.vce", "host2") || fs.HasReplica("/apps/a.vce", "host3") || fs.HasReplica("/nope", "host1") {
+		t.Fatal("HasReplica disagrees with Sites")
 	}
 }
 
@@ -130,7 +93,7 @@ func TestStageMissingFileErrors(t *testing.T) {
 	}
 }
 
-func TestRemoveAndPaths(t *testing.T) {
+func TestPathsAndReset(t *testing.T) {
 	fs := newFS(t)
 	if err := fs.Create("/z", 1, "h"); err != nil {
 		t.Fatal(err)
@@ -139,9 +102,9 @@ func TestRemoveAndPaths(t *testing.T) {
 	if len(paths) != 2 || paths[0] != "/apps/a.vce" {
 		t.Fatalf("paths = %v", paths)
 	}
-	fs.Remove("/z")
-	if paths := fs.Paths(); len(paths) != 1 {
-		t.Fatalf("paths after remove = %v", paths)
+	fs.Reset()
+	if paths := fs.Paths(); len(paths) != 0 {
+		t.Fatalf("paths after reset = %v", paths)
 	}
 }
 
@@ -185,14 +148,13 @@ func TestConcurrentReplication(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 300; i++ {
-			_, _ = fs.Replicate("/apps/a.vce", "hostX")
-			_ = fs.Write("/apps/a.vce", "host1", -1) // hostX goes stale
+			_, _ = fs.Replicate("/apps/a.vce", fmt.Sprintf("host%d", i))
 		}
 	}()
 	for i := 0; i < 300; i++ {
 		fs.Sites("/apps/a.vce")
-		fs.HasCurrent("/apps/a.vce", "hostX")
-		_, _ = fs.StageBytes([]string{"/apps/a.vce"}, "hostX")
+		fs.HasReplica("/apps/a.vce", "host7")
+		_, _ = fs.StageBytes([]string{"/apps/a.vce"}, "host7")
 	}
 	<-done
 }
