@@ -112,7 +112,7 @@ func TestReplicationPlansAndExecution(t *testing.T) {
 	g, _, _ := testGraphAndMgr(t)
 	c := sim.NewCluster()
 	c.Net = netsim.New(netsim.Link{Latency: 0, Bandwidth: 1 << 20})
-	fs := c.FS
+	fs := vfs.New()
 	if err := fs.Create("/data/obs.dat", 1<<20, "origin"); err != nil {
 		t.Fatal(err)
 	}
@@ -153,21 +153,22 @@ func TestStageInLatency(t *testing.T) {
 	g, _, _ := testGraphAndMgr(t)
 	c := sim.NewCluster()
 	c.Net = netsim.New(netsim.Link{Latency: 0, Bandwidth: 1 << 20})
-	if err := c.FS.Create("/data/obs.dat", 1<<20, "origin"); err != nil {
+	fs := vfs.New()
+	if err := fs.Create("/data/obs.dat", 1<<20, "origin"); err != nil {
 		t.Fatal(err)
 	}
 	second, _ := g.Task("second")
-	cold, err := StageInLatency(c, c.FS, second, "ws1")
+	cold, err := StageInLatency(c, fs, second, "ws1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold != time.Second {
 		t.Fatalf("cold stage-in = %v, want 1s", cold)
 	}
-	if _, err := c.FS.Replicate("/data/obs.dat", "ws1"); err != nil {
+	if _, err := fs.Replicate("/data/obs.dat", "ws1"); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := StageInLatency(c, c.FS, second, "ws1")
+	warm, err := StageInLatency(c, fs, second, "ws1")
 	if err != nil {
 		t.Fatal(err)
 	}

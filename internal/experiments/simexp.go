@@ -15,6 +15,7 @@ import (
 	"vce/internal/sched"
 	"vce/internal/sim"
 	"vce/internal/taskgraph"
+	"vce/internal/vfs"
 	"vce/internal/vtime"
 )
 
@@ -98,6 +99,11 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 		}
 		pol.Enqueue(it)
 	}
+	// Every round builds a new snapshot, so every position has changed.
+	changed := make([]int, len(ms))
+	for i := range changed {
+		changed[i] = i
+	}
 	var makespan time.Duration
 	var tryPlace func()
 	tryPlace = func() {
@@ -108,7 +114,7 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 			free += slots
 			states = append(states, sched.MachineState{Machine: m.Spec, Load: m.Load(), Slots: slots})
 		}
-		for _, a := range pol.PlaceWaiting(states, free) {
+		for _, a := range pol.PlaceWaiting(states, free, changed) {
 			t := &sim.Task{
 				ID:   fmt.Sprintf("t%02d", a.Ref),
 				Work: work,
@@ -532,7 +538,8 @@ func E10Anticipatory() (*Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := c.FS.Create("/data/obs.dat", 32<<20, "archive"); err != nil {
+		fs := vfs.New()
+		if err := fs.Create("/data/obs.dat", 32<<20, "archive"); err != nil {
 			return 0, 0, err
 		}
 		g := taskgraph.New("two-stage")
@@ -554,13 +561,13 @@ func E10Anticipatory() (*Result, error) {
 					return 0, 0, err
 				}
 			}
-			plans, err := antic.ReplicationPlans(c.FS, g, done, started,
+			plans, err := antic.ReplicationPlans(fs, g, done, started,
 				map[taskgraph.TaskID][]string{"second": {"host"}})
 			if err != nil {
 				return 0, 0, err
 			}
 			for _, p := range plans {
-				if err := antic.ExecuteReplicate(c, c.FS, p); err != nil {
+				if err := antic.ExecuteReplicate(c, fs, p); err != nil {
 					return 0, 0, err
 				}
 			}
@@ -573,7 +580,7 @@ func E10Anticipatory() (*Result, error) {
 				if !mgr.HasBinaryFor("/apps/second.vce", ms[0].Spec) {
 					lat += mgr.CostModel().CompileTime(second.ImageBytes)
 				}
-				stageIn, err := antic.StageInLatency(c, c.FS, second, "host")
+				stageIn, err := antic.StageInLatency(c, fs, second, "host")
 				if err == nil {
 					lat += stageIn
 				}
@@ -635,19 +642,20 @@ func E10aReplicationFanout() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := c.FS.Create("/data/in.dat", 16<<20, "archive"); err != nil {
+			fs := vfs.New()
+			if err := fs.Create("/data/in.dat", 16<<20, "archive"); err != nil {
 				return nil, err
 			}
 			// Replicate to the first `fanout` hosts ahead of time.
 			for i := 0; i < fanout; i++ {
-				if _, err := c.FS.Replicate("/data/in.dat", fmt.Sprintf("h%d", i)); err != nil {
+				if _, err := fs.Replicate("/data/in.dat", fmt.Sprintf("h%d", i)); err != nil {
 					return nil, err
 				}
 			}
 			// The bidding round lands the task on a random host.
 			chosen := fmt.Sprintf("h%d", r.Intn(hosts))
 			task := taskgraph.Task{ID: "t", InputFiles: []string{"/data/in.dat"}}
-			lat, err := antic.StageInLatency(c, c.FS, task, chosen)
+			lat, err := antic.StageInLatency(c, fs, task, chosen)
 			if err != nil {
 				return nil, err
 			}

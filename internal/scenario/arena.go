@@ -100,6 +100,10 @@ type runArena struct {
 	stale     []int
 	isStale   []bool
 	residents []*sim.Task
+	// policies holds one placement policy per scheduling name the arena
+	// has run, so a cell's queue, score column and site splits reuse the
+	// previous cell's storage (policy).
+	policies []sched.Policy
 
 	// Per-cell DAG scratch (see prepare): readiness countdown, the instant
 	// a task's last parent finished (its effective arrival), the machine
@@ -436,4 +440,21 @@ func (p *taskPool) acquire(g taskGen) int {
 func (p *taskPool) release(s int) {
 	p.live--
 	p.free = append(p.free, s)
+}
+
+// policy returns the arena's placement policy of the given name, emptied
+// for a new cell. A reset policy places exactly as a new one does.
+func (ar *runArena) policy(name string) (sched.Policy, error) {
+	for _, p := range ar.policies {
+		if p.Name() == name {
+			p.Reset()
+			return p, nil
+		}
+	}
+	p, err := newSchedPolicy(name)
+	if err != nil {
+		return nil, err
+	}
+	ar.policies = append(ar.policies, p)
+	return p, nil
 }

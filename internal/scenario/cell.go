@@ -101,6 +101,10 @@ type cell struct {
 	// lists the writers), so a pass touches only what changed.
 	stale   []int
 	isStale []bool
+	// changed lists the positions refreshStale re-derived since the last
+	// PlaceWaiting, the policy's cue to rescore them. A pass that stops
+	// before placing keeps them for the next one, so a position may repeat.
+	changed []int
 	// auditor, set on audited runs, receives a violation for every entry
 	// (and the free total) a pass finds different from a full re-derivation.
 	auditor *sim.Auditor
@@ -236,6 +240,7 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		ar: ar, cl: cl, acc: &ar.acc,
 		key: schedName + "/" + migration, run: run,
 		states: ar.states, stale: ar.stale, isStale: ar.isStale,
+		changed: c.changed[:0], // the previous cell's storage
 	}
 	c.onDone = c.taskDone
 	if sp.Owner != nil {
@@ -292,7 +297,7 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 // migration strategy to the cluster.
 func (c *cell) attachPolicies(schedName, migration string) error {
 	ar, sp, cl := c.ar, c.ar.sp, c.cl
-	pol, err := newSchedPolicy(schedName)
+	pol, err := ar.policy(schedName)
 	if err != nil {
 		return err
 	}
@@ -529,11 +534,12 @@ func (c *cell) markStale(i int) {
 	}
 }
 
-// refreshStale re-derives the stale machines' snapshot entries and keeps
-// free in step. A policy never reads the Load of a machine without a free
-// slot, so theirs is not derived.
+// refreshStale re-derives the stale machines' snapshot entries, keeps free
+// in step and lists the entries as changed. A policy never reads the Load
+// of a machine without a free slot, so theirs is not derived.
 func (c *cell) refreshStale() {
 	machines := c.ar.machines
+	c.changed = append(c.changed, c.stale...)
 	for _, i := range c.stale {
 		c.isStale[i] = false
 		st := &c.states[i]
@@ -591,7 +597,8 @@ func (c *cell) tryPlace() {
 		if c.free == 0 {
 			return
 		}
-		placed := c.pol.PlaceWaiting(c.states, c.free)
+		placed := c.pol.PlaceWaiting(c.states, c.free, c.changed)
+		c.changed = c.changed[:0]
 		c.free -= len(placed)
 		if c.loc != nil {
 			// Backpressure rejections leave the system here: dropped

@@ -69,7 +69,7 @@ func TestMutants(t *testing.T) {
 			files, _ := os.ReadDir(repros)
 			t.Logf("killed on %d of 25 seeds, %d repro files: %s", len(perSeed), len(files), strings.Join(summary, ", "))
 
-			if m.wantMode == "" {
+			if m.wantMode == "" && m.wantProperty == "" {
 				if err != nil {
 					t.Fatalf("expected survivor now dies — move the row and update the table in DESIGN.md §6:\n%s", stderr.String())
 				}
@@ -79,6 +79,9 @@ func TestMutants(t *testing.T) {
 				t.Fatalf("lost kill: no property reports this mutant any more")
 			}
 			want := "execution-identity " + m.wantMode
+			if m.wantProperty != "" {
+				want = m.wantProperty
+			}
 			if len(deaths) != 1 || deaths[want] == 0 {
 				t.Errorf("want every failure to be %q, got %s", want, strings.Join(summary, ", "))
 			}

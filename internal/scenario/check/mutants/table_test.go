@@ -2,8 +2,9 @@
 // engines: each row of the table below is one exact-once text replacement in
 // one engine file, built with `go build -overlay` (the tree is never touched)
 // and swept with `vcebench check -seeds 25`. A row names the
-// execution-identity mode that must report it — one failure per failing seed,
-// nothing else — or is a known survivor, a defect no current property sees.
+// execution-identity mode, or else the other property, that must report it
+// — one failure per failing seed, nothing else — or is a known survivor, a
+// defect no current property sees.
 // DESIGN.md §6 prints the table; it is the no-kill-lost ledger for changes to
 // the property set and the to-do list for the independent oracle (ROADMAP
 // item 1).
@@ -22,12 +23,14 @@ import (
 	"testing"
 )
 
-// mutant is one seeded defect. An empty wantMode marks an expected survivor.
+// mutant is one seeded defect. wantMode is the execution-identity mode that
+// must report it; wantProperty, set instead, names another property that
+// must. Both empty mark an expected survivor.
 type mutant struct {
-	name     string
-	file     string // relative to the repo root
-	old, new string
-	wantMode string
+	name                   string
+	file                   string // relative to the repo root
+	old, new               string
+	wantMode, wantProperty string
 }
 
 var table = []mutant{
@@ -100,6 +103,19 @@ var table = []mutant{
 		name: "snapshot-misses-completion-host", wantMode: "audited",
 		file: "internal/scenario/cell.go",
 		old:  "\tc.markStale(host.Index())\n",
+		new:  "",
+	},
+	// The placement policy's score column ignores the entries the engine
+	// re-derived: a pick compares a machine's score as the policy itself
+	// last left it, so a machine that filled up never reads free again.
+	// Every mode runs the same placement code and the audit checks the
+	// snapshot, not the column, so no execution-identity mode sees it;
+	// makespan-dominance does, as cells that stop placing work. sched's
+	// TestPlaceWaitingIncrementalMatchesReference kills it in plain go test.
+	{
+		name: "placement-column-misses-changed", wantProperty: "makespan-dominance",
+		file: "internal/sched/sched.go",
+		old:  "\t\tfor _, i := range changed {\n\t\t\tq.keys[i] = score(&machines[i])\n\t\t}\n",
 		new:  "",
 	},
 }

@@ -90,38 +90,91 @@ func churnCellSpec() *Spec {
 	}
 }
 
+// dagCellSpec is the benchmark's small three-site DAG (the daemon
+// workload's shape): 12 machines over campus, center and annex sites, a
+// 120-task random DAG whose items carry a home site, and data staged
+// between sites.
+func dagCellSpec() *Spec {
+	return &Spec{
+		Name:     "alloc-budget-dag",
+		HorizonS: 7200,
+		Machines: MachineSetSpec{
+			Classes: []MachineClassSpec{
+				{Class: "workstation", Count: 6, Site: "campus", Speed: Dist{Kind: "uniform", Min: 1, Max: 2}},
+				{Class: "mimd", Count: 2, Slots: 4, Site: "center", Speed: Dist{Kind: "fixed", Value: 4}},
+				{Class: "vector", Count: 4, Site: "annex", Speed: Dist{Kind: "uniform", Min: 1, Max: 3}},
+			},
+			BandwidthMiBps: Float64(4),
+			LatencyMs:      2,
+			Topology: &TopologySpec{
+				IntraLatencyMs: 1, IntraBandwidthMiBps: 8,
+				InterLatencyMs: 25, InterBandwidthMiBps: 0.75,
+			},
+		},
+		Workload: WorkloadSpec{
+			Tasks:    120,
+			Work:     Dist{Kind: "uniform", Min: 20, Max: 80},
+			Arrivals: ArrivalSpec{Kind: "batch"},
+			Graph:    &GraphSpec{Kind: "random", EdgeProb: 0.2, DataMiB: 4},
+			ImageMiB: 2,
+		},
+		Policies: PolicyMatrix{
+			Scheduling: []string{"locality", "greedy-best-fit"},
+			Migration:  []string{"none"},
+		},
+		Runs: 1,
+		Seed: 1,
+	}
+}
+
 // TestClosedCellAllocationBudget pins what one closed cell allocates on a
-// recycled arena, the sweep executor's steady state. Placement passes, the
-// resident walks of the checkpoint tick and of evacuations, staged
-// deliveries and the checkpoint records on the pooled tasks all reuse arena,
-// policy or record storage, so what remains is per-cell setup (the policies
-// and their closures). A regression that brings back a per-event or
-// per-checkpoint allocation adds hundreds per cell and fails here.
+// recycled arena, the sweep executor's steady state. Placement passes (the
+// placement policy with its queue, score column and site splits is the
+// arena's), the resident walks of the checkpoint tick and of evacuations,
+// staged deliveries and the checkpoint records on the pooled tasks all
+// reuse arena, policy or record storage, so what remains is per-cell setup
+// (the migration policies and closures). A regression that brings back a
+// per-event, per-round or per-checkpoint allocation adds hundreds per cell
+// and fails here.
 func TestClosedCellAllocationBudget(t *testing.T) {
-	sp := churnCellSpec().withDefaults()
-	if err := sp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ar, err := newArena(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runErr error
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ar.runCell(context.Background(), "utilization-first", "checkpoint", 0, false, nil); err != nil {
-			runErr = err
+	// Each budget is a third above what the cell allocated while the arena
+	// still built a new placement policy per cell (go1.24, linux/amd64): 72
+	// for the churn cell, 17 and 16 for the DAG cell under locality and
+	// greedy-best-fit. They now read 63, 9 and 9. One allocation per
+	// checkpoint would add about 610 to the churn cell; allocating the
+	// resident walks and idle-machine lists per event, about 1500; a score
+	// column allocated per placement round, about 120 to the DAG cell and
+	// 390 to the churn cell.
+	for _, c := range []struct {
+		spec             *Spec
+		sched, migration string
+		budget           float64
+	}{
+		{churnCellSpec(), "utilization-first", "checkpoint", 96},
+		{dagCellSpec(), "locality", "none", 22},
+		{dagCellSpec(), "greedy-best-fit", "none", 21},
+	} {
+		sp := c.spec.withDefaults()
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	t.Logf("%.0f allocations per cell (%.2f per task)", allocs, allocs/float64(sp.Workload.Tasks))
-	// Measured: 72 (go1.24, linux/amd64). The budget adds a third for
-	// toolchain drift. One allocation per checkpoint would add about 610;
-	// allocating the resident walks and idle-machine lists per event, about
-	// 1500.
-	const budget = 96
-	if allocs > budget {
-		t.Errorf("one closed churn cell made %.0f allocations on a recycled arena, budget %d", allocs, budget)
+		ar, err := newArena(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runErr error
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ar.runCell(context.Background(), c.sched, c.migration, 0, false, nil); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		t.Logf("%s %s/%s: %.0f allocations per cell (%.2f per task)", sp.Name, c.sched, c.migration, allocs, allocs/float64(sp.Workload.Tasks))
+		if allocs > c.budget {
+			t.Errorf("one closed %s cell under %s/%s made %.0f allocations on a recycled arena, budget %.0f",
+				sp.Name, c.sched, c.migration, allocs, c.budget)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Locality is the topology-aware placement policy: the load-balancing triad
 // of the distributed-FaaS literature (place local, forward to a nearby node
@@ -47,11 +50,15 @@ func (*Locality) Name() string { return "locality" }
 // SetTopology installs the site model: siteOf maps a machine id (its
 // position in the snapshot) to a site id, and cost[a][b] estimates the
 // seconds needed to move one item's dependency payload from site a to site
-// b. Both slices are read, never written, and must outlive subsequent
-// rounds. A nil siteOf reverts to greedy placement.
+// b, one row and one column per site. Both slices are read, never written,
+// and must outlive subsequent rounds. A nil siteOf reverts to greedy
+// placement.
 func (l *Locality) SetTopology(siteOf []int, cost [][]float64) {
 	l.siteOf = siteOf
 	l.cost = cost
+	for s := range l.sets {
+		l.sets[s].sites.built = false
+	}
 }
 
 // Dropped returns the items the last round rejected under backlog
@@ -59,65 +66,93 @@ func (l *Locality) SetTopology(siteOf []int, cost [][]float64) {
 // the next round.
 func (l *Locality) Dropped() []Item { return l.dropped }
 
-// localityScan accumulates one item's candidate scan without per-item
-// closures: the id of the best free machine at the home site, and of the
-// best forwarding target (cheapest transfer cost from home, then score;
-// first seen wins ties, so candidate order is the final tie-breaker). -1
-// means none.
-type localityScan struct {
-	siteOf    []int
-	cost      []float64 // home site's cost row (nil: unknown costs)
-	home      int
-	local     int
-	localBest float64
-	fwd       int
-	fwdCost   float64
-	fwdBest   float64
+// siteSplit is one candidate set grouped by site: ids[start[g]:start[g+1]]
+// are the set's machines at site g, in candidate order, and the last group
+// holds the ids with no site in the cost matrix. pos[k] is ids[k]'s
+// position in the set. A duplicate id lands in its first copy's group,
+// after it, so it never beats that copy.
+type siteSplit struct {
+	ids, pos, start []int
+	built           bool
 }
 
-// scan considers every candidate of it, whose data lives at home (cost is
-// home's row of the cost matrix). With the round's budget spent it finds
-// nothing without resolving a candidate: the caller's wait/drop outcome then
-// depends only on its backlog counters.
-func (s *localityScan) scan(it *Item, r *roundState, home int, cost []float64) {
-	s.home, s.cost = home, cost
-	s.local, s.localBest = -1, -1
-	s.fwd, s.fwdCost, s.fwdBest = -1, math.MaxFloat64, -1
+// reuse returns an unbuilt split over sp's storage.
+func (sp siteSplit) reuse() siteSplit {
+	return siteSplit{ids: sp.ids[:0], pos: sp.pos[:0], start: sp.start[:0]}
+}
+
+// group returns site g's members.
+func (sp *siteSplit) group(g int) []int { return sp.ids[sp.start[g]:sp.start[g+1]] }
+
+// site resolves a machine id to its split group: its site, or nsites for
+// an id with no site in the cost matrix.
+func (l *Locality) site(id, nsites int) int {
+	if id < 0 || id >= len(l.siteOf) || l.siteOf[id] < 0 || l.siteOf[id] >= nsites {
+		return nsites
+	}
+	return l.siteOf[id]
+}
+
+// split returns set f's site split, building it on first use after the set
+// opened or the topology changed.
+func (l *Locality) split(f *fifo) *siteSplit {
+	sp := &f.sites
+	if sp.built {
+		return sp
+	}
+	nsites := len(l.cost)
+	sp.ids = slices.Grow(sp.ids[:0], len(f.ids))
+	sp.pos = slices.Grow(sp.pos[:0], len(f.ids))
+	sp.start = slices.Grow(sp.start[:0], nsites+2)
+	for g := 0; g <= nsites; g++ {
+		sp.start = append(sp.start, len(sp.ids))
+		for p, id := range f.ids {
+			if l.site(id, nsites) == g {
+				sp.ids = append(sp.ids, id)
+				sp.pos = append(sp.pos, p)
+			}
+		}
+	}
+	sp.start = append(sp.start, len(sp.ids))
+	sp.built = true
+	return sp
+}
+
+// forward returns the forwarding target of an item whose data lives at
+// home, with home's machines full: of the other groups' best free machines,
+// the one at the site cheapest to move the data to, then the best score,
+// then the earliest candidate — what one pass over the set in candidate
+// order keeps when it replaces its pick only on a cheaper site or, at the
+// same cost, a strictly better score. A site with no cost (the last group)
+// costs math.MaxFloat64 and then needs a score above -1. -1 means none.
+func (l *Locality) forward(r *roundState, sp *siteSplit, home int) int {
 	if r.free == 0 {
-		return
-	}
-	for _, id := range it.CandidateIDs {
-		s.consider(id, r.byID(id))
-	}
-}
-
-// site resolves a machine id's site, -1 when the id is outside the map.
-func (s *localityScan) site(id int) int {
-	if id < 0 || id >= len(s.siteOf) {
 		return -1
 	}
-	return s.siteOf[id]
-}
-
-func (s *localityScan) consider(id int, ms *MachineState) {
-	if ms == nil || ms.Slots <= 0 {
-		return
-	}
-	score := ms.Machine.Speed / (1 + ms.Load)
-	site := s.site(id)
-	if site == s.home {
-		if score > s.localBest {
-			s.localBest, s.local = score, id
+	row := l.cost[home]
+	fwd, fwdCost, fwdBest, fwdPos := -1, math.MaxFloat64, -1.0, 0
+	for g := 0; g+1 < len(sp.start); g++ {
+		if g == home {
+			continue
 		}
-		return
+		k, best := -1, math.Inf(-1)
+		for j := sp.start[g]; j < sp.start[g+1]; j++ {
+			if id := sp.ids[j]; uint(id) < uint(len(r.keys)) && r.keys[id] > best {
+				k, best = j, r.keys[id]
+			}
+		}
+		if k < 0 {
+			continue
+		}
+		c := math.MaxFloat64 // the last group has no site in the matrix
+		if g < len(l.cost) && g < len(row) {
+			c = row[g]
+		}
+		if c < fwdCost || c == fwdCost && (best > fwdBest || best == fwdBest && fwd >= 0 && sp.pos[k] < fwdPos) {
+			fwd, fwdCost, fwdBest, fwdPos = sp.ids[k], c, best, sp.pos[k]
+		}
 	}
-	c := math.MaxFloat64 // unknown site: a last-resort forwarding target
-	if s.cost != nil && site >= 0 && site < len(s.cost) {
-		c = s.cost[site]
-	}
-	if c < s.fwdCost || (c == s.fwdCost && score > s.fwdBest) {
-		s.fwdCost, s.fwdBest, s.fwd = c, score, id
-	}
+	return fwd
 }
 
 // PlaceWaiting implements Policy. Without a topology every item places
@@ -126,17 +161,17 @@ func (s *localityScan) consider(id int, ms *MachineState) {
 // drops need the whole queue, and rejectCap bounds it per site. So the
 // round drains the queue in arrival order and re-enqueues the items still
 // waiting behind it, in the same order.
-func (l *Locality) PlaceWaiting(machines []MachineState, free int) []Assignment {
+func (l *Locality) PlaceWaiting(machines []MachineState, free int, changed []int) []Assignment {
 	l.dropped = l.dropped[:0]
 	if l.siteOf == nil {
-		return l.queue.PlaceWaiting(machines, free)
+		return l.queue.PlaceWaiting(machines, free, changed)
 	}
-	r := roundState{machines: machines, free: free}
+	r := l.round(machines, free, changed)
 	l.placed = l.placed[:0]
 	nsites := len(l.cost)
-	l.backlog = append(l.backlog[:0], make([]int, nsites)...)
+	l.backlog = slices.Grow(l.backlog[:0], nsites)[:nsites]
+	clear(l.backlog)
 
-	sc := localityScan{siteOf: l.siteOf}
 	for n := l.n; n > 0; n-- {
 		s := l.next()
 		f := &l.sets[s]
@@ -146,14 +181,12 @@ func (l *Locality) PlaceWaiting(machines []MachineState, free int) []Assignment 
 		best := -1
 		if home < 0 || home >= nsites {
 			// No affinity: greedy best fit.
-			best = r.pickBest(&it, nil)
-		} else if sc.scan(&it, &r, home, l.cost[home]); sc.local >= 0 {
-			best = sc.local
-		} else {
+			best = r.pickBest(it.CandidateIDs, nil)
+		} else if best = r.pickBest(l.split(f).group(home), nil); best < 0 {
 			// Home site full: wait a little, forward under pressure.
 			l.backlog[home]++
 			if l.backlog[home] > l.threshold {
-				best = sc.fwd
+				best = l.forward(&r, &f.sites, home)
 				if best < 0 && l.backlog[home] > l.rejectCap {
 					l.dropped = append(l.dropped, it)
 					continue
@@ -171,5 +204,5 @@ func (l *Locality) PlaceWaiting(machines []MachineState, free int) []Assignment 
 
 // Place implements Policy.
 func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	return l.PlaceWaiting(machines, l.load(items, machines)), l.drain()
+	return l.PlaceWaiting(machines, l.load(items, machines), nil), l.drain()
 }

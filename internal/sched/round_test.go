@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -219,6 +220,90 @@ func TestPlaceMatchesExhaustiveReference(t *testing.T) {
 	}
 }
 
+// TestPlaceWaitingIncrementalMatchesReference drives one queue per policy
+// through 300 rounds the way the scenario engine does: items arrive between
+// rounds, the snapshot persists, and before each round a random subset of
+// its entries is rewritten (free slots going to zero and back, loads moving)
+// and passed as changed, while what a round spent stays as the round left
+// it. Every round's assignments and Locality's drops must equal the naive
+// reference run on the test's own arrival-ordered waiting list and a copy
+// of the snapshot, so a score the policy's column failed to follow shows
+// up as a different pick. Locality's two remote sites cost the same, so
+// ties between forwarding targets are exercised.
+func TestPlaceWaitingIncrementalMatchesReference(t *testing.T) {
+	const fleet = 12
+	siteOf := make([]int, fleet)
+	for i := range siteOf {
+		siteOf[i] = i % 3
+	}
+	cost := [][]float64{{0, 4, 4}, {4, 0, 4}, {4, 4, 0}}
+	all := make([]int, fleet)
+	for i := range all {
+		all[i] = i
+	}
+	sets := [][]int{
+		all,                  // the whole fleet
+		{1, 4, 7, 10},        // a class
+		{5},                  // one machine
+		{9, 2, 6, 2, 11, 0},  // unordered, with a duplicate
+		{3, fleet, 8, -1, 4}, // ids outside the snapshot
+	}
+	loc := NewLocality()
+	loc.threshold, loc.rejectCap = 2, 5
+	loc.SetTopology(siteOf, cost)
+	for _, p := range []Policy{NewGreedyBestFit(), NewUtilizationFirst(), loc} {
+		rng := rand.New(rand.NewSource(41))
+		machines := make([]MachineState, fleet)
+		for i := range machines {
+			machines[i] = siteMachine(fmt.Sprintf("m%d", i), i, float64(1+i%4), rng.Intn(2))
+		}
+		var waiting []Item
+		var changed []int
+		ref := 0
+		for round := 0; round < 300; round++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				it := Item{Task: taskgraph.TaskID(fmt.Sprintf("t%d", ref)), Ref: ref,
+					CandidateIDs: sets[rng.Intn(len(sets))], Work: float64(rng.Intn(40)), HomeSite: rng.Intn(5)}
+				ref++
+				p.Enqueue(it)
+				waiting = append(waiting, it)
+			}
+			free := 0
+			for i := range machines {
+				free += max(0, machines[i].Slots)
+			}
+			wantPlaced, _, wantDropped := refPlace(p.Name(), waiting, machines, siteOf, cost, loc.threshold, loc.rejectCap)
+			placed := p.PlaceWaiting(machines, free, changed)
+			var dropped []Item
+			if p == Policy(loc) {
+				dropped = loc.Dropped()
+			}
+			if !sameAssignments(placed, wantPlaced) || !sameItems(dropped, wantDropped) {
+				t.Fatalf("%s round %d (changed %v):\n placed  %v\n want    %v\n dropped %v\n want    %v",
+					p.Name(), round, changed, placed, wantPlaced, taskIDs(dropped), taskIDs(wantDropped))
+			}
+			gone := map[int]bool{}
+			for _, a := range placed {
+				gone[a.Ref] = true
+			}
+			for _, d := range dropped {
+				gone[d.Ref] = true
+			}
+			waiting = slices.DeleteFunc(waiting, func(it Item) bool { return gone[it.Ref] })
+			if p.Len() != len(waiting) {
+				t.Fatalf("%s round %d: %d waiting, want %d", p.Name(), round, p.Len(), len(waiting))
+			}
+			// The caller's rewrites before the next round.
+			changed = changed[:0]
+			for _, i := range rng.Perm(fleet)[:rng.Intn(4)] {
+				machines[i].Slots = rng.Intn(3)
+				machines[i].Load = float64(rng.Intn(5)) / 4
+				changed = append(changed, i)
+			}
+		}
+	}
+}
+
 func sameAssignments(a, b []Assignment) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
@@ -358,9 +443,10 @@ func TestRoundVisitsWhatItPlaces(t *testing.T) {
 			states[i] = ws(fmt.Sprintf("m%d", i), 1, 0, 0)
 		}
 		for round := 0; round < flexible; round++ {
-			states[1+round%(machines-1)].Slots = 1
+			freed := 1 + round%(machines-1)
+			states[freed].Slots = 1
 			before := q.visits
-			placed := q.PlaceWaiting(states, 1)
+			placed := q.PlaceWaiting(states, 1, []int{freed})
 			visits := q.visits - before
 			if len(placed) != 1 || placed[0].Ref < pinnedN {
 				t.Fatalf("bySize=%v round %d: placed %v, want one flexible item", q.bySize, round, placed)

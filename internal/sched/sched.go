@@ -24,9 +24,19 @@
 // free. A round therefore costs what it places plus one visit per set, not
 // the queue's length (Locality still walks every item for its backlog
 // counters).
+//
+// A pick compares one score per candidate. The queue keeps the score of
+// every snapshot position in one dense column: Speed/(1+Load) for a machine
+// with a free slot, −Inf for one without. The column is re-derived only
+// where it may have moved: at the positions the caller lists as changed
+// since its previous round, and at each machine the round itself assigns
+// to. The first round after Reset, and a snapshot of a different length,
+// re-derive it whole. Locality also splits each candidate set by site once,
+// so an item placed at its home site reads only that site's scores.
 package sched
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -153,8 +163,14 @@ type Policy interface {
 	// working state: Slots and Load are consumed in place as assignments
 	// are made. free is the snapshot's total of positive Slots, which the
 	// scenario engine keeps as it re-derives the machines that changed.
-	// Items the round leaves waiting keep their arrival order.
-	PlaceWaiting(machines []MachineState, free int) []Assignment
+	// changed lists the positions whose entry the caller rewrote since its
+	// previous PlaceWaiting call (repeats are harmless); the round's own
+	// assignments need not be listed. The policy scores only those anew,
+	// so an entry rewritten but not listed is placed on its old score. The
+	// first call after Reset, and a snapshot of a different length, read
+	// every entry and ignore changed. Items the round leaves waiting keep
+	// their arrival order.
+	PlaceWaiting(machines []MachineState, free int, changed []int) []Assignment
 	// Each calls fn on every waiting item, set by set; fn must not change
 	// the queue.
 	Each(fn func(*Item))
@@ -162,9 +178,9 @@ type Policy interface {
 	Reset()
 	// Place is the one-round form, used only by tests and the benchmark's
 	// placement probe: it resets the queue, enqueues items, runs
-	// PlaceWaiting, and returns the assignments and the items left waiting
-	// in the order the round visited them, leaving the queue empty. items
-	// is not mutated.
+	// PlaceWaiting (which therefore scores every entry), and returns the
+	// assignments and the items left waiting in the order the round
+	// visited them, leaving the queue empty. items is not mutated.
 	Place(items []Item, machines []MachineState) ([]Assignment, []Item)
 }
 
@@ -185,18 +201,23 @@ type queue struct {
 	reserved []int
 	placed   []Assignment
 	rest     []Item
+	// keys is the score column, one entry per snapshot position (score);
+	// keyed reports that it holds the previous round's snapshot.
+	keys  []float64
+	keyed bool
 	// visits counts the heads the round loop has looked at.
 	visits int
 }
 
 // fifo is the waiting line of one candidate set: buf[head:], in arrival
 // order. blocked marks a set whose head found no free candidate in the
-// running round.
+// running round. sites is the set split by site, built by Locality.
 type fifo struct {
 	ids     []int // the set, as the first item enqueued into it carried it
 	buf     []queued
 	head    int
 	blocked bool
+	sites   siteSplit
 }
 
 type queued struct {
@@ -226,6 +247,7 @@ func (q *queue) Reset() {
 	q.sets = q.sets[:0]
 	q.n, q.seq = 0, 0
 	clear(q.reserved)
+	q.keyed = false
 }
 
 // setFor returns the index of the FIFO for candidate set ids, opening one
@@ -240,7 +262,8 @@ func (q *queue) setFor(ids []int) int {
 	}
 	s := len(q.sets)
 	q.sets = slices.Grow(q.sets, 1)[:s+1]
-	q.sets[s] = fifo{ids: ids, buf: q.sets[s].buf[:0]}
+	old := &q.sets[s]
+	q.sets[s] = fifo{ids: ids, buf: old.buf[:0], sites: old.sites.reuse()}
 	return s
 }
 
@@ -307,8 +330,8 @@ func (q *queue) before(a, b *fifo) bool {
 // could place. UtilizationFirst's reservations cannot change while a
 // flexible set is visited either, since every single-candidate set sorts
 // first.
-func (q *queue) PlaceWaiting(machines []MachineState, free int) []Assignment {
-	r := roundState{machines: machines, free: free}
+func (q *queue) PlaceWaiting(machines []MachineState, free int, changed []int) []Assignment {
+	r := q.round(machines, free, changed)
 	q.placed = q.placed[:0]
 	for s := q.next(); s >= 0 && r.free > 0; s = q.next() {
 		q.visits++
@@ -318,7 +341,7 @@ func (q *queue) PlaceWaiting(machines []MachineState, free int) []Assignment {
 			reserved = q.reserved // flexible items yield the unique hosts
 		}
 		it := &f.buf[f.head].Item
-		if best := r.pickBest(it, reserved); best >= 0 {
+		if best := r.pickBest(f.ids, reserved); best >= 0 {
 			q.placed = append(q.placed, r.assign(it, best))
 			q.pop(s)
 		} else {
@@ -331,9 +354,28 @@ func (q *queue) PlaceWaiting(machines []MachineState, free int) []Assignment {
 	return q.placed
 }
 
+// round brings the score column in step with machines and returns the
+// round's view of the snapshot: every entry is scored when the column does
+// not hold this snapshot's length since the last Reset, else only the
+// changed positions.
+func (q *queue) round(machines []MachineState, free int, changed []int) roundState {
+	if !q.keyed || len(q.keys) != len(machines) {
+		q.keys = slices.Grow(q.keys[:0], len(machines))[:len(machines)]
+		for i := range machines {
+			q.keys[i] = score(&machines[i])
+		}
+		q.keyed = true
+	} else {
+		for _, i := range changed {
+			q.keys[i] = score(&machines[i])
+		}
+	}
+	return roundState{machines: machines, keys: q.keys, free: free}
+}
+
 // Place implements Policy.
 func (q *queue) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	return q.PlaceWaiting(machines, q.load(items, machines)), q.drain()
+	return q.PlaceWaiting(machines, q.load(items, machines), nil), q.drain()
 }
 
 // load is the first half of Place: it resets the queue, enqueues items and
@@ -392,51 +434,51 @@ func NewUtilizationFirst() *UtilizationFirst { return &UtilizationFirst{queue{by
 func (*UtilizationFirst) Name() string { return "utilization-first" }
 
 // roundState is one round's view of the caller's positional snapshot (no
-// defensive copy): free is the round's budget, the snapshot's unspent
-// slots, decremented per assignment.
+// defensive copy): keys is the queue's score column for it, and free is the
+// round's budget, the snapshot's unspent slots, decremented per assignment.
 type roundState struct {
 	machines []MachineState
+	keys     []float64
 	free     int
 }
 
+// score is the key a pick compares for one snapshot entry: Speed/(1+Load)
+// on a machine with a free slot, −Inf on one without, which loses to every
+// pick's starting score.
+func score(ms *MachineState) float64 {
+	if ms.Slots <= 0 {
+		return math.Inf(-1)
+	}
+	return ms.Machine.Speed / (1 + ms.Load)
+}
+
 // assign books it onto machine id, spending one of the machine's slots and
-// one unit of the round's budget.
+// one unit of the round's budget, and rescores the machine.
 func (r *roundState) assign(it *Item, id int) Assignment {
 	ms := &r.machines[id]
 	ms.Slots--
 	r.free--
 	ms.Load += loadIncrement(it.Work, ms.Machine.Speed)
+	r.keys[id] = score(ms)
 	return Assignment{Ref: it.Ref, Machine: id}
 }
 
-// byID resolves a machine id, a position in the snapshot, to its entry; nil
-// when the id is outside the snapshot.
-func (r *roundState) byID(id int) *MachineState {
-	if id < 0 || id >= len(r.machines) {
-		return nil
-	}
-	return &r.machines[id]
-}
-
-// pickBest scans one item's candidate ids and returns the id of the
-// best-scoring machine with a free slot, -1 when none qualifies. With the
-// round's budget spent none can, so nothing is resolved. Equal scores keep
-// the earliest candidate, so candidate order is the tie-breaker. Machines
-// with a positive count in reserved are passed over (UtilizationFirst's
-// flexible items).
-func (r *roundState) pickBest(it *Item, reserved []int) int {
+// pickBest scans candidate ids and returns the id of the best-scoring
+// machine with a free slot, -1 when none qualifies. With the round's budget
+// spent none can, so nothing is read. Ids outside the snapshot are skipped.
+// Equal scores keep the earliest candidate, so candidate order is the
+// tie-breaker. Machines with a positive count in reserved are passed over
+// (UtilizationFirst's flexible items).
+func (r *roundState) pickBest(ids []int, reserved []int) int {
 	if r.free == 0 {
 		return -1
 	}
+	keys := r.keys
 	best := -1
 	bestScore := -1.0
-	for _, id := range it.CandidateIDs {
-		ms := r.byID(id)
-		if ms == nil || ms.Slots <= 0 || (id < len(reserved) && reserved[id] > 0) {
-			continue
-		}
-		if score := ms.Machine.Speed / (1 + ms.Load); score > bestScore {
-			bestScore, best = score, id
+	for _, id := range ids {
+		if uint(id) < uint(len(keys)) && keys[id] > bestScore && (id >= len(reserved) || reserved[id] <= 0) {
+			bestScore, best = keys[id], id
 		}
 	}
 	return best

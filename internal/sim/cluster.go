@@ -7,7 +7,6 @@ import (
 
 	"vce/internal/arch"
 	"vce/internal/netsim"
-	"vce/internal/vfs"
 	"vce/internal/vtime"
 )
 
@@ -16,8 +15,8 @@ import (
 type ChangeListener func(m *Machine, now time.Duration)
 
 // Cluster is a simulated VCE network: the machines in registration order
-// (a machine's position is its Index), one event kernel, one network model
-// and one file system. Machines is the fleet itself, not a copy, so a walk
+// (a machine's position is its Index), one event kernel and one network
+// model. Machines is the fleet itself, not a copy, so a walk
 // over it allocates nothing; Machine resolves a name. Change listeners
 // (policies, the scenario engine, the auditor) see every state change of
 // every machine, in the order the changes happen.
@@ -26,8 +25,6 @@ type Cluster struct {
 	Sim *vtime.Sim
 	// Net models the interconnect (migration and staging costs).
 	Net *netsim.Model
-	// FS is the simulated distributed file system.
-	FS *vfs.FS
 
 	machines  []*Machine
 	byName    map[string]*Machine
@@ -47,7 +44,6 @@ func NewCluster() *Cluster {
 	return &Cluster{
 		Sim:    vtime.NewSim(),
 		Net:    netsim.LAN1994(),
-		FS:     vfs.New(),
 		byName: make(map[string]*Machine),
 	}
 }
@@ -81,15 +77,13 @@ func (c *Cluster) AddMachine(spec arch.Machine) (*Machine, error) {
 // kernel's slot arena and every per-machine buffer keep their storage, so
 // rebuilding a world on a reset cluster allocates almost nothing — the
 // scenario engine's per-worker arena recycles whole 10⁴-machine worlds this
-// way. The file system empties in place (FS.Reset): staged files and their
-// replicas belong to one simulated world. Task records are not the
-// cluster's: a task resident at Reset keeps its checkpoint record until
-// its owner recycles it (Task.Recycle). The network model alone is left
-// as-is — it is pure configuration, and callers that vary it per run
-// overwrite it, as they do on a fresh cluster.
+// way. Task records are not the cluster's: a task resident at Reset keeps
+// its checkpoint record until its owner recycles it (Task.Recycle). The
+// network model alone is left as-is — it is pure configuration, and
+// callers that vary it per run overwrite it, as they do on a fresh
+// cluster.
 func (c *Cluster) Reset() {
 	c.Sim.Reset()
-	c.FS.Reset()
 	for _, m := range c.machines {
 		m.Reset()
 	}

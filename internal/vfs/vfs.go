@@ -64,16 +64,6 @@ func (fs *FS) Create(path string, size int64, origin string) error {
 	return nil
 }
 
-// Reset empties the file system in place, keeping the map storage for
-// reuse. A reset FS is indistinguishable from a New one to every query:
-// recycled simulations call this so staged files never leak from one
-// simulated world into the next.
-func (fs *FS) Reset() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	clear(fs.files)
-}
-
 // Stat returns the file metadata.
 func (fs *FS) Stat(path string) (File, bool) {
 	fs.mu.RLock()

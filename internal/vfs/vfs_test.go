@@ -93,7 +93,7 @@ func TestStageMissingFileErrors(t *testing.T) {
 	}
 }
 
-func TestPathsAndReset(t *testing.T) {
+func TestPaths(t *testing.T) {
 	fs := newFS(t)
 	if err := fs.Create("/z", 1, "h"); err != nil {
 		t.Fatal(err)
@@ -101,10 +101,6 @@ func TestPathsAndReset(t *testing.T) {
 	paths := fs.Paths()
 	if len(paths) != 2 || paths[0] != "/apps/a.vce" {
 		t.Fatalf("paths = %v", paths)
-	}
-	fs.Reset()
-	if paths := fs.Paths(); len(paths) != 0 {
-		t.Fatalf("paths after reset = %v", paths)
 	}
 }
 
