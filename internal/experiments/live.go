@@ -158,10 +158,10 @@ func E2Proxy() (*Result, error) {
 		return nil, err
 	}
 	echo := func(args []interface{}) ([]interface{}, error) { return args, nil }
-	srv := proxy.NewServer(proxy.AdaptPort(sp))
+	srv := proxy.NewServer(sp)
 	srv.Register("echo", echo)
 	go srv.Serve()
-	cli := proxy.NewClient(proxy.AdaptPort(cp), "server")
+	cli := proxy.NewClient(cp, "server")
 	defer hub.Destroy("rpc")
 
 	res := &Result{ID: "E2", Title: "Fig 2: proxy method invocation (architecture-independent marshalling)"}

@@ -48,10 +48,10 @@ func BenchmarkProxyCallRoundTrip(b *testing.B) {
 	ch := hub.Channel("rpc")
 	sp, _ := ch.CreatePort("server")
 	cp, _ := ch.CreatePort("client")
-	srv := NewServer(AdaptPort(sp))
+	srv := NewServer(sp)
 	srv.Register("echo", func(args []interface{}) ([]interface{}, error) { return args, nil })
 	go srv.Serve()
-	cli := NewClient(AdaptPort(cp), "server")
+	cli := NewClient(cp, "server")
 	arg := make([]byte, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"vce/internal/channel"
 )
 
 // Request/response wire layout (after the channel payload):
@@ -21,31 +23,11 @@ const (
 // returned results are marshalled back to the caller.
 type Handler func(args []interface{}) ([]interface{}, error)
 
-// Port is the slice of channel.Port the proxies need; taking an interface
-// keeps proxy decoupled from the channel package and testable against fakes.
-// AdaptPort bridges a real channel port.
-type Port interface {
-	SendTo(dst PortID, payload []byte) error
-	Recv() (ChannelMessage, bool)
-}
-
-// PortID mirrors channel.PortID without importing it (kept as a distinct
-// named type so adapters are explicit).
-type PortID string
-
-// ChannelMessage mirrors the channel message fields proxies consume.
-type ChannelMessage struct {
-	// From is the sending port.
-	From PortID
-	// Payload is the frame body.
-	Payload []byte
-}
-
 // Server is the server-side proxy of Figure 2: it receives requests,
 // translates them out of architecture-independent form, invokes the server
 // object, and sends the marshalled reply to the client proxy.
 type Server struct {
-	port Port
+	port *channel.Port
 
 	mu      sync.Mutex
 	methods map[string]Handler
@@ -55,8 +37,10 @@ type Server struct {
 	errCalls int64
 }
 
-// NewServer wraps a channel port as a server proxy.
-func NewServer(port Port) *Server {
+// NewServer wraps a channel port as a server proxy. Proxies generated by the
+// compilation manager "use VCE channels to exchange information with proxies
+// running on other machines" (§4.2).
+func NewServer(port *channel.Port) *Server {
 	return &Server{port: port, methods: make(map[string]Handler)}
 }
 
@@ -91,7 +75,7 @@ func (s *Server) Serve() {
 	}
 }
 
-func (s *Server) handle(msg ChannelMessage) {
+func (s *Server) handle(msg channel.Message) {
 	p := msg.Payload
 	if len(p) < 9 || p[0] != frameRequest {
 		return // not a request frame; ignore
@@ -161,8 +145,8 @@ func encodeResponse(id uint64, results []interface{}, callErr error) ([]byte, er
 // Client is the client-side proxy: Call marshals a method invocation, sends
 // it to the server proxy's port, and blocks for the reply.
 type Client struct {
-	port   Port
-	server PortID
+	port   *channel.Port
+	server channel.PortID
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -179,7 +163,7 @@ type response struct {
 }
 
 // NewClient wraps a channel port as a client proxy bound to a server port.
-func NewClient(port Port, server PortID) *Client {
+func NewClient(port *channel.Port, server channel.PortID) *Client {
 	return &Client{port: port, server: server, pending: make(map[uint64]chan response)}
 }
 

@@ -135,9 +135,9 @@ func newProxyPair(t *testing.T) (*Client, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(AdaptPort(sp))
+	srv := NewServer(sp)
 	go srv.Serve()
-	cli := NewClient(AdaptPort(cp), "server")
+	cli := NewClient(cp, "server")
 	t.Cleanup(func() {
 		hub.Destroy("rpc")
 	})

@@ -28,7 +28,7 @@ import (
 //     sharing a run index replay it instead of re-deriving it.
 //   - The simulation substrate — the kernel, machine structs, the task
 //     record pool and every index-keyed scratch buffer. These reset in place
-//     between cells (Cluster.Reset, Task.Recycle discipline), so
+//     between cells (Cluster.Reset, Task.Reset discipline), so
 //     steady-state sweep execution allocates per-event closures and policy
 //     scratch, not worlds.
 type runArena struct {
@@ -112,18 +112,10 @@ type runArena struct {
 	readyAt    []time.Duration
 	doneHost   []int32
 	homeSite   []int32
-	submitted  []bool
 
-	// Cached event closures, allocated once per arena position and replayed
-	// by every subsequent cell: scheduling a cell's owner steps, arrivals
-	// and faults then allocates nothing. Each closure reads current arena
-	// state at fire time (and dispatches per-cell behavior to ar.cell), so
-	// one closure is valid across worlds and cells; a world with fewer steps
-	// or tasks simply schedules a prefix of the cache.
-	ownerFns  [][]func()
-	arriveFns []func()
-	failFns   []func()
-	repairFns []func()
+	// worldFn fires the current cell's pending world event (cell.worldEvent):
+	// one closure for every world event of every cell.
+	worldFn func()
 	// deliverFns are the per-slot staged-delivery callbacks; deliverTo
 	// holds each one's destination machine. A slot stages at most one
 	// delivery at a time — its task is neither queued nor resident while
@@ -132,7 +124,7 @@ type runArena struct {
 	deliverTo  []int32
 
 	// cell is the state of the cell being executed; runCell re-initializes
-	// it in place, so the cached closures above reach the current cell.
+	// it in place, so the closures above reach the current cell.
 	cell cell
 }
 
@@ -166,6 +158,7 @@ func newArena(sp *Spec) (*runArena, error) {
 		fleet:      fleet,
 		slots:      slots,
 	}
+	ar.worldFn = func() { ar.cell.worldEvent() }
 	payload := ar.imageBytes
 	if g := sp.Workload.Graph; g != nil {
 		ar.edgeBytes = int64(g.DataMiB * (1 << 20))
@@ -195,47 +188,6 @@ func newArena(sp *Spec) (*runArena, error) {
 	return ar, nil
 }
 
-// ownerFn returns the cached callback for machine mi's si-th owner-trace
-// step, growing the cache on first use.
-func (ar *runArena) ownerFn(mi, si int) func() {
-	for len(ar.ownerFns) <= mi {
-		ar.ownerFns = append(ar.ownerFns, nil)
-	}
-	fns := ar.ownerFns[mi]
-	for len(fns) <= si {
-		mi, si := mi, len(fns)
-		fns = append(fns, func() {
-			load := ar.world.ownerSteps[mi][si].Load
-			ar.ownerLoad[mi] = load
-			if !ar.down[mi] {
-				ar.machines[mi].SetLocalLoad(load)
-			}
-		})
-	}
-	ar.ownerFns[mi] = fns
-	return fns[si]
-}
-
-// arriveFn returns the cached arrival callback for task index i.
-func (ar *runArena) arriveFn(i int) func() {
-	for len(ar.arriveFns) <= i {
-		i := len(ar.arriveFns)
-		ar.arriveFns = append(ar.arriveFns, func() { ar.cell.submit(i) })
-	}
-	return ar.arriveFns[i]
-}
-
-// failFn and repairFn return machine mi's cached fault callbacks. One
-// closure per machine suffices — every failure instant of a machine runs
-// the same body — so a fault schedule costs zero allocations to replay.
-func (ar *runArena) failFn(mi int) func() {
-	for len(ar.failFns) <= mi {
-		mi := len(ar.failFns)
-		ar.failFns = append(ar.failFns, func() { ar.cell.fail(mi) })
-	}
-	return ar.failFns[mi]
-}
-
 // deliverFn returns slot ti's cached staged-delivery callback, aimed at
 // machine hi.
 func (ar *runArena) deliverFn(ti, hi int) func() {
@@ -246,14 +198,6 @@ func (ar *runArena) deliverFn(ti, hi int) func() {
 	}
 	ar.deliverTo[ti] = int32(hi)
 	return ar.deliverFns[ti]
-}
-
-func (ar *runArena) repairFn(mi int) func() {
-	for len(ar.repairFns) <= mi {
-		mi := len(ar.repairFns)
-		ar.repairFns = append(ar.repairFns, func() { ar.cell.repair(mi) })
-	}
-	return ar.repairFns[mi]
 }
 
 // growSlices resizes a slice-of-slices to n entries with every inner slice
@@ -352,7 +296,6 @@ func (ar *runArena) prepare(run int) error {
 	ar.readyAt = resetFill(ar.readyAt, n, 0)
 	ar.doneHost = resetFill(ar.doneHost, n, -1)
 	ar.homeSite = resetFill(ar.homeSite, n, -1)
-	ar.submitted = resetFill(ar.submitted, n, false)
 	return nil
 }
 

@@ -123,16 +123,22 @@ type cell struct {
 	xferWaitS         float64
 	dagErr            error
 	failed            int64
+	// offered counts the tasks that arrived: submitted, or refused at a
+	// streaming cell's bounded queue. The rest of the workload never
+	// arrived, and measure rejects it.
+	offered int
 
-	// Open-loop arrival pump state (streaming cells). generated counts the
-	// arrivals the pump actually produced; the remainder up to the task cap
-	// never arrived and is accounted rejected after the run, mirroring the
-	// closed past-the-horizon rule.
-	generated int
-	cursor    ArrivalCursor
-	workRng   *rng.Source
-	conRng    *rng.Source
-	pumpFn    func()
+	// next is the position in world.events of the cell's one pending world
+	// event, and worldSeq the kernel sequence number reserved for each tie
+	// block (worldEventKind.block).
+	next     int
+	worldSeq [2]int64
+
+	// Open-loop arrival pump state (streaming cells).
+	cursor  ArrivalCursor
+	workRng *rng.Source
+	conRng  *rng.Source
+	pumpFn  func()
 }
 
 // runCell executes one cell of the arena's spec — the only execution path.
@@ -149,11 +155,13 @@ type cell struct {
 // run returns bitwise-identical indexes.
 //
 // The kernel breaks time ties by sequence number, so the order in which
-// setup schedules events is part of the result: owner steps, arrivals (or
-// the first pump), the first checkpoint tick (Checkpointer.Start), the
-// OnChange registration, faults and repairs. Change listeners run in
-// registration order: the auditor's, the migration policy's
-// (attachPolicies), then the cell's placement listener.
+// setup takes numbers is part of the result: one reserved for owner steps
+// and closed arrivals, the first pump, the first checkpoint tick
+// (Checkpointer.Start), the OnChange registration, one reserved for faults
+// and repairs. A world event is armed late, under its block's reserved
+// number (armWorld), and so ties as if setup had scheduled it. Change
+// listeners run in registration order: the auditor's, the migration
+// policy's (attachPolicies), then the cell's placement listener.
 func (ar *runArena) runCell(ctx context.Context, schedName, migration string, run int, audit bool, tr *obs.RunTrace) (Indexes, error) {
 	var kstats vtime.Stats
 	var phaseAt time.Time
@@ -231,8 +239,8 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 }
 
 // startCell makes ar.cell a new cell on the prepared substrate: it attaches
-// the cell's policies and schedules its setup-time events, in the order
-// runCell documents.
+// the cell's policies, schedules its setup-time events in the order runCell
+// documents, and arms the world's first event.
 func (ar *runArena) startCell(schedName, migration string, run int) (*cell, error) {
 	sp, cl := ar.sp, ar.cluster
 	c := &ar.cell
@@ -243,21 +251,13 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 		changed: c.changed[:0], // the previous cell's storage
 	}
 	c.onDone = c.taskDone
-	if sp.Owner != nil {
-		for mi, steps := range ar.world.ownerSteps {
-			for si, s := range steps {
-				cl.Sim.At(s.At, ar.ownerFn(mi, si))
-			}
-		}
-	}
+	c.worldSeq[0] = cl.Sim.Reserve()
 	if err := c.attachPolicies(schedName, migration); err != nil {
 		return nil, err
 	}
 	c.acc.NoteQueueDepth(0, 0)
 	if ar.streaming {
 		c.startPump()
-	} else {
-		c.scheduleArrivals()
 	}
 	// One checkpoint cadence per cell (§4.4 "migratable jobs checkpoint
 	// regularly"). A cell's tasks are checkpointable all or none.
@@ -275,22 +275,43 @@ func (ar *runArena) startCell(schedName, migration string, run int) (*cell, erro
 			c.tryPlace()
 		}
 	})
-	// Failure instants replay from the world's fault schedule; repairs
-	// reconstruct as fail + DownS, preserving the fail/repair event
-	// interleaving.
-	if sp.Faults != nil {
-		downFor := time.Duration(sp.Faults.DownS * float64(time.Second))
-		for mi, fails := range ar.world.faultAt {
-			for _, at := range fails {
-				cl.Sim.At(at, ar.failFn(mi))
-				repairAt := at + downFor
-				if repairAt < ar.horizon {
-					cl.Sim.At(repairAt, ar.repairFn(mi))
-				}
-			}
-		}
-	}
+	c.worldSeq[1] = cl.Sim.Reserve()
+	c.armWorld()
 	return c, nil
+}
+
+// armWorld schedules the world's next event, if one is left, under its
+// block's reserved number. A checkpoint tick re-arms while anything is
+// pending, so it keeps ticking while a world event remains.
+func (c *cell) armWorld() {
+	evs := c.ar.world.events
+	if c.next == len(evs) {
+		return
+	}
+	e := &evs[c.next]
+	c.cl.Sim.AtSeq(e.at, c.worldSeq[e.kind.block()], c.ar.worldFn)
+}
+
+// worldEvent applies the pending world event and arms the next one. An owner
+// step during an outage only moves the level repair restores.
+func (c *cell) worldEvent() {
+	ar := c.ar
+	e := &ar.world.events[c.next]
+	c.next++
+	switch i := int(e.i); e.kind {
+	case evOwner:
+		ar.ownerLoad[i] = e.load
+		if !ar.down[i] {
+			ar.machines[i].SetLocalLoad(e.load)
+		}
+	case evArrive:
+		c.submit(i)
+	case evFail:
+		c.fail(i)
+	case evRepair:
+		c.repair(i)
+	}
+	c.armWorld()
 }
 
 // attachPolicies resolves the cell's scheduling policy and attaches its
@@ -344,28 +365,6 @@ func (c *cell) attachPolicies(schedName, migration string) error {
 	return nil
 }
 
-// scheduleArrivals schedules a closed cell's arrivals from the world's task
-// bag.
-func (c *cell) scheduleArrivals() {
-	ar := c.ar
-	for i, g := range ar.world.tasks {
-		if ar.dag {
-			// Only root tasks follow the arrival source; children arrive
-			// when their last parent completes. A task still unsubmitted
-			// at the horizon is accounted rejected after the run.
-			if len(ar.world.parents[i]) == 0 && g.arrival < ar.horizon {
-				c.cl.Sim.At(g.arrival, ar.arriveFn(i))
-			}
-			continue
-		}
-		if g.arrival >= ar.horizon {
-			c.acc.TaskRejected() // never arrives inside the horizon
-			continue
-		}
-		c.cl.Sim.At(g.arrival, ar.arriveFn(i))
-	}
-}
-
 // startPump starts a streaming cell's open-loop arrival pump: a
 // self-scheduling event draws the next instant from the source cursor and
 // admits or rejects the arrival against the bounded queue.
@@ -382,7 +381,7 @@ func (c *cell) startPump() {
 }
 
 func (c *cell) scheduleNext() {
-	if c.generated >= c.ar.sp.Workload.Tasks {
+	if c.offered >= c.ar.sp.Workload.Tasks {
 		return
 	}
 	if at, ok := c.cursor(); ok && at < c.ar.horizon {
@@ -395,10 +394,10 @@ func (c *cell) scheduleNext() {
 // the derived streams identically whatever its queue state.
 func (c *cell) pump() {
 	w := &c.ar.sp.Workload
-	c.generated++
 	g := taskGen{work: w.Work.Sample(c.workRng), arrival: c.cl.Sim.Now()}
 	g.constrained = c.conRng != nil && c.conRng.Bool(w.Constrained.Fraction)
 	if w.QueueLimit > 0 && c.pol.Len() >= w.QueueLimit {
+		c.offered++
 		c.acc.TaskRejected()
 	} else {
 		c.submit(c.ar.pool.acquire(g))
@@ -431,21 +430,17 @@ func (c *cell) newItem(i int, work float64) sched.Item {
 func (c *cell) submit(i int) {
 	ar := c.ar
 	g := &ar.pool.gens[i]
-	if err := ar.pool.task(i).Recycle(sim.Task{
-		ID:             ar.pool.ids[i],
-		Ref:            i,
-		Work:           g.work,
-		ImageBytes:     ar.imageBytes,
-		Checkpointable: ar.sp.Workload.Checkpointable,
-		OnDone:         c.onDone,
-	}); err != nil {
+	t := ar.pool.task(i)
+	if err := t.Reset(); err != nil {
 		// Impossible by construction: completion detaches the record
 		// before OnDone returns its slot, and Cluster.Reset detaches
 		// residents between cells.
 		panic(err)
 	}
+	t.ID, t.Ref, t.Work = ar.pool.ids[i], i, g.work
+	t.ImageBytes, t.Checkpointable, t.OnDone = ar.imageBytes, ar.sp.Workload.Checkpointable, c.onDone
+	c.offered++
 	if ar.dag {
-		ar.submitted[i] = true
 		ar.readyAt[i] = c.cl.Sim.Now()
 	}
 	c.pol.Enqueue(c.newItem(i, g.work))
@@ -738,24 +733,12 @@ func (c *cell) measure(end time.Duration) Indexes {
 			c.acc.TaskRejected()
 		}
 	})
-	// A streaming pump that the horizon (or an exhausted trace) stopped
-	// short of the task cap never offered the remainder: those tasks never
-	// arrive, the same fate as closed arrivals past the horizon.
-	if ar.streaming {
-		c.acc.rejected += sp.Workload.Tasks - c.generated
-	}
-	// A DAG task never submitted — a root arriving past the horizon, or a
-	// child whose ancestry didn't finish in time — never entered the system:
-	// rejected, the closed-world analogue of the rules above. (Submitted but
-	// never-placed tasks are the waiting sweep's; locality drops were counted
-	// at drop time; tasks still staging data at the horizon were placed.)
-	if ar.dag {
-		for _, submitted := range ar.submitted {
-			if !submitted {
-				c.acc.TaskRejected()
-			}
-		}
-	}
+	// A task that never arrived — a closed arrival past the horizon, a DAG
+	// child whose ancestry did not finish in time, arrivals a streaming pump
+	// never drew before the horizon or an exhausted trace — never entered
+	// the system: rejected. (Locality drops were counted at drop time; tasks
+	// still staging data at the horizon were placed.)
+	c.acc.rejected += sp.Workload.Tasks - c.offered
 	idx := Indexes{Failed: c.failed}
 	c.acc.Finalize(&idx, end, sp.Workload.Tasks)
 	if c.affine > 0 {

@@ -81,12 +81,13 @@ var table = []mutant{
 	// The two defects PR 15 fixed by reading code: deterministic and
 	// path-independent, so every way of running the sweep agrees on the
 	// wrong numbers. A checkpoint record is part of its task, so the first
-	// now lives in Recycle: the record survives into the slot's next tenant.
+	// now lives in Task.Reset: the record survives into the slot's next
+	// tenant.
 	{
 		name: "checkpoint-never-forgotten",
 		file: "internal/sim/machine.go",
-		old:  "gen, holders := t.placements, t.holders[:0]\n",
-		new:  "gen, holders := t.placements, t.holders\n",
+		old:  "\tt.holders = t.holders[:0]\n",
+		new:  "",
 	},
 	{
 		name: "fault-requeue-loses-home-site",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,14 +84,13 @@ func TestWorldIsAFunctionOfSpecAndRun(t *testing.T) {
 		fresh.generateWorld(2)
 		a, b := &used.world, &fresh.world
 		for field, same := range map[string]bool{
-			"run":        a.run == b.run && a.run == 3,
-			"specs":      reflect.DeepEqual(a.specs, b.specs),
-			"ownerSteps": sameNested(a.ownerSteps, b.ownerSteps),
-			"tasks":      slices.Equal(a.tasks, b.tasks),
-			"faultAt":    sameNested(a.faultAt, b.faultAt),
-			"parents":    sameNested(a.parents, b.parents),
-			"children":   sameNested(a.children, b.children),
-			"graphCP":    a.graphCP == b.graphCP,
+			"run":      a.run == b.run && a.run == 3,
+			"specs":    reflect.DeepEqual(a.specs, b.specs),
+			"tasks":    slices.Equal(a.tasks, b.tasks),
+			"events":   slices.Equal(a.events, b.events),
+			"parents":  sameNested(a.parents, b.parents),
+			"children": sameNested(a.children, b.children),
+			"graphCP":  a.graphCP == b.graphCP,
 		} {
 			if !same {
 				t.Errorf("%s: world.%s of run 2 depends on the arena's history", name, field)
@@ -376,5 +376,108 @@ func TestCheckpointCadence(t *testing.T) {
 	ar.cluster.Sim.RunUntil(ar.horizon)
 	if got, _ := c.ck.Stats(); got != want || got == 0 {
 		t.Errorf("%d checkpoints taken, %d residents over the tick instants", got, want)
+	}
+}
+
+// handSetCell prepares run 0 of sp, replaces the world's events with events
+// and starts a greedy-best-fit cell under migration on it.
+func handSetCell(t *testing.T, sp *Spec, migration string, events []worldEvent) (*runArena, *cell) {
+	t.Helper()
+	ar := testArena(t, sp)
+	if err := ar.prepare(0); err != nil {
+		t.Fatal(err)
+	}
+	ar.world.events = events
+	c, err := ar.startCell("greedy-best-fit", migration, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ar, c
+}
+
+// TestWorldEventTieOrder: a world event fires one at a time, armed by its
+// predecessor, yet breaks same-instant ties where setup would have
+// scheduled it: owner steps and closed arrivals before the first checkpoint
+// tick and the first pump, failures and repairs after both and before every
+// event scheduled during the run.
+func TestWorldEventTieOrder(t *testing.T) {
+	const s = time.Second
+	// Closed: one machine, one long checkpointable task arriving at 0. At
+	// 10 s an owner step, the first checkpoint tick and a failure share the
+	// instant; at 20 s the repair ties with the tick the first tick re-armed.
+	sp := &Spec{
+		Name:                "tie-order-closed",
+		HorizonS:            30,
+		CheckpointIntervalS: 10,
+		Machines: MachineSetSpec{Classes: []MachineClassSpec{
+			{Class: "mimd", Count: 1, Speed: Dist{Kind: "fixed", Value: 1}},
+		}},
+		Workload: WorkloadSpec{
+			Tasks:          1,
+			Work:           Dist{Kind: "fixed", Value: 1000},
+			Arrivals:       ArrivalSpec{Kind: "batch"},
+			Checkpointable: true,
+		},
+		Policies: PolicyMatrix{Scheduling: []string{"greedy-best-fit"}, Migration: []string{"checkpoint"}},
+		Runs:     1,
+		Seed:     1,
+	}
+	ar, c := handSetCell(t, sp, "checkpoint", []worldEvent{
+		{at: 0, i: 0, kind: evArrive},
+		{at: 10 * s, i: 0, load: 0.5, kind: evOwner},
+		{at: 10 * s, i: 0, kind: evFail},
+		{at: 20 * s, i: 0, kind: evRepair},
+	})
+	m := ar.machines[0]
+	var states []string
+	state := func() string {
+		n, _ := c.ck.Stats()
+		return fmt.Sprintf("%v load %g down %v residents %d checkpoints %d", ar.cluster.Sim.Now(), m.LocalLoad(), ar.down[0], m.RemoteTasks(), n)
+	}
+	// The audit hook runs before each event, so each entry is the state the
+	// previous event left.
+	ar.cluster.Sim.SetAuditHook(func(time.Duration) { states = append(states, state()) })
+	ar.cluster.Sim.RunUntil(ar.horizon)
+	states = append(states, state())
+	want := []string{
+		"0s load 0 down false residents 0 checkpoints 0",    // arrival
+		"10s load 0 down false residents 1 checkpoints 0",   // owner step
+		"10s load 0.5 down false residents 1 checkpoints 0", // first tick
+		"10s load 0.5 down false residents 1 checkpoints 1", // failure
+		"20s load 1 down true residents 0 checkpoints 1",    // repair
+		"20s load 0.5 down false residents 1 checkpoints 1", // tick
+		"30s load 0.5 down false residents 1 checkpoints 2", // tick
+		"30s load 0.5 down false residents 1 checkpoints 3",
+	}
+	if !slices.Equal(states, want) {
+		t.Errorf("closed cell fired\n  %s\nwant\n  %s", strings.Join(states, "\n  "), strings.Join(want, "\n  "))
+	}
+
+	// Streaming: the first trace arrival and the owner steps share t = 0.
+	// The steps fire first, so the arrival finds the faster machine's owner
+	// active and lands on the slower one.
+	sp = &Spec{
+		Name:     "tie-order-streaming",
+		HorizonS: 30,
+		Machines: MachineSetSpec{Classes: []MachineClassSpec{
+			{Class: "mimd", Count: 1, Speed: Dist{Kind: "fixed", Value: 2}},
+			{Class: "vector", Count: 1, Speed: Dist{Kind: "fixed", Value: 1}},
+		}},
+		Workload: WorkloadSpec{
+			Tasks:    1,
+			Work:     Dist{Kind: "fixed", Value: 1000},
+			Arrivals: ArrivalSpec{Kind: "trace", TraceS: []float64{0}},
+		},
+		Policies: PolicyMatrix{Scheduling: []string{"greedy-best-fit"}, Migration: []string{"none"}},
+		Runs:     1,
+		Seed:     1,
+	}
+	ar, _ = handSetCell(t, sp, "none", []worldEvent{
+		{at: 0, i: 0, load: 0.9, kind: evOwner},
+		{at: 0, i: 1, load: 0, kind: evOwner},
+	})
+	ar.cluster.Sim.RunUntil(0)
+	if ar.pool.task(0).Machine() != ar.machines[1] {
+		t.Errorf("the t = 0 arrival did not land on %s: it fired before the t = 0 owner steps", ar.machines[1].Name())
 	}
 }

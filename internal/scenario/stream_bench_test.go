@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"testing"
+
+	"vce/internal/obs"
 )
 
 // BenchmarkStreamingMillion is the heavy-traffic smoke: the committed
@@ -175,6 +177,46 @@ func TestClosedCellAllocationBudget(t *testing.T) {
 		if allocs > c.budget {
 			t.Errorf("one closed %s cell under %s/%s made %.0f allocations on a recycled arena, budget %.0f",
 				sp.Name, c.sched, c.migration, allocs, c.budget)
+		}
+	}
+}
+
+// TestHeapHoldsWhatRuns: the kernel's pending queue holds what is running,
+// not the world. A cell keeps one world event pending, so the queue is
+// bounded by what can be in flight at once: one completion per machine, one
+// staged delivery or migration landing per slot (a task in flight left the
+// queue for one destination slot), and one each of world event, checkpoint
+// tick and arrival pump — machines + total slots + 3, whatever the length
+// of the owner traces, the task count or the fault schedule.
+func TestHeapHoldsWhatRuns(t *testing.T) {
+	for _, c := range []struct {
+		spec             *Spec
+		sched, migration string
+	}{
+		{churnCellSpec(), "utilization-first", "checkpoint"},
+		{dagCellSpec(), "locality", "none"},
+	} {
+		sp := c.spec.withDefaults()
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		ar, err := newArena(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr obs.RunTrace
+		if _, err := ar.runCell(context.Background(), c.sched, c.migration, 0, false, &tr); err != nil {
+			t.Fatal(err)
+		}
+		slots := 0
+		for _, n := range ar.slots {
+			slots += n
+		}
+		bound := len(ar.machines) + slots + 3
+		t.Logf("%s %s/%s: heap max %d, bound %d", sp.Name, c.sched, c.migration, tr.Kernel.HeapMax, bound)
+		if tr.Kernel.HeapMax > bound {
+			t.Errorf("one %s cell under %s/%s held %d pending events, more than %d machines + %d slots + 3",
+				sp.Name, c.sched, c.migration, tr.Kernel.HeapMax, len(ar.machines), slots)
 		}
 	}
 }

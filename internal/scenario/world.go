@@ -1,12 +1,13 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"vce/internal/arch"
 	"vce/internal/rng"
-	"vce/internal/sim"
 	"vce/internal/workload"
 )
 
@@ -17,6 +18,36 @@ type taskGen struct {
 	work        float64
 	arrival     time.Duration
 	constrained bool
+}
+
+// worldEventKind says what a world event does when it fires.
+type worldEventKind uint8
+
+const (
+	evOwner  worldEventKind = iota // machine i's owner load steps to load
+	evArrive                       // closed task i arrives
+	evFail                         // machine i fails
+	evRepair                       // machine i is repaired
+)
+
+// block is the kind's tie block: 0 for owner steps and closed arrivals, 1
+// for failures and repairs. A cell reserves one kernel sequence number per
+// block (startCell), so at one instant block 0 fires before the first
+// checkpoint tick and block 1 after it.
+func (k worldEventKind) block() int {
+	if k >= evFail {
+		return 1
+	}
+	return 0
+}
+
+// worldEvent is one predetermined event of a run: i is a machine, or a task
+// for an arrival, and load is an owner step's new level.
+type worldEvent struct {
+	at   time.Duration
+	load float64
+	i    int32
+	kind worldEventKind
 }
 
 // world is the generated world of one run index — everything the derived
@@ -30,16 +61,17 @@ type world struct {
 	run int
 	// specs is the fleet with this run's sampled speeds.
 	specs []arch.Machine
-	// ownerSteps is the per-machine owner load trace.
-	ownerSteps [][]sim.LoadStep
 	// tasks is the task bag of a closed source, in task-index order; a
 	// streaming source leaves it empty and draws tasks lazily per cell during
 	// the simulation — from the same derived streams, so the rest of the
 	// world still replays.
 	tasks []taskGen
-	// faultAt is the per-machine failure schedule (repair instants
-	// reconstruct as fail + DownS).
-	faultAt [][]time.Duration
+	// events is every predetermined event of the run in firing order: owner
+	// steps, closed arrivals inside the horizon (DAG roots only; a child
+	// arrives when its last parent completes), failures and their repairs
+	// inside the horizon. A cell replays it one pending event at a time
+	// (cell.armWorld).
+	events []worldEvent
 
 	// DAG world (workload.graph): parents/children adjacency over task
 	// indexes (edges always point low → high, so the graph is acyclic by
@@ -85,14 +117,20 @@ func (ar *runArena) generateWorld(run int) {
 	}
 	nm := len(w.specs)
 
-	w.ownerSteps = growSlices(w.ownerSteps, nm)
+	// The events append owner steps machine-major, then closed arrivals in
+	// task order, then each machine's failures, each followed by its
+	// repair. Append order is the tie order of same-instant events.
+	w.events = w.events[:0]
 	if sp.Owner != nil {
 		ownerRng := root.Derive("owner")
 		for mi := 0; mi < nm; mi++ {
-			w.ownerSteps[mi] = workload.BurstyTrace(ownerRng, horizon,
+			steps := workload.BurstyTrace(ownerRng, horizon,
 				time.Duration(sp.Owner.MeanIdleS*float64(time.Second)),
 				time.Duration(sp.Owner.MeanBusyS*float64(time.Second)),
 				sp.Owner.BusyLoad)
+			for _, s := range steps {
+				w.events = append(w.events, worldEvent{at: s.At, load: s.Load, i: int32(mi), kind: evOwner})
+			}
 		}
 	}
 
@@ -124,9 +162,13 @@ func (ar *runArena) generateWorld(run int) {
 			}
 		}
 		w.generateGraph(sp.Workload.Graph, root)
+		for i, g := range w.tasks {
+			if g.arrival < horizon && (!ar.dag || len(w.parents[i]) == 0) {
+				w.events = append(w.events, worldEvent{at: g.arrival, i: int32(i), kind: evArrive})
+			}
+		}
 	}
 
-	w.faultAt = growSlices(w.faultAt, nm)
 	if sp.Faults != nil {
 		faultRng := root.Derive("faults")
 		mtbf := sp.Faults.MTBFHours * 3600
@@ -139,11 +181,18 @@ func (ar *runArena) generateWorld(run int) {
 				if at >= horizon {
 					break
 				}
-				w.faultAt[mi] = append(w.faultAt[mi], at)
+				w.events = append(w.events, worldEvent{at: at, i: int32(mi), kind: evFail})
+				if repairAt := at + downFor; repairAt < horizon {
+					w.events = append(w.events, worldEvent{at: repairAt, i: int32(mi), kind: evRepair})
+				}
 				t = (at + downFor).Seconds()
 			}
 		}
 	}
+	// Firing order: by instant, then in append order — a stable sort. Every
+	// failure and repair is appended after every owner step and arrival, so
+	// same-instant events also fire block by block.
+	slices.SortStableFunc(w.events, func(a, b worldEvent) int { return cmp.Compare(a.at, b.at) })
 	w.run = run + 1
 }
 

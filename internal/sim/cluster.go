@@ -78,7 +78,7 @@ func (c *Cluster) AddMachine(spec arch.Machine) (*Machine, error) {
 // rebuilding a world on a reset cluster allocates almost nothing — the
 // scenario engine's per-worker arena recycles whole 10⁴-machine worlds this
 // way. Task records are not the cluster's: a task resident at Reset keeps
-// its checkpoint record until its owner recycles it (Task.Recycle). The
+// its checkpoint record until its owner recycles it (Task.Reset). The
 // network model alone is left as-is — it is pure configuration, and
 // callers that vary it per run overwrite it, as they do on a fresh
 // cluster.

@@ -36,8 +36,7 @@ import (
 
 // Task is one remote VCE task instance executing on the simulated cluster.
 // It carries its own checkpoint record (Checkpoint), so the record lives
-// exactly as long as the task: completion empties it, and so do Recycle and
-// Reset.
+// exactly as long as the task: completion empties it, and so does Reset.
 type Task struct {
 	// ID uniquely names the task instance.
 	ID string
@@ -539,9 +538,12 @@ func (t *Task) Rewind(work float64) error {
 }
 
 // Reset returns an unplaced task to its virgin state — no progress, no
-// checkpoint record, not finished — so pooled task records can be recycled
-// across simulation runs (or re-submitted as fresh work within one) without
-// reallocating. Identity (ID, App), sizing (Work, ImageBytes) and the
+// checkpoint record, not finished, no completion host — so pooled task
+// records can be recycled across simulation runs (or re-submitted as fresh
+// work within one) without reallocating. It keeps the checkpoint record's
+// storage but none of its copies: a task resident or queued when its world
+// ended still holds its record, and the record's next tenant must restart
+// from its own image. Identity (ID, App), sizing (Work, ImageBytes) and the
 // callbacks are kept; call sites that reuse a record for different work
 // overwrite those fields directly. Resetting a placed task is an error:
 // the hosting machine's accounting still references it.
@@ -555,28 +557,11 @@ func (t *Task) Reset() error {
 	t.accumBase = 0
 	t.finishKey = 0
 	t.finished = false
+	t.doneOn = nil
 	// placements survives: it is the record's residency generation stamp,
 	// and the auditor keys progress watermarks by (ID, generation). Zeroing
 	// it would make a recycled incarnation collide with its predecessor's
 	// watermark and report progress "moving backwards".
-	return nil
-}
-
-// Recycle re-initializes an unplaced record as a brand-new task — the pooled
-// analogue of allocating a fresh Task. Unlike a bare struct overwrite it
-// preserves the residency generation stamp (see Reset), so audits never
-// confuse two incarnations sharing a pooled record's ID, and it keeps the
-// checkpoint record's storage but none of its copies: a task resident or
-// queued when its world ended still holds its record, and the slot's next
-// tenant must restart from its own image. Recycling a placed record is an
-// error: the hosting machine's accounting still references it.
-func (t *Task) Recycle(fresh Task) error {
-	if t.machine != nil {
-		return fmt.Errorf("sim: cannot recycle task %q while placed on %s", t.ID, t.machine.Name())
-	}
-	gen, holders := t.placements, t.holders[:0]
-	*t = fresh
-	t.placements, t.holders = gen, holders
 	return nil
 }
 
@@ -585,7 +570,7 @@ func (t *Task) Recycle(fresh Task) error {
 // Index, cluster membership) and the reusable completion closure survive, so
 // a recycled machine allocates nothing. Resident task records are detached,
 // not mutated, and keep their checkpoint records — the caller owns their
-// recycling (Task.Recycle, Task.Reset), which empties those. The pending
+// recycling (Task.Reset), which empties those. The pending
 // completion event is cancelled natively, so Reset is safe both standalone
 // and under Cluster.Reset (where the kernel reset invalidates the handle
 // anyway). Reset does not notify change listeners: it is world teardown,

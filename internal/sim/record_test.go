@@ -8,7 +8,7 @@ import (
 // TestCheckpointRecord pins the checkpoint record's life on its task: a
 // checkpoint leaves its host the only holder, replication adds holders and
 // needs a record to copy, a kill keeps the record, completion empties it,
-// and Recycle and Reset start from an empty record without allocating.
+// and Reset starts from an empty record without allocating.
 func TestCheckpointRecord(t *testing.T) {
 	c := newScriptCluster(t)
 	ms := c.Machines()
@@ -47,38 +47,30 @@ func TestCheckpointRecord(t *testing.T) {
 		t.Fatal("a finished task still holds a checkpoint record")
 	}
 
-	for _, restart := range []struct {
-		name string
-		fn   func(*Task) error
-	}{
-		{"Recycle", func(x *Task) error { return x.Recycle(Task{ID: x.ID, Work: x.Work, Checkpointable: true}) }},
-		{"Reset", (*Task).Reset},
-	} {
-		x := &Task{ID: "x", Work: 1e6, Checkpointable: true}
-		cycle := func() {
-			if err := a.AddTask(x); err != nil {
-				t.Fatal(err)
-			}
-			x.Checkpoint()
-			if err := x.ReplicateCheckpoint(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Kill(x); err != nil {
-				t.Fatal(err)
-			}
-			if !x.CheckpointOn(a) || !x.CheckpointOn(b) {
-				t.Fatalf("%s: the kill dropped the record", restart.name)
-			}
-			if err := restart.fn(x); err != nil {
-				t.Fatal(err)
-			}
+	x := &Task{ID: "x", Work: 1e6, Checkpointable: true}
+	cycle := func() {
+		if err := a.AddTask(x); err != nil {
+			t.Fatal(err)
 		}
-		cycle()
-		if x.CheckpointOn(a) || x.CheckpointOn(b) || x.ReplicateCheckpoint(d) == nil {
-			t.Fatalf("%s kept the predecessor's checkpoint record", restart.name)
+		x.Checkpoint()
+		if err := x.ReplicateCheckpoint(b); err != nil {
+			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, cycle); n != 0 {
-			t.Errorf("a checkpoint → %s cycle allocates %v times, want 0", restart.name, n)
+		if err := a.Kill(x); err != nil {
+			t.Fatal(err)
 		}
+		if !x.CheckpointOn(a) || !x.CheckpointOn(b) {
+			t.Fatal("the kill dropped the record")
+		}
+		if err := x.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if x.CheckpointOn(a) || x.CheckpointOn(b) || x.ReplicateCheckpoint(d) == nil {
+		t.Fatal("Reset kept the predecessor's checkpoint record")
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a checkpoint → Reset cycle allocates %v times, want 0", n)
 	}
 }

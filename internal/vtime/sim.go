@@ -60,7 +60,7 @@ type Sim struct {
 // fields, not atomics — Sim is single-threaded by contract, and so is its
 // observer.
 type Stats struct {
-	// Scheduled counts At/After calls (every event ever queued).
+	// Scheduled counts At/After/AtSeq calls (every event ever queued).
 	Scheduled int64
 	// Cancelled counts Cancel calls that actually removed a pending event.
 	Cancelled int64
@@ -158,8 +158,30 @@ func (s *Sim) Pending() int { return len(s.heap) }
 // cancels it. Scheduling in the past panics: that is always a simulation
 // bug, not a recoverable condition.
 func (s *Sim) At(t time.Duration, fn func()) Event {
+	return s.AtSeq(t, s.Reserve(), fn)
+}
+
+// Reserve takes the next sequence number and skips it: At never hands it
+// out, and AtSeq schedules under it later. A chain of events of which at most
+// one is pending at a time can share one reserved number, and each of them
+// then breaks same-instant ties exactly as if it had been scheduled at the
+// reservation.
+func (s *Sim) Reserve() int64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// AtSeq is At under a sequence number that Reserve returned. Two pending
+// events under one number would tie on (time, sequence), so a caller arms
+// one event per reserved number at a time; a number not yet handed out
+// panics.
+func (s *Sim) AtSeq(t time.Duration, seq int64, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("vtime: event scheduled at %v before now %v", t, s.now))
+	}
+	if seq >= s.seq {
+		panic(fmt.Sprintf("vtime: sequence number %d was never reserved", seq))
 	}
 	var sl int32
 	if n := len(s.free); n > 0 {
@@ -171,8 +193,7 @@ func (s *Sim) At(t time.Duration, fn func()) Event {
 		sl = int32(len(s.slots) - 1)
 	}
 	i := len(s.heap)
-	s.heap = append(s.heap, event{at: t, seq: s.seq, slot: sl})
-	s.seq++
+	s.heap = append(s.heap, event{at: t, seq: seq, slot: sl})
 	s.slots[sl].idx = int32(i)
 	s.slots[sl].fn = fn
 	s.siftUp(i)

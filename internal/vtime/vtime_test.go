@@ -33,6 +33,53 @@ func TestSimTieBreakBySequence(t *testing.T) {
 	}
 }
 
+// TestSimReservedSequence: an event armed late under a reserved number
+// breaks same-instant ties as if it had been scheduled at the reservation —
+// after what was scheduled before it, before what was scheduled after it,
+// however late it is armed — and At never hands that number out.
+func TestSimReservedSequence(t *testing.T) {
+	s := NewSim()
+	var st Stats
+	s.SetStats(&st)
+	var order []string
+	note := func(name string) func() { return func() { order = append(order, name) } }
+	s.At(time.Second, note("before"))
+	r := s.Reserve()
+	for range 8 {
+		s.At(time.Second, note("after"))
+	}
+	// A chain under r: one event pending at a time, each arming the next.
+	// Armed at 0.5 s, the first fires among the 1 s events scheduled before
+	// it was armed; the second is armed from inside the first, at the same
+	// instant, and still fires before every later-numbered event.
+	s.At(time.Second/2, func() {
+		s.AtSeq(time.Second, r, func() {
+			order = append(order, "reserved-1")
+			s.At(time.Second, note("armed-inside"))
+			s.AtSeq(time.Second, r, note("reserved-2"))
+		})
+	})
+	s.Run()
+	want := []string{"before", "reserved-1", "reserved-2", "after", "after", "after", "after", "after", "after", "after", "after", "armed-inside"}
+	if len(order) != len(want) {
+		t.Fatalf("fire order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fire order = %v, want %v", order, want)
+		}
+	}
+	if st.Scheduled != 13 || st.Fired != 13 {
+		t.Errorf("stats scheduled %d fired %d, want 13 and 13: AtSeq counts as scheduling", st.Scheduled, st.Fired)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtSeq under a number never reserved did not panic")
+		}
+	}()
+	s.AtSeq(2*time.Second, s.Reserve()+1, func() {})
+}
+
 func TestSimAfterNested(t *testing.T) {
 	s := NewSim()
 	var at []time.Duration
