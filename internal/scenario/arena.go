@@ -10,27 +10,31 @@ import (
 	"vce/internal/sim"
 )
 
-// runArena executes the (policy, run) cells of one spec. It is bound to a
-// validated, defaults-applied spec at construction (newArena) and runCell is
-// the only way a cell executes: the executor gives each worker one arena for
-// the whole sweep, and RunInstanceContext runs one cell on a single-use
-// arena — the from-scratch reference the execution-identity property's
-// fresh-arena mode (internal/scenario/check) compares every sweep cell
-// against. Cells arrive sequentially, so nothing here is synchronized.
+// runArena executes the (policy, run) cells of one spec, one at a time: it
+// is the engine object of one worker. It is bound to a validated,
+// defaults-applied spec at construction (newArena) and runCell is the only
+// way a cell executes: the executor gives each worker one arena for the
+// whole sweep, and RunInstanceContext runs one cell on a single-use arena —
+// the from-scratch reference the execution-identity property's fresh-arena
+// mode (internal/scenario/check) compares every sweep cell against. Cells
+// arrive sequentially, so nothing here is synchronized.
 //
 // Everything that is constant for the spec resolves once, at construction:
 // the workload source and its streaming bit, the horizon, the default link
 // and the site topology, the fleet's shape (names, classes, slots — all but
-// the per-run speed draws), the placement candidate sets and the payload
-// sizes. Two kinds of state then recycle across cells:
+// the per-run speed draws), the placement candidate sets, the payload sizes
+// and the handlers the kernel and the cluster call back. Two kinds of state
+// then recycle across cells:
 //
 //   - The generated world of a run index (see world): consecutive cells
 //     sharing a run index replay it instead of re-deriving it.
 //   - The simulation substrate — the kernel, machine structs, the task
-//     record pool and every index-keyed scratch buffer. These reset in place
+//     pool and every machine-keyed scratch buffer. These reset in place
 //     between cells (Cluster.Reset, Task.Reset discipline), so
-//     steady-state sweep execution allocates per-event closures and policy
-//     scratch, not worlds.
+//     steady-state sweep execution allocates per-cell policies, not worlds.
+//
+// The state of the executing cell is the embedded cell, and the event
+// handlers are the arena's methods (cell.go).
 type runArena struct {
 	sp        *Spec
 	src       WorkloadSource
@@ -92,40 +96,42 @@ type runArena struct {
 	// capacity the placement snapshot reserves so a transfer never lands on
 	// a slot a later placement round already spent.
 	inflight []int
-	// states backs the cell's fleet snapshot (cell.states), one entry per
-	// machine, and stale/isStale its stale set (cell.stale); residents is
-	// the fault handler's walk buffer (a failure kills every resident, so
-	// it walks a copy).
-	states    []sched.MachineState
-	stale     []int
-	isStale   []bool
+	// states is the cell's one fleet snapshot, built by prepare: entry i is
+	// machines[i], so a machine's placement id is its position. A pass
+	// re-derives Slots and Load (freeSlots, Machine.Load) only for the
+	// machines in the stale set, and PlaceWaiting spends Slots as it
+	// assigns. free is the sum of every entry's Slots, the round's budget.
+	states []sched.MachineState
+	free   int
+	// stale lists, once each (isStale marks membership), the machines whose
+	// entry may no longer be what freeSlots and Machine.Load would derive.
+	// Every write to what those read marks its machine (markStale lists the
+	// writers), so a pass touches only what changed. changed lists the
+	// positions refreshStale re-derived since the last PlaceWaiting, the
+	// policy's cue to rescore them; a pass that stops before placing keeps
+	// them for the next one, so a position may repeat.
+	stale   []int
+	isStale []bool
+	changed []int
+	// residents is the fault handler's walk buffer (a failure kills every
+	// resident, so it walks a copy).
 	residents []*sim.Task
 	// policies holds one placement policy per scheduling name the arena
 	// has run, so a cell's queue, score column and site splits reuse the
 	// previous cell's storage (policy).
 	policies []sched.Policy
 
-	// Per-cell DAG scratch (see prepare): readiness countdown, the instant
-	// a task's last parent finished (its effective arrival), the machine
-	// that completed it, and the site its dependency data lives at.
-	remParents []int32
-	readyAt    []time.Duration
-	doneHost   []int32
-	homeSite   []int32
+	// The handlers the kernel and the cluster call back, bound once: the
+	// pending world event (worldEvent), a task's completion (taskDone, every
+	// pooled record's OnDone), the streaming arrival pump (pump) and the
+	// placement change listener (machineChanged).
+	worldFn  func()
+	onDone   func(*sim.Task, time.Duration)
+	pumpFn   func()
+	changeFn sim.ChangeListener
 
-	// worldFn fires the current cell's pending world event (cell.worldEvent):
-	// one closure for every world event of every cell.
-	worldFn func()
-	// deliverFns are the per-slot staged-delivery callbacks; deliverTo
-	// holds each one's destination machine. A slot stages at most one
-	// delivery at a time — its task is neither queued nor resident while
-	// the transfer runs — so one entry per slot suffices.
-	deliverFns []func()
-	deliverTo  []int32
-
-	// cell is the state of the cell being executed; runCell re-initializes
-	// it in place, so the closures above reach the current cell.
-	cell cell
+	// cell is the state of the cell being executed; startCell resets it.
+	cell
 }
 
 // newArena binds an arena to sp, which must be validated with defaults
@@ -158,7 +164,7 @@ func newArena(sp *Spec) (*runArena, error) {
 		fleet:      fleet,
 		slots:      slots,
 	}
-	ar.worldFn = func() { ar.cell.worldEvent() }
+	ar.worldFn, ar.onDone, ar.pumpFn, ar.changeFn = ar.worldEvent, ar.taskDone, ar.pump, ar.machineChanged
 	payload := ar.imageBytes
 	if g := sp.Workload.Graph; g != nil {
 		ar.edgeBytes = int64(g.DataMiB * (1 << 20))
@@ -186,18 +192,6 @@ func newArena(sp *Spec) (*runArena, error) {
 		}
 	}
 	return ar, nil
-}
-
-// deliverFn returns slot ti's cached staged-delivery callback, aimed at
-// machine hi.
-func (ar *runArena) deliverFn(ti, hi int) func() {
-	for len(ar.deliverFns) <= ti {
-		ti := len(ar.deliverFns)
-		ar.deliverFns = append(ar.deliverFns, func() { ar.cell.deliver(ti, int(ar.deliverTo[ti])) })
-		ar.deliverTo = append(ar.deliverTo, 0)
-	}
-	ar.deliverTo[ti] = int32(hi)
-	return ar.deliverFns[ti]
 }
 
 // growSlices resizes a slice-of-slices to n entries with every inner slice
@@ -254,13 +248,12 @@ func (ar *runArena) resetCluster() error {
 
 // prepare readies the substrate for one cell of run: the run's world, a
 // clean cluster carrying its specs and network model, cleared per-cell
-// scratch and accumulator, and a recycled task pool — every record ever
-// materialized is free again. A closed cell then takes slots 0..n-1 in task
-// order for the world's task bag, so a task's slot is its index (the DAG
-// adjacency is keyed by it); a streaming cell starts empty and acquires at
-// admission. For DAG workloads the readiness countdowns rebuild from the
-// world's adjacency, and completion hosts / affinity sites clear to
-// "unknown".
+// scratch, fleet snapshot and accumulator, and a recycled task pool — every
+// slot ever materialized is free again. A closed cell then takes slots
+// 0..n-1 in task order for the world's task bag, so a task's slot is its
+// index (the DAG adjacency is keyed by it); a streaming cell starts empty
+// and acquires at admission. For DAG workloads each slot's readiness
+// countdown is its task's parent count.
 func (ar *runArena) prepare(run int) error {
 	ar.generateWorld(run)
 	if err := ar.resetCluster(); err != nil {
@@ -274,64 +267,71 @@ func (ar *runArena) prepare(run int) error {
 	// stale; the first pass fills each machine's Slots. Specs are per run,
 	// so it is rebuilt here.
 	ar.states = resetFill(ar.states, nm, sched.MachineState{})
+	ar.free = 0
 	ar.isStale = resetFill(ar.isStale, nm, true)
-	ar.stale = ar.stale[:0]
+	ar.stale, ar.changed = ar.stale[:0], ar.changed[:0]
 	for i, m := range ar.machines {
 		ar.states[i].Machine = m.Spec
 		ar.stale = append(ar.stale, i)
 	}
 	ar.acc.Reset()
 	ar.pool.reset()
-	for _, g := range ar.world.tasks {
-		ar.pool.acquire(g)
+	for i, g := range ar.world.tasks {
+		sl := ar.pool.slot(ar.acquire(g))
+		if ar.dag {
+			sl.remParents = int32(len(ar.world.parents[i]))
+		}
 	}
-	if !ar.dag {
-		return nil
-	}
-	n := len(ar.world.tasks)
-	ar.remParents = resetFill(ar.remParents, n, 0)
-	for i, ps := range ar.world.parents {
-		ar.remParents[i] = int32(len(ps))
-	}
-	ar.readyAt = resetFill(ar.readyAt, n, 0)
-	ar.doneHost = resetFill(ar.doneHost, n, -1)
-	ar.homeSite = resetFill(ar.homeSite, n, -1)
 	return nil
 }
 
-// poolChunk is the task pool's block size: records allocate in blocks so
+// poolChunk is the task pool's block size: slots allocate in blocks so
 // growth never moves existing records (machines hold pointers into them).
 // Small, because every cell draws from the pool: a sweep of few-task cells
-// builds an arena per worker and should not pay for hundreds of idle records.
+// builds an arena per worker and should not pay for hundreds of idle slots.
 const poolChunk = 64
 
-// taskPool is the arena's task record storage, one path for every workload.
-// A slot is a pooled sim.Task record plus its per-slot draws and scratch.
-// Records live in fixed-size blocks — blocks never move as the pool grows,
-// so *sim.Task pointers held by machines stay valid. A streaming cell
-// acquires a slot at arrival admission and releases it at completion, so
-// live records track the backlog + residents, not the task count; a closed
-// cell holds slots 0..n-1 for its whole life and never releases, because
-// task ids feed the machines' resident ordering and must not be reused
-// within a cell.
+// slot is one pooled task record and every per-task fact the engine keeps
+// beside it. What names the record — ID, Ref, image size,
+// checkpointability, the completion callback — and the delivery callback
+// are set once, when the slot is materialized (acquire), and Task.Reset
+// keeps them; the rest describes the slot's current tenant.
+type slot struct {
+	task sim.Task
+	// gen is the tenant's draws; submit sets its arrival to the instant the
+	// task entered the system.
+	gen        taskGen
+	everPlaced bool
+	// DAG state: the parents not yet complete, the machine that completed
+	// the task and the site its dependency data lives at (-1: unknown).
+	remParents int32
+	doneHost   int32
+	homeSite   int32
+	// deliverTo is the destination of the tenant's staged delivery, which
+	// deliver lands. A slot stages at most one delivery at a time — its
+	// task is neither queued nor resident while the transfer runs.
+	deliverTo int32
+	deliver   func()
+}
+
+// taskPool is the arena's task storage, one path for every workload. Slots
+// live in fixed-size blocks — blocks never move as the pool grows, so
+// *sim.Task pointers held by machines stay valid. A streaming cell acquires
+// a slot at arrival admission and releases it at completion, so live slots
+// track the backlog + residents, not the task count; a closed cell holds
+// slots 0..n-1 for its whole life and never releases, because task ids
+// feed the machines' resident ordering and must not be reused within a
+// cell. Nothing maps an id back: tasks and queue items carry their slot as
+// Ref.
 type taskPool struct {
-	chunks [][]sim.Task
+	chunks [][]slot
 	// free is the recycle stack; created counts slots ever materialized
 	// (slot s lives at chunks[s/poolChunk][s%poolChunk]).
 	free    []int
 	created int
-	// live/peak track the cell's live-record high-water mark, the number the
+	// live/peak track the cell's live-slot high-water mark, the number the
 	// bounded-memory smoke asserts on.
 	live, peak int
-
-	// ids caches the task ID strings ("task-%03d"), which depend only on the
-	// slot. Nothing maps an id back: tasks and queue items carry their slot
-	// as Ref.
-	ids []string
-	// Per-slot state: the draws of the task occupying the slot and whether it
-	// was ever placed.
-	gens       []taskGen
-	everPlaced []bool
 }
 
 // reset frees every materialized slot for a new cell. Pop order is
@@ -345,16 +345,22 @@ func (p *taskPool) reset() {
 	p.live, p.peak = 0, 0
 }
 
-// task returns the pooled record of slot s.
-func (p *taskPool) task(s int) *sim.Task {
+// slot returns slot s.
+func (p *taskPool) slot(s int) *slot {
 	return &p.chunks[s/poolChunk][s%poolChunk]
 }
 
-// acquire hands out a free slot for a task with draws g, materializing a
-// new one (and its id) when the recycle stack is empty. The
-// caller initializes the task record; acquire guarantees clean placement
-// scratch.
-func (p *taskPool) acquire(g taskGen) int {
+// release returns a completed task's slot to the pool.
+func (p *taskPool) release(s int) {
+	p.live--
+	p.free = append(p.free, s)
+}
+
+// acquire hands out a free slot for a tenant with draws g, materializing a
+// new one when the recycle stack is empty, and returns its index. The new
+// tenant starts never placed, with no completion host or data site.
+func (ar *runArena) acquire(g taskGen) int {
+	p := &ar.pool
 	var s int
 	if n := len(p.free); n > 0 {
 		s = p.free[n-1]
@@ -363,26 +369,22 @@ func (p *taskPool) acquire(g taskGen) int {
 		s = p.created
 		p.created++
 		if s%poolChunk == 0 {
-			p.chunks = append(p.chunks, make([]sim.Task, poolChunk))
+			p.chunks = append(p.chunks, make([]slot, poolChunk))
 		}
-		id := fmt.Sprintf("task-%03d", s)
-		p.ids = append(p.ids, id)
-		p.gens = append(p.gens, taskGen{})
-		p.everPlaced = append(p.everPlaced, false)
+		sl := p.slot(s)
+		sl.task = sim.Task{
+			ID: fmt.Sprintf("task-%03d", s), Ref: s,
+			ImageBytes: ar.imageBytes, Checkpointable: ar.sp.Workload.Checkpointable, OnDone: ar.onDone,
+		}
+		sl.deliver = func() { ar.deliver(s) }
 	}
-	p.gens[s] = g
-	p.everPlaced[s] = false
+	sl := p.slot(s)
+	sl.gen, sl.everPlaced, sl.doneHost, sl.homeSite = g, false, -1, -1
 	p.live++
 	if p.live > p.peak {
 		p.peak = p.live
 	}
 	return s
-}
-
-// release returns a completed task's slot to the pool.
-func (p *taskPool) release(s int) {
-	p.live--
-	p.free = append(p.free, s)
 }
 
 // policy returns the arena's placement policy of the given name, emptied
@@ -394,10 +396,11 @@ func (ar *runArena) policy(name string) (sched.Policy, error) {
 			return p, nil
 		}
 	}
-	p, err := newSchedPolicy(name)
+	build, err := schedPolicy(name)
 	if err != nil {
 		return nil, err
 	}
+	p := build()
 	ar.policies = append(ar.policies, p)
 	return p, nil
 }

@@ -9,19 +9,38 @@ import (
 // TestArenaCellOrderIndependence pins the arena-reuse isolation contract: a
 // cell's indexes must not depend on which cells ran before it on the same
 // arena, because the sweep executor assigns cells to per-worker arenas in
-// whatever order the workers drain the queue. It runs every (instance, run)
-// cell of the equivalence fixture from scratch (RunInstanceContext: a
-// single-use arena) as the baseline, then
-// replays every ordered pair (a, b) on a shared arena and re-checks b, plus
-// the full sequence forward and reversed. The historical leak this caught:
-// checkpoint records outlived the world they were taken in, so a reused
-// world's migration could find a stale copy of a predecessor's record at
-// its destination and skip the transfer — shifting completions by exactly
-// the image transfer time. Records now live on their task and Task.Recycle
-// empties them; TestRecycledArenaShipsItsOwnImage pins the case this
-// fixture does not reach, a slot resident at the last horizon.
+// whatever order the workers drain the queue. For each fixture it runs
+// every (instance, run) cell from scratch (RunInstanceContext: a single-use
+// arena) as the baseline, then replays every ordered pair (a, b) on a
+// shared arena and re-checks b, plus the full sequence forward and
+// reversed. The fixtures reach every kind of state a cell leaves in the
+// arena: the flat closed churn cell (owner churn, faults, checkpoints and
+// migration); a three-site DAG with faults, whose slots carry readiness
+// counts, completion hosts and data sites, whose staged deliveries can
+// bounce and whose locality queue forwards and waits; and an overloaded
+// open-loop cell, whose bounded queue refuses arrivals and whose slots
+// recycle within the cell. The historical leak this caught: checkpoint
+// records outlived the world they were taken in, so a reused world's
+// migration could find a stale copy of a predecessor's record at its
+// destination and skip the transfer — shifting completions by exactly the
+// image transfer time. Records now live on their task and Task.Reset
+// empties them; TestRecycledArenaShipsItsOwnImage pins the case these
+// fixtures do not reach, a slot resident at the last horizon.
 func TestArenaCellOrderIndependence(t *testing.T) {
-	sp := equivalenceSpec()
+	dag := dagCellSpec()
+	dag.Faults = &FaultSpec{MTBFHours: 0.2, DownS: 300}
+	dag.Owner = &OwnerSpec{MeanIdleS: 300, MeanBusyS: 120}
+	dag.Policies.Migration = []string{"none", "address-space"}
+	dag.Runs = 2
+	stream := streamSpec()
+	stream.Policies.Migration = []string{"checkpoint", "suspend"}
+	stream.Runs = 2
+	for _, sp := range []*Spec{equivalenceSpec(), dag, stream} {
+		t.Run(sp.Name, func(t *testing.T) { arenaOrderIndependence(t, sp) })
+	}
+}
+
+func arenaOrderIndependence(t *testing.T, sp *Spec) {
 	ctx := context.Background()
 	type cell struct {
 		inst Instance

@@ -37,8 +37,8 @@ var table = []mutant{
 	{
 		name: "nondeterministic-index", wantMode: "again",
 		file: "internal/scenario/cell.go",
-		old:  "\tidx := Indexes{Failed: c.failed}\n",
-		new: "\tidx := Indexes{Failed: c.failed}\n" +
+		old:  "\tidx := Indexes{Failed: ar.failed}\n",
+		new: "\tidx := Indexes{Failed: ar.failed}\n" +
 			"\torder := make(map[int]bool)\n\tfor i := 0; i < 4096; i++ {\n\t\torder[i] = true\n\t}\n" +
 			"\tfor i := range order {\n\t\tidx.Failed += int64(i)\n\t\tbreak\n\t}\n",
 	},
@@ -69,8 +69,8 @@ var table = []mutant{
 	{
 		name: "audit-dependent-index", wantMode: "audited",
 		file: "internal/scenario/cell.go",
-		old:  "\tidx := c.measure(end)\n",
-		new:  "\tidx := c.measure(end)\n\tif audit {\n\t\tidx.Suspensions++\n\t}\n",
+		old:  "\tidx := ar.measure(end)\n",
+		new:  "\tidx := ar.measure(end)\n\tif audit {\n\t\tidx.Suspensions++\n\t}\n",
 	},
 	{
 		name: "matrix-dependent-world", wantMode: "permuted-matrix",
@@ -92,9 +92,9 @@ var table = []mutant{
 	{
 		name: "fault-requeue-loses-home-site",
 		file: "internal/scenario/cell.go",
-		old:  "\t\tc.pol.Enqueue(c.newItem(victim.Ref, victim.Remaining()))\n",
-		new: "\t\tit := c.newItem(victim.Ref, victim.Remaining())\n\t\tit.HomeSite = 0\n" +
-			"\t\tc.pol.Enqueue(it)\n",
+		old:  "\t\tar.pol.Enqueue(ar.newItem(victim.Ref, victim.Remaining()))\n",
+		new: "\t\tit := ar.newItem(victim.Ref, victim.Remaining())\n\t\tit.HomeSite = 0\n" +
+			"\t\tar.pol.Enqueue(it)\n",
 	},
 	// The fleet snapshot forgets a completion host: the completion's own
 	// passes miss the slot it freed, and the host's change notification
@@ -103,7 +103,7 @@ var table = []mutant{
 	{
 		name: "snapshot-misses-completion-host", wantMode: "audited",
 		file: "internal/scenario/cell.go",
-		old:  "\tc.markStale(host.Index())\n",
+		old:  "\tar.markStale(host)\n",
 		new:  "",
 	},
 	// The placement policy's score column ignores the entries the engine

@@ -57,11 +57,10 @@ func testCell(t *testing.T, sp *Spec, sched, migration string) (*runArena, *cell
 	if err := ar.prepare(0); err != nil {
 		t.Fatal(err)
 	}
-	c, err := ar.startCell(sched, migration, 0)
-	if err != nil {
+	if err := ar.startCell(sched, migration, 0); err != nil {
 		t.Fatal(err)
 	}
-	return ar, c
+	return ar, &ar.cell
 }
 
 func sameNested[T comparable](a, b [][]T) bool {
@@ -148,7 +147,7 @@ func TestStagingReservationAndBounce(t *testing.T) {
 	ar, c := testCell(t, stagingSpec(), "greedy-best-fit", "none")
 	far := ar.machines[1]
 	ar.cluster.Sim.RunUntil(6 * time.Second)
-	c.tryPlace() // a later round, with child 3 still queued
+	ar.tryPlace() // a later round, with child 3 still queued
 	if ar.inflight[1] != 1 || far.RemoteTasks() != 0 {
 		t.Fatalf("mid-transfer: inflight=%d residents=%d on the far machine, want a reservation and no resident", ar.inflight[1], far.RemoteTasks())
 	}
@@ -156,29 +155,30 @@ func TestStagingReservationAndBounce(t *testing.T) {
 		t.Fatalf("mid-transfer: waiting = %v, want only task-003 — the reserved slot was spent", waiting)
 	}
 
-	c.fail(1)
-	c.fail(0)
+	ar.fail(1)
+	ar.fail(0)
 	waiting := queued(c)
 	if c.failed != 1 || len(waiting) != 2 || waiting[1].Task != "task-001" {
 		t.Fatalf("both machines down: failed=%d waiting=%v, want task-001 requeued behind task-003", c.failed, waiting)
 	}
 	for _, it := range waiting {
-		if ar.pool.ids[it.Ref] != string(it.Task) {
-			t.Errorf("%s queued with Ref %d, the slot of %s", it.Task, it.Ref, ar.pool.ids[it.Ref])
+		sl := ar.pool.slot(it.Ref)
+		if sl.task.ID != string(it.Task) {
+			t.Errorf("%s queued with Ref %d, the slot of %s", it.Task, it.Ref, sl.task.ID)
 		}
-		if home := int(ar.homeSite[it.Ref]); home != 0 || it.HomeSite != home+1 {
+		if home := int(sl.homeSite); home != 0 || it.HomeSite != home+1 {
 			t.Errorf("%s queued with HomeSite %d, want %d (its parent finished at site a)", it.Task, it.HomeSite, home+1)
 		}
 	}
-	c.repair(0)
+	ar.repair(0)
 	ar.cluster.Sim.RunUntil(ar.horizon)
 	if ar.inflight[1] != 0 || far.Completed() != 0 {
 		t.Errorf("after the bounce: inflight=%d, far machine completed %d tasks, want 0 and 0", ar.inflight[1], far.Completed())
 	}
-	if ar.doneHost[2] != 0 {
-		t.Errorf("task-002 finished on machine %d, want the bounce to land it on machine 0", ar.doneHost[2])
+	if h := ar.pool.slot(2).doneHost; h != 0 {
+		t.Errorf("task-002 finished on machine %d, want the bounce to land it on machine 0", h)
 	}
-	idx := c.measure(ar.cluster.Sim.Now())
+	idx := ar.measure(ar.cluster.Sim.Now())
 	if idx.Completed != 4 || idx.Rejected != 0 || idx.XferWaitS < 100 {
 		t.Errorf("indexes = %+v, want 4 completed, none rejected and the 100 s transfer accounted", idx)
 	}
@@ -201,8 +201,9 @@ func TestPoolSlots(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("task-%03d", i)
-			if p.ids[i] != id || p.task(i).ID != id || p.task(i).Ref != i || p.gens[i] != ar.world.tasks[i] {
-				t.Fatalf("slot %d holds %q (record %q, Ref %d), want task %d of the world", i, p.ids[i], p.task(i).ID, p.task(i).Ref, i)
+			sl := p.slot(i)
+			if g := ar.world.tasks[i]; sl.task.ID != id || sl.task.Ref != i || sl.gen != g || sl.task.Work != g.work {
+				t.Fatalf("slot %d holds %q (Ref %d, draws %+v), want task %d of the world", i, sl.task.ID, sl.task.Ref, sl.gen, i)
 			}
 		}
 	}
@@ -217,12 +218,13 @@ func TestPoolSlots(t *testing.T) {
 	for at := time.Duration(0); at < ar.horizon; at += 5 * time.Second {
 		ar.cluster.Sim.RunUntil(at)
 		for s := range ar.pool.created {
-			if !slices.ContainsFunc(ar.machines, ar.pool.task(s).CheckpointOn) {
+			sl := ar.pool.slot(s)
+			if !slices.ContainsFunc(ar.machines, sl.task.CheckpointOn) {
 				continue
 			}
 			records++
-			if slices.Contains(ar.pool.free, s) || !ar.pool.everPlaced[s] {
-				stale[ar.pool.ids[s]] = true
+			if slices.Contains(ar.pool.free, s) || !sl.everPlaced {
+				stale[sl.task.ID] = true
 			}
 		}
 	}
@@ -232,7 +234,7 @@ func TestPoolSlots(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("%d checkpoint records outlived their tasks (slot free, or its tenant never ran): %v", len(stale), stale)
 	}
-	idx := c.measure(ar.cluster.Sim.RunUntil(ar.horizon))
+	idx := ar.measure(ar.cluster.Sim.RunUntil(ar.horizon))
 	slots := sp.Machines.Classes[0].Count * sp.Machines.Classes[0].Slots
 	if bound := sp.Workload.QueueLimit + 2*slots; ar.pool.peak > bound || ar.pool.created > bound {
 		t.Errorf("streaming cell: pool peak %d, created %d, want at most queue_limit + 2×slots = %d", ar.pool.peak, ar.pool.created, bound)
@@ -273,8 +275,8 @@ func TestRecycledArenaShipsItsOwnImage(t *testing.T) {
 	if _, err := used.runCell(context.Background(), "greedy-best-fit", "checkpoint", 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	held := used.pool.task(0).Machine()
-	if held == nil || !used.pool.task(0).CheckpointOn(held) {
+	held := used.pool.slot(0).task.Machine()
+	if held == nil || !used.pool.slot(0).task.CheckpointOn(held) {
 		t.Fatalf("first cell: task-000 on %v at the horizon, want it resident with a checkpoint record", held)
 	}
 	x := held.Index()
@@ -286,14 +288,14 @@ func TestRecycledArenaShipsItsOwnImage(t *testing.T) {
 		if err := ar.prepare(0); err != nil {
 			t.Fatal(err)
 		}
-		c, err := ar.startCell("greedy-best-fit", "checkpoint", 0)
-		if err != nil {
+		if err := ar.startCell("greedy-best-fit", "checkpoint", 0); err != nil {
 			t.Fatal(err)
 		}
+		c := &ar.cell
 		onto, from := ar.machines[x], ar.machines[1-x]
 		onto.SetLocalLoad(1)
 		ar.cluster.Sim.RunUntil(2 * time.Second)
-		if m := ar.pool.task(0).Machine(); m != from {
+		if m := ar.pool.slot(0).task.Machine(); m != from {
 			t.Fatalf("t=2s: task-000 on %v, want %s", m, from.Name())
 		}
 		onto.SetLocalLoad(0)
@@ -339,18 +341,18 @@ func TestRecycledSlotShipsItsOwnImage(t *testing.T) {
 	}, "greedy-best-fit", "checkpoint")
 	sim := ar.cluster.Sim
 	sim.RunUntil(2 * time.Second)
-	first := ar.pool.task(0).Machine()
+	first := ar.pool.slot(0).task.Machine()
 	if first == nil {
 		t.Fatal("task-000 not placed at t=2s")
 	}
 	other := ar.machines[1-first.Index()]
 	sim.RunUntil(27 * time.Second) // checkpointed at 10 s and 20 s, done at 26 s
-	if n, _ := c.ck.Stats(); n != 2 || c.acc.completed != 1 || ar.pool.live != 0 {
-		t.Fatalf("t=27s: %d checkpoints, %d completed, %d live slots, want 2, 1 and 0", n, c.acc.completed, ar.pool.live)
+	if n, _ := c.ck.Stats(); n != 2 || ar.acc.completed != 1 || ar.pool.live != 0 {
+		t.Fatalf("t=27s: %d checkpoints, %d completed, %d live slots, want 2, 1 and 0", n, ar.acc.completed, ar.pool.live)
 	}
 	first.SetLocalLoad(1) // the owner is back: the second arrival goes elsewhere
 	sim.RunUntil(32 * time.Second)
-	if tenant := ar.pool.task(0); tenant.ID != "task-000" || tenant.Machine() != other {
+	if tenant := &ar.pool.slot(0).task; tenant.ID != "task-000" || tenant.Machine() != other {
 		t.Fatalf("t=32s: slot 0 holds %q on %v, want task-000 recycled onto %s", tenant.ID, tenant.Machine(), other.Name())
 	}
 	first.SetLocalLoad(0)
@@ -388,11 +390,10 @@ func handSetCell(t *testing.T, sp *Spec, migration string, events []worldEvent) 
 		t.Fatal(err)
 	}
 	ar.world.events = events
-	c, err := ar.startCell("greedy-best-fit", migration, 0)
-	if err != nil {
+	if err := ar.startCell("greedy-best-fit", migration, 0); err != nil {
 		t.Fatal(err)
 	}
-	return ar, c
+	return ar, &ar.cell
 }
 
 // TestWorldEventTieOrder: a world event fires one at a time, armed by its
@@ -477,7 +478,7 @@ func TestWorldEventTieOrder(t *testing.T) {
 		{at: 0, i: 1, load: 0, kind: evOwner},
 	})
 	ar.cluster.Sim.RunUntil(0)
-	if ar.pool.task(0).Machine() != ar.machines[1] {
+	if ar.pool.slot(0).task.Machine() != ar.machines[1] {
 		t.Errorf("the t = 0 arrival did not land on %s: it fired before the t = 0 owner steps", ar.machines[1].Name())
 	}
 }

@@ -319,42 +319,58 @@ type Spec struct {
 	CheckpointIntervalS float64 `json:"checkpoint_interval_s,omitempty"`
 }
 
-// SchedPolicyNames lists the recognized scheduling policy names.
-func SchedPolicyNames() []string {
-	return []string{"greedy-best-fit", "utilization-first", "locality"}
+// option is one name on a policy axis and what it builds. Each axis is one
+// table — schedPolicies here, migrations beside the cell that attaches
+// them — that its names list, Validate and construction all read.
+type option[F any] struct {
+	name  string
+	build F
 }
+
+// lookup returns the entry of axis called name.
+func lookup[F any](axis []option[F], name string) (F, bool) {
+	for _, o := range axis {
+		if o.name == name {
+			return o.build, true
+		}
+	}
+	var zero F
+	return zero, false
+}
+
+// optionNames lists the names of axis in table order.
+func optionNames[F any](axis []option[F]) []string {
+	names := make([]string, len(axis))
+	for i, o := range axis {
+		names[i] = o.name
+	}
+	return names
+}
+
+// schedPolicies is the scheduling axis. The constructors return
+// scratch-carrying policies: one cell's placement rounds run serially over
+// one policy value, so repeated rounds recycle their buffers instead of
+// allocating.
+var schedPolicies = []option[func() sched.Policy]{
+	{"greedy-best-fit", func() sched.Policy { return sched.NewGreedyBestFit() }},
+	{"utilization-first", func() sched.Policy { return sched.NewUtilizationFirst() }},
+	{"locality", func() sched.Policy { return sched.NewLocality() }},
+}
+
+// SchedPolicyNames lists the recognized scheduling policy names.
+func SchedPolicyNames() []string { return optionNames(schedPolicies) }
 
 // MigrationNames lists the recognized migration strategy names.
-func MigrationNames() []string {
-	return []string{"none", "suspend", "address-space", "checkpoint", "recompile", "adaptive"}
-}
+func MigrationNames() []string { return optionNames(migrations) }
 
-// newSchedPolicy resolves a scheduling policy name. The New constructors
-// return scratch-carrying policies: one cell's placement rounds run
-// serially over one policy value, so repeated Place calls recycle their
-// round buffers instead of allocating.
-func newSchedPolicy(name string) (sched.Policy, error) {
-	switch name {
-	case "greedy-best-fit":
-		return sched.NewGreedyBestFit(), nil
-	case "utilization-first":
-		return sched.NewUtilizationFirst(), nil
-	case "locality":
-		return sched.NewLocality(), nil
-	default:
+// schedPolicy resolves a scheduling policy name to its constructor.
+func schedPolicy(name string) (func() sched.Policy, error) {
+	build, ok := lookup(schedPolicies, name)
+	if !ok {
 		return nil, fmt.Errorf("scenario: unknown scheduling policy %q (want one of %s)",
 			name, strings.Join(SchedPolicyNames(), ", "))
 	}
-}
-
-// knownMigration reports whether name is a recognized migration strategy.
-func knownMigration(name string) bool {
-	for _, m := range MigrationNames() {
-		if m == name {
-			return true
-		}
-	}
-	return false
+	return build, nil
 }
 
 // classDefaults maps class keywords to generated machine-name prefixes and
@@ -495,7 +511,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: %s: policies.scheduling is empty", s.Name)
 	}
 	for _, name := range s.Policies.Scheduling {
-		if _, err := newSchedPolicy(name); err != nil {
+		if _, err := schedPolicy(name); err != nil {
 			return err
 		}
 	}
@@ -503,7 +519,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: %s: policies.migration is empty", s.Name)
 	}
 	for _, name := range s.Policies.Migration {
-		if !knownMigration(name) {
+		if _, ok := lookup(migrations, name); !ok {
 			return fmt.Errorf("scenario: unknown migration strategy %q (want one of %s)",
 				name, strings.Join(MigrationNames(), ", "))
 		}

@@ -134,15 +134,16 @@ func dagCellSpec() *Spec {
 // placement policy with its queue, score column and site splits is the
 // arena's), the resident walks of the checkpoint tick and of evacuations,
 // staged deliveries and the checkpoint records on the pooled tasks all
-// reuse arena, policy or record storage, so what remains is per-cell setup
-// (the migration policies and closures). A regression that brings back a
+// reuse arena, policy or record storage, and the handlers the kernel and
+// the cluster call back are bound once per arena, so what remains is
+// per-cell setup (the migration policies). A regression that brings back a
 // per-event, per-round or per-checkpoint allocation adds hundreds per cell
 // and fails here.
 func TestClosedCellAllocationBudget(t *testing.T) {
 	// Each budget is a third above what the cell allocated while the arena
 	// still built a new placement policy per cell (go1.24, linux/amd64): 72
 	// for the churn cell, 17 and 16 for the DAG cell under locality and
-	// greedy-best-fit. They now read 63, 9 and 9. One allocation per
+	// greedy-best-fit. They now read 61, 7 and 7. One allocation per
 	// checkpoint would add about 610 to the churn cell; allocating the
 	// resident walks and idle-machine lists per event, about 1500; a score
 	// column allocated per placement round, about 120 to the DAG cell and

@@ -70,7 +70,7 @@ type world struct {
 	// steps, closed arrivals inside the horizon (DAG roots only; a child
 	// arrives when its last parent completes), failures and their repairs
 	// inside the horizon. A cell replays it one pending event at a time
-	// (cell.armWorld).
+	// (runArena.armWorld).
 	events []worldEvent
 
 	// DAG world (workload.graph): parents/children adjacency over task

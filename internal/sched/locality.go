@@ -159,8 +159,10 @@ func (l *Locality) forward(r *roundState, sp *siteSplit, home int) int {
 // greedily, which is the queue's own round. Otherwise every item is
 // visited, even once nothing is free: the backlog counters that decide
 // drops need the whole queue, and rejectCap bounds it per site. So the
-// round drains the queue in arrival order and re-enqueues the items still
-// waiting behind it, in the same order.
+// round walks every set in place, the sets merged in arrival order: placed
+// and dropped items leave, and the items still waiting close up at the
+// front of their set's buffer in the order they came, without leaving the
+// queue.
 func (l *Locality) PlaceWaiting(machines []MachineState, free int, changed []int) []Assignment {
 	l.dropped = l.dropped[:0]
 	if l.siteOf == nil {
@@ -172,13 +174,12 @@ func (l *Locality) PlaceWaiting(machines []MachineState, free int, changed []int
 	l.backlog = slices.Grow(l.backlog[:0], nsites)[:nsites]
 	clear(l.backlog)
 
-	for n := l.n; n > 0; n-- {
-		s := l.next()
+	for s := l.next(); s >= 0; s = l.next() {
 		f := &l.sets[s]
-		it := f.buf[f.head].Item
-		l.pop(s)
+		it := &f.buf[f.head].Item
+		f.head++
 		home := it.HomeSite - 1
-		best := -1
+		best, drop := -1, false
 		if home < 0 || home >= nsites {
 			// No affinity: greedy best fit.
 			best = r.pickBest(it.CandidateIDs, nil)
@@ -187,17 +188,26 @@ func (l *Locality) PlaceWaiting(machines []MachineState, free int, changed []int
 			l.backlog[home]++
 			if l.backlog[home] > l.threshold {
 				best = l.forward(&r, &f.sites, home)
-				if best < 0 && l.backlog[home] > l.rejectCap {
-					l.dropped = append(l.dropped, it)
-					continue
-				}
+				drop = best < 0 && l.backlog[home] > l.rejectCap
 			}
 		}
-		if best < 0 {
-			l.push(s, it)
+		switch {
+		case best >= 0:
+			l.placed = append(l.placed, r.assign(it, best))
+		case drop:
+			l.dropped = append(l.dropped, *it)
+		default:
+			if f.kept < f.head-1 {
+				f.buf[f.kept] = f.buf[f.head-1]
+			}
+			f.kept++
 			continue
 		}
-		l.placed = append(l.placed, r.assign(&it, best))
+		l.n--
+	}
+	for s := range l.sets {
+		f := &l.sets[s]
+		f.buf, f.head, f.kept = f.buf[:f.kept], 0, 0
 	}
 	return l.placed
 }

@@ -211,13 +211,16 @@ type queue struct {
 
 // fifo is the waiting line of one candidate set: buf[head:], in arrival
 // order. blocked marks a set whose head found no free candidate in the
-// running round. sites is the set split by site, built by Locality.
+// running round. sites is the set split by site, built by Locality, and
+// kept is where Locality's in-place round, which walks the set with head,
+// moves the next item it keeps waiting; it is 0 between rounds.
 type fifo struct {
 	ids     []int // the set, as the first item enqueued into it carried it
 	buf     []queued
 	head    int
 	blocked bool
 	sites   siteSplit
+	kept    int
 }
 
 type queued struct {
