@@ -310,8 +310,10 @@ func TestRedundantLaunchFirstCopyWins(t *testing.T) {
 	if set.WastedWork <= 0 {
 		t.Fatal("no wasted work recorded for killed copies")
 	}
-	if c.RunningTasks() != 0 {
-		t.Fatalf("running tasks = %d after completion", c.RunningTasks())
+	for _, m := range c.Machines() {
+		if n := m.RemoteTasks(); n != 0 {
+			t.Fatalf("%s hosts %d tasks after completion", m.Name(), n)
+		}
 	}
 }
 

@@ -80,22 +80,11 @@ func (s CacheStats) Add(o CacheStats) CacheStats {
 	}
 }
 
-// RunTrace receives one simulated run's phase boundaries and kernel
-// counters from the engine: the scenario controller passes a fresh
-// RunTrace into the run when telemetry is on and folds the result into a
-// Cell record.
-type RunTrace struct {
-	// Setup covers world generation and policy wiring; Simulate is the
-	// kernel's event loop (RunUntil); Measure is index extraction after
-	// the kernel quiesced.
-	Setup, Simulate, Measure time.Duration
-	// Kernel is the run's event-kernel traffic.
-	Kernel KernelCounters
-}
-
 // Cell is one recorded (instance, run) execution. Offsets are relative to
 // the recorder's origin (New); a cached cell has zero phase durations and
-// zero kernel counters — it simulated nothing.
+// zero kernel counters — it simulated nothing. The scenario executor hands
+// a simulated cell's record to the engine, which writes its phases and
+// counters.
 type Cell struct {
 	Sched     string
 	Migration string
@@ -109,9 +98,12 @@ type Cell struct {
 	// Start/End bound the worker's execution. Start−Enqueued is queue
 	// wait; End−Start is compute (including cache lookup).
 	Enqueued, Start, End time.Duration
-	// Setup/Simulate/Measure attribute the compute interval (RunTrace).
+	// Setup/Simulate/Measure attribute the compute interval: world
+	// generation and policy wiring, the kernel's event loop (RunUntil),
+	// and index extraction after the kernel quiesced.
 	Setup, Simulate, Measure time.Duration
-	Kernel                   KernelCounters
+	// Kernel is the run's event-kernel traffic.
+	Kernel KernelCounters
 }
 
 // span is one sweep-level interval on the recorder's lane 0.

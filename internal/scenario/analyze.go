@@ -32,8 +32,10 @@ type Indexes struct {
 	Suspensions int64 `json:"suspensions"`
 	// Failed counts task incarnations killed by machine failures.
 	Failed int64 `json:"failed"`
-	// Rejected counts tasks that never ran: bounded-queue admission
-	// refusals, arrivals past the horizon, and tasks never placed.
+	// Rejected counts the tasks never placed: bounded-queue admission
+	// refusals, arrivals past the horizon, Locality drops and waiters the
+	// horizon found unplaced — tasks − tasks placed once. (Until the next
+	// engine version it also counts Locality drops of tasks placed before.)
 	Rejected int `json:"rejected"`
 	// Completed counts finished tasks.
 	Completed int `json:"completed"`

@@ -326,12 +326,11 @@ type slot struct {
 type taskPool struct {
 	chunks [][]slot
 	// free is the recycle stack; created counts slots ever materialized
-	// (slot s lives at chunks[s/poolChunk][s%poolChunk]).
+	// (slot s lives at chunks[s/poolChunk][s%poolChunk]). A slot is created
+	// only when none is free, so created is the high-water mark of the
+	// arena's held slots.
 	free    []int
 	created int
-	// live/peak track the cell's live-slot high-water mark, the number the
-	// bounded-memory smoke asserts on.
-	live, peak int
 }
 
 // reset frees every materialized slot for a new cell. Pop order is
@@ -342,7 +341,6 @@ func (p *taskPool) reset() {
 	for s := p.created - 1; s >= 0; s-- {
 		p.free = append(p.free, s)
 	}
-	p.live, p.peak = 0, 0
 }
 
 // slot returns slot s.
@@ -350,9 +348,8 @@ func (p *taskPool) slot(s int) *slot {
 	return &p.chunks[s/poolChunk][s%poolChunk]
 }
 
-// release returns a completed task's slot to the pool.
+// release returns a completed or dropped task's slot to the pool.
 func (p *taskPool) release(s int) {
-	p.live--
 	p.free = append(p.free, s)
 }
 
@@ -380,10 +377,6 @@ func (ar *runArena) acquire(g taskGen) int {
 	}
 	sl := p.slot(s)
 	sl.gen, sl.everPlaced, sl.doneHost, sl.homeSite = g, false, -1, -1
-	p.live++
-	if p.live > p.peak {
-		p.peak = p.live
-	}
 	return s
 }
 

@@ -13,7 +13,6 @@ import (
 	"vce/internal/rng"
 	"vce/internal/sched"
 	"vce/internal/sim"
-	"vce/internal/taskgraph"
 	"vce/internal/vtime"
 )
 
@@ -100,9 +99,12 @@ type cell struct {
 	// DAG child arrives when its last parent completes); it fails the run.
 	doneErr error
 	failed  int64
-	// offered counts the tasks that arrived: submitted, or refused at a
-	// streaming cell's bounded queue. The rest of the workload never
-	// arrived, and measure rejects it.
+	// placedOnce counts the tasks placed at least once, and placedDrops the
+	// Locality drops of tasks placed before (a fault requeue or a staging
+	// bounce): measure derives rejected from the two.
+	placedOnce, placedDrops int
+	// offered counts the arrivals a streaming cell's pump has drawn,
+	// admitted or refused: the pump stops at the workload's task count.
 	offered int
 
 	// next is the position in world.events of the cell's one pending world
@@ -118,17 +120,18 @@ type cell struct {
 }
 
 // runCell executes one cell of the arena's spec — the only execution path.
-// A non-nil tr attaches run telemetry: wall-clock phase attribution (setup
-// / simulate / measure) plus the kernel's traffic counters, recorded into
-// tr for the executor to fold into the sweep recorder. Telemetry only
-// observes — with tr == nil (the default and the production path) no clock
-// is read and the kernel's stats hook stays detached, and either way the
-// returned Indexes are identical. audit attaches the engine invariant
-// auditor to the run's kernel (sim.AttachAuditor): virtual-time
-// monotonicity, conservation of work and per-task progress sanity are
-// re-derived event by event, and any violation fails the run with an
-// *AuditError; the auditor observes without perturbing, so a clean audited
-// run returns bitwise-identical indexes.
+// A non-nil tel attaches run telemetry: wall-clock phase attribution (setup
+// / simulate / measure) plus the kernel's traffic counters, written into
+// the cell's record, which the executor hands to the sweep recorder.
+// Telemetry only observes — with tel == nil (the default and the
+// production path) no clock is read and the kernel's stats hook stays
+// detached, and either way the returned Indexes are identical. audit
+// attaches the engine invariant auditor to the run's kernel
+// (sim.AttachAuditor): virtual-time monotonicity, conservation of work and
+// per-task progress sanity are re-derived event by event, and any
+// violation fails the run with an *AuditError; the auditor observes
+// without perturbing, so a clean audited run returns bitwise-identical
+// indexes.
 //
 // The kernel breaks time ties by sequence number, so the order in which
 // setup takes numbers is part of the result: one reserved for owner steps
@@ -140,10 +143,10 @@ type cell struct {
 // policy's (attachPolicies), then the arena's placement listener
 // (machineChanged). Every handler the kernel or the cluster calls back is
 // an arena method bound once, in newArena.
-func (ar *runArena) runCell(ctx context.Context, schedName, migration string, run int, audit bool, tr *obs.RunTrace) (Indexes, error) {
+func (ar *runArena) runCell(ctx context.Context, schedName, migration string, run int, audit bool, tel *obs.Cell) (Indexes, error) {
 	var kstats vtime.Stats
 	var phaseAt time.Time
-	if tr != nil {
+	if tel != nil {
 		phaseAt = time.Now()
 	}
 	if err := ctx.Err(); err != nil {
@@ -153,7 +156,7 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 		return Indexes{}, err
 	}
 	cl := ar.cluster
-	if tr != nil {
+	if tel != nil {
 		cl.Sim.SetStats(&kstats)
 	}
 	var auditor *sim.Auditor
@@ -169,16 +172,16 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 	// request never touches world state or random streams, so indexes are
 	// unchanged when ctx survives.
 	stop := context.AfterFunc(ctx, cl.Sim.Halt)
-	if tr != nil {
+	if tel != nil {
 		now := time.Now()
-		tr.Setup = now.Sub(phaseAt)
+		tel.Setup = now.Sub(phaseAt)
 		phaseAt = now
 	}
 	end := cl.Sim.RunUntil(ar.horizon)
 	stop()
-	if tr != nil {
+	if tel != nil {
 		now := time.Now()
-		tr.Simulate = now.Sub(phaseAt)
+		tel.Simulate = now.Sub(phaseAt)
 		phaseAt = now
 	}
 	// Only a run the halt actually truncated is discarded: a context that
@@ -201,9 +204,9 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 		return Indexes{}, ar.doneErr
 	}
 	idx := ar.measure(end)
-	if tr != nil {
-		tr.Measure = time.Since(phaseAt)
-		tr.Kernel = obs.KernelCounters{
+	if tel != nil {
+		tel.Measure = time.Since(phaseAt)
+		tel.Kernel = obs.KernelCounters{
 			Scheduled:    kstats.Scheduled,
 			Fired:        kstats.Fired,
 			Cancelled:    kstats.Cancelled,
@@ -377,10 +380,8 @@ func (ar *runArena) pump() {
 	w := &ar.sp.Workload
 	g := taskGen{work: w.Work.Sample(ar.workRng)}
 	g.constrained = ar.conRng != nil && ar.conRng.Bool(w.Constrained.Fraction)
-	if w.QueueLimit > 0 && ar.pol.Len() >= w.QueueLimit {
-		ar.offered++
-		ar.acc.TaskRejected()
-	} else {
+	ar.offered++
+	if w.QueueLimit == 0 || ar.pol.Len() < w.QueueLimit {
 		ar.submit(ar.acquire(g))
 	}
 	ar.scheduleNext()
@@ -391,7 +392,7 @@ func (ar *runArena) pump() {
 // submission, the transfer bounce and the fault requeue.
 func (ar *runArena) newItem(i int, work float64) sched.Item {
 	sl := ar.pool.slot(i)
-	it := sched.Item{Task: taskgraph.TaskID(sl.task.ID), Ref: i, CandidateIDs: ar.allIDs, Work: work}
+	it := sched.Item{Ref: i, CandidateIDs: ar.allIDs, Work: work}
 	if sl.gen.constrained {
 		it.CandidateIDs = ar.pinnedIDs
 	}
@@ -414,7 +415,6 @@ func (ar *runArena) submit(i int) {
 	}
 	sl.task.Work = sl.gen.work
 	sl.gen.arrival = ar.cluster.Sim.Now()
-	ar.offered++
 	ar.pol.Enqueue(ar.newItem(i, sl.gen.work))
 	ar.tryPlace()
 }
@@ -442,17 +442,21 @@ func (ar *runArena) stageDelay(ti, hi int) time.Duration {
 	return d
 }
 
-// notePlaced marks a task placed and, on its first placement, folds it into
-// the affinity accounting behind forwarded_pct.
+// notePlaced marks a task placed and, on its first placement, counts it and
+// folds it into the affinity accounting behind forwarded_pct.
 func (ar *runArena) notePlaced(ti, hi int) {
 	sl := ar.pool.slot(ti)
-	if ar.dag && ar.topo != nil && !sl.everPlaced && sl.homeSite >= 0 {
+	if sl.everPlaced {
+		return
+	}
+	sl.everPlaced = true
+	ar.placedOnce++
+	if ar.dag && ar.topo != nil && sl.homeSite >= 0 {
 		ar.affine++
 		if ar.topo.siteOf[hi] != int(sl.homeSite) {
 			ar.forwarded++
 		}
 	}
-	sl.everPlaced = true
 }
 
 // takesWork reports whether machine i accepts new tasks: it is up and its
@@ -559,10 +563,11 @@ func (ar *runArena) tryPlace() {
 		ar.changed = ar.changed[:0]
 		ar.free -= len(placed)
 		if ar.loc != nil {
-			// Backpressure rejections leave the system here: dropped
-			// items are in neither output, so account them now.
+			// Backpressure drops leave the system here, in neither output.
 			for _, d := range ar.loc.Dropped() {
-				ar.acc.TaskRejected()
+				if ar.pool.slot(d.Ref).everPlaced {
+					ar.placedDrops++
+				}
 				if ar.streaming {
 					ar.pool.release(d.Ref)
 				}
@@ -682,21 +687,16 @@ func (ar *runArena) repair(mi int) {
 // cell's indexes.
 func (ar *runArena) measure(end time.Duration) Indexes {
 	sp := ar.sp
-	// Rejected counts tasks that never got a placement; fault-requeued tasks
-	// stranded in the queue at the horizon were placed once and already show
-	// up in Failed, not here.
-	ar.pol.Each(func(it *sched.Item) {
-		if !ar.pool.slot(it.Ref).everPlaced {
-			ar.acc.TaskRejected()
-		}
-	})
-	// A task that never arrived — a closed arrival past the horizon, a DAG
-	// child whose ancestry did not finish in time, arrivals a streaming pump
-	// never drew before the horizon or an exhausted trace — never entered
-	// the system: rejected. (Locality drops were counted at drop time; tasks
-	// still staging data at the horizon were placed.)
-	ar.acc.rejected += sp.Workload.Tasks - ar.offered
 	idx := Indexes{Failed: ar.failed}
+	// Rejected is one identity: the tasks never placed. A submitted task
+	// leaves the queue only through a placement or a Locality drop, so this
+	// counts the pump's refusals, drops of never-placed tasks, never-placed
+	// waiters at the horizon and the tasks that never arrived (a closed
+	// arrival past the horizon, a DAG child whose ancestry did not finish,
+	// arrivals a pump never drew). A task placed once is never rejected —
+	// except when Locality drops it after a fault requeue or a staging
+	// bounce, the last term, a known defect (ROADMAP item 6 deletes it).
+	idx.Rejected = sp.Workload.Tasks - ar.placedOnce + ar.placedDrops
 	ar.acc.Finalize(&idx, end, sp.Workload.Tasks)
 	if ar.affine > 0 {
 		idx.ForwardedPct = 100 * float64(ar.forwarded) / float64(ar.affine)

@@ -119,6 +119,18 @@ var table = []mutant{
 		old:  "\t\tfor _, i := range changed {\n\t\t\tq.keys[i] = score(&machines[i])\n\t\t}\n",
 		new:  "",
 	},
+	// rejected loses its placed-drop term: a Locality drop of a task that
+	// ran before (a fault requeue or a staging bounce) no longer counts.
+	// Deterministic and path-independent, and no generated spec drops a
+	// placed task, so it survives the sweep; TestRejectedCountsPlacedDrops
+	// (internal/scenario, on testdata/placed-drops.json) kills it in plain
+	// go test.
+	{
+		name: "rejected-forgets-placed-drops",
+		file: "internal/scenario/cell.go",
+		old:  "\tidx.Rejected = sp.Workload.Tasks - ar.placedOnce + ar.placedDrops\n",
+		new:  "\tidx.Rejected = sp.Workload.Tasks - ar.placedOnce\n",
+	},
 }
 
 // repoRoot is the repository root, four levels above this package.

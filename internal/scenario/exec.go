@@ -346,9 +346,11 @@ func (e *executor) fanOut(ctx context.Context, arenas []*runArena, jobs []job) <
 // result through.
 func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) outcome {
 	inst, rec := e.insts[j.cell], e.rec
-	var start time.Duration
+	// tel is the cell's telemetry record, nil when telemetry is off.
+	var tel *obs.Cell
 	if rec != nil {
-		start = rec.Elapsed()
+		tel = &obs.Cell{Sched: inst.Sched, Migration: inst.Migration, Run: j.run, Lane: lane,
+			Enqueued: j.enqueued, Start: rec.Elapsed()}
 	}
 	var key string
 	if e.cache != nil {
@@ -357,21 +359,14 @@ func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) ou
 		// store) is just a miss: the cache may never make a sweep fail that
 		// would have succeeded without it.
 		if idx, ok, err := e.cache.Get(key); err == nil && ok {
-			if rec != nil {
-				rec.RecordCell(obs.Cell{
-					Sched: inst.Sched, Migration: inst.Migration,
-					Run: j.run, Cached: true, Lane: lane,
-					Enqueued: j.enqueued, Start: start, End: rec.Elapsed(),
-				})
+			if tel != nil {
+				tel.Cached, tel.End = true, rec.Elapsed()
+				rec.RecordCell(*tel)
 			}
 			return outcome{cell: j.cell, run: j.run, idx: idx, cached: true}
 		}
 	}
-	var tr *obs.RunTrace
-	if rec != nil {
-		tr = new(obs.RunTrace)
-	}
-	idx, err := ar.runCell(ctx, inst.Sched, inst.Migration, j.run, e.audit, tr)
+	idx, err := ar.runCell(ctx, inst.Sched, inst.Migration, j.run, e.audit, tel)
 	if err == nil && e.cache != nil {
 		// Best-effort write-through: a read-only or full cache directory
 		// costs reuse, not correctness — but it must not look healthy while
@@ -380,14 +375,9 @@ func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) ou
 		// cache) even though they never fail the sweep.
 		_ = e.cache.Put(key, idx)
 	}
-	if rec != nil && err == nil {
-		rec.RecordCell(obs.Cell{
-			Sched: inst.Sched, Migration: inst.Migration,
-			Run: j.run, Lane: lane,
-			Enqueued: j.enqueued, Start: start, End: rec.Elapsed(),
-			Setup: tr.Setup, Simulate: tr.Simulate, Measure: tr.Measure,
-			Kernel: tr.Kernel,
-		})
+	if tel != nil && err == nil {
+		tel.End = rec.Elapsed()
+		rec.RecordCell(*tel)
 	}
 	return outcome{cell: j.cell, run: j.run, idx: idx, err: err}
 }

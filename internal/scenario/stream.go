@@ -7,7 +7,7 @@ import (
 )
 
 // StreamingIndexes is the per-run one-pass accumulator behind Indexes: every
-// completion, rejection and queue-depth change folds in as it happens, so a
+// completion and queue-depth change folds in as it happens, so a
 // run's index computation holds a fixed-size accumulator instead of
 // per-task records — the property that lets an open-loop cell absorb
 // millions of tasks in bounded memory.
@@ -31,7 +31,6 @@ type StreamingIndexes struct {
 	slowdown      metrics.QuantileSketch
 	queue         metrics.TimeWeighted
 	queueMax      int
-	rejected      int
 }
 
 // Reset clears the accumulator for the next cell; all state is embedded, so
@@ -51,10 +50,6 @@ func (a *StreamingIndexes) TaskDone(at, arrival time.Duration, work float64) {
 	a.slowdown.Observe((at - arrival).Seconds() / work)
 }
 
-// TaskRejected folds in one rejection: a bounded-queue admission refusal,
-// or a task that never arrived or was never placed inside the horizon.
-func (a *StreamingIndexes) TaskRejected() { a.rejected++ }
-
 // NoteQueueDepth records the settled waiting-queue depth at virtual instant
 // now. Intermediate same-instant values are harmless for the integral
 // (zero-width), but callers should report settled states so the max is the
@@ -67,12 +62,12 @@ func (a *StreamingIndexes) NoteQueueDepth(now time.Duration, depth int) {
 }
 
 // Finalize writes the accumulator's indexes into idx. end is the run's last
-// virtual instant; offered is how many tasks the spec offered (the
-// reject-rate denominator). Utilization and the policy counters are owned
-// by the engine, not the accumulator.
+// virtual instant; offered is how many tasks the spec offered, the
+// denominator of the rate of idx.Rejected, which the engine sets before.
+// Utilization, rejections and the policy counters are owned by the engine,
+// not the accumulator.
 func (a *StreamingIndexes) Finalize(idx *Indexes, end time.Duration, offered int) {
 	idx.Completed = a.completed
-	idx.Rejected = a.rejected
 	makespan := a.makespan
 	if makespan == 0 {
 		makespan = end
@@ -89,6 +84,6 @@ func (a *StreamingIndexes) Finalize(idx *Indexes, end time.Duration, offered int
 	idx.QueueDepthMean = a.queue.Average(end)
 	idx.QueueDepthMax = float64(a.queueMax)
 	if offered > 0 {
-		idx.RejectRatePct = 100 * float64(a.rejected) / float64(offered)
+		idx.RejectRatePct = 100 * float64(idx.Rejected) / float64(offered)
 	}
 }

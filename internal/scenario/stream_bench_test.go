@@ -41,10 +41,11 @@ func BenchmarkStreamingMillion(b *testing.B) {
 		b.StopTimer()
 		// Live records are bounded by the admission queue plus the running
 		// tasks; the pool may additionally retain one completion's worth of
-		// slack per slot before recycling catches up.
-		if cap := sp.Workload.QueueLimit + 2*totalSlots; ar.pool.peak > cap {
+		// slack per slot before recycling catches up. A slot is created only
+		// when none is free, so on a fresh arena created is the live peak.
+		if cap := sp.Workload.QueueLimit + 2*totalSlots; ar.pool.created > cap {
 			b.Fatalf("task-pool peak %d exceeds the bounded-memory cap %d (queue %d + 2×%d slots) — streaming memory grew with the task count",
-				ar.pool.peak, cap, sp.Workload.QueueLimit, totalSlots)
+				ar.pool.created, cap, sp.Workload.QueueLimit, totalSlots)
 		}
 		// Every offered task must be accounted: completed, rejected, or (for
 		// at most a slot-count's worth) still in flight at the horizon.
@@ -52,7 +53,7 @@ func BenchmarkStreamingMillion(b *testing.B) {
 			b.Fatalf("accounted %d of %d offered tasks (completed %d, rejected %d)",
 				got, sp.Workload.Tasks, idx.Completed, idx.Rejected)
 		}
-		b.ReportMetric(float64(ar.pool.peak), "pool-peak")
+		b.ReportMetric(float64(ar.pool.created), "pool-peak")
 		b.ReportMetric(float64(idx.Completed), "completed")
 		b.StartTimer()
 	}
@@ -143,7 +144,7 @@ func TestClosedCellAllocationBudget(t *testing.T) {
 	// Each budget is a third above what the cell allocated while the arena
 	// still built a new placement policy per cell (go1.24, linux/amd64): 72
 	// for the churn cell, 17 and 16 for the DAG cell under locality and
-	// greedy-best-fit. They now read 61, 7 and 7. One allocation per
+	// greedy-best-fit. They now read 60, 6 and 6. One allocation per
 	// checkpoint would add about 610 to the churn cell; allocating the
 	// resident walks and idle-machine lists per event, about 1500; a score
 	// column allocated per placement round, about 120 to the DAG cell and
@@ -205,7 +206,7 @@ func TestHeapHoldsWhatRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tr obs.RunTrace
+		var tr obs.Cell
 		if _, err := ar.runCell(context.Background(), c.sched, c.migration, 0, false, &tr); err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,8 @@ type MachineState struct {
 
 // Item is one task instance awaiting placement.
 type Item struct {
-	// Task labels the item for people; policies never read it.
+	// Task labels the item for people (the scenario engine leaves it
+	// empty); policies never read it.
 	Task taskgraph.TaskID
 	// Ref is the caller's handle for the item (the scenario engine's task
 	// slot), echoed in its Assignment; policies never read it.
@@ -171,9 +172,6 @@ type Policy interface {
 	// every entry and ignore changed. Items the round leaves waiting keep
 	// their arrival order.
 	PlaceWaiting(machines []MachineState, free int, changed []int) []Assignment
-	// Each calls fn on every waiting item, set by set; fn must not change
-	// the queue.
-	Each(fn func(*Item))
 	// Reset empties the queue, keeping its storage.
 	Reset()
 	// Place is the one-round form, used only by tests and the benchmark's
@@ -234,7 +232,8 @@ func (q *queue) Enqueue(it Item) { q.push(q.setFor(it.CandidateIDs), it) }
 // Len implements Policy.
 func (q *queue) Len() int { return q.n }
 
-// Each implements Policy.
+// Each calls fn on every waiting item, set by set; fn must not change the
+// queue. It is how a test reads what waits; the engine never walks it.
 func (q *queue) Each(fn func(*Item)) {
 	for s := range q.sets {
 		f := &q.sets[s]

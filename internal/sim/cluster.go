@@ -29,7 +29,6 @@ type Cluster struct {
 	machines  []*Machine
 	byName    map[string]*Machine
 	listeners []ChangeListener
-	taskCount int
 	changes   int64
 	notifying bool
 	pending   []*Machine
@@ -88,7 +87,6 @@ func (c *Cluster) Reset() {
 		m.Reset()
 	}
 	c.listeners = c.listeners[:0]
-	c.taskCount = 0
 	c.changes = 0
 	c.notifying = false
 	c.pending = c.pending[:0]
@@ -130,9 +128,6 @@ func (c *Cluster) Machine(name string) (*Machine, bool) {
 // Machines returns all machines in registration order. The slice is the
 // cluster's own: callers read it and must not modify it.
 func (c *Cluster) Machines() []*Machine { return c.machines }
-
-// RunningTasks returns the total resident task count.
-func (c *Cluster) RunningTasks() int { return c.taskCount }
 
 // OnChange registers a machine-state listener.
 func (c *Cluster) OnChange(l ChangeListener) {

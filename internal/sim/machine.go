@@ -195,7 +195,6 @@ type Machine struct {
 
 	// Monitoring.
 	remoteBusy metrics.TimeWeighted // fraction of capacity running VCE work
-	completed  int64
 }
 
 // LocalLoad returns the current local load fraction.
@@ -206,9 +205,6 @@ func (m *Machine) Suspended() bool { return m.suspended }
 
 // RemoteTasks returns the number of resident VCE tasks.
 func (m *Machine) RemoteTasks() int { return len(m.ordered) }
-
-// Completed returns how many tasks finished here.
-func (m *Machine) Completed() int64 { return m.completed }
 
 // Name returns the machine name.
 func (m *Machine) Name() string { return m.Spec.Name }
@@ -390,7 +386,6 @@ func (m *Machine) onCompletion() {
 			t.machine = nil
 			t.doneOn = m
 			finished = append(finished, t)
-			m.completed++
 		} else {
 			m.ordered[w] = t
 			w++
@@ -412,7 +407,6 @@ func (m *Machine) onCompletion() {
 		sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
 	}
 	for _, t := range finished {
-		m.cluster.taskCount--
 		if t.OnDone != nil {
 			t.OnDone(t, now)
 		}
@@ -446,7 +440,6 @@ func (m *Machine) AddTask(t *Task) error {
 	if t.Work > m.maxWork {
 		m.maxWork = t.Work
 	}
-	m.cluster.taskCount++
 	m.reschedule(now)
 	m.recordUtil(now)
 	m.cluster.notifyChange(m)
@@ -466,7 +459,6 @@ func (m *Machine) Kill(t *Task) error {
 	t.doneWork = m.progress(t)
 	m.removeOrdered(t)
 	t.machine = nil
-	m.cluster.taskCount--
 	m.reschedule(now)
 	m.recordUtil(now)
 	m.cluster.notifyChange(m)
@@ -589,5 +581,4 @@ func (m *Machine) Reset() {
 	m.maxWork = 0
 	m.pending = vtime.Event{}
 	m.remoteBusy = metrics.TimeWeighted{}
-	m.completed = 0
 }

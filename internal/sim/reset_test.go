@@ -87,9 +87,9 @@ func TestClusterResetMatchesFresh(t *testing.T) {
 		t.Fatalf("Reset left virtual time at %v", got)
 	}
 	for _, m := range c.Machines() {
-		if m.RemoteTasks() != 0 || m.LocalLoad() != 0 || m.Suspended() || m.Completed() != 0 {
-			t.Fatalf("machine %s not virgin after Reset: tasks=%d load=%v suspended=%v completed=%d",
-				m.Name(), m.RemoteTasks(), m.LocalLoad(), m.Suspended(), m.Completed())
+		if m.RemoteTasks() != 0 || m.LocalLoad() != 0 || m.Suspended() {
+			t.Fatalf("machine %s not virgin after Reset: tasks=%d load=%v suspended=%v",
+				m.Name(), m.RemoteTasks(), m.LocalLoad(), m.Suspended())
 		}
 		if m.RemoteUtilization(time.Hour) != 0 {
 			t.Fatalf("machine %s kept utilization history across Reset", m.Name())

@@ -9,10 +9,12 @@
 # experiment and fails unless the tables are identical once the elapsed
 # time is stripped from each "=== ID: title (elapsed)" header; E1–E4 and
 # E12 print wall-clock measurements, so they are not compared. It then runs
-# both vcebench builds on every examples/scenarios/*.json and every
-# internal/scenario/specgen/testdata/corpus/*.json, each at its own seed and
-# at -seed 7, and fails unless every run's seven artifacts are
-# byte-identical. A change that
+# both vcebench builds on every examples/scenarios/*.json, every
+# internal/scenario/specgen/testdata/corpus/*.json and every engine fixture
+# internal/scenario/testdata/*.json (paths no generated spec reaches, such
+# as placed-drops.json's Locality drops of tasks that already ran), each at
+# its own seed and at -seed 7, and fails unless every run's seven artifacts
+# are byte-identical. A change that
 # keeps EngineVersion must pass; one that moves numbers needs the bump (CI's
 # golden-drift job checks that).
 set -euo pipefail
@@ -56,7 +58,7 @@ done
 echo "OK: $tables experiment tables are identical at $rev and in the working tree"
 
 runs=0
-for spec in examples/scenarios/*.json internal/scenario/specgen/testdata/corpus/*.json; do
+for spec in examples/scenarios/*.json internal/scenario/specgen/testdata/corpus/*.json internal/scenario/testdata/*.json; do
   for seed in own 7; do
     args=(-spec "$spec" -q)
     [[ "$seed" == own ]] || args+=(-seed "$seed")
