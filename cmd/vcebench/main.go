@@ -58,14 +58,15 @@
 //	vcebench check -seeds 50            # 50 generated specs × every invariant
 //	vcebench check -seeds 200 -out /tmp/repros
 //
-// Each generated spec is swept repeatedly while the harness asserts five
+// Each generated spec is swept repeatedly while the harness asserts six
 // engine-wide properties: execution-identity (the report is the same whether
 // the sweep runs again, on single-use arenas, at N workers, sharded and
 // merged, from a warm cache, under the kernel audit hook or with the policy
-// matrix reversed — a violation names the failing mode), steady-state-bounds
-// and topology-conservation (index sanity on the generator's overloaded
-// stream and two-site DAG strata; skipped on other specs),
-// machine-permutation and makespan-dominance. A violated property is
+// matrix reversed — a violation names the failing mode), counts (every run's
+// task counts in range), steady-state-bounds and topology-conservation
+// (index sanity on the generator's overloaded stream and two-site DAG
+// strata; skipped on other specs), machine-permutation and
+// makespan-dominance. A violated property is
 // minimized to the smallest still-failing spec and written to -out as a
 // `vcebench -spec` reproduction file; the exit status is non-zero.
 package main

@@ -154,14 +154,14 @@ func TestMergeNoArgsUsage(t *testing.T) {
 }
 
 // TestCheckSubcommand: a tiny clean `vcebench check` run exits 0 and prints
-// the per-property summary with all five properties and no failure.
+// the per-property summary with all six properties and no failure.
 func TestCheckSubcommand(t *testing.T) {
 	out := t.TempDir()
 	code, stdout, errOut := runCLI(t, "check", "-seeds", "2", "-q", "-out", out)
 	if code != 0 {
 		t.Fatalf("check exit %d:\n%s", code, errOut)
 	}
-	for _, prop := range []string{"execution-identity", "steady-state-bounds", "topology-conservation", "machine-permutation", "makespan-dominance", "skipped"} {
+	for _, prop := range []string{"execution-identity", "counts", "steady-state-bounds", "topology-conservation", "machine-permutation", "makespan-dominance", "skipped"} {
 		if !strings.Contains(stdout, prop) {
 			t.Errorf("summary table missing %s:\n%s", prop, stdout)
 		}

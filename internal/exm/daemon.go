@@ -63,8 +63,6 @@ type Daemon struct {
 
 	// Counters for experiments.
 	bidsSent    atomic.Int64
-	execsServed atomic.Int64
-	killsServed atomic.Int64
 	stagedBytes atomic.Int64
 }
 
@@ -259,7 +257,6 @@ func (d *Daemon) onExec(_ isis.MemberID, payload []byte) {
 	if decode(payload, &ex) != nil {
 		return
 	}
-	d.execsServed.Add(1)
 	key := instanceKey{app: ex.App, task: ex.Task, instance: ex.Instance, copyIdx: ex.Copy}
 	report := func(errText string) {
 		body, err := encode(doneMsg{
@@ -337,7 +334,6 @@ func (d *Daemon) onKillCast(_ isis.MemberID, payload []byte) ([]byte, bool) {
 }
 
 func (d *Daemon) applyKill(k killMsg) {
-	d.killsServed.Add(1)
 	d.mu.Lock()
 	for key, inst := range d.running {
 		if key.app != k.App {

@@ -5,9 +5,9 @@
 // with queue-wait/setup/simulate/measure attribution, the worker lane the
 // cell executed on, whether it was replayed from the result cache, and the
 // kernel's traffic counters (events scheduled/fired/cancelled, heap
-// high-water, audit invocations, machine state changes). Sweep-level spans
-// (setup, execute, merge) land on a dedicated lane. The recorded registry
-// is emitted two ways:
+// high-water, machine state changes). Sweep-level spans (setup, execute,
+// merge) land on a dedicated lane. The recorded registry is emitted two
+// ways:
 //
 //   - WriteTrace: a Chrome trace-event JSON document loadable in Perfetto
 //     (ui.perfetto.dev) or chrome://tracing — the timeline view that turns
@@ -18,9 +18,8 @@
 // Wall-clock measurements exist only in these artifacts. Nothing here
 // feeds the Report, cell keys or golden artifacts: telemetry observes the
 // sweep, it never participates in it. The off-path contract is equally
-// strict — a nil Recorder means the engine takes no clock readings at all,
-// and the kernel-level counters cost one nil check per queue operation
-// when detached (vtime.Sim.SetStats).
+// strict — a nil Recorder means the engine takes no clock readings at all;
+// the kernel counts its own traffic either way (vtime.Sim.Stats).
 package obs
 
 import (
@@ -29,20 +28,15 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"vce/internal/vtime"
 )
 
 // KernelCounters aggregates one run's (or one sweep's) discrete-event
-// kernel traffic, fed by vtime.Stats plus the cluster's change counter.
+// kernel traffic: the kernel's own counters plus the cluster's change
+// counter.
 type KernelCounters struct {
-	// Scheduled, Fired and Cancelled count event-queue operations.
-	Scheduled int64 `json:"scheduled"`
-	Fired     int64 `json:"fired"`
-	Cancelled int64 `json:"cancelled"`
-	// AuditCalls counts kernel audit-hook invocations (nonzero only for
-	// audited runs).
-	AuditCalls int64 `json:"audit_calls"`
-	// HeapMax is the high-water pending-event queue depth.
-	HeapMax int `json:"heap_max"`
+	vtime.Stats
 	// StateChanges counts simulated machine state changes (task
 	// arrivals/departures, load steps, suspension flips).
 	StateChanges int64 `json:"state_changes"`
@@ -50,13 +44,7 @@ type KernelCounters struct {
 
 // Merge accumulates o into k: counters sum, high-water marks take the max.
 func (k *KernelCounters) Merge(o KernelCounters) {
-	k.Scheduled += o.Scheduled
-	k.Fired += o.Fired
-	k.Cancelled += o.Cancelled
-	k.AuditCalls += o.AuditCalls
-	if o.HeapMax > k.HeapMax {
-		k.HeapMax = o.HeapMax
-	}
+	k.Stats.Merge(o.Stats)
 	k.StateChanges += o.StateChanges
 }
 
@@ -221,8 +209,9 @@ type Summary struct {
 	Cells   []CellSummary `json:"cells"`
 }
 
-// SummarySchema versions the Summary JSON shape.
-const SummarySchema = 1
+// SummarySchema versions the Summary JSON shape. 2: the kernel counters
+// lost audit_calls.
+const SummarySchema = 2
 
 // Snapshot renders the recorder's current contents as a Summary. Safe to
 // call concurrently with recording (a live service can serve it mid-sweep).

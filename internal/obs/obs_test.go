@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vce/internal/vtime"
 )
 
 // record builds a small two-lane recorder: one computed cell, one cached
@@ -19,7 +21,7 @@ func record(t *testing.T) *Recorder {
 		Sched: "greedy-best-fit", Migration: "none", Run: 0, Lane: 1,
 		Enqueued: time.Millisecond, Start: 2 * time.Millisecond, End: 10 * time.Millisecond,
 		Setup: 2 * time.Millisecond, Simulate: 5 * time.Millisecond, Measure: time.Millisecond,
-		Kernel: KernelCounters{Scheduled: 100, Fired: 90, Cancelled: 10, HeapMax: 7, StateChanges: 40},
+		Kernel: KernelCounters{Stats: vtime.Stats{Scheduled: 100, Fired: 90, Cancelled: 10, HeapMax: 7}, StateChanges: 40},
 	})
 	r.RecordCell(Cell{
 		Sched: "greedy-best-fit", Migration: "none", Run: 1, Lane: 2, Cached: true,
@@ -149,12 +151,20 @@ func TestSummaryTotals(t *testing.T) {
 	}
 }
 
-// TestKernelCountersMerge: counters sum, high waters max.
+// TestKernelCountersMerge: counters sum, high waters max, and the kernel's
+// fields serialize flat beside state_changes, the telemetry.json shape.
 func TestKernelCountersMerge(t *testing.T) {
-	a := KernelCounters{Scheduled: 1, Fired: 2, Cancelled: 3, AuditCalls: 4, HeapMax: 5, StateChanges: 6}
-	a.Merge(KernelCounters{Scheduled: 10, Fired: 10, Cancelled: 10, AuditCalls: 10, HeapMax: 2, StateChanges: 10})
-	want := KernelCounters{Scheduled: 11, Fired: 12, Cancelled: 13, AuditCalls: 14, HeapMax: 5, StateChanges: 16}
+	a := KernelCounters{Stats: vtime.Stats{Scheduled: 1, Fired: 2, Cancelled: 3, HeapMax: 5}, StateChanges: 6}
+	a.Merge(KernelCounters{Stats: vtime.Stats{Scheduled: 10, Fired: 10, Cancelled: 10, HeapMax: 2}, StateChanges: 10})
+	want := KernelCounters{Stats: vtime.Stats{Scheduled: 11, Fired: 12, Cancelled: 13, HeapMax: 5}, StateChanges: 16}
 	if a != want {
 		t.Fatalf("merge = %+v, want %+v", a, want)
+	}
+	b, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(b); got != `{"scheduled":11,"fired":12,"cancelled":13,"heap_max":5,"state_changes":16}` {
+		t.Fatalf("kernel counters serialize as %s", got)
 	}
 }

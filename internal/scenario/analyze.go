@@ -41,7 +41,7 @@ type Indexes struct {
 	Completed int `json:"completed"`
 	// SlowdownP50 and SlowdownP99 are steady-state slowdown quantiles:
 	// (finish − arrival) / (work at speed 1.0), from the run's fixed-shape
-	// quantile sketch (see StreamingIndexes).
+	// quantile sketch (see the cell's accumulators and measure, cell.go).
 	SlowdownP50 float64 `json:"slowdown_p50"`
 	SlowdownP99 float64 `json:"slowdown_p99"`
 	// QueueDepthMean is the time-weighted mean waiting-queue depth over the

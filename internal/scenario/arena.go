@@ -80,10 +80,6 @@ type runArena struct {
 
 	pool taskPool
 
-	// acc is the per-run streaming index accumulator, arena-resident so its
-	// fixed-shape sketch recycles across cells.
-	acc StreamingIndexes
-
 	// Per-cell scratch, index-keyed by machine. down marks failed machines;
 	// ownerLoad remembers the owner trace's current level so repair restores
 	// the owner's load, not idle, and a trace step during an outage is
@@ -248,7 +244,7 @@ func (ar *runArena) resetCluster() error {
 
 // prepare readies the substrate for one cell of run: the run's world, a
 // clean cluster carrying its specs and network model, cleared per-cell
-// scratch, fleet snapshot and accumulator, and a recycled task pool — every
+// scratch and fleet snapshot, and a recycled task pool — every
 // slot ever materialized is free again. A closed cell then takes slots
 // 0..n-1 in task order for the world's task bag, so a task's slot is its
 // index (the DAG adjacency is keyed by it); a streaming cell starts empty
@@ -274,7 +270,6 @@ func (ar *runArena) prepare(run int) error {
 		ar.states[i].Machine = m.Spec
 		ar.stale = append(ar.stale, i)
 	}
-	ar.acc.Reset()
 	ar.pool.reset()
 	for i, g := range ar.world.tasks {
 		sl := ar.pool.slot(ar.acquire(g))

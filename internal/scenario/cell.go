@@ -8,12 +8,12 @@ import (
 
 	"vce/internal/compilemgr"
 	"vce/internal/loadbalance"
+	"vce/internal/metrics"
 	"vce/internal/migrate"
 	"vce/internal/obs"
 	"vce/internal/rng"
 	"vce/internal/sched"
 	"vce/internal/sim"
-	"vce/internal/vtime"
 )
 
 // AuditError reports engine-invariant violations recorded by an audited run
@@ -64,8 +64,9 @@ func RunInstanceContext(ctx context.Context, inst Instance, run int) (Indexes, e
 
 // cell is the per-cell state of the arena (runArena embeds it): the policies
 // under comparison — the scheduling policy holds the placement queue — and
-// the counters behind the indexes. startCell resets it with one assignment.
-// The event handlers that read and write it are the arena's methods.
+// the counters and accumulators behind the indexes, which measure reads.
+// startCell resets it with one assignment. The event handlers that read and
+// write it are the arena's methods.
 type cell struct {
 	key string // "sched/migration", for error messages
 	run int
@@ -107,6 +108,21 @@ type cell struct {
 	// admitted or refused: the pump stops at the workload's task count.
 	offered int
 
+	// The one-pass accumulators behind the completion and queue indexes:
+	// every completion (taskDone) and settled queue depth (noteQueueDepth)
+	// folds in as it happens, so a cell holds a fixed-size record instead of
+	// per-task ones — what lets an open-loop cell absorb millions of tasks
+	// in bounded memory. completionSum and lastDone are the sum and the
+	// latest of the completion instants; slowdown sketches each completion's
+	// response time over its work; queue integrates the depth over virtual
+	// time and queueMax is its largest settled value.
+	completed     int
+	completionSum float64
+	lastDone      time.Duration
+	slowdown      metrics.QuantileSketch
+	queue         metrics.TimeWeighted
+	queueMax      int
+
 	// next is the position in world.events of the cell's one pending world
 	// event, and worldSeq the kernel sequence number reserved for each tie
 	// block (worldEventKind.block).
@@ -124,11 +140,10 @@ type cell struct {
 // / simulate / measure) plus the kernel's traffic counters, written into
 // the cell's record, which the executor hands to the sweep recorder.
 // Telemetry only observes — with tel == nil (the default and the
-// production path) no clock is read and the kernel's stats hook stays
-// detached, and either way the returned Indexes are identical. audit
-// attaches the engine invariant auditor to the run's kernel
-// (sim.AttachAuditor): virtual-time monotonicity, conservation of work and
-// per-task progress sanity are re-derived event by event, and any
+// production path) no clock is read, and either way the returned Indexes
+// are identical. audit attaches the engine invariant auditor to the run's
+// kernel (sim.AttachAuditor): virtual-time monotonicity, conservation of
+// work and per-task progress sanity are re-derived event by event, and any
 // violation fails the run with an *AuditError; the auditor observes
 // without perturbing, so a clean audited run returns bitwise-identical
 // indexes.
@@ -144,7 +159,6 @@ type cell struct {
 // (machineChanged). Every handler the kernel or the cluster calls back is
 // an arena method bound once, in newArena.
 func (ar *runArena) runCell(ctx context.Context, schedName, migration string, run int, audit bool, tel *obs.Cell) (Indexes, error) {
-	var kstats vtime.Stats
 	var phaseAt time.Time
 	if tel != nil {
 		phaseAt = time.Now()
@@ -156,9 +170,6 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 		return Indexes{}, err
 	}
 	cl := ar.cluster
-	if tel != nil {
-		cl.Sim.SetStats(&kstats)
-	}
 	var auditor *sim.Auditor
 	if audit {
 		auditor = sim.AttachAuditor(cl)
@@ -206,14 +217,7 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 	idx := ar.measure(end)
 	if tel != nil {
 		tel.Measure = time.Since(phaseAt)
-		tel.Kernel = obs.KernelCounters{
-			Scheduled:    kstats.Scheduled,
-			Fired:        kstats.Fired,
-			Cancelled:    kstats.Cancelled,
-			AuditCalls:   kstats.AuditCalls,
-			HeapMax:      kstats.HeapMax,
-			StateChanges: cl.StateChanges(),
-		}
+		tel.Kernel = obs.KernelCounters{Stats: cl.Sim.Stats(), StateChanges: cl.StateChanges()}
 	}
 	return idx, nil
 }
@@ -228,7 +232,7 @@ func (ar *runArena) startCell(schedName, migration string, run int) error {
 	if err := ar.attachPolicies(schedName, migration); err != nil {
 		return err
 	}
-	ar.acc.NoteQueueDepth(0, 0)
+	ar.noteQueueDepth(0, 0)
 	if ar.streaming {
 		ar.startPump()
 	}
@@ -545,7 +549,7 @@ func (ar *runArena) tryPlace() {
 	ar.placing = true
 	defer func() {
 		ar.placing = false
-		ar.acc.NoteQueueDepth(ar.cluster.Sim.Now(), ar.pol.Len())
+		ar.noteQueueDepth(ar.cluster.Sim.Now(), ar.pol.Len())
 	}()
 	for {
 		ar.placeAgain = false
@@ -642,11 +646,25 @@ func (ar *runArena) taskDone(t *sim.Task, at time.Duration) {
 			}
 		}
 	}
-	ar.acc.TaskDone(at, sl.gen.arrival, t.Work)
+	// Slowdown is the response time against a dedicated speed-1.0 machine:
+	// work units are seconds at unit speed.
+	ar.completed++
+	ar.completionSum += at.Seconds()
+	ar.lastDone = max(ar.lastDone, at)
+	ar.slowdown.Observe((at - sl.gen.arrival).Seconds() / t.Work)
 	if ar.streaming {
 		ar.pool.release(ti)
 	}
 	ar.tryPlace()
+}
+
+// noteQueueDepth records the settled waiting-queue depth at virtual instant
+// now. Intermediate same-instant values are harmless for the integral
+// (zero-width), but callers report settled states so the max is the max of
+// observable backlogs, not of transients inside one event.
+func (ar *runArena) noteQueueDepth(now time.Duration, depth int) {
+	ar.queue.Set(now, float64(depth))
+	ar.queueMax = max(ar.queueMax, depth)
 }
 
 // fail takes machine mi down: its residents are killed and requeued from
@@ -683,11 +701,31 @@ func (ar *runArena) repair(mi int) {
 	ar.tryPlace()
 }
 
-// measure closes the run's accounting at virtual time end and derives the
-// cell's indexes.
+// measure closes the run's accounting at virtual time end and derives every
+// index of the cell from its counters and accumulators, the policies' own
+// counters and the machines' utilization.
+//
+// Determinism rules (the artifacts pin bytes, so these are contractual):
+//
+//   - Sums are exact and accumulate in event order, which is itself
+//     deterministic in (spec, instance, run). Mean completion is the exact
+//     sum over the exact count — deliberately not a Welford running mean,
+//     whose different rounding would move artifact bytes.
+//   - Quantiles come from a fixed-shape log-bucketed sketch
+//     (metrics.QuantileSketch): counts-only state, so p50/p99 are invariant
+//     to observation order and identical across worker counts, shards and
+//     cache replays.
+//   - Queue depth integrates as a piecewise-constant function of virtual
+//     time (metrics.TimeWeighted). Wall-clock never enters a cell.
 func (ar *runArena) measure(end time.Duration) Indexes {
-	sp := ar.sp
-	idx := Indexes{Failed: ar.failed}
+	tasks := ar.sp.Workload.Tasks
+	idx := Indexes{
+		Completed:      ar.completed,
+		Failed:         ar.failed,
+		XferWaitS:      ar.xferWaitS,
+		QueueDepthMean: ar.queue.Average(end),
+		QueueDepthMax:  float64(ar.queueMax),
+	}
 	// Rejected is one identity: the tasks never placed. A submitted task
 	// leaves the queue only through a placement or a Locality drop, so this
 	// counts the pump's refusals, drops of never-placed tasks, never-placed
@@ -696,12 +734,27 @@ func (ar *runArena) measure(end time.Duration) Indexes {
 	// arrivals a pump never drew). A task placed once is never rejected —
 	// except when Locality drops it after a fault requeue or a staging
 	// bounce, the last term, a known defect (ROADMAP item 6 deletes it).
-	idx.Rejected = sp.Workload.Tasks - ar.placedOnce + ar.placedDrops
-	ar.acc.Finalize(&idx, end, sp.Workload.Tasks)
+	idx.Rejected = tasks - ar.placedOnce + ar.placedDrops
+	if tasks > 0 {
+		idx.RejectRatePct = 100 * float64(idx.Rejected) / float64(tasks)
+	}
+	// A cell that completed nothing spans its whole run.
+	makespan := ar.lastDone
+	if makespan == 0 {
+		makespan = end
+	}
+	idx.MakespanS = makespan.Seconds()
+	if end > 0 {
+		idx.ThroughputPerH = float64(ar.completed) / end.Hours()
+	}
+	if ar.completed > 0 {
+		idx.MeanCompletionS = ar.completionSum / float64(ar.completed)
+		idx.SlowdownP50 = ar.slowdown.Quantile(0.50)
+		idx.SlowdownP99 = ar.slowdown.Quantile(0.99)
+	}
 	if ar.affine > 0 {
 		idx.ForwardedPct = 100 * float64(ar.forwarded) / float64(ar.affine)
 	}
-	idx.XferWaitS = ar.xferWaitS
 	if ar.dag && ar.world.graphCP > 0 {
 		idx.CriticalPathStretch = idx.MakespanS / ar.world.graphCP
 	}

@@ -1,11 +1,12 @@
 // Package check is the engine-wide invariant harness behind `vcebench
 // check`: it draws randomized scenario specs from internal/scenario/specgen
-// and asserts five properties of the whole pipeline. execution-identity
+// and asserts six properties of the whole pipeline. execution-identity
 // compares the reference sweep, mode by mode, with the same sweep run again,
 // on single-use arenas, at N workers, sharded and merged, from a warm cache,
 // under the kernel audit hook (sim.Auditor) and with the policy matrix
-// reversed. steady-state-bounds and topology-conservation check the indexes
-// on the generator's two strata and skip other specs. machine-permutation and
+// reversed. counts keeps every run's task counts in range.
+// steady-state-bounds and topology-conservation check the indexes on the
+// generator's two strata and skip other specs. machine-permutation and
 // makespan-dominance are metamorphic pairs over worlds derived from the seed.
 //
 // A failing property is shrunk to a minimal still-failing spec and written

@@ -237,3 +237,28 @@ func TestLatticeNamesTheFailingMode(t *testing.T) {
 		}
 	}
 }
+
+// TestCountsInRange: each range of the counts property rejects what breaks
+// it, including the reading of a pump that admits one task past its cap,
+// and lets the extremes of a sound run through.
+func TestCountsInRange(t *testing.T) {
+	sp := &scenario.Spec{Workload: scenario.WorkloadSpec{Tasks: 5000}}
+	for _, c := range []struct {
+		name string
+		run  scenario.Indexes
+		ok   bool
+	}{
+		{"all-completed", scenario.Indexes{Completed: 5000}, true},
+		{"all-rejected", scenario.Indexes{Rejected: 5000, RejectRatePct: 100}, true},
+		{"unfinished-left", scenario.Indexes{Completed: 10, Rejected: 20, Failed: 3, RejectRatePct: 0.4}, true},
+		{"pump-past-cap", scenario.Indexes{Completed: 5001, Rejected: -1, RejectRatePct: -0.02}, false},
+		{"negative-completed", scenario.Indexes{Completed: -1}, false},
+		{"double-counted", scenario.Indexes{Completed: 4000, Rejected: 1001}, false},
+		{"negative-failed", scenario.Indexes{Failed: -1}, false},
+		{"rate-over-100", scenario.Indexes{RejectRatePct: 100.5}, false},
+	} {
+		if err := countsInRange(sp, c.run); (err == nil) != c.ok {
+			t.Errorf("%s: countsInRange = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}

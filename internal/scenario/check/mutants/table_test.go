@@ -34,19 +34,19 @@ type mutant struct {
 }
 
 var table = []mutant{
+	// failed counts the cells the process measured before: no two
+	// executions of a cell agree, so running the sweep again reports it.
 	{
 		name: "nondeterministic-index", wantMode: "again",
 		file: "internal/scenario/cell.go",
-		old:  "\tidx := Indexes{Failed: ar.failed}\n",
-		new: "\tidx := Indexes{Failed: ar.failed}\n" +
-			"\torder := make(map[int]bool)\n\tfor i := 0; i < 4096; i++ {\n\t\torder[i] = true\n\t}\n" +
-			"\tfor i := range order {\n\t\tidx.Failed += int64(i)\n\t\tbreak\n\t}\n",
+		old:  "\treturn idx\n}\n",
+		new:  "\tcellsMeasured++\n\tidx.Failed += cellsMeasured\n\treturn idx\n}\n\nvar cellsMeasured int64\n",
 	},
 	{
 		name: "reset-keeps-completion-sum", wantMode: "fresh-arena",
-		file: "internal/scenario/stream.go",
-		old:  "{ *a = StreamingIndexes{} }",
-		new:  "{ *a = StreamingIndexes{completionSum: a.completionSum} }",
+		file: "internal/scenario/cell.go",
+		old:  "\tar.cell = cell{key: schedName + \"/\" + migration, run: run}\n",
+		new:  "\tar.cell = cell{key: schedName + \"/\" + migration, run: run, completionSum: ar.completionSum}\n",
 	},
 	{
 		name: "worker-lane-leak", wantMode: "workers",
@@ -128,8 +128,17 @@ var table = []mutant{
 	{
 		name: "rejected-forgets-placed-drops",
 		file: "internal/scenario/cell.go",
-		old:  "\tidx.Rejected = sp.Workload.Tasks - ar.placedOnce + ar.placedDrops\n",
-		new:  "\tidx.Rejected = sp.Workload.Tasks - ar.placedOnce\n",
+		old:  "\tidx.Rejected = tasks - ar.placedOnce + ar.placedDrops\n",
+		new:  "\tidx.Rejected = tasks - ar.placedOnce\n",
+	},
+	// The streaming pump admits one arrival past the workload's task count:
+	// a cap-bound cell completes tasks + 1 and reports rejected −1. Every
+	// execution agrees, and only the counts property's ranges see it.
+	{
+		name: "pump-admits-past-its-cap", wantProperty: "counts",
+		file: "internal/scenario/cell.go",
+		old:  "\tif ar.offered >= ar.sp.Workload.Tasks {\n",
+		new:  "\tif ar.offered > ar.sp.Workload.Tasks {\n",
 	},
 }
 

@@ -48,13 +48,19 @@ func (p property) violation(ctx context.Context, sp *scenario.Spec, workers int)
 
 // properties returns the harness's property table. Order is reporting
 // order: the execution lattice first, then what the indexes must satisfy on
-// the generator's strata, derived-world metamorphic pairs last.
+// every cell and on the generator's strata, derived-world metamorphic pairs
+// last.
 func properties() []property {
 	return []property{
 		{
 			name:  "execution-identity",
 			doc:   "the report is one function of (spec, seed): run again, on single-use arenas, at N workers, sharded and merged, replayed from a warm cache, audited, or with the policy matrix reversed, it equals the reference sweep",
 			check: executionIdentity(executionModes()),
+		},
+		{
+			name:  "counts",
+			doc:   "every run's task counts stay in range: completed and rejected non-negative and together at most the tasks offered, failed non-negative, reject_rate_pct a percentage",
+			check: onRuns(countsInRange),
 		},
 		{
 			name:    "steady-state-bounds",
@@ -277,6 +283,25 @@ func onRuns(holds func(*scenario.Spec, scenario.Indexes) error) func(context.Con
 		}
 		return nil
 	}
+}
+
+// countsInRange is what the task counts of any run must satisfy. A task
+// ends completed, rejected or unfinished at the horizon, so the two counts
+// sum to at most the offered tasks; the exact identity with the unfinished
+// ones needs a per-task record (ROADMAP item 13), not the counters under
+// test.
+func countsInRange(sp *scenario.Spec, run scenario.Indexes) error {
+	switch tasks := sp.Workload.Tasks; {
+	case run.Completed < 0 || run.Rejected < 0:
+		return fmt.Errorf("negative count: %d completed, %d rejected", run.Completed, run.Rejected)
+	case run.Completed+run.Rejected > tasks:
+		return fmt.Errorf("%d completed + %d rejected > %d offered — a task was counted twice", run.Completed, run.Rejected, tasks)
+	case run.Failed < 0:
+		return fmt.Errorf("negative failed count %d", run.Failed)
+	case run.RejectRatePct < 0 || run.RejectRatePct > 100:
+		return fmt.Errorf("reject_rate_pct %g outside [0, 100]", run.RejectRatePct)
+	}
+	return nil
 }
 
 // steadyStateHolds is what the steady-state indexes of an overloaded

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vce/internal/sched"
+	"vce/internal/sim"
 )
 
 // The seam tests drive the pieces of a cell — world generation, placement,
@@ -181,6 +182,48 @@ func TestStagingReservationAndBounce(t *testing.T) {
 	idx := ar.measure(ar.cluster.Sim.Now())
 	if idx.Completed != 4 || idx.Rejected != 0 || idx.XferWaitS < 100 {
 		t.Errorf("indexes = %+v, want 4 completed, none rejected and the 100 s transfer accounted", idx)
+	}
+}
+
+// TestAuditedSnapshotCatchesAWrongEntry shows that an audited placement
+// pass compares the fleet snapshot with a full re-derivation: mid-transfer
+// in the staging cell, machine 1's one slot is reserved and child 3 waits,
+// and a snapshot entry planted to offer that slot is reported by the next
+// pass.
+func TestAuditedSnapshotCatchesAWrongEntry(t *testing.T) {
+	ar := testArena(t, stagingSpec())
+	if err := ar.prepare(0); err != nil {
+		t.Fatal(err)
+	}
+	auditor := sim.AttachAuditor(ar.cluster)
+	if err := ar.startCell("greedy-best-fit", "none", 0); err != nil {
+		t.Fatal(err)
+	}
+	ar.auditor = auditor
+	ar.cluster.Sim.RunUntil(6 * time.Second)
+	if v := auditor.Violations(); len(v) != 0 || ar.pol.Len() != 1 || ar.states[1].Slots != 0 {
+		t.Fatalf("before the plant: violations %v, %d waiting, machine 1 offers %d slots; want none, 1 and 0", v, ar.pol.Len(), ar.states[1].Slots)
+	}
+	ar.states[1].Slots++
+	ar.free++
+	ar.tryPlace()
+	v := auditor.Violations()
+	if len(v) == 0 || !strings.Contains(v[0], "placement snapshot: "+ar.machines[1].Name()) {
+		t.Fatalf("a planted snapshot entry was not reported; violations: %v", v)
+	}
+}
+
+// TestCompletionBeforeArrivalFailsTheRun shows that the guard in taskDone
+// runs: with every completion reported a second before its task's arrival,
+// runCell fails the cell with the guard's error instead of measuring it.
+func TestCompletionBeforeArrivalFailsTheRun(t *testing.T) {
+	ar := testArena(t, stagingSpec())
+	ar.onDone = func(task *sim.Task, _ time.Duration) {
+		ar.taskDone(task, ar.pool.slot(task.Ref).gen.arrival-time.Second)
+	}
+	_, err := ar.runCell(context.Background(), "greedy-best-fit", "none", 0, false, nil)
+	if err == nil || err != ar.doneErr || !strings.Contains(err.Error(), "before it arrived") {
+		t.Fatalf("runCell = %v, want the completed-before-it-arrived error", err)
 	}
 }
 
@@ -374,8 +417,8 @@ func TestRecycledSlotShipsItsOwnImage(t *testing.T) {
 	}
 	other := ar.machines[1-first.Index()]
 	sim.RunUntil(27 * time.Second) // checkpointed at 10 s and 20 s, done at 26 s
-	if n, _ := c.ck.Stats(); n != 2 || ar.acc.completed != 1 || len(ar.pool.free) != ar.pool.created {
-		t.Fatalf("t=27s: %d checkpoints, %d completed, %d held slots, want 2, 1 and 0", n, ar.acc.completed, ar.pool.created-len(ar.pool.free))
+	if n, _ := c.ck.Stats(); n != 2 || ar.completed != 1 || len(ar.pool.free) != ar.pool.created {
+		t.Fatalf("t=27s: %d checkpoints, %d completed, %d held slots, want 2, 1 and 0", n, ar.completed, ar.pool.created-len(ar.pool.free))
 	}
 	first.SetLocalLoad(1) // the owner is back: the second arrival goes elsewhere
 	sim.RunUntil(32 * time.Second)

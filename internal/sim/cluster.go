@@ -70,17 +70,17 @@ func (c *Cluster) AddMachine(spec arch.Machine) (*Machine, error) {
 
 // Reset recycles the cluster for a fresh simulation over the same fleet:
 // the kernel rewinds to virtual time zero (Sim.Reset — every outstanding
-// event handle goes inert and the audit/stats hooks detach), every machine
-// returns to its just-registered state (Machine.Reset), change listeners
-// are dropped, and the traffic counters zero. The machine registry, the
-// kernel's slot arena and every per-machine buffer keep their storage, so
-// rebuilding a world on a reset cluster allocates almost nothing — the
-// scenario engine's per-worker arena recycles whole 10⁴-machine worlds this
-// way. Task records are not the cluster's: a task resident at Reset keeps
-// its checkpoint record until its owner recycles it (Task.Reset). The
-// network model alone is left as-is — it is pure configuration, and
-// callers that vary it per run overwrite it, as they do on a fresh
-// cluster.
+// event handle goes inert, the kernel's counters zero and the audit hook
+// detaches), every machine returns to its just-registered state
+// (Machine.Reset), change listeners are dropped, and the traffic counters
+// zero. The machine registry, the kernel's slot arena and every per-machine
+// buffer keep their storage, so rebuilding a world on a reset cluster
+// allocates almost nothing — the scenario engine's per-worker arena
+// recycles whole 10⁴-machine worlds this way. Task records are not the
+// cluster's: a task resident at Reset keeps its checkpoint record until its
+// owner recycles it (Task.Reset). The network model alone is left as-is —
+// it is pure configuration, and callers that vary it per run overwrite it,
+// as they do on a fresh cluster.
 func (c *Cluster) Reset() {
 	c.Sim.Reset()
 	for _, m := range c.machines {

@@ -311,7 +311,10 @@ func (m *Machine) insertOrdered(t *Task) {
 	m.ordered[i] = t
 }
 
-// removeOrdered deletes t from the residency order.
+// removeOrdered deletes resident t from the residency order. A resident's
+// (finishKey, ID) is fixed while it resides and IDs are unique on a machine,
+// so the search lands on t itself; landing anywhere else means the order is
+// corrupt.
 func (m *Machine) removeOrdered(t *Task) {
 	i := sort.Search(len(m.ordered), func(i int) bool {
 		o := m.ordered[i]
@@ -320,14 +323,10 @@ func (m *Machine) removeOrdered(t *Task) {
 		}
 		return o.ID >= t.ID
 	})
-	for ; i < len(m.ordered); i++ {
-		if m.ordered[i] == t {
-			copy(m.ordered[i:], m.ordered[i+1:])
-			m.ordered[len(m.ordered)-1] = nil
-			m.ordered = m.ordered[:len(m.ordered)-1]
-			return
-		}
+	if i == len(m.ordered) || m.ordered[i] != t {
+		panic(fmt.Sprintf("sim: %s: task %q is not where the residency order puts it", m.Name(), t.ID))
 	}
+	m.ordered = slices.Delete(m.ordered, i, i+1)
 }
 
 // reschedule cancels the machine's pending completion event and, when work

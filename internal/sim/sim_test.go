@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -174,6 +175,38 @@ func TestKillFiresCallbackAndStopsWork(t *testing.T) {
 	}
 	if residents(c) != 0 {
 		t.Fatal("task still resident")
+	}
+}
+
+// TestKillMiddleResident kills the middle of three residents with distinct
+// finish keys, whose IDs sort against their finish order: the residency
+// order finds it by (finish key, ID), and the other two complete in finish
+// order.
+func TestKillMiddleResident(t *testing.T) {
+	c, m := newSingle(t, 1)
+	var done []string
+	onDone := func(task *Task, _ time.Duration) { done = append(done, task.ID) }
+	tasks := []*Task{
+		{ID: "c", Work: 10, OnDone: onDone},
+		{ID: "b", Work: 20, OnDone: onDone},
+		{ID: "a", Work: 30, OnDone: onDone},
+	}
+	for _, task := range tasks {
+		if err := m.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Sim.At(3*time.Second, func() {
+		if err := m.Kill(tasks[1]); err != nil {
+			t.Errorf("kill: %v", err)
+		}
+		if got := m.AppendTasks(nil); len(got) != 2 || got[0] != tasks[2] || got[1] != tasks[0] {
+			t.Errorf("%d residents after the kill, want a and c", len(got))
+		}
+	})
+	c.Sim.Run()
+	if !slices.Equal(done, []string{"c", "a"}) || math.Abs(tasks[1].DoneWork()-1) > 1e-9 {
+		t.Fatalf("completed %v with the killed task at %g work, want [c a] and 1", done, tasks[1].DoneWork())
 	}
 }
 

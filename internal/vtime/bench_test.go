@@ -40,26 +40,6 @@ func BenchmarkKernel(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	})
-	b.Run("steady-state/stats-on", func(b *testing.B) {
-		// Same loop as steady-state/replace with the Stats observer
-		// attached: the delta against the row above is the whole cost of
-		// kernel telemetry when it is on, and the row above — measured
-		// with the nil-checks compiled in — proves the off-path is free.
-		s := NewSim()
-		var st Stats
-		s.SetStats(&st)
-		fn := func() { sink++ }
-		for j := 0; j < 1024; j++ {
-			s.At(time.Duration(j)*time.Millisecond, fn)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.After(1500*time.Millisecond, fn)
-			s.Step()
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
 	b.Run("cancel-heavy", func(b *testing.B) {
 		// Timer-wheel style churn: most scheduled work is cancelled before
 		// it fires (failure detectors, superseded completions).

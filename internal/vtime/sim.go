@@ -35,12 +35,12 @@ import (
 // call it, which is how a cancelled context stops a running loop. The
 // cluster simulator (internal/sim) is built on this kernel.
 type Sim struct {
-	now    time.Duration
-	seq    int64
-	heap   []event
-	slots  []slot
-	free   []int32
-	nfired int64
+	now   time.Duration
+	seq   int64
+	heap  []event
+	slots []slot
+	free  []int32
+	stats Stats
 	// halted is a pending Halt request: set by Halt from any goroutine,
 	// read by the loop before each event of a later instant, cleared by
 	// the RunUntil that honours it (and by Reset).
@@ -49,36 +49,30 @@ type Sim struct {
 	// runs (see SetAuditHook). Nil on the production path: the only cost is
 	// one predictable branch per event.
 	audit func(at time.Duration)
-	// stats, when set, receives kernel traffic counters (see SetStats).
-	// Same discipline as audit: nil on the production path, so the hot
-	// path pays one predictable branch per operation and never allocates.
-	stats *Stats
 }
 
-// Stats counts kernel traffic for an observed run. Attach with SetStats
-// before scheduling; read after the run quiesces. The counters are plain
-// fields, not atomics — Sim is single-threaded by contract, and so is its
-// observer.
+// Stats counts a kernel's traffic since its creation or last Reset. The
+// kernel always keeps them: one plain increment per queue operation, read
+// through Sim.Stats. The JSON names are the telemetry.json counter names.
 type Stats struct {
 	// Scheduled counts At/After/AtSeq calls (every event ever queued).
-	Scheduled int64
-	// Cancelled counts Cancel calls that actually removed a pending event.
-	Cancelled int64
+	Scheduled int64 `json:"scheduled"`
 	// Fired counts events whose callback executed.
-	Fired int64
-	// AuditCalls counts invocations of the audit hook (zero unless an
-	// auditor was attached while stats were being collected).
-	AuditCalls int64
+	Fired int64 `json:"fired"`
+	// Cancelled counts Cancel calls that actually removed a pending event.
+	Cancelled int64 `json:"cancelled"`
 	// HeapMax is the high-water pending-queue depth observed at schedule
 	// time — how deep the 4-ary heap actually got.
-	HeapMax int
+	HeapMax int `json:"heap_max"`
 }
 
-// SetStats attaches (or, with nil, detaches) a kernel traffic counter
-// block. Like SetAuditHook it is an observer hook: when detached the hot
-// path's only cost is one nil check per queue operation, and attaching it
-// never allocates — the kernel increments fields in the caller's struct.
-func (s *Sim) SetStats(st *Stats) { s.stats = st }
+// Merge accumulates o into st: counts sum, the high water takes the max.
+func (st *Stats) Merge(o Stats) {
+	st.Scheduled += o.Scheduled
+	st.Fired += o.Fired
+	st.Cancelled += o.Cancelled
+	st.HeapMax = max(st.HeapMax, o.HeapMax)
+}
 
 // NewSim returns a simulation kernel positioned at virtual time zero.
 func NewSim() *Sim { return &Sim{} }
@@ -86,8 +80,8 @@ func NewSim() *Sim { return &Sim{} }
 // Reset rewinds the kernel to virtual time zero for reuse: the pending
 // queue is dropped, every outstanding Event handle goes permanently inert
 // (slot generations advance, so no handle from before the Reset can ever
-// cancel an event scheduled after it), and the observer hooks (audit,
-// stats) are detached. The heap, slot arena and free list keep their
+// cancel an event scheduled after it), the traffic counters zero and the
+// audit hook is detached. The heap, slot arena and free list keep their
 // backing arrays — a reset kernel schedules into already-sized storage, so
 // recycling a simulation world allocates nothing in the kernel. The arena
 // never grows across reuse cycles beyond the high-water concurrency of the
@@ -105,10 +99,9 @@ func (s *Sim) Reset() {
 	}
 	s.now = 0
 	s.seq = 0
-	s.nfired = 0
+	s.stats = Stats{}
 	s.halted.Store(false)
 	s.audit = nil
-	s.stats = nil
 }
 
 // ArenaSlots returns the size of the slot arena — the high-water count of
@@ -148,7 +141,10 @@ type Event struct {
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Fired returns the number of events executed so far.
-func (s *Sim) Fired() int64 { return s.nfired }
+func (s *Sim) Fired() int64 { return s.stats.Fired }
+
+// Stats returns the kernel's traffic counters.
+func (s *Sim) Stats() Stats { return s.stats }
 
 // Pending returns the number of events still queued. Cancelled events are
 // removed immediately and never counted.
@@ -197,12 +193,8 @@ func (s *Sim) AtSeq(t time.Duration, seq int64, fn func()) Event {
 	s.slots[sl].idx = int32(i)
 	s.slots[sl].fn = fn
 	s.siftUp(i)
-	if s.stats != nil {
-		s.stats.Scheduled++
-		if n := len(s.heap); n > s.stats.HeapMax {
-			s.stats.HeapMax = n
-		}
-	}
+	s.stats.Scheduled++
+	s.stats.HeapMax = max(s.stats.HeapMax, len(s.heap))
 	return Event{slot: sl, gen: s.slots[sl].gen}
 }
 
@@ -227,9 +219,7 @@ func (s *Sim) Cancel(e Event) bool {
 	}
 	s.removeAt(int(sl.idx))
 	s.freeSlot(e.slot)
-	if s.stats != nil {
-		s.stats.Cancelled++
-	}
+	s.stats.Cancelled++
 	return true
 }
 
@@ -257,9 +247,9 @@ func (s *Sim) removeAt(i int) {
 	}
 }
 
-// popMin removes and returns the earliest event. Caller guarantees a
-// non-empty queue.
-func (s *Sim) popMin() (time.Duration, func()) {
+// fire removes the earliest event, advances the clock to it, shows it to
+// the audit hook and runs it. Caller guarantees a non-empty queue.
+func (s *Sim) fire() {
 	e := s.heap[0]
 	fn := s.slots[e.slot].fn
 	s.freeSlot(e.slot)
@@ -272,7 +262,12 @@ func (s *Sim) popMin() (time.Duration, func()) {
 	if last > 0 {
 		s.siftDown(0)
 	}
-	return e.at, fn
+	s.now = e.at
+	s.stats.Fired++
+	if s.audit != nil {
+		s.audit(e.at)
+	}
+	fn()
 }
 
 func lessEv(a, b *event) bool {
@@ -367,19 +362,7 @@ func (s *Sim) RunUntil(limit time.Duration) time.Duration {
 			s.halted.Store(false)
 			return s.now
 		}
-		at, fn := s.popMin()
-		s.now = at
-		s.nfired++
-		if s.stats != nil {
-			s.stats.Fired++
-		}
-		if s.audit != nil {
-			if s.stats != nil {
-				s.stats.AuditCalls++
-			}
-			s.audit(at)
-		}
-		fn()
+		s.fire()
 	}
 	// Queue drained: the caller asked for time to pass regardless.
 	if s.now < limit && limit < 1<<62-1 {
@@ -393,18 +376,6 @@ func (s *Sim) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	at, fn := s.popMin()
-	s.now = at
-	s.nfired++
-	if s.stats != nil {
-		s.stats.Fired++
-	}
-	if s.audit != nil {
-		if s.stats != nil {
-			s.stats.AuditCalls++
-		}
-		s.audit(at)
-	}
-	fn()
+	s.fire()
 	return true
 }

@@ -39,8 +39,6 @@ func TestSimTieBreakBySequence(t *testing.T) {
 // however late it is armed — and At never hands that number out.
 func TestSimReservedSequence(t *testing.T) {
 	s := NewSim()
-	var st Stats
-	s.SetStats(&st)
 	var order []string
 	note := func(name string) func() { return func() { order = append(order, name) } }
 	s.At(time.Second, note("before"))
@@ -69,7 +67,7 @@ func TestSimReservedSequence(t *testing.T) {
 			t.Fatalf("fire order = %v, want %v", order, want)
 		}
 	}
-	if st.Scheduled != 13 || st.Fired != 13 {
+	if st := s.Stats(); st.Scheduled != 13 || st.Fired != 13 {
 		t.Errorf("stats scheduled %d fired %d, want 13 and 13: AtSeq counts as scheduling", st.Scheduled, st.Fired)
 	}
 	defer func() {
