@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Class is a machine architecture class. Machines in a VCE network are
@@ -47,9 +48,15 @@ func (c Class) String() string {
 	}
 }
 
-// ParseClass converts a class keyword (case-insensitive) to a Class.
+// ParseClass converts a class keyword to a Class. Keywords are ASCII and
+// match in any ASCII case; a keyword holding any other letter is unknown,
+// so neither 'ſ' nor 'ı' upper-cases its way into one.
 func ParseClass(s string) (Class, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
+	k := strings.TrimSpace(s)
+	if strings.ContainsFunc(k, func(r rune) bool { return r >= utf8.RuneSelf }) {
+		k = ""
+	}
+	switch strings.ToUpper(k) {
 	case "SIMD":
 		return SIMD, nil
 	case "MIMD":

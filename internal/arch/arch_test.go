@@ -29,6 +29,13 @@ func TestParseClassCaseInsensitive(t *testing.T) {
 	if _, err := ParseClass("quantum"); err == nil {
 		t.Fatal("unknown class accepted")
 	}
+	// Upper-casing maps the long s and the dotless i onto ASCII letters,
+	// and lower-casing maps the Kelvin sign onto k: none is a keyword.
+	for _, s := range []string{"\u017fimd", "m\u0131md", "wor\u212astation"} {
+		if c, err := ParseClass(s); err == nil {
+			t.Errorf("ParseClass(%q) = %v, want an unknown class", s, c)
+		}
+	}
 }
 
 func TestProblemClassMapping(t *testing.T) {

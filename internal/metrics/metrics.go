@@ -12,21 +12,17 @@ import (
 // Dist accumulates a sample distribution and reports summary statistics.
 // Samples are retained for Stddev, which stays the exact two-pass
 // computation — a Welford running variance rounds differently in the last
-// ulps, and the scenario artifacts pin stddev bytes at full precision — but
-// its result is cached, so repeated reads between observations are O(1).
-// The sum and maximum are tracked incrementally, so Mean and Max are O(1).
+// ulps, and the scenario artifacts pin stddev bytes at full precision. The
+// sum and maximum are tracked incrementally, so Mean and Max are O(1).
 type Dist struct {
-	samples  []float64
-	sum      float64
-	max      float64
-	stddev   float64
-	stddevOK bool
+	samples []float64
+	sum     float64
+	max     float64
 }
 
 // Observe records one sample.
 func (d *Dist) Observe(v float64) {
 	d.samples = append(d.samples, v)
-	d.stddevOK = false
 	d.sum += v
 	if len(d.samples) == 1 || v > d.max {
 		d.max = v
@@ -52,25 +48,20 @@ func (d *Dist) Max() float64 {
 	return d.max
 }
 
-// Stddev returns the population standard deviation. The exact two-pass
-// result is cached until the next Observe, so repeated summary reads cost
-// O(1) and the value is bit-stable against published artifact bytes.
+// Stddev returns the population standard deviation, by the exact two-pass
+// computation, so the value is bit-stable against published artifact bytes.
 func (d *Dist) Stddev() float64 {
 	n := len(d.samples)
 	if n == 0 {
 		return 0
 	}
-	if !d.stddevOK {
-		mean := d.Mean()
-		var ss float64
-		for _, v := range d.samples {
-			dev := v - mean
-			ss += dev * dev
-		}
-		d.stddev = math.Sqrt(ss / float64(n))
-		d.stddevOK = true
+	mean := d.Mean()
+	var ss float64
+	for _, v := range d.samples {
+		dev := v - mean
+		ss += dev * dev
 	}
-	return d.stddev
+	return math.Sqrt(ss / float64(n))
 }
 
 // TimeWeighted tracks a piecewise-constant value over (virtual) time and

@@ -105,7 +105,7 @@ func TestTrimFloat(t *testing.T) {
 
 // TestDistInterleavedObserveAndSummary pins the incremental-statistics
 // contract: alternating Observe with Max/Mean/Stddev reads (the monitoring
-// pattern) must stay correct, and Stddev's cache must not go stale.
+// pattern) must stay correct.
 func TestDistInterleavedObserveAndSummary(t *testing.T) {
 	var d Dist
 	vals := []float64{5, 1, 9, 3, 7, 2, 8}
@@ -122,14 +122,14 @@ func TestDistInterleavedObserveAndSummary(t *testing.T) {
 		if got, want := d.Mean(), sum/float64(i+1); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("mean = %v, want %v", got, want)
 		}
-		// Stddev must recompute after every Observe (cache invalidation).
+		// Stddev must account for every Observe so far.
 		mean := sum / float64(i+1)
 		var ss float64
 		for _, w := range vals[:i+1] {
 			ss += (w - mean) * (w - mean)
 		}
 		if got, want := d.Stddev(), math.Sqrt(ss/float64(i+1)); got != want {
-			t.Fatalf("stddev after %d samples = %v, want %v (stale cache?)", i+1, got, want)
+			t.Fatalf("stddev after %d samples = %v, want %v", i+1, got, want)
 		}
 	}
 }

@@ -311,13 +311,13 @@ type slot struct {
 
 // taskPool is the arena's task storage, one path for every workload. Slots
 // live in fixed-size blocks — blocks never move as the pool grows, so
-// *sim.Task pointers held by machines stay valid. A streaming cell acquires
-// a slot at arrival admission and releases it at completion, so live slots
-// track the backlog + residents, not the task count; a closed cell holds
-// slots 0..n-1 for its whole life and never releases, because task ids
-// feed the machines' resident ordering and must not be reused within a
-// cell. Nothing maps an id back: tasks and queue items carry their slot as
-// Ref.
+// *sim.Task pointers held by machines stay valid. Every cell releases a
+// slot when its task completes or is dropped. A streaming cell acquires a
+// slot at arrival admission, so live slots track the backlog + residents,
+// not the task count; a closed cell acquires slots 0..n-1 in prepare and
+// never after, so no id is reused within a cell — task ids feed the
+// machines' resident ordering. Nothing maps an id back: tasks and queue
+// items carry their slot as Ref.
 type taskPool struct {
 	chunks [][]slot
 	// free is the recycle stack; created counts slots ever materialized

@@ -11,7 +11,6 @@ import (
 	"vce/internal/metrics"
 	"vce/internal/migrate"
 	"vce/internal/obs"
-	"vce/internal/rng"
 	"vce/internal/sched"
 	"vce/internal/sim"
 )
@@ -106,7 +105,11 @@ type cell struct {
 	placedOnce, placedDrops int
 	// offered counts the arrivals a streaming cell's pump has drawn,
 	// admitted or refused: the pump stops at the workload's task count.
-	offered int
+	// draws is the cell's task stream and arriving the drawn task the
+	// pending pump event admits or refuses.
+	offered  int
+	draws    taskDraws
+	arriving taskGen
 
 	// The one-pass accumulators behind the completion and queue indexes:
 	// every completion (taskDone) and settled queue depth (noteQueueDepth)
@@ -128,11 +131,6 @@ type cell struct {
 	// block (worldEventKind.block).
 	next     int
 	worldSeq [2]int64
-
-	// Open-loop arrival pump state (streaming cells).
-	cursor  ArrivalCursor
-	workRng *rng.Source
-	conRng  *rng.Source
 }
 
 // runCell executes one cell of the arena's spec — the only execution path.
@@ -233,8 +231,11 @@ func (ar *runArena) startCell(schedName, migration string, run int) error {
 		return err
 	}
 	ar.noteQueueDepth(0, 0)
+	// A streaming cell draws its tasks as they arrive: the pump is a
+	// self-scheduling event that admits or refuses each one.
 	if ar.streaming {
-		ar.startPump()
+		ar.draws = newTaskDraws(ar.sp, ar.src, derivedStreams(ar.sp, run))
+		ar.scheduleNext()
 	}
 	// One checkpoint cadence per cell (§4.4 "migratable jobs checkpoint
 	// regularly"). A cell's tasks are checkpointable all or none.
@@ -354,39 +355,25 @@ func newRecompile() *migrate.Recompile {
 	return &migrate.Recompile{Cost: compilemgr.CostModel{Base: 60 * time.Second, PerMiB: time.Second}}
 }
 
-// startPump starts a streaming cell's open-loop arrival pump: a
-// self-scheduling event draws the next instant from the source cursor and
-// admits or rejects the arrival against the bounded queue.
-func (ar *runArena) startPump() {
-	sp := ar.sp
-	root := derivedStreams(sp, ar.run)
-	ar.cursor = ar.src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals"))
-	ar.workRng = root.Derive("work")
-	if sp.Workload.Constrained != nil {
-		ar.conRng = root.Derive("constraints")
-	}
-	ar.scheduleNext()
-}
-
+// scheduleNext draws a streaming cell's next task and schedules its
+// arrival, unless the pump has offered the workload's task count or the
+// source has run dry or past the horizon.
 func (ar *runArena) scheduleNext() {
 	if ar.offered >= ar.sp.Workload.Tasks {
 		return
 	}
-	if at, ok := ar.cursor(); ok && at < ar.horizon {
-		ar.cluster.Sim.At(at, ar.pumpFn)
+	if g, ok := ar.draws.next(); ok && g.arrival < ar.horizon {
+		ar.arriving = g
+		ar.cluster.Sim.At(g.arrival, ar.pumpFn)
 	}
 }
 
-// pump is one streaming arrival. The work and constraint draws always
-// happen — even for a rejected arrival — so every cell of the run consumes
-// the derived streams identically whatever its queue state.
+// pump is one streaming arrival: the drawn task joins the bounded queue or
+// is refused.
 func (ar *runArena) pump() {
-	w := &ar.sp.Workload
-	g := taskGen{work: w.Work.Sample(ar.workRng)}
-	g.constrained = ar.conRng != nil && ar.conRng.Bool(w.Constrained.Fraction)
 	ar.offered++
-	if w.QueueLimit == 0 || ar.pol.Len() < w.QueueLimit {
-		ar.submit(ar.acquire(g))
+	if q := ar.sp.Workload.QueueLimit; q == 0 || ar.pol.Len() < q {
+		ar.submit(ar.acquire(ar.arriving))
 	}
 	ar.scheduleNext()
 }
@@ -572,9 +559,7 @@ func (ar *runArena) tryPlace() {
 				if ar.pool.slot(d.Ref).everPlaced {
 					ar.placedDrops++
 				}
-				if ar.streaming {
-					ar.pool.release(d.Ref)
-				}
+				ar.pool.release(d.Ref)
 			}
 		}
 		for _, a := range placed {
@@ -619,9 +604,9 @@ func (ar *runArena) deliver(ti int) {
 	}
 }
 
-// taskDone is the one completion callback of every pooled task record. In
-// a streaming cell, completion also returns the record's slot to the pool
-// for the next arrival. For DAG workloads it is also the dependency
+// taskDone is the one completion callback of every pooled task record.
+// Completion also returns the record's slot to the pool, for a streaming
+// cell's next arrival. For DAG workloads it is also the dependency
 // engine: a completion records its host (where the output data now lives),
 // decrements each child's readiness countdown and submits children whose
 // last parent just finished — so a child's arrival is that instant.
@@ -652,9 +637,7 @@ func (ar *runArena) taskDone(t *sim.Task, at time.Duration) {
 	ar.completionSum += at.Seconds()
 	ar.lastDone = max(ar.lastDone, at)
 	ar.slowdown.Observe((at - sl.gen.arrival).Seconds() / t.Work)
-	if ar.streaming {
-		ar.pool.release(ti)
-	}
+	ar.pool.release(ti)
 	ar.tryPlace()
 }
 

@@ -31,9 +31,6 @@ type Options struct {
 	Seeds int
 	// BaseSeed is the first generation seed; spec i uses BaseSeed+i.
 	BaseSeed uint64
-	// Caps bound the generated scenario sizes (zero value: specgen
-	// defaults).
-	Caps specgen.Caps
 	// Workers is the worker count of every multi-worker sweep the
 	// properties run (default 4).
 	Workers int
@@ -141,7 +138,7 @@ func sweep(ctx context.Context, opts Options, props []property) (*Result, error)
 			return nil, err
 		}
 		seed := opts.BaseSeed + uint64(i)
-		sp := specgen.Generate(seed, opts.Caps)
+		sp := specgen.Generate(seed, specgen.Caps{})
 		before := len(res.Failures)
 		for pi, p := range props {
 			if p.applies != nil && !p.applies(sp) {

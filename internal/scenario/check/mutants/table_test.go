@@ -11,7 +11,8 @@
 //
 // The table and its exactly-once text check (TestRowsMatchOnce) build
 // without tags, so an engine edit that rots a row fails plain `go test`. The
-// build-and-sweep (TestMutants) needs the mutants tag and runs nightly:
+// build-and-sweep (TestMutants) needs the mutants tag and runs in CI on
+// every change:
 //
 //	go test -tags mutants ./internal/scenario/check/mutants
 package mutants
@@ -167,7 +168,7 @@ func rowSource(t *testing.T, root string, m mutant) string {
 }
 
 // TestRowsMatchOnce fails when an engine edit rots a row of the table, so
-// the nightly sweep never finds out first.
+// the mutant sweep never finds out first.
 func TestRowsMatchOnce(t *testing.T) {
 	root := repoRoot(t)
 	for _, m := range table {

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"vce/internal/arch"
 )
@@ -47,15 +46,11 @@ func fleetShape(ms MachineSetSpec) ([]arch.Machine, []int, error) {
 	var out []arch.Machine
 	var slots []int
 	for _, cl := range ms.Classes {
-		key := strings.ToLower(strings.TrimSpace(cl.Class))
-		def, ok := classDefaults[key]
-		if !ok {
+		class, err := arch.ParseClass(cl.Class)
+		if err != nil {
 			return nil, nil, fmt.Errorf("scenario: unknown machine class %q", cl.Class)
 		}
-		class, err := arch.ParseClass(key)
-		if err != nil {
-			return nil, nil, err
-		}
+		def := classDefaults[class]
 		mem := cl.MemoryMB
 		if mem == 0 {
 			mem = def.memoryMB

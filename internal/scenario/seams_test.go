@@ -102,6 +102,78 @@ func TestWorldIsAFunctionOfSpecAndRun(t *testing.T) {
 	}
 }
 
+// TestOneDrawRule pins the task-draw rule. Each of a task's draws comes
+// from its own derived stream, so a closed bag's arrivals and work do not
+// depend on whether the workload constrains any task. And task i of a
+// streaming run is the i-th draw of taskDraws over the run's derived
+// streams, refused arrivals included, so every cell of a run consumes the
+// streams alike whatever its queue state.
+func TestOneDrawRule(t *testing.T) {
+	// Closed: poisson arrivals, a quarter of the tasks constrained, against
+	// the same spec with no constraint.
+	sp := testSpec()
+	free := *sp
+	free.Workload.Constrained = nil
+	ar, plain := testArena(t, sp), testArena(t, &free)
+	for run := 0; run < 2; run++ {
+		ar.generateWorld(run)
+		plain.generateWorld(run)
+		flagged := 0
+		for i, g := range ar.world.tasks {
+			p := plain.world.tasks[i]
+			if g.arrival != p.arrival || g.work != p.work || p.constrained {
+				t.Errorf("closed run %d task %d: constrained draw %+v, unconstrained %+v", run, i, g, p)
+			}
+			if g.constrained {
+				flagged++
+			}
+		}
+		if n := sp.Workload.Tasks; len(ar.world.tasks) != n || len(plain.world.tasks) != n || flagged == 0 || flagged == n {
+			t.Errorf("closed run %d: bags of %d and %d tasks (want %d), %d constrained", run, len(ar.world.tasks), len(plain.world.tasks), n, flagged)
+		}
+	}
+
+	// Streaming: record each arrival the pump offers — an admitted one as
+	// its slot holds it, a refused one as the pending pump event held it.
+	sp = streamSpec()
+	sp.Workload.Constrained = &ConstrainedSpec{Fraction: 0.3, Class: "workstation"}
+	ar, c := testCell(t, sp, "greedy-best-fit", "checkpoint")
+	var offered []taskGen
+	refused := 0
+	for sim := ar.cluster.Sim; sim.Now() < ar.horizon; {
+		pending, full, n := c.arriving, c.pol.Len() >= sp.Workload.QueueLimit, c.offered
+		next := ar.pool.created // the slot an admission acquires
+		if k := len(ar.pool.free); k > 0 {
+			next = ar.pool.free[k-1]
+		}
+		if !sim.Step() {
+			break
+		}
+		switch {
+		case c.offered == n:
+		case full:
+			offered = append(offered, pending)
+			refused++
+		default:
+			offered = append(offered, ar.pool.slot(next).gen)
+		}
+	}
+	if refused == 0 || refused == len(offered) {
+		t.Fatalf("streaming cell refused %d of %d arrivals: not the overloaded cell this test assumes", refused, len(offered))
+	}
+	d := newTaskDraws(ar.sp, ar.src, derivedStreams(ar.sp, 0))
+	want := make([]taskGen, len(offered))
+	for i := range want {
+		want[i], _ = d.next()
+	}
+	for i := range offered {
+		if offered[i] != want[i] {
+			t.Fatalf("streaming arrival %d of %d (%d refused) drew %+v, want draw %d of the run, %+v",
+				i, len(offered), refused, offered[i], i, want[i])
+		}
+	}
+}
+
 // stagingSpec is a hand-built two-machine DAG cell: a fast workstation at
 // site a, a slow one-slot mimd host at site b behind a 0.1 MiB/s pipe, and a
 // root task fanning out to three children that each need 10 MiB of its
@@ -254,20 +326,23 @@ func TestRejectedCountsPlacedDrops(t *testing.T) {
 	}
 }
 
-// TestPoolSlots pins the pool seam: a closed cell holds slots 0..n-1 in
-// task order for its whole life, and a streaming cell's live records stay
-// bounded by the queue and the slots however many tasks arrive.
+// TestPoolSlots pins the pool seam: a closed cell takes slots 0..n-1 in
+// task order and acquires none after, so each completion frees its slot and
+// no id is reused; a streaming cell's live records stay bounded by the
+// queue and the slots however many tasks arrive.
 func TestPoolSlots(t *testing.T) {
 	sp := testSpec()
 	ar := testArena(t, sp)
 	for run := 0; run < 2; run++ { // the second cell recycles the first one's records
-		if _, err := ar.runCell(context.Background(), "greedy-best-fit", "suspend", run, false, nil); err != nil {
+		idx, err := ar.runCell(context.Background(), "greedy-best-fit", "suspend", run, false, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		n := sp.Workload.Tasks
 		p := &ar.pool
-		if p.created != n || len(p.free) != 0 {
-			t.Fatalf("closed cell: created=%d free=%d, want %d held slots", p.created, len(p.free), n)
+		if p.created != n || len(p.free) != idx.Completed || idx.Completed == 0 {
+			t.Fatalf("closed cell: created=%d free=%d after %d completions, want %d slots and one freed per completion",
+				p.created, len(p.free), idx.Completed, n)
 		}
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("task-%03d", i)

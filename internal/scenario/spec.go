@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"vce/internal/arch"
 	"vce/internal/rng"
 	"vce/internal/sched"
 )
@@ -373,17 +374,17 @@ func schedPolicy(name string) (func() sched.Policy, error) {
 	return build, nil
 }
 
-// classDefaults maps class keywords to generated machine-name prefixes and
+// classDefaults maps each machine class a spec may name (its keyword
+// parses with arch.ParseClass) to the generated machine-name prefix and
 // default memory.
-var classDefaults = map[string]struct {
+var classDefaults = map[arch.Class]struct {
 	prefix   string
 	memoryMB int
 }{
-	"workstation": {"ws", 64},
-	"ws":          {"ws", 64},
-	"mimd":        {"mimd", 512},
-	"simd":        {"simd", 1024},
-	"vector":      {"vec", 2048},
+	arch.Workstation: {"ws", 64},
+	arch.MIMD:        {"mimd", 512},
+	arch.SIMD:        {"simd", 1024},
+	arch.Vector:      {"vec", 2048},
 }
 
 // Validate checks the spec for structural errors: empty matrices, unknown
@@ -397,8 +398,7 @@ func (s *Spec) Validate() error {
 	}
 	total := 0
 	for i, cl := range s.Machines.Classes {
-		key := strings.ToLower(strings.TrimSpace(cl.Class))
-		if _, ok := classDefaults[key]; !ok {
+		if _, err := arch.ParseClass(cl.Class); err != nil {
 			return fmt.Errorf("scenario: %s: machines.classes[%d]: unknown class %q (want workstation, mimd, simd or vector)", s.Name, i, cl.Class)
 		}
 		if cl.Count <= 0 {
@@ -478,14 +478,13 @@ func (s *Spec) Validate() error {
 		if con.Fraction < 0 || con.Fraction > 1 {
 			return fmt.Errorf("scenario: %s: constrained.fraction %v outside [0, 1]", s.Name, con.Fraction)
 		}
-		key := strings.ToLower(strings.TrimSpace(con.Class))
-		def, ok := classDefaults[key]
-		if !ok {
+		class, err := arch.ParseClass(con.Class)
+		if err != nil {
 			return fmt.Errorf("scenario: %s: constrained.class: unknown class %q", s.Name, con.Class)
 		}
 		present := false
 		for _, cl := range s.Machines.Classes {
-			if d, ok := classDefaults[strings.ToLower(strings.TrimSpace(cl.Class))]; ok && d.prefix == def.prefix {
+			if c, _ := arch.ParseClass(cl.Class); c == class {
 				present = true
 				break
 			}

@@ -36,6 +36,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"unknown dist", `{"dist": "fixed", "value": 1}`, "unknown dist kind"},
 		{"bad uniform range", `{"dist": "uniform", "min": 10, "max": 20}`, "uniform dist needs"},
 		{"unknown class", `"workstation"`, "unknown class"},
+		// Class keywords are ASCII: no letter that case-maps onto one (long
+		// s, dotless i, Kelvin sign) spells a class.
+		{"long s in a class", `"workstation"`, "unknown class"},
+		{"dotless i in a class", `"workstation"`, "unknown class"},
+		{"Kelvin sign in a class", `"workstation"`, "unknown class"},
 		// A horizon past time.Duration's range, and a checkpoint tick the
 		// clock cannot advance past (1e-10 s rounds to 0 ns).
 		{"horizon overflows the clock", `"horizon_s": 600`, "horizon_s"},
@@ -50,6 +55,9 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		`{"dist": "zipf", "value": 1}`,
 		`{"dist": "uniform", "min": 30, "max": 20}`,
 		`"quantum"`,
+		`"\u017fimd"`,
+		`"m\u0131md"`,
+		`"wor\u212astation"`,
 		`"horizon_s": 1e12`,
 		`"seed": 7, "checkpoint_interval_s": 1e-10`,
 		`"seed": 7, "checkpoint_interval_s": 0.005`,

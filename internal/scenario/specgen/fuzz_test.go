@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"vce/internal/arch"
 	"vce/internal/scenario"
 )
 
@@ -59,20 +59,6 @@ func tameDist(d scenario.Dist) scenario.Dist {
 		d.Stddev = clampF(d.Stddev, 0, 1e4)
 	}
 	return d
-}
-
-// classPrefix normalizes a machine-class keyword to its generated-name
-// prefix, mirroring the scenario package's classDefaults table: taming must
-// decide class identity ("workstation" vs "ws") the way validation does.
-func classPrefix(class string) string {
-	switch strings.ToLower(strings.TrimSpace(class)) {
-	case "workstation", "ws":
-		return "ws"
-	case "vector":
-		return "vec"
-	default:
-		return strings.ToLower(strings.TrimSpace(class))
-	}
 }
 
 // tame scales an arbitrary parsed spec down to a fuzz-runnable one: tiny
@@ -128,11 +114,13 @@ func tame(sp *scenario.Spec) *scenario.Spec {
 		out.Workload.Arrivals.RatePerS = clampF(out.Workload.Arrivals.RatePerS, 1e-4, 1e4)
 	}
 	// Dropping machine classes may orphan the constrained-task pin; a spec
-	// that was valid before taming must stay valid after.
+	// that was valid before taming must stay valid after. Class identity
+	// ("workstation" vs "ws") is decided by the parser validation uses.
 	if con := out.Workload.Constrained; con != nil {
+		pin, _ := arch.ParseClass(con.Class)
 		present := false
 		for _, cl := range out.Machines.Classes {
-			if classPrefix(cl.Class) == classPrefix(con.Class) {
+			if c, _ := arch.ParseClass(cl.Class); c == pin {
 				present = true
 				break
 			}

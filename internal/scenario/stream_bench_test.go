@@ -144,7 +144,7 @@ func TestClosedCellAllocationBudget(t *testing.T) {
 	// Each budget is a third above what the cell allocated while the arena
 	// still built a new placement policy per cell (go1.24, linux/amd64): 72
 	// for the churn cell, 17 and 16 for the DAG cell under locality and
-	// greedy-best-fit. They now read 60, 6 and 6. One allocation per
+	// greedy-best-fit. They now read 58, 4 and 4. One allocation per
 	// checkpoint would add about 610 to the churn cell; allocating the
 	// resident walks and idle-machine lists per event, about 1500; a score
 	// column allocated per placement round, about 120 to the DAG cell and

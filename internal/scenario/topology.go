@@ -75,7 +75,7 @@ func buildTopology(ms *MachineSetSpec, specs []arch.Machine) *siteTopology {
 		}
 		classSite[ci] = id
 	}
-	// Machines generate class-major (generateMachines), so the site of
+	// The fleet is class-major (fleetShape), so the site of
 	// machine index i is the site of the class block containing i.
 	mi := 0
 	for ci, cl := range ms.Classes {

@@ -62,9 +62,9 @@ type world struct {
 	// specs is the fleet with this run's sampled speeds.
 	specs []arch.Machine
 	// tasks is the task bag of a closed source, in task-index order; a
-	// streaming source leaves it empty and draws tasks lazily per cell during
-	// the simulation — from the same derived streams, so the rest of the
-	// world still replays.
+	// streaming source leaves it empty and each cell draws its tasks as they
+	// arrive, by the same rule (taskDraws), so the rest of the world still
+	// replays.
 	tasks []taskGen
 	// events is every predetermined event of the run in firing order: owner
 	// steps, closed arrivals inside the horizon (DAG roots only; a child
@@ -89,6 +89,40 @@ type world struct {
 // effects, not sampling noise.
 func derivedStreams(sp *Spec, run int) *rng.Source {
 	return rng.New(sp.Seed).Derive(sp.Name).Derive(fmt.Sprintf("run-%03d", run))
+}
+
+// taskDraws is the one rule that draws a run's tasks, for a closed
+// source's bag (generateWorld) and an open-loop pump (scheduleNext) alike:
+// each next is one task's arrival from the source cursor and its work and
+// constraint flag, each from its own derived stream. A task the pump
+// refuses, or one past the horizon, draws all three too, so every cell of
+// the run consumes the streams identically whatever its queue state.
+type taskDraws struct {
+	arrivals    ArrivalCursor
+	work        *rng.Source
+	constraints *rng.Source // nil: the workload constrains no task
+	wl          *WorkloadSpec
+}
+
+// newTaskDraws starts sp's task draws over the run's derived streams root.
+func newTaskDraws(sp *Spec, src WorkloadSource, root *rng.Source) taskDraws {
+	d := taskDraws{
+		arrivals: src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals")),
+		work:     root.Derive("work"),
+		wl:       &sp.Workload,
+	}
+	if sp.Workload.Constrained != nil {
+		d.constraints = root.Derive("constraints")
+	}
+	return d
+}
+
+// next draws the next task; ok is false once the source has run dry.
+func (d *taskDraws) next() (g taskGen, ok bool) {
+	g.arrival, ok = d.arrivals()
+	g.work = d.wl.Work.Sample(d.work)
+	g.constrained = d.constraints != nil && d.constraints.Bool(d.wl.Constrained.Fraction)
+	return g, ok
 }
 
 // generateWorld makes the arena's world the one of run, regenerating from
@@ -136,30 +170,14 @@ func (ar *runArena) generateWorld(run int) {
 
 	// Closed sources materialize the task population here, as part of the
 	// world: the DAG critical path and the run-major replay both need the
-	// whole bag before the first arrival.
+	// whole bag before the first arrival. A closed source never runs dry.
 	w.tasks = w.tasks[:0]
 	w.graphCP = 0
 	if !ar.streaming {
 		w.tasks = resetFill(w.tasks, sp.Workload.Tasks, taskGen{})
-		workRng := root.Derive("work")
+		draws := newTaskDraws(sp, ar.src, root)
 		for i := range w.tasks {
-			w.tasks[i].work = sp.Workload.Work.Sample(workRng)
-		}
-		if con := sp.Workload.Constrained; con != nil {
-			conRng := root.Derive("constraints")
-			for i := range w.tasks {
-				w.tasks[i].constrained = conRng.Bool(con.Fraction)
-			}
-		}
-		if sp.Workload.Arrivals.Kind != "batch" {
-			cur := ar.src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals"))
-			for i := range w.tasks {
-				at, ok := cur()
-				if !ok {
-					at = horizon // exhausted source: never arrives
-				}
-				w.tasks[i].arrival = at
-			}
+			w.tasks[i], _ = draws.next()
 		}
 		w.generateGraph(sp.Workload.Graph, root)
 		for i, g := range w.tasks {

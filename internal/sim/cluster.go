@@ -215,32 +215,22 @@ func (c *Cluster) AppendIdleMachines(dst []*Machine, threshold float64) []*Machi
 }
 
 // LeastLoaded returns the n least-loaded machines admitted by req (what a
-// bid round would select), by ascending Load then name. The load key is
-// computed once per candidate before sorting, not O(n log n) times inside
-// the comparator.
+// bid round would select), by ascending Load then name.
 func (c *Cluster) LeastLoaded(req arch.Requirements, n int) []*Machine {
-	type cand struct {
-		m    *Machine
-		load float64
-	}
-	var cands []cand
+	var out []*Machine
 	for _, m := range c.machines {
 		if req.Admits(m.Spec) {
-			cands = append(cands, cand{m, m.Load()})
+			out = append(out, m)
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
+	sort.SliceStable(out, func(i, j int) bool {
+		if li, lj := out[i].Load(), out[j].Load(); li != lj {
+			return li < lj
 		}
-		return cands[i].m.Name() < cands[j].m.Name()
+		return out[i].Name() < out[j].Name()
 	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]*Machine, len(cands))
-	for i, c := range cands {
-		out[i] = c.m
+	if len(out) > n {
+		out = out[:n]
 	}
 	return out
 }
