@@ -14,7 +14,9 @@
 //
 // The (instance × run) grid fans out across -workers goroutines (default:
 // one per CPU). Runs are deterministic: the same spec and -seed reproduce
-// byte-identical artifacts at any worker count.
+// byte-identical artifacts at any worker count. A spec that validates runs
+// every cell: a sweep stops early only on -timeout, Ctrl-C or an engine
+// self-check, and then writes no report and exits 1.
 //
 // Arrival processes (workload.arrivals.kind): "batch" (everything at t=0),
 // "poisson" (homogeneous open arrivals), "diurnal" (sinusoidally
@@ -149,7 +151,6 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 		quiet    = fs.Bool("q", false, "suppress per-run progress lines")
 		workers  = fs.Int("workers", 0, "concurrent (instance, run) jobs (0 = one per CPU)")
 		timeout  = fs.Duration("timeout", 0, "wall-clock budget for the sweep (0 = none)")
-		keepOn   = fs.Bool("keep-going", false, "collect per-run errors instead of failing fast; report what succeeded")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write an allocation profile after the sweep to this file")
 		shardArg = fs.String("shard", "", "run only shard i of N grid slices, as \"i/N\" (0-based); combine outputs with `vcebench merge`")
@@ -268,12 +269,11 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 		rec = obs.New()
 	}
 	rep, err := scenario.RunContext(ctx, sp, scenario.Options{
-		Workers:         *workers,
-		ContinueOnError: *keepOn,
-		Progress:        progress,
-		Shard:           shard,
-		Cache:           cacheStore,
-		Telemetry:       rec,
+		Workers:   *workers,
+		Progress:  progress,
+		Shard:     shard,
+		Cache:     cacheStore,
+		Telemetry: rec,
 	})
 	if cache != nil {
 		// The stats line is machine-checked by scripts/sweep_shards.sh and
@@ -288,20 +288,15 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if err != nil {
-		if rep == nil {
-			// The sweep produced no report (fail-fast error, timeout or
-			// Ctrl-C) — the observability artifacts still land, so an
-			// interrupted sweep is accountable and, with -cache-dir, the
-			// resume path has its stats file next to the cells the store
-			// already holds.
-			if werr := writeObsArtifacts(*out, cache, rec, *telem, *traceOut, stdout); werr != nil {
-				fmt.Fprintln(stderr, werr)
-			}
-			return fail(stderr, err)
+		// The sweep produced no report (timeout, Ctrl-C or an engine
+		// self-check) — the observability artifacts still land, so an
+		// interrupted sweep is accountable and, with -cache-dir, the resume
+		// path has its stats file next to the cells the store already holds.
+		if werr := writeObsArtifacts(*out, cache, rec, *telem, *traceOut, stdout); werr != nil {
+			fmt.Fprintln(stderr, werr)
 		}
-		fmt.Fprintf(stderr, "vcebench: partial results: %v\n", err)
+		return fail(stderr, err)
 	}
-	partial := err != nil
 	fmt.Fprintln(stdout, rep.ComparisonTable().String())
 	if *out != "" {
 		written, err := rep.WriteArtifacts(*out)
@@ -314,9 +309,6 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if err := writeObsArtifacts(*out, cache, rec, *telem, *traceOut, stdout); err != nil {
 		return fail(stderr, err)
-	}
-	if partial {
-		return 1
 	}
 	return 0
 }

@@ -220,3 +220,30 @@ func TestParseShard(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedClassBlocksRun: a spec may list one machine class in several
+// blocks — a fast and a slow workstation group at two sites, or the
+// "workstation" and "ws" spellings of one class. Machines number per class
+// across blocks, so both sweeps run every cell and exit 0.
+func TestRepeatedClassBlocksRun(t *testing.T) {
+	for name, classes := range map[string]string{
+		"two-speeds": `{"class": "workstation", "count": 2, "site": "a", "speed": {"dist": "fixed", "value": 2}},
+			{"class": "workstation", "count": 2, "site": "b", "speed": {"dist": "fixed", "value": 1}}`,
+		"alias": `{"class": "workstation", "count": 1, "speed": {"dist": "fixed", "value": 1}},
+			{"class": "ws", "count": 1, "speed": {"dist": "fixed", "value": 1}}`,
+	} {
+		spec := `{"name": "` + name + `", "horizon_s": 300,
+			"machines": {"classes": [` + classes + `]},
+			"workload": {"tasks": 4, "work": {"dist": "fixed", "value": 10}},
+			"policies": {"scheduling": ["greedy-best-fit"], "migration": ["none"]},
+			"runs": 3, "seed": 1}`
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, errOut := runCLI(t, "-spec", path, "-q")
+		if code != 0 || strings.Contains(stdout, "partial") {
+			t.Errorf("%s: exit %d\nstdout:\n%s\nstderr:\n%s", name, code, stdout, errOut)
+		}
+	}
+}

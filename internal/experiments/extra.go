@@ -189,11 +189,7 @@ func E13Utilization() (*Result, error) {
 		var doneSum float64
 		// The engine's generators: Poisson arrivals over the first half of
 		// the horizon, uniform work in [jobWork, jobWork+1).
-		poisson, err := scenario.WorkloadSourceFor("poisson")
-		if err != nil {
-			return outcome{}, err
-		}
-		next := poisson.Cursor(scenario.ArrivalSpec{RatePerS: 1.0 / 45}, r.Derive("arrivals"))
+		next := scenario.ArrivalSpec{Kind: "poisson", RatePerS: 1.0 / 45}.Cursor(r.Derive("arrivals"))
 		var arrivals []time.Duration
 		for at, _ := next(); at < horizon/2 && len(arrivals) < nJobs; at, _ = next() {
 			arrivals = append(arrivals, at)

@@ -71,9 +71,9 @@ type Cell struct {
 	// Runs holds the per-seed indexes in run order.
 	Runs []Indexes `json:"runs"`
 	// RunNumbers lists the original run index of each Runs entry. A
-	// complete sweep yields 0..Runs-1; a partial report (ContinueOnError
-	// with failures, or cancellation) keeps the survivors' true seed
-	// identities so runs.csv rows still correlate with run indexes.
+	// complete sweep yields 0..Runs-1 and leaves it empty; a partial report
+	// (a shard, or a merge of some of a sweep's shards) keeps its runs' true
+	// seed identities so runs.csv rows still correlate with run indexes.
 	RunNumbers []int `json:"run_numbers,omitempty"`
 }
 

@@ -20,7 +20,7 @@ import (
 // arrive sequentially, so nothing here is synchronized.
 //
 // Everything that is constant for the spec resolves once, at construction:
-// the workload source and its streaming bit, the horizon, the default link
+// the arrival kind's streaming bit, the horizon, the default link
 // and the site topology, the fleet's shape (names, classes, slots — all but
 // the per-run speed draws), the placement candidate sets, the payload sizes
 // and the handlers the kernel and the cluster call back. Two kinds of state
@@ -37,7 +37,6 @@ import (
 // handlers are the arena's methods (cell.go).
 type runArena struct {
 	sp        *Spec
-	src       WorkloadSource
 	streaming bool
 	dag       bool // workload.graph is set
 	horizon   time.Duration
@@ -131,24 +130,13 @@ type runArena struct {
 }
 
 // newArena binds an arena to sp, which must be validated with defaults
-// applied. A spec the engine cannot run — trace arrivals whose trace_path
-// was never inlined — fails here, once, instead of once per cell.
-func newArena(sp *Spec) (*runArena, error) {
-	src, err := WorkloadSourceFor(sp.Workload.Arrivals.Kind)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %s: %w", sp.Name, err)
-	}
-	if a := sp.Workload.Arrivals; a.Kind == "trace" && len(a.TraceS) == 0 {
-		return nil, fmt.Errorf("scenario: %s: trace arrivals not inlined — trace_path requires scenario.Load", sp.Name)
-	}
-	fleet, slots, err := fleetShape(sp.Machines)
-	if err != nil {
-		return nil, err
-	}
+// applied: every name it resolves — arrival kind, machine classes,
+// policies — is one Validate accepted.
+func newArena(sp *Spec) *runArena {
+	fleet, slots := fleetShape(sp.Machines)
 	ar := &runArena{
 		sp:        sp,
-		src:       src,
-		streaming: src.Streaming(),
+		streaming: sp.Workload.Arrivals.Streaming(),
 		dag:       sp.Workload.Graph != nil,
 		horizon:   time.Duration(sp.HorizonS * float64(time.Second)),
 		net: netsim.New(netsim.Link{
@@ -177,17 +165,14 @@ func newArena(sp *Spec) (*runArena, error) {
 		ar.allIDs = append(ar.allIDs, i)
 	}
 	if con := sp.Workload.Constrained; con != nil {
-		class, err := arch.ParseClass(con.Class)
-		if err != nil {
-			return nil, err
-		}
+		class, _ := arch.ParseClass(con.Class)
 		for i, m := range fleet {
 			if m.Class == class {
 				ar.pinnedIDs = append(ar.pinnedIDs, i)
 			}
 		}
 	}
-	return ar, nil
+	return ar
 }
 
 // growSlices resizes a slice-of-slices to n entries with every inner slice
@@ -377,18 +362,15 @@ func (ar *runArena) acquire(g taskGen) int {
 
 // policy returns the arena's placement policy of the given name, emptied
 // for a new cell. A reset policy places exactly as a new one does.
-func (ar *runArena) policy(name string) (sched.Policy, error) {
+func (ar *runArena) policy(name string) sched.Policy {
 	for _, p := range ar.policies {
 		if p.Name() == name {
 			p.Reset()
-			return p, nil
+			return p
 		}
 	}
-	build, err := schedPolicy(name)
-	if err != nil {
-		return nil, err
-	}
+	build, _ := lookup(schedPolicies, name)
 	p := build()
 	ar.policies = append(ar.policies, p)
-	return p, nil
+	return p
 }

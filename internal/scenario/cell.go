@@ -28,9 +28,9 @@ type AuditError struct {
 }
 
 func (e *AuditError) Error() string {
-	// No "scenario: <instance> run <n>" prefix here: the executor wraps
-	// collected run errors with exactly that context, and direct callers
-	// have the Instance/Run fields.
+	// No "scenario: <instance> run <n>" prefix here: the executor wraps a
+	// failed run's error with exactly that context, and direct callers have
+	// the Instance/Run fields.
 	msg := "engine audit failed:\n  " + strings.Join(e.Violations, "\n  ")
 	if e.Dropped > 0 {
 		msg += fmt.Sprintf("\n  ... and %d more violations", e.Dropped)
@@ -54,11 +54,7 @@ func RunInstanceContext(ctx context.Context, inst Instance, run int) (Indexes, e
 	if err := sp.Validate(); err != nil {
 		return Indexes{}, err
 	}
-	ar, err := newArena(sp)
-	if err != nil {
-		return Indexes{}, err
-	}
-	return ar.runCell(ctx, inst.Sched, inst.Migration, run, false, nil)
+	return newArena(sp).runCell(ctx, inst.Sched, inst.Migration, run, false, nil)
 }
 
 // cell is the per-cell state of the arena (runArena embeds it): the policies
@@ -172,9 +168,7 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 	if audit {
 		auditor = sim.AttachAuditor(cl)
 	}
-	if err := ar.startCell(schedName, migration, run); err != nil {
-		return Indexes{}, err
-	}
+	ar.startCell(schedName, migration, run)
 	ar.auditor = auditor
 
 	// ctx's end halts the kernel from whichever goroutine ends it. The halt
@@ -195,8 +189,7 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 	}
 	// Only a run the halt actually truncated is discarded: a context that
 	// expires after the final event has run leaves the indexes complete and
-	// valid, and throwing them away would shrink partial reports for no
-	// reason.
+	// valid.
 	if end < ar.horizon {
 		return Indexes{}, ctx.Err()
 	}
@@ -223,18 +216,16 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 // startCell starts a new cell on the prepared substrate: it resets the
 // cell's state, attaches its policies, schedules its setup-time events in
 // the order runCell documents, and arms the world's first event.
-func (ar *runArena) startCell(schedName, migration string, run int) error {
+func (ar *runArena) startCell(schedName, migration string, run int) {
 	cl := ar.cluster
 	ar.cell = cell{key: schedName + "/" + migration, run: run}
 	ar.worldSeq[0] = cl.Sim.Reserve()
-	if err := ar.attachPolicies(schedName, migration); err != nil {
-		return err
-	}
+	ar.attachPolicies(schedName, migration)
 	ar.noteQueueDepth(0, 0)
 	// A streaming cell draws its tasks as they arrive: the pump is a
 	// self-scheduling event that admits or refuses each one.
 	if ar.streaming {
-		ar.draws = newTaskDraws(ar.sp, ar.src, derivedStreams(ar.sp, run))
+		ar.draws = newTaskDraws(ar.sp, derivedStreams(ar.sp, run))
 		ar.scheduleNext()
 	}
 	// One checkpoint cadence per cell (§4.4 "migratable jobs checkpoint
@@ -245,7 +236,6 @@ func (ar *runArena) startCell(schedName, migration string, run int) error {
 	cl.OnChange(ar.changeFn)
 	ar.worldSeq[1] = cl.Sim.Reserve()
 	ar.armWorld()
-	return nil
 }
 
 // machineChanged is the cell's change listener. Every change makes its
@@ -295,45 +285,38 @@ func (ar *runArena) worldEvent() {
 
 // attachPolicies resolves the cell's scheduling policy and attaches its
 // migration strategy (the migrations table) to the cluster.
-func (ar *runArena) attachPolicies(schedName, migration string) error {
-	pol, err := ar.policy(schedName)
-	if err != nil {
-		return err
-	}
-	ar.pol = pol
-	ar.loc, _ = pol.(*sched.Locality)
+func (ar *runArena) attachPolicies(schedName, migration string) {
+	ar.pol = ar.policy(schedName)
+	ar.loc, _ = ar.pol.(*sched.Locality)
 	// Only DAG items carry a home site (newItem). Elsewhere Locality places
 	// every item greedily either way, and without a topology its round
 	// skips the walk over every item that its backlog counters need.
 	if ar.loc != nil && ar.dag && ar.topo != nil {
 		ar.loc.SetTopology(ar.topo.siteOf, ar.locCost)
 	}
-	attach, ok := lookup(migrations, migration)
-	if !ok {
-		return fmt.Errorf("scenario: unknown migration strategy %q", migration)
-	}
-	return attach(ar)
+	attach, _ := lookup(migrations, migration)
+	attach(ar)
 }
 
 // migrations is the migration axis: every strategy name a spec may list,
 // in MigrationNames order, and how a cell attaches it.
-var migrations = []option[func(*runArena) error]{
-	{"none", func(*runArena) error { return nil }},
-	{"suspend", func(ar *runArena) error {
+var migrations = []option[func(*runArena)]{
+	{"none", func(*runArena) {}},
+	{"suspend", func(ar *runArena) {
 		ar.stealth = loadbalance.NewStealth()
 		ar.stealth.Attach(ar.cluster)
-		return nil
 	}},
-	{"address-space", func(ar *runArena) error { ar.attachMigrate(migrate.AddressSpace{}); return nil }},
-	{"checkpoint", func(ar *runArena) error { ar.attachMigrate(ar.newCheckpointer()); return nil }},
-	{"recompile", func(ar *runArena) error { ar.attachMigrate(newRecompile()); return nil }},
-	{"adaptive", func(ar *runArena) error {
+	{"address-space", func(ar *runArena) { ar.attachMigrate(migrate.AddressSpace{}) }},
+	{"checkpoint", func(ar *runArena) { ar.attachMigrate(ar.newCheckpointer()) }},
+	{"recompile", func(ar *runArena) { ar.attachMigrate(newRecompile()) }},
+	{"adaptive", func(ar *runArena) {
 		picker, err := migrate.NewPicker(migrate.AddressSpace{}, ar.newCheckpointer(), newRecompile())
 		if err != nil {
-			return err
+			// Impossible by construction: the repertoire is fixed and
+			// every member estimates its costs.
+			panic(err)
 		}
 		ar.attachMigrate(picker)
-		return nil
 	}},
 }
 

@@ -30,9 +30,9 @@ type ProgressEvent struct {
 // whatever the grid shape, every position lands in exactly one shard, and
 // the assignment depends only on (spec, N), so independent processes — CI
 // jobs, machines — agree on the partition without coordinating. Each shard
-// produces a partial Report (survivor runs tagged with their true run
-// numbers); MergeReports recombines them into the byte-identical
-// single-process report.
+// produces a partial Report (its runs tagged with their true run numbers);
+// MergeReports recombines them into the byte-identical single-process
+// report.
 type Shard struct {
 	// Index is this shard's position in [0, Count).
 	Index int
@@ -84,15 +84,6 @@ type Options struct {
 	// byte-identical across worker counts: results are merged back in
 	// cell/run order whatever order jobs finish in.
 	Workers int
-	// ContinueOnError keeps the sweep going when a cell run fails:
-	// RunContext then returns the partial report (failed runs omitted from
-	// their cell's Runs) together with the joined errors. The default is
-	// fail-fast — the first error cancels the remaining jobs and is
-	// returned with a nil report; with more than one worker that is the
-	// error at the lowest cell/run position among the jobs that actually
-	// ran, since cancellation may stop earlier grid positions from ever
-	// starting.
-	ContinueOnError bool
 	// Progress observes completed runs (the CLI's live log, the service's
 	// event stream); may be nil. The executor serializes invocations — the
 	// callback never runs concurrently with itself and needs no locking —
@@ -153,9 +144,14 @@ type outcome struct {
 // worker runs its cells on its own run arena, an isolated simulation world
 // built from the spec's per-run derived random streams — and the results
 // merge back into the Report in expansion order. For a fixed spec and seed
-// the report is byte-identical regardless of worker count. Cancelling ctx
-// halts in-flight simulations promptly; RunContext then returns ctx's error
-// (joined with the partial report when ContinueOnError is set).
+// the report is byte-identical regardless of worker count.
+//
+// A spec that validates runs every cell: a cell fails only when ctx ends or
+// an engine self-check trips (an *AuditError, a task that completed before
+// it arrived). The first failure cancels the remaining jobs and RunContext
+// returns it, as "scenario: <cell> run <n>: <cause>", with a nil report;
+// with one worker that is the lowest grid position. Cancelling ctx halts
+// in-flight simulations promptly, and RunContext then returns ctx's error.
 //
 // Options.Shard restricts execution to one deterministic slice of the grid
 // (see Shard; MergeReports recombines shard reports), and Options.Cache
@@ -199,16 +195,10 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 	}
 	// Each worker owns one run arena for its whole lifetime: worlds and
 	// simulation substrate recycle across the jobs it executes, and nothing
-	// in an arena is shared between workers. They are built here, before any
-	// worker starts, so a spec the engine cannot run fails the sweep once
-	// instead of once per cell.
+	// in an arena is shared between workers.
 	arenas := make([]*runArena, workers)
 	for w := range arenas {
-		ar, err := newArena(sp)
-		if err != nil {
-			return nil, err
-		}
-		arenas[w] = ar
+		arenas[w] = newArena(sp)
 	}
 	var execStart time.Duration
 	if rec != nil {
@@ -217,8 +207,8 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		execStart = rec.Elapsed()
 	}
 
-	// The derived ctx lets fail-fast and early errors stop the feeder and
-	// the in-flight simulations without disturbing the caller's context.
+	// The derived ctx lets a failed run stop the feeder and the in-flight
+	// simulations without disturbing the caller's context.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -227,29 +217,29 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 
 	// Fan-in runs on the calling goroutine. Results land in a grid indexed
 	// by (cell, run), so the merge below rebuilds the exact serial order no
-	// matter when jobs finish; progress fires here, hence serialized.
+	// matter when jobs finish; progress fires here, hence serialized. The
+	// first run error cancels the rest; runs that failed only because
+	// cancellation reached them are not errors of their own.
 	got := make([][]*Indexes, len(insts))
-	failed := make([][]error, len(insts))
 	for i := range insts {
 		got[i] = make([]*Indexes, sp.Runs)
-		failed[i] = make([]error, sp.Runs)
 	}
+	var runErr error
 	done := 0
 	for out := range outCh {
-		if out.err != nil {
-			failed[out.cell][out.run] = out.err
-			if !opts.ContinueOnError {
-				cancel() // fail fast: stop feeding, halt in-flight runs, drain
+		switch {
+		case out.err == nil:
+			done++
+			got[out.cell][out.run] = &out.idx
+			if opts.Progress != nil {
+				opts.Progress(ProgressEvent{
+					Instance: insts[out.cell], Run: out.run,
+					Indexes: out.idx, Cached: out.cached,
+				})
 			}
-			continue
-		}
-		done++
-		got[out.cell][out.run] = &out.idx
-		if opts.Progress != nil {
-			opts.Progress(ProgressEvent{
-				Instance: insts[out.cell], Run: out.run,
-				Indexes: out.idx, Cached: out.cached,
-			})
+		case runErr == nil && !errors.Is(out.err, ctx.Err()):
+			runErr = fmt.Errorf("scenario: %s run %d: %w", insts[out.cell].Key(), out.run, out.err)
+			cancel() // stop feeding, halt in-flight runs, drain
 		}
 	}
 	var mergeStart time.Duration
@@ -257,35 +247,20 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		rec.RecordSpan("execute", execStart, rec.Elapsed())
 		mergeStart = rec.Elapsed()
 	}
-
-	// The grid is scanned in cell/run order, so the error that surfaces
-	// first is the one at the lowest matrix position among the jobs that
-	// ran, rather than whichever goroutine lost the race. Runs that failed only because cancellation
-	// reached them first collapse into one ctx error instead of repeating
-	// it per job — and a cancelled sweep always reports the ctx error, even
-	// when the unfinished jobs never got far enough to record their own.
-	var errs []error
-	ctxErr := ctx.Err()
-	for cell := range insts {
-		for run, err := range failed[cell] {
-			if err == nil || (ctxErr != nil && errors.Is(err, ctxErr)) {
-				continue
-			}
-			errs = append(errs, fmt.Errorf("scenario: %s run %d: %w", insts[cell].Key(), run, err))
-		}
+	if runErr != nil {
+		return nil, runErr
 	}
-	if ctxErr != nil && done < len(jobs) {
-		errs = append(errs, fmt.Errorf("scenario: %s: %w", sp.Name, ctxErr))
-	}
-	if len(errs) > 0 && !opts.ContinueOnError {
-		return nil, errs[0]
+	// A cancelled sweep reports ctx's error once, however many jobs it
+	// stopped or kept from starting.
+	if done < len(jobs) {
+		return nil, fmt.Errorf("scenario: %s: %w", sp.Name, ctx.Err())
 	}
 
 	rep := assembleReport(sp, insts, got)
 	if rec != nil {
 		rec.RecordSpan("merge", mergeStart, rec.Elapsed())
 	}
-	return rep, errors.Join(errs...)
+	return rep, nil
 }
 
 // executor is the per-sweep state every worker shares read-only.
@@ -383,7 +358,7 @@ func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) ou
 }
 
 // assembleReport rebuilds the report from the (cell, run) result grid in
-// expansion order; a nil entry is a run that did not survive.
+// expansion order; a nil entry is a run the grid's shards did not hold.
 func assembleReport(sp *Spec, insts []Instance, got [][]*Indexes) *Report {
 	rep := &Report{Engine: EngineVersion, Spec: sp}
 	for cell, inst := range insts {

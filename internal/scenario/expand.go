@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
 	"vce/internal/arch"
@@ -39,47 +40,34 @@ func (s *Spec) Instances() []Instance {
 // fleetShape materializes the spec-determined part of the machine-set model:
 // per-class counts with every machine field but the sampled speed, which
 // each run's world fills in (generateWorld), plus the per-machine slot
-// counts. Workstations alternate byte order (big/little by index parity) so
-// homogeneity-requiring migration strategies face the §4.4 heterogeneity
-// problem; other classes are big-endian.
-func fleetShape(ms MachineSetSpec) ([]arch.Machine, []int, error) {
+// counts. Machines number per class across blocks, so two workstation
+// blocks of two name ws00–ws03. Workstations alternate byte order
+// (big/little by that per-class index's parity) so homogeneity-requiring
+// migration strategies face the §4.4 heterogeneity problem; other classes
+// are big-endian. The class keywords are the ones Validate parsed.
+func fleetShape(ms MachineSetSpec) ([]arch.Machine, []int) {
 	var out []arch.Machine
 	var slots []int
+	numbered := make(map[arch.Class]int)
 	for _, cl := range ms.Classes {
-		class, err := arch.ParseClass(cl.Class)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario: unknown machine class %q", cl.Class)
-		}
+		class, _ := arch.ParseClass(cl.Class)
 		def := classDefaults[class]
-		mem := cl.MemoryMB
-		if mem == 0 {
-			mem = def.memoryMB
-		}
-		perSlots := cl.Slots
-		if perSlots == 0 {
-			perSlots = 1
-		}
-		for i := 0; i < cl.Count; i++ {
+		for range cl.Count {
+			i := numbered[class]
+			numbered[class]++
 			order := arch.BigEndian
 			if class == arch.Workstation && i%2 == 1 {
 				order = arch.LittleEndian
 			}
-			os := "unix"
-			switch class {
-			case arch.SIMD:
-				os = "cmost"
-			case arch.Vector:
-				os = "unicos"
-			}
 			out = append(out, arch.Machine{
 				Name:     fmt.Sprintf("%s%02d", def.prefix, i),
 				Class:    class,
-				OS:       os,
+				OS:       def.os,
 				Order:    order,
-				MemoryMB: mem,
+				MemoryMB: cmp.Or(cl.MemoryMB, def.memoryMB),
 			})
-			slots = append(slots, perSlots)
+			slots = append(slots, max(cl.Slots, 1)) // Validate refuses negative slots
 		}
 	}
-	return out, slots, nil
+	return out, slots
 }

@@ -38,9 +38,9 @@ func LoadReport(path string) (*Report, error) {
 // the same engine stamp, share an identical spec (defaults applied) and
 // cell structure, and no (cell, run) position may appear in more than one
 // input: overlap means the shards were produced with inconsistent
-// partitions, and picking a winner silently would mask that. Merging
-// partial reports (interrupted or ContinueOnError shards) is fine — the
-// result is simply partial where no shard contributed a run.
+// partitions, and picking a winner silently would mask that. Merging a
+// subset of the shards is fine — the result is simply partial where no
+// shard contributed a run.
 func MergeReports(reports ...*Report) (*Report, error) {
 	if len(reports) == 0 {
 		return nil, fmt.Errorf("scenario: merge: no reports")

@@ -130,52 +130,6 @@ func TestDeadlineStopsRunningCell(t *testing.T) {
 	}
 }
 
-// TestCancelledContinueOnErrorReturnsPartialReport checks the
-// collect-errors contract under cancellation: the completed runs survive in
-// the report, and the context error is still surfaced.
-func TestCancelledContinueOnErrorReturnsPartialReport(t *testing.T) {
-	sp := testSpec()
-	sp.Runs = 200
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var fired atomic.Bool
-	rep, err := RunContext(ctx, sp, Options{
-		Workers:         4,
-		ContinueOnError: true,
-		Progress: func(ProgressEvent) {
-			if fired.CompareAndSwap(false, true) {
-				cancel()
-			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want wrapped context.Canceled", err)
-	}
-	if rep == nil {
-		t.Fatal("ContinueOnError cancelled sweep returned nil report")
-	}
-	total := 0
-	for _, cell := range rep.Cells {
-		total += len(cell.Runs)
-		if len(cell.Runs) == sp.Runs {
-			continue // complete cell: position is the run number, no overlay
-		}
-		// Survivors keep their true seed identities: RunNumbers tracks Runs
-		// one-to-one and stays strictly increasing (run order).
-		if len(cell.RunNumbers) != len(cell.Runs) {
-			t.Fatalf("cell %s/%s: %d run numbers for %d runs", cell.Sched, cell.Migration, len(cell.RunNumbers), len(cell.Runs))
-		}
-		for i := 1; i < len(cell.RunNumbers); i++ {
-			if cell.RunNumbers[i] <= cell.RunNumbers[i-1] {
-				t.Fatalf("cell %s/%s: run numbers not increasing: %v", cell.Sched, cell.Migration, cell.RunNumbers)
-			}
-		}
-	}
-	if total == 0 || total >= len(rep.Cells)*sp.Runs {
-		t.Fatalf("partial report has %d runs, want some but not all of %d", total, len(rep.Cells)*sp.Runs)
-	}
-}
-
 // TestPartialReportKeepsRunIdentity pins the artifact contract for partial
 // reports: runs.csv rows carry the original run index (the seed identity),
 // not the slice position, and the comparison table flags the gap.
@@ -187,7 +141,7 @@ func TestPartialReportKeepsRunIdentity(t *testing.T) {
 		Cells: []Cell{{
 			Sched: "greedy-best-fit", Migration: "none",
 			Runs:       []Indexes{{Completed: 1}, {Completed: 2}},
-			RunNumbers: []int{0, 2}, // run 1 failed and was dropped
+			RunNumbers: []int{0, 2}, // run 1 is another shard's
 		}},
 	}
 	tab := rep.RunsTable()
@@ -205,72 +159,6 @@ func TestPartialReportKeepsRunIdentity(t *testing.T) {
 	}
 	if title := rep.ComparisonTable().Title; !strings.Contains(title, "partial") {
 		t.Errorf("comparison table title %q does not flag the partial sweep", title)
-	}
-}
-
-// dupMachineSpec passes Validate but fails in RunInstance: "workstation"
-// and "ws" are aliases for the same name prefix, so the second class
-// generates a duplicate machine name. This is the only way a structurally
-// valid spec errors at run time — exactly what the fail-fast/collect-errors
-// split is for.
-func dupMachineSpec() *Spec {
-	return &Spec{
-		Name:     "dup-machines",
-		HorizonS: 300,
-		Machines: MachineSetSpec{Classes: []MachineClassSpec{
-			{Class: "workstation", Count: 1, Speed: Dist{Kind: "fixed", Value: 1}},
-			{Class: "ws", Count: 1, Speed: Dist{Kind: "fixed", Value: 1}},
-		}},
-		Workload: WorkloadSpec{Tasks: 2, Work: Dist{Kind: "fixed", Value: 10}},
-		Policies: PolicyMatrix{Scheduling: []string{"greedy-best-fit"}, Migration: []string{"none"}},
-		Runs:     3,
-		Seed:     1,
-	}
-}
-
-func TestFailFastReturnsFirstGridError(t *testing.T) {
-	// workers=1 pins the full contract: the first grid position's error
-	// surfaces. Wider pools may cancel jobs before they start, so there the
-	// guarantee is the lowest position among jobs that actually ran.
-	rep, err := RunContext(context.Background(), dupMachineSpec(), Options{Workers: 1})
-	if err == nil {
-		t.Fatal("want error from duplicate machine names")
-	}
-	if rep != nil {
-		t.Fatalf("fail-fast returned a report alongside the error: %+v", rep)
-	}
-	if !strings.Contains(err.Error(), "duplicate machine") {
-		t.Errorf("error = %v, want the duplicate-machine cause", err)
-	}
-	if !strings.Contains(err.Error(), "run 0") {
-		t.Errorf("error = %v, want the lowest grid position (run 0)", err)
-	}
-
-	// Wide pool: same cause, no report, whichever run surfaces.
-	rep, err = RunContext(context.Background(), dupMachineSpec(), Options{Workers: 4})
-	if err == nil || rep != nil {
-		t.Fatalf("workers=4 fail-fast: rep=%v err=%v", rep, err)
-	}
-	if !strings.Contains(err.Error(), "duplicate machine") {
-		t.Errorf("workers=4 error = %v, want the duplicate-machine cause", err)
-	}
-}
-
-func TestContinueOnErrorCollectsAllRuns(t *testing.T) {
-	rep, err := RunContext(context.Background(), dupMachineSpec(), Options{Workers: 4, ContinueOnError: true})
-	if err == nil {
-		t.Fatal("want joined errors from duplicate machine names")
-	}
-	if rep == nil {
-		t.Fatal("ContinueOnError must return the (empty) report alongside the errors")
-	}
-	if len(rep.Cells) != 1 || len(rep.Cells[0].Runs) != 0 {
-		t.Fatalf("report cells = %+v, want one cell with zero surviving runs", rep.Cells)
-	}
-	for _, want := range []string{"run 0", "run 1", "run 2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error %v missing %s", err, want)
-		}
 	}
 }
 

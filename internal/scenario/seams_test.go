@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vce/internal/arch"
 	"vce/internal/sched"
 	"vce/internal/sim"
 )
@@ -19,11 +20,7 @@ import (
 
 func testArena(t *testing.T, sp *Spec) *runArena {
 	t.Helper()
-	ar, err := newArena(sp.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ar
+	return newArena(sp.withDefaults())
 }
 
 // streamSpec is an overloaded open-loop cell: 20k diurnal arrivals at ten a
@@ -58,9 +55,7 @@ func testCell(t *testing.T, sp *Spec, sched, migration string) (*runArena, *cell
 	if err := ar.prepare(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ar.startCell(sched, migration, 0); err != nil {
-		t.Fatal(err)
-	}
+	ar.startCell(sched, migration, 0)
 	return ar, &ar.cell
 }
 
@@ -161,7 +156,7 @@ func TestOneDrawRule(t *testing.T) {
 	if refused == 0 || refused == len(offered) {
 		t.Fatalf("streaming cell refused %d of %d arrivals: not the overloaded cell this test assumes", refused, len(offered))
 	}
-	d := newTaskDraws(ar.sp, ar.src, derivedStreams(ar.sp, 0))
+	d := newTaskDraws(ar.sp, derivedStreams(ar.sp, 0))
 	want := make([]taskGen, len(offered))
 	for i := range want {
 		want[i], _ = d.next()
@@ -268,9 +263,7 @@ func TestAuditedSnapshotCatchesAWrongEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	auditor := sim.AttachAuditor(ar.cluster)
-	if err := ar.startCell("greedy-best-fit", "none", 0); err != nil {
-		t.Fatal(err)
-	}
+	ar.startCell("greedy-best-fit", "none", 0)
 	ar.auditor = auditor
 	ar.cluster.Sim.RunUntil(6 * time.Second)
 	if v := auditor.Violations(); len(v) != 0 || ar.pol.Len() != 1 || ar.states[1].Slots != 0 {
@@ -433,9 +426,7 @@ func TestRecycledArenaShipsItsOwnImage(t *testing.T) {
 		if err := ar.prepare(0); err != nil {
 			t.Fatal(err)
 		}
-		if err := ar.startCell("greedy-best-fit", "checkpoint", 0); err != nil {
-			t.Fatal(err)
-		}
+		ar.startCell("greedy-best-fit", "checkpoint", 0)
 		c := &ar.cell
 		onto, from := ar.machines[x], ar.machines[1-x]
 		onto.SetLocalLoad(1)
@@ -535,9 +526,7 @@ func handSetCell(t *testing.T, sp *Spec, migration string, events []worldEvent) 
 		t.Fatal(err)
 	}
 	ar.world.events = events
-	if err := ar.startCell("greedy-best-fit", migration, 0); err != nil {
-		t.Fatal(err)
-	}
+	ar.startCell("greedy-best-fit", migration, 0)
 	return ar, &ar.cell
 }
 
@@ -625,5 +614,61 @@ func TestWorldEventTieOrder(t *testing.T) {
 	ar.cluster.Sim.RunUntil(0)
 	if ar.pool.slot(0).task.Machine() != ar.machines[1] {
 		t.Errorf("the t = 0 arrival did not land on %s: it fired before the t = 0 owner steps", ar.machines[1].Name())
+	}
+}
+
+// TestClassBlocksNumberPerClass: two workstation blocks at different speeds
+// and sites share one name sequence, ws00–ws03, and byte order alternates by
+// that per-class index, not by the position inside a block. Both sites'
+// machines run tasks.
+func TestClassBlocksNumberPerClass(t *testing.T) {
+	sp := &Spec{
+		Name:     "class-blocks",
+		HorizonS: 3600,
+		Machines: MachineSetSpec{Classes: []MachineClassSpec{
+			{Class: "workstation", Count: 1, Site: "a", Speed: Dist{Kind: "fixed", Value: 2}},
+			{Class: "mimd", Count: 1, Site: "a", Speed: Dist{Kind: "fixed", Value: 1}},
+			{Class: "workstation", Count: 3, Site: "b", Speed: Dist{Kind: "fixed", Value: 1}},
+		}},
+		Workload: WorkloadSpec{Tasks: 40, Work: Dist{Kind: "fixed", Value: 10}},
+		Policies: PolicyMatrix{Scheduling: []string{"greedy-best-fit"}, Migration: []string{"none"}},
+		Runs:     1,
+	}
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ar := testArena(t, sp)
+	idx, err := ar.runCell(context.Background(), "greedy-best-fit", "none", 0, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.Completed != sp.Workload.Tasks {
+		t.Errorf("completed %d of %d tasks", idx.Completed, sp.Workload.Tasks)
+	}
+	want := []struct {
+		name   string
+		little bool
+		speed  float64
+		site   string
+	}{
+		{"ws00", false, 2, "a"},
+		{"mimd00", false, 1, "a"},
+		{"ws01", true, 1, "b"},
+		{"ws02", false, 1, "b"},
+		{"ws03", true, 1, "b"},
+	}
+	ran := map[string]bool{}
+	for i, m := range ar.machines {
+		w := want[i]
+		if m.Name() != w.name || (m.Spec.Order == arch.LittleEndian) != w.little || m.Spec.Speed != w.speed {
+			t.Errorf("machine %d is %s (%v, speed %g), want %s (little-endian %v, speed %g)",
+				i, m.Name(), m.Spec.Order, m.Spec.Speed, w.name, w.little, w.speed)
+		}
+		if m.RemoteUtilization(ar.horizon) > 0 {
+			ran[w.site] = true
+		}
+	}
+	if !ran["a"] || !ran["b"] {
+		t.Errorf("sites that ran tasks: %v, want a and b", ran)
 	}
 }

@@ -424,8 +424,23 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("zero-length checkpoint tick: status %d, error %q", resp.StatusCode, msg["error"])
 	}
 
+	// A trace file only Load can read is refused at submission, not
+	// accepted and then failed by the sweep.
+	traced := strings.Replace(tinySpec, `"min": 20, "max": 40}}`,
+		`"min": 20, "max": 40}, "arrivals": {"kind": "trace", "trace_path": "arrivals.trace"}}`, 1)
+	resp, err = http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(traced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg = nil
+	json.NewDecoder(resp.Body).Decode(&msg)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg["error"], "trace_path") {
+		t.Errorf("un-inlined trace_path: status %d, error %q", resp.StatusCode, msg["error"])
+	}
+
 	// A valid spec padded to one byte over the body limit is refused for
-	// its size alone. Neither refusal leaves a sweep directory; the
+	// its size alone. No refusal leaves a sweep directory; the
 	// submission after them (below) shows the daemon still serves.
 	oversized := tinySpec + strings.Repeat(" ", maxSpecBytes+1-len(tinySpec))
 	resp, err = http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(oversized))

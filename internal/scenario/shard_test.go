@@ -135,8 +135,8 @@ func TestMergedShardArtifactsMatchGolden(t *testing.T) {
 }
 
 // TestMergePartialShardsKeepsRunIdentity merges an incomplete shard set:
-// the result must be a partial report whose surviving runs keep their true
-// run numbers, exactly like a ContinueOnError sweep.
+// the result must be a partial report whose runs keep their true run
+// numbers.
 func TestMergePartialShardsKeepsRunIdentity(t *testing.T) {
 	sp := testSpec()
 	shards := runShards(t, sp, 3, Options{Workers: 2})

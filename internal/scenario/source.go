@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -12,92 +13,83 @@ import (
 	"vce/internal/rng"
 )
 
-// WorkloadSource generates a run's arrival process. The engine resolves
-// `workload.arrivals.kind` against the source table below, and validation
-// errors enumerate its kinds programmatically.
+// arrival is one arrival kind: the kind names an entry of the arrivals
+// table, which Validate, the engine and the generators all read.
 //
-// Sources come in two execution modes, selected by the spec's arrival kind.
-// A closed source — batch, poisson — has its arrival instants materialized
-// into the run's generated world up front, alongside the work and constraint
-// draws. An open-loop (streaming) source — diurnal, trace — is pumped lazily
-// during the simulation by a self-scheduling arrival event: its task records
-// are recycled through the task pool at completion, so a cell can absorb
-// millions of arrivals in memory independent of the task count.
-type WorkloadSource interface {
-	// Kind is the spec keyword that selects this source.
-	Kind() string
-	// Validate checks the arrival parameters. It sees the raw spec (defaults
-	// not yet applied); specName locates error messages.
-	Validate(specName string, a ArrivalSpec) error
-	// Streaming reports whether arrivals are generated lazily by the
+// Kinds come in two execution modes. A closed kind — batch, poisson — has its
+// arrival instants materialized into the run's generated world up front,
+// alongside the work and constraint draws. An open-loop (streaming) kind —
+// diurnal, trace — is pumped lazily during the simulation by a
+// self-scheduling arrival event: its task records are recycled through the
+// task pool at completion, so a cell can absorb millions of arrivals in
+// memory independent of the task count.
+type arrival struct {
+	// streaming reports whether arrivals are generated lazily by the
 	// engine's arrival pump (open-loop) rather than materialized into the
 	// cached world (closed).
-	Streaming() bool
-	// Cursor returns the arrival sequence as a pull iterator drawing from r
+	streaming bool
+	// validate checks the arrival parameters. It sees the raw spec (defaults
+	// not yet applied); specName locates error messages.
+	validate func(specName string, a ArrivalSpec) error
+	// cursor returns the arrival sequence as a pull iterator drawing from r
 	// (the run's derived "arrivals" stream). Instants are non-decreasing;
-	// ok=false ends the sequence (an infinite source never returns false —
-	// the engine stops at the horizon or the task cap).
-	Cursor(a ArrivalSpec, r *rng.Source) ArrivalCursor
+	// ok=false ends the sequence (an infinite kind never returns false — the
+	// engine stops at the horizon or the task cap).
+	cursor func(a ArrivalSpec, r *rng.Source) ArrivalCursor
 }
 
 // ArrivalCursor yields successive arrival instants.
 type ArrivalCursor func() (at time.Duration, ok bool)
 
-// sources is the table of arrival kinds, in the order error messages and
-// docs list them.
-var sources = []WorkloadSource{batchSource{}, poissonSource{}, diurnalSource{}, traceSource{}}
+// arrivals is the arrival axis, in the order error messages and docs list
+// the kinds.
+var arrivals = []option[arrival]{
+	// batch: everything at t=0 (the closed-workload default).
+	{"batch", arrival{
+		validate: func(string, ArrivalSpec) error { return nil },
+		cursor: func(ArrivalSpec, *rng.Source) ArrivalCursor {
+			return func() (time.Duration, bool) { return 0, true }
+		},
+	}},
+	{"poisson", arrival{validate: validatePoisson, cursor: poissonCursor}},
+	{"diurnal", arrival{streaming: true, validate: validateDiurnal, cursor: diurnalCursor}},
+	{"trace", arrival{streaming: true, validate: validateTrace, cursor: traceCursor}},
+}
 
 // ArrivalKinds lists the known arrival kinds in table order.
-func ArrivalKinds() []string {
-	out := make([]string, len(sources))
-	for i, s := range sources {
-		out[i] = s.Kind()
-	}
-	return out
+func ArrivalKinds() []string { return optionNames(arrivals) }
+
+// source resolves a's kind against the arrivals table; "" means the batch
+// default.
+func (a ArrivalSpec) source() (arrival, bool) {
+	return lookup(arrivals, cmp.Or(a.Kind, "batch"))
 }
 
-// WorkloadSourceFor resolves an arrival kind against the table; "" means
-// the batch default. Exported for tooling that needs a source's properties
-// (specgen checks Streaming to decide whether a queue limit is meaningful).
-func WorkloadSourceFor(kind string) (WorkloadSource, error) {
-	if kind == "" {
-		kind = "batch"
-	}
-	for _, s := range sources {
-		if s.Kind() == kind {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown arrival kind %q (want one of %s)",
-		kind, strings.Join(ArrivalKinds(), ", "))
+// Streaming reports whether a's kind is open-loop: pumped during the
+// simulation from a bounded task pool instead of materialized into the
+// world. An unknown kind reports false.
+func (a ArrivalSpec) Streaming() bool {
+	src, _ := a.source()
+	return src.streaming
 }
 
-// ---- batch: everything at t=0 (the closed-workload default) ----
-
-type batchSource struct{}
-
-func (batchSource) Kind() string                       { return "batch" }
-func (batchSource) Streaming() bool                    { return false }
-func (batchSource) Validate(string, ArrivalSpec) error { return nil }
-func (batchSource) Cursor(ArrivalSpec, *rng.Source) ArrivalCursor {
-	return func() (time.Duration, bool) { return 0, true }
+// Cursor returns a's arrival instants, drawn from r. a's kind must be one
+// of ArrivalKinds.
+func (a ArrivalSpec) Cursor(r *rng.Source) ArrivalCursor {
+	src, _ := a.source()
+	return src.cursor(a, r)
 }
 
 // ---- poisson: homogeneous open arrivals, materialized eagerly ----
 
-type poissonSource struct{}
-
-func (poissonSource) Kind() string    { return "poisson" }
-func (poissonSource) Streaming() bool { return false }
-
-func (poissonSource) Validate(name string, a ArrivalSpec) error {
+func validatePoisson(name string, a ArrivalSpec) error {
 	if a.RatePerS <= 0 {
 		return fmt.Errorf("scenario: %s: poisson arrivals need positive rate_per_s", name)
 	}
 	return nil
 }
 
-func (poissonSource) Cursor(a ArrivalSpec, r *rng.Source) ArrivalCursor {
+func poissonCursor(a ArrivalSpec, r *rng.Source) ArrivalCursor {
 	t := 0.0
 	return func() (time.Duration, bool) {
 		t += r.ExpFloat64() / a.RatePerS
@@ -107,21 +99,7 @@ func (poissonSource) Cursor(a ArrivalSpec, r *rng.Source) ArrivalCursor {
 
 // ---- diurnal: rate-modulated poisson (open-loop, streaming) ----
 
-// diurnalSource shapes arrivals as an inhomogeneous Poisson process with a
-// sinusoidal rate, the standard stand-in for day/night user traffic:
-//
-//	rate(t) = rate_per_s · (1 + amplitude · sin(2π · (t + phase_s)/period_s))
-//
-// Sampling uses Lewis-Shedler thinning against the peak rate: candidate
-// gaps are exponential at rate_per_s·(1+amplitude) and each candidate is
-// accepted with probability rate(t)/peak. Both draws come from the one
-// "arrivals" stream, so the sequence is deterministic in (spec, run).
-type diurnalSource struct{}
-
-func (diurnalSource) Kind() string    { return "diurnal" }
-func (diurnalSource) Streaming() bool { return true }
-
-func (diurnalSource) Validate(name string, a ArrivalSpec) error {
+func validateDiurnal(name string, a ArrivalSpec) error {
 	if a.RatePerS <= 0 {
 		return fmt.Errorf("scenario: %s: diurnal arrivals need positive rate_per_s", name)
 	}
@@ -134,7 +112,16 @@ func (diurnalSource) Validate(name string, a ArrivalSpec) error {
 	return nil
 }
 
-func (diurnalSource) Cursor(a ArrivalSpec, r *rng.Source) ArrivalCursor {
+// diurnalCursor shapes arrivals as an inhomogeneous Poisson process with a
+// sinusoidal rate, the standard stand-in for day/night user traffic:
+//
+//	rate(t) = rate_per_s · (1 + amplitude · sin(2π · (t + phase_s)/period_s))
+//
+// Sampling uses Lewis-Shedler thinning against the peak rate: candidate
+// gaps are exponential at rate_per_s·(1+amplitude) and each candidate is
+// accepted with probability rate(t)/peak. Both draws come from the one
+// "arrivals" stream, so the sequence is deterministic in (spec, run).
+func diurnalCursor(a ArrivalSpec, r *rng.Source) ArrivalCursor {
 	period := a.PeriodS
 	if period == 0 {
 		period = defaultDiurnalPeriodS
@@ -163,18 +150,8 @@ const defaultDiurnalPeriodS = 86400
 
 // ---- trace: replay a compact arrival file (open-loop, streaming) ----
 
-// traceSource replays recorded traffic: the trace is a sequence of
-// inter-arrival gaps in seconds, either inlined in the spec (trace_s) or
-// read from a file (trace_path; scenario.Load inlines it so artifacts and
-// cache keys are self-contained — see inlineTrace). With repeat the gap
-// sequence tiles until the horizon or the task cap.
-type traceSource struct{}
-
-func (traceSource) Kind() string    { return "trace" }
-func (traceSource) Streaming() bool { return true }
-
-func (traceSource) Validate(name string, a ArrivalSpec) error {
-	if a.TracePath == "" && len(a.TraceS) == 0 {
+func validateTrace(name string, a ArrivalSpec) error {
+	if len(a.TraceS) == 0 {
 		return fmt.Errorf("scenario: %s: trace arrivals need trace_path or trace_s", name)
 	}
 	sum := 0.0
@@ -184,13 +161,18 @@ func (traceSource) Validate(name string, a ArrivalSpec) error {
 		}
 		sum += gap
 	}
-	if a.Repeat && len(a.TraceS) > 0 && sum == 0 {
+	if a.Repeat && sum == 0 {
 		return fmt.Errorf("scenario: %s: repeating trace_s needs a positive total gap (all-zero gaps would arrive forever at t=0)", name)
 	}
 	return nil
 }
 
-func (traceSource) Cursor(a ArrivalSpec, _ *rng.Source) ArrivalCursor {
+// traceCursor replays recorded traffic: the trace is a sequence of
+// inter-arrival gaps in seconds, inlined in the spec (trace_s; scenario.Load
+// reads a trace_path file into it, so artifacts and cache keys are
+// self-contained — see inlineTrace). With repeat the gap sequence tiles until
+// the horizon or the task cap.
+func traceCursor(a ArrivalSpec, _ *rng.Source) ArrivalCursor {
 	gaps := a.TraceS
 	i, t := 0, 0.0
 	return func() (time.Duration, bool) {
@@ -234,7 +216,7 @@ func (s *Spec) inlineTrace(dir string) error {
 	}
 	a.TraceS = gaps
 	a.TracePath = ""
-	return traceSource{}.Validate(s.Name, *a)
+	return nil
 }
 
 // parseTrace reads the compact arrival file format: one inter-arrival gap

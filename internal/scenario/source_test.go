@@ -13,24 +13,21 @@ import (
 	"vce/internal/rng"
 )
 
-// TestWorkloadSourceRegistry: the registry resolves every registered kind,
-// defaults the empty kind to batch, and rejects unknown kinds with an error
-// that enumerates the valid set programmatically.
+// TestWorkloadSourceRegistry: the arrivals table resolves every kind,
+// defaults the empty kind to batch, and Validate rejects unknown kinds with
+// an error that enumerates the valid set programmatically.
 func TestWorkloadSourceRegistry(t *testing.T) {
 	for _, kind := range []string{"", "batch", "poisson", "diurnal", "trace"} {
-		src, err := WorkloadSourceFor(kind)
-		if err != nil {
-			t.Fatalf("WorkloadSourceFor(%q): %v", kind, err)
-		}
-		want := kind
-		if want == "" {
-			want = "batch"
-		}
-		if src.Kind() != want {
-			t.Errorf("WorkloadSourceFor(%q).Kind() = %q, want %q", kind, src.Kind(), want)
+		if _, ok := (ArrivalSpec{Kind: kind}).source(); !ok {
+			t.Fatalf("arrival kind %q does not resolve", kind)
 		}
 	}
-	_, err := WorkloadSourceFor("bursty")
+	if at, ok := (ArrivalSpec{}).Cursor(rng.New(1))(); at != 0 || !ok {
+		t.Errorf("the empty kind draws (%v, %v), want batch's (0, true)", at, ok)
+	}
+	sp := testSpec()
+	sp.Workload.Arrivals = ArrivalSpec{Kind: "bursty"}
+	err := sp.Validate()
 	if err == nil {
 		t.Fatal("unknown kind accepted")
 	}
@@ -59,19 +56,15 @@ func reflect4Equal(a, b []string) bool {
 // TestSourceStreaming: batch/poisson are closed (materialized into the
 // cached world); diurnal/trace are open-loop (pumped during simulation).
 func TestSourceStreaming(t *testing.T) {
-	want := map[string]bool{"batch": false, "poisson": false, "diurnal": true, "trace": true}
+	want := map[string]bool{"": false, "batch": false, "poisson": false, "diurnal": true, "trace": true, "bursty": false}
 	for kind, streaming := range want {
-		src, err := WorkloadSourceFor(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src.Streaming() != streaming {
-			t.Errorf("%s.Streaming() = %v, want %v", kind, src.Streaming(), streaming)
+		if got := (ArrivalSpec{Kind: kind}).Streaming(); got != streaming {
+			t.Errorf("%q.Streaming() = %v, want %v", kind, got, streaming)
 		}
 	}
 }
 
-// TestSourceValidation covers per-kind Validate rejections.
+// TestSourceValidation covers per-kind validate rejections.
 func TestSourceValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -89,13 +82,13 @@ func TestSourceValidation(t *testing.T) {
 		{"trace-zero-repeat", ArrivalSpec{Kind: "trace", TraceS: []float64{0, 0}, Repeat: true}, "zero"},
 	}
 	for _, tc := range cases {
-		src, err := WorkloadSourceFor(tc.a.Kind)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		src, ok := tc.a.source()
+		if !ok {
+			t.Fatalf("%s: kind %q does not resolve", tc.name, tc.a.Kind)
 		}
-		err = src.Validate("spec", tc.a)
+		err := src.validate("spec", tc.a)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate = %v, want error mentioning %q", tc.name, err, tc.want)
+			t.Errorf("%s: validate = %v, want error mentioning %q", tc.name, err, tc.want)
 		}
 	}
 	// And the corresponding accepts.
@@ -104,10 +97,9 @@ func TestSourceValidation(t *testing.T) {
 		{Kind: "diurnal", RatePerS: 2, Amplitude: 0.6, PeriodS: 3600, PhaseS: 10},
 		{Kind: "diurnal", RatePerS: 2}, // amplitude 0 degenerates to poisson; period defaulted later
 		{Kind: "trace", TraceS: []float64{0, 1.5, 2}, Repeat: true},
-		{Kind: "trace", TracePath: "gaps.txt"}, // content checked after inlining
 	} {
-		src, _ := WorkloadSourceFor(a.Kind)
-		if err := src.Validate("spec", a); err != nil {
+		src, _ := a.source()
+		if err := src.validate("spec", a); err != nil {
 			t.Errorf("valid %s spec rejected: %v", a.Kind, err)
 		}
 	}
@@ -116,9 +108,8 @@ func TestSourceValidation(t *testing.T) {
 // TestTraceCursor: the cursor replays gaps cumulatively, ends when the
 // trace is exhausted, and tiles it when Repeat is set.
 func TestTraceCursor(t *testing.T) {
-	src, _ := WorkloadSourceFor("trace")
 	a := ArrivalSpec{Kind: "trace", TraceS: []float64{0, 2, 3}}
-	cur := src.Cursor(a, rng.New(1).Derive("arrivals"))
+	cur := a.Cursor(rng.New(1).Derive("arrivals"))
 	want := []float64{0, 2, 5}
 	for i, w := range want {
 		at, ok := cur()
@@ -131,7 +122,7 @@ func TestTraceCursor(t *testing.T) {
 	}
 
 	a.Repeat = true
-	cur = src.Cursor(a, rng.New(1).Derive("arrivals"))
+	cur = a.Cursor(rng.New(1).Derive("arrivals"))
 	var last time.Duration
 	for i := 0; i < 9; i++ {
 		at, ok := cur()
@@ -152,9 +143,8 @@ func TestTraceCursor(t *testing.T) {
 // TestPoissonCursor: a rate-1 process puts about 1000 arrivals in 1000 s,
 // strictly increasing, and the same stream draws the same instants.
 func TestPoissonCursor(t *testing.T) {
-	src, _ := WorkloadSourceFor("poisson")
 	draw := func() []time.Duration {
-		cur := src.Cursor(ArrivalSpec{Kind: "poisson", RatePerS: 1}, rng.New(3).Derive("arrivals"))
+		cur := ArrivalSpec{Kind: "poisson", RatePerS: 1}.Cursor(rng.New(3).Derive("arrivals"))
 		var got []time.Duration
 		for at, _ := cur(); at < 1000*time.Second; at, _ = cur() {
 			got = append(got, at)
@@ -179,12 +169,11 @@ func TestPoissonCursor(t *testing.T) {
 // for a given stream, and rate modulation shows up as more arrivals in the
 // peak half-period than the trough half-period.
 func TestDiurnalCursor(t *testing.T) {
-	src, _ := WorkloadSourceFor("diurnal")
 	// 2000 arrivals at mean rate 5/s span ~400s ≈ 20 periods, enough to see
 	// the modulation.
 	a := ArrivalSpec{Kind: "diurnal", RatePerS: 5, Amplitude: 0.9, PeriodS: 20}
 	draw := func() []time.Duration {
-		cur := src.Cursor(a, rng.New(42).Derive("arrivals"))
+		cur := a.Cursor(rng.New(42).Derive("arrivals"))
 		var got []time.Duration
 		for len(got) < 2000 {
 			at, ok := cur()
@@ -337,9 +326,8 @@ func TestInlineTracePrecedence(t *testing.T) {
 // trough essentially silent — the sequence stays ordered, deterministic, and
 // overwhelmingly concentrated away from the zero-rate region.
 func TestDiurnalFullAmplitude(t *testing.T) {
-	src, _ := WorkloadSourceFor("diurnal")
 	a := ArrivalSpec{Kind: "diurnal", RatePerS: 5, Amplitude: 1, PeriodS: 20}
-	cur := src.Cursor(a, rng.New(7).Derive("arrivals"))
+	cur := a.Cursor(rng.New(7).Derive("arrivals"))
 	var last time.Duration
 	peak, trough := 0, 0
 	for i := 0; i < 4000; i++ {
@@ -381,29 +369,52 @@ func reflect4EqualF(a, b []float64) bool {
 }
 
 // TestUninlinedTraceFailsOnce: a trace_path spec that never went through
-// Load cannot run. The sweep must say so once, before any worker starts —
-// not once per cell under ContinueOnError — so no progress fires and the
-// cache is never consulted.
+// Load cannot run, and it fails once, where the spec is judged: Parse
+// names trace_path, and a sweep of the struct fails Validate before any
+// worker starts — no progress fires and the cache is never consulted. Load
+// of the same bytes reads the file into trace_s and runs.
 func TestUninlinedTraceFailsOnce(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "arrivals.trace"), []byte("1\n2.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	sp := testSpec()
-	sp.Workload.Arrivals = ArrivalSpec{Kind: "trace", TracePath: "arrivals.trace"}
+	sp.Workload.Arrivals = ArrivalSpec{Kind: "trace", TracePath: "arrivals.trace", Repeat: true}
+	blob, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(blob); err == nil || !strings.Contains(err.Error(), "trace_path") {
+		t.Fatalf("Parse err = %v, want an error naming trace_path", err)
+	}
+
 	cache := newMapStore()
 	progress := 0
 	rep, err := RunContext(context.Background(), sp, Options{
-		Workers: 4, ContinueOnError: true, Cache: cache,
+		Workers: 4, Cache: cache,
 		Progress: func(ProgressEvent) { progress++ },
 	})
-	if err == nil || rep != nil {
-		t.Fatalf("rep=%v err=%v, want a nil report and an error", rep, err)
-	}
-	if n := strings.Count(err.Error(), "trace arrivals not inlined"); n != 1 {
-		t.Errorf("error names the cause %d times, want once: %v", n, err)
+	if err == nil || rep != nil || !strings.Contains(err.Error(), "trace_path") {
+		t.Fatalf("rep=%v err=%v, want a nil report and an error naming trace_path", rep, err)
 	}
 	if progress != 0 || cache.gets.Load() != 0 {
 		t.Errorf("progress fired %d times and the cache saw %d gets, want 0 and 0", progress, cache.gets.Load())
 	}
-	if _, err := RunInstanceContext(context.Background(), sp.Instances()[0], 0); err == nil ||
-		!strings.Contains(err.Error(), "trace arrivals not inlined") {
-		t.Errorf("RunInstanceContext err = %v, want the same cause", err)
+
+	path := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	rep, err = RunContext(context.Background(), loaded, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("the loaded spec does not run: %v", err)
+	}
+	if len(rep.Cells) != len(sp.Instances()) || len(rep.Cells[0].Runs) != sp.Runs {
+		t.Errorf("the loaded spec ran %d cells of %d runs, want %d of %d",
+			len(rep.Cells), len(rep.Cells[0].Runs), len(sp.Instances()), sp.Runs)
 	}
 }

@@ -14,6 +14,7 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -168,10 +169,9 @@ type MachineSetSpec struct {
 }
 
 // ArrivalSpec shapes task submission times. Kind resolves against the
-// workload-source registry (see WorkloadSource and ArrivalKinds): "batch"
-// and "poisson" are closed sources materialized up front; "diurnal" and
-// "trace" are open-loop streaming sources pumped during the simulation from
-// a bounded task pool.
+// arrivals table (see ArrivalKinds): "batch" and "poisson" are closed sources
+// materialized up front; "diurnal" and "trace" are open-loop streaming
+// sources pumped during the simulation from a bounded task pool.
 type ArrivalSpec struct {
 	// Kind selects the arrival source; see ArrivalKinds.
 	Kind string `json:"kind"`
@@ -189,7 +189,7 @@ type ArrivalSpec struct {
 	// gap in seconds per line, blank lines and #-comments skipped (CRLF
 	// line endings accepted). scenario.Load inlines the file into TraceS
 	// (relative to the spec's directory) so artifacts and cache keys are
-	// self-contained.
+	// self-contained; Validate rejects a path that was never inlined.
 	TracePath string `json:"trace_path,omitempty"`
 	// TraceS is the inlined inter-arrival gap sequence, in seconds. When a
 	// spec carries both trace_s and trace_path, the inline gaps win and the
@@ -320,9 +320,10 @@ type Spec struct {
 	CheckpointIntervalS float64 `json:"checkpoint_interval_s,omitempty"`
 }
 
-// option is one name on a policy axis and what it builds. Each axis is one
+// option is one name on a spec axis and what it builds. Each axis is one
 // table — schedPolicies here, migrations beside the cell that attaches
-// them — that its names list, Validate and construction all read.
+// them, arrivals beside their cursors (source.go) — that its names list,
+// Validate and construction all read.
 type option[F any] struct {
 	name  string
 	build F
@@ -364,27 +365,18 @@ func SchedPolicyNames() []string { return optionNames(schedPolicies) }
 // MigrationNames lists the recognized migration strategy names.
 func MigrationNames() []string { return optionNames(migrations) }
 
-// schedPolicy resolves a scheduling policy name to its constructor.
-func schedPolicy(name string) (func() sched.Policy, error) {
-	build, ok := lookup(schedPolicies, name)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown scheduling policy %q (want one of %s)",
-			name, strings.Join(SchedPolicyNames(), ", "))
-	}
-	return build, nil
-}
-
 // classDefaults maps each machine class a spec may name (its keyword
-// parses with arch.ParseClass) to the generated machine-name prefix and
-// default memory.
+// parses with arch.ParseClass) to the generated machine-name prefix, default
+// memory and operating system.
 var classDefaults = map[arch.Class]struct {
 	prefix   string
 	memoryMB int
+	os       string
 }{
-	arch.Workstation: {"ws", 64},
-	arch.MIMD:        {"mimd", 512},
-	arch.SIMD:        {"simd", 1024},
-	arch.Vector:      {"vec", 2048},
+	arch.Workstation: {"ws", 64, "unix"},
+	arch.MIMD:        {"mimd", 512, "unix"},
+	arch.SIMD:        {"simd", 1024, "cmost"},
+	arch.Vector:      {"vec", 2048, "unicos"},
 }
 
 // Validate checks the spec for structural errors: empty matrices, unknown
@@ -396,7 +388,6 @@ func (s *Spec) Validate() error {
 	if len(s.Machines.Classes) == 0 {
 		return fmt.Errorf("scenario: %s: machines.classes is empty", s.Name)
 	}
-	total := 0
 	for i, cl := range s.Machines.Classes {
 		if _, err := arch.ParseClass(cl.Class); err != nil {
 			return fmt.Errorf("scenario: %s: machines.classes[%d]: unknown class %q (want workstation, mimd, simd or vector)", s.Name, i, cl.Class)
@@ -410,7 +401,6 @@ func (s *Spec) Validate() error {
 		if err := cl.Speed.validate(fmt.Sprintf("%s: machines.classes[%d].speed", s.Name, i)); err != nil {
 			return err
 		}
-		total += cl.Count
 	}
 	// Explicit bandwidth must be positive: netsim treats a zero-bandwidth
 	// link as latency-only (free payload), which is an internal-caller
@@ -430,11 +420,18 @@ func (s *Spec) Validate() error {
 	if err := s.Workload.Work.validate(s.Name + ": workload.work"); err != nil {
 		return err
 	}
-	src, err := WorkloadSourceFor(s.Workload.Arrivals.Kind)
-	if err != nil {
-		return fmt.Errorf("scenario: %s: %w", s.Name, err)
+	arr := s.Workload.Arrivals
+	src, ok := arr.source()
+	if !ok {
+		return fmt.Errorf("scenario: %s: unknown arrival kind %q (want one of %s)",
+			s.Name, arr.Kind, strings.Join(ArrivalKinds(), ", "))
 	}
-	if err := src.Validate(s.Name, s.Workload.Arrivals); err != nil {
+	// The engine runs inlined traces only: Load reads a trace_path file into
+	// trace_s before it validates.
+	if arr.TracePath != "" {
+		return fmt.Errorf("scenario: %s: trace_path %q is not inlined — scenario.Load reads it into trace_s", s.Name, arr.TracePath)
+	}
+	if err := src.validate(s.Name, arr); err != nil {
 		return err
 	}
 	if g := s.Workload.Graph; g != nil {
@@ -445,8 +442,8 @@ func (s *Spec) Validate() error {
 		default:
 			return fmt.Errorf("scenario: %s: workload.graph: unknown kind %q (want chain, fanout or random)", s.Name, g.Kind)
 		}
-		if src.Streaming() {
-			return fmt.Errorf("scenario: %s: workload.graph needs a closed arrival source (batch or poisson), not streaming %q", s.Name, s.Workload.Arrivals.Kind)
+		if src.streaming {
+			return fmt.Errorf("scenario: %s: workload.graph needs a closed arrival source (batch or poisson), not streaming %q", s.Name, arr.Kind)
 		}
 		if g.FanOut < 0 {
 			return fmt.Errorf("scenario: %s: workload.graph: negative fan_out", s.Name)
@@ -461,15 +458,15 @@ func (s *Spec) Validate() error {
 	if s.Workload.QueueLimit < 0 {
 		return fmt.Errorf("scenario: %s: negative queue_limit", s.Name)
 	}
-	if s.Workload.QueueLimit > 0 && !src.Streaming() {
+	if s.Workload.QueueLimit > 0 && !src.streaming {
 		var open []string
-		for _, o := range sources {
-			if o.Streaming() {
-				open = append(open, o.Kind())
+		for _, o := range arrivals {
+			if o.build.streaming {
+				open = append(open, o.name)
 			}
 		}
 		return fmt.Errorf("scenario: %s: workload.queue_limit bounds an open-loop arrival queue (%s); closed %q arrivals admit every task",
-			s.Name, strings.Join(open, " or "), src.Kind())
+			s.Name, strings.Join(open, " or "), cmp.Or(arr.Kind, "batch"))
 	}
 	if s.Workload.ImageMiB < 0 {
 		return fmt.Errorf("scenario: %s: negative image_mib", s.Name)
@@ -510,8 +507,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: %s: policies.scheduling is empty", s.Name)
 	}
 	for _, name := range s.Policies.Scheduling {
-		if _, err := schedPolicy(name); err != nil {
-			return err
+		if _, ok := lookup(schedPolicies, name); !ok {
+			return fmt.Errorf("scenario: unknown scheduling policy %q (want one of %s)",
+				name, strings.Join(SchedPolicyNames(), ", "))
 		}
 	}
 	if len(s.Policies.Migration) == 0 {
@@ -647,35 +645,39 @@ func (s *Spec) withDefaults() *Spec {
 }
 
 // Parse decodes and validates a JSON spec. Unknown fields are rejected so
-// typos fail loudly instead of silently running a different scenario.
-func Parse(data []byte) (*Spec, error) {
+// typos fail loudly instead of silently running a different scenario. A
+// trace_path fails validation: only Load can resolve the file.
+func Parse(data []byte) (*Spec, error) { return decode(data, "") }
+
+// Load reads and parses a spec file. A trace arrival source referencing a
+// file (trace_path, resolved relative to the spec's directory) is inlined
+// into the spec before it validates, so everything downstream — artifacts,
+// cache keys, worker processes — sees a self-contained spec.
+func Load(path string) (*Spec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	return decode(data, filepath.Dir(path))
+}
+
+// decode decodes and validates a JSON spec. dir is the directory a
+// trace_path resolves against, or "" for bytes that come from no file: their
+// trace_path is left in place, where Validate refuses it.
+func decode(data []byte, dir string) (*Spec, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
 	}
+	if dir != "" {
+		if err := s.inlineTrace(dir); err != nil {
+			return nil, err
+		}
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Load reads and parses a spec file. A trace arrival source referencing a
-// file (trace_path, resolved relative to the spec's directory) is inlined
-// into the spec here, so everything downstream — artifacts, cache keys,
-// worker processes — sees a self-contained spec.
-func Load(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.inlineTrace(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

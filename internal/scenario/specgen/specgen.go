@@ -73,10 +73,8 @@ func (c Caps) withDefaults() Caps {
 	return c
 }
 
-// classes are the distinct machine classes the generator draws from. One
-// keyword per generated-name prefix: two spec entries sharing a prefix would
-// collide on generated machine names, which scenario.Validate cannot see but
-// the engine rejects at world-build time.
+// classes are the machine classes the generator draws from, each at most
+// once per spec.
 var classes = []string{"workstation", "mimd", "simd", "vector"}
 
 // round2 quantizes a float to two decimals so generated specs serialize
@@ -284,14 +282,14 @@ func drawAny(sp *scenario.Spec, r *rng.Source, caps Caps) {
 		}
 		sp.Workload.Arrivals = scenario.ArrivalSpec{Kind: "trace", TraceS: gaps, Repeat: wr.Bool(0.7)}
 	}
-	if src, err := scenario.WorkloadSourceFor(sp.Workload.Arrivals.Kind); err == nil && src.Streaming() && wr.Bool(0.5) {
+	if sp.Workload.Arrivals.Streaming() && wr.Bool(0.5) {
 		// Bounded admission queue: exercises the reject path and the pool cap.
 		sp.Workload.QueueLimit = 1 + wr.Intn(2*sp.Workload.Tasks)
 	}
 	// Dependent workloads: a third of the closed-source specs link their
 	// tasks into a DAG (graph workloads require a materialized world, so
 	// streaming sources are excluded by construction, matching Validate).
-	if src, err := scenario.WorkloadSourceFor(sp.Workload.Arrivals.Kind); err == nil && !src.Streaming() && wr.Bool(0.35) {
+	if !sp.Workload.Arrivals.Streaming() && wr.Bool(0.35) {
 		sp.Workload.Graph = drawGraph(wr)
 	}
 	if wr.Bool(0.3) {

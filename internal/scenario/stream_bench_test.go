@@ -30,10 +30,7 @@ func BenchmarkStreamingMillion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar, err := newArena(sp)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ar := newArena(sp)
 		idx, err := ar.runCell(context.Background(), sp.Policies.Scheduling[0], sp.Policies.Migration[0], 0, false, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -162,10 +159,7 @@ func TestClosedCellAllocationBudget(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		ar, err := newArena(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ar := newArena(sp)
 		var runErr error
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := ar.runCell(context.Background(), c.sched, c.migration, 0, false, nil); err != nil {
@@ -202,10 +196,7 @@ func TestHeapHoldsWhatRuns(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		ar, err := newArena(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ar := newArena(sp)
 		var tr obs.Cell
 		if _, err := ar.runCell(context.Background(), c.sched, c.migration, 0, false, &tr); err != nil {
 			t.Fatal(err)

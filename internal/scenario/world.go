@@ -105,9 +105,9 @@ type taskDraws struct {
 }
 
 // newTaskDraws starts sp's task draws over the run's derived streams root.
-func newTaskDraws(sp *Spec, src WorkloadSource, root *rng.Source) taskDraws {
+func newTaskDraws(sp *Spec, root *rng.Source) taskDraws {
 	d := taskDraws{
-		arrivals: src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals")),
+		arrivals: sp.Workload.Arrivals.Cursor(root.Derive("arrivals")),
 		work:     root.Derive("work"),
 		wl:       &sp.Workload,
 	}
@@ -175,7 +175,7 @@ func (ar *runArena) generateWorld(run int) {
 	w.graphCP = 0
 	if !ar.streaming {
 		w.tasks = resetFill(w.tasks, sp.Workload.Tasks, taskGen{})
-		draws := newTaskDraws(sp, ar.src, root)
+		draws := newTaskDraws(sp, root)
 		for i := range w.tasks {
 			w.tasks[i], _ = draws.next()
 		}
