@@ -263,7 +263,7 @@ func run(baseCtx context.Context, args []string, stdout, stderr io.Writer) int {
 		cacheStore = cache
 	}
 	// The recorder exists only when asked for: a nil Telemetry option is
-	// the engine's true off-path (no clock reads, kernel stats detached).
+	// the engine's true off-path (no clock reads).
 	var rec *obs.Recorder
 	if *traceOut != "" || *telem {
 		rec = obs.New()

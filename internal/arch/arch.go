@@ -287,15 +287,3 @@ func (db *DB) Candidates(req Requirements) []Machine {
 	})
 	return out
 }
-
-// GroupKeywords maps the prototype's script directives (§5) to the machine
-// class whose group services them: ASYNC requests go to the MIMD group, SYNC
-// to the SIMD group, WORKSTATION to the workstation group.
-func GroupKeywords() map[string]Class {
-	return map[string]Class{
-		"ASYNC":       MIMD,
-		"SYNC":        SIMD,
-		"VECTOR":      Vector,
-		"WORKSTATION": Workstation,
-	}
-}

@@ -173,19 +173,6 @@ func TestDBCandidatesTieBreakByName(t *testing.T) {
 	}
 }
 
-func TestGroupKeywords(t *testing.T) {
-	gk := GroupKeywords()
-	if gk["ASYNC"] != MIMD {
-		t.Fatalf(`ASYNC -> %v, want MIMD ("machines with asynchronous architectures", §5)`, gk["ASYNC"])
-	}
-	if gk["SYNC"] != SIMD {
-		t.Fatalf("SYNC -> %v, want SIMD", gk["SYNC"])
-	}
-	if gk["WORKSTATION"] != Workstation {
-		t.Fatalf("WORKSTATION -> %v", gk["WORKSTATION"])
-	}
-}
-
 func TestDBConcurrentAccess(t *testing.T) {
 	db := NewDB()
 	done := make(chan struct{})

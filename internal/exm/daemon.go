@@ -166,7 +166,7 @@ func (d *Daemon) BidsSent() int64 { return d.bidsSent.Load() }
 // onBidRequest answers the leader's broadcast: "Any daemon that is not
 // already excessively loaded and can run remote jobs sends its load
 // description to the group leader."
-func (d *Daemon) onBidRequest(_ isis.MemberID, payload []byte) ([]byte, bool) {
+func (d *Daemon) onBidRequest(_ transport.Addr, payload []byte) ([]byte, bool) {
 	var req bidReqMsg
 	if decode(payload, &req) != nil {
 		return nil, false
@@ -190,14 +190,13 @@ func (d *Daemon) onBidRequest(_ isis.MemberID, payload []byte) ([]byte, bool) {
 // (the §5 flow sends requests to the leader, but execution programs may only
 // know one daemon's address — forwarding keeps the protocol robust across
 // failovers).
-func (d *Daemon) onRequest(from isis.MemberID, payload []byte) {
+func (d *Daemon) onRequest(_ transport.Addr, payload []byte) {
 	var req requestMsg
 	if decode(payload, &req) != nil {
 		return
 	}
 	if !d.proc.IsLeader() {
-		leader := d.proc.View().Leader()
-		_ = d.proc.Send(leader.ID, kindRequest, payload)
+		_ = d.proc.Send(d.proc.View().Leader().Addr, kindRequest, payload)
 		return
 	}
 	// The leader "fields this request and translates it into a broadcast
@@ -212,7 +211,7 @@ func (d *Daemon) lead(req requestMsg) {
 	cast, err := encode(bidReqMsg{App: req.App, Task: req.Task})
 	reply := func(a allocMsg) {
 		if body, err := encode(a); err == nil {
-			_ = d.proc.Send(isis.MemberID(req.ReplyTo), kindAlloc, body)
+			_ = d.proc.Send(req.ReplyTo, kindAlloc, body)
 		}
 	}
 	if err != nil {
@@ -251,8 +250,9 @@ func (d *Daemon) lead(req requestMsg) {
 	reply(allocMsg{ReqID: req.ReqID, App: req.App, Task: req.Task, Machines: addrs, Names: names})
 }
 
-// onExec starts one instance: load the module, run it, report completion.
-func (d *Daemon) onExec(_ isis.MemberID, payload []byte) {
+// onExec starts one instance: load the module, run it, report completion to
+// the sender.
+func (d *Daemon) onExec(from transport.Addr, payload []byte) {
 	var ex execMsg
 	if decode(payload, &ex) != nil {
 		return
@@ -264,7 +264,7 @@ func (d *Daemon) onExec(_ isis.MemberID, payload []byte) {
 			Machine: d.cfg.Machine.Name, Err: errText,
 		})
 		if err == nil {
-			_ = d.proc.Send(isis.MemberID(ex.ReplyTo), kindDone, body)
+			_ = d.proc.Send(from, kindDone, body)
 		}
 	}
 	prog, ok := d.cfg.Registry.Lookup(ex.Program)
@@ -315,7 +315,7 @@ func (d *Daemon) onExec(_ isis.MemberID, payload []byte) {
 // onKill handles a kill from outside the group (the execution program): it
 // applies locally and relays to the whole group so every machine working on
 // the application terminates it.
-func (d *Daemon) onKill(_ isis.MemberID, payload []byte) {
+func (d *Daemon) onKill(_ transport.Addr, payload []byte) {
 	var k killMsg
 	if decode(payload, &k) != nil {
 		return
@@ -325,7 +325,7 @@ func (d *Daemon) onKill(_ isis.MemberID, payload []byte) {
 }
 
 // onKillCast applies a group-relayed kill.
-func (d *Daemon) onKillCast(_ isis.MemberID, payload []byte) ([]byte, bool) {
+func (d *Daemon) onKillCast(_ transport.Addr, payload []byte) ([]byte, bool) {
 	var k killMsg
 	if decode(payload, &k) == nil {
 		d.applyKill(k)
@@ -365,13 +365,13 @@ func (d *Daemon) killAll() {
 }
 
 // onAvailReq answers script AVAIL() queries with the group view size.
-func (d *Daemon) onAvailReq(_ isis.MemberID, payload []byte) {
+func (d *Daemon) onAvailReq(from transport.Addr, payload []byte) {
 	var req availReqMsg
 	if decode(payload, &req) != nil {
 		return
 	}
 	body, err := encode(availRepMsg{ReqID: req.ReqID, Count: d.proc.View().Size()})
 	if err == nil {
-		_ = d.proc.Send(isis.MemberID(req.ReplyTo), kindAvailRep, body)
+		_ = d.proc.Send(from, kindAvailRep, body)
 	}
 }

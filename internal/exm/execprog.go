@@ -8,7 +8,6 @@ import (
 
 	"vce/internal/arch"
 	"vce/internal/channel"
-	"vce/internal/isis"
 	"vce/internal/taskgraph"
 	"vce/internal/transport"
 )
@@ -22,7 +21,9 @@ import (
 // the prototype). Within a wave the user's hints set the dispatch order
 // (orderReady).
 type ExecProgram struct {
-	client *isis.Client
+	// ep is the user's endpoint. The execution program is not a group
+	// member: it talks to daemons with bare point messages.
+	ep transport.Endpoint
 	// Contacts maps machine classes to a known daemon address per group.
 	contacts map[arch.Class]transport.Addr
 	// LocalRegistry runs LOCAL tasks on the user's workstation.
@@ -32,8 +33,7 @@ type ExecProgram struct {
 
 	mu      sync.Mutex
 	reqSeq  uint64
-	allocCh map[uint64]chan allocMsg
-	availCh map[uint64]chan int
+	waiting map[uint64]chan []byte // reply payloads, by request ID
 	doneCh  chan doneMsg
 }
 
@@ -64,97 +64,95 @@ func NewExecProgram(net transport.Network, cfg ExecConfig) (*ExecProgram, error)
 	if cfg.Hub == nil {
 		cfg.Hub = channel.NewHub()
 	}
-	client, err := isis.NewClient(net, cfg.Name)
+	ep, err := net.Endpoint(cfg.Name)
 	if err != nil {
 		return nil, err
 	}
 	e := &ExecProgram{
-		client:        client,
+		ep:            ep,
 		contacts:      cfg.Contacts,
 		localRegistry: cfg.LocalRegistry,
 		hub:           cfg.Hub,
 		timeout:       cfg.Timeout,
-		allocCh:       make(map[uint64]chan allocMsg),
-		availCh:       make(map[uint64]chan int),
+		waiting:       make(map[uint64]chan []byte),
 		doneCh:        make(chan doneMsg, 1024),
 	}
-	client.HandlePoint(kindAlloc, e.onAlloc)
-	client.HandlePoint(kindDone, e.onDone)
-	client.HandlePoint(kindAvailRep, e.onAvailRep)
+	ep.Handle(e.onMessage)
 	return e, nil
 }
 
 // Close releases the endpoint.
-func (e *ExecProgram) Close() { e.client.Close() }
+func (e *ExecProgram) Close() { e.ep.Close() }
 
-func (e *ExecProgram) onAlloc(_ isis.MemberID, payload []byte) {
-	var a allocMsg
-	if decode(payload, &a) != nil {
-		return
+// onMessage takes every reply a daemon sends the execution program.
+func (e *ExecProgram) onMessage(msg transport.Message) {
+	switch msg.Kind {
+	case kindDone:
+		var d doneMsg
+		if decode(msg.Payload, &d) == nil {
+			e.doneCh <- d
+		}
+	case kindAlloc, kindAvailRep:
+		// Both answer one request and carry its ReqID (gob matches the
+		// field by name): hand the body to whoever waits under that ID.
+		// A reply nobody waits for any more (late, or a duplicate) is
+		// dropped.
+		var r struct{ ReqID uint64 }
+		if decode(msg.Payload, &r) != nil {
+			return
+		}
+		e.mu.Lock()
+		ch := e.waiting[r.ReqID]
+		e.mu.Unlock()
+		select {
+		case ch <- msg.Payload:
+		default:
+		}
 	}
+}
+
+// ask sends one request and waits for its reply: req builds the request
+// around a fresh ID, and the reply carrying that ID is decoded into reply.
+func (e *ExecProgram) ask(to transport.Addr, kind string, req func(id uint64) any, reply any) error {
+	ch := make(chan []byte, 1)
 	e.mu.Lock()
-	ch := e.allocCh[a.ReqID]
+	e.reqSeq++
+	id := e.reqSeq
+	e.waiting[id] = ch
 	e.mu.Unlock()
-	if ch != nil {
-		ch <- a
+	defer func() {
+		e.mu.Lock()
+		delete(e.waiting, id)
+		e.mu.Unlock()
+	}()
+	body, err := encode(req(id))
+	if err != nil {
+		return err
+	}
+	if err := e.ep.Send(to, kind, body); err != nil {
+		return fmt.Errorf("request to %s: %w", to, err)
+	}
+	select {
+	case payload := <-ch:
+		return decode(payload, reply)
+	case <-time.After(e.timeout):
+		return fmt.Errorf("%s to %s: no reply within %v", kind, to, e.timeout)
 	}
 }
 
-func (e *ExecProgram) onDone(_ isis.MemberID, payload []byte) {
-	var d doneMsg
-	if decode(payload, &d) == nil {
-		e.doneCh <- d
-	}
-}
-
-func (e *ExecProgram) onAvailRep(_ isis.MemberID, payload []byte) {
-	var r availRepMsg
-	if decode(payload, &r) != nil {
-		return
-	}
-	e.mu.Lock()
-	ch := e.availCh[r.ReqID]
-	e.mu.Unlock()
-	if ch != nil {
-		ch <- r.Count
-	}
-}
-
-// Avail queries a group's current size, implementing script.Env for
-// conditional application descriptions.
-func (e *ExecProgram) Avail(group string) int {
-	class, ok := arch.GroupKeywords()[group]
-	if !ok {
-		return 0
-	}
+// Avail queries the size of the group serving a machine class, implementing
+// script.Env for conditional application descriptions. A class with no
+// known group, or a group that does not answer, has none available.
+func (e *ExecProgram) Avail(class arch.Class) int {
 	contact, ok := e.contacts[class]
 	if !ok {
 		return 0
 	}
-	e.mu.Lock()
-	e.reqSeq++
-	id := e.reqSeq
-	ch := make(chan int, 1)
-	e.availCh[id] = ch
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.availCh, id)
-		e.mu.Unlock()
-	}()
-	body, err := encode(availReqMsg{ReqID: id, ReplyTo: string(e.client.Addr())})
-	if err != nil {
+	var r availRepMsg
+	if e.ask(contact, kindAvailReq, func(id uint64) any { return availReqMsg{ReqID: id} }, &r) != nil {
 		return 0
 	}
-	if err := e.client.Send(contact, kindAvailReq, body); err != nil {
-		return 0
-	}
-	select {
-	case n := <-ch:
-		return n
-	case <-time.After(e.timeout):
-		return 0
-	}
+	return r.Count
 }
 
 // Placement records where one task instance ran.
@@ -216,14 +214,14 @@ func (e *ExecProgram) Run(g *taskgraph.Graph) (*RunReport, error) {
 		placements, err := e.runWave(g, ready)
 		report.Placements = append(report.Placements, placements...)
 		if err != nil {
-			e.terminate(g.Name)
+			e.kill(killMsg{App: g.Name, Instance: -1})
 			return report, err
 		}
 		for _, id := range ready {
 			done[id] = true
 		}
 	}
-	e.terminate(g.Name)
+	e.kill(killMsg{App: g.Name, Instance: -1})
 	report.Elapsed = time.Since(start)
 	return report, nil
 }
@@ -310,17 +308,9 @@ func (e *ExecProgram) runWave(g *taskgraph.Graph, ready []taskgraph.TaskID) ([]P
 				retries: disp.task.Hint.Retries, nextCopy: copies - 1,
 			}
 			for c := 0; c < copies; c++ {
-				body, err := encode(execMsg{
-					App: g.Name, Task: string(disp.task.ID), Program: disp.task.Program,
-					Instance: inst, Copy: c, Files: disp.task.InputFiles,
-					ReplyTo: string(e.client.Addr()),
-				})
-				if err != nil {
-					return placements, err
-				}
 				addr := disp.addrs[slot%len(disp.addrs)]
 				slot++
-				if err := e.client.Send(transport.Addr(addr), kindExec, body); err != nil {
+				if err := e.exec(transport.Addr(addr), g.Name, disp.task, inst, c); err != nil {
 					return placements, fmt.Errorf("exm: dispatching %s[%d]: %w", disp.task.ID, inst, err)
 				}
 			}
@@ -395,7 +385,7 @@ func (e *ExecProgram) runWave(g *taskgraph.Graph, ready []taskgraph.TaskID) ([]P
 				// First copy wins: kill the redundant ones
 				// ("kill the incarnation of the redundant task",
 				// §4.4).
-				e.killTask(g.Name, d.Task, d.Instance)
+				e.kill(killMsg{App: g.Name, Task: d.Task, Instance: d.Instance})
 			}
 		case <-deadline:
 			return placements, fmt.Errorf("exm: wave timed out: %d/%d instances complete", completedCount, needed)
@@ -422,19 +412,24 @@ func (e *ExecProgram) redispatchInstance(app string, task taskgraph.Task, pi *pe
 		return false
 	}
 	pi.nextCopy++
-	body, err := encode(execMsg{
-		App: app, Task: string(task.ID), Program: task.Program,
-		Instance: pi.instance, Copy: pi.nextCopy, Files: task.InputFiles,
-		ReplyTo: string(e.client.Addr()),
-	})
-	if err != nil {
-		return false
-	}
-	if e.client.Send(transport.Addr(alloc.Machines[0]), kindExec, body) != nil {
+	if e.exec(transport.Addr(alloc.Machines[0]), app, task, pi.instance, pi.nextCopy) != nil {
 		return false
 	}
 	pi.copies++
 	return true
+}
+
+// exec ships one copy of one task instance to a daemon, which reports its
+// completion back to this endpoint.
+func (e *ExecProgram) exec(to transport.Addr, app string, task taskgraph.Task, instance, copyIdx int) error {
+	body, err := encode(execMsg{
+		App: app, Task: string(task.ID), Program: task.Program,
+		Instance: instance, Copy: copyIdx, Files: task.InputFiles,
+	})
+	if err != nil {
+		return err
+	}
+	return e.ep.Send(to, kindExec, body)
 }
 
 // requestMachines performs the Figure 3 request/reply with a group leader.
@@ -453,61 +448,34 @@ func (e *ExecProgram) requestMachines(app string, task taskgraph.Task, need int)
 	if !found {
 		return allocMsg{}, fmt.Errorf("no group contact for classes %v", task.Requirements.Classes)
 	}
-	e.mu.Lock()
-	e.reqSeq++
-	id := e.reqSeq
-	ch := make(chan allocMsg, 1)
-	e.allocCh[id] = ch
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.allocCh, id)
-		e.mu.Unlock()
-	}()
-	body, err := encode(requestMsg{
-		ReqID: id, App: app, Task: string(task.ID), Program: task.Program,
-		Need: need, ReplyTo: string(e.client.Addr()),
-	})
+	var a allocMsg
+	err := e.ask(contact, kindRequest, func(id uint64) any {
+		return requestMsg{
+			ReqID: id, App: app, Task: string(task.ID), Program: task.Program,
+			Need: need, ReplyTo: e.ep.Addr(),
+		}
+	}, &a)
 	if err != nil {
 		return allocMsg{}, err
 	}
-	if err := e.client.Send(contact, kindRequest, body); err != nil {
-		return allocMsg{}, fmt.Errorf("request to %s: %w", contact, err)
+	if a.Err != "" {
+		return a, fmt.Errorf("%s", a.Err)
 	}
-	select {
-	case a := <-ch:
-		if a.Err != "" {
-			return a, fmt.Errorf("%s", a.Err)
-		}
-		if len(a.Machines) < need {
-			return a, fmt.Errorf("allocation returned %d machines, need %d", len(a.Machines), need)
-		}
-		return a, nil
-	case <-time.After(e.timeout):
-		return allocMsg{}, fmt.Errorf("allocation request timed out")
+	if len(a.Machines) < need {
+		return a, fmt.Errorf("allocation returned %d machines, need %d", len(a.Machines), need)
 	}
+	return a, nil
 }
 
-// terminate broadcasts the app's termination to every known group contact —
-// "the execution program notifies all machines working on the application to
-// terminate" (§5).
-func (e *ExecProgram) terminate(app string) {
-	body, err := encode(killMsg{App: app, Instance: -1})
+// kill sends k to one known daemon of every group, which relays it to its
+// whole group: "the execution program notifies all machines working on the
+// application to terminate" (§5).
+func (e *ExecProgram) kill(k killMsg) {
+	body, err := encode(k)
 	if err != nil {
 		return
 	}
 	for _, contact := range e.contacts {
-		_ = e.client.Send(contact, kindKill, body)
-	}
-}
-
-// killTask terminates one instance's redundant copies everywhere.
-func (e *ExecProgram) killTask(app, task string, instance int) {
-	body, err := encode(killMsg{App: app, Task: task, Instance: instance})
-	if err != nil {
-		return
-	}
-	for _, contact := range e.contacts {
-		_ = e.client.Send(contact, kindKill, body)
+		_ = e.ep.Send(contact, kindKill, body)
 	}
 }

@@ -2,6 +2,7 @@ package exm
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,20 +312,10 @@ type loggedEndpoint struct {
 }
 
 func (e loggedEndpoint) Send(to transport.Addr, kind string, payload []byte) error {
-	// isis carries an application message as a gob-encoded
-	// {Kind, From, Payload}; gob matches the fields by name.
-	var point struct {
-		Kind    string
-		Payload []byte
-	}
+	// Both kinds' bodies name the task; gob matches the field by name.
 	var body struct{ Task string }
-	if decode(payload, &point) == nil && decode(point.Payload, &body) == nil {
-		switch point.Kind {
-		case kindRequest:
-			e.log.add("request " + body.Task)
-		case kindExec:
-			e.log.add("exec " + body.Task)
-		}
+	if (kind == kindRequest || kind == kindExec) && decode(payload, &body) == nil {
+		e.log.add(strings.TrimPrefix(kind, "exm.") + " " + body.Task)
 	}
 	return e.Endpoint.Send(to, kind, payload)
 }
@@ -547,14 +538,11 @@ func TestLeaderFailoverDuringOperationNewRequestsServed(t *testing.T) {
 func TestAvailQuery(t *testing.T) {
 	c := newCluster(t, 3)
 	e := c.execProgram(t)
-	if n := e.Avail("WORKSTATION"); n != 3 {
+	if n := e.Avail(arch.Workstation); n != 3 {
 		t.Fatalf("Avail = %d, want 3", n)
 	}
-	if n := e.Avail("SYNC"); n != 0 {
-		t.Fatalf("Avail(SYNC) = %d, want 0 (no contact)", n)
-	}
-	if n := e.Avail("NOSUCH"); n != 0 {
-		t.Fatalf("Avail(NOSUCH) = %d", n)
+	if n := e.Avail(arch.SIMD); n != 0 {
+		t.Fatalf("Avail(SIMD) = %d, want 0 (no contact)", n)
 	}
 }
 

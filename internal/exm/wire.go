@@ -15,9 +15,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+
+	"vce/internal/transport"
 )
 
-// Point-to-point and cast message kinds.
+// Point-to-point and cast message kinds. A point message travels under its
+// kind as a bare transport message, so its sender is the envelope's From and
+// the daemon answers there.
 const (
 	kindRequest  = "exm.request"   // exec program -> leader (or any daemon, forwarded)
 	kindBidCast  = "exm.bids"      // leader -> group (cast, replies are bids)
@@ -26,18 +30,19 @@ const (
 	kindDone     = "exm.done"      // daemon -> exec program
 	kindKill     = "exm.kill"      // exec program -> daemon (relayed to group)
 	kindKillCast = "exm.kill_cast" // daemon -> group (cast)
-	kindAvailReq = "exm.avail_req" // script Env -> any daemon
-	kindAvailRep = "exm.avail_rep" // daemon -> script Env
+	kindAvailReq = "exm.avail_req" // exec program -> any daemon (script AVAIL)
+	kindAvailRep = "exm.avail_rep" // daemon -> exec program
 )
 
-// requestMsg asks a group for machines.
+// requestMsg asks a group for machines. It names its reply address because
+// a non-leader forwards it, and the leader then hears it from the forwarder.
 type requestMsg struct {
 	ReqID   uint64
 	App     string
 	Task    string
 	Program string
 	Need    int
-	ReplyTo string // exec program address
+	ReplyTo transport.Addr // exec program address
 }
 
 // bidReqMsg is the leader's broadcast to the group.
@@ -71,7 +76,6 @@ type execMsg struct {
 	Instance int
 	Copy     int
 	Files    []string
-	ReplyTo  string
 }
 
 // doneMsg reports instance completion.
@@ -96,8 +100,7 @@ type killMsg struct {
 
 // availReqMsg queries group availability (script AVAIL()).
 type availReqMsg struct {
-	ReqID   uint64
-	ReplyTo string
+	ReqID uint64
 }
 
 // availRepMsg answers an availability query.

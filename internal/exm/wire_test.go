@@ -33,7 +33,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 func TestWirePropertyExecMsg(t *testing.T) {
 	f := func(app, task, prog string, inst, copyIdx uint8, files []string) bool {
 		in := execMsg{App: app, Task: task, Program: prog,
-			Instance: int(inst), Copy: int(copyIdx), Files: files, ReplyTo: "r"}
+			Instance: int(inst), Copy: int(copyIdx), Files: files}
 		data, err := encode(in)
 		if err != nil {
 			return false

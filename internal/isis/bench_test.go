@@ -52,7 +52,7 @@ func BenchmarkCastAllReplies(b *testing.B) {
 		}
 	}()
 	for _, p := range procs {
-		p.HandleCast("bid", func(MemberID, []byte) ([]byte, bool) {
+		p.HandleCast("bid", func(transport.Addr, []byte) ([]byte, bool) {
 			return []byte("load"), true
 		})
 	}

@@ -32,14 +32,7 @@ func (p *Process) Cast(kind string, payload []byte, nreplies int) ([]Reply, erro
 	}
 	p.castSeq++
 	id := p.castSeq
-	msg := castMsg{
-		ID:        id,
-		Kind:      kind,
-		Sender:    p.id,
-		ReplyTo:   p.ep.Addr(),
-		WantReply: want > 0,
-		Payload:   payload,
-	}
+	msg := castMsg{ID: id, Kind: kind, WantReply: want > 0, Payload: payload}
 	var pc *pendingCast
 	if want > 0 {
 		pc = &pendingCast{want: want, done: make(chan struct{})}
@@ -80,88 +73,68 @@ func (p *Process) Cast(kind string, payload []byte, nreplies int) ([]Reply, erro
 	return replies, nil
 }
 
-// Send delivers an application point-to-point message to one member.
-func (p *Process) Send(to MemberID, kind string, payload []byte) error {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return ErrStopped
-	}
-	var addr string
-	for _, m := range p.view.Members {
-		if m.ID == to {
-			addr = string(m.Addr)
-			break
-		}
-	}
-	p.mu.Unlock()
-	if addr == "" {
-		// Allow addressing by raw transport address for processes
-		// outside the group (the execution program is not a member).
-		addr = string(to)
-	}
-	wire, err := encode(pointMsg{Kind: kind, From: p.id, Payload: payload})
-	if err != nil {
-		return err
-	}
-	return p.ep.Send(transport.Addr(addr), kindPoint, wire)
+// Send delivers an application point-to-point message to any address, a
+// fellow member or a process outside the group, under the application's
+// own kind. After Stop it fails with transport.ErrClosed.
+func (p *Process) Send(to transport.Addr, kind string, payload []byte) error {
+	return p.ep.Send(to, kind, payload)
 }
 
 // handleCast delivers an inbound cast in per-sender FIFO order.
-func (p *Process) handleCast(cm *castMsg) {
+func (p *Process) handleCast(from transport.Addr, cm *castMsg) {
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
 		return
 	}
-	ready := p.admitFIFOLocked(cm)
+	ready := p.admitFIFOLocked(from, cm)
 	p.mu.Unlock()
-	p.deliverAll(ready)
+	p.deliverAll(from, ready)
 }
 
 // admitFIFOLocked enforces per-sender sequence delivery. An unknown sender's
 // first message sets the baseline (late joiners must not wait for history).
-func (p *Process) admitFIFOLocked(cm *castMsg) []*castMsg {
-	next, known := p.fifoNext[cm.Sender]
+func (p *Process) admitFIFOLocked(from transport.Addr, cm *castMsg) []*castMsg {
+	next, known := p.fifoNext[from]
 	if !known {
-		p.fifoNext[cm.Sender] = cm.ID + 1
+		p.fifoNext[from] = cm.ID + 1
 		return []*castMsg{cm}
 	}
 	if cm.ID < next {
 		return nil // duplicate
 	}
 	if cm.ID > next {
-		p.fifoBuf[cm.Sender] = append(p.fifoBuf[cm.Sender], cm)
+		p.fifoBuf[from] = append(p.fifoBuf[from], cm)
 		return nil
 	}
 	ready := []*castMsg{cm}
-	p.fifoNext[cm.Sender] = cm.ID + 1
+	p.fifoNext[from] = cm.ID + 1
 	// Pull any buffered successors forward.
 	progress := true
 	for progress {
 		progress = false
-		buf := p.fifoBuf[cm.Sender]
+		buf := p.fifoBuf[from]
 		for i, b := range buf {
-			if b != nil && b.ID == p.fifoNext[cm.Sender] {
+			if b != nil && b.ID == p.fifoNext[from] {
 				ready = append(ready, b)
-				p.fifoNext[cm.Sender] = b.ID + 1
+				p.fifoNext[from] = b.ID + 1
 				buf[i] = nil
 				progress = true
 			}
 		}
 	}
-	compact := p.fifoBuf[cm.Sender][:0]
-	for _, b := range p.fifoBuf[cm.Sender] {
+	compact := p.fifoBuf[from][:0]
+	for _, b := range p.fifoBuf[from] {
 		if b != nil {
 			compact = append(compact, b)
 		}
 	}
-	p.fifoBuf[cm.Sender] = compact
+	p.fifoBuf[from] = compact
 	return ready
 }
 
-// deliverAll invokes handlers (outside the lock) and sends replies.
-func (p *Process) deliverAll(msgs []*castMsg) {
+// deliverAll invokes handlers (outside the lock) and replies to the caster.
+func (p *Process) deliverAll(from transport.Addr, msgs []*castMsg) {
 	for _, cm := range msgs {
 		p.mu.Lock()
 		h := p.castHandlers[cm.Kind]
@@ -169,23 +142,23 @@ func (p *Process) deliverAll(msgs []*castMsg) {
 		if h == nil {
 			continue
 		}
-		reply, ok := h(cm.Sender, cm.Payload)
+		reply, ok := h(from, cm.Payload)
 		if ok && cm.WantReply {
-			if wire, err := encode(replyMsg{CastID: cm.ID, From: p.id, Payload: reply}); err == nil {
-				_ = p.ep.Send(cm.ReplyTo, kindReply, wire)
+			if wire, err := encode(replyMsg{CastID: cm.ID, Payload: reply}); err == nil {
+				_ = p.ep.Send(from, kindReply, wire)
 			}
 		}
 	}
 }
 
-func (p *Process) handleReply(rm replyMsg) {
+func (p *Process) handleReply(from transport.Addr, rm replyMsg) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pc, ok := p.pending[rm.CastID]
 	if !ok || pc.closed {
 		return
 	}
-	pc.replies = append(pc.replies, Reply{From: rm.From, Payload: rm.Payload})
+	pc.replies = append(pc.replies, Reply{From: from, Payload: rm.Payload})
 	if len(pc.replies) >= pc.want {
 		pc.closed = true
 		close(pc.done)

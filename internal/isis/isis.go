@@ -29,17 +29,12 @@ import (
 	"vce/internal/vtime"
 )
 
-// MemberID identifies a group member; it equals the member's transport
-// address, which is unique per process lifetime.
-type MemberID string
-
 // Member is one entry in a membership view.
 type Member struct {
-	// ID is the member's identity (== Addr).
-	ID MemberID
 	// Name is the human-readable name supplied at Join (machine name).
 	Name string
-	// Addr is the member's transport address.
+	// Addr is the member's transport address, unique per process
+	// lifetime: it is the member's identity.
 	Addr transport.Addr
 	// Rank is the join order; the lowest-ranked member is the oldest and
 	// acts as group leader.
@@ -58,10 +53,10 @@ type View struct {
 // empty view panics: an installed view always has at least one member.
 func (v View) Leader() Member { return v.Members[0] }
 
-// Contains reports whether id is in the view.
-func (v View) Contains(id MemberID) bool {
+// Contains reports whether the member at addr is in the view.
+func (v View) Contains(addr transport.Addr) bool {
 	for _, m := range v.Members {
-		if m.ID == id {
+		if m.Addr == addr {
 			return true
 		}
 	}
@@ -80,17 +75,17 @@ func (v View) clone() View {
 // Reply is one member's answer to a cast.
 type Reply struct {
 	// From is the replying member.
-	From MemberID
+	From transport.Addr
 	// Payload is the reply body.
 	Payload []byte
 }
 
 // CastHandler consumes a delivered cast and optionally produces a reply.
 // Returning ok=false suppresses the reply (the member "declines to bid").
-type CastHandler func(from MemberID, payload []byte) (reply []byte, ok bool)
+type CastHandler func(from transport.Addr, payload []byte) (reply []byte, ok bool)
 
 // PointHandler consumes an application point-to-point message.
-type PointHandler func(from MemberID, payload []byte)
+type PointHandler func(from transport.Addr, payload []byte)
 
 // ViewHandler observes view installations.
 type ViewHandler func(View)
@@ -144,7 +139,6 @@ func (c Config) withDefaults() Config {
 type Process struct {
 	cfg Config
 	ep  transport.Endpoint
-	id  MemberID
 
 	mu       sync.Mutex
 	view     View
@@ -154,13 +148,13 @@ type Process struct {
 	castSeq  uint64 // this member's casts, numbered from 1
 
 	// Failure detection state.
-	lastHB     map[MemberID]time.Time // leader: member -> last beacon
-	leaderSeen time.Time              // member: last leader beacon
+	lastHB     map[transport.Addr]time.Time // leader: member -> last beacon
+	leaderSeen time.Time                    // member: last leader beacon
 	tick       vtime.Timer
 
-	// FIFO delivery state.
-	fifoNext map[MemberID]uint64
-	fifoBuf  map[MemberID][]*castMsg
+	// FIFO delivery state, by sender.
+	fifoNext map[transport.Addr]uint64
+	fifoBuf  map[transport.Addr][]*castMsg
 
 	// Pending reply collections, by cast ID.
 	pending map[uint64]*pendingCast
@@ -187,7 +181,7 @@ func Found(net transport.Network, group string, cfg Config) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := View{Number: 1, Members: []Member{{ID: p.id, Name: p.cfg.Name, Addr: p.ep.Addr(), Rank: 0}}}
+	v := View{Number: 1, Members: []Member{{Name: p.cfg.Name, Addr: p.ep.Addr(), Rank: 0}}}
 	p.mu.Lock()
 	p.nextRank = 1
 	p.installViewLocked(v)
@@ -238,10 +232,9 @@ func newProcess(net transport.Network, group string, cfg Config) (*Process, erro
 	p := &Process{
 		cfg:           cfg,
 		ep:            ep,
-		id:            MemberID(ep.Addr()),
-		lastHB:        make(map[MemberID]time.Time),
-		fifoNext:      make(map[MemberID]uint64),
-		fifoBuf:       make(map[MemberID][]*castMsg),
+		lastHB:        make(map[transport.Addr]time.Time),
+		fifoNext:      make(map[transport.Addr]uint64),
+		fifoBuf:       make(map[transport.Addr][]*castMsg),
 		pending:       make(map[uint64]*pendingCast),
 		castHandlers:  make(map[string]CastHandler),
 		pointHandlers: make(map[string]PointHandler),
@@ -251,10 +244,7 @@ func newProcess(net transport.Network, group string, cfg Config) (*Process, erro
 	return p, nil
 }
 
-// ID returns this process's member identity.
-func (p *Process) ID() MemberID { return p.id }
-
-// Addr returns this process's transport address.
+// Addr returns this process's transport address, its member identity.
 func (p *Process) Addr() transport.Addr { return p.ep.Addr() }
 
 // View returns the current membership view.
@@ -272,7 +262,7 @@ func (p *Process) IsLeader() bool {
 }
 
 func (p *Process) isLeaderLocked() bool {
-	return p.haveView && len(p.view.Members) > 0 && p.view.Members[0].ID == p.id
+	return p.haveView && len(p.view.Members) > 0 && p.view.Members[0].Addr == p.ep.Addr()
 }
 
 // HandleCast registers the handler for casts of the given application kind.
@@ -283,6 +273,8 @@ func (p *Process) HandleCast(kind string, h CastHandler) {
 }
 
 // HandlePoint registers the handler for point-to-point messages of a kind.
+// The kind is the transport kind the sender used, so it must not be one of
+// the "isis." protocol kinds.
 func (p *Process) HandlePoint(kind string, h PointHandler) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -319,12 +311,10 @@ func (p *Process) Leave() {
 		if hasSuccessor {
 			// Hand the group to the next-oldest member by issuing a
 			// final view that excludes us.
-			p.issueViewWithout(p.id)
+			p.issueViewWithout(p.ep.Addr())
 		}
 	} else {
-		if msg, err := encode(leaveMsg{Member: p.id}); err == nil {
-			_ = p.ep.Send(leader.Addr, kindLeave, msg)
-		}
+		_ = p.ep.Send(leader.Addr, kindLeave, nil)
 	}
 	p.Stop()
 }
@@ -354,7 +344,7 @@ func (p *Process) Stop() {
 
 // issueViewWithout is called by the current leader to publish a new view
 // that excludes the given member (used for graceful leader departure).
-func (p *Process) issueViewWithout(id MemberID) {
+func (p *Process) issueViewWithout(addr transport.Addr) {
 	p.mu.Lock()
 	if !p.isLeaderLocked() {
 		p.mu.Unlock()
@@ -362,7 +352,7 @@ func (p *Process) issueViewWithout(id MemberID) {
 	}
 	v := View{Number: p.view.Number + 1}
 	for _, m := range p.view.Members {
-		if m.ID != id {
+		if m.Addr != addr {
 			v.Members = append(v.Members, m)
 		}
 	}
@@ -384,12 +374,12 @@ func (p *Process) installViewLocked(v View) {
 	now := p.cfg.Clock.Now()
 	p.leaderSeen = now
 	// Reset leader-side heartbeat table to the new membership.
-	fresh := make(map[MemberID]time.Time, len(v.Members))
+	fresh := make(map[transport.Addr]time.Time, len(v.Members))
 	for _, m := range v.Members {
-		if t, ok := p.lastHB[m.ID]; ok {
-			fresh[m.ID] = t
+		if t, ok := p.lastHB[m.Addr]; ok {
+			fresh[m.Addr] = t
 		} else {
-			fresh[m.ID] = now
+			fresh[m.Addr] = now
 		}
 	}
 	p.lastHB = fresh

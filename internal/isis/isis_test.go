@@ -57,7 +57,7 @@ func newGroup(t *testing.T, n int) []*Process {
 	}
 	netMu.Lock()
 	for _, p := range procs {
-		netByMember[p.ID()] = net
+		netByMember[p.Addr()] = net
 	}
 	netMu.Unlock()
 	for _, p := range procs {
@@ -93,7 +93,7 @@ func TestFoundAndJoin(t *testing.T) {
 			t.Fatalf("view numbers differ: %d vs %d", pv.Number, v.Number)
 		}
 		for j, m := range pv.Members {
-			if m.Rank != v.Members[j].Rank || m.ID != v.Members[j].ID {
+			if m.Rank != v.Members[j].Rank || m.Addr != v.Members[j].Addr {
 				t.Fatalf("views differ at %d", j)
 			}
 		}
@@ -141,7 +141,7 @@ func TestCastFIFOAllReplies(t *testing.T) {
 	procs := newGroup(t, 5)
 	for i, p := range procs {
 		i := i
-		p.HandleCast("bid", func(from MemberID, payload []byte) ([]byte, bool) {
+		p.HandleCast("bid", func(from transport.Addr, payload []byte) ([]byte, bool) {
 			return []byte(fmt.Sprintf("bid-from-%d", i)), true
 		})
 	}
@@ -164,7 +164,7 @@ func TestCastFIFOAllReplies(t *testing.T) {
 func TestCastKReplies(t *testing.T) {
 	procs := newGroup(t, 6)
 	for _, p := range procs {
-		p.HandleCast("q", func(MemberID, []byte) ([]byte, bool) { return []byte("y"), true })
+		p.HandleCast("q", func(transport.Addr, []byte) ([]byte, bool) { return []byte("y"), true })
 	}
 	replies, err := procs[1].Cast("q", nil, 3)
 	if err != nil {
@@ -179,7 +179,7 @@ func TestCastDecliningMembersCauseTimeout(t *testing.T) {
 	procs := newGroup(t, 4)
 	for i, p := range procs {
 		willing := i < 2
-		p.HandleCast("q", func(MemberID, []byte) ([]byte, bool) {
+		p.HandleCast("q", func(transport.Addr, []byte) ([]byte, bool) {
 			return []byte("y"), willing
 		})
 	}
@@ -200,7 +200,7 @@ func TestCastNoReplyWanted(t *testing.T) {
 	var mu sync.Mutex
 	got := 0
 	for _, p := range procs {
-		p.HandleCast("note", func(MemberID, []byte) ([]byte, bool) {
+		p.HandleCast("note", func(transport.Addr, []byte) ([]byte, bool) {
 			mu.Lock()
 			got++
 			mu.Unlock()
@@ -224,7 +224,7 @@ func TestFIFOOrderPerSender(t *testing.T) {
 	received := make(map[int][]int) // receiver index -> sequence observed
 	for idx, p := range procs[1:] {
 		idx := idx
-		p.HandleCast("seq", func(from MemberID, payload []byte) ([]byte, bool) {
+		p.HandleCast("seq", func(from transport.Addr, payload []byte) ([]byte, bool) {
 			mu.Lock()
 			var v int
 			fmt.Sscanf(string(payload), "%d", &v)
@@ -298,7 +298,7 @@ func TestMemberCrashDetectedByLeader(t *testing.T) {
 	procs := newGroup(t, 4)
 	procs[2].Stop()
 	eventually(t, "crash detected", func() bool {
-		return procs[0].View().Size() == 3 && !procs[0].View().Contains(procs[2].ID())
+		return procs[0].View().Size() == 3 && !procs[0].View().Contains(procs[2].Addr())
 	})
 	eventually(t, "view propagated", func() bool {
 		return procs[1].View().Size() == 3 && procs[3].View().Size() == 3
@@ -350,7 +350,7 @@ func transportOf(t *testing.T, p *Process) transport.Network {
 	// records it here for every member it creates.
 	netMu.Lock()
 	defer netMu.Unlock()
-	net, ok := netByMember[p.ID()]
+	net, ok := netByMember[p.Addr()]
 	if !ok {
 		t.Fatal("no recorded network for member")
 	}
@@ -359,16 +359,16 @@ func transportOf(t *testing.T, p *Process) transport.Network {
 
 var (
 	netMu       sync.Mutex
-	netByMember = map[MemberID]transport.Network{}
+	netByMember = map[transport.Addr]transport.Network{}
 )
 
 func TestPointToPoint(t *testing.T) {
 	procs := newGroup(t, 3)
 	got := make(chan string, 1)
-	procs[2].HandlePoint("hello", func(from MemberID, payload []byte) {
+	procs[2].HandlePoint("hello", func(from transport.Addr, payload []byte) {
 		got <- string(payload)
 	})
-	if err := procs[0].Send(procs[2].ID(), "hello", []byte("direct")); err != nil {
+	if err := procs[0].Send(procs[2].Addr(), "hello", []byte("direct")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -464,55 +464,40 @@ func TestViewNumbersMonotonic(t *testing.T) {
 	})
 }
 
-func TestClientPointToPointWithDaemon(t *testing.T) {
+// TestOutsiderPointToPointWithProcess is the execution program's path: a
+// bare endpoint outside the group messages a member under its own kind and
+// gets the member's Send back at its address.
+func TestOutsiderPointToPointWithProcess(t *testing.T) {
 	procs := newGroup(t, 2)
-	net := transportOf(t, procs[0])
-	client, err := NewClient(net, "outsider")
+	outsider, err := transportOf(t, procs[0]).Endpoint("outsider")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	defer outsider.Close()
 	got := make(chan string, 1)
-	procs[0].HandlePoint("ping", func(from MemberID, payload []byte) {
+	procs[0].HandlePoint("ping", func(from transport.Addr, payload []byte) {
 		got <- string(payload)
-		// Reply to the raw client address (not a member).
-		_ = procs[0].Send(MemberID(from), "pong", []byte("back"))
+		_ = procs[0].Send(from, "pong", []byte("back"))
 	})
-	reply := make(chan string, 1)
-	client.HandlePoint("pong", func(from MemberID, payload []byte) {
-		reply <- string(payload)
-	})
-	if err := client.Send(procs[0].Addr(), "ping", []byte("hello")); err != nil {
+	reply := make(chan transport.Message, 1)
+	outsider.Handle(func(msg transport.Message) { reply <- msg })
+	if err := outsider.Send(procs[0].Addr(), "ping", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case s := <-got:
 		if s != "hello" {
-			t.Fatalf("daemon got %q", s)
+			t.Fatalf("member got %q", s)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("daemon never received client message")
+		t.Fatal("member never received the outsider's message")
 	}
 	select {
-	case s := <-reply:
-		if s != "back" {
-			t.Fatalf("client got %q", s)
+	case msg := <-reply:
+		if msg.Kind != "pong" || string(msg.Payload) != "back" || msg.From != procs[0].Addr() {
+			t.Fatalf("outsider got %+v", msg)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("client never received reply")
-	}
-}
-
-func TestClientSendAfterClose(t *testing.T) {
-	procs := newGroup(t, 1)
-	net := transportOf(t, procs[0])
-	client, err := NewClient(net, "closer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.Close()
-	client.Close() // double close is safe
-	if err := client.Send(procs[0].Addr(), "x", nil); err != ErrStopped {
-		t.Fatalf("send after close = %v, want ErrStopped", err)
+		t.Fatal("outsider never received the reply")
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // onMessage is the single inbound dispatch point; the transport invokes it
-// sequentially, which is what keeps the delivery buffers simple.
+// sequentially, which is what keeps the delivery buffers simple. A member is
+// its transport address, so every sender is the envelope's From.
 func (p *Process) onMessage(msg transport.Message) {
 	switch msg.Kind {
 	case kindJoinReq, kindJoinFwd:
@@ -23,32 +24,26 @@ func (p *Process) onMessage(msg transport.Message) {
 	case kindHeartbeat:
 		var hb hbMsg
 		if decode(msg.Payload, &hb) == nil {
-			p.handleHeartbeat(MemberID(msg.From), hb)
+			p.handleHeartbeat(msg.From, hb)
 		}
 	case kindCast:
 		var cm castMsg
 		if decode(msg.Payload, &cm) == nil {
-			p.handleCast(&cm)
+			p.handleCast(msg.From, &cm)
 		}
 	case kindReply:
 		var rm replyMsg
 		if decode(msg.Payload, &rm) == nil {
-			p.handleReply(rm)
+			p.handleReply(msg.From, rm)
 		}
 	case kindLeave:
-		var lm leaveMsg
-		if decode(msg.Payload, &lm) == nil {
-			p.removeMembers([]MemberID{lm.Member})
-		}
-	case kindPoint:
-		var pm pointMsg
-		if decode(msg.Payload, &pm) == nil {
-			p.mu.Lock()
-			h := p.pointHandlers[pm.Kind]
-			p.mu.Unlock()
-			if h != nil {
-				h(pm.From, pm.Payload)
-			}
+		p.removeMembers([]transport.Addr{msg.From})
+	default:
+		p.mu.Lock()
+		h := p.pointHandlers[msg.Kind]
+		p.mu.Unlock()
+		if h != nil {
+			h(msg.From, msg.Payload)
 		}
 	}
 }
@@ -69,7 +64,7 @@ func (p *Process) handleJoin(req joinReq) {
 		}
 		return
 	}
-	if p.view.Contains(MemberID(req.Addr)) {
+	if p.view.Contains(req.Addr) {
 		// Duplicate join (retransmission): re-announce the current view
 		// so the joiner unblocks.
 		v := p.view.clone()
@@ -77,12 +72,12 @@ func (p *Process) handleJoin(req joinReq) {
 		p.broadcastView(v)
 		return
 	}
-	m := Member{ID: MemberID(req.Addr), Name: req.Name, Addr: req.Addr, Rank: p.nextRank}
+	m := Member{Name: req.Name, Addr: req.Addr, Rank: p.nextRank}
 	p.nextRank++
 	v := p.view.clone()
 	v.Number++
 	v.Members = append(v.Members, m)
-	p.lastHB[m.ID] = p.cfg.Clock.Now()
+	p.lastHB[m.Addr] = p.cfg.Clock.Now()
 	p.mu.Unlock()
 	p.broadcastView(v)
 }
@@ -93,7 +88,7 @@ func (p *Process) handleView(v View) {
 		p.mu.Unlock()
 		return
 	}
-	if !v.Contains(p.id) {
+	if !v.Contains(p.ep.Addr()) {
 		// A view that excludes us is either history or an ejection;
 		// in both cases it is not ours to install.
 		p.mu.Unlock()
@@ -116,17 +111,17 @@ func (p *Process) handleView(v View) {
 	p.mu.Unlock()
 }
 
-// removeMembers ejects ids (leader only) and publishes the new view.
-func (p *Process) removeMembers(ids []MemberID) {
+// removeMembers ejects members (leader only) and publishes the new view.
+func (p *Process) removeMembers(addrs []transport.Addr) {
 	p.mu.Lock()
 	if p.stopped || !p.isLeaderLocked() {
 		p.mu.Unlock()
 		return
 	}
-	gone := make(map[MemberID]bool, len(ids))
-	for _, id := range ids {
-		if id != p.id && p.view.Contains(id) {
-			gone[id] = true
+	gone := make(map[transport.Addr]bool, len(addrs))
+	for _, a := range addrs {
+		if a != p.ep.Addr() && p.view.Contains(a) {
+			gone[a] = true
 		}
 	}
 	if len(gone) == 0 {
@@ -135,12 +130,12 @@ func (p *Process) removeMembers(ids []MemberID) {
 	}
 	v := View{Number: p.view.Number + 1}
 	for _, m := range p.view.Members {
-		if !gone[m.ID] {
+		if !gone[m.Addr] {
 			v.Members = append(v.Members, m)
 		}
 	}
-	for id := range gone {
-		delete(p.lastHB, id)
+	for a := range gone {
+		delete(p.lastHB, a)
 	}
 	p.mu.Unlock()
 	p.broadcastView(v)
@@ -168,20 +163,20 @@ func (p *Process) onTick() {
 	now := p.cfg.Clock.Now()
 	isLeader := p.isLeaderLocked()
 	view := p.view.clone()
-	var expired []MemberID
+	var expired []transport.Addr
 	takeover := false
 	if isLeader {
 		for _, m := range view.Members {
-			if m.ID == p.id {
+			if m.Addr == p.ep.Addr() {
 				continue
 			}
-			last, ok := p.lastHB[m.ID]
+			last, ok := p.lastHB[m.Addr]
 			if !ok {
-				p.lastHB[m.ID] = now
+				p.lastHB[m.Addr] = now
 				continue
 			}
 			if now.Sub(last) > p.cfg.FailAfter {
-				expired = append(expired, m.ID)
+				expired = append(expired, m.Addr)
 			}
 		}
 	} else {
@@ -189,7 +184,7 @@ func (p *Process) onTick() {
 		// oldest surviving member claims leadership first.
 		pos := 0
 		for i, m := range view.Members {
-			if m.ID == p.id {
+			if m.Addr == p.ep.Addr() {
 				pos = i
 				break
 			}
@@ -205,7 +200,7 @@ func (p *Process) onTick() {
 	if hb, err := encode(hbMsg{ViewNumber: view.Number, FromLeader: isLeader}); err == nil {
 		if isLeader {
 			for _, m := range view.Members {
-				if m.ID != p.id {
+				if m.Addr != p.ep.Addr() {
 					_ = p.ep.Send(m.Addr, kindHeartbeat, hb)
 				}
 			}
@@ -236,11 +231,11 @@ func (p *Process) takeOver() {
 	old := p.view.Leader()
 	v := View{Number: p.view.Number + 1}
 	for _, m := range p.view.Members {
-		if m.ID != old.ID {
+		if m.Addr != old.Addr {
 			v.Members = append(v.Members, m)
 		}
 	}
-	if len(v.Members) == 0 || v.Members[0].ID != p.id {
+	if len(v.Members) == 0 || v.Members[0].Addr != p.ep.Addr() {
 		// A yet-older member survives; its (shorter) stagger will fire.
 		// Reset our patience so we re-evaluate a full period later.
 		p.mu.Unlock()
@@ -248,21 +243,21 @@ func (p *Process) takeOver() {
 	}
 	now := p.cfg.Clock.Now()
 	for _, m := range v.Members {
-		p.lastHB[m.ID] = now
+		p.lastHB[m.Addr] = now
 	}
 	p.leaderSeen = now
 	p.mu.Unlock()
 	p.broadcastView(v)
 }
 
-func (p *Process) handleHeartbeat(from MemberID, hb hbMsg) {
+func (p *Process) handleHeartbeat(from transport.Addr, hb hbMsg) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stopped || !p.haveView {
 		return
 	}
 	now := p.cfg.Clock.Now()
-	if hb.FromLeader && p.view.Contains(from) && p.view.Leader().ID == from {
+	if hb.FromLeader && p.view.Contains(from) && p.view.Leader().Addr == from {
 		p.leaderSeen = now
 	}
 	if p.isLeaderLocked() {

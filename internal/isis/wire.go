@@ -16,11 +16,14 @@ const (
 	kindHeartbeat = "isis.hb"       // member <-> leader liveness
 	kindCast      = "isis.cast"     // group broadcast data
 	kindReply     = "isis.reply"    // cast reply, point-to-point
-	kindLeave     = "isis.leave"    // member -> leader, graceful exit
-	kindPoint     = "isis.p2p"      // application point-to-point
+	kindLeave     = "isis.leave"    // member -> leader, graceful exit (no body)
 )
 
-// joinReq asks to join the group via a contact member.
+// Any other kind is an application point-to-point message (Process.Send),
+// delivered to the handler registered for it.
+
+// joinReq asks to join the group via a contact member. It names the joiner's
+// address because a non-leader forwards it to the leader.
 type joinReq struct {
 	Name string
 	Addr transport.Addr
@@ -32,34 +35,20 @@ type hbMsg struct {
 	FromLeader bool
 }
 
-// castMsg is a group broadcast, possibly expecting replies.
+// castMsg is a group broadcast, possibly expecting replies. Its sender is
+// the envelope's From, which is also where replies go.
 type castMsg struct {
 	// ID numbers the sender's casts from 1: it orders FIFO delivery and
 	// keys the sender's reply collection.
 	ID        uint64
 	Kind      string
-	Sender    MemberID
-	ReplyTo   transport.Addr
 	WantReply bool
 	Payload   []byte
 }
 
-// replyMsg answers a cast.
+// replyMsg answers a cast; the replier is the envelope's From.
 type replyMsg struct {
 	CastID  uint64
-	From    MemberID
-	Payload []byte
-}
-
-// leaveMsg announces a graceful departure.
-type leaveMsg struct {
-	Member MemberID
-}
-
-// pointMsg is an application-level point-to-point message.
-type pointMsg struct {
-	Kind    string
-	From    MemberID
 	Payload []byte
 }
 

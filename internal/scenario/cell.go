@@ -64,7 +64,6 @@ func RunInstanceContext(ctx context.Context, inst Instance, run int) (Indexes, e
 // write it are the arena's methods.
 type cell struct {
 	key string // "sched/migration", for error messages
-	run int
 
 	pol sched.Policy
 	loc *sched.Locality // pol, when it is the locality policy
@@ -218,7 +217,7 @@ func (ar *runArena) runCell(ctx context.Context, schedName, migration string, ru
 // the order runCell documents, and arms the world's first event.
 func (ar *runArena) startCell(schedName, migration string, run int) {
 	cl := ar.cluster
-	ar.cell = cell{key: schedName + "/" + migration, run: run}
+	ar.cell = cell{key: schedName + "/" + migration}
 	ar.worldSeq[0] = cl.Sim.Reserve()
 	ar.attachPolicies(schedName, migration)
 	ar.noteQueueDepth(0, 0)
@@ -599,8 +598,8 @@ func (ar *runArena) taskDone(t *sim.Task, at time.Duration) {
 	host := t.DoneOn().Index()
 	ar.markStale(host)
 	if at < sl.gen.arrival && ar.doneErr == nil {
-		ar.doneErr = fmt.Errorf("scenario: %s run %d: task %s completed at %v before it arrived at %v",
-			ar.key, ar.run, t.ID, at, sl.gen.arrival)
+		// The executor prefixes the cell and run, as for AuditError.
+		ar.doneErr = fmt.Errorf("task %s completed at %v before it arrived at %v", t.ID, at, sl.gen.arrival)
 	}
 	if ar.dag {
 		sl.doneHost = int32(host)

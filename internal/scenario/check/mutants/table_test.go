@@ -46,8 +46,8 @@ var table = []mutant{
 	{
 		name: "reset-keeps-completion-sum", wantMode: "fresh-arena",
 		file: "internal/scenario/cell.go",
-		old:  "\tar.cell = cell{key: schedName + \"/\" + migration, run: run}\n",
-		new:  "\tar.cell = cell{key: schedName + \"/\" + migration, run: run, completionSum: ar.completionSum}\n",
+		old:  "\tar.cell = cell{key: schedName + \"/\" + migration}\n",
+		new:  "\tar.cell = cell{key: schedName + \"/\" + migration, completionSum: ar.completionSum}\n",
 	},
 	{
 		name: "worker-lane-leak", wantMode: "workers",

@@ -99,8 +99,7 @@ type Options struct {
 	// spans. Wall-clock data lives only in the recorder's artifacts —
 	// never in the Report — so telemetry cannot move goldens, cache keys
 	// or any property the harness checks. Nil (the default) is the true
-	// off-path: the executor reads no clocks and the kernel's stats hook
-	// stays detached.
+	// off-path: the executor reads no clocks.
 	Telemetry *obs.Recorder
 	// Shard restricts execution to one slice of the grid. The zero value
 	// runs everything.

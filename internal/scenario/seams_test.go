@@ -280,7 +280,9 @@ func TestAuditedSnapshotCatchesAWrongEntry(t *testing.T) {
 
 // TestCompletionBeforeArrivalFailsTheRun shows that the guard in taskDone
 // runs: with every completion reported a second before its task's arrival,
-// runCell fails the cell with the guard's error instead of measuring it.
+// runCell fails the cell with the guard's error instead of measuring it. The
+// error leaves the "scenario: <cell> run <n>:" prefix to the executor, which
+// adds it once.
 func TestCompletionBeforeArrivalFailsTheRun(t *testing.T) {
 	ar := testArena(t, stagingSpec())
 	ar.onDone = func(task *sim.Task, _ time.Duration) {
@@ -289,6 +291,9 @@ func TestCompletionBeforeArrivalFailsTheRun(t *testing.T) {
 	_, err := ar.runCell(context.Background(), "greedy-best-fit", "none", 0, false, nil)
 	if err == nil || err != ar.doneErr || !strings.Contains(err.Error(), "before it arrived") {
 		t.Fatalf("runCell = %v, want the completed-before-it-arrived error", err)
+	}
+	if strings.HasPrefix(err.Error(), "scenario:") {
+		t.Fatalf("runCell = %q, want the prefix left to the executor", err)
 	}
 }
 

@@ -12,16 +12,16 @@ import (
 // Env supplies the live facts conditionals reference. The execution program
 // implements it by querying group leaders; tests use StaticEnv.
 type Env interface {
-	// Avail returns the number of available machines in a group
-	// (ASYNC, SYNC, WORKSTATION, VECTOR).
-	Avail(group string) int
+	// Avail returns the number of available machines in the group of a
+	// machine class.
+	Avail(class arch.Class) int
 }
 
-// StaticEnv is a fixed group→count Env.
-type StaticEnv map[string]int
+// StaticEnv is a fixed class→count Env.
+type StaticEnv map[arch.Class]int
 
 // Avail implements Env.
-func (s StaticEnv) Avail(group string) int { return s[strings.ToUpper(group)] }
+func (s StaticEnv) Avail(class arch.Class) int { return s[class] }
 
 // Eval resolves conditionals against env and returns the flattened,
 // concrete statement list.
@@ -82,42 +82,13 @@ func evalCond(c Cond, env Env) (bool, error) {
 }
 
 func evalTerm(t Term, env Env) (int, error) {
-	if t.Avail == "" {
+	if t.Avail == arch.ClassUnknown {
 		return t.Lit, nil
 	}
 	if env == nil {
 		return 0, fmt.Errorf("AVAIL(%s) needs an environment", t.Avail)
 	}
 	return env.Avail(t.Avail), nil
-}
-
-// groupProblem maps request directives to the design-stage problem class
-// the directive implies.
-func groupProblem(group string) arch.ProblemClass {
-	switch group {
-	case "SYNC":
-		return arch.Synchronous
-	case "VECTOR":
-		return arch.LooselySynchronous
-	default: // ASYNC, WORKSTATION
-		return arch.Asynchronous
-	}
-}
-
-// groupClass maps request directives to the machine class whose group
-// services them (§5: the ASYNC line "requests two instantiations ... on
-// machines with asynchronous architectures").
-func groupClass(group string) arch.Class {
-	switch group {
-	case "SYNC":
-		return arch.SIMD
-	case "VECTOR":
-		return arch.Vector
-	case "WORKSTATION":
-		return arch.Workstation
-	default: // ASYNC
-		return arch.MIMD
-	}
 }
 
 // ToGraph compiles a flattened statement list into an annotated task graph:
@@ -152,13 +123,17 @@ func ToGraph(name string, stmts []Stmt) (*taskgraph.Graph, error) {
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *Request:
+			d, ok := lookupDirective(s.Group)
+			if !ok {
+				return nil, fmt.Errorf("script:%d: unknown directive %q", s.Line(), s.Group)
+			}
 			t := taskgraph.Task{
 				ID:           newID(s.Path),
 				Program:      s.Path,
-				Problem:      groupProblem(s.Group),
+				Problem:      d.problem,
 				MinInstances: s.Min,
 				MaxInstances: s.Max,
-				Requirements: arch.Requirements{Classes: []arch.Class{groupClass(s.Group)}},
+				Requirements: arch.Requirements{Classes: []arch.Class{d.class}},
 			}
 			if err := addTask(t, s.Path); err != nil {
 				return nil, fmt.Errorf("script:%d: %v", s.Line(), err)

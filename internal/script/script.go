@@ -27,6 +27,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"vce/internal/arch"
 )
 
 // Stmt is one script statement.
@@ -44,7 +46,8 @@ func (b base) Line() int { return b.line }
 // Request asks for instances of a program on a machine group.
 type Request struct {
 	base
-	// Group is the directive keyword (ASYNC, SYNC, WORKSTATION, VECTOR).
+	// Group is the directive keyword (ASYNC, SYNC, WORKSTATION, VECTOR);
+	// a synonym is stored as its keyword.
 	Group string
 	// Min and Max bound the instance count. Max == Min for exact
 	// requests; "5-" yields Min 1 / Max 5; "5,10" yields Min 5 / Max 10.
@@ -118,11 +121,11 @@ type If struct {
 
 // Term is one side of a condition: a literal or AVAIL(GROUP).
 type Term struct {
-	// Lit is the literal value when Avail is empty.
+	// Lit is the literal value when Avail is ClassUnknown.
 	Lit int
-	// Avail, when non-empty, means "number of available machines in this
-	// group at evaluation time".
-	Avail string
+	// Avail, when set, means "number of available machines in the group
+	// of this class at evaluation time".
+	Avail arch.Class
 }
 
 // Cond is a binary comparison.
@@ -139,11 +142,33 @@ type Script struct {
 	Stmts []Stmt
 }
 
-// groupKeywords are the request directives; MIMD and SIMD are accepted as
+// directive is one request keyword: the machine class whose group services
+// it and the problem class it implies (§5: the ASYNC line "requests two
+// instantiations ... on machines with asynchronous architectures").
+type directive struct {
+	keyword string
+	synonym string // read as keyword; "" for none
+	class   arch.Class
+	problem arch.ProblemClass
+}
+
+// directives is the request vocabulary. MIMD and SIMD are accepted as
 // synonyms for the problem-architecture keywords that map to them.
-var groupKeywords = map[string]bool{
-	"ASYNC": true, "SYNC": true, "WORKSTATION": true, "VECTOR": true,
-	"MIMD": true, "SIMD": true,
+var directives = []directive{
+	{"ASYNC", "MIMD", arch.MIMD, arch.Asynchronous},
+	{"SYNC", "SIMD", arch.SIMD, arch.Synchronous},
+	{"VECTOR", "", arch.Vector, arch.LooselySynchronous},
+	{"WORKSTATION", "", arch.Workstation, arch.Asynchronous},
+}
+
+// lookupDirective finds the row whose keyword or synonym is word.
+func lookupDirective(word string) (directive, bool) {
+	for _, d := range directives {
+		if word == d.keyword || (d.synonym != "" && word == d.synonym) {
+			return d, true
+		}
+	}
+	return directive{}, false
 }
 
 // Parse parses a script source.
@@ -205,8 +230,9 @@ func (p *parser) statement(head string, toks []string) (Stmt, error) {
 	fail := func(format string, args ...interface{}) error {
 		return fmt.Errorf("script:%d: %s", line, fmt.Sprintf(format, args...))
 	}
+	d, isRequest := lookupDirective(head)
 	switch {
-	case groupKeywords[head]:
+	case isRequest:
 		if len(toks) != 3 {
 			return nil, fail("%s needs a count and a path", head)
 		}
@@ -219,7 +245,7 @@ func (p *parser) statement(head string, toks []string) (Stmt, error) {
 			return nil, fail("path must be quoted: %s", toks[2])
 		}
 		p.pos++
-		return &Request{base: base{line}, Group: canonicalGroup(head), Min: min, Max: max, Path: path}, nil
+		return &Request{base: base{line}, Group: d.keyword, Min: min, Max: max, Path: path}, nil
 
 	case head == "LOCAL":
 		if len(toks) != 2 {
@@ -367,17 +393,6 @@ func (p *parser) statement(head string, toks []string) (Stmt, error) {
 	}
 }
 
-func canonicalGroup(head string) string {
-	switch head {
-	case "MIMD":
-		return "ASYNC"
-	case "SIMD":
-		return "SYNC"
-	default:
-		return head
-	}
-}
-
 // parseCount handles "5", "5-" and "5,10".
 func parseCount(tok string) (min, max int, err error) {
 	switch {
@@ -443,10 +458,11 @@ func parseTerm(tok string) (Term, error) {
 	up := strings.ToUpper(tok)
 	if strings.HasPrefix(up, "AVAIL(") && strings.HasSuffix(up, ")") {
 		group := up[len("AVAIL(") : len(up)-1]
-		if !groupKeywords[group] {
+		d, ok := lookupDirective(group)
+		if !ok {
 			return Term{}, fmt.Errorf("AVAIL of unknown group %q", group)
 		}
-		return Term{Avail: canonicalGroup(group)}, nil
+		return Term{Avail: d.class}, nil
 	}
 	n, err := strconv.Atoi(tok)
 	if err != nil {

@@ -150,7 +150,7 @@ ENDIF`
 	if len(ifs.Then) != 1 || len(ifs.Else) != 1 {
 		t.Fatalf("if = %+v", ifs)
 	}
-	if ifs.Cond.Left.Avail != "SYNC" || ifs.Cond.Op != ">=" || ifs.Cond.Right.Lit != 1 {
+	if ifs.Cond.Left.Avail != arch.SIMD || ifs.Cond.Op != ">=" || ifs.Cond.Right.Lit != 1 {
 		t.Fatalf("cond = %+v", ifs.Cond)
 	}
 }
@@ -185,14 +185,14 @@ ENDIF`
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := s.Eval(StaticEnv{"SYNC": 2})
+	flat, err := s.Eval(StaticEnv{arch.SIMD: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flat) != 1 || flat[0].(*Request).Group != "SYNC" {
 		t.Fatalf("then branch not taken: %+v", flat)
 	}
-	flat, err = s.Eval(StaticEnv{"SYNC": 0})
+	flat, err = s.Eval(StaticEnv{arch.SIMD: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +242,42 @@ func TestMIMDSIMDSynonyms(t *testing.T) {
 	}
 	if s.Stmts[0].(*Request).Group != "ASYNC" || s.Stmts[1].(*Request).Group != "SYNC" {
 		t.Fatalf("synonyms not canonicalized: %+v %+v", s.Stmts[0], s.Stmts[1])
+	}
+}
+
+// TestDirectiveGroups pins the §5 mapping of request directives to the
+// groups that service them: ASYNC goes to the MIMD group ("machines with
+// asynchronous architectures"), SYNC to the SIMD group, and each directive
+// carries the problem class the design stage annotates.
+func TestDirectiveGroups(t *testing.T) {
+	for _, c := range []struct {
+		word    string
+		class   arch.Class
+		problem arch.ProblemClass
+	}{
+		{"ASYNC", arch.MIMD, arch.Asynchronous},
+		{"MIMD", arch.MIMD, arch.Asynchronous},
+		{"SYNC", arch.SIMD, arch.Synchronous},
+		{"SIMD", arch.SIMD, arch.Synchronous},
+		{"VECTOR", arch.Vector, arch.LooselySynchronous},
+		{"WORKSTATION", arch.Workstation, arch.Asynchronous},
+	} {
+		g, err := Compile("app", c.word+` 1 "/p.vce"`+"\nIF AVAIL("+c.word+") >= 1 THEN\nLOCAL \"/l.vce\"\nENDIF", StaticEnv{c.class: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.word, err)
+		}
+		task, _ := g.Task("p")
+		if got := task.Requirements.Classes; len(got) != 1 || got[0] != c.class || task.Problem != c.problem {
+			t.Errorf("%s -> classes %v, problem %v; want %v, %v", c.word, got, task.Problem, c.class, c.problem)
+		}
+		if g.Len() != 2 {
+			t.Errorf("AVAIL(%s) did not read the %v group's count", c.word, c.class)
+		}
+	}
+	for _, bad := range []string{"AVAIL()", "AVAIL(LOCAL)", "AVAIL(ws)x"} {
+		if _, err := parseTerm(bad); err == nil {
+			t.Errorf("parseTerm(%q) accepted", bad)
+		}
 	}
 }
 
@@ -349,7 +385,7 @@ func TestCompileFullPipelineWithEnv(t *testing.T) {
 		`LOCAL "/d.vce"`,
 		`AFTER "/p.vce" "/d.vce"`,
 	}, "\n")
-	g, err := Compile("app", src, StaticEnv{"SYNC": 0})
+	g, err := Compile("app", src, StaticEnv{arch.SIMD: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

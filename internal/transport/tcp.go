@@ -81,7 +81,6 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		msg.To = e.addr
 		e.mu.Lock()
 		h := e.handler
 		closed := e.closed
@@ -123,7 +122,7 @@ func (e *tcpEndpoint) Send(to Addr, kind string, payload []byte) error {
 			e.mu.Unlock()
 		}
 	}
-	err := writeFrame(conn, Message{From: e.addr, To: to, Kind: kind, Payload: payload})
+	err := writeFrame(conn, Message{From: e.addr, Kind: kind, Payload: payload})
 	if err != nil {
 		// Connection went bad; drop it so the next send redials.
 		e.mu.Lock()

@@ -22,10 +22,9 @@ type Addr string
 
 // Message is one unit of communication.
 type Message struct {
-	// From is the sender's address.
+	// From is the sender's address, set by the sending endpoint. It is
+	// the one place a message names its sender.
 	From Addr
-	// To is the recipient's address.
-	To Addr
 	// Kind is an application-level message type tag.
 	Kind string
 	// Payload is the opaque message body.
@@ -137,7 +136,7 @@ func (e *inmemEndpoint) Send(to Addr, kind string, payload []byte) error {
 	if !ok {
 		return ErrUnreachable
 	}
-	msg := Message{From: e.addr, To: to, Kind: kind, Payload: payload}
+	msg := Message{From: e.addr, Kind: kind, Payload: payload}
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.closed {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -108,8 +109,8 @@ func testNetworkBasics(t *testing.T, mk func(t *testing.T) Network) {
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Send(b.Addr(), "x", nil); err == nil {
-			t.Fatal("send from closed endpoint succeeded")
+		if err := a.Send(b.Addr(), "x", nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("send from closed endpoint = %v, want ErrClosed", err)
 		}
 		b.Close()
 	})
