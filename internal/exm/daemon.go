@@ -165,22 +165,25 @@ func (d *Daemon) BidsSent() int64 { return d.bidsSent.Load() }
 
 // onBidRequest answers the leader's broadcast: "Any daemon that is not
 // already excessively loaded and can run remote jobs sends its load
-// description to the group leader."
+// description to the group leader." Every other daemon still answers, with
+// an empty payload that lead skips: the leader's cast waits for a reply
+// from every member, so a silent decline would cost it the whole
+// ReplyTimeout.
 func (d *Daemon) onBidRequest(_ transport.Addr, payload []byte) ([]byte, bool) {
 	var req bidReqMsg
 	if decode(payload, &req) != nil {
-		return nil, false
+		return nil, true
 	}
 	load := d.Load()
 	d.mu.Lock()
 	capacity := d.cfg.MaxTasks - len(d.running)
 	d.mu.Unlock()
 	if load >= d.cfg.OverloadThreshold || capacity <= 0 {
-		return nil, false // decline: excessively loaded or full
+		return nil, true // decline: excessively loaded or full
 	}
 	bid, err := encode(bidMsg{Machine: d.cfg.Machine.Name, Load: load, Capacity: capacity})
 	if err != nil {
-		return nil, false
+		return nil, true
 	}
 	d.bidsSent.Add(1)
 	return bid, true
@@ -219,8 +222,9 @@ func (d *Daemon) lead(req requestMsg) {
 		return
 	}
 	replies, castErr := d.proc.Cast(kindBidCast, cast, isis.AllReplies)
-	// Timeout with partial replies is the normal path when some daemons
-	// decline; only a hard failure (stopped process) aborts.
+	// Declining daemons reply too (empty payloads, skipped below), so a
+	// timeout means a member crashed or went silent; the replies that did
+	// arrive still count, and only a hard failure (stopped process) aborts.
 	if castErr != nil && castErr != isis.ErrTimeout {
 		reply(allocMsg{ReqID: req.ReqID, App: req.App, Task: req.Task, Err: castErr.Error()})
 		return

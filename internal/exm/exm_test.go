@@ -50,6 +50,13 @@ func (c *cluster) setLoad(i int, v float64) {
 
 func newCluster(t *testing.T, n int) *cluster {
 	t.Helper()
+	return newClusterReplyTimeout(t, n, 300*time.Millisecond)
+}
+
+// newClusterReplyTimeout is newCluster with the members' cast reply timeout
+// set to d.
+func newClusterReplyTimeout(t *testing.T, n int, d time.Duration) *cluster {
+	t.Helper()
 	c := &cluster{
 		net:      transport.NewInMem(),
 		registry: NewRegistry(),
@@ -59,7 +66,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	isisCfg := isis.Config{
 		HeartbeatEvery: 25 * time.Millisecond,
 		FailAfter:      500 * time.Millisecond,
-		ReplyTimeout:   300 * time.Millisecond,
+		ReplyTimeout:   d,
 	}
 	var contact transport.Addr
 	for i := 0; i < n; i++ {
@@ -217,6 +224,32 @@ func TestOverloadedDaemonsDecline(t *testing.T) {
 	}
 	if report.Placements[0].Machine != "ws2" {
 		t.Fatalf("placed on %s; overloaded daemons must not bid", report.Placements[0].Machine)
+	}
+}
+
+// TestDecliningDaemonDoesNotStallAllocation: a daemon that will not bid
+// still answers the leader's cast, so an allocation request is served as
+// soon as every member has replied, not after the reply timeout.
+func TestDecliningDaemonDoesNotStallAllocation(t *testing.T) {
+	c := newClusterReplyTimeout(t, 3, 10*time.Second)
+	c.setLoad(1, 5.0) // excessively loaded: declines to bid
+	if err := c.registry.Register("/apps/w.vce", func(ProgContext) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	e := c.execProgram(t)
+	start := time.Now()
+	report, err := e.Run(wsGraph(t, "app", taskgraph.Task{ID: "w", Program: "/apps/w.vce"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 2*time.Second {
+		t.Fatalf("allocation took %v with one daemon declining; the leader waited out its reply timeout", took)
+	}
+	if m := report.Placements[0].Machine; m == "ws1" {
+		t.Fatalf("placed on %s, the daemon that declined", m)
+	}
+	if n := c.daemons[1].BidsSent(); n != 0 {
+		t.Fatalf("declining daemon counted %d bids", n)
 	}
 }
 

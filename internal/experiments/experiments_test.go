@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,7 +33,6 @@ func runAndCheck(t *testing.T, id string, run func() (*Result, error)) *Result {
 	return res
 }
 
-func TestE1Pipeline(t *testing.T)    { runAndCheck(t, "E1", E1Pipeline) }
 func TestE2Proxy(t *testing.T)       { runAndCheck(t, "E2", E2Proxy) }
 func TestE3Bidding(t *testing.T)     { runAndCheck(t, "E3", E3Bidding) }
 func TestE4Failover(t *testing.T)    { runAndCheck(t, "E4", E4Failover) }
@@ -43,6 +44,18 @@ func TestE9FreePar(t *testing.T)     { runAndCheck(t, "E9", E9FreeParallelism) }
 func TestE10Antic(t *testing.T)      { runAndCheck(t, "E10", E10Anticipatory) }
 func TestE11Redundant(t *testing.T)  { runAndCheck(t, "E11", E11Redundant) }
 func TestE12Concurrent(t *testing.T) { runAndCheck(t, "E12", E12Concurrency) }
+
+// TestE1Pipeline also pins E1's row order: placements by task, then
+// instance (every E1 task runs under ten instances), whatever order the
+// dispatches completed in.
+func TestE1Pipeline(t *testing.T) {
+	rows := runAndCheck(t, "E1", E1Pipeline).Table.Rows()
+	if !slices.IsSortedFunc(rows, func(a, b []string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
+	}) {
+		t.Fatalf("E1 rows are not ordered by task and instance: %v", rows)
+	}
+}
 
 func TestE3aCrashedBidder(t *testing.T)      { runAndCheck(t, "E3a", E3aCrashedBidder) }
 func TestE7aCheckpointInterval(t *testing.T) { runAndCheck(t, "E7a", E7aCheckpointInterval) }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,8 +18,8 @@ import (
 )
 
 // liveIsis is the protocol tuning for live experiments: fast heartbeats so
-// failover completes in test time, a short reply window so declined bids do
-// not stall allocation.
+// failover completes in test time, and a short reply window, which is what
+// an allocation cast waits when a member crashed without a reply (E3a).
 func liveIsis() isis.Config {
 	return isis.Config{
 		HeartbeatEvery: 25 * time.Millisecond,
@@ -114,6 +116,11 @@ HINT "/apps/snow/predictor.vce" RUNTIME 120s`
 		}
 		return m.Class.String()
 	}
+	// Placements arrive in dispatch-completion order; the table lists them
+	// by task, instance and copy so that two runs print the same rows.
+	slices.SortFunc(report.Placements, func(a, b exm.Placement) int {
+		return cmp.Or(cmp.Compare(a.Task, b.Task), cmp.Compare(a.Instance, b.Instance), cmp.Compare(a.Copy, b.Copy))
+	})
 	for _, p := range report.Placements {
 		res.Table.AddRow(string(p.Task), p.Instance, p.Machine, group(p.Machine))
 		switch p.Task {

@@ -35,6 +35,12 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
+// AddStrings appends one row of already formatted cells; the table keeps
+// row and does not copy it.
+func (t *Table) AddStrings(row []string) {
+	t.rows = append(t.rows, row)
+}
+
 // NumRows returns the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 

@@ -222,11 +222,12 @@ func (r *Report) RunsTable() *metrics.Table {
 	t := metrics.NewTable(r.Spec.Name+": per-run indexes", cols...)
 	for _, cell := range r.Cells {
 		for i, idx := range cell.Runs {
-			row := []interface{}{cell.Sched, cell.Migration, cell.runNumber(i)}
+			row := make([]string, 0, len(cols))
+			row = append(row, cell.Sched, cell.Migration, strconv.Itoa(cell.runNumber(i)))
 			for _, c := range indexRegistry {
 				row = append(row, num(c.get(idx)))
 			}
-			t.AddRow(row...)
+			t.AddStrings(row)
 		}
 	}
 	return t
@@ -300,13 +301,6 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 	text := func(s string) func(io.Writer) error {
 		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
 	}
-	indented := func(v any) func(io.Writer) error {
-		return func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(v)
-		}
-	}
 	steps := []struct {
 		name string
 		gen  func(io.Writer) error
@@ -316,8 +310,19 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 		{"indexes.csv", index.WriteCSV},
 		{"indexes.json", index.WriteJSON},
 		{"runs.csv", runs.WriteCSV},
-		{"spec.json", indented(r.Spec)},
-		{ReportFile, indented(r)},
+		{"spec.json", func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(r.Spec)
+		}},
+		{ReportFile, func(w io.Writer) error {
+			b, err := r.appendJSON(nil)
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(b)
+			return err
+		}},
 	}
 	for _, s := range steps {
 		if err := write(s.name, s.gen); err != nil {
@@ -325,6 +330,76 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 		}
 	}
 	return written, nil
+}
+
+// appendJSON appends the report as a json.Encoder with SetIndent("", "  ")
+// writes it, trailing newline included, laying out the cells by hand and
+// the runs through the Indexes codec: report.json is the largest artifact
+// of a big sweep, and reflection was most of its cost. Strings and the
+// spec still go through encoding/json, so their escaping is its own.
+func (r *Report) appendJSON(b []byte) ([]byte, error) {
+	str := func(b []byte, s string) []byte {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(b, q...)
+	}
+	b = append(b, "{\n"...)
+	if r.Engine != "" {
+		b = str(append(b, `  "engine": `...), r.Engine)
+		b = append(b, ",\n"...)
+	}
+	spec, err := json.MarshalIndent(r.Spec, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	b = append(append(b, `  "spec": `...), spec...)
+	b = append(b, ",\n  \"cells\": "...)
+	switch {
+	case r.Cells == nil:
+		b = append(b, "null"...)
+	case len(r.Cells) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i := range r.Cells {
+			c := &r.Cells[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = str(append(b, "\n    {\n      \"sched\": "...), c.Sched)
+			b = str(append(b, ",\n      \"migration\": "...), c.Migration)
+			b = append(b, ",\n      \"runs\": "...)
+			switch {
+			case c.Runs == nil:
+				b = append(b, "null"...)
+			case len(c.Runs) == 0:
+				b = append(b, "[]"...)
+			default:
+				b = append(b, '[')
+				for j := range c.Runs {
+					if j > 0 {
+						b = append(b, ',')
+					}
+					if b, err = appendIndexes(append(b, "\n        "...), &c.Runs[j], "        ", "  "); err != nil {
+						return nil, err
+					}
+				}
+				b = append(b, "\n      ]"...)
+			}
+			if len(c.RunNumbers) > 0 {
+				b = append(b, ",\n      \"run_numbers\": ["...)
+				for j, n := range c.RunNumbers {
+					if j > 0 {
+						b = append(b, ',')
+					}
+					b = strconv.AppendInt(append(b, "\n        "...), int64(n), 10)
+				}
+				b = append(b, "\n      ]"...)
+			}
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...), nil
 }
 
 // dist builds a metrics.Dist over a per-run index extracted by f.

@@ -5,7 +5,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -29,12 +28,15 @@ type Stats = obs.CacheStats
 
 // FS is the filesystem scenario.Store: one JSON file per cell result,
 // addressed as <dir>/<key[:2]>/<key>.json (the two-character fan-out keeps
-// directories small at campus-sweep scale). Writes go through a temp file
+// directories small at campus-sweep scale). An entry is exactly the bytes
+// Put writes — scenario.AppendIndexes' compact form, which is
+// json.Marshal's, and a newline — and Get reads it back bit-exactly with
+// scenario.ParseIndexes, without reflection. Writes go through a temp file
 // and an atomic rename, so a concurrent or killed writer can never leave a
-// partially-written entry under the final name; a corrupt entry (torn by
-// an unclean shutdown, or hand-edited) is deleted on read and reported as
-// a miss, so the executor falls back to recomputing it. All methods are
-// safe for concurrent use.
+// partially-written entry under the final name; an entry the parser
+// refuses (torn by an unclean shutdown, or hand-edited in any way) is
+// deleted on read and reported as a miss, so the executor falls back to
+// recomputing it. All methods are safe for concurrent use.
 type FS struct {
 	dir                            string
 	hits, misses, corrupt, putErrs atomic.Uint64
@@ -92,8 +94,8 @@ func (s *FS) Get(key string) (scenario.Indexes, bool, error) {
 		s.misses.Add(1)
 		return scenario.Indexes{}, false, fmt.Errorf("store: %w", err)
 	}
-	var idx scenario.Indexes
-	if err := json.Unmarshal(data, &idx); err != nil {
+	idx, err := scenario.ParseIndexes(data)
+	if err != nil {
 		// Corrupt entry: evict it so the recomputed result can land
 		// cleanly, and fall back to simulating this cell.
 		_ = os.Remove(s.path(key))
@@ -144,7 +146,7 @@ func (s *FS) put(key string, idx scenario.Indexes) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	data, err := json.Marshal(idx)
+	data, err := scenario.AppendIndexes(make([]byte, 0, 512), idx)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -60,6 +62,67 @@ func TestRoundTripExactFloats(t *testing.T) {
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 0 || st.Corrupt != 0 {
 		t.Fatalf("stats = %+v, want exactly one hit", st)
+	}
+}
+
+// TestEntryIsJSONMarshalBytes: an entry is exactly json.Marshal(idx) and a
+// newline, so a cache written before the codec replays with zero misses;
+// a hand-edited entry, even one that is still valid JSON of the same
+// value, reads as corrupt and is evicted.
+func TestEntryIsJSONMarshalBytes(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scenario.Indexes{
+		MakespanS: 1e21, ThroughputPerH: 9.99e-7, MeanCompletionS: math.Copysign(0, -1),
+		UtilizationPct: 0.1 + 0.2, Migrations: math.MinInt64, Completed: 48, SlowdownP99: 5e-324,
+		CriticalPathStretch: math.MaxFloat64,
+	}
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+
+	key := keyFor("written")
+	if err := s.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(s.path(key)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Put wrote %q (err %v), want json.Marshal's %q", got, err, data)
+	}
+
+	old := keyFor("older")
+	if err := os.MkdirAll(filepath.Dir(s.path(old)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(old), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.Get(old)
+	if err != nil || !ok {
+		t.Fatalf("json.Marshal entry: ok=%v err=%v, want a hit", ok, err)
+	}
+	if got != want || math.Signbit(got.MeanCompletionS) != math.Signbit(want.MeanCompletionS) {
+		t.Fatalf("json.Marshal entry read back as %+v, want %+v", got, want)
+	}
+
+	edited, err := json.MarshalIndent(want, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(old), edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(old); ok || err != nil {
+		t.Fatalf("hand-edited entry: ok=%v err=%v, want a corrupt miss", ok, err)
+	}
+	if _, err := os.Stat(s.path(old)); !os.IsNotExist(err) {
+		t.Fatalf("hand-edited entry not evicted: %v", err)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want one hit and one corrupt miss", st)
 	}
 }
 

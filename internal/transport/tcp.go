@@ -190,9 +190,15 @@ func readFrame(r io.Reader) (Message, error) {
 	if total > maxFrame {
 		return Message{}, fmt.Errorf("transport: oversized frame %d", total)
 	}
-	buf := make([]byte, total)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// The body is read as it arrives rather than into a buffer of the
+	// declared size: a header alone must not make the reader allocate up
+	// to maxFrame.
+	buf, err := io.ReadAll(io.LimitReader(r, int64(total)))
+	if err != nil {
 		return Message{}, err
+	}
+	if len(buf) < int(total) {
+		return Message{}, io.ErrUnexpectedEOF
 	}
 	if len(buf) < 2 {
 		return Message{}, fmt.Errorf("transport: short frame")

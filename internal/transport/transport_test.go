@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -275,6 +278,24 @@ func TestReadFrameCorrupt(t *testing.T) {
 	raw := []byte{0, 0, 0, 4, 0xff, 0xff, 0, 0}
 	if _, err := readFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupt frame accepted")
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: a header declaring the largest frame,
+// followed by four bytes, fails as a truncated frame without the reader
+// allocating the declared size first (64 MiB when it did).
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	raw := binary.BigEndian.AppendUint32(nil, maxFrame)
+	raw = append(raw, 0, 1, 'k', 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: error %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("readFrame allocated %d bytes for a 4-byte body", alloc)
 	}
 }
 
