@@ -101,8 +101,8 @@ type span struct {
 }
 
 // Recorder collects one sweep's telemetry. Safe for concurrent use: the
-// executor's worker goroutines record cells while the fan-in goroutine
-// records sweep spans. The zero value is not usable; construct with New.
+// executor's worker goroutines record cells while the goroutine running the
+// sweep records sweep spans. The zero value is not usable; construct with New.
 type Recorder struct {
 	origin time.Time
 

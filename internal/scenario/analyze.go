@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"vce/internal/metrics"
 )
@@ -278,35 +279,19 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	var written []string
-	write := func(name string, gen func(io.Writer) error) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := gen(f); err != nil {
-			f.Close()
-			return fmt.Errorf("scenario: writing %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
 	// Each table is built once (one dist pass over cells × columns) and
-	// rendered every way it is published.
+	// rendered every way it is published; rendering only reads it, so the
+	// files are rendered and written concurrently, each by its own writer.
 	comparison, index, runs := r.ComparisonTable(), r.IndexTable(), r.RunsTable()
-	text := func(s string) func(io.Writer) error {
-		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	text := func(render func() string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, render()); return err }
 	}
 	steps := []struct {
 		name string
 		gen  func(io.Writer) error
 	}{
-		{"report.txt", text(comparison.String())},
-		{"report.md", text(r.markdown(comparison, runs))},
+		{"report.txt", text(comparison.String)},
+		{"report.md", text(func() string { return r.markdown(comparison, runs) })},
 		{"indexes.csv", index.WriteCSV},
 		{"indexes.json", index.WriteJSON},
 		{"runs.csv", runs.WriteCSV},
@@ -324,12 +309,38 @@ func (r *Report) WriteArtifacts(dir string) ([]string, error) {
 			return err
 		}},
 	}
-	for _, s := range steps {
-		if err := write(s.name, s.gen); err != nil {
-			return written, err
+	errs := make([]error, len(steps))
+	var wg sync.WaitGroup
+	for i, s := range steps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = writeArtifact(filepath.Join(dir, s.name), s.gen)
+		}()
+	}
+	wg.Wait()
+	// The paths come back in step order, up to the first step that failed.
+	var written []string
+	for i, s := range steps {
+		if errs[i] != nil {
+			return written, errs[i]
 		}
+		written = append(written, filepath.Join(dir, s.name))
 	}
 	return written, nil
+}
+
+// writeArtifact creates the file at path and fills it with gen.
+func writeArtifact(path string, gen func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := gen(f); err != nil {
+		f.Close()
+		return fmt.Errorf("scenario: writing %s: %w", filepath.Base(path), err)
+	}
+	return f.Close()
 }
 
 // appendJSON appends the report as a json.Encoder with SetIndent("", "  ")

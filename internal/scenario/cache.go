@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // EngineVersion stamps every cell key with the simulation semantics that
@@ -52,20 +54,37 @@ func (s *Spec) canonicalWorldJSON() ([]byte, error) {
 	return data, nil
 }
 
-// cellKey hashes one grid cell from a precomputed canonical world: the
-// executor canonicalizes the spec once per sweep and calls this per job.
-// NUL separators keep adjacent fields from aliasing.
-func cellKey(world []byte, sched, migration string, run int) string {
+// keyPrefix is the SHA-256 state after hashing "EngineVersion\0world\0",
+// in crypto/sha256's MarshalBinary form. Every cell key of a sweep starts
+// from the same canonical world, so the executor hashes it once per sweep
+// and each cell key resumes a copy of the state.
+type keyPrefix []byte
+
+func newKeyPrefix(world []byte) keyPrefix {
 	h := sha256.New()
 	h.Write([]byte(EngineVersion))
 	h.Write([]byte{0})
 	h.Write(world)
 	h.Write([]byte{0})
-	h.Write([]byte(sched))
-	h.Write([]byte{0})
-	h.Write([]byte(migration))
-	fmt.Fprintf(h, "\x00%d", run)
-	return hex.EncodeToString(h.Sum(nil))
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("scenario: sha256 state does not marshal: " + err.Error())
+	}
+	return state
+}
+
+// cellKey hashes one grid cell: the prefix, then the cell's coordinates and
+// run index. NUL separators keep adjacent fields from aliasing.
+func (p keyPrefix) cellKey(sched, migration string, run int) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p); err != nil {
+		panic("scenario: sha256 state does not unmarshal: " + err.Error())
+	}
+	var buf [96]byte
+	b := append(append(buf[:0], sched...), 0)
+	b = append(append(b, migration...), 0)
+	h.Write(strconv.AppendInt(b, int64(run), 10))
+	return hex.EncodeToString(h.Sum(buf[:0]))
 }
 
 // CellKey is the canonical content hash of one (instance, run) grid cell:
@@ -85,5 +104,5 @@ func CellKey(inst Instance, run int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return cellKey(world, inst.Sched, inst.Migration, run), nil
+	return newKeyPrefix(world).cellKey(inst.Sched, inst.Migration, run), nil
 }

@@ -52,8 +52,8 @@ var table = []mutant{
 	{
 		name: "worker-lane-leak", wantMode: "workers",
 		file: "internal/scenario/exec.go",
-		old:  "\treturn outcome{cell: j.cell, run: j.run, idx: idx, err: err}\n",
-		new:  "\tidx.Migrations += int64(lane - 1)\n\treturn outcome{cell: j.cell, run: j.run, idx: idx, err: err}\n",
+		old:  "\treturn idx, false, err\n",
+		new:  "\tidx.Migrations += int64(lane - 1)\n\treturn idx, false, err\n",
 	},
 	{
 		name: "shard-off-by-one", wantMode: "shards",
@@ -64,8 +64,8 @@ var table = []mutant{
 	{
 		name: "salted-cell-key", wantMode: "cache",
 		file: "internal/scenario/exec.go",
-		old:  "key = cellKey(e.world, inst.Sched, inst.Migration, j.run)\n",
-		new:  "key = cellKey(e.world, inst.Sched, inst.Migration, j.run) + fmt.Sprint(time.Now().UnixNano())\n",
+		old:  "key = e.prefix.cellKey(inst.Sched, inst.Migration, j.run)\n",
+		new:  "key = e.prefix.cellKey(inst.Sched, inst.Migration, j.run) + fmt.Sprint(time.Now().UnixNano())\n",
 	},
 	{
 		name: "audit-dependent-index", wantMode: "audited",

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -168,6 +169,24 @@ func TestWriteArtifacts(t *testing.T) {
 	want := []string{"report.txt", "report.md", "indexes.csv", "indexes.json", "runs.csv", "spec.json", "report.json"}
 	if len(written) != len(want) {
 		t.Fatalf("wrote %d artifacts, want %d: %v", len(written), len(want), written)
+	}
+	for i, name := range want {
+		if written[i] != filepath.Join(dir, name) {
+			t.Errorf("written[%d] = %s, want %s: paths come back in step order", i, written[i], name)
+		}
+	}
+	// A failed step returns its error and the paths of the steps before it,
+	// whatever order the concurrent writers finished in.
+	blocked := t.TempDir()
+	if err := os.Mkdir(filepath.Join(blocked, "indexes.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	part, err := rep.WriteArtifacts(blocked)
+	if err == nil || !strings.Contains(err.Error(), "indexes.json") {
+		t.Errorf("WriteArtifacts over a directory named indexes.json: err = %v", err)
+	}
+	if len(part) != 3 || part[2] != filepath.Join(blocked, "indexes.csv") {
+		t.Errorf("WriteArtifacts before the failed step returned %v, want the first 3 paths", part)
 	}
 	for _, name := range want {
 		path := filepath.Join(dir, name)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vce/internal/obs"
@@ -60,9 +61,9 @@ func (s Shard) validate() error {
 // on. Consecutive jobs on a worker then usually share a run index, which is
 // exactly what the per-worker arena's kept world wants — the generated world
 // of run k is derived once and replayed for each matrix cell. The report is
-// order-independent (fan-in is grid-indexed), and the shard split keys on the
-// flattened position, so the partition stays deterministic in (spec, N) — it
-// slices a run-major flattening.
+// order-independent (results land in a grid indexed by position), and the
+// shard split keys on the flattened position, so the partition stays
+// deterministic in (spec, N) — it slices a run-major flattening.
 func (s Shard) jobs(cells, runs int) []job {
 	jobs := make([]job, 0, cells*runs)
 	pos := 0
@@ -121,22 +122,9 @@ type Options struct {
 	Audit bool
 }
 
-// job and outcome are the executor's fan-out and fan-in records; cell and
-// run index into the expansion-order instance and run-number grids.
-// enqueued is the recorder-relative time the feeder handed the job off
-// (zero when telemetry is off) — the worker subtracts it from its own
-// start stamp to attribute queue wait.
-type job struct {
-	cell, run int
-	enqueued  time.Duration
-}
-
-type outcome struct {
-	cell, run int
-	idx       Indexes
-	err       error
-	cached    bool
-}
+// job is one grid position; cell and run index into the expansion-order
+// instance and run-number grids.
+type job struct{ cell, run int }
 
 // RunContext executes the sweep under a context with explicit options: a
 // worker pool fans the (instance × run) grid out as independent jobs — each
@@ -176,14 +164,15 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 	if opts.Audit {
 		cache = nil // audited sweeps must simulate every cell
 	}
-	// The canonical world serialization is shared by every cell key; hash
-	// it once per sweep instead of once per job.
-	var world []byte
+	// Every cell key starts from the canonical world serialization; hash
+	// that prefix once per sweep instead of once per job.
+	var prefix keyPrefix
 	if cache != nil {
-		var err error
-		if world, err = sp.canonicalWorldJSON(); err != nil {
+		world, err := sp.canonicalWorldJSON()
+		if err != nil {
 			return nil, err
 		}
+		prefix = newKeyPrefix(world)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -206,52 +195,45 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		execStart = rec.Elapsed()
 	}
 
-	// The derived ctx lets a failed run stop the feeder and the in-flight
-	// simulations without disturbing the caller's context.
+	// The derived ctx lets a failed run stop the other workers and the
+	// in-flight simulations without disturbing the caller's context.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	ex := &executor{insts: insts, cache: cache, world: world, rec: rec, audit: opts.Audit}
-	outCh := ex.fanOut(ctx, arenas, jobs)
-
-	// Fan-in runs on the calling goroutine. Results land in a grid indexed
-	// by (cell, run), so the merge below rebuilds the exact serial order no
-	// matter when jobs finish; progress fires here, hence serialized. The
-	// first run error cancels the rest; runs that failed only because
-	// cancellation reached them are not errors of their own.
+	// Results land in a grid indexed by (cell, run), so the merge below
+	// rebuilds the exact serial order no matter when jobs finish.
 	got := make([][]*Indexes, len(insts))
 	for i := range insts {
 		got[i] = make([]*Indexes, sp.Runs)
 	}
-	var runErr error
-	done := 0
-	for out := range outCh {
-		switch {
-		case out.err == nil:
-			done++
-			got[out.cell][out.run] = &out.idx
-			if opts.Progress != nil {
-				opts.Progress(ProgressEvent{
-					Instance: insts[out.cell], Run: out.run,
-					Indexes: out.idx, Cached: out.cached,
-				})
-			}
-		case runErr == nil && !errors.Is(out.err, ctx.Err()):
-			runErr = fmt.Errorf("scenario: %s run %d: %w", insts[out.cell].Key(), out.run, out.err)
-			cancel() // stop feeding, halt in-flight runs, drain
-		}
+	ex := &executor{
+		insts: insts, cache: cache, prefix: prefix, rec: rec, audit: opts.Audit,
+		jobs: jobs, got: got,
+		enqueued: execStart, progress: opts.Progress, cancel: cancel,
 	}
+	var wg sync.WaitGroup
+	for w, ar := range arenas {
+		wg.Add(1)
+		// Lanes are 1-based in the recorder: lane 0 is the sweep's own
+		// track (setup/execute/merge spans).
+		go func(lane int, ar *runArena) {
+			defer wg.Done()
+			ex.work(ctx, ar, lane)
+		}(w+1, ar)
+	}
+	wg.Wait()
+
 	var mergeStart time.Duration
 	if rec != nil {
 		rec.RecordSpan("execute", execStart, rec.Elapsed())
 		mergeStart = rec.Elapsed()
 	}
-	if runErr != nil {
-		return nil, runErr
+	if ex.runErr != nil {
+		return nil, ex.runErr
 	}
 	// A cancelled sweep reports ctx's error once, however many jobs it
 	// stopped or kept from starting.
-	if done < len(jobs) {
+	if ex.done < len(jobs) {
 		return nil, fmt.Errorf("scenario: %s: %w", sp.Name, ctx.Err())
 	}
 
@@ -262,73 +244,83 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 	return rep, nil
 }
 
-// executor is the per-sweep state every worker shares read-only.
+// executor is the per-sweep state the workers share. Workers claim grid
+// positions from next, in jobs order; what they write is under mu.
 type executor struct {
 	insts []Instance
-	// cache is nil when the sweep runs uncached (or audited); world is the
-	// canonical world serialization every cell key of the sweep starts from.
-	cache Store
-	world []byte
-	rec   *obs.Recorder
-	audit bool
+	// cache is nil when the sweep runs uncached (or audited); prefix is the
+	// hashed start every cell key of the sweep shares.
+	cache  Store
+	prefix keyPrefix
+	rec    *obs.Recorder
+	audit  bool
+
+	jobs []job
+	next atomic.Int64
+	// enqueued is the recorder-relative start of the execute phase, when
+	// every job became claimable (zero when telemetry is off).
+	enqueued time.Duration
+	progress func(ProgressEvent)
+	cancel   context.CancelFunc
+
+	// mu serializes the progress callback with the results it reports.
+	mu sync.Mutex
+	// got[cell][run] is a finished job's indexes, nil until it finishes.
+	got    [][]*Indexes
+	done   int
+	runErr error
 }
 
-// fanOut starts one worker per arena plus the feeder handing them jobs, and
-// returns the channel their outcomes arrive on; it closes once every worker
-// has exited. Cancelling ctx stops the feeder and the in-flight simulations.
-func (e *executor) fanOut(ctx context.Context, arenas []*runArena, jobs []job) <-chan outcome {
-	jobCh := make(chan job)
-	outCh := make(chan outcome)
-	var wg sync.WaitGroup
-	for w, ar := range arenas {
-		wg.Add(1)
-		// Lanes are 1-based in the recorder: lane 0 is the sweep's own
-		// track (setup/execute/merge spans).
-		go func(lane int, ar *runArena) {
-			defer wg.Done()
-			// The send never blocks forever: the caller drains the channel
-			// until it closes, so every started job delivers its outcome
-			// even after cancellation — dropping outcomes here would make
-			// the surfaced error depend on goroutine scheduling.
-			for j := range jobCh {
-				outCh <- e.runJob(ctx, ar, lane, j)
-			}
-		}(w+1, ar)
-	}
-	go func() { // feeder
-		defer close(jobCh)
-		for _, j := range jobs {
-			if e.rec != nil {
-				j.enqueued = e.rec.Elapsed()
-			}
-			select {
-			case jobCh <- j:
-			case <-ctx.Done():
-				return
-			}
+// work is one worker: it claims the next grid position until the grid is
+// exhausted or ctx ends. The claim order is jobs order, so a worker's
+// consecutive jobs usually share a run index and its arena's kept world
+// replays.
+func (e *executor) work(ctx context.Context, ar *runArena, lane int) {
+	for ctx.Err() == nil {
+		n := int(e.next.Add(1) - 1)
+		if n >= len(e.jobs) {
+			return
 		}
-	}()
-	go func() { // closer: fan-in ends when every worker has exited
-		wg.Wait()
-		close(outCh)
-	}()
-	return outCh
+		j := e.jobs[n]
+		idx, cached, err := e.runJob(ctx, ar, lane, j)
+		e.finish(ctx, j, idx, cached, err)
+	}
+}
+
+// finish records one job's outcome. Progress fires under the executor's
+// lock, hence serialized. The first run error cancels the rest; runs that
+// failed only because cancellation reached them are not errors of their
+// own.
+func (e *executor) finish(ctx context.Context, j job, idx Indexes, cached bool, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case err == nil:
+		e.done++
+		e.got[j.cell][j.run] = &idx
+		if e.progress != nil {
+			e.progress(ProgressEvent{Instance: e.insts[j.cell], Run: j.run, Indexes: idx, Cached: cached})
+		}
+	case e.runErr == nil && !errors.Is(err, ctx.Err()):
+		e.runErr = fmt.Errorf("scenario: %s run %d: %w", e.insts[j.cell].Key(), j.run, err)
+		e.cancel() // stop claiming, halt in-flight runs
+	}
 }
 
 // runJob executes one grid job on the calling worker's arena: a cache hit
 // replays the stored indexes, a miss simulates the cell and writes the
 // result through.
-func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) outcome {
+func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) (Indexes, bool, error) {
 	inst, rec := e.insts[j.cell], e.rec
 	// tel is the cell's telemetry record, nil when telemetry is off.
 	var tel *obs.Cell
 	if rec != nil {
 		tel = &obs.Cell{Sched: inst.Sched, Migration: inst.Migration, Run: j.run, Lane: lane,
-			Enqueued: j.enqueued, Start: rec.Elapsed()}
+			Enqueued: e.enqueued, Start: rec.Elapsed()}
 	}
 	var key string
 	if e.cache != nil {
-		key = cellKey(e.world, inst.Sched, inst.Migration, j.run)
+		key = e.prefix.cellKey(inst.Sched, inst.Migration, j.run)
 		// A cache error (I/O failure, corrupt entry already evicted by the
 		// store) is just a miss: the cache may never make a sweep fail that
 		// would have succeeded without it.
@@ -337,7 +329,7 @@ func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) ou
 				tel.Cached, tel.End = true, rec.Elapsed()
 				rec.RecordCell(*tel)
 			}
-			return outcome{cell: j.cell, run: j.run, idx: idx, cached: true}
+			return idx, true, nil
 		}
 	}
 	idx, err := ar.runCell(ctx, inst.Sched, inst.Migration, j.run, e.audit, tel)
@@ -353,7 +345,7 @@ func (e *executor) runJob(ctx context.Context, ar *runArena, lane int, j job) ou
 		tel.End = rec.Elapsed()
 		rec.RecordCell(*tel)
 	}
-	return outcome{cell: j.cell, run: j.run, idx: idx, err: err}
+	return idx, false, err
 }
 
 // assembleReport rebuilds the report from the (cell, run) result grid in

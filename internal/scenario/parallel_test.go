@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -82,9 +83,9 @@ func TestCancellationMidSweep(t *testing.T) {
 		t.Fatalf("cancelled sweep took %v to return", elapsed)
 	}
 
-	// The pool unwinds asynchronously after RunContext returns (workers
-	// parked on the job channel exit when the feeder closes it); poll
-	// briefly rather than racing the scheduler.
+	// RunContext waits for its workers, but goroutines they handed work to
+	// (a cell's context.AfterFunc) may still be exiting; poll briefly
+	// rather than racing the scheduler.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before {
@@ -162,30 +163,66 @@ func TestPartialReportKeepsRunIdentity(t *testing.T) {
 	}
 }
 
-// TestProgressSerialized drives a wide sweep with a deliberately
-// unsynchronized callback: the engine's contract is that progress never
-// runs concurrently with itself, asserted with a compare-and-swap guard
-// (and by the race detector in CI).
+// TestProgressSerialized drives sweeps with a deliberately unsynchronized
+// callback: the engine's contract is that progress never runs concurrently
+// with itself, asserted with a compare-and-swap guard (and by the race
+// detector in CI). Every grid position reports exactly once, and one worker
+// claims positions in Shard.jobs order, so its progress arrives in that
+// order.
 func TestProgressSerialized(t *testing.T) {
 	sp := testSpec()
-	var active atomic.Int32
-	calls := 0 // unsynchronized on purpose: serialization makes this safe
-	rep, err := RunContext(context.Background(), sp, Options{
-		Workers: 8,
-		Progress: func(ProgressEvent) {
-			if !active.CompareAndSwap(0, 1) {
-				t.Error("progress callback ran concurrently with itself")
+	insts := sp.Instances()
+	for _, tc := range []struct {
+		workers int
+		shard   Shard
+	}{
+		{workers: 1},
+		{workers: 1, shard: Shard{Index: 1, Count: 3}},
+		{workers: 4},
+		{workers: 8},
+	} {
+		var active atomic.Int32
+		var order []job // unsynchronized on purpose: serialization makes this safe
+		rep, err := RunContext(context.Background(), sp, Options{
+			Workers: tc.workers, Shard: tc.shard,
+			Progress: func(ev ProgressEvent) {
+				if !active.CompareAndSwap(0, 1) {
+					t.Error("progress callback ran concurrently with itself")
+				}
+				for cell, inst := range insts {
+					if inst.Key() == ev.Instance.Key() {
+						order = append(order, job{cell: cell, run: ev.Run})
+					}
+				}
+				active.Store(0)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.shard.jobs(len(insts), sp.Runs)
+		if tc.workers == 1 && !reflect.DeepEqual(order, want) {
+			t.Errorf("workers=1 shard %v: progress order %v, want Shard.jobs order %v", tc.shard, order, want)
+		}
+		seen := map[job]int{}
+		for _, j := range order {
+			seen[j]++
+		}
+		for _, j := range want {
+			if seen[j] != 1 {
+				t.Errorf("workers=%d shard %v: cell %d run %d reported %d times, want once", tc.workers, tc.shard, j.cell, j.run, seen[j])
 			}
-			calls++
-			active.Store(0)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(rep.Cells) * sp.Runs
-	if calls != want {
-		t.Errorf("progress fired %d times, want %d", calls, want)
+		}
+		if len(order) != len(want) {
+			t.Errorf("workers=%d shard %v: progress fired %d times, want %d", tc.workers, tc.shard, len(order), len(want))
+		}
+		filled := 0
+		for _, c := range rep.Cells {
+			filled += len(c.Runs)
+		}
+		if filled != len(want) {
+			t.Errorf("workers=%d shard %v: report holds %d runs, want %d", tc.workers, tc.shard, filled, len(want))
+		}
 	}
 }
 

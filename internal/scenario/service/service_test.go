@@ -605,7 +605,7 @@ func TestQueuedSweepsCostNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One runner, plus the running sweep's worker, feeder and closer.
+	// One runner, plus the running sweep's worker.
 	if extra := runtime.NumGoroutine() - base; extra > 8 {
 		t.Errorf("%d goroutines above baseline with 100 sweeps submitted at MaxConcurrent 1, want at most 8", extra)
 	}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 
 	"vce/internal/obs"
 	"vce/internal/scenario"
@@ -74,24 +75,28 @@ func checkKey(key string) error {
 	return nil
 }
 
+// path is <dir>/<key[:2]>/<key>.json, built in one allocation.
 func (s *FS) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
+	const sep = string(filepath.Separator)
+	return s.dir + sep + key[:2] + sep + key + ".json"
 }
 
 // Get implements scenario.Store. A missing entry is (zero, false, nil); a
 // present-but-undecodable entry is deleted, counted in Stats().Corrupt and
-// reported the same way, so callers recompute instead of failing.
+// reported the same way, so callers recompute instead of failing. Any other
+// read error (a directory at the entry's path, a permission fault) is a
+// miss that returns the error.
 func (s *FS) Get(key string) (scenario.Indexes, bool, error) {
 	if err := checkKey(key); err != nil {
 		return scenario.Indexes{}, false, err
 	}
-	data, err := os.ReadFile(s.path(key))
+	var buf [entryBuf]byte
+	data, err := readFile(s.path(key), buf[:0])
 	if err != nil {
+		s.misses.Add(1)
 		if errors.Is(err, fs.ErrNotExist) {
-			s.misses.Add(1)
 			return scenario.Indexes{}, false, nil
 		}
-		s.misses.Add(1)
 		return scenario.Indexes{}, false, fmt.Errorf("store: %w", err)
 	}
 	idx, err := scenario.ParseIndexes(data)
@@ -105,6 +110,46 @@ func (s *FS) Get(key string) (scenario.Indexes, bool, error) {
 	}
 	s.hits.Add(1)
 	return idx, true, nil
+}
+
+// entryBuf is the size of the buffer Get reads an entry into on its own
+// stack. An entry is about 450 bytes; a longer file grows onto the heap.
+const entryBuf = 1024
+
+// readFile appends the contents of the file at path to buf with open, read
+// until it returns 0, and close: four system calls for an entry. os.ReadFile
+// adds an fstat, and os.Open fcntl calls and a poller registration, to each.
+// Its errors are *fs.PathError, so errors.Is(err, fs.ErrNotExist) tells a
+// missing file.
+func readFile(path string, buf []byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return nil, &fs.PathError{Op: "open", Path: path, Err: err}
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			syscall.Close(fd)
+			return nil, &fs.PathError{Op: "read", Path: path, Err: err}
+		}
+		if n == 0 {
+			break
+		}
+		buf = buf[:len(buf)+n]
+	}
+	if err := syscall.Close(fd); err != nil {
+		return nil, &fs.PathError{Op: "close", Path: path, Err: err}
+	}
+	return buf, nil
 }
 
 // Put implements scenario.Store: write-to-temp plus rename, so readers and

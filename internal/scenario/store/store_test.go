@@ -126,20 +126,88 @@ func TestEntryIsJSONMarshalBytes(t *testing.T) {
 	}
 }
 
-func TestMissingEntryIsCleanMiss(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ok, err := s.Get(keyFor("absent"))
-	if err != nil {
-		t.Fatalf("missing entry returned error %v, want nil", err)
-	}
-	if ok {
-		t.Fatal("missing entry reported ok")
-	}
-	if st := s.Stats(); st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want one miss", st)
+// TestGetOutcomes covers how Get reads the file at an entry's path: what is
+// a clean miss, what is a miss with an error, that a file is read whole
+// whatever its length, and what a hit costs in allocations.
+func TestGetOutcomes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, s *FS)
+	}{
+		{"missing file is a clean miss", func(t *testing.T, s *FS) {
+			_, ok, err := s.Get(keyFor("absent"))
+			if err != nil || ok {
+				t.Fatalf("Get = (ok %v, err %v), want a miss without error", ok, err)
+			}
+			if st := s.Stats(); st.Misses != 1 || st.Hits != 0 || st.Corrupt != 0 {
+				t.Fatalf("stats = %+v, want one miss", st)
+			}
+		}},
+		{"directory at the entry path is an error, not corrupt", func(t *testing.T, s *FS) {
+			key := keyFor("dir")
+			if err := os.MkdirAll(s.path(key), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			_, ok, err := s.Get(key)
+			if err == nil || ok {
+				t.Fatalf("Get = (ok %v, err %v), want a miss with an error", ok, err)
+			}
+			if st := s.Stats(); st.Misses != 1 || st.Corrupt != 0 {
+				t.Fatalf("stats = %+v, want one miss and nothing corrupt", st)
+			}
+			if info, err := os.Stat(s.path(key)); err != nil || !info.IsDir() {
+				t.Fatalf("directory at the entry path was touched: %v", err)
+			}
+		}},
+		{"file longer than the first buffer comes back whole", func(t *testing.T, s *FS) {
+			want := bytes.Repeat([]byte("0123456789abcdef"), 3*entryBuf/16+1)
+			path := filepath.Join(t.TempDir(), "long")
+			if err := os.WriteFile(path, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := readFile(path, make([]byte, 0, entryBuf))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("readFile = %d bytes, %v; want the %d bytes written", len(got), err, len(want))
+			}
+			// An entry read through a buffer shorter than itself still
+			// decodes.
+			key, idx := keyFor("grow"), scenario.Indexes{MakespanS: 1234.5678, Completed: 48}
+			if err := s.Put(key, idx); err != nil {
+				t.Fatal(err)
+			}
+			data, err := readFile(s.path(key), make([]byte, 0, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back, err := scenario.ParseIndexes(data); err != nil || back != idx {
+				t.Fatalf("entry read through a short buffer = %+v, %v", back, err)
+			}
+		}},
+		{"hit allocation budget", func(t *testing.T, s *FS) {
+			key := keyFor("alloc")
+			if err := s.Put(key, scenario.Indexes{MakespanS: 1234.5678, UtilizationPct: 55.5555555, Completed: 48}); err != nil {
+				t.Fatal(err)
+			}
+			// A hit allocates the entry's path and its NUL-terminated copy
+			// for open (the race detector's instrumentation adds one);
+			// os.ReadFile's file object and buffer made it 7.
+			const budget = 3
+			if n := testing.AllocsPerRun(100, func() {
+				if _, ok, _ := s.Get(key); !ok {
+					t.Fatal("Get missed a stored entry")
+				}
+			}); n > budget {
+				t.Fatalf("a hit allocates %v times, budget %d", n, budget)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run(t, s)
+		})
 	}
 }
 

@@ -54,6 +54,28 @@ func TestTelemetryStructureDeterminism(t *testing.T) {
 	if a[0].Kernel.Fired == 0 || a[0].Kernel.Scheduled == 0 {
 		t.Fatalf("kernel counters not recorded: %+v", a[0].Kernel)
 	}
+	// A cell is enqueued when the execute phase starts, so its queue wait is
+	// the time until a worker claimed it: one worker claims in Shard.jobs
+	// order, and its queue waits grow along that order.
+	insts := sp.Instances()
+	wait := map[job]float64{}
+	for _, c := range snaps[0].Cells {
+		for cell, inst := range insts {
+			if inst.Sched == c.Sched && inst.Migration == c.Migration {
+				wait[job{cell: cell, run: c.Run}] = c.QueueWaitMS
+			}
+		}
+	}
+	prev := 0.0
+	for _, j := range (Shard{}).jobs(len(insts), sp.Runs) {
+		if wait[j] < prev {
+			t.Fatalf("workers=1: cell %d run %d waited %v ms, less than the cell claimed before it (%v ms)", j.cell, j.run, wait[j], prev)
+		}
+		prev = wait[j]
+	}
+	if prev == 0 {
+		t.Fatal("workers=1: the last cell claimed recorded no queue wait")
+	}
 	// Every sweep records the three top-level spans in order.
 	for _, s := range snaps {
 		if len(s.Spans) != 3 || s.Spans[0].Name != "setup" || s.Spans[1].Name != "execute" || s.Spans[2].Name != "merge" {

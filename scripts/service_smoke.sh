@@ -12,9 +12,10 @@
 #   2. the report fetched from the daemon is byte-identical to the
 #      report.json a plain CLI run of the same spec writes;
 #   3. the daemon shuts down cleanly on SIGTERM (exit 0, state persisted);
-#   4. a shutdown with a sweep still queued (-max-sweeps 1) ends that
-#      sweep's open event stream, exits 0 within 5 s, and a restart on the
-#      same cache directory runs both sweeps to done.
+#   4. a shutdown while one sweep runs and another is queued behind it
+#      (-max-sweeps 1) ends the queued sweep's open event stream with
+#      `interrupted`, exits 0 within 5 s, and a restart on the same cache
+#      directory runs both sweeps to done.
 # Exits non-zero on any divergence. Needs curl and jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -154,9 +155,10 @@ stop_daemon "$work/serve.err"
 echo "OK: daemon shut down cleanly; sweep state persisted"
 
 echo "== shutdown with a queued sweep (-max-sweeps 1)"
-# The first sweep is a 50x-task copy so it still runs (about a second on two
-# cores) when the reseeded copy is submitted behind it and SIGTERM arrives.
-jq '.workload.tasks *= 50 | .horizon_s *= 100' "$work/spec.json" > "$work/spec-heavy.json"
+# The first sweep is a 50x-task, 50x-run copy: it runs for seconds on two
+# cores, so once it reads `running` a SIGTERM lands while it still runs and
+# the reseeded copy submitted behind it is still queued.
+jq '.workload.tasks *= 50 | .horizon_s *= 100 | .runs *= 50' "$work/spec.json" > "$work/spec-heavy.json"
 jq '.seed += 1' "$work/spec.json" > "$work/spec-reseeded.json"
 start_daemon "$work/cache-queued" "$work/serve-queued.err" -max-sweeps 1
 qa="$(submit "$work/spec-heavy.json" | jq -r .id)"
@@ -172,6 +174,16 @@ if [[ ! -s "$work/stream.hdr" ]]; then
   echo "FAIL: event stream of sweep $qb never opened" >&2
   exit 1
 fi
+state=""
+for _ in $(seq 1 100); do
+  state="$(curl -sS "http://$addr/sweeps/$qa" | jq -r .state)"
+  [[ "$state" != "queued" ]] && break
+  sleep 0.05
+done
+if [[ "$state" != "running" ]]; then
+  echo "FAIL: heavy sweep $qa read '$state' before the shutdown, want running" >&2
+  exit 1
+fi
 start_ns="$(date +%s%N)"
 stop_daemon "$work/serve-queued.err"
 took_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
@@ -179,8 +191,8 @@ wait "$stream_pid" || true
 stream_pid=""
 last="$(tail -n1 "$work/stream.ndjson" | jq -r .type)"
 echo "second sweep's stream ended with '$last'; daemon exited in ${took_ms} ms"
-if [[ "$last" != "interrupted" && "$last" != "done" ]]; then
-  echo "FAIL: queued sweep's stream ended with '$last', want interrupted or done" >&2
+if [[ "$last" != "interrupted" ]]; then
+  echo "FAIL: queued sweep's stream ended with '$last', want interrupted" >&2
   exit 1
 fi
 if (( took_ms >= 5000 )); then
